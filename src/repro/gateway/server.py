@@ -308,11 +308,15 @@ class GatewayServer:
     def _dump_slow_round(self, spans) -> None:
         """Slow-round hook: dump the offending round's full span tree.
 
-        Called by the engine on the round executor thread (not the event
-        loop), so synchronous file I/O is fine here."""
+        Called by the engine on the thread that committed the round (the
+        committer, or the round executor when serial) — never the event
+        loop — so synchronous file I/O is fine here."""
         self.trace_dir.mkdir(parents=True, exist_ok=True)
-        write_jsonl(spans,
-                    self.trace_dir / f"slow-round-{self.engine.rounds}.jsonl")
+        # Named by the round the spans belong to, not engine.rounds: the
+        # engine may already be computing the next round.
+        index = next((span.attrs["round"] for span in spans
+                      if span.name == "engine.round"), self.engine.rounds)
+        write_jsonl(spans, self.trace_dir / f"slow-round-{index}.jsonl")
 
     # ------------------------------------------------------------------
     # The round loop
@@ -331,9 +335,9 @@ class GatewayServer:
 
         Pipelined mode: ``run_round`` returns ``[]`` (results arrive via
         the committer's :meth:`_on_batch_committed` once their group
-        commit fsyncs), so the resolution loop below only runs on the
-        serial path — the next round starts without waiting for the
-        previous round's fsync.
+        commit fsyncs), so only the serial path resolves anything here —
+        the next round starts without waiting for the previous round's
+        fsync.
         """
         loop = asyncio.get_running_loop()
         while True:
@@ -358,13 +362,7 @@ class GatewayServer:
                 continue
             if self.engine.has_pending():
                 self._work.set()  # leftovers form the next round
-            if not results:
-                continue
-            self.metrics.counter("gateway.rounds").inc()
-            for result in results:
-                pending = result.request.tag
-                if not pending.future.done():
-                    pending.future.set_result(result)
+            self._resolve_results(results)
 
     async def _gather_arrivals(self, loop) -> None:
         """Pipelined mode's round-gather window.

@@ -235,14 +235,19 @@ class TraceRecorder:
 
     def record_span(self, name: str, parent: TraceContext | None,
                     ts: float, dur: float,
-                    attrs: Mapping[str, Any] | None = None) -> Span:
+                    attrs: Mapping[str, Any] | None = None,
+                    context: TraceContext | None = None) -> Span:
         """Record a synthetic span from externally measured timings.
 
-        Used for intervals that are observed rather than wrapped: a
-        request's queue wait (known only at dequeue time) and the
-        per-request echoes of shared round-stage measurements.
+        Used for intervals that are observed rather than wrapped: the
+        serving engine derives every one of its spans from its round
+        timeline this way.  ``context`` is a pre-minted identity for
+        the span (overriding ``parent``) — for a span whose children
+        were recorded under it before its own interval closed.
         """
-        context = parent.child() if parent is not None else TraceContext.root()
+        if context is None:
+            context = parent.child() if parent is not None \
+                else TraceContext.root()
         span = Span(name=name, trace_id=context.trace_id,
                     span_id=context.span_id, parent_id=context.parent_id,
                     ts=ts, dur=dur, attrs=dict(attrs) if attrs else {})

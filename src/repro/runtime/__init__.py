@@ -12,10 +12,15 @@ instruments it through one :class:`repro.metrics.MetricsRegistry`:
     The round loop: lock-step rounds pulled from backend-owned streams
     (``step``/``serve``/``ingest_round``/``score_only``) and
     policy-composed rounds over bounded admission queues
-    (``submit``/``run_round``), with per-entry error isolation.
+    (``submit``/``run_round``) — one wave executor, one commit routine
+    (inline or on the committer thread), per-entry error isolation, and
+    a :class:`DurabilityHook` for ack-after-fsync serving.
 :class:`ExecutionBackend` → :class:`InlineBackend` / :class:`ShardedBackend`
-    Where the compute runs: the caller's process (micro-batched
-    coalescing) or a scatter across shard worker processes.
+    Where the compute runs.  ``serve_round`` is the one wave primitive:
+    the caller's process (micro-batched coalescing), or a scatter of
+    that same inline implementation across shard worker processes.
+    Stage timings ride every reply (:mod:`repro.runtime.timeline`), so
+    ``engine.stage.*`` histograms fill with or without a tracer.
 :class:`SchedulingPolicy` → :class:`FairRoundRobin` / :class:`GreedyDrain` / :class:`PriorityAdmission`
     How queued requests compose a round.  Per-stream FIFO is an engine
     invariant, so every backend × policy combination serves bit-identical
@@ -24,6 +29,7 @@ instruments it through one :class:`repro.metrics.MetricsRegistry`:
 
 from .engine import (
     AdmissionError,
+    DurabilityHook,
     EngineRequest,
     FleetEvent,
     RoundResult,
@@ -48,6 +54,7 @@ __all__ = [
     "EngineRequest",
     "RoundResult",
     "AdmissionError",
+    "DurabilityHook",
     "ExecutionBackend",
     "InlineBackend",
     "ShardedBackend",

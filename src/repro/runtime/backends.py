@@ -1,10 +1,13 @@
 """Execution backends: where a serving round's compute actually runs.
 
 The :class:`~repro.runtime.ServingEngine` round loop is backend-agnostic;
-an :class:`ExecutionBackend` supplies the three primitives it composes —
-``pull_round`` (gather from backend-owned streams and run one lock-step
-round), ``score`` (stateless coalesced scoring), and ``ingest``
-(dispatch score slices into deployment monitors).  Two backends ship:
+an :class:`ExecutionBackend` supplies what it composes — ``serve_round``
+(the one wave primitive: coalesced scoring, then the named subset's
+deployments ingest their score slices, with stage timings riding the
+reply), ``pull_round`` (gather from backend-owned streams and run one
+lock-step round), and the split ``score`` / ``ingest`` pair, which
+survives as the engine's per-entry isolation fallback and the
+``score_only``/``ingest_round`` facade.  Two backends ship:
 
 :class:`InlineBackend`
     Single-process execution over a :class:`~repro.serving.DeploymentFleet`'s
@@ -16,8 +19,9 @@ round), ``score`` (stateless coalesced scoring), and ``ingest``
     worker pool — arrivals scatter to the owning shards (each shard
     micro-batches its slice concurrently), per-shard results merge back
     in stable stream order.  Inside each worker the shard's own
-    ``DeploymentFleet`` runs the very same engine loop, so sharding
-    distributes the canonical round rather than duplicating it.
+    ``DeploymentFleet`` answers through the very same
+    :class:`InlineBackend`, so sharding only scatters and merges the
+    canonical wave rather than duplicating it.
 
 Both backends produce bit-identical scores for identical per-stream
 window sequences (shards own disjoint streams and models, and per-shard
@@ -33,6 +37,7 @@ import numpy as np
 
 from .engine import FleetEvent, make_fleet_event
 from ..errors import WindowShapeError
+from .timeline import stage_timing
 
 __all__ = ["ExecutionBackend", "InlineBackend", "ShardedBackend"]
 
@@ -55,41 +60,34 @@ class ExecutionBackend(abc.ABC):
         streams are exhausted."""
 
     @abc.abstractmethod
+    def serve_round(self, arrivals: dict, ingest_names: list[str]) \
+            -> tuple[dict, dict, list[str], list[dict]]:
+        """One wave: score every arrival coalesced, then ingest the
+        ``ingest_names`` subset with its precomputed slices.  Returns
+        ``(scored, events, unscored, timings)``: per-stream score arrays;
+        per-stream :class:`FleetEvent` results for the ingested subset;
+        the streams whose coalesced score failed *cleanly* (nothing of
+        theirs was ingested, so the caller may retry them one by one
+        through :meth:`score` + :meth:`ingest`); and the stage intervals
+        stamped on the way (:func:`~repro.runtime.timeline.stage_timing`
+        entries, plus ``"shard"``/``"pid"`` when stamped in a worker).
+
+        Raising means the outcome is indeterminate for the ingest subset
+        (a worker died mid-wave); the caller must not blindly re-send."""
+
+    @abc.abstractmethod
     def score(self, arrivals: dict) -> dict[str, np.ndarray]:
         """Stateless coalesced scoring of externally supplied windows;
         no deployment monitor is touched, so a failed or repeated call
-        is safe.
-
-        Backends that support tracing accept an optional ``trace``
-        keyword (a :class:`repro.obs.TraceContext` to parent their
-        internal spans under); the engine only passes it when a tracer
-        is attached, so backends without the keyword still work
-        untraced.
-        """
+        is safe."""
 
     @abc.abstractmethod
     def ingest(self, arrivals: dict, scores: dict | None = None,
                batched: bool = True) -> dict[str, FleetEvent]:
         """Dispatch one round of externally supplied windows into the
-        owning deployments.  ``scores`` carries precomputed slices (the
-        score-then-ingest split); with ``scores=None`` the backend
-        scores internally — coalesced when ``batched``, else one
-        per-deployment forward each.  Same optional ``trace`` keyword
-        contract as :meth:`score`."""
-
-    def set_tracer(self, tracer) -> None:
-        """Attach a :class:`repro.obs.TraceRecorder` (or ``None``).
-
-        The default just stores it; backends that execute work in other
-        processes override this to relay worker-side spans back into
-        the parent recorder."""
-        self._tracer = tracer
-
-    def stream_shards(self) -> dict | None:
-        """``{stream name: shard index}`` when streams are partitioned
-        across workers (for span shard attribution); ``None`` for
-        single-process backends."""
-        return None
+        owning deployments.  ``scores`` carries precomputed slices; with
+        ``scores=None`` the backend scores internally — coalesced when
+        ``batched``, else one per-deployment forward each."""
 
     def batch_stats(self) -> dict | None:
         """Coalescing counters (``batches_run``/``windows_scored``) when
@@ -172,11 +170,24 @@ class InlineBackend(ExecutionBackend):
             events.append(make_fleet_event(slot, log, batch))
         return events
 
-    def score(self, arrivals: dict,
-              trace=None) -> dict[str, np.ndarray]:
-        # ``trace`` is accepted but unused: inline work runs on the
-        # engine's thread, so the engine's own stage spans already cover
-        # it exactly.
+    def serve_round(self, arrivals: dict, ingest_names: list[str]) \
+            -> tuple[dict, dict, list[str], list[dict]]:
+        timings: list[dict] = []
+        try:
+            with stage_timing(timings, "score", list(arrivals)):
+                scored = self.score(arrivals)
+        except Exception:  # noqa: BLE001 — a clean failure: scoring is
+            # stateless and nothing was ingested, so the caller isolates
+            # the offending entry by re-scoring each stream alone.
+            return {}, {}, list(arrivals), timings
+        todo = {name: arrivals[name] for name in ingest_names}
+        events = {}
+        if todo:
+            with stage_timing(timings, "ingest", list(todo)):
+                events = self.ingest(todo, scores=scored)
+        return scored, events, [], timings
+
+    def score(self, arrivals: dict) -> dict[str, np.ndarray]:
         slots, windows = self._gather(arrivals)
         if not slots:
             return {}
@@ -185,7 +196,7 @@ class InlineBackend(ExecutionBackend):
                 for slot, scores in zip(slots, all_scores)}
 
     def ingest(self, arrivals: dict, scores: dict | None = None,
-               batched: bool = True, trace=None) -> dict[str, FleetEvent]:
+               batched: bool = True) -> dict[str, FleetEvent]:
         slots, windows = self._gather(arrivals)
         if not slots:
             return {}
@@ -219,7 +230,6 @@ class ShardedBackend(ExecutionBackend):
 
     def __init__(self, fleet):
         self._fleet = fleet
-        self._tracer = None
 
     def pull_round(self, batched: bool) -> list[FleetEvent]:
         # Every shard steps concurrently (each worker's fleet runs the
@@ -232,41 +242,19 @@ class ShardedBackend(ExecutionBackend):
         return [by_stream[name] for name in self._fleet._order
                 if name in by_stream]
 
-    def score(self, arrivals: dict,
-              trace=None) -> dict[str, np.ndarray]:
-        return self._fleet._scatter(
-            "score_only", arrivals,
-            trace=trace if self._tracer is not None else None,
-            span_sink=self._record_worker_spans)
+    def serve_round(self, arrivals: dict, ingest_names: list[str]) \
+            -> tuple[dict, dict, list[str], list[dict]]:
+        # One ring round-trip per involved shard; looked up on the fleet
+        # at call time so an instrumented fleet method is honoured.
+        return self._fleet.serve_round(arrivals, ingest_names)
+
+    def score(self, arrivals: dict) -> dict[str, np.ndarray]:
+        return self._fleet._scatter("score_only", arrivals)
 
     def ingest(self, arrivals: dict, scores: dict | None = None,
-               batched: bool = True, trace=None) -> dict[str, FleetEvent]:
-        return self._fleet._scatter(
-            "ingest_round", arrivals, extra=(batched, scores),
-            trace=trace if self._tracer is not None else None,
-            span_sink=self._record_worker_spans)
-
-    def serve_round(self, arrivals: dict,
-                    ingest: list[str]) -> tuple[dict, dict, list[str]]:
-        """Fused score+ingest wave: one scatter round-trip per shard
-        instead of the split score/ingest pair.  The engine uses this on
-        untraced rounds only — traced rounds keep the split commands so
-        per-stage spans stay exact — and falls back to the split
-        per-entry isolation path for any ``unscored`` streams.  Scores
-        are bit-identical either way (same per-shard batch
-        composition)."""
-        return self._fleet.serve_round(arrivals, ingest)
-
-    def _record_worker_spans(self, payloads) -> None:
-        """Land shard-worker span dicts in the parent recorder."""
-        tracer = self._tracer
-        if tracer is not None and payloads:
-            tracer.record_dicts(payloads)
-
-    def stream_shards(self) -> dict | None:
-        if self._fleet._closed:
-            return None
-        return self._fleet.assignment
+               batched: bool = True) -> dict[str, FleetEvent]:
+        return self._fleet._scatter("ingest_round", arrivals,
+                                    extra=(batched, scores))
 
     def batch_stats(self) -> dict | None:
         if self._fleet._closed:

@@ -12,14 +12,17 @@ report what happened.  :class:`ServingEngine` owns that loop once:
   or pushed into bounded per-stream admission queues (:meth:`submit`);
 * **schedule** — a pluggable :class:`~repro.runtime.SchedulingPolicy`
   decides which queued requests form the round (:meth:`run_round`);
-* **score** — the :class:`~repro.runtime.ExecutionBackend` executes the
-  coalesced, stateless scoring pass (in-process micro-batching or a
-  scatter across shard workers), with per-entry isolation when a
-  coalesced forward fails;
-* **ingest** — deployments consume their precomputed score slices;
+* **serve** — each wave of the round is one
+  :meth:`~repro.runtime.ExecutionBackend.serve_round` call: the backend
+  scores the wave coalesced (in-process micro-batching or one scatter
+  across shard workers) and its deployments ingest their precomputed
+  score slices, with per-entry isolation when a coalesced forward fails;
+* **commit** — one commit routine (durability records, group-commit
+  fsync) runs inline or on the committer thread;
 * **emit** — :class:`FleetEvent`/:class:`RoundResult` objects for the
-  caller, and round/latency/queue metrics into one shared
-  :class:`repro.metrics.MetricsRegistry`.
+  caller, round/latency/queue/stage metrics into one shared
+  :class:`repro.metrics.MetricsRegistry`, and — from the same stamps,
+  only when a recorder is attached — the round's trace spans.
 
 Scores are bit-identical across backends and policies: scoring is
 stateless and batch-composition-independent (see
@@ -33,20 +36,21 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from threading import Condition, Lock, Thread
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
 
 from ..errors import ConfigError, ReproError
 from ..metrics import MetricsRegistry
+from .timeline import RoundTimeline, stage_timing
 
 if TYPE_CHECKING:  # pragma: no cover — typing only
     from ..adaptation.controller import AdaptationStepLog
 
 __all__ = ["FleetEvent", "make_fleet_event", "EngineRequest", "RoundResult",
-           "AdmissionError", "ServingEngine"]
+           "AdmissionError", "DurabilityHook", "ServingEngine"]
 
 
 @dataclass
@@ -94,8 +98,7 @@ class EngineRequest:
     tag: object = None
     wal_seq: int | None = None     # durability log seq (set at admission)
     # Optional repro.obs.TraceContext joining this request's trace to
-    # the round that serves it (typed loosely: the runtime layer treats
-    # it as opaque unless a tracer is attached).
+    # the round that serves it.
     trace: object = None
 
 
@@ -111,6 +114,12 @@ class RoundResult:
     message: str | None = None
 
 
+def _failed(request: EngineRequest, code: str, message: str) -> RoundResult:
+    """The typed-error result for ``request``."""
+    return RoundResult(request=request, kind="error", code=code,
+                       message=message)
+
+
 class AdmissionError(ReproError, RuntimeError):
     """A request refused at the queue door; carries a typed code."""
 
@@ -120,24 +129,52 @@ class AdmissionError(ReproError, RuntimeError):
         self.message = message
 
 
-@dataclass
-class _CommitBatch:
-    """One round's results riding the committer queue (pipelined mode).
+class DurabilityHook(Protocol):
+    """What the engine calls to make queued serving durable
+    (:class:`repro.wal.WalDurability` implements it; the runtime layer
+    never imports that package).
 
-    Batches are strictly FIFO: the committer pops them in handoff order,
-    so the WAL sees watermark/skip records in exactly the order the
-    serial commit would have written them.  ``dur_span`` is the round's
-    ``engine.durability`` active span, opened on the round thread at
-    handoff and finished on the committer thread after the fsync — which
-    is how ``wal.fsync`` spans stay parented under the *committing*
-    round even though they are recorded from another thread.
+    Accepted ingests are logged before they become schedulable
+    (:meth:`record_submit`, under the admission lock), each round's
+    applied/skipped outcomes are recorded and group-commit fsynced by
+    :meth:`flush` before any result reaches a caller, and a snapshot the
+    hook reports due is taken by the engine on the round thread.
     """
 
+    def record_submit(self, request: EngineRequest) -> int | None:
+        """Log one accepted ingest; returns its log seq."""
+
+    def record_applied(self, stream: str, seq: int) -> None:
+        """The ingest at ``seq`` was applied to ``stream``."""
+
+    def record_skip(self, seq: int) -> None:
+        """The ingest at ``seq`` was logged but never applied."""
+
+    def flush(self, trace_parent=None) -> None:
+        """Group-commit fsync of everything recorded so far; raises on
+        failure.  Safe from the committer thread (touches only the log).
+        ``trace_parent`` parents the fsync's span."""
+
+    def snapshot_due(self, rounds: int) -> bool:
+        """Whether a snapshot should follow round ``rounds``."""
+
+    def snapshot(self, engine: "ServingEngine") -> object:
+        """Snapshot-then-truncate; only ever called on the round thread
+        with no commit in flight."""
+
+
+@dataclass
+class _CommitBatch:
+    """One round's results and :class:`~repro.runtime.timeline.RoundTimeline`,
+    handed *by value* from the round thread to whichever thread commits
+    it — the round thread itself, or the committer in pipelined mode.
+    Batches commit strictly FIFO, so the WAL sees watermark/skip records
+    in round order either way.  ``wal_seqs`` are the durability-log seqs
+    the batch still holds unfsynced (see :meth:`min_pending_wal_seq`)."""
+
     results: list[RoundResult]
-    handed_off: float                 # perf_counter at handoff
-    dur_span: object = None           # repro.obs ActiveSpan | None
-    round_index: int = 0
-    wal_seqs: list[int] = field(default_factory=list)
+    timeline: RoundTimeline
+    wal_seqs: list[int]
 
 
 class ServingEngine:
@@ -150,32 +187,35 @@ class ServingEngine:
     :meth:`ingest_round`, :meth:`score_only`) are single-caller, like the
     fleet methods they replaced.
 
-    **Pipelined mode** (``pipeline=True``): :meth:`run_round` no longer
-    returns its results — it hands them to a dedicated committer thread
-    as an ordered :class:`_CommitBatch` and returns ``[]`` immediately,
-    so round N+1's scheduling/scoring overlaps round N's group-commit
-    fsync.  The committer applies the batch's watermark/skip records,
-    fsyncs, and only then delivers the results through the ``on_commit``
-    callback — ack-after-fsync is preserved, just off the critical path.
-    Batches commit strictly FIFO; a failed fsync latches the engine
-    exactly like the serial path (the failing batch *and every batch
-    queued behind it* deliver typed ``durability`` errors, and
-    :meth:`submit` refuses new ingests).  :meth:`drain_commits` is the
-    barrier callers (snapshots, shutdown) use; :meth:`stop_committer`
-    drains and joins the thread.
+    :meth:`run_round` has one exit: it builds the round's
+    :class:`_CommitBatch` and either runs :meth:`_commit_batch` inline
+    and returns the committed results, or — **pipelined mode**
+    (``pipeline=True``) — hands the batch to a dedicated committer
+    thread that runs the *same* :meth:`_commit_batch`, and returns ``[]``
+    immediately so round N+1's scheduling/scoring overlaps round N's
+    group-commit fsync.  The committer delivers each batch's results
+    through the ``on_commit`` callback only after its fsync —
+    ack-after-fsync is preserved, just off the critical path.  Batches
+    commit strictly FIFO; a failed fsync latches the engine (the failing
+    batch *and every batch behind it* deliver typed ``durability``
+    errors, and :meth:`submit` refuses new ingests).
+    :meth:`drain_commits` is the barrier callers (snapshots, shutdown)
+    use; :meth:`stop_committer` drains and joins the thread.
 
     The lock discipline is machine-checked: attributes annotated
     ``# repro: guarded-by[_lock]`` (the queues, the durability latch,
     the committer's shared state) may only be touched inside
     ``with self._lock`` or in methods annotated ``# repro: lock-held`` —
     ``repro lint`` (the **lock-guard** rule) fails CI on any unguarded
-    access.
+    access.  Everything else the committing thread needs rides the
+    :class:`_CommitBatch` by value.
     """
 
     def __init__(self, backend, policy=None, metrics: MetricsRegistry | None = None,
                  max_queue_depth: int | None = None, clock=time.monotonic,
-                 durability=None, tracer=None, slow_round_ms: float | None = None,
-                 on_slow_round=None, pipeline: bool = False, on_commit=None):
+                 durability: DurabilityHook | None = None, tracer=None,
+                 slow_round_ms: float | None = None, on_slow_round=None,
+                 pipeline: bool = False, on_commit=None):
         from .policies import FairRoundRobin
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ConfigError("max_queue_depth must be >= 1")
@@ -187,25 +227,17 @@ class ServingEngine:
         self._clock = clock
         self._queues: dict[str, deque[EngineRequest]] = {}  # repro: guarded-by[_lock]
         self._lock = Lock()
-        # Duck-typed durability hook (e.g. repro.wal.WalDurability; the
-        # runtime layer never imports it): record_submit(request) → seq,
-        # record_applied(stream, seq), record_skip(seq), commit(engine).
-        # Accepted ingests are logged before they become schedulable and
-        # fsynced once per round before results reach any caller.
         self.durability = durability
         self._durability_failed = False  # repro: guarded-by[_lock]
         # Uptime baseline for stats(); always real monotonic time, never
         # the injected scheduling clock.
         self._started_monotonic = time.monotonic()
-        # Tracing (repro.obs.TraceRecorder, duck-typed).  Strictly
-        # opt-in: with no tracer every span call site below is skipped,
-        # so the hot path is bit-identical to an untraced engine.
-        self._tracer = None
+        # The attached repro.obs.TraceRecorder, or None.  It never
+        # selects a code path: a recorder only adds the spans derived
+        # from the stamps every round takes (see runtime.timeline).
+        self.tracer = tracer
         self.slow_round_ms = slow_round_ms
         self.on_slow_round = on_slow_round  # callable(list[Span]) | None
-        # Context the durability hook parents wal.fsync spans under;
-        # set only for the duration of a traced round's commit.
-        self.durability_trace = None
         # Pipelined group commit: round N's fsync overlaps round N+1's
         # compute.  on_commit(results) is the completion sink (the
         # gateway resolves its response futures there); it runs on the
@@ -220,20 +252,6 @@ class ServingEngine:
         # Shares _lock so committer waits hold the same lock the
         # guarded state lives under.
         self._commit_cv = Condition(self._lock)
-        if tracer is not None:
-            self.tracer = tracer
-
-    @property
-    def tracer(self):
-        """The attached :class:`repro.obs.TraceRecorder` (or ``None``)."""
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, recorder) -> None:
-        self._tracer = recorder
-        attach = getattr(self.backend, "set_tracer", None)
-        if attach is not None:
-            attach(recorder)
 
     # ------------------------------------------------------------------
     # Lock-step serving: rounds pulled from backend-owned streams
@@ -242,19 +260,19 @@ class ServingEngine:
         """One serving round over every live backend stream: pull each
         stream's next arrival batch, score (coalesced when ``batched``),
         ingest, emit events.  With a tracer attached each non-empty pull
-        becomes one ``engine.round`` span (an abandoned span on the
-        empty pull is never recorded)."""
-        trc = self._tracer
-        round_span = trc.start("engine.round") if trc is not None else None
-        start = time.perf_counter()
+        becomes one ``engine.round`` span."""
+        wall, start = time.time(), time.perf_counter()
         events = self.backend.pull_round(batched)
         if not events:
             return []
-        self._observe_round(time.perf_counter() - start, len(events),
+        elapsed = time.perf_counter() - start
+        self._observe_round(elapsed, len(events),
                             sum(int(event.scores.size) for event in events))
-        if round_span is not None:
-            round_span.finish(round=self.rounds, streams=len(events),
-                              pull=True)
+        if self.tracer is not None:
+            self.tracer.record_span(
+                "engine.round", None, ts=wall, dur=elapsed,
+                attrs={"round": self.rounds, "streams": len(events),
+                       "pull": True})
         return events
 
     def serve(self, max_rounds: int | None = None, batched: bool = True):
@@ -389,31 +407,28 @@ class ServingEngine:
         the engine partitions the selection into waves of at most one
         request per stream — per-stream FIFO is an invariant the policy
         cannot break, it only shapes round *composition* — and executes
-        each wave score-then-ingest.  Total: every selected or expired
-        request gets exactly one :class:`RoundResult`; this method never
-        raises on bad client input or backend failure.
+        each wave through the backend's ``serve_round``.  Total: every
+        selected or expired request gets exactly one
+        :class:`RoundResult`; this method never raises on bad client
+        input or backend failure.
 
-        With a tracer attached, the round becomes its own trace
-        (``engine.round`` → ``engine.schedule`` / per-wave
-        ``engine.score``/``engine.ingest`` / ``engine.durability``) and
-        each traced request's story gains per-request ``queue.wait`` and
-        ``stage.*`` spans parented under *its* context — the join
-        between a request's trace and the shared round that served it.
-        Abandoned active spans (empty rounds) are never recorded.
+        Every round stamps one :class:`~repro.runtime.timeline.RoundTimeline`
+        from which the ``engine.stage.*`` histograms are observed, traced
+        or not.  With a recorder attached the same stamps also become
+        the round's own trace (``engine.round`` → ``engine.schedule`` /
+        per-wave ``engine.score``/``engine.ingest`` /
+        ``engine.durability``) and per-request ``queue.wait`` /
+        ``stage.*`` spans parented under each traced request's context.
+        Empty rounds record nothing.
 
         In pipelined mode this returns ``[]`` and the results arrive via
         ``on_commit`` once their group commit fsyncs (see the class
-        docstring); the serial path returns them directly, post-commit.
+        docstring); otherwise the same commit runs inline and the
+        results are returned, post-commit.
         """
         self._maybe_snapshot()
-        trc = self._tracer
-        round_span = sched_span = None
-        mark = 0
-        if trc is not None:
-            mark = trc.mark()
-            round_span = trc.start("engine.round")
-            sched_span = trc.start("engine.schedule",
-                                   parent=round_span.context)
+        tracer = self.tracer
+        wall, started = time.time(), time.perf_counter()
         with self._lock:
             if not any(self._queues.values()):
                 return []
@@ -443,55 +458,27 @@ class ServingEngine:
                     queue.clear()
                     queue.extend(kept)
             self._update_queue_gauge()
+        scheduled = time.perf_counter()
 
-        # Queue wait is only knowable at dequeue time; the histogram
-        # records on every round, traced or not (the synthetic span
-        # below is the traced-only part).
+        # Queue wait is only knowable at dequeue time, on the scheduling
+        # clock (its span is backdated on the wall clock).
         dequeued_at = self._clock()
-        waits = [max(0.0, dequeued_at - request.queued_at)
-                 if request.queued_at else 0.0 for request in selected]
-        queue_wait = self.metrics.histogram("engine.stage.queue_wait")
-        for wait in waits:
-            queue_wait.observe(wait)
-        if trc is not None:
-            sched = sched_span.finish(selected=len(selected),
-                                      expired=len(expired))
-            self.metrics.histogram("engine.stage.schedule").observe(sched.dur)
-            # Measured on the scheduling clock, backdated on the wall
-            # clock.
-            wall = time.time()
-            for request, wait in zip(selected, waits):
-                if request.trace is not None:
-                    trc.record_span(
-                        "queue.wait", parent=request.trace,
-                        ts=wall - wait, dur=wait,
-                        attrs={"stream": request.stream,
-                               "round": self.rounds})
+        waits = [(request, max(0.0, dequeued_at - request.queued_at)
+                  if request.queued_at else 0.0) for request in selected]
 
         results: list[RoundResult] = []
         for request in expired:
             self.metrics.counter("engine.expired").inc()
-            results.append(RoundResult(
-                request=request, kind="error", code="expired",
-                message=f"request for stream {request.stream!r} missed its "
-                        f"deadline while queued; it was never served"))
-        if not selected:
-            if self.pipeline:
-                self._enqueue_commit(results, trc, round_span)
-                if trc is not None:
-                    round_span.finish(round=self.rounds, streams=0,
-                                      windows=0)
-                return []
-            self._commit_durability(results)
-            if trc is not None:
-                round_span.finish(round=self.rounds, streams=0, windows=0)
-            return results
-
-        start = time.perf_counter()
+            results.append(_failed(
+                request, "expired",
+                f"request for stream {request.stream!r} missed its "
+                f"deadline while queued; it was never served"))
+        waves: list[tuple[list[EngineRequest], list[dict]]] = []
         windows = 0
         for wave in self._waves(selected, view):
-            outcomes = self._execute_wave(wave, round_span=round_span)
+            outcomes, timings = self._execute_wave(wave)
             results.extend(outcomes)
+            waves.append((wave, timings))
             try:
                 # Count served work from the outcomes (one score per
                 # window), not from the raw request payloads — a request
@@ -504,173 +491,124 @@ class ServingEngine:
             except Exception:  # noqa: BLE001 — telemetry only: an odd
                 pass           # custom-backend score shape must not lose
                                # the already-computed round results.
-        try:
-            self.metrics.counter("engine.requests").inc(len(selected))
-            self._observe_round(time.perf_counter() - start, len(selected),
-                                windows)
-        except Exception:  # noqa: BLE001 — a metric name/kind collision
-            pass           # on a shared registry is not worth hanging
-                           # the callers awaiting these results.
-        if self.pipeline:
-            # Hand the batch to the committer and return immediately:
-            # the caller's next run_round() overlaps this batch's fsync.
-            self._enqueue_commit(results, trc, round_span)
-            if trc is not None:
-                finished = round_span.finish(round=self.rounds,
-                                             streams=len(selected),
-                                             windows=windows)
-                self._check_slow_round(finished, trc, mark)
-            return []
-        if trc is None:
-            self._commit_durability(results)
-            return results
-
-        # Traced commit: the durability barrier gets its own span, and
-        # ``durability_trace`` hands the hook (repro.wal.WalDurability)
-        # the context to parent wal.fsync spans under.  Each served
-        # ingest also gets a per-request stage.durability echo — even
-        # without a WAL (a ~0-duration span) so every request's stage
-        # chain is complete for the trace checker.
-        dur_span = trc.start("engine.durability", parent=round_span.context)
-        self.durability_trace = dur_span.context
-        try:
-            self._commit_durability(results)
-        finally:
-            self.durability_trace = None
-        committed = dur_span.finish(durable=self.durability is not None)
-        self.metrics.histogram("engine.stage.durability") \
-            .observe(committed.dur)
-        for result in results:
-            request = result.request
-            if request.op == "ingest" and request.trace is not None:
-                trc.record_span(
-                    "stage.durability", parent=request.trace,
-                    ts=committed.ts, dur=committed.dur,
-                    attrs={"stream": request.stream,
-                           "durable": self.durability is not None,
-                           "outcome": result.kind})
-        finished = round_span.finish(round=self.rounds,
-                                     streams=len(selected),
-                                     windows=windows)
-        self._check_slow_round(finished, trc, mark)
-        return results
-
-    def _check_slow_round(self, finished, trc, mark) -> None:
-        """Slow-round escalation: bump the counter and hand the round's
-        span window to ``on_slow_round`` when the round overran."""
-        if (self.slow_round_ms is None
-                or finished.dur * 1e3 < self.slow_round_ms):
-            return
-        self.metrics.counter("engine.slow_rounds").inc()
-        hook = self.on_slow_round
-        if hook is not None:
+        if selected:
             try:
-                hook(trc.since(mark))
-            except Exception:  # noqa: BLE001 — a broken dump hook
-                # must not fail the round's already-computed results.
-                self.metrics.counter("engine.trace_errors").inc()
+                self.metrics.counter("engine.requests").inc(len(selected))
+                self._observe_round(time.perf_counter() - scheduled,
+                                    len(selected), windows)
+            except Exception:  # noqa: BLE001 — a metric name/kind
+                pass           # collision on a shared registry is not
+                               # worth hanging the callers awaiting
+                               # these results.
+        if not results:
+            return []
+        batch = _CommitBatch(
+            results=results,
+            timeline=RoundTimeline(
+                round_index=self.rounds, wall=wall, started=started,
+                scheduled=scheduled, handed_off=time.perf_counter(),
+                waits=waits, expired=len(expired), waves=waves,
+                windows=windows, tracer=tracer),
+            wal_seqs=[result.request.wal_seq for result in results
+                      if result.request.wal_seq is not None])
+        if self.pipeline:
+            # The caller's next run_round() overlaps this batch's fsync.
+            self._enqueue_commit(batch)
+            return []
+        self._commit_batch(batch)
+        self._maybe_snapshot()
+        return batch.results
 
-    def _commit_durability(self, results: list[RoundResult]) -> None:
-        """End-of-round durability barrier: advance each applied ingest's
-        stream watermark, append skip records for requests that errored
-        or expired (logged but never applied, so replay must not apply
-        them either), then group-commit fsync — all *before* the results
-        leave :meth:`run_round`, which is what makes the gateway's acks
-        ack-after-append.
+    def _commit_batch(self, batch: _CommitBatch) -> None:
+        """Commit one round — the only commit routine, run inline on the
+        round thread or, in pipelined mode, on the committer thread.
+
+        With a durability hook: advance each applied ingest's stream
+        watermark, append skip records for requests that errored or
+        expired (logged but never applied, so replay must not apply them
+        either), then group-commit fsync — all *before* the results
+        reach any caller, which is what makes the gateway's acks
+        ack-after-append.  A due snapshot is only *flagged* here: taking
+        it walks live fleet state, which only the round thread may do
+        (:meth:`_maybe_snapshot`).
 
         A failed commit (ENOSPC, I/O error) must not turn into acks for
         requests that are not on disk: every would-be-acked ingest result
-        in the round is converted to a typed ``durability`` error in
+        in the batch is converted to a typed ``durability`` error in
         place, and the engine latches — :meth:`submit` refuses further
-        ingests — because retrying fsync on a file descriptor that
+        ingests, and later batches fail the same way without touching
+        the WAL — because retrying fsync on a file descriptor that
         already failed one is not reliable; the operator restarts and
         recovers from the durable prefix.  ``scores`` results still
         return normally: scoring is stateless and promises nothing about
         the log.
-        """
-        if self.durability is None:
-            return
-        self._commit_records(results, trace_parent=None)
 
-    def _commit_records(self, results: list[RoundResult],
-                        trace_parent=None) -> None:
-        """The shared commit core (serial round thread *and* committer
-        thread): watermark/skip records, then the group-commit fsync.
-
-        On the serial path the fsync goes through ``durability.commit``,
-        which may also snapshot — safe there because the round thread is
-        quiescent between rounds.  On the pipelined path it goes through
-        ``flush_only`` (fsync, no snapshot: a snapshot walks live fleet
-        state the next round is already mutating) and a due snapshot is
-        deferred to the round thread via ``_snapshot_due`` /
-        :meth:`_maybe_snapshot`.  Custom durability hooks without
-        ``flush_only`` get the plain ``commit`` call either way.
+        Then the round's timeline closes: every ``engine.stage.*``
+        histogram is observed, a traced round's spans are emitted, and
+        the slow-round check runs.
         """
+        timeline = batch.timeline
+        tracer = timeline.tracer
+        mark = tracer.mark() if tracer is not None else 0
+        timeline.commit_started = time.perf_counter()
+        self.metrics.counter("engine.commit_batches").inc()
         durability = self.durability
-        with self._lock:
-            failed = self._durability_failed
-        if not failed:
-            try:
-                for result in results:
-                    request = result.request
-                    if request.op != "ingest" or request.wal_seq is None:
-                        continue
-                    if result.kind == "event":
-                        durability.record_applied(request.stream,
-                                                  request.wal_seq)
-                    else:
-                        durability.record_skip(request.wal_seq)
-                flush_only = getattr(durability, "flush_only", None) \
-                    if self.pipeline else None
-                if flush_only is not None:
-                    flush_only(trace_parent=trace_parent)
-                    due = getattr(durability, "snapshot_due", None)
-                    if due is not None and due(self.rounds):
+        results = batch.results
+        if durability is not None:
+            with self._lock:
+                failed = self._durability_failed
+            if not failed:
+                try:
+                    for result in results:
+                        request = result.request
+                        if request.op != "ingest" or request.wal_seq is None:
+                            continue
+                        if result.kind == "event":
+                            durability.record_applied(request.stream,
+                                                      request.wal_seq)
+                        else:
+                            durability.record_skip(request.wal_seq)
+                    durability.flush(trace_parent=timeline.dur_ctx)
+                    if durability.snapshot_due(timeline.round_index):
                         with self._lock:
                             self._snapshot_due = True
-                else:
-                    durability.commit(self)
-                return
-            except Exception:  # noqa: BLE001 — fail the acks, keep going
-                self.metrics.counter("engine.durability_errors").inc()
-                with self._lock:
-                    self._durability_failed = True
-        # Latched (this round or a previous one): rounds draining the
-        # already-admitted queue no longer touch the WAL — a descriptor
-        # that failed one fsync cannot be trusted to report a later one
-        # honestly — so their would-be acks fail too.
-        for index, result in enumerate(results):
-            if result.request.op != "ingest" or result.kind == "error":
-                continue
-            results[index] = RoundResult(
-                request=result.request, kind="error", code="durability",
-                message=f"the request for stream "
-                        f"{result.request.stream!r} was served but its "
-                        f"durability commit failed; it is NOT on disk "
-                        f"and will not survive recovery — treat it as "
-                        f"unacknowledged")
+                except Exception:  # noqa: BLE001 — fail the acks, keep going
+                    self.metrics.counter("engine.durability_errors").inc()
+                    with self._lock:
+                        self._durability_failed = failed = True
+            if failed:
+                for index, result in enumerate(results):
+                    if result.request.op == "ingest" \
+                            and result.kind != "error":
+                        results[index] = _failed(
+                            result.request, "durability",
+                            f"the request for stream "
+                            f"{result.request.stream!r} was served but its "
+                            f"durability commit failed; it is NOT on disk "
+                            f"and will not survive recovery — treat it as "
+                            f"unacknowledged")
+        timeline.fsync_ended = time.perf_counter()
+        try:
+            timeline.close(self.metrics, results,
+                           durable=durability is not None)
+            if (self.slow_round_ms is not None
+                    and timeline.compute_seconds * 1e3 >= self.slow_round_ms):
+                self.metrics.counter("engine.slow_rounds").inc()
+                hook = self.on_slow_round
+                if tracer is not None and hook is not None:
+                    # The round's spans plus this commit's wal.fsync.
+                    hook(tracer.since(mark))
+        except Exception:  # noqa: BLE001 — telemetry only: a metric
+            # collision, a recorder fault or a broken dump hook must not
+            # lose the round's committed results (or kill the committer).
+            self.metrics.counter("engine.trace_errors").inc()
 
     # ------------------------------------------------------------------
     # Pipelined group commit: the committer thread
     # ------------------------------------------------------------------
-    def _enqueue_commit(self, results: list[RoundResult], trc,
-                        round_span) -> None:
-        """Hand one round's results to the committer (FIFO).  Called on
+    def _enqueue_commit(self, batch: _CommitBatch) -> None:
+        """Hand one round's batch to the committer (FIFO).  Called on
         the round thread; starts the committer lazily on first use."""
-        dur_span = None
-        if trc is not None and round_span is not None:
-            # Opened *here* so its parent is the committing round; the
-            # committer finishes it after the fsync, and the durability
-            # hook parents wal.fsync under its context.
-            dur_span = trc.start("engine.durability",
-                                 parent=round_span.context)
-        if not results:
-            return
-        batch = _CommitBatch(
-            results=results, handed_off=time.perf_counter(),
-            dur_span=dur_span, round_index=self.rounds,
-            wal_seqs=[result.request.wal_seq for result in results
-                      if result.request.wal_seq is not None])
         with self._lock:
             if self._committer is None:
                 self._commit_stop = False
@@ -689,8 +627,9 @@ class ServingEngine:
                 + (1 if self._commit_active is not None else 0))
 
     def _committer_main(self) -> None:
-        """Committer thread: pop batches FIFO and commit each outside
-        the lock (the fsync must never block admission or scheduling)."""
+        """Committer thread: pop batches FIFO, commit each outside the
+        lock (the fsync must never block admission or scheduling), then
+        deliver its results through ``on_commit``."""
         while True:
             with self._lock:
                 while not self._commit_queue and not self._commit_stop:
@@ -703,55 +642,20 @@ class ServingEngine:
                     .set(self._commit_backlog_locked())
             try:
                 self._commit_batch(batch)
+                callback = self.on_commit
+                if callback is not None:
+                    try:
+                        callback(batch.results)
+                    except Exception:  # noqa: BLE001 — a broken
+                        # completion sink must not wedge the committer;
+                        # later batches still commit and deliver.
+                        self.metrics.counter("engine.commit_errors").inc()
             finally:
                 with self._lock:
                     self._commit_active = None
                     self.metrics.gauge("engine.commit_backlog") \
                         .set(self._commit_backlog_locked())
                     self._commit_cv.notify_all()
-
-    def _commit_batch(self, batch: _CommitBatch) -> None:
-        """Commit one batch and deliver its results (committer thread).
-
-        A durability failure here latches the engine and converts the
-        batch's would-be acks exactly like the serial path — and because
-        the latch is checked per batch, every batch queued *behind* the
-        failure delivers ``durability`` errors too.
-        """
-        self.metrics.histogram("engine.stage.commit_wait") \
-            .observe(time.perf_counter() - batch.handed_off)
-        self.metrics.counter("engine.commit_batches").inc()
-        dur_span = batch.dur_span
-        results = batch.results
-        if self.durability is not None:
-            self._commit_records(
-                results,
-                trace_parent=dur_span.context if dur_span is not None
-                else None)
-        if dur_span is not None:
-            committed = dur_span.finish(
-                durable=self.durability is not None, pipelined=True)
-            self.metrics.histogram("engine.stage.durability") \
-                .observe(committed.dur)
-            trc = self._tracer
-            if trc is not None:
-                for result in results:
-                    request = result.request
-                    if request.op == "ingest" and request.trace is not None:
-                        trc.record_span(
-                            "stage.durability", parent=request.trace,
-                            ts=committed.ts, dur=committed.dur,
-                            attrs={"stream": request.stream,
-                                   "durable": self.durability is not None,
-                                   "outcome": result.kind})
-        callback = self.on_commit
-        if callback is not None:
-            try:
-                callback(results)
-            except Exception:  # noqa: BLE001 — a broken completion sink
-                # must not wedge the committer; later batches still
-                # commit and deliver.
-                self.metrics.counter("engine.commit_errors").inc()
 
     def drain_commits(self, timeout: float | None = 60.0) -> bool:
         """Barrier: block until every handed-off batch has committed and
@@ -783,11 +687,13 @@ class ServingEngine:
             self._commit_stop = False
 
     def _maybe_snapshot(self) -> None:
-        """Run a deferred snapshot on the round thread (pipelined mode).
+        """Take a flagged snapshot, on the round thread.
 
-        The committer only *flags* a due snapshot; taking it requires
-        walking live fleet state, which is only safe here — between
-        rounds, after a full commit drain, with the backend quiescent.
+        :meth:`_commit_batch` only *flags* a due snapshot; taking it
+        requires walking live fleet state, which is only safe here —
+        between rounds, after a full commit drain, with the backend
+        quiescent.  Called right after an inline commit, and at the top
+        of every round for flags the committer thread raised.
         """
         with self._lock:
             due = self._snapshot_due
@@ -798,11 +704,8 @@ class ServingEngine:
             self._snapshot_due = False
             if self._durability_failed:
                 return
-        snapshot = getattr(self.durability, "snapshot", None)
-        if snapshot is None:
-            return
         try:
-            snapshot(self)
+            self.durability.snapshot(self)
         except Exception:  # noqa: BLE001 — same contract as a failed
             # commit: latch rather than keep acking against a log whose
             # truncation bookkeeping just failed.
@@ -850,174 +753,65 @@ class ServingEngine:
             waves.append(wave)
             depth += 1
 
-    def _execute_wave(self, wave: list[EngineRequest],
-                      round_span=None) -> list[RoundResult]:
-        """Score-then-ingest one wave (≤1 request per stream, so keying
-        by stream name is unambiguous).
+    def _execute_wave(self, wave: list[EngineRequest]) \
+            -> tuple[list[RoundResult], list[dict]]:
+        """Serve one wave (≤1 request per stream, so keying by stream
+        name is unambiguous) through the backend's ``serve_round``;
+        returns the wave's results and its stage timings.
 
-        The scoring pass is stateless (:meth:`score_only` semantics): if
-        the coalesced forward fails — e.g. one request's windows have a
-        frame_dim the models can't score, which shape checks at admission
-        cannot know — each entry is re-scored alone so only the offending
-        request errors while the rest of the wave proceeds.  Retrying is
-        safe precisely because no deployment state was touched; the
-        subsequent ingest dispatches the already-computed (bit-identical)
-        slices.
-
-        Backends exposing a fused ``serve_round`` (the sharded fleet)
-        take a one-scatter fast path on untraced rounds: score and
-        ingest ride a single ring round-trip per shard instead of two.
-        Traced rounds keep the split commands so the per-stage span
-        structure stays exact, and any fused failure falls back to the
-        split path's per-entry isolation — bit parity either way,
-        because scoring is batch-composition-independent.
+        Failure contract: a *clean* coalesced-score failure — e.g. one
+        request's windows have a frame_dim the models can't score, which
+        shape checks at admission cannot know — comes back as
+        ``unscored`` streams with nothing ingested, and each is re-scored
+        alone so only the offending request errors while the rest
+        proceed through ``backend.ingest`` with their precomputed
+        (bit-identical — batch composition never changes scores) slices.
+        Retrying is safe precisely because scoring is stateless.  A
+        *raised* ``serve_round`` is indeterminate for ingest — some
+        shards may have applied their slice before another died — so
+        ingest requests get a typed ``internal`` error, while stateless
+        ``scores`` requests are retried solo.
         """
-        trc = self._tracer if round_span is not None else None
-        if trc is None:
-            fused = getattr(self.backend, "serve_round", None)
-            if fused is not None:
-                return self._execute_wave_fused(wave, fused)
-        shard_map = None
-        if trc is not None:
-            mapper = getattr(self.backend, "stream_shards", None)
-            shard_map = mapper() if mapper is not None else None
-
-        def _stage_echo(name_, request_, span_):
-            # The wave runs as one coalesced backend call; each traced
-            # request gets a same-interval echo under its own context,
-            # with shard attribution when the backend knows it.
-            attrs = {"stream": name_}
-            if shard_map and name_ in shard_map:
-                attrs["shard"] = shard_map[name_]
-            trc.record_span(f"stage.{span_.name.split('.', 1)[1]}",
-                            parent=request_.trace, ts=span_.ts,
-                            dur=span_.dur, attrs=attrs)
-
-        outcomes: dict[str, RoundResult] = {}
-        by_stream = {request.stream: request for request in wave}
-        arrivals = {name: request.windows
-                    for name, request in by_stream.items()}
-        score_span = None
-        if trc is not None:
-            score_span = trc.start("engine.score",
-                                   parent=round_span.context,
-                                   attrs={"streams": len(arrivals)})
-        try:
-            if score_span is not None:
-                scored = self.backend.score(arrivals,
-                                            trace=score_span.context)
-            else:
-                scored = self.backend.score(arrivals)
-        except Exception:  # noqa: BLE001 — isolate the bad entry below
-            scored = {}
-            for name, request in by_stream.items():
-                try:
-                    scored[name] = self.backend.score(
-                        {name: request.windows})[name]
-                except Exception as exc:  # noqa: BLE001 — typed to caller
-                    outcomes[name] = RoundResult(
-                        request=request, kind="error", code="bad_request",
-                        message=f"windows for stream {name!r} failed to "
-                                f"score: {type(exc).__name__}: {exc}")
-        if score_span is not None:
-            done = score_span.finish(scored=len(scored))
-            self.metrics.histogram("engine.stage.score").observe(done.dur)
-            for name, request in by_stream.items():
-                if request.trace is not None and name in scored:
-                    _stage_echo(name, request, done)
-        ingest = {name: request.windows
-                  for name, request in by_stream.items()
-                  if request.op == "ingest" and name in scored}
-        if ingest:
-            scores_map = {name: scored[name] for name in ingest}
-            ingest_span = None
-            if trc is not None:
-                ingest_span = trc.start("engine.ingest",
-                                        parent=round_span.context,
-                                        attrs={"streams": len(ingest)})
-            try:
-                if ingest_span is not None:
-                    events = self.backend.ingest(
-                        ingest, scores=scores_map,
-                        trace=ingest_span.context)
-                else:
-                    events = self.backend.ingest(ingest, scores=scores_map)
-            except Exception as exc:  # noqa: BLE001 — typed to caller
-                if ingest_span is not None:
-                    ingest_span.finish(outcome="error")
-                self.metrics.counter("engine.errors").inc()
-                for name in ingest:
-                    outcomes[name] = RoundResult(
-                        request=by_stream[name], kind="error",
-                        code="internal",
-                        message=f"serving round failed: "
-                                f"{type(exc).__name__}: {exc}")
-            else:
-                if ingest_span is not None:
-                    done = ingest_span.finish(outcome="ok")
-                    self.metrics.histogram("engine.stage.ingest") \
-                        .observe(done.dur)
-                    for name in ingest:
-                        if by_stream[name].trace is not None:
-                            _stage_echo(name, by_stream[name], done)
-                for name, event in events.items():
-                    outcomes[name] = RoundResult(
-                        request=by_stream[name], kind="event", event=event)
-        for name, request in by_stream.items():
-            if request.op == "scores" and name in scored:
-                outcomes[name] = RoundResult(
-                    request=request, kind="scores", scores=scored[name])
-        return [outcomes.get(request.stream) or RoundResult(
-                    request=request, kind="error", code="internal",
-                    message=f"round produced no result for stream "
-                            f"{request.stream!r}")
-                for request in wave]
-
-    def _execute_wave_fused(self, wave: list[EngineRequest],
-                            fused) -> list[RoundResult]:
-        """One wave through the backend's fused ``serve_round`` scatter.
-
-        Failure contract mirrors the split path exactly: a *clean*
-        per-shard score failure (the shard ingested nothing) comes back
-        as ``unscored`` streams, which re-run through the split
-        per-entry isolation; a *raised* fused call is indeterminate for
-        ingest — some shards may have applied their slice before
-        another died — so ingest requests get the same typed
-        ``internal`` error a raised split ingest produces, while
-        stateless ``scores`` requests are retried solo.
-        """
-        outcomes: dict[str, RoundResult] = {}
         by_stream = {request.stream: request for request in wave}
         arrivals = {name: request.windows
                     for name, request in by_stream.items()}
         ingest_names = [name for name, request in by_stream.items()
                         if request.op == "ingest"]
-        try:
-            scored, events, unscored = fused(arrivals, ingest_names)
-        except Exception as exc:  # noqa: BLE001 — typed to caller
+        outcomes: dict[str, RoundResult] = {}
+
+        def internal(names, exc) -> None:
             self.metrics.counter("engine.errors").inc()
-            for name, request in by_stream.items():
-                if request.op == "ingest":
-                    outcomes[name] = RoundResult(
-                        request=request, kind="error", code="internal",
-                        message=f"serving round failed: "
-                                f"{type(exc).__name__}: {exc}")
-                else:
-                    try:
-                        solo = self.backend.score(
-                            {name: request.windows})[name]
-                    except Exception as solo_exc:  # noqa: BLE001
-                        outcomes[name] = RoundResult(
-                            request=request, kind="error",
-                            code="bad_request",
-                            message=f"windows for stream {name!r} failed "
-                                    f"to score: "
-                                    f"{type(solo_exc).__name__}: "
-                                    f"{solo_exc}")
-                    else:
-                        outcomes[name] = RoundResult(
-                            request=request, kind="scores", scores=solo)
-            return [outcomes[request.stream] for request in wave]
+            for name in names:
+                outcomes[name] = _failed(
+                    by_stream[name], "internal",
+                    f"serving round failed: {type(exc).__name__}: {exc}")
+
+        try:
+            scored, events, unscored, timings = \
+                self.backend.serve_round(arrivals, ingest_names)
+        except Exception as exc:  # noqa: BLE001 — typed to caller
+            internal(ingest_names, exc)
+            scored, events, timings = {}, {}, []
+            unscored = [name for name in by_stream if name not in outcomes]
+        for name in unscored:
+            try:
+                with stage_timing(timings, "score", [name]):
+                    scored[name] = self.backend.score(
+                        {name: arrivals[name]})[name]
+            except Exception as exc:  # noqa: BLE001 — typed to caller
+                outcomes[name] = _failed(
+                    by_stream[name], "bad_request",
+                    f"windows for stream {name!r} failed to score: "
+                    f"{type(exc).__name__}: {exc}")
+        retry = {name: arrivals[name] for name in unscored
+                 if name in scored and by_stream[name].op == "ingest"}
+        if retry:
+            try:
+                with stage_timing(timings, "ingest", list(retry)):
+                    events.update(self.backend.ingest(
+                        retry, scores={name: scored[name] for name in retry}))
+            except Exception as exc:  # noqa: BLE001 — typed to caller
+                internal(retry, exc)
         for name, event in events.items():
             outcomes[name] = RoundResult(
                 request=by_stream[name], kind="event", event=event)
@@ -1025,56 +819,11 @@ class ServingEngine:
             if request.op == "scores" and name in scored:
                 outcomes[name] = RoundResult(
                     request=request, kind="scores", scores=scored[name])
-        if unscored:
-            self._isolate_unscored(unscored, by_stream, outcomes)
-        return [outcomes.get(request.stream) or RoundResult(
-                    request=request, kind="error", code="internal",
-                    message=f"round produced no result for stream "
-                            f"{request.stream!r}")
-                for request in wave]
-
-    def _isolate_unscored(self, unscored: list[str],
-                          by_stream: dict[str, EngineRequest],
-                          outcomes: dict[str, RoundResult]) -> None:
-        """Per-entry isolation for streams whose shard's coalesced score
-        failed cleanly: solo-score each (bit-identical — batch
-        composition never changes scores), then split-ingest the
-        survivors with their precomputed slices."""
-        solo_scored: dict[str, np.ndarray] = {}
-        for name in unscored:
-            request = by_stream[name]
-            try:
-                solo_scored[name] = self.backend.score(
-                    {name: request.windows})[name]
-            except Exception as exc:  # noqa: BLE001 — typed to caller
-                outcomes[name] = RoundResult(
-                    request=request, kind="error", code="bad_request",
-                    message=f"windows for stream {name!r} failed to "
-                            f"score: {type(exc).__name__}: {exc}")
-        retry = {name: by_stream[name].windows for name in solo_scored
-                 if by_stream[name].op == "ingest"}
-        if retry:
-            try:
-                events = self.backend.ingest(
-                    retry,
-                    scores={name: solo_scored[name] for name in retry})
-            except Exception as exc:  # noqa: BLE001 — typed to caller
-                self.metrics.counter("engine.errors").inc()
-                for name in retry:
-                    outcomes[name] = RoundResult(
-                        request=by_stream[name], kind="error",
-                        code="internal",
-                        message=f"serving round failed: "
-                                f"{type(exc).__name__}: {exc}")
-            else:
-                for name, event in events.items():
-                    outcomes[name] = RoundResult(
-                        request=by_stream[name], kind="event", event=event)
-        for name in solo_scored:
-            if by_stream[name].op == "scores":
-                outcomes[name] = RoundResult(
-                    request=by_stream[name], kind="scores",
-                    scores=solo_scored[name])
+        return [outcomes.get(request.stream) or _failed(
+                    request, "internal",
+                    f"round produced no result for stream "
+                    f"{request.stream!r}")
+                for request in wave], timings
 
     # ------------------------------------------------------------------
     # Metrics / introspection
@@ -1118,11 +867,9 @@ class ServingEngine:
         # Transport counters (sharded shm rings vs pipe fallbacks) are
         # plain parent-side attribute reads — safe from any thread, so
         # they're reported even on concurrent snapshots.
-        transport = getattr(self.backend, "transport_stats", None)
-        if transport is not None:
-            info = transport()
-            if info:
-                out["transport"] = info
+        transport = self.backend.transport_stats()
+        if transport:
+            out["transport"] = transport
         if self.pipeline:
             with self._lock:
                 backlog = self._commit_backlog_locked()

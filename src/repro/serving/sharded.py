@@ -43,8 +43,6 @@ from __future__ import annotations
 import inspect
 import json
 import multiprocessing
-import os
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -56,7 +54,6 @@ from ..data.streams import TrendShiftConfig, TrendShiftStream
 from ..data.synthetic import FrameGenerator
 from ..errors import (CheckpointError, ConfigError, FleetError,
                       StateError, WorkerError, WorkerStartupError)
-from ..obs.trace import new_span_id
 from ..runtime.engine import FleetEvent, ServingEngine
 from ..utils.serialization import atomic_write_json
 from .batcher import ScoreRequest
@@ -218,9 +215,7 @@ def _shard_worker_main(conn, payload_json: str, infra_payload: dict,
     models_by_token: dict[str, object] = {}  # "add"-shipped shared models
 
     def execute(command: str, args: list):
-        """Run one worker command and return its result (dispatch is a
-        function so the ``traced`` wrapper below can time any inner
-        command without duplicating the table)."""
+        """Run one worker command and return its result."""
         nonlocal bench_rounds
         if command == "step":
             return fleet.step(batched=args[0])
@@ -255,29 +250,12 @@ def _shard_worker_main(conn, payload_json: str, infra_payload: dict,
         if command == "score_only":
             return fleet.score_only(args[0])
         if command == "serve_round":
-            # Fused score+ingest: one ring round-trip per wave instead
-            # of two.  ``args`` is (arrivals, ingest_names): score every
-            # arrival, then ingest the named subset with its precomputed
-            # slices — identical per-shard batch composition (and so
-            # bit-identical scores) to the split score_only/ingest_round
-            # pair.  A clean score failure ingests nothing and reports
-            # score_error so the parent falls back to per-entry
-            # isolation for this shard's streams only.
-            arrivals, ingest_names = args
-            try:
-                scored = fleet.score_only(arrivals)
-            except Exception as exc:  # noqa: BLE001 — relayed as data,
-                # not an error reply: the other shards' fused results
-                # are still good.
-                return {"scores": None, "events": None,
-                        "score_error": f"{type(exc).__name__}: {exc}"}
-            todo = {name: arrivals[name] for name in ingest_names}
-            events = fleet.ingest_round(
-                todo, batched=True,
-                scores={name: scored[name] for name in todo}) \
-                if todo else {}
-            return {"scores": scored, "events": events,
-                    "score_error": None}
+            # The whole wave in one ring round-trip: the shard's own
+            # inline backend scores then ingests exactly as a
+            # single-process fleet would (same per-shard batch
+            # composition, so bit-identical scores) and its stage
+            # timings ride the reply.
+            return fleet.engine.backend.serve_round(*args)
         if command == "snapshot":
             return fleet.to_dict()
         if command == "stats":
@@ -301,7 +279,6 @@ def _shard_worker_main(conn, payload_json: str, infra_payload: dict,
                     for slot, s in zip(fleet.slots, scores)}
         raise ConfigError(f"unknown worker command {command!r}")
 
-    span_names = {"score_only": "shard.score", "ingest_round": "shard.ingest"}
     while True:
         try:
             token = conn.recv()
@@ -323,33 +300,7 @@ def _shard_worker_main(conn, payload_json: str, infra_payload: dict,
             reply(("ok", None))
             break
         try:
-            if command == "traced":
-                # ("traced", {trace_id, parent_id, shard}, inner_message):
-                # execute the inner command timed, and ship the span dict
-                # back with the result so it lands in the parent recorder
-                # with shard attribution.  Wall-clock ``ts`` keeps worker
-                # spans on the parent's timeline.
-                tinfo, inner = args
-                inner_command, *inner_args = inner
-                started = time.time()
-                t0 = time.perf_counter()
-                inner_result = execute(inner_command, inner_args)
-                attrs = {"shard": tinfo.get("shard"), "pid": os.getpid()}
-                if inner_args and isinstance(inner_args[0], dict):
-                    attrs["streams"] = len(inner_args[0])
-                result = {"result": inner_result, "spans": [{
-                    "name": span_names.get(inner_command,
-                                           f"shard.{inner_command}"),
-                    "trace_id": tinfo["trace_id"],
-                    "span_id": new_span_id(),
-                    "parent_id": tinfo["parent_id"],
-                    "ts": started,
-                    "dur": time.perf_counter() - t0,
-                    "attrs": attrs,
-                }]}
-            else:
-                result = execute(command, args)
-            reply(("ok", result))
+            reply(("ok", execute(command, args)))
         except Exception as exc:  # noqa: BLE001 — relayed to the parent
             reply(("error", f"{type(exc).__name__}: {exc}"))
     for ring in (ring_in, ring_out):
@@ -459,12 +410,6 @@ class ShardedFleet:
         if self._closed:
             raise FleetError("fleet is closed")
 
-    def _encode(self, shard: int, message: tuple) -> bytes | None:
-        """This shard's ring framing for ``message`` (``None`` on a
-        pure-pipe shard, which sends the object inline)."""
-        return dumps_message(message) if self._rings_out[shard] is not None \
-            else None
-
     def _post(self, shard: int, message: tuple, blob: bytes | None) -> None:
         # A send to a dead worker fails; its queued "fatal" reply (or an
         # EOF) is still waiting on the recv side, which reports the cause.
@@ -486,19 +431,6 @@ class ShardedFleet:
             conn.send(("inline", message))
         except (BrokenPipeError, OSError, RingError):
             pass
-
-    def _send(self, shard: int, message: tuple) -> None:
-        self._post(shard, message, self._encode(shard, message))
-
-    def _post_all(self, messages: dict[int, tuple]) -> None:
-        """Scatter sends with encoding hoisted out of the send loop:
-        every shard's pickle/binframe blob is built *before* the first
-        doorbell rings, so the workers start as close to simultaneously
-        as possible instead of shard N+1 waiting out shard N's encode."""
-        blobs = {shard: self._encode(shard, message)
-                 for shard, message in messages.items()}
-        for shard, message in messages.items():
-            self._post(shard, message, blobs[shard])
 
     def _recv(self, shard: int) -> tuple:
         try:
@@ -523,41 +455,37 @@ class ShardedFleet:
                         f"shared-memory transport failure: {exc}")
         return ("error", f"unexpected transport token {token!r}")
 
-    @staticmethod
-    def _worker_error(shard: int, status: str, value) -> WorkerError:
-        """Typed exception for one shard's non-``ok`` reply: startup
-        failures (the worker's ``fatal`` relay) get the narrower
-        :class:`~repro.errors.WorkerStartupError`."""
-        cls = WorkerStartupError if status == "fatal" else WorkerError
-        return cls(f"shard {shard}: {value}", shard=shard)
-
-    def _receive(self, shard: int):
-        status, value = self._recv(shard)
-        if status != "ok":
-            raise self._worker_error(shard, status, value)
-        return value
-
     def _request(self, shard: int, message: tuple):
-        self._check_open()
-        self._send(shard, message)
-        return self._receive(shard)
+        return self._roundtrip({shard: message})[shard]
 
     def _broadcast(self, message: tuple) -> list:
-        """Send to every shard first, then collect — shards overlap.
+        """Send to every shard first, then collect — shards overlap."""
+        return list(self._roundtrip(
+            {shard: message for shard in range(len(self._conns))}).values())
 
-        Every reply is drained before any error is raised; bailing on the
-        first failure would leave later shards' replies queued and
-        desynchronize the next command.
+    def _roundtrip(self, messages: dict[int, tuple]) -> dict[int, object]:
+        """Send each shard its message, then drain one reply per shard;
+        returns ``{shard: value}`` in ``messages`` order.
+
+        Every blob is encoded *before* the first doorbell rings, so the
+        workers start as close to simultaneously as possible instead of
+        shard N+1 waiting out shard N's encode.  Every reply is drained
+        before any error is raised; bailing on the first failure would
+        leave later shards' replies queued and desynchronize the next
+        command.  Non-``ok`` replies raise
+        :class:`~repro.errors.WorkerError` — startup failures (a worker's
+        ``fatal`` relay) the narrower
+        :class:`~repro.errors.WorkerStartupError`.
         """
         self._check_open()
-        # One message → one encode, reused for every ring shard.
-        blob = dumps_message(message) \
-            if any(ring is not None for ring in self._rings_out) else None
-        for shard in range(len(self._conns)):
-            self._post(shard, message, blob)
-        replies = [self._recv(shard) for shard in range(len(self._conns))]
+        blobs = {shard: dumps_message(message)
+                 if self._rings_out[shard] is not None else None
+                 for shard, message in messages.items()}
+        for shard, message in messages.items():
+            self._post(shard, message, blobs[shard])
+        replies = {shard: self._recv(shard) for shard in messages}
         failed = [(shard, status, value)
-                  for shard, (status, value) in enumerate(replies)
+                  for shard, (status, value) in replies.items()
                   if status != "ok"]
         if failed:
             # One shard's startup failure outranks run-of-the-mill errors:
@@ -567,7 +495,7 @@ class ShardedFleet:
             cls = WorkerStartupError if status == "fatal" else WorkerError
             raise cls("; ".join(f"shard {s}: {v}" for s, _, v in failed),
                       shard=shard)
-        return [value for _, value in replies]
+        return {shard: value for shard, (_, value) in replies.items()}
 
     def close(self) -> None:
         """Shut down the worker processes (idempotent).
@@ -719,56 +647,27 @@ class ShardedFleet:
         (or ``max_rounds`` rounds have run)."""
         return self.engine.serve(max_rounds=max_rounds, batched=batched)
 
-    def _scatter(self, command: str, arrivals: dict, extra: tuple = (),
-                 trace=None, span_sink=None):
+    def _exchange(self, arrivals: dict, message_for) -> dict[int, tuple]:
         """Partition a per-stream mapping by shard assignment, send each
-        involved shard its slice (all sends before any recv, so shards
-        overlap), and merge the per-shard dict replies.
-
-        With ``trace`` (a :class:`repro.obs.TraceContext`) each shard's
-        message is wrapped as ``("traced", info, inner)`` so the worker
-        times the inner command and ships its span dicts back alongside
-        the result; collected spans go to ``span_sink`` after the merge.
-        Untraced scatters are wire-identical to before.
-        """
-        self._check_open()
+        involved shard ``message_for(its slice)`` (all sends before any
+        recv, so shards overlap), and return ``{shard: reply}`` in shard
+        order."""
         per_shard: dict[int, dict] = {}
         for name, value in arrivals.items():
             shard = self._assignment.get(name)
             if shard is None:
                 raise KeyError(f"no stream named {name!r} attached")
             per_shard.setdefault(shard, {})[name] = value
-        shards = sorted(per_shard)
-        messages: dict[int, tuple] = {}
-        for shard in shards:
-            message = (command, per_shard[shard], *extra)
-            if trace is not None:
-                message = ("traced",
-                           {"trace_id": trace.trace_id,
-                            "parent_id": trace.span_id,
-                            "shard": shard}, message)
-            messages[shard] = message
-        self._post_all(messages)
+        return self._roundtrip({shard: message_for(per_shard[shard])
+                                for shard in sorted(per_shard)})
+
+    def _scatter(self, command: str, arrivals: dict, extra: tuple = ()):
+        """One split command (``score_only`` / ``ingest_round``) across
+        the involved shards; merges the per-shard dict replies."""
         merged: dict = {}
-        spans: list[dict] = []
-        failed: list[tuple[int, str, object]] = []
-        for shard in shards:
-            status, value = self._recv(shard)
-            if status != "ok":
-                failed.append((shard, status, value))
-            else:
-                if trace is not None:
-                    spans.extend(value.get("spans") or ())
-                    value = value["result"]
-                merged.update(value)
-        if failed:
-            shard, status, value = next(
-                (f for f in failed if f[1] == "fatal"), failed[0])
-            cls = WorkerStartupError if status == "fatal" else WorkerError
-            raise cls("; ".join(f"shard {s}: {v}" for s, _, v in failed),
-                      shard=shard)
-        if spans and span_sink is not None:
-            span_sink(spans)
+        for reply in self._exchange(
+                arrivals, lambda part: (command, part, *extra)).values():
+            merged.update(reply)
         return merged
 
     def ingest_round(self, arrivals: dict, batched: bool = True,
@@ -795,57 +694,40 @@ class ShardedFleet:
         monitor; the sharded twin of :meth:`DeploymentFleet.score_only`."""
         return self.engine.score_only(arrivals)
 
-    def serve_round(self, arrivals: dict,
-                    ingest: list[str]) -> tuple[dict, dict, list[str]]:
-        """Fused score+ingest scatter: one ring round-trip per involved
-        shard instead of the split ``score_only`` + ``ingest_round``
-        pair.  Returns ``(scored, events, unscored)`` — per-stream score
-        arrays, per-stream :class:`FleetEvent` results for the ``ingest``
-        subset, and the streams of any shard whose coalesced score
-        failed *cleanly* (that shard ingested nothing, so the caller can
-        retry those streams through the split per-entry isolation path).
+    def serve_round(self, arrivals: dict, ingest: list[str]) \
+            -> tuple[dict, dict, list[str], list[dict]]:
+        """One whole wave in one ring round-trip per involved shard: each
+        shard's inline backend scores its slice (same batch composition
+        as a split ``score_only`` scatter, so bit-identical scores) and
+        ingests the ``ingest`` subset.  Returns the merged ``(scored,
+        events, unscored, timings)`` of
+        :meth:`repro.runtime.ExecutionBackend.serve_round` — ``unscored``
+        lists the streams of any shard whose coalesced score failed
+        *cleanly* (that shard ingested nothing), and every timing entry
+        gains the ``shard`` index and worker ``pid`` that stamped it.
 
-        Each shard scores its slice with the same batch composition the
-        split scatter produces, so scores are bit-identical.  Raises
-        :class:`~repro.errors.WorkerError` only on worker death — like a
-        raised :meth:`ingest_round`, an indeterminate outcome the caller
-        must not blindly re-send.
+        Raises :class:`~repro.errors.WorkerError` only on worker death —
+        like a raised :meth:`ingest_round`, an indeterminate outcome the
+        caller must not blindly re-send.
         """
-        self._check_open()
-        per_shard: dict[int, dict] = {}
-        for name, value in arrivals.items():
-            shard = self._assignment.get(name)
-            if shard is None:
-                raise KeyError(f"no stream named {name!r} attached")
-            per_shard.setdefault(shard, {})[name] = value
         ingest_set = set(ingest)
-        shards = sorted(per_shard)
-        self._post_all({
-            shard: ("serve_round", per_shard[shard],
-                    [name for name in per_shard[shard]
-                     if name in ingest_set])
-            for shard in shards})
+        replies = self._exchange(arrivals, lambda part: (
+            "serve_round", part,
+            [name for name in part if name in ingest_set]))
         self._transport_counters["fused_rounds"] += 1
         scored: dict = {}
         events: dict = {}
         unscored: list[str] = []
-        failed: list[tuple[int, str, object]] = []
-        for shard in shards:
-            status, value = self._recv(shard)
-            if status != "ok":
-                failed.append((shard, status, value))
-            elif value["score_error"] is not None:
-                unscored.extend(per_shard[shard])
-            else:
-                scored.update(value["scores"])
-                events.update(value["events"])
-        if failed:
-            shard, status, value = next(
-                (f for f in failed if f[1] == "fatal"), failed[0])
-            cls = WorkerStartupError if status == "fatal" else WorkerError
-            raise cls("; ".join(f"shard {s}: {v}" for s, _, v in failed),
-                      shard=shard)
-        return scored, events, unscored
+        timings: list[dict] = []
+        for shard, (part_scored, part_events, part_unscored,
+                    part_timings) in replies.items():
+            scored.update(part_scored)
+            events.update(part_events)
+            unscored.extend(part_unscored)
+            pid = self._procs[shard].pid
+            timings.extend({**entry, "shard": shard, "pid": pid}
+                           for entry in part_timings)
+        return scored, events, unscored, timings
 
     # ------------------------------------------------------------------
     # Benchmark hooks (see serving.bench.run_shard_benchmark)

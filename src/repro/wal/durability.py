@@ -1,8 +1,9 @@
 """The engine's durability hook: log before schedule, ack after fsync.
 
-:class:`WalDurability` is the object a
-:class:`~repro.runtime.ServingEngine` calls (duck-typed; the runtime
-layer never imports this package) to make queued serving durable:
+:class:`WalDurability` implements
+:class:`repro.runtime.DurabilityHook` — the protocol a
+:class:`~repro.runtime.ServingEngine` calls (the runtime layer never
+imports this package) to make queued serving durable:
 
 * :meth:`record_submit` — called inside ``engine.submit``'s critical
   section *after* admission control passes and *before* the request
@@ -16,11 +17,12 @@ layer never imports this package) to make queued serving durable:
   snapshots store; a request that errored (expired deadline, windows
   that cannot score) gets a ``skip`` record so replay will not apply
   what the live engine never did.
-* :meth:`commit` — called at the end of every ``run_round`` *before*
-  the results reach any caller: one group-commit fsync covering every
-  request the round served (ack-after-append), then an automatic
-  snapshot-then-truncate when the :class:`~repro.wal.SnapshotPolicy`
-  says one is due.
+* :meth:`flush` — called once per round's commit *before* the results
+  reach any caller: one group-commit fsync covering every request the
+  round served (ack-after-append).
+* :meth:`snapshot_due` / :meth:`snapshot` — the engine asks after each
+  commit whether the :class:`~repro.wal.SnapshotPolicy` wants a
+  snapshot-then-truncate, and takes it on the round thread.
 
 Construction writes a genesis snapshot (an empty log cannot be
 recovered without one), and refuses a WAL directory that already holds
@@ -67,14 +69,13 @@ class WalDurability:
     Thread-safety follows the engine's: :meth:`record_submit` runs under
     the engine's admission lock (one appender at a time in submit
     order), while :meth:`record_applied`/:meth:`record_skip`/
-    :meth:`commit` run on the single round-runner thread — or, in the
-    engine's pipelined mode, on its single committer thread (with
-    :meth:`flush_only` in place of :meth:`commit`); either way there is
-    exactly one committing thread, and the log's own lock covers the
-    cross-thread file access.  :meth:`snapshot` always runs on the round
-    thread: the pipelined engine defers a due snapshot (reported by
-    :meth:`snapshot_due`) to the gap between rounds, behind a full
-    commit drain, because snapshotting walks live fleet state.
+    :meth:`flush` run on the single round-runner thread — or, in the
+    engine's pipelined mode, on its single committer thread; either way
+    there is exactly one committing thread, and the log's own lock
+    covers the cross-thread file access.  :meth:`snapshot` always runs
+    on the round thread: the engine takes a due snapshot (reported by
+    :meth:`snapshot_due`) between rounds, behind a full commit drain,
+    because snapshotting walks live fleet state.
     """
 
     def __init__(self, fleet, directory: str | Path,
@@ -102,7 +103,7 @@ class WalDurability:
                                 self._applied, rounds=0)
 
     # ------------------------------------------------------------------
-    # Engine hook surface (duck-typed; see ServingEngine)
+    # Engine hook surface (repro.runtime.DurabilityHook)
     # ------------------------------------------------------------------
     def record_submit(self, request) -> int:
         """Log one accepted ingest request; returns its WAL seq."""
@@ -149,31 +150,17 @@ class WalDurability:
         ``fleet.remove``); synced immediately, like attach."""
         return self.wal.append(detach_record(stream), sync=True)
 
-    def commit(self, engine) -> None:
-        """End-of-round barrier: fsync everything this round logged
-        (before any ack leaves the building), then snapshot-and-truncate
-        if the policy says it is time.
-
-        A traced engine exposes the round's durability span context as
-        ``engine.durability_trace`` for the duration of the commit, so
-        the flush's ``wal.fsync`` span parents under it."""
-        self.wal.flush(
-            trace_parent=getattr(engine, "durability_trace", None))
-        if self.snapshots.due(engine.rounds):
-            self.snapshot(engine)
-
-    def flush_only(self, trace_parent=None) -> None:
-        """The pipelined engine's commit barrier: the group-commit fsync
-        *without* the snapshot check.  Safe from the committer thread —
-        it touches only the log (which has its own lock) — whereas a
-        snapshot walks fleet state the next round may already be
-        mutating; the engine polls :meth:`snapshot_due` and takes the
-        snapshot itself on the round thread."""
+    def flush(self, trace_parent=None) -> None:
+        """The commit barrier: fsync everything logged so far (before
+        any ack leaves the building).  Safe from the committer thread —
+        it touches only the log, which has its own lock.
+        ``trace_parent`` is the committing round's durability span
+        context, so the flush's ``wal.fsync`` span parents under it."""
         self.wal.flush(trace_parent=trace_parent)
 
     def snapshot_due(self, rounds: int) -> bool:
         """Whether the snapshot policy wants a snapshot after ``rounds``
-        engine rounds (cheap, lock-free; see :meth:`flush_only`)."""
+        engine rounds (cheap, lock-free)."""
         return self.snapshots.due(rounds)
 
     # ------------------------------------------------------------------

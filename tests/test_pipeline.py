@@ -14,9 +14,12 @@ The load-bearing properties:
 * **Failure latching** — one failed fsync fails that batch *and* every
   batch queued behind it with typed ``durability`` errors, and latches
   admission shut.
-* **Fused scatter** — ``serve_round`` produces bit-identical scores to
-  the split score/ingest path, one ring round-trip per shard per wave,
-  with per-entry bad-input isolation via the split fallback.
+* **One wave primitive** — ``serve_round`` produces bit-identical
+  scores to the split score/ingest pair, one ring round-trip per shard
+  per wave (the mixed-wave isolation contract lives in
+  ``test_runtime_engine.py::TestBackendPolicyParityMatrix``).
+* **Always-on stage timings** — every ``engine.stage.*`` histogram
+  fills on every round, with no recorder attached.
 """
 
 import shutil
@@ -165,19 +168,33 @@ class TestPipelinedEngine:
         assert "pipeline" not in serial.engine.stats()
         serial.close()
 
-    def test_queue_wait_recorded_without_tracer(self, fresh_model,
-                                                frame_generator,
-                                                materialized):
-        # Regression: queue_wait used to be observed only when a tracer
-        # was attached; it must record on every round.
+    @pytest.mark.parametrize("stage", ["queue_wait", "schedule", "score",
+                                       "ingest", "durability",
+                                       "commit_wait"])
+    @pytest.mark.parametrize("pipeline", [False, True],
+                             ids=["serial", "pipelined"])
+    @pytest.mark.parametrize("shards", [0, 2], ids=["inline", "sharded"])
+    def test_stages_fill_untraced(
+            self, fresh_model, frame_generator, materialized, shards,
+            pipeline, stage):
+        # Regression: schedule/score/ingest/durability used to be
+        # observed only inside ``if tracer is not None`` blocks (and
+        # queue_wait too, before PR 10); the round timeline fills every
+        # stage on every round, in every cell.
         windows, _ = materialized
         fleet = make_fleet(fresh_model, frame_generator)
-        engine = fleet.engine
-        assert engine._tracer is None
-        submit_round(engine, fleet, windows, 0)
-        engine.run_round()
-        hist = engine.metrics.histogram("engine.stage.queue_wait")
-        assert hist.count == len(fleet.names)
+        if shards:
+            fleet = ShardedFleet.from_fleet(fleet, shards, infra=INFRA)
+        with fleet:
+            engine = fleet.engine
+            engine.pipeline = pipeline
+            assert engine.tracer is None
+            submit_round(engine, fleet, windows, 0)
+            engine.run_round()
+            engine.stop_committer()
+            hist = engine.metrics.histogram(f"engine.stage.{stage}")
+            assert hist.count == (len(fleet.names)
+                                  if stage == "queue_wait" else 1)
 
     def test_drop_pending_predicate_called_once_per_request(
             self, fresh_model, frame_generator, materialized):
@@ -247,7 +264,7 @@ class TestDurabilityPipelined:
 
         stall = threading.Event()
         stalled = threading.Event()
-        real_flush = durability.flush_only
+        real_flush = durability.flush
 
         def flush_gate(trace_parent=None):
             if batches:  # round 1 already delivered -> stall round 2
@@ -256,7 +273,7 @@ class TestDurabilityPipelined:
                 raise DurabilityError("crashed before fsync")
             real_flush(trace_parent=trace_parent)
 
-        durability.flush_only = flush_gate
+        durability.flush = flush_gate
         submit_round(engine, fleet, windows, 0)
         engine.run_round()
         assert engine.drain_commits(timeout=10.0)
@@ -305,7 +322,7 @@ class TestDurabilityPipelined:
             release.wait(10.0)
             raise DurabilityError("fsync failed")
 
-        durability.flush_only = failing_flush
+        durability.flush = failing_flush
         submit_round(engine, fleet, windows, 0)
         engine.run_round()
         assert entered.wait(10.0)
@@ -335,14 +352,14 @@ class TestDurabilityPipelined:
 
         release = threading.Event()
         entered = threading.Event()
-        real_flush = durability.flush_only
+        real_flush = durability.flush
 
         def stalling_flush(trace_parent=None):
             entered.set()
             release.wait(10.0)
             real_flush(trace_parent=trace_parent)
 
-        durability.flush_only = stalling_flush
+        durability.flush = stalling_flush
         submit_round(engine, fleet, windows, 0)
         low_queued = engine.min_pending_wal_seq()
         assert low_queued is not None
@@ -356,36 +373,6 @@ class TestDurabilityPipelined:
         engine.stop_committer()
         assert engine.min_pending_wal_seq() is None
 
-    def test_custom_hook_without_flush_only_still_commits(
-            self, fresh_model, frame_generator, materialized):
-        # Duck-typing compatibility: a durability hook that predates
-        # flush_only gets the plain commit() call even in pipelined mode.
-        windows, _ = materialized
-        fleet = make_fleet(fresh_model, frame_generator)
-        commits = []
-
-        class LegacyDurability:
-            def record_submit(self, request):
-                return None
-
-            def record_applied(self, stream, seq):
-                pass
-
-            def record_skip(self, seq):
-                pass
-
-            def commit(self, engine):
-                commits.append(engine.rounds)
-
-        batches = []
-        engine = pipelined(fleet, batches)
-        engine.durability = LegacyDurability()
-        submit_round(engine, fleet, windows, 0)
-        engine.run_round()
-        engine.stop_committer()
-        assert commits == [1]
-        assert all(r.kind == "event" for r in batches[0])
-
 
 class TestFusedScatter:
     def test_serve_round_parity_with_split_path(self, fresh_model,
@@ -397,9 +384,14 @@ class TestFusedScatter:
             for round_index in range(ROUNDS):
                 arrivals = {name: windows[name][round_index]
                             for name in sharded.names}
-                scored, events, unscored = sharded.serve_round(
+                scored, events, unscored, timings = sharded.serve_round(
                     arrivals, ingest=list(arrivals))
                 assert unscored == []
+                # Both shards stamped both stages, attributed.
+                assert {(t["stage"], t["shard"]) for t in timings} == {
+                    (stage, shard) for stage in ("score", "ingest")
+                    for shard in range(2)}
+                assert all(t["pid"] > 0 and t["dur"] >= 0 for t in timings)
                 for name in sharded.names:
                     np.testing.assert_array_equal(
                         scored[name], reference[name][round_index])
@@ -428,44 +420,3 @@ class TestFusedScatter:
             assert sharded.transport_stats()["fused_rounds"] >= ROUNDS
             stats = engine.stats()
             assert stats["transport"]["fused_rounds"] >= ROUNDS
-
-    def test_fused_bad_input_isolated_per_entry(self, fresh_model,
-                                                frame_generator,
-                                                materialized):
-        windows, reference = materialized
-        single = make_fleet(fresh_model, frame_generator)
-        with ShardedFleet.from_fleet(single, 2, infra=INFRA) as sharded:
-            engine = sharded.engine
-            bad = np.zeros((1, 2, 3))  # wrong (T, D) for window=4 models
-            engine.submit(EngineRequest(op="ingest", stream="cam-0",
-                                        windows=bad))
-            for name in ("cam-1", "cam-2"):
-                engine.submit(EngineRequest(op="ingest", stream=name,
-                                            windows=windows[name][0]))
-            outcomes = {r.request.stream: r for r in engine.run_round()}
-            assert outcomes["cam-0"].kind == "error"
-            assert outcomes["cam-0"].code == "bad_request"
-            for name in ("cam-1", "cam-2"):
-                assert outcomes[name].kind == "event", (
-                    outcomes[name].code, outcomes[name].message)
-                np.testing.assert_array_equal(outcomes[name].event.scores,
-                                              reference[name][0])
-
-    def test_mixed_scores_and_ingest_ops_fused(self, fresh_model,
-                                               frame_generator,
-                                               materialized):
-        windows, reference = materialized
-        single = make_fleet(fresh_model, frame_generator)
-        with ShardedFleet.from_fleet(single, 2, infra=INFRA) as sharded:
-            engine = sharded.engine
-            engine.submit(EngineRequest(op="scores", stream="cam-0",
-                                        windows=windows["cam-0"][0]))
-            engine.submit(EngineRequest(op="ingest", stream="cam-1",
-                                        windows=windows["cam-1"][0]))
-            outcomes = {r.request.stream: r for r in engine.run_round()}
-            assert outcomes["cam-0"].kind == "scores"
-            np.testing.assert_array_equal(outcomes["cam-0"].scores,
-                                          reference["cam-0"][0])
-            assert outcomes["cam-1"].kind == "event"
-            np.testing.assert_array_equal(outcomes["cam-1"].event.scores,
-                                          reference["cam-1"][0])

@@ -17,6 +17,7 @@ import pytest
 from repro.api import Deployment
 from repro.data import TrendShiftConfig, TrendShiftStream
 from repro.metrics import MetricsRegistry
+from repro.obs import TraceRecorder, check_trace, span_dicts
 from repro.runtime import (
     AdmissionError,
     EngineRequest,
@@ -131,6 +132,81 @@ class TestBackendPolicyParityMatrix:
             assert engine_rounds == 1        # whole backlog in one round
         elif policy == "fair":
             assert engine_rounds == ROUNDS   # <=1 per stream per round
+
+    @pytest.mark.parametrize("pipeline", [False, True],
+                             ids=["serial", "pipelined"])
+    @pytest.mark.parametrize("traced", [False, True],
+                             ids=["untraced", "traced"])
+    @pytest.mark.parametrize("backend", ["inline", "sharded"],
+                             ids=["inline", "2shard"])
+    def test_mixed_wave(
+            self, fresh_model, frame_generator, backend, traced, pipeline):
+        """One wave holding a bad-shape entry, a ``scores`` op and
+        ordinary ingests yields the same ``(kind, code, score bits)``
+        per request on every backend, traced or not, serial or
+        pipelined: un-scoreable windows error alone instead of
+        poisoning the coalesced round, through the one ``serve_round``
+        path plus its per-entry isolation fallback.  (On two shards
+        cam-0/cam-2 share the shard whose coalesced score fails and
+        re-run solo; cam-1/cam-3 ride the other shard's clean wave.)"""
+        reference = make_fleet(fresh_model, frame_generator, streams=4)
+        windows = {slot.name: np.asarray(slot.stream.batch(0).windows,
+                                         dtype=np.float64)
+                   for slot in reference.slots}
+        expected = {event.stream: event.scores.tobytes()
+                    for event in reference.step(batched=True)}
+        fleet = make_fleet(fresh_model, frame_generator, streams=4)
+        if backend == "sharded":
+            fleet = ShardedFleet.from_fleet(fleet, shards=2, infra=INFRA)
+        recorder = TraceRecorder() if traced else None
+        delivered = []
+        with fleet:
+            engine = fleet.engine
+            engine.tracer = recorder
+            engine.pipeline = pipeline
+            engine.on_commit = delivered.extend
+            wave = [EngineRequest(op="ingest", stream="cam-0",
+                                  windows=np.zeros((1, 4, 7))),
+                    EngineRequest(op="scores", stream="cam-1",
+                                  windows=windows["cam-1"]),
+                    EngineRequest(op="ingest", stream="cam-2",
+                                  windows=windows["cam-2"]),
+                    EngineRequest(op="ingest", stream="cam-3",
+                                  windows=windows["cam-3"])]
+            spans = []
+            for request in wave:
+                if traced:  # stand in for the gateway's request span
+                    spans.append(recorder.start(
+                        "gateway.request",
+                        attrs={"op": request.op, "stream": request.stream}))
+                    request.trace = spans[-1].context
+                engine.submit(request)
+            returned = engine.run_round()
+            engine.stop_committer()
+            results = {r.request.stream: r
+                       for r in (delivered if pipeline else returned)}
+            for span in spans:
+                kind = results[span.attrs["stream"]].kind
+                span.finish(outcome="error" if kind == "error" else "ok")
+            rounds = engine.rounds
+            transport = engine.stats().get("transport")
+        assert returned == ([] if pipeline else list(results.values()))
+        outcome = {name: (r.kind, r.code,
+                          None if r.kind == "error" else np.asarray(
+                              r.event.scores if r.kind == "event"
+                              else r.scores).tobytes())
+                   for name, r in results.items()}
+        assert outcome == {
+            "cam-0": ("error", "bad_request", None),
+            "cam-1": ("scores", None, expected["cam-1"]),
+            "cam-2": ("event", None, expected["cam-2"]),
+            "cam-3": ("event", None, expected["cam-3"])}
+        assert "cam-0" in results["cam-0"].message
+        if backend == "sharded":
+            # Traced or not, the wave took the production path.
+            assert transport["fused_rounds"] == rounds == 1
+        if traced:
+            assert check_trace(span_dicts(recorder.snapshot())) == []
 
     def test_score_only_matrix_is_stateless(self, fresh_model,
                                             frame_generator, materialized):
@@ -346,25 +422,6 @@ class TestAdmissionAndDeadlines:
         np.testing.assert_array_equal(results[0].event.scores,
                                       reference["cam-0"][0])
         assert not engine.has_pending()
-
-    def test_bad_entry_isolated_per_wave(self, fresh_model,
-                                         frame_generator, materialized):
-        """Un-scoreable windows (wrong frame_dim) error alone instead of
-        poisoning the coalesced round — the gateway's isolation
-        guarantee, now an engine property."""
-        windows, reference = materialized
-        fleet = make_fleet(fresh_model, frame_generator)
-        engine = fleet.engine
-        engine.submit(EngineRequest(op="ingest", stream="cam-0",
-                                    windows=np.zeros((1, 4, 7))))
-        engine.submit(EngineRequest(op="ingest", stream="cam-1",
-                                    windows=windows["cam-1"][0]))
-        results = {r.request.stream: r for r in engine.run_round()}
-        assert results["cam-0"].kind == "error"
-        assert results["cam-0"].code == "bad_request"
-        assert "cam-0" in results["cam-0"].message
-        np.testing.assert_array_equal(results["cam-1"].event.scores,
-                                      reference["cam-1"][0])
 
 
 class TestPolicyUnits:

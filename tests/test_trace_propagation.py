@@ -227,13 +227,13 @@ class TestEndToEndPropagation:
 class TestStatsSurface:
     def test_stats_promotes_version_uptime_and_stage_histograms(
             self, fleet_factory, materialized):
+        # No recorder anywhere: the stage breakdown is always on.
         windows, reference = materialized
-        recorder = TraceRecorder()
-        with fleet_factory() as fleet, \
-                serve_in_thread(fleet, tracer=recorder) as handle:
-            drive(handle.address, windows, reference, recorder=recorder)
+        with fleet_factory() as fleet, serve_in_thread(fleet) as handle:
+            drive(handle.address, windows, reference)
             with GatewayClient(*handle.address) as observer:
                 stats = observer.stats()
+            assert fleet.engine.tracer is None
         assert stats["server_version"] == repro.__version__
         assert stats["uptime_seconds"] > 0
         engine = stats["engine"]

@@ -383,8 +383,8 @@ class TestMembershipReplay:
 
 
 class FailingCommitDurability:
-    """Duck-typed durability hook whose group commit always fails, the
-    shape of an ENOSPC/I/O error at fsync time."""
+    """A ``repro.runtime.DurabilityHook`` whose group commit always
+    fails, the shape of an ENOSPC/I/O error at fsync time."""
 
     def __init__(self):
         self.next_seq = 0
@@ -400,8 +400,14 @@ class FailingCommitDurability:
     def record_skip(self, seq):
         pass
 
-    def commit(self, engine):
+    def flush(self, trace_parent=None):
         raise DurabilityError("group-commit fsync failed: no space left")
+
+    def snapshot_due(self, rounds):
+        return False
+
+    def snapshot(self, engine):
+        raise AssertionError("a latched engine must never snapshot")
 
 
 class TestCommitFailure:
