@@ -35,6 +35,11 @@ from .token_update import TokenEmbeddingUpdater, TokenUpdateConfig
 
 __all__ = ["AdaptationConfig", "AdaptationStepLog", "ContinuousAdaptationController"]
 
+#: Step logs kept per controller.  A deployment is continuous — it ingests
+#: for as long as it lives — so the decision trail is the most recent steps,
+#: not all of them (each entry holds that step's score array).
+LOG_TRAIL_LENGTH = 4096
+
 
 @dataclass
 class AdaptationConfig:
@@ -111,14 +116,9 @@ class ContinuousAdaptationController:
 
         capacity = self.config.monitor.window + self.config.monitor.lag
         self._window_buffer: deque[np.ndarray] = deque(maxlen=capacity)
-        self.logs: list[AdaptationStepLog] = []
+        self.logs: deque[AdaptationStepLog] = deque(maxlen=LOG_TRAIL_LENGTH)
+        self.step_count = 0    # batches processed, across checkpoint restores
         self.update_count = 0  # total token-update iterations (Fig. 6 x-axis)
-        self._step_base = 0    # steps processed before a checkpoint restore
-
-    @property
-    def step_count(self) -> int:
-        """Total batches processed, across checkpoint restores."""
-        return self._step_base + len(self.logs)
 
     # ------------------------------------------------------------------
     def process_batch(self, windows: np.ndarray,
@@ -155,6 +155,7 @@ class ContinuousAdaptationController:
             if selection.triggered and selection.k >= self.config.min_trigger_k:
                 self._adapt(selection.k, log)
         self.logs.append(log)
+        self.step_count += 1
         return log
 
     # ------------------------------------------------------------------
@@ -350,8 +351,8 @@ class ContinuousAdaptationController:
             kg, _, node = text.partition(":")
             return int(kg), int(node)
 
-        self._step_base = int(state["step_count"])
-        self.logs = []
+        self.step_count = int(state["step_count"])
+        self.logs.clear()
         self.update_count = int(state["update_count"])
         self.monitor._scores.clear()
         self.monitor._scores.extend(float(s) for s in state["monitor"]["scores"])

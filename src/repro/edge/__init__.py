@@ -11,6 +11,7 @@ from .flops import (
     count_gnn_forward,
     count_model_forward,
     count_temporal_forward,
+    count_token_side,
 )
 
 __all__ = [
@@ -21,6 +22,7 @@ __all__ = [
     "FlopCounts",
     "count_gnn_forward",
     "count_temporal_forward",
+    "count_token_side",
     "count_model_forward",
     "count_adaptation_step",
     "GPT4_KG_GENERATION_FLOPS",

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..gnn.layers import GraphSpec
 from ..gnn.pipeline import MissionGNNModel
 
-__all__ = ["FlopCounts", "count_gnn_forward", "count_temporal_forward",
+__all__ = ["FlopCounts", "count_gnn_forward", "count_token_side",
+           "count_temporal_forward",
            "count_model_forward", "count_adaptation_step",
            "GPT4_KG_GENERATION_FLOPS"]
 
@@ -40,19 +40,55 @@ def _dense_flops(batch: int, in_dim: int, out_dim: int) -> float:
     return 2.0 * batch * in_dim * out_dim
 
 
+#: Elementwise cost per feature of the fused batch-norm + ELU (Eq. 4).
+_NORM_ELU_FLOPS = 8.0
+
+
 def count_gnn_forward(model: MissionGNNModel, kg_index: int = 0) -> float:
-    """FLOPs for one frame through one KG's hierarchical GNN."""
+    """FLOPs for one frame through one KG's hierarchical GNN.
+
+    Counts what the deployed (eval-mode) forward executes per frame — its
+    frame side: at layer ``l`` the dense refinement of level ``l-1``'s rows,
+    one product and one scaled add per edge of E(l), and norm + ELU on
+    level ``l``'s rows.  What depends on the tokens alone is
+    :func:`count_token_side`, paid once per token version.
+    """
     reasoner = model.reasoners[kg_index]
-    spec: GraphSpec = reasoner.spec
-    gnn = reasoner.gnn
-    v = spec.num_nodes
+    levels = reasoner.spec.level_slices
+    first = reasoner.gnn.layers[0]
+    # Layer 0: the sensor row, from the encoded frame.
+    flops = (_dense_flops(1, first.in_dim, first.out_dim)
+             + _NORM_ELU_FLOPS * first.out_dim)
+    for below, level, layer in zip(levels, levels[1:], reasoner.gnn.layers[1:]):
+        n_edges = level.sources.size
+        if n_edges:
+            flops += _dense_flops(below.rows.size, layer.in_dim,
+                                  layer.out_dim)        # Eq. 1
+            flops += n_edges * layer.out_dim            # Eq. 2 products
+            flops += 2.0 * n_edges * layer.out_dim      # Eq. 3 aggregation
+        flops += (1.0 + _NORM_ELU_FLOPS) * level.rows.size * layer.out_dim
+    return flops
+
+
+def count_token_side(model: MissionGNNModel) -> float:
+    """FLOPs to derive every KG's token side from its token embeddings.
+
+    The text path of each concept node (token mean, then the projection
+    into the joint space) and dense + norm + ELU on all |V| rows at each
+    of the ``d + 2`` layers.  Independent of the frames: paid once per
+    token version, i.e. once per gradient step while adapting and never
+    while the tokens rest.
+    """
+    embedding = model.embedding_model
     flops = 0.0
-    for level, layer in enumerate(gnn.layers):
-        flops += _dense_flops(v, layer.in_dim, layer.out_dim)  # Eq. 1
-        n_edges = len(spec.edge_sources[level])
-        flops += n_edges * layer.out_dim            # Eq. 2 products
-        flops += 2.0 * n_edges * layer.out_dim      # Eq. 3 aggregation
-        flops += 8.0 * v * layer.out_dim            # batch-norm + ELU
+    for reasoner in model.reasoners:
+        for node in reasoner.kg.concept_nodes():
+            flops += node.token_embeddings.size
+            flops += _dense_flops(1, embedding.token_dim, embedding.joint_dim)
+        v = reasoner.spec.num_nodes
+        for layer in reasoner.gnn.layers:
+            flops += _dense_flops(v, layer.in_dim, layer.out_dim)
+            flops += _NORM_ELU_FLOPS * v * layer.out_dim
     return flops
 
 
@@ -75,7 +111,8 @@ def count_temporal_forward(model: MissionGNNModel) -> float:
 
 
 def count_model_forward(model: MissionGNNModel) -> FlopCounts:
-    """Per-window inference FLOPs for the full deployed pipeline."""
+    """Per-window inference FLOPs for the full deployed pipeline (tokens at
+    rest: the GNN share is the frame side only)."""
     embedding = model.embedding_model
     t = model.temporal.window
     image = 2.0 * t * embedding.frame_dim * embedding.joint_dim
@@ -93,8 +130,10 @@ def count_adaptation_step(model: MissionGNNModel, batch_windows: int,
 
     Backward passes cost roughly 2x a forward pass, so one gradient
     iteration is ~3x forward; re-scoring between rounds adds one forward
-    sweep per round.
+    sweep per round.  Each of those sweeps covers ``batch_windows`` windows
+    but derives the token side once — the tokens move per gradient step,
+    not per window.
     """
-    forward = count_model_forward(model).total
-    per_round = batch_windows * forward * (1.0 + 3.0 * inner_steps)
-    return rounds * per_round
+    sweep = (batch_windows * count_model_forward(model).total
+             + count_token_side(model))
+    return rounds * sweep * (1.0 + 3.0 * inner_steps)

@@ -20,7 +20,7 @@ from ..adaptation.controller import (
 )
 from ..gnn.pipeline import MissionGNNModel
 from .device import EdgeDeviceModel
-from .flops import count_model_forward
+from .flops import count_model_forward, count_token_side
 
 __all__ = ["StepMeter", "DeploymentReport", "EdgeDeploymentSimulator"]
 
@@ -112,6 +112,7 @@ class EdgeDeploymentSimulator:
         self.device_flops_per_second = device_flops_per_second
         self.report = DeploymentReport()
         self._forward_flops = count_model_forward(model).total
+        self._token_side_flops = count_token_side(model)
         self._structural_seen = self.controller.total_pruned
 
     # ------------------------------------------------------------------
@@ -119,12 +120,13 @@ class EdgeDeploymentSimulator:
         """Cost of ``updates`` token-update calls.
 
         Each update call runs ``inner_steps`` forward+backward iterations
-        on a batch of roughly (K + normals) windows; backward ~ 2x forward.
+        on a batch of roughly (K + normals) windows, deriving the token
+        side once per iteration; backward ~ 2x forward.
         """
         cfg = self.controller.config
         batch = cfg.normals_per_update * 2  # typical K + anchors
-        per_update = batch * self._forward_flops * 3.0 * max(
-            cfg.update.inner_steps, 1)
+        per_update = ((batch * self._forward_flops + self._token_side_flops)
+                      * 3.0 * max(cfg.update.inner_steps, 1))
         return updates * per_update
 
     def process_batch(self, windows: np.ndarray) -> tuple[AdaptationStepLog, StepMeter]:
@@ -155,6 +157,7 @@ class EdgeDeploymentSimulator:
             # true per-forward cost (edge counts shifted); a cached figure
             # from __init__ would mis-bill every subsequent window.
             self._forward_flops = count_model_forward(self.model).total
+            self._token_side_flops = count_token_side(self.model)
             self._structural_seen = self.controller.total_pruned
         return log, meter
 

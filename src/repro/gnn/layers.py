@@ -15,9 +15,18 @@ Because KG structure changes at adaptation time (node pruning/creation),
 the structural part is factored into a :class:`GraphSpec` compiled from a
 ``ReasoningKG``; layer weights depend only on dimensionalities, so a
 recompile never invalidates trained weights.
+
+With frozen normalization statistics, only the level-``l`` rows of layer
+``l`` depend on the frame: edges go level ``l-1 -> l`` and nothing reads a
+row again once the next level has consumed it.  :meth:`HierarchicalGNNLayer.
+propagate` is ``G_l`` restricted to those rows (the spec's
+:class:`LevelSlice`); everything else is a function of the KG tokens alone
+and is computed apart from the frames (``HierarchicalGNN.token_side``).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +34,24 @@ from ..kg.graph import ReasoningKG
 from ..nn.layers import BatchNorm, Dense, Module
 from ..nn.tensor import Tensor
 
-__all__ = ["GraphSpec", "HierarchicalGNNLayer"]
+__all__ = ["GraphSpec", "LevelSlice", "HierarchicalGNNLayer"]
+
+
+@dataclass(frozen=True)
+class LevelSlice:
+    """One level of a :class:`GraphSpec` in level-local coordinates.
+
+    ``rows`` are the matrix rows of the level's nodes; ``sources`` /
+    ``targets`` are E(l)'s endpoints as positions within the previous
+    level's ``rows`` / this level's ``rows``; ``mean_scale`` and
+    ``keep_mask`` are the spec's (|V|, 1) arrays cut down to ``rows``.
+    """
+
+    rows: np.ndarray
+    sources: np.ndarray
+    targets: np.ndarray
+    mean_scale: np.ndarray
+    keep_mask: np.ndarray
 
 
 class GraphSpec:
@@ -46,6 +72,9 @@ class GraphSpec:
         in V(l) that actually receive messages, and its complement.
         Together with a segment-sum over ``edge_targets`` these realize
         Eq. 3's mean aggregation without a dense (|V|, |E(l)|) matrix.
+    level_slices:
+        Per level ``l``: the same structure in level-local coordinates
+        (:class:`LevelSlice`), for the frame side of the forward.
     """
 
     def __init__(self, kg: ReasoningKG):
@@ -85,6 +114,19 @@ class GraphSpec:
             self.mean_scale.append(scale)
             self.receive_mask.append(mask)
             self.keep_mask.append(1.0 - mask)
+
+        # Rows grouped by level; ``validate`` guarantees every edge of E(l)
+        # starts at level l-1, so both endpoints have a level-local position.
+        level_rows = [np.flatnonzero(self.levels == level)
+                      for level in range(self.num_levels)]
+        self.level_slices: list[LevelSlice] = [
+            LevelSlice(rows=rows,
+                       sources=np.searchsorted(level_rows[level - 1],
+                                               self.edge_sources[level]),
+                       targets=np.searchsorted(rows, self.edge_targets[level]),
+                       mean_scale=self.mean_scale[level][rows],
+                       keep_mask=self.keep_mask[level][rows])
+            for level, rows in enumerate(level_rows)]
 
     def row_of(self, node_id: int) -> int:
         """Row index of a node id in the embedding matrix."""
@@ -131,4 +173,28 @@ class HierarchicalGNNLayer(Module):
         else:
             combined = refined
 
+        return self.norm(combined).elu()  # Eq. 4
+
+    def propagate(self, h: Tensor, level: LevelSlice, own: Tensor,
+                  target_factor: Tensor) -> Tensor:
+        """``G_l`` on the level's own rows only (frozen norm statistics).
+
+        ``h`` holds the previous level's rows ``(B, n_{l-1}, D_in)``; the
+        result is ``(B, n_l, D_out)``.  ``own`` ``(n_l, D_out)`` and
+        ``target_factor`` ``(|E(l)|, D_out)`` come from the token side: the
+        level's refined rows masked to the nodes that receive no message,
+        and Eq. 2's target-row factor per edge.  Same operations in the
+        same order as :meth:`finish` on these rows, so the values are
+        bit-identical to the all-nodes path.
+        """
+        if level.sources.size:
+            refined = self.dense(h)  # Eq. 1, on the rows messages start from
+            messages = refined[:, level.sources, :] * target_factor  # Eq. 2
+            summed = Tensor.segment_sum(messages, level.targets,
+                                        level.rows.size)
+            combined = summed * Tensor(level.mean_scale) + own  # Eq. 3
+        else:
+            # No node of the level receives anything (its predecessors were
+            # pruned): every row is the token side's, once per frame.
+            combined = own + Tensor(np.zeros((h.shape[0], 1, 1)))
         return self.norm(combined).elu()  # Eq. 4

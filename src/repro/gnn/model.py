@@ -12,6 +12,14 @@ the encoded frame ``E_I(F_t)``; every concept row carries the differentiable
 text-path embedding of that node's learnable token matrix.  This is the
 junction where continuous adaptation gradients flow from the decision loss
 into the KG token embeddings.
+
+In eval mode the forward is split in two.  The **token side** pushes the
+(|V|, D) node matrix — no batch axis — through dense, norm and ELU of every
+layer and hands each level the two things its frame-dependent rows need
+from it; the **frame side** carries only the current level's rows for the
+batch.  On the served KGs that is 16 node-rows per frame instead of
+(d+2)·|V| = 80, and on the edge only the tokens ever change, so off the
+tape the token side is kept until they (or the structure, or a weight) do.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import numpy as np
 from ..embedding.joint_space import JointEmbeddingModel
 from ..kg.graph import ReasoningKG
 from ..nn.layers import Module
-from ..nn.tensor import Tensor
+from ..nn.tensor import Tensor, is_grad_enabled
 from .layers import GraphSpec, HierarchicalGNNLayer
 
 __all__ = ["HierarchicalGNN", "KGReasoner"]
@@ -63,9 +71,68 @@ class HierarchicalGNN(Module):
             h = layer(h, spec, level)
         return h[:, spec.embedding_row, :]
 
+    @property
+    def norm_training(self) -> bool:
+        """Whether batch normalization takes its statistics from the input.
+
+        It then takes them over *all* nodes, so every row depends on every
+        frame and only the all-nodes path (:meth:`forward_embedded`) is
+        correct; with frozen statistics :meth:`token_side` +
+        :meth:`frame_side` compute the same values from far fewer rows.
+        """
+        return any(layer.norm.training for layer in self.layers)
+
+    def token_side(self, base: Tensor, spec: GraphSpec
+                   ) -> list[tuple[Tensor, Tensor]]:
+        """Everything the forward derives from the node matrix alone.
+
+        A row is a function of the tokens only until its node receives
+        messages, which happens at the layer of its own level — so up to
+        there it never takes part in message passing, and the whole token
+        side is dense -> norm -> ELU on the (|V|, D) matrix.  Per level
+        ``1 .. depth + 1`` this yields ``(own, target_factor)`` as
+        :meth:`HierarchicalGNNLayer.propagate` takes them: the level's
+        refined rows with the receiving nodes zeroed (a node whose
+        predecessors were all pruned still enters the next level, as a row
+        shared by every frame), and the target row of each edge's Eq. 2
+        product.  Ordinary tape ops: gradients reach the tokens through
+        them, the sum over the batch happening where ``propagate``
+        broadcasts.
+        """
+        if spec.depth != self.depth:
+            raise ValueError(f"spec depth {spec.depth} != model depth {self.depth}")
+        sides = []
+        refined = self.layers[0].dense(base)  # layer 0 passes no message
+        for below, layer, level in zip(self.layers, self.layers[1:],
+                                       spec.level_slices[1:]):
+            refined = layer.dense(below.norm(refined).elu())
+            rows = refined[level.rows]
+            sides.append((rows * Tensor(level.keep_mask), rows[level.targets]))
+        return sides
+
+    def frame_side(self, encoded: Tensor,
+                   token_side: list[tuple[Tensor, Tensor]],
+                   spec: GraphSpec) -> Tensor:
+        """(B, input_dim) frame encodings -> reasoning embeddings (B, D).
+
+        Level 0 is the sensor row alone, level ``depth + 1`` the embedding
+        node alone; in between only the current level's rows are carried.
+        """
+        first = self.layers[0]
+        h = first.norm(first.dense(encoded)).elu().reshape(
+            encoded.shape[0], 1, -1)
+        for layer, level, (own, target_factor) in zip(
+                self.layers[1:], spec.level_slices[1:], token_side):
+            h = layer.propagate(h, level, own, target_factor)
+        return h[:, 0, :]
+
     def forward_embedded(self, base: Tensor, encoded: Tensor,
                          spec: GraphSpec) -> Tensor:
         """Like :meth:`forward`, from the factored GNN input.
+
+        The all-nodes path: required while :attr:`norm_training`, and the
+        reference :meth:`token_side` + :meth:`frame_side` are tested
+        against.
 
         ``base`` is the (|V|, input_dim) static node matrix (concept rows
         from the text path, sensor row ignored) and ``encoded`` the
@@ -113,6 +180,9 @@ class KGReasoner(Module):
         self.embedding_model = embedding_model
         self.gnn = gnn
         self.spec = GraphSpec(kg)
+        # Off-tape token side and the arrays it was computed from.
+        self._token_side: list[tuple[Tensor, Tensor]] | None = None
+        self._token_side_inputs: list[object] = []
         self._token_tensors: dict[int, Tensor] = {}
         self._sync_token_tensors(trainable=False)
 
@@ -124,6 +194,7 @@ class KGReasoner(Module):
             node.node_id: Tensor(node.token_embeddings, requires_grad=trainable)
             for node in self.kg.concept_nodes()
         }
+        self._token_side = None  # the KG's arrays are read afresh
 
     def token_tensors(self) -> dict[int, Tensor]:
         """Node id -> its learnable token-embedding tensor."""
@@ -139,6 +210,8 @@ class KGReasoner(Module):
             tensor = self._token_tensors.get(node.node_id)
             if tensor is not None:
                 node.token_embeddings = tensor.data.copy()
+        # Also covers a token array edited in place before the commit.
+        self._token_side = None
 
     def refresh_structure(self) -> None:
         """Recompile after node pruning/creation changed the KG."""
@@ -173,6 +246,32 @@ class KGReasoner(Module):
                 rows.append(Tensor(np.zeros(joint_dim)))
         return Tensor.stack(rows, axis=0)
 
+    def _current_token_side(self) -> list[tuple[Tensor, Tensor]]:
+        """The GNN's token side for the tokens, structure and weights as
+        they are now.
+
+        On the tape it is recomputed so gradients flow through it.  Off the
+        tape it is a function of the arrays listed here and nothing else,
+        and every writer in this codebase *rebinds* them (``tensor.data =
+        ...``, never an in-place store), so it is reused for as long as
+        each is still the same object.
+        """
+        if is_grad_enabled():
+            return self.gnn.token_side(self.node_embedding_matrix(), self.spec)
+        inputs: list[object] = [self.spec]
+        inputs += [t.data for t in self._token_tensors.values()]
+        for layer in self.gnn.layers:
+            inputs += [layer.dense.weight.data, layer.dense.bias.data,
+                       layer.norm.gamma.data, layer.norm.beta.data,
+                       layer.norm.running_mean, layer.norm.running_var]
+        stale = self._token_side is None or any(
+            a is not b for a, b in zip(inputs, self._token_side_inputs))
+        if stale:
+            self._token_side = self.gnn.token_side(
+                self.node_embedding_matrix(), self.spec)
+            self._token_side_inputs = inputs
+        return self._token_side
+
     def forward(self, frames: np.ndarray) -> Tensor:
         """Reason over a batch of frames -> (B, gnn_output_dim).
 
@@ -182,8 +281,11 @@ class KGReasoner(Module):
         frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim == 1:
             frames = frames[None, :]
-        encoded = self.embedding_model.encode_image(frames)  # (B, joint_dim)
-        base = self.node_embedding_matrix()  # (|V|, joint)
         # Frames are data (constant on the tape); adaptation gradients flow
-        # through the concept rows of ``base`` into the token embeddings.
-        return self.gnn.forward_embedded(base, Tensor(encoded), self.spec)
+        # through the token side into the token embeddings.
+        encoded = Tensor(self.embedding_model.encode_image(frames))
+        if self.gnn.norm_training:
+            return self.gnn.forward_embedded(self.node_embedding_matrix(),
+                                             encoded, self.spec)
+        return self.gnn.frame_side(encoded, self._current_token_side(),
+                                   self.spec)

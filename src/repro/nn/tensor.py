@@ -100,7 +100,8 @@ class Tensor:
         :meth:`backward`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "name",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         if isinstance(data, Tensor):
@@ -108,7 +109,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[Tensor], None] | None = None
         self._prev: tuple[Tensor, ...] = ()
         self.name = name
 
@@ -157,7 +158,12 @@ class Tensor:
         out.requires_grad = requires
         if requires and backward is not None:
             out._prev = tuple(parents)
-            out._backward = lambda: backward(out)
+            # The bare function, called as ``node._backward(node)``: a
+            # closure over ``out`` would make every taped tensor reference
+            # itself, and the whole tape (with each array its closures
+            # hold) would then outlive ``del loss`` until the cyclic GC's
+            # oldest generation happens to run.
+            out._backward = backward
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
@@ -193,7 +199,7 @@ class Tensor:
         self._accumulate(np.asarray(grad, dtype=np.float64))
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
-                node._backward()
+                node._backward(node)
 
     # ------------------------------------------------------------------
     # Elementwise arithmetic

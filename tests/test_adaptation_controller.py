@@ -69,6 +69,27 @@ class TestControllerLifecycle:
             controller.process_batch(rng.normal(size=(4, 4, embedding_model.frame_dim)))
         assert [log.step for log in controller.logs] == [0, 1, 2]
 
+    def test_log_trail_is_bounded_and_step_count_is_not(
+            self, fresh_model, embedding_model, rng, monkeypatch):
+        """A continuous deployment ingests forever: the trail keeps the
+        most recent steps, the step count keeps counting, and a checkpoint
+        round trip carries the count (the wire format is unchanged)."""
+        from repro.adaptation import controller as controller_module
+        assert controller_module.LOG_TRAIL_LENGTH >= 1024
+        monkeypatch.setattr(controller_module, "LOG_TRAIL_LENGTH", 4)
+        model, controller = deployed_controller(fresh_model, embedding_model, rng)
+        windows = rng.normal(size=(1, 4, embedding_model.frame_dim))
+        scores = model.anomaly_scores(windows)
+        for _ in range(7):
+            controller.process_batch(windows, scores=scores)
+        assert [log.step for log in controller.logs] == [3, 4, 5, 6]
+        assert controller.step_count == 7
+        state = controller.export_state()
+        assert state["step_count"] == 7
+        controller.restore_state(state)
+        assert controller.step_count == 7 and len(controller.logs) == 0
+        assert controller.process_batch(windows, scores=scores).step == 7
+
     def test_mean_score_trace(self, fresh_model, embedding_model, rng):
         _, controller = deployed_controller(fresh_model, embedding_model, rng)
         controller.process_batch(rng.normal(size=(4, 4, embedding_model.frame_dim)))

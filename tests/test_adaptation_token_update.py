@@ -1,5 +1,8 @@
 """Tests for token-embedding-only updates (paper Fig. 2C / Fig. 4A)."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -143,3 +146,27 @@ class TestUpdateSemantics:
         windows, labels = small_batch(embedding_model, rng)
         result = updater.update(windows, labels)  # must not crash
         assert np.isfinite(result.loss)
+
+
+class TestUpdateMemory:
+    def test_updates_leave_no_tape_behind(self, fresh_model, embedding_model,
+                                          rng):
+        """Each update's tape is released when the update returns, not
+        whenever the cyclic collector next runs its oldest generation."""
+        model = deployed(fresh_model)
+        updater = TokenEmbeddingUpdater(model)
+        windows, labels = small_batch(embedding_model, rng, n=16)
+        updater.update(windows, labels)  # lazy one-off allocations
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            baseline, _ = tracemalloc.get_traced_memory()
+            for _ in range(3):
+                updater.update(windows, labels)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert peak - baseline > 1 << 20  # the tape itself is not small
+        assert current - baseline < 1 << 20

@@ -11,6 +11,7 @@ from repro.edge import (
     count_gnn_forward,
     count_model_forward,
     count_temporal_forward,
+    count_token_side,
 )
 
 
@@ -32,6 +33,25 @@ class TestFlopCounting:
                        n_tokens=2, rng=rng)
         model.reasoners[0].refresh_structure()
         assert count_gnn_forward(model) > base
+
+    def test_gnn_flops_count_the_frame_side_rows(self, fresh_model):
+        """Per frame the forward touches each node once (its own level's
+        layer), not every node at every layer."""
+        model = fresh_model()
+        spec = model.reasoners[0].spec
+        hidden = model.config.gnn_hidden_dim
+        all_nodes_norm_elu = 8.0 * spec.num_levels * spec.num_nodes * hidden
+        assert count_gnn_forward(model) < all_nodes_norm_elu
+
+    def test_token_side_is_charged_per_gradient_step_not_per_window(
+            self, fresh_model):
+        model = fresh_model(window=4)
+        forward = count_model_forward(model).total
+        token_side = count_token_side(model)
+        assert token_side > 0
+        for batch in (1, 10):
+            assert count_adaptation_step(model, batch, 2, 3) == pytest.approx(
+                3 * (1 + 3 * 2) * (batch * forward + token_side))
 
     def test_temporal_flops_scale_with_window(self, fresh_model):
         small = count_temporal_forward(fresh_model(window=4))

@@ -1,5 +1,8 @@
 """Autodiff engine tests: every op checked against numerical gradients."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -286,6 +289,24 @@ class TestTapeMechanics:
     def test_backward_on_non_grad_raises(self):
         with pytest.raises(RuntimeError):
             Tensor(np.ones(2)).backward()
+
+    def test_tape_dies_with_its_last_reference(self):
+        """No taped tensor references itself: with the cyclic collector
+        off, dropping the loss frees the interior of the tape at once."""
+        gc.collect()
+        gc.disable()
+        try:
+            x = Tensor(np.ones((4, 3)), requires_grad=True)
+            interior = ((x * 2.0).exp() @ Tensor(np.ones((3, 2)))).tanh()
+            loss = interior.sum()
+            loss.backward()
+            probe = weakref.ref(interior)
+            del interior
+            assert probe() is not None  # the tape still holds it
+            del loss
+            assert probe() is None
+        finally:
+            gc.enable()
 
     def test_backward_deep_chain_iterative(self):
         # Topological sort is iterative: must survive graphs deeper than
