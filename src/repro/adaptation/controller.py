@@ -29,16 +29,11 @@ from ..nn.optim import Adam
 from ..utils.rng import derive_rng
 from ..utils.serialization import decode_array, encode_array
 from .convergence import ConvergenceConfig, NodeConvergenceTracker
-from .monitor import AnomalyScoreMonitor, MonitorConfig
+from .monitor import LOG_TRAIL_LENGTH, AnomalyScoreMonitor, MonitorConfig
 from .structure import StructuralAdapter, StructuralEvent
 from .token_update import TokenEmbeddingUpdater, TokenUpdateConfig
 
 __all__ = ["AdaptationConfig", "AdaptationStepLog", "ContinuousAdaptationController"]
-
-#: Step logs kept per controller.  A deployment is continuous — it ingests
-#: for as long as it lives — so the decision trail is the most recent steps,
-#: not all of them (each entry holds that step's score array).
-LOG_TRAIL_LENGTH = 4096
 
 
 @dataclass
@@ -335,7 +330,7 @@ class ContinuousAdaptationController:
                                     for k, v in tracker._increase_streak.items()},
                 "updates_seen": {key_str(k): v
                                  for k, v in tracker._updates_seen.items()},
-                "distance_history": {key_str(k): v for k, v
+                "distance_history": {key_str(k): list(v) for k, v
                                      in tracker.distance_history.items()},
             },
         }
@@ -356,7 +351,9 @@ class ContinuousAdaptationController:
         self.update_count = int(state["update_count"])
         self.monitor._scores.clear()
         self.monitor._scores.extend(float(s) for s in state["monitor"]["scores"])
-        self.monitor.history = [float(h) for h in state["monitor"]["history"]]
+        # The trails keep the newest entries of a longer saved list.
+        self.monitor.history.clear()
+        self.monitor.history.extend(float(h) for h in state["monitor"]["history"])
         self._window_buffer.clear()
         for payload in state["buffer"]:
             self._window_buffer.append(decode_array(payload))
@@ -371,9 +368,9 @@ class ContinuousAdaptationController:
                                     in state["tracker"]["increase_streak"].items()}
         tracker._updates_seen = {key_tuple(k): int(v) for k, v
                                  in state["tracker"]["updates_seen"].items()}
-        tracker.distance_history = {
-            key_tuple(k): [float(d) for d in v]
-            for k, v in state["tracker"]["distance_history"].items()}
+        tracker.distance_history = {}
+        for k, v in state["tracker"]["distance_history"].items():
+            tracker.record_distances(key_tuple(k), (float(d) for d in v))
         # Token tensors may have been replaced by the model restore; re-bind,
         # then put back the optimizer's own state (Adam moments, step count)
         # so the first post-resume update matches an uninterrupted run.

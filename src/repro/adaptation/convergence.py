@@ -15,7 +15,10 @@ node is flagged — both knobs default to mild smoothing and are ablatable.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+
+from .monitor import LOG_TRAIL_LENGTH
 
 __all__ = ["ConvergenceConfig", "NodeConvergenceTracker"]
 
@@ -46,14 +49,15 @@ class NodeConvergenceTracker:
         self._last_distance: dict[NodeKey, float] = {}
         self._increase_streak: dict[NodeKey, int] = {}
         self._updates_seen: dict[NodeKey, int] = {}
-        self.distance_history: dict[NodeKey, list[float]] = {}
+        # Per live node, its most recent update distances.
+        self.distance_history: dict[NodeKey, deque[float]] = {}
 
     def observe(self, node_distances: dict[NodeKey, float]) -> list[NodeKey]:
         """Record one step's distances; return the nodes flagged as diverging."""
         cfg = self.config
         flagged: list[NodeKey] = []
         for key, distance in node_distances.items():
-            self.distance_history.setdefault(key, []).append(distance)
+            self.record_distances(key, (distance,))
             seen = self._updates_seen.get(key, 0) + 1
             self._updates_seen[key] = seen
             previous = self._last_distance.get(key)
@@ -75,7 +79,8 @@ class NodeConvergenceTracker:
             flagged = flagged[:cfg.max_flags_per_step]
         # Drop state for nodes that disappeared (pruned between steps).
         current = set(node_distances)
-        for store in (self._last_distance, self._increase_streak, self._updates_seen):
+        for store in (self._last_distance, self._increase_streak,
+                      self._updates_seen, self.distance_history):
             for key in list(store):
                 if key not in current:
                     del store[key]
@@ -86,6 +91,15 @@ class NodeConvergenceTracker:
         self._last_distance.pop(key, None)
         self._increase_streak.pop(key, None)
         self._updates_seen.pop(key, None)
+        self.distance_history.pop(key, None)
+
+    def record_distances(self, key: NodeKey, distances) -> None:
+        """Append to a node's distance trail (the newest
+        :data:`LOG_TRAIL_LENGTH` entries are kept)."""
+        trail = self.distance_history.get(key)
+        if trail is None:
+            trail = self.distance_history[key] = deque(maxlen=LOG_TRAIL_LENGTH)
+        trail.extend(distances)
 
     def is_converging(self, key: NodeKey) -> bool:
         """True when the node's last observed step did not increase."""

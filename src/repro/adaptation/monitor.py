@@ -25,7 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MonitorConfig", "PseudoLabels", "AnomalyScoreMonitor"]
+__all__ = ["MonitorConfig", "PseudoLabels", "AnomalyScoreMonitor",
+           "LOG_TRAIL_LENGTH"]
+
+#: Entries kept in every per-step trail of the adaptation loop (step logs,
+#: window-mean trace, per-node distance trails).  A deployment is continuous
+#: — it ingests for as long as it lives — so a trail is the most recent
+#: steps, not all of them, and a checkpoint does not grow with its age.
+LOG_TRAIL_LENGTH = 4096
 
 
 @dataclass
@@ -78,45 +85,49 @@ class AnomalyScoreMonitor:
             raise ValueError("lag must be >= 1")
         capacity = self.config.window + self.config.lag
         self._scores: deque[float] = deque(maxlen=capacity)
-        self.history: list[float] = []  # full mean trace for diagnostics
+        # Window-mean trace for diagnostics, most recent steps.
+        self.history: deque[float] = deque(maxlen=LOG_TRAIL_LENGTH)
 
     # ------------------------------------------------------------------
     def observe(self, scores: np.ndarray | list[float] | float) -> None:
         """Append new anomaly scores (arrival order)."""
         scores = np.atleast_1d(np.asarray(scores, dtype=np.float64))
-        for s in scores:
-            self._scores.append(float(s))
-        if len(self._scores) >= 1:
-            window = self.current_window()
-            if window.size:
-                self.history.append(float(window.mean()))
+        self._scores.extend(scores.tolist())
+        if self._scores:
+            self.history.append(float(self.current_window().mean()))
+
+    def _snapshot(self) -> np.ndarray:
+        """Every retained score, oldest first, as one array."""
+        return np.fromiter(self._scores, dtype=np.float64,
+                           count=len(self._scores))
+
+    def _reference(self, snapshot: np.ndarray) -> np.ndarray:
+        cfg = self.config
+        return snapshot[:-cfg.lag][-cfg.window:]
 
     def current_window(self) -> np.ndarray:
         """The most recent N scores (fewer during warm-up)."""
-        n = self.config.window
-        items = list(self._scores)[-n:]
-        return np.asarray(items, dtype=np.float64)
+        return self._snapshot()[-self.config.window:]
 
     def reference_window(self) -> np.ndarray:
         """The N scores ending ``lag`` observations ago (fewer during warm-up)."""
-        cfg = self.config
-        items = list(self._scores)
-        if len(items) <= cfg.lag:
-            return np.asarray([], dtype=np.float64)
-        older = items[:-cfg.lag]
-        return np.asarray(older[-cfg.window:], dtype=np.float64)
+        return self._reference(self._snapshot())
 
     @property
     def warmed_up(self) -> bool:
-        return (self.current_window().size >= self.config.window
-                and self.reference_window().size >= max(self.config.window // 2, 1))
+        """A full current window and at least half a reference window."""
+        cfg = self.config
+        held = len(self._scores)
+        return (held >= cfg.window
+                and held - cfg.lag >= max(cfg.window // 2, 1))
 
     # ------------------------------------------------------------------
     def select(self) -> PseudoLabels:
         """Apply the paper's selection rule to the current window."""
         cfg = self.config
-        window = self.current_window()
-        reference = self.reference_window()
+        snapshot = self._snapshot()
+        window = snapshot[-cfg.window:]
+        reference = self._reference(snapshot)
         n = window.size
         if n == 0:
             raise RuntimeError("monitor has no observations")

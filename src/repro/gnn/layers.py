@@ -32,7 +32,7 @@ import numpy as np
 
 from ..kg.graph import ReasoningKG
 from ..nn.layers import BatchNorm, Dense, Module
-from ..nn.tensor import Tensor
+from ..nn.tensor import EdgeSchedule, Tensor
 
 __all__ = ["GraphSpec", "LevelSlice", "HierarchicalGNNLayer"]
 
@@ -42,14 +42,16 @@ class LevelSlice:
     """One level of a :class:`GraphSpec` in level-local coordinates.
 
     ``rows`` are the matrix rows of the level's nodes; ``sources`` /
-    ``targets`` are E(l)'s endpoints as positions within the previous
-    level's ``rows`` / this level's ``rows``; ``mean_scale`` and
+    ``targets`` are E(l)'s endpoints, in edge order, as positions within
+    the previous level's ``rows`` / this level's ``rows``, and ``edges``
+    the two compiled for the message-passing kernel; ``mean_scale`` and
     ``keep_mask`` are the spec's (|V|, 1) arrays cut down to ``rows``.
     """
 
     rows: np.ndarray
     sources: np.ndarray
     targets: np.ndarray
+    edges: EdgeSchedule
     mean_scale: np.ndarray
     keep_mask: np.ndarray
 
@@ -66,12 +68,15 @@ class GraphSpec:
         ``depth + 2`` (sensor level 0 ... embedding level depth+1).
     edge_sources / edge_targets:
         Per level ``l``: integer row indices of E(l)'s endpoints.
+    edge_schedules:
+        Per level ``l``: the same edges compiled for the message-passing
+        kernel (:class:`repro.nn.tensor.EdgeSchedule`).
     mean_scale / receive_mask / keep_mask:
         Per level ``l``: the (|V|, 1) reciprocal in-degree of each node (0
         for nodes receiving no messages), the (|V|, 1) indicator of nodes
         in V(l) that actually receive messages, and its complement.
-        Together with a segment-sum over ``edge_targets`` these realize
-        Eq. 3's mean aggregation without a dense (|V|, |E(l)|) matrix.
+        Together with a sum over ``edge_targets`` these realize Eq. 3's
+        mean aggregation without a dense (|V|, |E(l)|) matrix.
     level_slices:
         Per level ``l``: the same structure in level-local coordinates
         (:class:`LevelSlice`), for the frame side of the forward.
@@ -95,6 +100,7 @@ class GraphSpec:
         ids = np.asarray(self.node_ids, dtype=np.int64)
         self.edge_sources: list[np.ndarray] = []
         self.edge_targets: list[np.ndarray] = []
+        self.edge_schedules: list[EdgeSchedule] = []
         self.mean_scale: list[np.ndarray] = []
         self.receive_mask: list[np.ndarray] = []
         self.keep_mask: list[np.ndarray] = []
@@ -106,6 +112,7 @@ class GraphSpec:
             targets = np.searchsorted(ids, edges[:, 1])
             self.edge_sources.append(sources)
             self.edge_targets.append(targets)
+            self.edge_schedules.append(EdgeSchedule(sources, targets))
             in_degree = np.bincount(targets, minlength=self.num_nodes)
             receives = in_degree > 0
             scale = np.zeros((self.num_nodes, 1))
@@ -119,14 +126,16 @@ class GraphSpec:
         # starts at level l-1, so both endpoints have a level-local position.
         level_rows = [np.flatnonzero(self.levels == level)
                       for level in range(self.num_levels)]
-        self.level_slices: list[LevelSlice] = [
-            LevelSlice(rows=rows,
-                       sources=np.searchsorted(level_rows[level - 1],
-                                               self.edge_sources[level]),
-                       targets=np.searchsorted(rows, self.edge_targets[level]),
-                       mean_scale=self.mean_scale[level][rows],
-                       keep_mask=self.keep_mask[level][rows])
-            for level, rows in enumerate(level_rows)]
+        self.level_slices: list[LevelSlice] = []
+        for level, rows in enumerate(level_rows):
+            sources = np.searchsorted(level_rows[level - 1],
+                                      self.edge_sources[level])
+            targets = np.searchsorted(rows, self.edge_targets[level])
+            self.level_slices.append(LevelSlice(
+                rows=rows, sources=sources, targets=targets,
+                edges=EdgeSchedule(sources, targets),
+                mean_scale=self.mean_scale[level][rows],
+                keep_mask=self.keep_mask[level][rows]))
 
     def row_of(self, node_id: int) -> int:
         """Row index of a node id in the embedding matrix."""
@@ -158,18 +167,16 @@ class HierarchicalGNNLayer(Module):
     def finish(self, refined: Tensor, spec: GraphSpec, level: int) -> Tensor:
         """Sub-layers 2-5 (messages, aggregation, norm, activation) applied
         to an already-refined ``phi_l(X)`` of shape ``(B, |V|, D_out)``."""
-        sources = spec.edge_sources[level]
-        if sources.size:
-            targets = spec.edge_targets[level]
-            # Eq. 2: per-edge messages X_s * X_d.
-            messages = refined[:, sources, :] * refined[:, targets, :]
-            # Eq. 3: mean-aggregate into receiving nodes (segment-sum over
-            # the target indices, scaled by reciprocal in-degree), identity
-            # elsewhere.  ``mean_scale`` is zero on non-receiving nodes, so
-            # the aggregated term needs no extra masking.
-            summed = Tensor.segment_sum(messages, targets, spec.num_nodes)
-            aggregated = summed * Tensor(spec.mean_scale[level])
-            combined = refined * Tensor(spec.keep_mask[level]) + aggregated
+        edges = spec.edge_schedules[level]
+        if edges.sources.size:
+            # Eq. 2: per-edge messages X_s * X_d.  Eq. 3: mean-aggregate
+            # into receiving nodes, identity elsewhere.  ``mean_scale`` is
+            # zero on non-receiving nodes, so the aggregated term needs no
+            # extra masking.
+            combined = Tensor.message_pass(
+                refined, refined[:, edges.targets, :],
+                refined * Tensor(spec.keep_mask[level]), edges,
+                spec.mean_scale[level])
         else:
             combined = refined
 
@@ -183,18 +190,14 @@ class HierarchicalGNNLayer(Module):
         result is ``(B, n_l, D_out)``.  ``own`` ``(n_l, D_out)`` and
         ``target_factor`` ``(|E(l)|, D_out)`` come from the token side: the
         level's refined rows masked to the nodes that receive no message,
-        and Eq. 2's target-row factor per edge.  Same operations in the
-        same order as :meth:`finish` on these rows, so the values are
-        bit-identical to the all-nodes path.
+        and Eq. 2's target-row factor per edge.  The same kernel as
+        :meth:`finish` on these rows, so the values are bit-identical to
+        the all-nodes path.
         """
-        if level.sources.size:
-            refined = self.dense(h)  # Eq. 1, on the rows messages start from
-            messages = refined[:, level.sources, :] * target_factor  # Eq. 2
-            summed = Tensor.segment_sum(messages, level.targets,
-                                        level.rows.size)
-            combined = summed * Tensor(level.mean_scale) + own  # Eq. 3
-        else:
-            # No node of the level receives anything (its predecessors were
-            # pruned): every row is the token side's, once per frame.
-            combined = own + Tensor(np.zeros((h.shape[0], 1, 1)))
+        # Eq. 1 on the rows messages start from.  With no edge (the level's
+        # predecessors were pruned) every row is the token side's, once per
+        # frame, and ``h`` only says how many frames there are.
+        refined = self.dense(h) if level.sources.size else h
+        combined = Tensor.message_pass(refined, target_factor, own,
+                                       level.edges, level.mean_scale)  # Eq. 2-3
         return self.norm(combined).elu()  # Eq. 4

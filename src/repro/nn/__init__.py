@@ -4,6 +4,14 @@ This package replaces PyTorch for the reproduction.  Everything is numpy
 with a small reverse-mode tape (:mod:`repro.nn.tensor`), which is all the
 paper needs: a lightweight GNN, a small transformer, and gradient flow into
 KG token embeddings through otherwise-frozen models.
+
+A block the model repeats is one kernel: ``Dense`` is ``Tensor.affine``,
+``LayerNorm`` is ``Tensor.layer_norm``, eval-mode ``BatchNorm`` is
+``Tensor.frozen_batch_norm``, ``softmax`` / ``log_softmax`` are single ops,
+and the GNN's message passing is ``Tensor.message_pass`` — one numpy
+forward, one tape node and one hand-written backward each, because at the
+served shapes a forward costs what its tensor count costs (see
+:mod:`repro.nn.tensor`).
 """
 
 from .tensor import Tensor, as_tensor, is_grad_enabled, no_grad

@@ -14,7 +14,7 @@ from typing import Iterator
 import numpy as np
 
 from . import init
-from .tensor import MIN_STABLE_GEMM_ROWS, Tensor
+from .tensor import Tensor
 
 __all__ = [
     "Module",
@@ -204,28 +204,7 @@ class Dense(Module):
         self.bias = Parameter(init.zeros((out_features,))) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.ndim == 1:
-            out = x @ self.weight
-            if self.bias is not None:
-                out = out + self.bias
-            return out
-        # Flatten the leading axes into one so the product runs as a single
-        # 2-D GEMM instead of numpy's per-batch matmul loop, and pad tiny
-        # row counts up to the row-stable floor so a row's result does not
-        # depend on how many rows were batched with it (micro-batch /
-        # sequential score parity).
-        lead = x.shape[:-1]
-        flat = x.reshape(-1, self.in_features) if x.ndim > 2 else x
-        rows = flat.shape[0]
-        if rows < MIN_STABLE_GEMM_ROWS:
-            pad = Tensor(np.zeros((MIN_STABLE_GEMM_ROWS - rows,
-                                   self.in_features)))
-            out = (Tensor.concat([flat, pad]) @ self.weight)[:rows]
-        else:
-            out = flat @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out.reshape(lead + (self.out_features,))
+        return x.affine(self.weight, self.bias)
 
 
 class BatchNorm(Module):
@@ -260,16 +239,12 @@ class BatchNorm(Module):
             self.running_var = ((1 - self.momentum) * self.running_var
                                 + self.momentum * unbiased.reshape(-1))
         else:
-            # Inference: fold the frozen running statistics and the affine
-            # parameters into one scale-and-shift.  The fold itself runs on
-            # (num_features,) vectors, so only two ops touch the full-size
-            # input instead of five; gamma/beta stay on the tape, and
-            # continuous KG adaptation still backpropagates through here
-            # into the token embeddings.
-            inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
-            scale = self.gamma * Tensor(inv_std)
-            shift = self.beta - Tensor(self.running_mean) * scale
-            return x * scale + shift
+            # Inference: the frozen running statistics and the affine
+            # parameters fold into one scale-and-shift.  gamma/beta stay on
+            # the tape, and continuous KG adaptation still backpropagates
+            # through here into the token embeddings.
+            return x.frozen_batch_norm(self.gamma, self.beta, self.running_mean,
+                                       self.running_var, self.eps)
         normed = (x - mean) / (var + self.eps).sqrt()
         return normed * self.gamma + self.beta
 
@@ -285,10 +260,7 @@ class LayerNorm(Module):
         self.beta = Parameter(init.zeros((num_features,)))
 
     def forward(self, x: Tensor) -> Tensor:
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        normed = (x - mean) / (var + self.eps).sqrt()
-        return normed * self.gamma + self.beta
+        return x.layer_norm(self.gamma, self.beta, self.eps)
 
 
 class Embedding(Module):

@@ -18,6 +18,29 @@ Design notes
   down to each parent's shape.
 * ``no_grad()`` disables tape recording, used for inference-time scoring in
   the edge deployment loop where no adaptation is happening.
+
+Fused kernels
+-------------
+The rule: **a block the model repeats is one kernel** — one forward in
+plain numpy, one tape node, one hand-written backward.  At the served
+shapes a forward is bound by how many tensors it creates, not by their
+arithmetic, so the blocks every forward runs many times are not spelled
+as chains of the elementary ops above:
+
+* :meth:`Tensor.affine` — ``x @ W + b`` as one row-stable 2-D GEMM
+  (``Dense``);
+* :meth:`Tensor.layer_norm` — normalization over the last axis
+  (``LayerNorm``);
+* :meth:`Tensor.softmax` / :meth:`Tensor.log_softmax`;
+* :meth:`Tensor.frozen_batch_norm` — running statistics and affine
+  parameters folded into one scale-and-shift (``BatchNorm`` in eval mode);
+* :meth:`Tensor.message_pass` — gather x factor -> segment-sum -> mean ->
+  add (the GNN's Eq. 2-3), over a compiled :class:`EdgeSchedule`.
+
+Each forward keeps the operation order of the expression it stands for
+(the tests hold them bit-equal to it).  A kernel computes nothing for its
+backward ahead of time, and off the tape ``_make`` drops the closure, so
+no array outlives a forward on behalf of a backward that will never run.
 """
 
 from __future__ import annotations
@@ -28,7 +51,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled", "as_tensor",
-           "MIN_STABLE_GEMM_ROWS", "pad_gemm_rows"]
+           "MIN_STABLE_GEMM_ROWS", "pad_gemm_rows", "EdgeSchedule"]
 
 _GRAD_ENABLED = True
 
@@ -86,6 +109,73 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+_BASIC_INDEX = (int, np.integer, slice, type(None), type(Ellipsis))
+
+
+def _is_basic_index(index) -> bool:
+    """Basic (view) indexing: no element is selected twice."""
+    items = index if isinstance(index, tuple) else (index,)
+    return all(isinstance(item, _BASIC_INDEX) for item in items)
+
+
+def scatter_passes(ids: np.ndarray) -> tuple[tuple, ...]:
+    """Split the scatter-add ``out[ids[e]] += values[e]`` into passes.
+
+    Pass ``r`` is ``(positions, ids[positions])`` for the entries that are
+    the ``r``-th occurrence of their id (plain ints when there is one such
+    entry, which makes that pass a view operation), so within a pass no id
+    repeats and an indexed ``+=`` is exact; run in order, every bin
+    receives its values in entry order — the order ``np.add.at`` adds them
+    in, hence the same bits, at a fraction of its cost.
+    (``np.add.reduceat`` over sorted entries is not the same bits: from
+    three entries per bin up it associates the sum differently.)
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    if not ids.size:
+        return ()
+    order = np.argsort(ids, kind="stable")
+    ordered = ids[order]
+    is_first = np.ones(ids.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=is_first[1:])
+    first = np.flatnonzero(is_first)
+    counts = np.diff(first, append=ids.size)
+    rank = np.arange(ids.size) - np.repeat(first, counts)
+    passes = []
+    for r in range(int(counts.max())):
+        positions = order[rank == r]
+        if positions.size == 1:
+            passes.append((int(positions[0]), int(ids[positions[0]])))
+        else:
+            passes.append((positions, ids[positions]))
+    return tuple(passes)
+
+
+def _scatter_add(out: np.ndarray, passes: tuple[tuple, ...],
+                 values: np.ndarray) -> None:
+    """``out[..., ids[e], :] += values[..., e, :]`` by :func:`scatter_passes`."""
+    for positions, ids in passes:
+        out[..., ids, :] += values[..., positions, :]
+
+
+class EdgeSchedule:
+    """Edges ``sources[e] -> targets[e]`` compiled for :meth:`Tensor.message_pass`.
+
+    ``sources`` / ``targets`` stay in edge order; ``target_passes`` and
+    ``source_passes`` are their :func:`scatter_passes`, for the forward's
+    aggregation into the targets and the backward's into the sources.
+    """
+
+    __slots__ = ("sources", "targets", "target_passes", "source_passes")
+
+    def __init__(self, sources: np.ndarray, targets: np.ndarray):
+        self.sources = np.asarray(sources, dtype=np.int64)
+        self.targets = np.asarray(targets, dtype=np.int64)
+        if self.sources.shape != self.targets.shape or self.sources.ndim != 1:
+            raise ValueError("sources and targets must be 1-D and equally long")
+        self.target_passes = scatter_passes(self.targets)
+        self.source_passes = scatter_passes(self.sources)
 
 
 class Tensor:
@@ -153,8 +243,20 @@ class Tensor:
     def _make(data: np.ndarray, parents: Sequence["Tensor"],
               backward: Callable[["Tensor"], None] | None) -> "Tensor":
         """Create an op output, recording the tape edge when grads are on."""
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=False)
+        # Every op ends here, so this is the fixed cost of a tensor: no
+        # ``__init__``, and no conversion of what already is a float64 array.
+        out = object.__new__(Tensor)
+        if type(data) is not np.ndarray or data.dtype != np.float64:
+            data = np.asarray(data, dtype=np.float64)
+        out.data = data
+        out.grad = None
+        out.name = None
+        requires = False
+        if _GRAD_ENABLED:
+            for parent in parents:
+                if parent.requires_grad:
+                    requires = True
+                    break
         out.requires_grad = requires
         if requires and backward is not None:
             out._prev = tuple(parents)
@@ -164,13 +266,16 @@ class Tensor:
             # hold) would then outlive ``del loss`` until the cyclic GC's
             # oldest generation happens to run.
             out._backward = backward
+        else:
+            out._prev = ()
+            out._backward = None
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
             self.grad = np.array(grad, dtype=np.float64, copy=True)
         else:
-            self.grad = self.grad + grad
+            self.grad += grad  # into the copy made above
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Backpropagate from this tensor.
@@ -472,7 +577,19 @@ class Tensor:
         def backward(out: Tensor) -> None:
             if self.requires_grad:
                 grad = np.zeros_like(self.data)
-                np.add.at(grad, index, out.grad)
+                if _is_basic_index(index):
+                    grad[index] += out.grad
+                elif (isinstance(index, np.ndarray) and index.ndim == 1
+                        and index.dtype.kind in "iu"):
+                    # Axis 0 as the row axis of a (1, rows, rest) view.
+                    count = self.shape[0]
+                    width = int(np.prod(self.shape[1:]))
+                    rows = np.where(index < 0, index + count, index)
+                    _scatter_add(grad.reshape(1, count, width),
+                                 scatter_passes(rows),
+                                 out.grad.reshape(1, index.size, width))
+                else:
+                    np.add.at(grad, index, out.grad)
                 self._accumulate(grad)
 
         return Tensor._make(self.data[index], (self,), backward)
@@ -488,9 +605,6 @@ class Tensor:
         with ``segment_ids == s`` (empty bins are zero).  This is the
         adjoint of an integer gather along the same axis, which is exactly
         what the backward pass is: ``grad_values = grad_out[..., ids, :]``.
-
-        Backs the GNN's hierarchical message aggregation (Eq. 3) without
-        materializing a dense (num_nodes, num_edges) matrix per level.
         """
         values = as_tensor(values)
         ids = np.asarray(segment_ids, dtype=np.int64)
@@ -502,17 +616,14 @@ class Tensor:
                 "rows along the second-to-last axis")
         if ids.size and (ids.min() < 0 or ids.max() >= num_segments):
             raise IndexError("segment id out of range")
-        # Move the segment axis first so np.add.at's fancy index is on axis 0.
-        moved = np.moveaxis(values.data, -2, 0)
-        summed = np.zeros((num_segments,) + moved.shape[1:])
-        np.add.at(summed, ids, moved)
+        summed = np.zeros(values.shape[:-2] + (num_segments, values.shape[-1]))
+        _scatter_add(summed, scatter_passes(ids), values.data)
 
         def backward(out: Tensor) -> None:
             if values.requires_grad:
-                gathered = np.moveaxis(out.grad, -2, 0)[ids]
-                values._accumulate(np.moveaxis(gathered, 0, -2))
+                values._accumulate(out.grad[..., ids, :])
 
-        return Tensor._make(np.moveaxis(summed, 0, -2), (values,), backward)
+        return Tensor._make(summed, (values,), backward)
 
     @staticmethod
     def concat(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
@@ -544,17 +655,158 @@ class Tensor:
         return Tensor._make(data, tensors, backward)
 
     # ------------------------------------------------------------------
-    # Composite ops
+    # Fused kernels: one tape node per block the model repeats
     # ------------------------------------------------------------------
+    def affine(self, weight: "Tensor", bias: "Tensor | None" = None) -> "Tensor":
+        """``self @ weight + bias`` over the last axis (a ``Dense`` layer).
+
+        The leading axes are flattened into one so the product runs as a
+        single 2-D GEMM instead of numpy's per-batch matmul loop, and tiny
+        row counts are padded up to :data:`MIN_STABLE_GEMM_ROWS` so a row's
+        result does not depend on how many rows were batched with it
+        (micro-batch / sequential score parity).
+        """
+        x, w = self.data, weight.data
+        if x.ndim == 1:
+            out = x @ w
+        else:
+            flat = x.reshape(-1, x.shape[-1])
+            padded, rows = pad_gemm_rows(flat)
+            out = (padded @ w)[:rows]
+        if bias is not None:
+            out += bias.data
+        if x.ndim > 2:
+            out = out.reshape(x.shape[:-1] + (w.shape[-1],))
+
+        def backward(node: Tensor) -> None:
+            grad = node.grad.reshape(-1, w.shape[-1])
+            if self.requires_grad:
+                self._accumulate((grad @ w.T).reshape(x.shape))
+            if weight.requires_grad:
+                weight._accumulate(x.reshape(-1, x.shape[-1]).T @ grad)
+            if bias is not None and bias.requires_grad:
+                bias._accumulate(grad.sum(axis=0))
+
+        parents = (self, weight) if bias is None else (self, weight, bias)
+        return Tensor._make(out, parents, backward)
+
+    def layer_norm(self, gamma: "Tensor", beta: "Tensor", eps: float) -> "Tensor":
+        """``(x - mean) / sqrt(var + eps) * gamma + beta`` over the last axis."""
+        x = self.data
+        scale = 1.0 / x.shape[-1]
+        normed = x - x.sum(axis=-1, keepdims=True) * scale
+        std = np.sqrt((normed * normed).sum(axis=-1, keepdims=True) * scale + eps)
+        normed /= std
+        out = normed * gamma.data
+        out += beta.data
+
+        def backward(node: Tensor) -> None:
+            grad = node.grad
+            lead = tuple(range(grad.ndim - 1))
+            if beta.requires_grad:
+                beta._accumulate(grad.sum(axis=lead))
+            if gamma.requires_grad:
+                gamma._accumulate((grad * normed).sum(axis=lead))
+            if self.requires_grad:
+                g = grad * gamma.data
+                g -= g.mean(axis=-1, keepdims=True)
+                g -= normed * (g * normed).mean(axis=-1, keepdims=True)
+                g /= std
+                self._accumulate(g)
+
+        return Tensor._make(out, (self, gamma, beta), backward)
+
     def softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self - self.max(axis=axis, keepdims=True).detach()
-        exp = shifted.exp()
-        return exp / exp.sum(axis=axis, keepdims=True)
+        probs = np.exp(self.data - self.data.max(axis=axis, keepdims=True))
+        probs /= probs.sum(axis=axis, keepdims=True)
+
+        def backward(node: Tensor) -> None:
+            inner = (node.grad * probs).sum(axis=axis, keepdims=True)
+            self._accumulate(probs * (node.grad - inner))
+
+        return Tensor._make(probs, (self,), backward)
 
     def log_softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self - self.max(axis=axis, keepdims=True).detach()
-        return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
+        shifted = self.data - self.data.max(axis=axis, keepdims=True)
+        out = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
+        def backward(node: Tensor) -> None:
+            total = node.grad.sum(axis=axis, keepdims=True)
+            self._accumulate(node.grad - np.exp(out) * total)
+
+        return Tensor._make(out, (self,), backward)
+
+    def frozen_batch_norm(self, gamma: "Tensor", beta: "Tensor",
+                          mean: np.ndarray, var: np.ndarray,
+                          eps: float) -> "Tensor":
+        """Batch normalization with fixed statistics over the last axis.
+
+        The statistics and the affine parameters fold, on ``(features,)``
+        vectors, into one scale-and-shift of the full-size input; nothing
+        of the fold is kept between calls, so there is nothing to
+        invalidate when a parameter or a buffer is rebound.
+        """
+        inv_std = 1.0 / np.sqrt(var + eps)
+        scale = gamma.data * inv_std
+        out = self.data * scale
+        out += beta.data - mean * scale
+
+        def backward(node: Tensor) -> None:
+            grad = node.grad
+            lead = tuple(range(grad.ndim - 1))
+            if self.requires_grad:
+                self._accumulate(grad * scale)
+            if gamma.requires_grad:
+                gamma._accumulate(
+                    ((grad * self.data).sum(axis=lead)
+                     - mean * grad.sum(axis=lead)) * inv_std)
+            if beta.requires_grad:
+                beta._accumulate(grad.sum(axis=lead))
+
+        return Tensor._make(out, (self, gamma, beta), backward)
+
+    @staticmethod
+    def message_pass(refined: "Tensor", factor: "Tensor", own: "Tensor",
+                     edges: EdgeSchedule, mean_scale: np.ndarray) -> "Tensor":
+        """The GNN's hierarchical message passing and aggregation (Eq. 2-3).
+
+        ``refined`` ``(..., n_src, D)`` holds the rows messages start from;
+        edge ``e`` carries ``refined[..., sources[e], :] * factor[..., e, :]``
+        into row ``targets[e]``; the rows' sums, times ``mean_scale``
+        ``(n, 1)`` (reciprocal in-degree), are added to ``own``
+        ``(..., n, D)``.  ``factor`` and ``own`` may lack ``refined``'s
+        leading axes (the token side has none).  With no edge the result
+        is ``own`` for every leading index of ``refined``, whose trailing
+        axes are then not read.
+        """
+        lead = refined.shape[:-2]
+        out = np.zeros(lead + own.shape[-2:])
+        gathered = None
+        if edges.sources.size:
+            gathered = refined.data[..., edges.sources, :]
+            _scatter_add(out, edges.target_passes, gathered * factor.data)
+        out *= mean_scale
+        out += own.data
+
+        def backward(node: Tensor) -> None:
+            grad = node.grad
+            if own.requires_grad:
+                own._accumulate(_unbroadcast(grad, own.shape))
+            if gathered is None:
+                return
+            per_edge = (grad * mean_scale)[..., edges.targets, :]
+            if factor.requires_grad:
+                factor._accumulate(_unbroadcast(per_edge * gathered, factor.shape))
+            if refined.requires_grad:
+                into = np.zeros_like(refined.data)
+                _scatter_add(into, edges.source_passes, per_edge * factor.data)
+                refined._accumulate(into)
+
+        return Tensor._make(out, (refined, factor, own), backward)
+
+    # ------------------------------------------------------------------
+    # Composite ops
+    # ------------------------------------------------------------------
     def norm(self, axis=None, keepdims: bool = False) -> "Tensor":
         """L2 norm, differentiable (adds a small epsilon for stability at 0)."""
         return ((self * self).sum(axis=axis, keepdims=keepdims) + 1e-12).sqrt()

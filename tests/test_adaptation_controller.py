@@ -90,6 +90,42 @@ class TestControllerLifecycle:
         assert controller.step_count == 7 and len(controller.logs) == 0
         assert controller.process_batch(windows, scores=scores).step == 7
 
+    def test_checkpoint_size_does_not_grow_with_age(
+            self, fresh_model, embedding_model, rng, monkeypatch):
+        """Every per-step trail the checkpoint serialises is bounded, so a
+        snapshot taken after 3 x the trail length is exactly as large as one
+        taken after 2 x (and larger than one taken while they fill); a longer list saved by an older build is cut to its
+        newest entries on restore."""
+        import json
+
+        from repro.adaptation import controller, convergence, monitor
+        trail = 32
+        for module in (controller, convergence, monitor):
+            monkeypatch.setattr(module, "LOG_TRAIL_LENGTH", trail)
+        model, ctl = deployed_controller(fresh_model, embedding_model, rng)
+        windows = rng.normal(size=(1, 4, embedding_model.frame_dim))
+        scores = model.anomaly_scores(windows)  # constant: never triggers
+        sizes = []
+        for step in range(3 * trail):
+            ctl.process_batch(windows, scores=scores)
+            ctl.tracker.observe({(0, 1): 0.25, (0, 2): 0.5})
+            if step + 1 in (trail // 2, 2 * trail, 3 * trail):
+                sizes.append(len(json.dumps(ctl.export_state())))
+        assert len(ctl.monitor.history) == trail
+        assert {len(t) for t in ctl.tracker.distance_history.values()} == {trail}
+        assert sizes[0] < sizes[1] == sizes[2]
+        assert isinstance(ctl.mean_score_trace(), np.ndarray)
+        assert ctl.mean_score_trace().shape == (trail,)
+
+        state = ctl.export_state()
+        state["monitor"]["history"] = list(range(100))
+        state["tracker"]["distance_history"]["0:1"] = list(range(100))
+        ctl.restore_state(state)
+        newest = [float(v) for v in range(100 - trail, 100)]
+        assert list(ctl.monitor.history) == newest
+        assert list(ctl.tracker.distance_history[(0, 1)]) == newest
+        assert len(json.dumps(ctl.export_state())) <= sizes[2]
+
     def test_mean_score_trace(self, fresh_model, embedding_model, rng):
         _, controller = deployed_controller(fresh_model, embedding_model, rng)
         controller.process_batch(rng.normal(size=(4, 4, embedding_model.frame_dim)))

@@ -1,5 +1,7 @@
 """Tests for per-node convergence tracking (paper Fig. 4 distance check)."""
 
+import pytest
+
 from repro.adaptation import ConvergenceConfig, NodeConvergenceTracker
 
 
@@ -78,4 +80,18 @@ class TestStateManagement:
         tracker = NodeConvergenceTracker(cfg())
         tracker.observe({KEY: 0.1})
         tracker.observe({KEY: 0.2})
-        assert tracker.distance_history[KEY] == [0.1, 0.2]
+        assert list(tracker.distance_history[KEY]) == [0.1, 0.2]
+
+    def test_distance_trails_are_bounded_and_die_with_their_node(
+            self, monkeypatch):
+        from repro.adaptation import convergence as convergence_module
+        monkeypatch.setattr(convergence_module, "LOG_TRAIL_LENGTH", 3)
+        tracker = NodeConvergenceTracker(cfg())
+        for step in range(7):
+            tracker.observe({KEY: 0.1 * step, OTHER: 0.5})
+        assert list(tracker.distance_history[KEY]) == pytest.approx(
+            [0.4, 0.5, 0.6])
+        tracker.forget(KEY)
+        assert KEY not in tracker.distance_history
+        tracker.observe({KEY: 0.3})  # OTHER was pruned between steps
+        assert set(tracker.distance_history) == {KEY}

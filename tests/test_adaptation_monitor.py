@@ -115,3 +115,54 @@ class TestKRule:
         combined = np.concatenate([selection.anomalous_indices,
                                    selection.normal_indices])
         assert sorted(combined.tolist()) == list(range(6))
+
+
+class TestOneSnapshotPerDecision:
+    """The windows are slices of one snapshot of the score buffer; the
+    decisions are those of the per-call list copies they replaced."""
+
+    @staticmethod
+    def reference(scores: list[float], cfg: MonitorConfig):
+        """Windows and warm-up as the list-copying monitor computed them."""
+        items = scores[-(cfg.window + cfg.lag):]
+        current = np.asarray(items[-cfg.window:], dtype=np.float64)
+        older = items[:-cfg.lag] if len(items) > cfg.lag else []
+        reference = np.asarray(older[-cfg.window:], dtype=np.float64)
+        warmed = (current.size >= cfg.window
+                  and reference.size >= max(cfg.window // 2, 1))
+        return current, reference, warmed
+
+    @pytest.mark.parametrize("window, lag", [(8, 3), (8, 8), (5, 12), (2, 1)])
+    def test_random_stream(self, window, lag):
+        rng = np.random.default_rng(window * 100 + lag)
+        monitor = make_monitor(window=window, lag=lag, trigger_threshold=0.01)
+        cfg = monitor.config
+        fed: list[float] = []
+        for _ in range(60):
+            batch = rng.uniform(size=int(rng.integers(1, 5)))
+            # A falling mean now and then, so the K-rule triggers.
+            batch *= 0.2 if rng.random() < 0.3 else 1.0
+            monitor.observe(batch)
+            fed.extend(batch.tolist())
+            current, reference, warmed = self.reference(fed, cfg)
+            assert monitor.warmed_up == warmed
+            assert np.array_equal(monitor.current_window(), current)
+            assert np.array_equal(monitor.reference_window(), reference)
+            assert monitor.history[-1] == float(current.mean())
+            selection = monitor.select()
+            assert selection.window_mean == float(current.mean())
+            assert selection.reference_mean == (
+                float(reference.mean()) if reference.size
+                else selection.window_mean)
+            if selection.k:
+                order = np.argsort(-current, kind="mergesort")
+                assert np.array_equal(selection.anomalous_indices,
+                                      np.sort(order[:selection.k]))
+
+    def test_history_keeps_the_most_recent_means(self, monkeypatch):
+        from repro.adaptation import monitor as monitor_module
+        monkeypatch.setattr(monitor_module, "LOG_TRAIL_LENGTH", 5)
+        monitor = make_monitor(window=2, lag=1)
+        for value in range(12):
+            monitor.observe(float(value))
+        assert list(monitor.history) == [6.5, 7.5, 8.5, 9.5, 10.5]

@@ -3,7 +3,8 @@
 The per-op gradients are verified in test_nn_tensor.py; these tests verify
 that *composed* graphs — attention, batch-norm in training mode, the full
 hierarchical GNN layer, and the token->score path used by continuous
-adaptation — still differentiate correctly end to end.
+adaptation — still differentiate correctly end to end, and that each fused
+kernel is the expression it replaced: same bits forward, same gradients.
 """
 
 import numpy as np
@@ -11,8 +12,16 @@ import pytest
 
 from repro.gnn import GraphSpec, HierarchicalGNNLayer
 from repro.kg import ReasoningKG
-from repro.nn import BatchNorm, Dense, LayerNorm, MultiHeadAttention, Tensor
+from repro.nn import (
+    BatchNorm,
+    Dense,
+    LayerNorm,
+    MultiHeadAttention,
+    Tensor,
+    vad_loss,
+)
 from repro.nn.gradcheck import GradcheckError, check_gradients, numerical_gradient
+from repro.nn.tensor import MIN_STABLE_GEMM_ROWS, EdgeSchedule
 
 
 def make_rng():
@@ -125,3 +134,264 @@ class TestCompositeModules:
             return (joint * joint).sum()
 
         check_gradients(loss, [("tokens", tokens)], sample=40)
+
+
+# ----------------------------------------------------------------------
+# Fused kernels: each against finite differences and, bit for bit, against
+# the expression of elementary ops it stands for (written out here).
+# ----------------------------------------------------------------------
+def composite_affine(x, weight, bias):
+    in_features, out_features = weight.shape
+    if x.ndim == 1:
+        out = x @ weight
+        return out if bias is None else out + bias
+    lead = x.shape[:-1]
+    flat = x.reshape(-1, in_features) if x.ndim > 2 else x
+    rows = flat.shape[0]
+    if rows < MIN_STABLE_GEMM_ROWS:
+        pad = Tensor(np.zeros((MIN_STABLE_GEMM_ROWS - rows, in_features)))
+        out = (Tensor.concat([flat, pad]) @ weight)[:rows]
+    else:
+        out = flat @ weight
+    if bias is not None:
+        out = out + bias
+    return out.reshape(lead + (out_features,))
+
+
+def composite_layer_norm(x, gamma, beta, eps):
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    return (x - mean) / (var + eps).sqrt() * gamma + beta
+
+
+def composite_softmax(x, axis):
+    exp = (x - x.max(axis=axis, keepdims=True).detach()).exp()
+    return exp / exp.sum(axis=axis, keepdims=True)
+
+
+def composite_log_softmax(x, axis):
+    shifted = x - x.max(axis=axis, keepdims=True).detach()
+    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
+
+
+def composite_frozen_batch_norm(x, gamma, beta, mean, var, eps):
+    scale = gamma * Tensor(1.0 / np.sqrt(var + eps))
+    return x * scale + (beta - Tensor(mean) * scale)
+
+
+def composite_message_pass(refined, factor, own, sources, targets, mean_scale):
+    """Gather, multiply, ``np.add.at`` into the targets, scale, add."""
+    messages = refined[..., sources, :] * factor
+    summed = np.zeros(messages.shape[:-2] + own.shape[-2:])
+    np.add.at(np.moveaxis(summed, -2, 0), targets,
+              np.moveaxis(messages, -2, 0))
+    return summed * mean_scale + own
+
+
+def assert_same_gradients(fused_loss, composite_loss, tensors):
+    """Closed-form backward vs the elementary ops' tape, to rounding."""
+    grads = []
+    for loss_fn in (fused_loss, composite_loss):
+        for tensor in tensors:
+            tensor.zero_grad()
+        loss_fn().backward()
+        grads.append([None if t.grad is None else t.grad.copy()
+                      for t in tensors])
+    for got, want in zip(*grads):
+        assert (got is None) == (want is None)
+        if want is not None:
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
+class TestFusedKernels:
+    @pytest.mark.parametrize("shape", [(6,), (1, 6), (15, 6), (16, 6), (40, 6),
+                                       (3, 5, 6), (2, 3, 4, 6)])
+    @pytest.mark.parametrize("use_bias", [True, False])
+    @pytest.mark.parametrize("trainable", [True, False])
+    def test_affine(self, shape, use_bias, trainable):
+        rng = make_rng()
+        dense = Dense(6, 3, rng, bias=use_bias)
+        if use_bias:
+            dense.bias.data = rng.normal(size=3)
+        if not trainable:
+            dense.freeze()
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        mix = rng.normal(size=shape[:-1] + (3,))
+        fused = dense(x)
+        assert np.array_equal(
+            fused.numpy(), composite_affine(x, dense.weight, dense.bias).numpy())
+        tensors = [x, dense.weight] + ([dense.bias] if use_bias else [])
+
+        def loss():
+            return (dense(x) * mix).sum()
+
+        assert_same_gradients(
+            loss, lambda: (composite_affine(x, dense.weight, dense.bias)
+                           * mix).sum(), tensors)
+        if trainable:
+            check_gradients(loss, [(str(i), t) for i, t in enumerate(tensors)],
+                            sample=None)
+        else:
+            check_gradients(loss, [("x", x)], sample=None)
+            assert dense.weight.grad is None
+
+    @pytest.mark.parametrize("shape", [(5,), (4, 5), (2, 3, 5)])
+    def test_layer_norm(self, shape):
+        rng = make_rng()
+        norm = LayerNorm(5)
+        norm.gamma.data = rng.uniform(0.5, 1.5, size=5)
+        norm.beta.data = rng.normal(size=5)
+        x = Tensor(rng.normal(size=shape) * 3.0 + 1.0, requires_grad=True)
+        mix = rng.normal(size=shape)
+        assert np.array_equal(
+            norm(x).numpy(),
+            composite_layer_norm(x, norm.gamma, norm.beta, norm.eps).numpy())
+        tensors = [x, norm.gamma, norm.beta]
+
+        def loss():
+            return (norm(x) * mix).sum()
+
+        assert_same_gradients(
+            loss, lambda: (composite_layer_norm(x, norm.gamma, norm.beta,
+                                                norm.eps) * mix).sum(), tensors)
+        check_gradients(loss, [("x", x), ("gamma", norm.gamma),
+                               ("beta", norm.beta)], sample=None)
+
+    @pytest.mark.parametrize("axis", [-1, 0, 1])
+    @pytest.mark.parametrize("fused, composite", [
+        (Tensor.softmax, composite_softmax),
+        (Tensor.log_softmax, composite_log_softmax)])
+    def test_softmax_and_log_softmax(self, axis, fused, composite):
+        rng = make_rng()
+        x = Tensor(rng.normal(size=(3, 4, 5)) * 4.0, requires_grad=True)
+        mix = rng.normal(size=(3, 4, 5))
+        assert np.array_equal(fused(x, axis).numpy(), composite(x, axis).numpy())
+
+        def loss():
+            return (fused(x, axis) * mix).sum()
+
+        assert_same_gradients(loss, lambda: (composite(x, axis) * mix).sum(), [x])
+        check_gradients(loss, [("x", x)], sample=None)
+
+    @pytest.mark.parametrize("trainable", [True, False])
+    def test_eval_batch_norm(self, trainable):
+        rng = make_rng()
+        bn = BatchNorm(4)
+        bn.gamma.data = rng.uniform(0.5, 1.5, size=4)
+        bn.beta.data = rng.normal(size=4)
+        bn.running_mean = rng.normal(size=4)
+        bn.running_var = rng.uniform(0.5, 2.0, size=4)
+        bn.eval()
+        if not trainable:
+            bn.freeze()
+        x = Tensor(rng.normal(size=(3, 5, 4)), requires_grad=True)
+        mix = rng.normal(size=(3, 5, 4))
+
+        def composite():
+            return composite_frozen_batch_norm(
+                x, bn.gamma, bn.beta, bn.running_mean, bn.running_var, bn.eps)
+
+        assert np.array_equal(bn(x).numpy(), composite().numpy())
+        tensors = [x, bn.gamma, bn.beta]
+
+        def loss():
+            return (bn(x) * mix).sum()
+
+        assert_same_gradients(loss, lambda: (composite() * mix).sum(), tensors)
+        names = ["x", "gamma", "beta"] if trainable else ["x"]
+        check_gradients(loss, list(zip(names, tensors)), sample=None)
+        if not trainable:
+            assert bn.gamma.grad is None and bn.beta.grad is None
+
+    # In-degrees 0 (row 3), 1 (row 0), 2 (row 2) and 4 (row 1), edges not
+    # grouped by target; and a level nothing reaches.
+    EDGES = {"mixed": ([0, 2, 1, 0, 2, 1, 2], [1, 2, 1, 0, 1, 2, 1]),
+             "edgeless": ([], [])}
+
+    @pytest.mark.parametrize("edges", ["mixed", "edgeless"])
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_message_pass(self, edges, batched):
+        """``batched``: ``factor`` and ``own`` per frame (the all-nodes
+        path) or shared by all frames (the token side's)."""
+        rng = make_rng()
+        sources, targets = (np.asarray(ids, dtype=np.int64)
+                            for ids in self.EDGES[edges])
+        schedule = EdgeSchedule(sources, targets)
+        lead = (6,) if batched else ()
+        refined = Tensor(rng.normal(size=(6, 3, 2)), requires_grad=True)
+        factor = Tensor(rng.normal(size=lead + (sources.size, 2)),
+                        requires_grad=True)
+        own = Tensor(rng.normal(size=lead + (4, 2)), requires_grad=True)
+        in_degree = np.bincount(targets, minlength=4)
+        mean_scale = np.where(in_degree, 1.0 / np.maximum(in_degree, 1),
+                              0.0)[:, None]
+        mix = rng.normal(size=(6, 4, 2))
+
+        def fused():
+            return Tensor.message_pass(refined, factor, own, schedule,
+                                       mean_scale)
+
+        assert np.array_equal(
+            fused().numpy(),
+            composite_message_pass(refined.data, factor.data, own.data,
+                                   sources, targets, mean_scale))
+        check_gradients(lambda: (fused() * mix).sum(),
+                        [("refined", refined), ("factor", factor),
+                         ("own", own)], sample=None)
+
+    def test_message_pass_matches_the_elementary_ops_tape(self):
+        rng = make_rng()
+        sources, targets = (np.asarray(ids, dtype=np.int64)
+                            for ids in self.EDGES["mixed"])
+        schedule = EdgeSchedule(sources, targets)
+        refined = Tensor(rng.normal(size=(6, 3, 2)), requires_grad=True)
+        factor = Tensor(rng.normal(size=(7, 2)), requires_grad=True)
+        own = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        mean_scale = rng.uniform(size=(4, 1))
+        mix = rng.normal(size=(6, 4, 2))
+
+        def composite():
+            summed = Tensor.segment_sum(refined[:, sources, :] * factor,
+                                        targets, 4)
+            return ((summed * Tensor(mean_scale) + own) * mix).sum()
+
+        assert_same_gradients(
+            lambda: (Tensor.message_pass(refined, factor, own, schedule,
+                                         mean_scale) * mix).sum(),
+            composite, [refined, factor, own])
+
+
+def count_tensor_ops(monkeypatch, fn) -> int:
+    made = []
+    make = Tensor._make
+
+    def counting(data, parents, backward):
+        made.append(None)
+        return make(data, parents, backward)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Tensor, "_make", staticmethod(counting))
+        fn()
+    return len(made)
+
+
+class TestTapeSize:
+    """One tensor per repeated block: at the served shape a forward costs
+    what its tensor count costs, so un-fusing a block is a regression no
+    value-level test would see."""
+
+    def test_ops_per_forward_and_per_update_step(self, fresh_model,
+                                                 embedding_model, monkeypatch):
+        model = fresh_model(window=8)
+        assert model.reasoners[0].spec.num_nodes == 16
+        assert model.reasoners[0].spec.depth == 3
+        model.freeze_for_deployment()
+        windows = make_rng().normal(size=(16, 8, embedding_model.frame_dim))
+        for batch in (1, 16):
+            model.anomaly_scores(windows[:batch])  # token side now at rest
+            assert count_tensor_ops(
+                monkeypatch,
+                lambda: model.anomaly_scores(windows[:batch])) <= 90
+        targets = np.arange(16) % 2
+        assert count_tensor_ops(
+            monkeypatch, lambda: vad_loss(model(windows), targets)) <= 160

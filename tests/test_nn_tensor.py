@@ -191,6 +191,21 @@ class TestShapeOps:
         expected[2] = 2  # row 2 picked twice -> gradient accumulates
         np.testing.assert_allclose(t.grad, expected)
 
+    def test_getitem_backward_adds_in_add_at_order(self):
+        """Repeated (and negative) integer rows, basic slices: the same
+        bits as ``np.add.at``, which the backward no longer calls."""
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(6, 3, 2))
+        rows = np.array([4, 1, 4, -2, 4, 0, 1, 4])
+        for index in (rows, (slice(None), slice(1, None)), (2, Ellipsis, 0)):
+            t = Tensor(x, requires_grad=True)
+            out = t[index]
+            upstream = rng.normal(size=out.shape)
+            out.backward(upstream)
+            expected = np.zeros_like(x)
+            np.add.at(expected, index, upstream)
+            assert np.array_equal(t.grad, expected)
+
     def test_getitem_tuple_index(self):
         x = np.arange(24.0).reshape(2, 4, 3)
         t = Tensor(x, requires_grad=True)
@@ -286,6 +301,24 @@ class TestTapeMechanics:
         assert not out.requires_grad
         assert is_grad_enabled()
 
+    def test_op_outputs_are_float64_arrays(self):
+        """``_make`` converts only what is not already a float64 array."""
+        total = Tensor(np.arange(6.0).reshape(2, 3)).sum()  # a numpy scalar
+        assert type(total.data) is np.ndarray and total.data.dtype == np.float64
+        mask = Tensor._make(np.array([True, False]), (), None)
+        assert mask.data.dtype == np.float64
+        data = np.ones(3)
+        assert Tensor._make(data, (), None).data is data
+
+    def test_accumulated_grad_is_the_leafs_own_copy(self):
+        """Accumulation is in place, into a copy: the upstream gradient an
+        op handed over is never written to."""
+        t = Tensor(np.ones(3), requires_grad=True)
+        upstream = np.array([1.0, 2.0, 3.0])
+        (t + t).backward(upstream)
+        np.testing.assert_array_equal(t.grad, 2 * upstream)
+        np.testing.assert_array_equal(upstream, [1.0, 2.0, 3.0])
+
     def test_backward_on_non_grad_raises(self):
         with pytest.raises(RuntimeError):
             Tensor(np.ones(2)).backward()
@@ -351,6 +384,29 @@ class TestSegmentSum:
         for e, t in enumerate(ids):
             expected[:, t, :] += values[:, e, :]
         np.testing.assert_allclose(out, expected)
+
+    def test_forward_adds_in_add_at_order(self):
+        """Bins of 0, 1, 2 and 5 rows, ids not grouped: bit-equal to
+        ``np.add.at`` (``np.add.reduceat`` over sorted rows would not be)."""
+        rng = np.random.default_rng(7)
+        values = rng.normal(size=(3, 8, 4)) * 10.0 ** rng.integers(-8, 8, (3, 8, 4))
+        ids = np.array([2, 0, 2, 3, 2, 0, 2, 2])
+        expected = np.zeros((5, 3, 4))
+        np.add.at(expected, ids, np.moveaxis(values, -2, 0))
+        out = Tensor.segment_sum(Tensor(values), ids, 5).numpy()
+        assert np.array_equal(out, np.moveaxis(expected, 0, -2))
+
+    def test_scatter_passes_cover_every_entry_once(self):
+        from repro.nn.tensor import scatter_passes
+        ids = np.array([2, 0, 2, 3, 2, 0])
+        passes = scatter_passes(ids)
+        assert len(passes) == 3  # the largest bin holds three entries
+        seen = np.concatenate([np.atleast_1d(p) for p, _ in passes])
+        assert sorted(seen.tolist()) == list(range(ids.size))
+        for positions, targets in passes:
+            assert np.array_equal(ids[positions], targets)
+            assert np.unique(targets).size == np.size(targets)
+        assert scatter_passes(np.array([], dtype=np.int64)) == ()
 
     def test_backward_is_gather(self):
         values = Tensor(np.random.default_rng(1).normal(size=(2, 4, 3)),
