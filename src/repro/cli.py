@@ -4,9 +4,7 @@ Usage (after ``pip install -e .`` the ``repro`` entry point is equivalent):
 
     python -m repro.cli serve --mission Stealing --set adaptation.monitor.window=72
     python -m repro.cli fleet --streams 8 --missions Stealing Robbery
-    python -m repro.cli bench --quick --min-speedup 1.0
     python -m repro.cli gateway --streams 4 --port 7641 --trace-dir traces
-    python -m repro.cli loadgen --levels 1 2 4 --trace-dir traces --shards 2
     python -m repro.cli trace traces/trace.jsonl --check
     python -m repro.cli stats --port 7641
     python -m repro.cli fig5 --shift weak
@@ -216,106 +214,6 @@ def cmd_fleet(args) -> int:
     return 0
 
 
-_QUICK_BENCH_OVERRIDES = (
-    ("experiment.train_steps", 40),
-    ("experiment.dataset_scale", 0.1),
-    ("experiment.frames_per_video", 32),
-)
-
-
-def _apply_quick_overrides(config, args) -> None:
-    """Shrink training so CI smoke runs finish in seconds; explicit user
-    choices (--set or a non-default --train-steps) still win."""
-    overridden = {o.partition("=")[0].strip()
-                  for o in getattr(args, "overrides", None) or []}
-    for key, value in _QUICK_BENCH_OVERRIDES:
-        if key in overridden:
-            continue
-        if (key == "experiment.train_steps"
-                and args.train_steps != _DEFAULT_TRAIN_STEPS):
-            continue
-        config.override(key, value)
-
-
-def _shard_curve(shards: int) -> tuple[int, ...]:
-    """Doubling shard counts up to ``shards`` (e.g. 4 -> (1, 2, 4))."""
-    counts = {1, shards}
-    power = 2
-    while power < shards:
-        counts.add(power)
-        power *= 2
-    return tuple(sorted(counts))
-
-
-def cmd_bench(args) -> int:
-    """Fleet-serving throughput benchmark; writes a BENCH_*.json artifact."""
-    from .serving import (BenchConfig, DEFAULT_BENCH_PATH,
-                          DEFAULT_SHARD_BENCH_PATH, format_benchmark,
-                          run_benchmark, run_shard_benchmark, write_benchmark)
-    from .serving.bench import format_engine_parity, run_engine_parity
-    config = _build_config(args)
-    if args.quick:
-        _apply_quick_overrides(config, args)
-    from .api import Pipeline
-    pipeline = Pipeline(config)
-    # --rounds/--repeats default to None so --quick can shrink the profile
-    # without overriding an explicitly passed value.
-    rounds = args.rounds if args.rounds is not None else (5 if args.quick else 8)
-    repeats = (args.repeats if args.repeats is not None
-               else (3 if args.quick else 5))
-    bench_config = BenchConfig(
-        streams=args.streams, windows_per_step=args.windows_per_step,
-        rounds=rounds, repeats=repeats, warmup=args.warmup,
-        missions=args.missions, max_batch_windows=args.max_batch_windows,
-        stream_seed=args.stream_seed)
-    if args.shards is not None and args.shards < 1:
-        raise SystemExit("error: --shards must be >= 1")
-    if args.min_shard_speedup is not None and args.shards is None:
-        raise SystemExit("error: --min-shard-speedup requires --shards")
-    print(f"[bench] training {len(set(args.missions))} mission model(s)...")
-    if args.shards is not None:
-        curve = _shard_curve(args.shards)
-        print(f"[bench] shard-scaling curve over {curve} shard(s)...")
-        result = run_shard_benchmark(pipeline, bench_config,
-                                     shard_counts=curve)
-        output = args.output or DEFAULT_SHARD_BENCH_PATH
-    else:
-        result = run_benchmark(pipeline, bench_config)
-        output = args.output or DEFAULT_BENCH_PATH
-    if args.engine_parity:
-        backends = ("sharded",) if args.shards is not None else ("inline",)
-        print(f"[bench] engine parity matrix over backends {backends} x "
-              f"policies (fair, greedy, priority)...")
-        parity = run_engine_parity(pipeline, bench_config,
-                                   shards=args.shards or 2,
-                                   backends=backends)
-        print(format_engine_parity(parity))
-        result["engine_parity"] = parity
-    print(format_benchmark(result))
-    path = write_benchmark(result, output)
-    print(f"[bench] wrote {path}")
-    if not result["parity"]["identical"]:
-        print("[bench] FAIL: scores diverged between serving modes")
-        return 1
-    if args.engine_parity \
-            and not result["engine_parity"]["parity"]["identical"]:
-        print("[bench] FAIL: engine backend x policy matrix diverged "
-              "from direct fleet.step() scores")
-        return 1
-    if args.min_speedup is not None and result["speedup"] < args.min_speedup:
-        print(f"[bench] FAIL: speedup {result['speedup']:.2f}x below "
-              f"required {args.min_speedup:.2f}x")
-        return 1
-    if args.min_shard_speedup is not None:
-        top = result["shards"][str(max(_shard_curve(args.shards)))]
-        if top["speedup_vs_batched"] < args.min_shard_speedup:
-            print(f"[bench] FAIL: {args.shards}-shard speedup "
-                  f"{top['speedup_vs_batched']:.2f}x vs batched below "
-                  f"required {args.min_shard_speedup:.2f}x")
-            return 1
-    return 0
-
-
 def cmd_gateway(args) -> int:
     """Serve a fleet over TCP: the network ingestion front door."""
     import asyncio
@@ -393,148 +291,6 @@ def cmd_gateway(args) -> int:
         print("\n[gateway] interrupted; shutting down")
     finally:
         fleet.close()
-    return 0
-
-
-def cmd_loadgen(args) -> int:
-    """Drive an in-process gateway, verify parity, write BENCH_5.json
-    (or, with ``--wal``, the BENCH_6.json durability A/B profile; with
-    ``--codec-ab``, the BENCH_7.json wire-codec A/B profile; with
-    ``--pipeline-ab``, the BENCH_10.json pipelined-rounds A/B
-    profile)."""
-    from .api import Pipeline
-    from .gateway import (DEFAULT_CODEC_AB_BENCH_PATH,
-                          DEFAULT_DURABILITY_BENCH_PATH,
-                          DEFAULT_GATEWAY_BENCH_PATH,
-                          DEFAULT_PIPELINE_AB_BENCH_PATH,
-                          format_codec_ab_benchmark,
-                          format_durability_benchmark,
-                          format_gateway_benchmark,
-                          format_pipeline_ab_benchmark,
-                          run_codec_ab_benchmark,
-                          run_durability_benchmark, run_gateway_benchmark,
-                          run_pipeline_ab_benchmark)
-    from .serving import write_benchmark
-    if sum(map(bool, (args.wal, args.codec_ab, args.pipeline_ab))) > 1:
-        raise SystemExit("error: --wal, --codec-ab and --pipeline-ab are "
-                         "separate profiles; pick one")
-    if (args.wal or args.codec_ab or args.pipeline_ab) \
-            and (args.trace_dir or args.shards):
-        raise SystemExit("error: --trace-dir/--shards apply to the "
-                         "concurrency sweep only")
-    if args.shards < 0:
-        raise SystemExit("error: --shards must be >= 0")
-    config = _build_config(args)
-    if args.quick:
-        _apply_quick_overrides(config, args)
-    pipeline = Pipeline(config)
-    rounds = args.rounds if args.rounds is not None else (4 if args.quick
-                                                          else 6)
-    wps = args.windows_per_step if args.windows_per_step is not None \
-        else (16 if args.pipeline_ab else 2)
-    levels = tuple(dict.fromkeys(args.levels))  # dedup, keep order
-    if any(level < 1 for level in levels):
-        raise SystemExit("error: --levels entries must be >= 1")
-    print(f"[loadgen] training {len(set(args.missions))} mission "
-          f"model(s)...")
-    if args.codec_ab:
-        print(f"[loadgen] wire codec A/B: {args.streams} stream(s) x "
-              f"{rounds} round(s), levels {list(levels)}, json vs binary "
-              "frames at small and large window batches...")
-        result = run_codec_ab_benchmark(
-            pipeline, streams=args.streams, missions=args.missions,
-            windows_per_step=wps, rounds=rounds,
-            levels=levels, rate=args.rate, stream_seed=args.stream_seed,
-            max_batch_windows=args.max_batch_windows,
-            max_queue_depth=args.max_queue_depth, policy=args.policy)
-        print(format_codec_ab_benchmark(result))
-        path = write_benchmark(result,
-                               args.output or DEFAULT_CODEC_AB_BENCH_PATH)
-        print(f"[loadgen] wrote {path}")
-        if not result["parity"]["identical"]:
-            print("[loadgen] FAIL: gateway scores diverged from the "
-                  "direct in-process fleet run")
-            return 1
-        if args.verify and not result["gate"]["large_p50_binary_le_json"]:
-            print("[loadgen] FAIL: binary p50 exceeded JSON p50 on the "
-                  "large-window profile (the codec regression gate)")
-            return 1
-        return 0
-    if args.pipeline_ab:
-        clients = min(args.streams, max(levels))
-        print(f"[loadgen] pipelined rounds A/B: {args.streams} stream(s) "
-              f"x {rounds} round(s) x {wps} windows/request, {clients} "
-              "client(s) — serial vs pipelined parity matrix, rate-paced "
-              "WAL A/B, crash drill...")
-        result = run_pipeline_ab_benchmark(
-            pipeline, streams=args.streams, missions=args.missions,
-            windows_per_step=wps, rounds=rounds,
-            clients=clients, rate=args.rate, stream_seed=args.stream_seed,
-            max_batch_windows=args.max_batch_windows,
-            max_queue_depth=args.max_queue_depth, policy=args.policy)
-        print(format_pipeline_ab_benchmark(result))
-        path = write_benchmark(result,
-                               args.output or DEFAULT_PIPELINE_AB_BENCH_PATH)
-        print(f"[loadgen] wrote {path}")
-        if not result["parity"]["identical"]:
-            print("[loadgen] FAIL: a matrix or WAL cell's scores diverged "
-                  "from the direct in-process fleet run")
-            return 1
-        if not result["recovery"]["ok"]:
-            print("[loadgen] FAIL: the pipelined crash drill lost or "
-                  "corrupted an acked ingest")
-            return 1
-        if args.verify and not result["gate"]["wal_p50_pipelined_le_serial"]:
-            print("[loadgen] FAIL: pipelined p50 exceeded serial p50 on "
-                  "the rate-paced WAL profile (the pipelining "
-                  "regression gate)")
-            return 1
-        return 0
-    if args.wal:
-        clients = levels[0]
-        print(f"[loadgen] durability A/B: {args.streams} stream(s) x "
-              f"{rounds} round(s), {clients} client(s), with and without "
-              "a write-ahead log...")
-        result = run_durability_benchmark(
-            pipeline, streams=args.streams, missions=args.missions,
-            windows_per_step=wps, rounds=rounds,
-            clients=clients, rate=args.rate, stream_seed=args.stream_seed,
-            max_batch_windows=args.max_batch_windows,
-            max_queue_depth=args.max_queue_depth, policy=args.policy)
-        print(format_durability_benchmark(result))
-        path = write_benchmark(result,
-                               args.output or DEFAULT_DURABILITY_BENCH_PATH)
-        print(f"[loadgen] wrote {path}")
-        if not result["parity"]["identical"]:
-            print("[loadgen] FAIL: gateway scores diverged from the "
-                  "direct in-process fleet run")
-            return 1
-        if not result["recovery"]["ok"]:
-            print("[loadgen] FAIL: the durable run's WAL did not recover "
-                  "to the served stream set")
-            return 1
-        return 0
-    print(f"[loadgen] serving {args.streams} stream(s) x {rounds} round(s) "
-          f"at client-concurrency levels {list(levels)}"
-          + (f", {args.shards} shard(s)" if args.shards else "")
-          + (", traced" if args.trace_dir else "") + "...")
-    result = run_gateway_benchmark(
-        pipeline, streams=args.streams, missions=args.missions,
-        windows_per_step=wps, rounds=rounds,
-        levels=levels, rate=args.rate, stream_seed=args.stream_seed,
-        max_batch_windows=args.max_batch_windows,
-        max_queue_depth=args.max_queue_depth, policy=args.policy,
-        codec=args.codec, trace_dir=args.trace_dir, shards=args.shards)
-    print(format_gateway_benchmark(result))
-    path = write_benchmark(result, args.output or DEFAULT_GATEWAY_BENCH_PATH)
-    print(f"[loadgen] wrote {path}")
-    if args.trace_dir:
-        print(f"[loadgen] summarize the trace with "
-              f"'repro trace {result['trace']['jsonl']}'")
-    if not result["parity"]["identical"]:
-        print("[loadgen] FAIL: gateway scores diverged from the direct "
-              "in-process fleet run")
-        return 1
     return 0
 
 
@@ -870,45 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="checkpoint the whole fleet after serving")
     p.set_defaults(func=cmd_fleet)
 
-    p = sub.add_parser("bench",
-                       help="fleet-serving throughput benchmark (BENCH_*.json)")
-    _add_common(p)
-    p.add_argument("--streams", type=int, default=16,
-                   help="concurrent streams (default 16)")
-    p.add_argument("--missions", nargs="+", default=["Stealing"])
-    p.add_argument("--windows-per-step", type=int, default=2,
-                   help="arrival windows per stream per round (default 2)")
-    p.add_argument("--rounds", type=int, default=None,
-                   help="serving rounds per timed pass (default 8; 5 with "
-                        "--quick)")
-    p.add_argument("--repeats", type=int, default=None,
-                   help="timed passes per mode (default 5; 3 with --quick)")
-    p.add_argument("--warmup", type=int, default=2,
-                   help="untimed passes per mode (default 2)")
-    p.add_argument("--stream-seed", type=int, default=100)
-    p.add_argument("--max-batch-windows", type=int, default=None)
-    p.add_argument("--shards", type=int, default=None,
-                   help="also benchmark multi-process sharded serving over "
-                        "a doubling curve up to N shards (writes "
-                        "BENCH_3.json by default)")
-    p.add_argument("--quick", action="store_true",
-                   help="small training + fewer repeats (CI smoke profile)")
-    p.add_argument("--engine-parity", action="store_true",
-                   help="also run the engine backend x scheduling-policy "
-                        "parity matrix (inline by default, sharded with "
-                        "--shards) and fail on any score divergence")
-    p.add_argument("--output", metavar="PATH", default=None,
-                   help="result JSON path (default BENCH_2.json, or "
-                        "BENCH_3.json with --shards)")
-    p.add_argument("--min-speedup", type=float, default=None,
-                   help="exit non-zero if batched/sequential speedup is "
-                        "below this (CI gate)")
-    p.add_argument("--min-shard-speedup", type=float, default=None,
-                   help="exit non-zero if the top shard count's speedup vs "
-                        "single-process batched is below this (needs real "
-                        "cores; CI gates on parity instead)")
-    p.set_defaults(func=cmd_bench)
-
     p = sub.add_parser("gateway",
                        help="serve a fleet over TCP (network gateway)")
     _add_common(p)
@@ -978,82 +695,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "--trace-dir, dump each one's spans as "
                         "slow-round-N.jsonl")
     p.set_defaults(func=cmd_gateway)
-
-    p = sub.add_parser("loadgen",
-                       help="gateway load benchmark + parity check "
-                            "(BENCH_5.json)")
-    _add_common(p)
-    p.add_argument("--streams", type=int, default=4,
-                   help="fleet streams behind the gateway (default 4)")
-    p.add_argument("--missions", nargs="+", default=["Stealing"])
-    p.add_argument("--policy", choices=("fair", "greedy", "priority"),
-                   default=None,
-                   help="engine scheduling policy on the server "
-                        "(default fair; parity holds under all)")
-    p.add_argument("--windows-per-step", type=int, default=None,
-                   help="arrival windows per request (default 2; 16 with "
-                        "--pipeline-ab, whose fsyncs need real payloads "
-                        "to be worth overlapping)")
-    p.add_argument("--rounds", type=int, default=None,
-                   help="requests per stream (default 6; 4 with --quick)")
-    p.add_argument("--levels", type=int, nargs="+", default=[1, 2, 4],
-                   help="client-concurrency levels to sweep (default 1 2 4)")
-    p.add_argument("--rate", type=float, default=None,
-                   help="open-loop total request rate in req/s "
-                        "(default: closed-loop, full speed)")
-    p.add_argument("--stream-seed", type=int, default=100)
-    p.add_argument("--max-batch-windows", type=int, default=None)
-    p.add_argument("--max-queue-depth", type=int, default=8,
-                   help="server admission limit per stream (default 8)")
-    p.add_argument("--quick", action="store_true",
-                   help="small training + fewer rounds (CI smoke profile)")
-    p.add_argument("--codec", choices=("binary", "json"), default="binary",
-                   help="wire codec the load clients negotiate for the "
-                        "concurrency sweep (default binary)")
-    p.add_argument("--codec-ab", action="store_true",
-                   help="wire-codec A/B profile instead of the concurrency "
-                        "sweep: serve identical parity-verified load over "
-                        "json and binary frames at small and large window "
-                        "batches, plus a sharded shared-memory-ring side, "
-                        "and record the latency/throughput deltas "
-                        "(BENCH_7.json); with --verify, fail unless binary "
-                        "p50 <= json p50 on the large profile")
-    p.add_argument("--wal", action="store_true",
-                   help="durability A/B profile instead of the concurrency "
-                        "sweep: serve the identical load with and without "
-                        "a write-ahead log, record the p50/p95 overhead, "
-                        "and verify the log recovers (BENCH_6.json; uses "
-                        "the first --levels entry as the client count)")
-    p.add_argument("--pipeline-ab", action="store_true",
-                   help="pipelined-rounds A/B profile instead of the "
-                        "concurrency sweep: a serial-vs-pipelined x "
-                        "json/binary x inline/sharded parity matrix, a "
-                        "rate-paced durable A/B of async group-commit "
-                        "acks, and a crash-recovery drill against a "
-                        "pipelined engine (BENCH_10.json); with --verify, "
-                        "fail unless pipelined p50 <= serial p50 with the "
-                        "WAL on")
-    p.add_argument("--verify", action="store_true",
-                   help="fail (exit 1) unless gateway scores are "
-                        "bit-identical to the direct in-process run "
-                        "(parity is always measured; this is already the "
-                        "default behavior, the flag records intent); with "
-                        "--codec-ab, additionally enforce the codec "
-                        "regression gate; with --pipeline-ab, the "
-                        "pipelining regression gate")
-    p.add_argument("--output", metavar="PATH", default=None,
-                   help="result JSON path (default BENCH_5.json; "
-                        "BENCH_6.json with --wal, BENCH_7.json with "
-                        "--codec-ab, BENCH_10.json with --pipeline-ab)")
-    p.add_argument("--shards", type=int, default=0,
-                   help="serve each level from a fleet sharded across N "
-                        "worker processes (default 0: inline; the parity "
-                        "gate then also covers inline vs sharded)")
-    p.add_argument("--trace-dir", metavar="PATH", default=None,
-                   help="trace the sweep end to end (client, gateway, "
-                        "engine, shard, WAL spans) and write trace.jsonl "
-                        "+ a Chrome-loadable trace_chrome.json here")
-    p.set_defaults(func=cmd_loadgen)
 
     p = sub.add_parser("recover",
                        help="rebuild a durable fleet from its write-ahead "

@@ -15,12 +15,6 @@ request ``rate`` the generator is open-loop — sends are scheduled on a
 global clock regardless of completions, the regime where admission
 control starts answering ``backpressure`` — and without one each
 connection runs closed-loop at full speed.
-
-:func:`run_gateway_benchmark` is the harness behind ``repro loadgen``:
-it computes a direct in-process ``fleet.step()`` reference over the
-same streams, then serves identical windows through a fresh gateway at
-each client-concurrency level, verifying bit-identical scores and
-writing the latency/throughput curve as ``BENCH_5.json``.
 """
 
 from __future__ import annotations
@@ -42,42 +36,10 @@ from .protocol import (
     request_frame,
     send_frame,
 )
-from .server import DEFAULT_MAX_QUEUE_DEPTH, serve_in_thread
 from ..errors import ConfigError
 
 __all__ = ["GatewayError", "GatewayClient", "LoadGenConfig",
-           "LoadGenerator", "LoadGenResult", "run_gateway_benchmark",
-           "format_gateway_benchmark", "DEFAULT_GATEWAY_BENCH_PATH",
-           "run_durability_benchmark", "format_durability_benchmark",
-           "DEFAULT_DURABILITY_BENCH_PATH",
-           "run_codec_ab_benchmark", "format_codec_ab_benchmark",
-           "DEFAULT_CODEC_AB_BENCH_PATH",
-           "run_pipeline_ab_benchmark", "format_pipeline_ab_benchmark",
-           "DEFAULT_PIPELINE_AB_BENCH_PATH"]
-
-#: BENCH_4 was the pre-runtime gateway artifact; BENCH_5 adds the
-#: promoted engine metrics (rounds, coalesce ratio, queue gauges) from
-#: the server's ``stats`` op next to the throughput/latency curve.
-DEFAULT_GATEWAY_BENCH_PATH = "BENCH_5.json"
-
-#: BENCH_6 is the durability A/B profile: the same load served with and
-#: without a write-ahead log, recording what ack-after-append fsync
-#: batching costs in request latency (p50/p95 delta) and throughput.
-DEFAULT_DURABILITY_BENCH_PATH = "BENCH_6.json"
-
-#: BENCH_7 is the codec A/B profile: the identical parity-verified load
-#: served once over JSON frames and once over binary frames, at small
-#: and large window batches, recording the latency/throughput delta —
-#: plus a sharded (shared-memory ring) side gated on the same parity.
-DEFAULT_CODEC_AB_BENCH_PATH = "BENCH_7.json"
-
-#: BENCH_10 is the pipelining A/B profile: the identical load served by
-#: a serial round loop and by pipelined rounds (async group-commit acks
-#: + the fused score/ingest scatter), across a serial/pipelined x
-#: json/binary x inline/sharded parity matrix plus a WAL-enabled
-#: latency/throughput A/B — gated on every cell's bit parity and on a
-#: crash-recovery drill against a pipelined engine.
-DEFAULT_PIPELINE_AB_BENCH_PATH = "BENCH_10.json"
+           "LoadGenerator", "LoadGenResult"]
 
 
 class GatewayError(Exception):
@@ -409,945 +371,3 @@ class LoadGenerator:
             part.errors.append(f"client {index}: {exc}")
         finally:
             client.close()
-
-
-# ---------------------------------------------------------------------
-# The BENCH_5 harness
-# ---------------------------------------------------------------------
-def _direct_reference(pipeline, missions, streams, windows_per_step,
-                      stream_seed, rounds, max_batch_windows):
-    """(stream_windows, reference scores) from a direct in-process run.
-
-    Builds the same fleet ``repro gateway`` would, pre-materializes each
-    stream's arrival windows, and records ``fleet.step(batched=True)``
-    scores round by round — the bit-parity bar every gateway run below
-    must hit.
-    """
-    from ..serving import build_fleet
-
-    fleet = build_fleet(pipeline, missions, streams,
-                        adaptive=False, share_models=True,
-                        windows_per_step=windows_per_step,
-                        stream_seed=stream_seed,
-                        max_batch_windows=max_batch_windows)
-    available = min(len(slot.stream) for slot in fleet.slots)
-    rounds = min(rounds, available)
-    stream_windows = {
-        slot.name: [np.asarray(slot.stream.batch(r).windows,
-                               dtype=np.float64) for r in range(rounds)]
-        for slot in fleet.slots}
-    reference: dict[str, list[np.ndarray]] = {name: []
-                                              for name in fleet.names}
-    for _ in range(rounds):
-        for event in fleet.step(batched=True):
-            reference[event.stream].append(event.scores)
-    return stream_windows, reference, rounds
-
-
-def _check_parity(result: LoadGenResult,
-                  reference: dict[str, list[np.ndarray]]) -> dict:
-    """Every served response must match its round's direct-run scores
-    bit for bit.  ``identical`` judges what was served; ``complete``
-    additionally requires that nothing was rejected or dropped (an
-    open-loop run past saturation is expected to shed load, which is
-    admission control working, not a parity failure)."""
-    identical = True
-    max_abs_diff = 0.0
-    compared = 0
-    missing = 0
-    for name, expected_rounds in reference.items():
-        served = result.scores.get(name, [])
-        missing += len(expected_rounds) - len(served)
-        for round_index, got in served:
-            compared += 1
-            expected = expected_rounds[round_index]
-            if not np.array_equal(got, expected):
-                identical = False
-                max_abs_diff = max(max_abs_diff,
-                                   float(np.abs(got - expected).max()))
-    return {"identical": identical, "max_abs_diff": max_abs_diff,
-            "responses_compared": compared, "missing_responses": missing,
-            "complete": missing == 0}
-
-
-def run_gateway_benchmark(pipeline, streams: int = 4,
-                          missions: list[str] | None = None,
-                          windows_per_step: int = 2, rounds: int = 6,
-                          levels: tuple[int, ...] = (1, 2, 4),
-                          rate: float | None = None,
-                          stream_seed: int = 100,
-                          max_batch_windows: int | None = None,
-                          max_queue_depth: int = DEFAULT_MAX_QUEUE_DEPTH,
-                          policy=None, codec: str = "binary",
-                          trace_dir=None, shards: int = 0) -> dict:
-    """Latency/throughput curve over client-concurrency levels.
-
-    For each level a *fresh* fleet (same build arguments, hence the same
-    streams and models) is served by an in-thread gateway and driven by
-    ``level`` concurrent client connections replaying the identical
-    pre-materialized windows; every response is checked bit-for-bit
-    against the direct in-process reference, and the server's ``stats``
-    op is snapshotted after the run so the engine's promoted metrics
-    (rounds, coalesce ratio, queue gauges) land in the artifact.  The
-    returned payload is the ``BENCH_5.json`` artifact.  ``policy`` names
-    the engine scheduling policy (default: fair round-robin) — any
-    policy serves bit-identical scores, so the curve stays parity-gated.
-
-    ``trace_dir`` turns on end-to-end tracing: one shared
-    :class:`repro.obs.TraceRecorder` collects client, gateway, engine,
-    shard, and WAL spans across every level, exported afterwards as
-    ``trace.jsonl`` plus a Chrome-loadable ``trace_chrome.json``.
-    ``shards`` > 0 serves each level from a sharded fleet (that many
-    worker processes) instead of an inline one — the reference run stays
-    inline, so the parity gate also witnesses inline/sharded parity.
-    """
-    from ..serving import build_fleet, build_sharded_fleet
-    from ..serving.bench import _environment
-
-    missions = missions or ["Stealing"]
-    stream_windows, reference, rounds = _direct_reference(
-        pipeline, missions, streams, windows_per_step, stream_seed,
-        rounds, max_batch_windows)
-    recorder = None
-    if trace_dir is not None:
-        from ..obs import TraceRecorder
-        recorder = TraceRecorder()
-    level_results: dict[str, dict] = {}
-    all_identical = True
-    for level in levels:
-        if shards:
-            fleet = build_sharded_fleet(
-                pipeline, missions, streams, shards,
-                adaptive=False, share_models=True,
-                windows_per_step=windows_per_step,
-                stream_seed=stream_seed,
-                max_batch_windows=max_batch_windows)
-        else:
-            fleet = build_fleet(pipeline, missions, streams,
-                                adaptive=False, share_models=True,
-                                windows_per_step=windows_per_step,
-                                stream_seed=stream_seed,
-                                max_batch_windows=max_batch_windows)
-        with fleet, serve_in_thread(fleet, max_queue_depth=max_queue_depth,
-                                    policy=policy,
-                                    tracer=recorder) as handle:
-            generator = LoadGenerator(
-                handle.address, stream_windows,
-                LoadGenConfig(clients=level, rounds=rounds, rate=rate,
-                              codec=codec),
-                tracer=recorder)
-            result = generator.run()
-            with GatewayClient(*handle.address) as observer:
-                server_stats = observer.stats()
-        parity = _check_parity(result, reference)
-        all_identical = all_identical and parity["identical"] \
-            and not result.errors
-        stats = result.summary(phase=f"{level}-client gateway")
-        stats["parity"] = parity
-        stats["server"] = {"engine": server_stats.get("engine"),
-                           "metrics": server_stats.get("metrics")}
-        if result.errors:
-            stats["error_messages"] = result.errors[:10]
-        level_results[str(level)] = stats
-    trace_summary = None
-    if recorder is not None:
-        from pathlib import Path
-
-        from ..obs import stage_summary, write_chrome_trace, write_jsonl
-        out = Path(trace_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        spans = recorder.snapshot()
-        trace_summary = {
-            "spans": write_jsonl(spans, out / "trace.jsonl"),
-            "dropped": recorder.dropped,
-            "jsonl": str(out / "trace.jsonl"),
-            "chrome": str(out / "trace_chrome.json"),
-            "stages": stage_summary(spans),
-        }
-        write_chrome_trace(spans, out / "trace_chrome.json")
-    return {
-        "benchmark": "gateway_serving",
-        "config": {
-            "streams": streams,
-            "missions": list(missions),
-            "windows_per_step": windows_per_step,
-            "rounds": rounds,
-            "levels": [int(level) for level in levels],
-            "rate": rate,
-            "stream_seed": stream_seed,
-            "max_batch_windows": max_batch_windows,
-            "max_queue_depth": max_queue_depth,
-            "policy": getattr(policy, "name", policy) or "fair",
-            "codec": codec,
-            "shards": shards,
-        },
-        "levels": level_results,
-        "trace": trace_summary,
-        "parity": {"identical": all_identical},
-        "environment": _environment(),
-    }
-
-
-# ---------------------------------------------------------------------
-# The BENCH_6 harness: durability overhead A/B
-# ---------------------------------------------------------------------
-def run_durability_benchmark(pipeline, streams: int = 4,
-                             missions: list[str] | None = None,
-                             windows_per_step: int = 2, rounds: int = 6,
-                             clients: int = 2, rate: float | None = None,
-                             stream_seed: int = 100,
-                             max_batch_windows: int | None = None,
-                             max_queue_depth: int = DEFAULT_MAX_QUEUE_DEPTH,
-                             policy=None, wal_dir=None,
-                             wal_config=None) -> dict:
-    """A/B profile of WAL durability overhead (the ``BENCH_6.json``
-    artifact): the identical pre-materialized load is served twice —
-    once by a plain gateway, once by a gateway with ``wal_dir`` set
-    (log-before-schedule, group-commit fsync per round) — and the
-    latency/throughput deltas are recorded.  Both runs stay parity-gated
-    against the direct in-process reference, and after the durable run
-    the WAL is recovered and its stream set checked, so the artifact
-    also witnesses that the log it paid for is actually recoverable.
-    """
-    import shutil
-    import tempfile
-    from pathlib import Path
-
-    from ..serving import build_fleet
-    from ..serving.bench import _environment
-
-    missions = missions or ["Stealing"]
-    stream_windows, reference, rounds = _direct_reference(
-        pipeline, missions, streams, windows_per_step, stream_seed,
-        rounds, max_batch_windows)
-
-    def run_side(wal_path) -> dict:
-        fleet = build_fleet(pipeline, missions, streams,
-                            adaptive=False, share_models=True,
-                            windows_per_step=windows_per_step,
-                            stream_seed=stream_seed,
-                            max_batch_windows=max_batch_windows)
-        server_kwargs = dict(max_queue_depth=max_queue_depth, policy=policy)
-        if wal_path is not None:
-            server_kwargs.update(wal_dir=wal_path, wal_config=wal_config)
-        with fleet, serve_in_thread(fleet, **server_kwargs) as handle:
-            generator = LoadGenerator(
-                handle.address, stream_windows,
-                LoadGenConfig(clients=clients, rounds=rounds, rate=rate))
-            result = generator.run()
-            with GatewayClient(*handle.address) as observer:
-                server_stats = observer.stats()
-        stats = result.summary(
-            phase=("durable" if wal_path is not None else "baseline")
-            + " gateway")
-        stats["parity"] = _check_parity(result, reference)
-        stats["server"] = {"engine": server_stats.get("engine"),
-                           "metrics": server_stats.get("metrics")}
-        if result.errors:
-            stats["error_messages"] = result.errors[:10]
-        return stats
-
-    baseline = run_side(None)
-    created_dir = wal_dir is None
-    wal_path = Path(wal_dir) if wal_dir is not None \
-        else Path(tempfile.mkdtemp(prefix="repro-wal-bench-"))
-    durable = run_side(wal_path)
-
-    # The durable side's acks are only worth their fsyncs if the log
-    # recovers: rebuild the fleet from it and check the stream set.
-    from ..wal import recover_fleet
-    recovered, report = recover_fleet(wal_path)
-    try:
-        recovery = {"ok": sorted(recovered.names) == sorted(stream_windows),
-                    "records": report.records, "replayed": report.replayed,
-                    "duration_seconds": report.duration}
-    finally:
-        recovered.close()
-    if created_dir:
-        shutil.rmtree(wal_path, ignore_errors=True)
-
-    def _pct(stats: dict, key: str) -> float | None:
-        latency = stats.get("latency") or {}
-        return latency.get(key)
-
-    overhead: dict = {}
-    for key in ("p50_ms", "p95_ms", "p99_ms"):
-        base, dur = _pct(baseline, key), _pct(durable, key)
-        if base is not None and dur is not None:
-            overhead[f"{key.removesuffix('_ms')}_delta_ms"] = dur - base
-    if baseline["windows_per_sec"] > 0:
-        overhead["throughput_ratio"] = (durable["windows_per_sec"]
-                                        / baseline["windows_per_sec"])
-    wal_metrics = ((durable.get("server") or {}).get("metrics")
-                   or {})
-    histograms = wal_metrics.get("histograms") or {}
-    counters = wal_metrics.get("counters") or {}
-    overhead["fsyncs"] = counters.get("wal.fsyncs")
-    overhead["wal_records"] = counters.get("wal.records")
-    if (histograms.get("wal.fsync_latency") or {}).get("count"):
-        overhead["fsync_p95_ms"] = histograms["wal.fsync_latency"]["p95_ms"]
-    if (histograms.get("wal.append_latency") or {}).get("count"):
-        overhead["append_p95_ms"] = \
-            histograms["wal.append_latency"]["p95_ms"]
-
-    return {
-        "benchmark": "gateway_durability",
-        "config": {
-            "streams": streams,
-            "missions": list(missions),
-            "windows_per_step": windows_per_step,
-            "rounds": rounds,
-            "clients": clients,
-            "rate": rate,
-            "stream_seed": stream_seed,
-            "max_batch_windows": max_batch_windows,
-            "max_queue_depth": max_queue_depth,
-            "policy": getattr(policy, "name", policy) or "fair",
-            "fsync_batch": getattr(wal_config, "fsync_batch", None),
-            "fsync_interval_ms": getattr(wal_config, "fsync_interval_ms",
-                                         None),
-        },
-        "baseline": baseline,
-        "durable": durable,
-        "overhead": overhead,
-        "recovery": recovery,
-        "parity": {"identical": baseline["parity"]["identical"]
-                   and durable["parity"]["identical"]},
-        "environment": _environment(),
-    }
-
-
-def format_durability_benchmark(result: dict) -> str:
-    """Human-readable one-screen summary of a BENCH_6 payload."""
-    cfg = result["config"]
-    lines = [
-        f"gateway durability benchmark: {cfg['streams']} stream(s) x "
-        f"{cfg['windows_per_step']} windows/request, {cfg['rounds']} "
-        f"round(s)/stream, {cfg['clients']} client(s)",
-    ]
-    for side in ("baseline", "durable"):
-        stats = result[side]
-        latency = stats.get("latency", {})
-        lines.append(
-            f"  {side:>8s}: {stats['windows_per_sec']:8.1f} windows/s"
-            f"   p50 {latency.get('p50_ms', float('nan')):7.2f} ms"
-            f"   p95 {latency.get('p95_ms', float('nan')):7.2f} ms"
-            f"   identical: {stats['parity']['identical']}")
-    over = result["overhead"]
-    parts = []
-    if "p50_delta_ms" in over:
-        parts.append(f"p50 +{over['p50_delta_ms']:.2f} ms")
-    if "p95_delta_ms" in over:
-        parts.append(f"p95 +{over['p95_delta_ms']:.2f} ms")
-    if "throughput_ratio" in over:
-        parts.append(f"throughput x{over['throughput_ratio']:.3f}")
-    if over.get("fsyncs") is not None:
-        parts.append(f"{over['fsyncs']:.0f} fsync(s)")
-    if parts:
-        lines.append(f"  overhead: {', '.join(parts)}")
-    recovery = result["recovery"]
-    lines.append(f"  recovery: ok={recovery['ok']} "
-                 f"({recovery['records']} record(s), "
-                 f"{recovery['duration_seconds'] * 1e3:.1f} ms)")
-    lines.append(f"  parity (both sides): {result['parity']['identical']}")
-    return "\n".join(lines)
-
-
-def _format_server_stats(stats: dict | None) -> str | None:
-    """One line of promoted engine metrics from a level's ``stats`` op
-    snapshot: rounds, coalesce ratio, queue-depth gauge."""
-    if not stats:
-        return None
-    engine = stats.get("engine") or {}
-    metrics = stats.get("metrics") or {}
-    parts = [f"engine rounds {engine.get('rounds', 0)}",
-             f"policy {engine.get('policy', '?')}"]
-    coalesce = engine.get("coalesce")
-    if coalesce:
-        parts.append(
-            f"{coalesce['windows_per_forward']:.2f} windows/forward "
-            f"({coalesce['windows_scored']} windows, "
-            f"{coalesce['batches_run']} forward(s))")
-    gauges = metrics.get("gauges") or {}
-    if "engine.queue_depth" in gauges:
-        parts.append(f"queue depth {gauges['engine.queue_depth']:.0f}")
-    histograms = metrics.get("histograms") or {}
-    round_latency = histograms.get("engine.round_latency") or {}
-    if round_latency.get("count"):
-        parts.append(f"round p95 {round_latency['p95_ms']:.2f} ms")
-    return ", ".join(parts)
-
-
-def format_gateway_benchmark(result: dict) -> str:
-    """Human-readable one-screen summary of a BENCH_5 payload."""
-    cfg = result["config"]
-    lines = [
-        f"gateway serving benchmark: {cfg['streams']} stream(s) x "
-        f"{cfg['windows_per_step']} windows/request, {cfg['rounds']} "
-        f"round(s)/stream, levels {cfg['levels']}"
-        + (f", policy {cfg['policy']}" if cfg.get("policy") else "")
-        + (f", open-loop {cfg['rate']:.0f} req/s" if cfg["rate"] else ""),
-    ]
-    for level, stats in result["levels"].items():
-        latency = stats.get("latency", {})
-        note = "" if not stats["rejected"] else \
-            f"   ({stats['rejected']} backpressure rejection(s))"
-        lines.append(
-            f"  {level:>2s} client(s): {stats['windows_per_sec']:8.1f} "
-            f"windows/s   p50 {latency.get('p50_ms', float('nan')):7.2f} ms"
-            f"   p95 {latency.get('p95_ms', float('nan')):7.2f} ms"
-            f"   p99 {latency.get('p99_ms', float('nan')):7.2f} ms"
-            f"   identical: {stats['parity']['identical']}{note}")
-        server_line = _format_server_stats(stats.get("server"))
-        if server_line:
-            lines.append(f"              server: {server_line}")
-    trace = result.get("trace")
-    if trace:
-        lines.append(f"  trace: {trace['spans']} span(s) "
-                     f"({trace['dropped']} dropped) -> {trace['jsonl']}")
-    lines.append(f"  parity (all levels): {result['parity']['identical']}")
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------
-# The BENCH_7 harness: wire codec A/B
-# ---------------------------------------------------------------------
-def run_codec_ab_benchmark(pipeline, streams: int = 4,
-                           missions: list[str] | None = None,
-                           windows_per_step: int = 2,
-                           large_windows_per_step: int = 8,
-                           rounds: int = 6,
-                           levels: tuple[int, ...] = (1, 4),
-                           rate: float | None = None,
-                           stream_seed: int = 100,
-                           max_batch_windows: int | None = None,
-                           max_queue_depth: int = DEFAULT_MAX_QUEUE_DEPTH,
-                           policy=None, shards: int = 2) -> dict:
-    """Codec A/B curve (the ``BENCH_7.json`` artifact).
-
-    Two window profiles — ``small`` (``windows_per_step``) and ``large``
-    (``large_windows_per_step``, where serialization cost dominates) —
-    are each served over JSON frames and over binary frames at every
-    client-concurrency level, always against a *fresh* fleet replaying
-    identical pre-materialized windows, and always checked bit-for-bit
-    against the direct in-process reference.  The ``delta`` section
-    records binary-vs-JSON p50 and throughput ratios per level; the
-    ``gate`` section holds the two regression predicates CI enforces
-    (binary p50 ≤ JSON p50 on the large profile; ≥1.2x throughput or
-    lower p50 at the top level).  A sharded side (``shards`` workers
-    over the shared-memory ring transport, binary codec) rides along,
-    gated on the same reference — the proof that codec and transport
-    changes compose without perturbing a single score bit.
-    """
-    from ..serving import build_fleet, build_sharded_fleet
-    from ..serving.bench import _environment
-
-    missions = missions or ["Stealing"]
-    top_level = str(max(levels))
-
-    def run_side(fleet_factory, stream_windows, reference, profile_rounds,
-                 codec, level, phase) -> dict:
-        fleet = fleet_factory()
-        with fleet, serve_in_thread(fleet, max_queue_depth=max_queue_depth,
-                                    policy=policy) as handle:
-            generator = LoadGenerator(
-                handle.address, stream_windows,
-                LoadGenConfig(clients=level, rounds=profile_rounds,
-                              rate=rate, codec=codec))
-            result = generator.run()
-            with GatewayClient(*handle.address) as observer:
-                server_stats = observer.stats()
-        stats = result.summary(phase=phase)
-        stats["parity"] = _check_parity(result, reference)
-        counters = ((server_stats.get("metrics") or {}).get("counters")
-                    or {})
-        stats["server_frames"] = {
-            wire: counters.get(f"gateway.frames.{wire}") for wire in CODECS}
-        if result.errors:
-            stats["error_messages"] = result.errors[:10]
-        return stats
-
-    profiles: dict[str, dict] = {}
-    all_identical = True
-    small_profile_data = None
-    for name, wps in (("small", windows_per_step),
-                      ("large", large_windows_per_step)):
-        stream_windows, reference, profile_rounds = _direct_reference(
-            pipeline, missions, streams, wps, stream_seed, rounds,
-            max_batch_windows)
-        if name == "small":
-            small_profile_data = (stream_windows, reference, profile_rounds,
-                                  wps)
-
-        def factory(wps=wps):
-            return build_fleet(pipeline, missions, streams,
-                               adaptive=False, share_models=True,
-                               windows_per_step=wps,
-                               stream_seed=stream_seed,
-                               max_batch_windows=max_batch_windows)
-
-        codec_stats: dict[str, dict] = {}
-        for codec in CODECS:
-            codec_stats[codec] = {}
-            for level in levels:
-                stats = run_side(factory, stream_windows, reference,
-                                 profile_rounds, codec, level,
-                                 f"{name}/{codec}/{level}-client")
-                codec_stats[codec][str(level)] = stats
-                all_identical = all_identical \
-                    and stats["parity"]["identical"] \
-                    and "error_messages" not in stats
-        delta: dict[str, dict] = {}
-        for level in levels:
-            json_side = codec_stats["json"][str(level)]
-            binary_side = codec_stats["binary"][str(level)]
-            entry: dict = {}
-            json_p50 = (json_side.get("latency") or {}).get("p50_ms")
-            binary_p50 = (binary_side.get("latency") or {}).get("p50_ms")
-            if json_p50 is not None and binary_p50 is not None:
-                entry["p50_delta_ms"] = binary_p50 - json_p50
-                if json_p50 > 0:
-                    entry["p50_ratio"] = binary_p50 / json_p50
-            if json_side["windows_per_sec"] > 0:
-                entry["throughput_ratio"] = \
-                    binary_side["windows_per_sec"] \
-                    / json_side["windows_per_sec"]
-            delta[str(level)] = entry
-        profiles[name] = {"windows_per_step": wps, "rounds": profile_rounds,
-                          "codecs": codec_stats, "delta": delta}
-
-    # The sharded side: same small-profile load, binary codec, served by
-    # a fleet partitioned across worker processes whose parent<->worker
-    # traffic rides the shared-memory ring transport.
-    sharded = None
-    if shards:
-        stream_windows, reference, profile_rounds, wps = small_profile_data
-
-        def sharded_factory():
-            return build_sharded_fleet(pipeline, missions, streams, shards,
-                                       adaptive=False, share_models=True,
-                                       windows_per_step=wps,
-                                       stream_seed=stream_seed,
-                                       max_batch_windows=max_batch_windows)
-
-        stats = run_side(sharded_factory, stream_windows, reference,
-                         profile_rounds, "binary", max(levels),
-                         f"sharded({shards})/binary/{top_level}-client")
-        all_identical = all_identical and stats["parity"]["identical"] \
-            and "error_messages" not in stats
-        sharded = {"shards": shards, "codec": "binary",
-                   "clients": max(levels), "stats": stats}
-
-    large_top = profiles["large"]["delta"].get(top_level, {})
-    small_top = profiles["small"]["delta"].get(top_level, {})
-    p50_delta = large_top.get("p50_delta_ms")
-    throughput_ratio = large_top.get("throughput_ratio")
-    gate = {
-        # CI regression gate: on the large-window profile (serialization
-        # bound), binary must not be slower than JSON at the top level.
-        "large_p50_binary_le_json":
-            p50_delta is not None and p50_delta <= 0.0,
-        # Acceptance: >=1.2x throughput or lower p50 at the top level,
-        # on either profile (the large one is where the codec earns it).
-        "top_level_speedup": {
-            "large_throughput_ratio": throughput_ratio,
-            "large_p50_delta_ms": p50_delta,
-            "small_throughput_ratio": small_top.get("throughput_ratio"),
-            "small_p50_delta_ms": small_top.get("p50_delta_ms"),
-            "ok": (throughput_ratio is not None
-                   and throughput_ratio >= 1.2)
-            or (p50_delta is not None and p50_delta < 0.0),
-        },
-    }
-    return {
-        "benchmark": "codec_ab",
-        "config": {
-            "streams": streams,
-            "missions": list(missions),
-            "windows_per_step": windows_per_step,
-            "large_windows_per_step": large_windows_per_step,
-            "rounds": rounds,
-            "levels": [int(level) for level in levels],
-            "rate": rate,
-            "stream_seed": stream_seed,
-            "max_batch_windows": max_batch_windows,
-            "max_queue_depth": max_queue_depth,
-            "policy": getattr(policy, "name", policy) or "fair",
-            "shards": shards,
-        },
-        "profiles": profiles,
-        "sharded": sharded,
-        "gate": gate,
-        "parity": {"identical": all_identical},
-        "environment": _environment(),
-    }
-
-
-def format_codec_ab_benchmark(result: dict) -> str:
-    """Human-readable one-screen summary of a BENCH_7 payload."""
-    cfg = result["config"]
-    lines = [
-        f"wire codec A/B benchmark: {cfg['streams']} stream(s), "
-        f"{cfg['rounds']} round(s)/stream, levels {cfg['levels']}, "
-        f"profiles small={cfg['windows_per_step']} / "
-        f"large={cfg['large_windows_per_step']} windows/request",
-    ]
-    for name, profile in result["profiles"].items():
-        lines.append(f"  {name} profile "
-                     f"({profile['windows_per_step']} windows/request):")
-        for codec, per_level in profile["codecs"].items():
-            for level, stats in per_level.items():
-                latency = stats.get("latency", {})
-                lines.append(
-                    f"    {codec:>6s} x{level} client(s): "
-                    f"{stats['windows_per_sec']:8.1f} windows/s"
-                    f"   p50 {latency.get('p50_ms', float('nan')):7.2f} ms"
-                    f"   p95 {latency.get('p95_ms', float('nan')):7.2f} ms"
-                    f"   identical: {stats['parity']['identical']}")
-        for level, entry in profile["delta"].items():
-            parts = []
-            if "throughput_ratio" in entry:
-                parts.append(f"throughput x{entry['throughput_ratio']:.3f}")
-            if "p50_delta_ms" in entry:
-                parts.append(f"p50 {entry['p50_delta_ms']:+.2f} ms")
-            if parts:
-                lines.append(f"    binary vs json @{level} client(s): "
-                             f"{', '.join(parts)}")
-    sharded = result.get("sharded")
-    if sharded:
-        stats = sharded["stats"]
-        latency = stats.get("latency", {})
-        lines.append(
-            f"  sharded ({sharded['shards']} shard(s), shm rings, "
-            f"{sharded['codec']}): {stats['windows_per_sec']:8.1f} "
-            f"windows/s   p50 {latency.get('p50_ms', float('nan')):7.2f} ms"
-            f"   identical: {stats['parity']['identical']}")
-    gate = result["gate"]
-    lines.append(f"  gate: large-profile p50 binary<=json: "
-                 f"{gate['large_p50_binary_le_json']}, top-level speedup "
-                 f"ok: {gate['top_level_speedup']['ok']}")
-    lines.append(f"  parity (all runs): {result['parity']['identical']}")
-    return "\n".join(lines)
-
-# ---------------------------------------------------------------------
-# The BENCH_10 harness: pipelined rounds A/B
-# ---------------------------------------------------------------------
-def _pipelined_crash_drill(pipeline, missions, streams, windows_per_step,
-                           stream_seed, rounds, max_batch_windows,
-                           wal_config) -> dict:
-    """Crash-recovery drill against a *pipelined* engine: serve durable
-    rounds with the committer thread doing the fsyncs, drain, then
-    abandon the WAL without any clean close (no parting snapshot, no
-    final flush beyond what the committer already fsynced — the SIGKILL
-    stand-in) and recover it.  Every ingest acked through ``on_commit``
-    must come back from replay bit-identically: acks only ever resolve
-    after the fsync covering them, so a crash can lose unacked tail
-    work but never an acked ingest.
-    """
-    import shutil
-    import tempfile
-    from pathlib import Path
-
-    from ..runtime import EngineRequest
-    from ..serving import build_fleet
-    from ..wal import WalDurability, recover_fleet
-
-    fleet = build_fleet(pipeline, missions, streams,
-                        adaptive=False, share_models=True,
-                        windows_per_step=windows_per_step,
-                        stream_seed=stream_seed,
-                        max_batch_windows=max_batch_windows)
-    wal_path = Path(tempfile.mkdtemp(prefix="repro-pipeline-drill-"))
-    durability = WalDurability(fleet, wal_path, config=wal_config)
-    engine = fleet.engine
-    engine.durability = durability
-    engine.pipeline = True
-    acked: dict[str, list[np.ndarray]] = {name: []
-                                          for name in fleet.names}
-
-    def on_commit(results) -> None:
-        for result in results:
-            if result.kind == "event":
-                acked[result.request.stream].append(result.event.scores)
-
-    engine.on_commit = on_commit
-    available = min(len(slot.stream) for slot in fleet.slots)
-    rounds = min(rounds, available)
-    windows = {slot.name: [np.asarray(slot.stream.batch(r).windows,
-                                      dtype=np.float64)
-                           for r in range(rounds)]
-               for slot in fleet.slots}
-    for round_index in range(rounds):
-        for name in fleet.names:
-            engine.submit(EngineRequest(
-                op="ingest", stream=name,
-                windows=windows[name][round_index]))
-        engine.run_round()
-    engine.stop_committer()
-    # "Crash": durability is never closed — recovery sees exactly what
-    # the committer fsynced, nothing more.
-    recovered, report = recover_fleet(wal_path)
-    acked_count = sum(len(scores) for scores in acked.values())
-    compared = 0
-    ok = True
-    for name, mine in acked.items():
-        replayed = report.scores.get(name, [])
-        if len(replayed) < len(mine):
-            ok = False
-        for got, expected in zip(replayed, mine):
-            compared += 1
-            if not np.array_equal(got, expected):
-                ok = False
-    recovered.close()
-    shutil.rmtree(wal_path, ignore_errors=True)
-    return {"ok": ok and compared == acked_count,
-            "acked": acked_count, "compared": compared,
-            "records": report.records, "replayed": report.replayed,
-            "duration_seconds": report.duration}
-
-
-def run_pipeline_ab_benchmark(pipeline, streams: int = 4,
-                              missions: list[str] | None = None,
-                              windows_per_step: int = 2, rounds: int = 6,
-                              clients: int = 2, rate: float | None = None,
-                              stream_seed: int = 100,
-                              max_batch_windows: int | None = None,
-                              max_queue_depth: int = DEFAULT_MAX_QUEUE_DEPTH,
-                              policy=None, shards: int = 2,
-                              wal_config=None) -> dict:
-    """A/B profile of pipelined rounds (the ``BENCH_10.json`` artifact).
-
-    Two measurements over the identical pre-materialized load:
-
-    * a **parity matrix** — serial vs pipelined x json vs binary frames
-      x inline vs ``shards``-way sharded fleet (the sharded cells also
-      exercise the fused ``serve_round`` scatter), every cell checked
-      bit-for-bit against the direct in-process reference;
-    * a **WAL A/B** — the same durable load served by a serial and a
-      pipelined gateway at a fixed offered rate (calibrated to ~95% of
-      the serial gateway's closed-loop capacity unless ``rate`` is
-      given), recording what overlapping the group-commit fsync with
-      the next round's compute buys in p50 and throughput (the headline
-      gate: pipelined p50 <= serial p50, throughput >= serial, with the
-      WAL on).
-
-    Plus a crash-recovery drill against a pipelined engine (fsyncs on
-    the committer thread, no clean close, replay must return every
-    acked ingest) — see :func:`_pipelined_crash_drill`.
-    """
-    import shutil
-    import tempfile
-    from pathlib import Path
-
-    from ..serving import build_fleet, build_sharded_fleet
-    from ..serving.bench import _environment
-
-    missions = missions or ["Stealing"]
-    stream_windows, reference, rounds = _direct_reference(
-        pipeline, missions, streams, windows_per_step, stream_seed,
-        rounds, max_batch_windows)
-
-    def run_side(pipelined: bool, codec: str = "binary",
-                 shard_count: int = 0, wal_path=None,
-                 rate_override: float | None = None) -> dict:
-        if shard_count:
-            fleet = build_sharded_fleet(
-                pipeline, missions, streams, shard_count,
-                adaptive=False, share_models=True,
-                windows_per_step=windows_per_step,
-                stream_seed=stream_seed,
-                max_batch_windows=max_batch_windows)
-        else:
-            fleet = build_fleet(pipeline, missions, streams,
-                                adaptive=False, share_models=True,
-                                windows_per_step=windows_per_step,
-                                stream_seed=stream_seed,
-                                max_batch_windows=max_batch_windows)
-        server_kwargs = dict(max_queue_depth=max_queue_depth,
-                             policy=policy, pipeline=pipelined)
-        if wal_path is not None:
-            server_kwargs.update(wal_dir=wal_path, wal_config=wal_config)
-        with fleet, serve_in_thread(fleet, **server_kwargs) as handle:
-            generator = LoadGenerator(
-                handle.address, stream_windows,
-                LoadGenConfig(clients=clients, rounds=rounds,
-                              rate=rate_override if rate_override
-                              is not None else rate,
-                              codec=codec))
-            result = generator.run()
-            with GatewayClient(*handle.address) as observer:
-                server_stats = observer.stats()
-        mode = "pipelined" if pipelined else "serial"
-        stats = result.summary(phase=f"{mode} gateway ({codec}, "
-                                     f"{shard_count or 'inline'})")
-        stats["parity"] = _check_parity(result, reference)
-        stats["server"] = {"engine": server_stats.get("engine"),
-                           "metrics": server_stats.get("metrics")}
-        if result.errors:
-            stats["error_messages"] = result.errors[:10]
-        return stats
-
-    # The parity matrix: serial/pipelined x json/binary x inline/sharded,
-    # WAL off (the WAL A/B below covers the durable path).
-    matrix: dict[str, dict] = {}
-    all_identical = True
-    for pipelined in (False, True):
-        for codec in ("json", "binary"):
-            for shard_count in (0, shards):
-                key = (f"{'pipelined' if pipelined else 'serial'}"
-                       f"|{codec}|{shard_count or 'inline'}")
-                cell = run_side(pipelined, codec=codec,
-                                shard_count=shard_count)
-                matrix[key] = cell
-                all_identical = all_identical \
-                    and cell["parity"]["identical"] \
-                    and "error_messages" not in cell
-
-    # The WAL A/B: identical durable load, serial vs pipelined acks.
-    # Closed-loop lockstep cannot show what pipelining buys — every
-    # client blocks on the ack its own round's fsync gates, so there is
-    # never queued work for the fsync to overlap with.  Group commit
-    # pipelining targets *sustained offered load*: calibrate the serial
-    # gateway's closed-loop capacity first, then rate-pace both sides
-    # just under it, where serial mode's inline fsync surfaces as
-    # queueing delay and the pipelined round loop's extra capacity
-    # absorbs it.
-    def durable_side(pipelined: bool,
-                     rate_override: float | None = None) -> dict:
-        wal_path = Path(tempfile.mkdtemp(prefix="repro-pipeline-wal-"))
-        try:
-            return run_side(pipelined, wal_path=wal_path,
-                            rate_override=rate_override)
-        finally:
-            shutil.rmtree(wal_path, ignore_errors=True)
-
-    calibration = durable_side(False)
-    paced_rate = rate
-    if paced_rate is None:
-        paced_rate = 0.95 * calibration["requests_per_sec"]
-    wal_sides: dict[str, dict] = {}
-    for mode, pipelined in (("serial", False), ("pipelined", True)):
-        wal_sides[mode] = durable_side(pipelined,
-                                       rate_override=paced_rate)
-        all_identical = all_identical \
-            and wal_sides[mode]["parity"]["identical"] \
-            and "error_messages" not in wal_sides[mode]
-    all_identical = all_identical and calibration["parity"]["identical"] \
-        and "error_messages" not in calibration
-
-    def _p50(stats: dict) -> float | None:
-        return (stats.get("latency") or {}).get("p50_ms")
-
-    serial_wal, pipelined_wal = wal_sides["serial"], wal_sides["pipelined"]
-    delta: dict = {}
-    serial_p50, pipelined_p50 = _p50(serial_wal), _p50(pipelined_wal)
-    if serial_p50 is not None and pipelined_p50 is not None:
-        delta["p50_delta_ms"] = pipelined_p50 - serial_p50
-    if serial_wal["windows_per_sec"] > 0:
-        delta["throughput_ratio"] = (pipelined_wal["windows_per_sec"]
-                                     / serial_wal["windows_per_sec"])
-
-    recovery = _pipelined_crash_drill(
-        pipeline, missions, streams, windows_per_step, stream_seed,
-        rounds, max_batch_windows, wal_config)
-
-    gate = {
-        "wal_p50_pipelined_le_serial": (
-            serial_p50 is not None and pipelined_p50 is not None
-            and pipelined_p50 <= serial_p50),
-        "wal_throughput_ge_serial": delta.get("throughput_ratio", 0.0)
-        >= 1.0,
-        "all_cells_identical": all_identical,
-        "recovery_ok": recovery["ok"],
-    }
-
-    # The pipelined durable side's engine stats carry the new pipeline
-    # gauges (commit backlog, committer queue depth, fused round-trips).
-    pipeline_stats = ((pipelined_wal.get("server") or {})
-                      .get("engine") or {}).get("pipeline")
-
-    return {
-        "benchmark": "gateway_pipeline_ab",
-        "config": {
-            "streams": streams,
-            "missions": list(missions),
-            "windows_per_step": windows_per_step,
-            "rounds": rounds,
-            "clients": clients,
-            "rate": rate,
-            "stream_seed": stream_seed,
-            "max_batch_windows": max_batch_windows,
-            "max_queue_depth": max_queue_depth,
-            "policy": getattr(policy, "name", policy) or "fair",
-            "shards": shards,
-            "fsync_batch": getattr(wal_config, "fsync_batch", None),
-            "fsync_interval_ms": getattr(wal_config, "fsync_interval_ms",
-                                         None),
-        },
-        "matrix": matrix,
-        "wal": {"calibration": calibration, "paced_rate": paced_rate,
-                "serial": serial_wal, "pipelined": pipelined_wal,
-                "delta": delta},
-        "pipeline_stats": pipeline_stats,
-        "recovery": recovery,
-        "gate": gate,
-        "parity": {"identical": all_identical},
-        "environment": _environment(),
-    }
-
-
-def format_pipeline_ab_benchmark(result: dict) -> str:
-    """Human-readable one-screen summary of a BENCH_10 payload."""
-    cfg = result["config"]
-    lines = [
-        f"pipelined rounds A/B benchmark: {cfg['streams']} stream(s) x "
-        f"{cfg['windows_per_step']} windows/request, {cfg['rounds']} "
-        f"round(s)/stream, {cfg['clients']} client(s), "
-        f"{cfg['shards']} shard(s) in sharded cells",
-        "  parity matrix (WAL off):",
-    ]
-    for key, stats in result["matrix"].items():
-        latency = stats.get("latency", {})
-        lines.append(
-            f"    {key:>26s}: {stats['windows_per_sec']:8.1f} windows/s"
-            f"   p50 {latency.get('p50_ms', float('nan')):7.2f} ms"
-            f"   identical: {stats['parity']['identical']}")
-    rate = result["wal"].get("paced_rate")
-    lines.append(f"  WAL A/B (binary, inline, paced at "
-                 f"{rate:.0f} req/s):" if rate
-                 else "  WAL A/B (binary, inline):")
-    for mode in ("serial", "pipelined"):
-        stats = result["wal"][mode]
-        latency = stats.get("latency", {})
-        lines.append(
-            f"    {mode:>9s}: {stats['windows_per_sec']:8.1f} windows/s"
-            f"   p50 {latency.get('p50_ms', float('nan')):7.2f} ms"
-            f"   p95 {latency.get('p95_ms', float('nan')):7.2f} ms"
-            f"   identical: {stats['parity']['identical']}")
-    delta = result["wal"]["delta"]
-    parts = []
-    if "p50_delta_ms" in delta:
-        parts.append(f"p50 {delta['p50_delta_ms']:+.2f} ms")
-    if "throughput_ratio" in delta:
-        parts.append(f"throughput x{delta['throughput_ratio']:.3f}")
-    if parts:
-        lines.append(f"    pipelined vs serial: {', '.join(parts)}")
-    stats = result.get("pipeline_stats")
-    if stats:
-        lines.append(f"  pipeline: {stats.get('commit_batches', 0)} "
-                     f"commit batch(es), backlog "
-                     f"{stats.get('commit_backlog', 0)}"
-                     + (f", {stats['fused_rounds']} fused round(s)"
-                        if "fused_rounds" in stats else ""))
-    recovery = result["recovery"]
-    lines.append(f"  crash drill: ok={recovery['ok']} "
-                 f"({recovery['acked']} acked ingest(s), "
-                 f"{recovery['replayed']} replayed, "
-                 f"{recovery['duration_seconds'] * 1e3:.1f} ms)")
-    gate = result["gate"]
-    lines.append(f"  gate: wal p50 pipelined<=serial: "
-                 f"{gate['wal_p50_pipelined_le_serial']}, throughput>=1: "
-                 f"{gate['wal_throughput_ge_serial']}, recovery: "
-                 f"{gate['recovery_ok']}")
-    lines.append(f"  parity (all cells): {result['parity']['identical']}")
-    return "\n".join(lines)

@@ -38,8 +38,8 @@ The server fronts a :class:`~repro.serving.DeploymentFleet` or a
 :class:`~repro.serving.ShardedFleet` interchangeably — both are facades
 over the engine, so the gateway never branches on fleet type.
 :func:`serve_in_thread` runs the event loop in a daemon thread for
-blocking callers — tests, examples, and the ``repro loadgen`` harness
-driving a server in the same process.
+blocking callers — tests and examples driving a server in the same
+process.
 
 Event-loop hygiene is machine-checked: no ``async def`` in this package
 may call blocking work (fsync, sleeps, socket dials, subprocesses, or
@@ -150,7 +150,7 @@ class GatewayServer:
         self.metrics = self.engine.metrics
         # Tracing: with a trace_dir (or slow_round_ms) and no explicit
         # tracer, the gateway owns a recorder and exports it at drain;
-        # an explicit tracer may be shared (the loadgen harness records
+        # an explicit tracer may be shared (``LoadGenerator`` records
         # client and server spans into one recorder).  Every server-side
         # span call site guards on ``self.tracer is not None``, so an
         # untraced gateway's hot path is unchanged.
@@ -414,6 +414,11 @@ class GatewayServer:
             pending = result.request.tag
             if not pending.future.done():
                 pending.future.set_result(result)
+            # The future now holds the result whose request's tag holds
+            # the future: cut the cycle here, after the tag's last reader
+            # (``_drop_pending`` only sees still-queued requests), so the
+            # request and its windows are freed by refcount.
+            result.request.tag = None
 
     # ------------------------------------------------------------------
     # Connection handling

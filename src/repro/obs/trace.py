@@ -30,7 +30,7 @@ import time
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 __all__ = [
     "TraceContext",
@@ -212,11 +212,6 @@ class TraceRecorder:
             else:
                 self._spans.append(span)
                 self._total += 1
-
-    def record_dicts(self, payloads: Iterable[Mapping[str, Any]]) -> None:
-        """Record spans serialized by another process (shard workers)."""
-        for payload in payloads:
-            self.record(Span.from_dict(payload))
 
     def start(self, name: str, parent: TraceContext | None = None,
               attrs: Mapping[str, Any] | None = None) -> ActiveSpan:

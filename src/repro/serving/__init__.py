@@ -1,4 +1,4 @@
-"""Multi-stream serving: deployment fleets, micro-batching, benchmarks.
+"""Multi-stream serving: deployment fleets, micro-batching, sharding.
 
 The paper's runtime is one camera, one stream, one model.  This package
 is the production layer above it:
@@ -15,11 +15,6 @@ is the production layer above it:
     order, one micro-batcher per shard) and merges per-round events back
     in stable stream order — scores bit-identical to single-process
     batched serving, throughput scaling with physical cores.
-:func:`run_benchmark` / :func:`run_shard_benchmark` / :func:`run_engine_parity`
-    The throughput harnesses behind ``repro bench``: sequential-vs-
-    batched windows/sec with p50/p95 latency, the shard-scaling curve,
-    and the engine backend × scheduling-policy bit-parity matrix,
-    written as ``BENCH_*.json`` for CI regression gating.
 
 Both fleet classes are facades over the unified serving core: the round
 loop (and its metrics) lives in :class:`repro.runtime.ServingEngine`,
@@ -30,10 +25,6 @@ executing through an :class:`~repro.runtime.InlineBackend`
 
 from ..errors import FleetError, WorkerError, WorkerStartupError
 from .batcher import MicroBatcher, ScoreRequest
-from .bench import (BenchConfig, DEFAULT_BENCH_PATH,
-                    DEFAULT_SHARD_BENCH_PATH, format_benchmark,
-                    run_benchmark, run_engine_parity, run_shard_benchmark,
-                    write_benchmark)
 from .fleet import DeploymentFleet, FleetEvent, StreamSlot, build_fleet
 from .sharded import (FleetInfra, ShardedFleet, build_sharded_fleet,
                       partition_fleet_payload)
@@ -56,14 +47,6 @@ __all__ = [
     "DEFAULT_RING_BYTES",
     "dumps_message",
     "loads_message",
-    "BenchConfig",
-    "run_benchmark",
-    "run_shard_benchmark",
-    "run_engine_parity",
-    "write_benchmark",
-    "format_benchmark",
-    "DEFAULT_BENCH_PATH",
-    "DEFAULT_SHARD_BENCH_PATH",
     "FleetError",
     "WorkerError",
     "WorkerStartupError",

@@ -46,17 +46,14 @@ import multiprocessing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from ..api.config import config_from_dict, config_to_dict
 from ..api.deployment import Deployment
 from ..data.streams import TrendShiftConfig, TrendShiftStream
 from ..data.synthetic import FrameGenerator
 from ..errors import (CheckpointError, ConfigError, FleetError,
-                      StateError, WorkerError, WorkerStartupError)
+                      WorkerError, WorkerStartupError)
 from ..runtime.engine import FleetEvent, ServingEngine
 from ..utils.serialization import atomic_write_json
-from .batcher import ScoreRequest
 from .fleet import FLEET_FORMAT_VERSION, DeploymentFleet, build_fleet
 from .shm_ring import (DEFAULT_RING_BYTES, RingBuffer, RingError,
                        dumps_message, loads_message)
@@ -211,12 +208,10 @@ def _shard_worker_main(conn, payload_json: str, infra_payload: dict,
         finally:
             conn.close()
         return
-    bench_rounds: list[list[np.ndarray]] | None = None
     models_by_token: dict[str, object] = {}  # "add"-shipped shared models
 
     def execute(command: str, args: list):
         """Run one worker command and return its result."""
-        nonlocal bench_rounds
         if command == "step":
             return fleet.step(batched=args[0])
         if command == "add":
@@ -261,22 +256,6 @@ def _shard_worker_main(conn, payload_json: str, infra_payload: dict,
         if command == "stats":
             return {"batches_run": fleet.batcher.batches_run,
                     "windows_scored": fleet.batcher.windows_scored}
-        if command == "prime":
-            bench_rounds = [
-                [np.asarray(slot.stream.batch(index).windows,
-                            dtype=np.float64) for slot in fleet.slots]
-                for index in range(args[0])]
-            return (sum(w.shape[0] for w in bench_rounds[0])
-                    if bench_rounds and fleet.slots else 0)
-        if command == "score_round":
-            if bench_rounds is None:
-                raise StateError("score_round before prime")
-            windows = bench_rounds[args[0]]
-            scores = fleet.batcher.score(
-                [ScoreRequest(slot.deployment.model, w)
-                 for slot, w in zip(fleet.slots, windows)])
-            return {slot.name: s
-                    for slot, s in zip(fleet.slots, scores)}
         raise ConfigError(f"unknown worker command {command!r}")
 
     while True:
@@ -728,22 +707,6 @@ class ShardedFleet:
             timings.extend({**entry, "shard": shard, "pid": pid}
                            for entry in part_timings)
         return scored, events, unscored, timings
-
-    # ------------------------------------------------------------------
-    # Benchmark hooks (see serving.bench.run_shard_benchmark)
-    # ------------------------------------------------------------------
-    def prime(self, rounds: int) -> int:
-        """Pre-materialize ``rounds`` arrival rounds inside each worker so
-        :meth:`score_round` times scoring only; returns windows/round."""
-        return sum(self._broadcast(("prime", rounds)))
-
-    def score_round(self, index: int) -> dict[str, np.ndarray]:
-        """Score a primed round on every shard concurrently (no monitor
-        feeding); returns per-stream score arrays."""
-        merged: dict[str, np.ndarray] = {}
-        for scores in self._broadcast(("score_round", index)):
-            merged.update(scores)
-        return merged
 
     # ------------------------------------------------------------------
     # Checkpointing

@@ -170,7 +170,7 @@ class TestAsyncBlocking:
                 time.sleep(1.0)
         """
         assert _run(AsyncBlockingRule(), text,
-                    module="repro.serving.bench") == []
+                    module="repro.serving.fleet") == []
 
     def test_nested_sync_def_escapes(self):
         text = """

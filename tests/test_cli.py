@@ -1,8 +1,50 @@
 """Tests for the command-line interface (parser wiring + light commands)."""
 
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: ``repro <sub> ...`` / ``python -m repro.cli <sub> ...`` opening a
+#: command line (after an optional ``run:`` key, ``$`` prompt or
+#: ``VAR=value`` prefixes).
+_COMMAND_LINE = re.compile(
+    r"^\s*(?:-\s+)?(?:run:\s*)?(?:\$\s+)?(?:\w+=\S+\s+)*"
+    r"(?:python3?\s+-m\s+repro\.cli|repro)\s+(?P<argv>[a-z].*)")
+#: The same, opening an inline markdown code span.
+_COMMAND_SPAN = re.compile(r"`repro\s+(?P<argv>[a-z][^`]*)")
+
+
+def documented_commands():
+    """(source, argv text) for every CLI invocation the docs show:
+    command lines of fenced blocks, workflow steps and the module
+    docstring, plus inline code spans of the markdown files."""
+    sources = {name: (ROOT / name).read_text(encoding="utf-8")
+               for name in ("README.md", ".github/workflows/ci.yml",
+                            ".claude/skills/verify/SKILL.md")}
+    sources["src/repro/cli.py docstring"] = repro.cli.__doc__
+    found = []
+    for name, text in sources.items():
+        markdown = name.endswith(".md")
+        fenced = False
+        for line in text.replace("\\\n", " ").splitlines():
+            if markdown and line.lstrip().startswith("```"):
+                fenced = not fenced
+                continue
+            pattern = _COMMAND_LINE if fenced or not markdown \
+                else _COMMAND_SPAN
+            for match in pattern.finditer(line):
+                # Keep the command itself: drop trailing comments, pipes
+                # and chained commands.
+                argv = re.split(r"\s+#|\s+[|>&]", match["argv"])[0]
+                found.append((name, argv.strip()))
+    return found
 
 
 class TestParser:
@@ -61,41 +103,13 @@ class TestParser:
         assert args.rounds == 5
         assert args.save == "fleet.json"
 
-    def test_bench_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.streams == 16
-        assert args.windows_per_step == 2
-        assert args.output is None  # resolved to BENCH_2/BENCH_3 at run time
-        assert args.min_speedup is None
-        assert args.shards is None
-        assert not args.quick
-        assert not args.engine_parity
-
-    def test_bench_flags(self):
-        args = build_parser().parse_args(
-            ["bench", "--quick", "--min-speedup", "1.5",
-             "--output", "out.json", "--max-batch-windows", "64",
-             "--shards", "4", "--min-shard-speedup", "1.5",
-             "--engine-parity"])
-        assert args.quick
-        assert args.engine_parity
-        assert args.min_speedup == 1.5
-        assert args.output == "out.json"
-        assert args.max_batch_windows == 64
-        assert args.shards == 4
-        assert args.min_shard_speedup == 1.5
-
     def test_fleet_shards_flag(self):
         args = build_parser().parse_args(["fleet", "--shards", "2"])
         assert args.shards == 2
         assert build_parser().parse_args(["fleet"]).shards == 1
 
-    def test_bench_min_shard_speedup_requires_shards(self):
+    def test_fleet_bad_shards(self):
         """Argument errors must fail before any training runs."""
-        with pytest.raises(SystemExit, match="requires --shards"):
-            main(["bench", "--min-shard-speedup", "1.5"])
-        with pytest.raises(SystemExit, match="--shards must be"):
-            main(["bench", "--shards", "0"])
         with pytest.raises(SystemExit, match="--shards must be"):
             main(["fleet", "--shards", "0"])
 
@@ -137,31 +151,29 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["gateway", "--policy", "lifo"])
 
-    def test_loadgen_defaults(self):
-        args = build_parser().parse_args(["loadgen"])
-        assert args.streams == 4
-        assert args.levels == [1, 2, 4]
-        assert args.rate is None
-        assert args.rounds is None
-        assert args.output is None  # resolved to BENCH_5.json at run time
-        assert args.policy is None
-        assert not args.quick and not args.verify
 
-    def test_loadgen_flags(self):
-        args = build_parser().parse_args(
-            ["loadgen", "--levels", "1", "8", "--rate", "50",
-             "--rounds", "3", "--quick", "--verify", "--output", "g.json",
-             "--policy", "greedy"])
-        assert args.levels == [1, 8]
-        assert args.rate == 50.0
-        assert args.rounds == 3
-        assert args.quick and args.verify
-        assert args.output == "g.json"
-        assert args.policy == "greedy"
+class TestDocumentedCommands:
+    """Every ``repro <sub> ...`` line the README, CI workflow, verify
+    skill and module docstring show names a registered subcommand and
+    only flags that subcommand defines."""
 
-    def test_loadgen_bad_level(self):
-        with pytest.raises(SystemExit, match="levels entries must be"):
-            main(["loadgen", "--levels", "0"])
+    def test_docs_are_scanned(self):
+        sources = {source for source, _ in documented_commands()}
+        assert len(sources) == 4, sources
+
+    @pytest.mark.parametrize("source,argv", documented_commands())
+    def test_documented_command_parses(self, source, argv):
+        subparsers = next(
+            action for action in build_parser()._actions
+            if isinstance(action.choices, dict))
+        tokens = shlex.split(argv)
+        assert tokens[0] in subparsers.choices, \
+            f"{source}: 'repro {argv}' names no registered subcommand"
+        known = subparsers.choices[tokens[0]]._option_string_actions
+        for token in tokens[1:]:
+            if token.startswith("-"):
+                assert token.partition("=")[0] in known, \
+                    f"{source}: 'repro {argv}' uses unknown flag {token}"
 
 
 class TestKGCommand:

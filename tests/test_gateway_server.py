@@ -1,9 +1,11 @@
 """Gateway server tests: round-trip parity, failure paths, admission
 control, disconnects, drain, and the load generator."""
 
+import gc
 import socket
 import struct
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -25,7 +27,8 @@ from repro.gateway.protocol import (
     request_frame,
     send_frame,
 )
-from repro.serving import DeploymentFleet
+from repro.serving import DeploymentFleet, FleetInfra, ShardedFleet
+from repro.wal import WalConfig, recover_fleet
 
 ROUNDS = 3
 
@@ -69,23 +72,28 @@ def materialized(fleet_factory):
     return windows, reference
 
 
+def assert_served_parity(address, windows, reference, codec="binary"):
+    """Serve every materialized round through one client over ``codec``;
+    each reply must match the direct run bit for bit."""
+    with GatewayClient(*address, codec=codec) as client:
+        for name in windows:
+            client.attach(name)
+        assert client.negotiated_codec == codec
+        for round_index in range(ROUNDS):
+            for name in windows:
+                reply = client.ingest(name, windows[name][round_index])
+                assert reply["step"] == round_index
+                assert reply["mission"] == "Stealing"
+                assert np.array_equal(reply["scores_array"],
+                                      reference[name][round_index]), \
+                    f"{name} round {round_index} diverged"
+
+
 class TestRoundTrip:
     def test_single_client_parity(self, fleet_factory, materialized):
         windows, reference = materialized
         with fleet_factory() as fleet, serve_in_thread(fleet) as handle:
-            with GatewayClient(*handle.address) as client:
-                for name in windows:
-                    client.attach(name)
-                for round_index in range(ROUNDS):
-                    for name in windows:
-                        reply = client.ingest(name,
-                                              windows[name][round_index])
-                        assert reply["step"] == round_index
-                        assert reply["mission"] == "Stealing"
-                        assert np.array_equal(
-                            reply["scores_array"],
-                            reference[name][round_index]), \
-                            f"{name} round {round_index} diverged"
+            assert_served_parity(handle.address, windows, reference)
 
     def test_concurrent_multi_client_parity(self, fleet_factory,
                                             materialized):
@@ -119,6 +127,34 @@ class TestRoundTrip:
                 assert np.array_equal(served[name][round_index],
                                       reference[name][round_index])
 
+    @pytest.mark.parametrize("codec,shards,wal", [
+        ("json", 0, False), ("binary", 0, False),
+        ("json", 2, False), ("binary", 2, False),
+        ("binary", 0, True)])
+    def test_serial_rounds_parity(self, fleet_factory, materialized,
+                                  tmp_path, codec, shards, wal):
+        """``pipeline=False`` (commit in round) serves the same bits as
+        the pipelined default every other test here runs: over both
+        codecs, inline and 2-shard fleets, and with a WAL whose log
+        then recovers to the served stream set."""
+        windows, reference = materialized
+        fleet = fleet_factory()
+        if shards:
+            fleet = ShardedFleet.from_fleet(
+                fleet, shards,
+                infra=FleetInfra(embedding_seed=7, generator_seed=5))
+        durable = dict(wal_dir=tmp_path,
+                       wal_config=WalConfig(fsync_batch=4)) if wal else {}
+        with fleet, serve_in_thread(fleet, pipeline=False,
+                                    **durable) as handle:
+            assert not fleet.engine.pipeline
+            assert_served_parity(handle.address, windows, reference,
+                                 codec=codec)
+        if wal:
+            recovered, _ = recover_fleet(tmp_path)
+            with recovered:
+                assert sorted(recovered.names) == sorted(windows)
+
     def test_scores_op_does_not_feed_the_monitor(self, fleet_factory,
                                                  materialized):
         windows, reference = materialized
@@ -150,6 +186,35 @@ class TestRoundTrip:
                 assert counters["gateway.requests.attach"] == 2
                 assert counters["gateway.requests.detach"] == 1
                 assert not stats["draining"]
+
+
+class TestRequestLifetime:
+    def test_served_requests_are_freed_by_refcount(self, fleet_factory,
+                                                   materialized):
+        """future -> result -> request -> tag -> future must not survive
+        the reply: with the cyclic collector off, every served request
+        (and the windows it carries) dies by refcount alone."""
+        windows, reference = materialized
+        submitted = []
+        gc.collect()
+        gc.disable()
+        try:
+            with fleet_factory() as fleet:
+                submit = fleet.engine.submit
+
+                def recording_submit(request):
+                    submitted.append(weakref.ref(request))
+                    return submit(request)
+
+                fleet.engine.submit = recording_submit
+                with serve_in_thread(fleet) as handle:
+                    assert_served_parity(handle.address, windows, reference)
+            alive = [ref for ref in submitted if ref() is not None]
+        finally:
+            gc.enable()
+        assert len(submitted) == ROUNDS * len(windows)
+        assert not alive, f"{len(alive)} of {len(submitted)} served " \
+                          "requests outlived their replies"
 
 
 class TestFailurePaths:

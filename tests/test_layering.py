@@ -65,16 +65,16 @@ class TestGuardSelf:
 
     def test_absolute_from_import(self):
         assert _findings("from repro.gateway.server import GatewayServer\n",
-                         module="repro.serving.bench")
+                         module="repro.serving.fleet")
 
     def test_absolute_import(self):
         assert _findings("import repro.gateway.protocol\n",
-                         module="repro.serving.bench")
+                         module="repro.serving.fleet")
 
     def test_relative_import(self):
-        # The exact PR 4 inversion: serving/bench.py reaching over.
+        # The exact PR 4 inversion: a serving module reaching over.
         assert _findings("from ..gateway.protocol import MAX_FRAME_BYTES\n",
-                         module="repro.serving.bench")
+                         module="repro.serving.fleet")
 
     def test_relative_import_from_package_init(self):
         # __init__ relative imports anchor at the package itself.
@@ -92,7 +92,7 @@ class TestGuardSelf:
         assert not _findings(
             "from ..metrics import percentile\n"
             "from ..runtime import ServingEngine\n"
-            "import numpy as np\n", module="repro.serving.bench")
+            "import numpy as np\n", module="repro.serving.fleet")
 
     def test_suppression_comment_is_honored(self):
         text = ("# repro: allow[layer-dag] deliberate lazy back-edge\n"

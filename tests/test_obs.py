@@ -112,16 +112,6 @@ class TestRecorder:
                                                           "after-2"]
         assert recorder.since(recorder.mark()) == []
 
-    def test_record_dicts_relays_worker_spans(self):
-        recorder = TraceRecorder()
-        recorder.record_dicts([{"name": "shard.score", "trace_id": "t",
-                                "span_id": "s", "parent_id": "p",
-                                "ts": 1.0, "dur": 0.5,
-                                "attrs": {"shard": 1}}])
-        span, = recorder.snapshot()
-        assert span.name == "shard.score"
-        assert span.attrs["shard"] == 1
-
     def test_concurrent_record_stays_bounded_and_consistent(self):
         recorder = TraceRecorder(capacity=256)
         per_thread = 200

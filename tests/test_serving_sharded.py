@@ -223,8 +223,8 @@ class TestLifecycle:
         with ShardedFleet(2, infra=INFRA) as fleet:
             fleet.add("cam", Deployment(model, adaptive=False),
                       make_stream(frame_generator, seed=3))
-            with pytest.raises(RuntimeError, match="score_round before"):
-                fleet.score_round(0)
+            with pytest.raises(RuntimeError, match="unknown worker command"):
+                fleet._broadcast(("no-such-command",))
             # The pipe protocol stays in sync after a worker-side error.
             assert len(fleet.step()) == 1
 
@@ -401,19 +401,3 @@ class TestGatewayEntryPoints:
             with pytest.raises(KeyError, match="ghost"):
                 sharded.ingest_round({"ghost": windows})
             assert sharded.rounds == 0  # no successful round ran
-
-
-class TestBenchHooks:
-    def test_prime_and_score_round_match_step_scores(self, fresh_model,
-                                                     frame_generator):
-        single = make_single_fleet(fresh_model, frame_generator, streams=4)
-        with ShardedFleet.from_fleet(single, 2, infra=INFRA) as sharded:
-            windows_per_round = sharded.prime(2)
-            assert windows_per_round == 4 * 3
-            for index in range(2):
-                scored = sharded.score_round(index)
-                events = single.step()
-                assert set(scored) == {e.stream for e in events}
-                for event in events:
-                    np.testing.assert_array_equal(scored[event.stream],
-                                                  event.scores)

@@ -3,10 +3,13 @@ workers -> WAL, across both wire codecs and both backends, plus v1-peer
 compatibility, recorder bounding under flood, bit-parity with tracing
 on, and the promoted stats/version surface."""
 
+import json
+
 import numpy as np
 import pytest
 
 import repro
+from repro import cli
 from repro.api import Deployment
 from repro.data import TrendShiftConfig, TrendShiftStream
 from repro.gateway import GatewayClient, serve_in_thread
@@ -257,10 +260,10 @@ class TestStatsSurface:
 
 class TestSlowRoundDump:
     def test_slow_rounds_dump_span_files(self, fleet_factory, materialized,
-                                         tmp_path):
+                                         tmp_path, capsys):
         windows, reference = materialized
         trace_dir = tmp_path / "traces"
-        with fleet_factory() as fleet, \
+        with fleet_factory(shards=2) as fleet, \
                 serve_in_thread(fleet, trace_dir=trace_dir,
                                 slow_round_ms=0.0) as handle:
             drive(handle.address, windows, reference)
@@ -273,5 +276,25 @@ class TestSlowRoundDump:
         dumped = load_jsonl(dumps[0])
         assert any(span["name"] == "engine.round" for span in dumped)
         # The drain export landed next to the dumps.
-        assert (trace_dir / "trace.jsonl").exists()
+        exported = trace_dir / "trace.jsonl"
+        assert exported.exists()
         assert (trace_dir / "trace_chrome.json").exists()
+
+        # ``repro trace`` over that export: the chain check passes, the
+        # slowest-N report renders, the chrome conversion is valid JSON.
+        assert cli.main(["trace", str(exported), "--check",
+                         "--slowest", "2"]) == 0
+        assert "check ok" in capsys.readouterr().err
+        chrome = tmp_path / "chrome.json"
+        assert cli.main(["trace", str(exported), "--format", "chrome",
+                         "--output", str(chrome)]) == 0
+        assert json.loads(chrome.read_text(encoding="utf-8"))["traceEvents"]
+        # A served request that lost one stage span fails the check.
+        lines = exported.read_text(encoding="utf-8").splitlines()
+        victim = next(i for i, line in enumerate(lines)
+                      if json.loads(line)["name"] == "stage.score")
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text("\n".join(lines[:victim] + lines[victim + 1:])
+                          + "\n", encoding="utf-8")
+        assert cli.main(["trace", str(broken), "--check"]) == 1
+        assert "missing stage spans: stage.score" in capsys.readouterr().err
