@@ -4,20 +4,21 @@ from __future__ import annotations
 
 from ..core import Rule
 from .async_blocking import AsyncBlockingRule
+from .data_rebind import DataRebindRule
 from .layer_dag import LAYER_DEPS, LayerDagRule
 from .lock_guard import LockGuardRule
 from .typed_raise import TypedRaiseRule
 from .wire_consts import WireConstsRule
 
 __all__ = ["RULES", "default_rules", "LAYER_DEPS",
-           "AsyncBlockingRule", "LayerDagRule", "LockGuardRule",
-           "TypedRaiseRule", "WireConstsRule"]
+           "AsyncBlockingRule", "DataRebindRule", "LayerDagRule",
+           "LockGuardRule", "TypedRaiseRule", "WireConstsRule"]
 
 #: rule id -> rule class; ``repro lint --rule <id>`` selects from here.
 RULES: dict[str, type[Rule]] = {
     rule.id: rule
     for rule in (LayerDagRule, LockGuardRule, AsyncBlockingRule,
-                 TypedRaiseRule, WireConstsRule)
+                 TypedRaiseRule, WireConstsRule, DataRebindRule)
 }
 
 

@@ -93,20 +93,32 @@ def count_token_side(model: MissionGNNModel) -> float:
 
 
 def count_temporal_forward(model: MissionGNNModel) -> float:
-    """FLOPs for one window through the short-term transformer."""
+    """Matrix-product FLOPs for one window through the short-term transformer.
+
+    Counts what ``TransformerEncoder.last_output`` executes: the input
+    projection on all ``T`` positions, every block but the last on all
+    ``T``, and the last block from one query (``Tensor.last_query_attention``:
+    ``q``, the key fold, the value projection after mixing; then ``o``),
+    with feed-forward and output projection on the final position alone.
+    Norms, softmax and residuals are elementwise, a few percent of this,
+    and not counted.
+    """
     encoder = model.temporal.encoder
     t = model.temporal.window
     d = encoder.model_dim
     d_in = encoder.input_dim
     flops = _dense_flops(t, d_in, d)  # input projection
-    for layer in encoder.layers:
-        flops += 4.0 * _dense_flops(t, d, d)      # q, k, v, o projections
-        flops += 2.0 * 2.0 * t * t * d            # scores + context matmuls
-        flops += 5.0 * t * t                      # softmax
+    for layer in encoder.layers[:-1]:
         ff = layer.ff1.out_features
+        flops += 4.0 * _dense_flops(t, d, d)      # q, k, v, o projections
+        flops += 2.0 * _dense_flops(t, t, d)      # scores + context matmuls
         flops += _dense_flops(t, d, ff) + _dense_flops(t, ff, d)
-        flops += 12.0 * t * d                     # two layer norms + residuals
-    flops += _dense_flops(t, d, d_in)  # output projection
+    last = encoder.layers[-1]
+    ff = last.ff1.out_features
+    flops += 4.0 * _dense_flops(1, d, d)          # q, key fold, values, o
+    flops += 2.0 * 2.0 * last.attn.num_heads * t * d  # scores + mix
+    flops += _dense_flops(1, d, ff) + _dense_flops(1, ff, d)
+    flops += _dense_flops(1, d, d_in)  # output projection
     return flops
 
 

@@ -22,6 +22,8 @@ ing the paper's frozen "Large Joint Embedding Model" (Fig. 2).
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from ..concepts.ontology import ConceptOntology, build_default_ontology
@@ -166,8 +168,17 @@ class JointEmbeddingModel:
         embeddings.  The projection itself stays frozen (a constant on the
         tape), so gradients flow only into the token vectors.
         """
-        pooled = token_vectors.mean(axis=0)
-        return pooled @ Tensor(self._text_projection)
+        return self.encode_token_tensors(
+            [token_vectors], np.zeros(1, dtype=np.int64),
+            np.zeros((1, self.joint_dim)))[0]
+
+    def encode_token_tensors(self, token_tensors: Sequence[Tensor],
+                             rows: np.ndarray, base: np.ndarray) -> Tensor:
+        """:meth:`encode_token_tensor` of several nodes as one tape node:
+        ``base`` ``(n, joint_dim)`` with row ``rows[i]`` replaced by the
+        embedding of ``token_tensors[i]``."""
+        return Tensor.pooled_projection(token_tensors, self._text_projection,
+                                        rows, base)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -32,7 +32,7 @@ import numpy as np
 
 from ..kg.graph import ReasoningKG
 from ..nn.layers import BatchNorm, Dense, Module
-from ..nn.tensor import EdgeSchedule, Tensor
+from ..nn.tensor import EdgeSchedule, Tensor, scatter_passes
 
 __all__ = ["GraphSpec", "LevelSlice", "HierarchicalGNNLayer"]
 
@@ -44,11 +44,14 @@ class LevelSlice:
     ``rows`` are the matrix rows of the level's nodes; ``sources`` /
     ``targets`` are E(l)'s endpoints, in edge order, as positions within
     the previous level's ``rows`` / this level's ``rows``, and ``edges``
-    the two compiled for the message-passing kernel; ``mean_scale`` and
-    ``keep_mask`` are the spec's (|V|, 1) arrays cut down to ``rows``.
+    the two compiled for the message-passing kernel; ``row_passes`` is
+    ``rows`` compiled for :meth:`Tensor.take_rows` (``targets``' passes are
+    ``edges.target_passes``); ``mean_scale`` and ``keep_mask`` are the
+    spec's (|V|, 1) arrays cut down to ``rows``.
     """
 
     rows: np.ndarray
+    row_passes: tuple
     sources: np.ndarray
     targets: np.ndarray
     edges: EdgeSchedule
@@ -132,7 +135,8 @@ class GraphSpec:
                                       self.edge_sources[level])
             targets = np.searchsorted(rows, self.edge_targets[level])
             self.level_slices.append(LevelSlice(
-                rows=rows, sources=sources, targets=targets,
+                rows=rows, row_passes=scatter_passes(rows),
+                sources=sources, targets=targets,
                 edges=EdgeSchedule(sources, targets),
                 mean_scale=self.mean_scale[level][rows],
                 keep_mask=self.keep_mask[level][rows]))

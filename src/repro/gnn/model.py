@@ -106,8 +106,10 @@ class HierarchicalGNN(Module):
         for below, layer, level in zip(self.layers, self.layers[1:],
                                        spec.level_slices[1:]):
             refined = layer.dense(below.norm(refined).elu())
-            rows = refined[level.rows]
-            sides.append((rows * Tensor(level.keep_mask), rows[level.targets]))
+            rows = refined.take_rows(level.rows, level.row_passes)
+            sides.append((rows * Tensor(level.keep_mask),
+                          rows.take_rows(level.targets,
+                                         level.edges.target_passes)))
         return sides
 
     def frame_side(self, encoded: Tensor,
@@ -233,18 +235,12 @@ class KGReasoner(Module):
         every gradient flowing back through them at initialization.
         """
         joint_dim = self.embedding_model.joint_dim
-        constant_row = np.full(joint_dim, 0.05 / np.sqrt(joint_dim))
-        rows: list[Tensor] = []
-        for node_id in self.spec.node_ids:
-            node = self.kg.node(node_id)
-            if node.is_concept:
-                rows.append(self.embedding_model.encode_token_tensor(
-                    self._token_tensors[node.node_id]))
-            elif node.is_embedding:
-                rows.append(Tensor(constant_row))
-            else:
-                rows.append(Tensor(np.zeros(joint_dim)))
-        return Tensor.stack(rows, axis=0)
+        base = np.zeros((self.spec.num_nodes, joint_dim))
+        base[self.spec.embedding_row] = 0.05 / np.sqrt(joint_dim)
+        rows = np.array([self.spec.row_of(node_id)
+                         for node_id in self._token_tensors], dtype=np.int64)
+        return self.embedding_model.encode_token_tensors(
+            list(self._token_tensors.values()), rows, base)
 
     def _current_token_side(self) -> list[tuple[Tensor, Tensor]]:
         """The GNN's token side for the tokens, structure and weights as
@@ -253,8 +249,9 @@ class KGReasoner(Module):
         On the tape it is recomputed so gradients flow through it.  Off the
         tape it is a function of the arrays listed here and nothing else,
         and every writer in this codebase *rebinds* them (``tensor.data =
-        ...``, never an in-place store), so it is reused for as long as
-        each is still the same object.
+        ...``, never an in-place store — ``repro lint`` rule
+        ``data-rebind``), so it is reused for as long as each is still the
+        same object.
         """
         if is_grad_enabled():
             return self.gnn.token_side(self.node_embedding_matrix(), self.spec)

@@ -8,10 +8,12 @@ KG token embeddings through otherwise-frozen models.
 A block the model repeats is one kernel: ``Dense`` is ``Tensor.affine``,
 ``LayerNorm`` is ``Tensor.layer_norm``, eval-mode ``BatchNorm`` is
 ``Tensor.frozen_batch_norm``, ``softmax`` / ``log_softmax`` are single ops,
-and the GNN's message passing is ``Tensor.message_pass`` — one numpy
-forward, one tape node and one hand-written backward each, because at the
-served shapes a forward costs what its tensor count costs (see
-:mod:`repro.nn.tensor`).
+the GNN's message passing is ``Tensor.message_pass``, the KG text path
+``Tensor.pooled_projection`` and single-query attention
+(``MultiHeadAttention.forward(last_only=True)``)
+``Tensor.last_query_attention`` — one numpy forward, one tape node and one
+hand-written backward each, because at the served shapes a forward costs
+what its tensor count costs (see :mod:`repro.nn.tensor`).
 """
 
 from .tensor import Tensor, as_tensor, is_grad_enabled, no_grad

@@ -5,6 +5,10 @@ transformer that consumes the reasoning embeddings of the previous ``T``
 consecutive frames and emits the output embedding at the final position
 (Section III-C).  The paper specifies an inner dimensionality of 128 with
 8 attention heads.
+
+Only that final position is ever read, so the last block runs from one
+query per window: :meth:`Tensor.last_query_attention` (no keys or values
+are projected), then everything position-wise on one row.
 """
 
 from __future__ import annotations
@@ -60,26 +64,30 @@ class MultiHeadAttention(Module):
         With ``last_only`` the query set is restricted to the final
         position, returning ``(B, 1, D)``.  For a *causal* model whose
         consumer only reads the last time step (the paper's short-term
-        temporal model) this computes exactly that step's attention output
-        while skipping the other ``T - 1`` query rows, and needs no mask:
-        the final position attends to the whole window.
+        temporal model) this is exactly that step's attention output, and
+        needs no mask: the final position attends to the whole window.
+        A single query also needs no keys or values — that path is the
+        :meth:`Tensor.last_query_attention` kernel, and the all-queries
+        path below is what the tests hold it to.
         """
         if x.ndim != 3:
             raise ValueError(f"expected (B, T, D), got shape {x.shape}")
+        if last_only:
+            return self.w_o(x.last_query_attention(
+                self.w_q.weight, self.w_q.bias, self.w_k.weight,
+                self.w_v.weight, self.w_v.bias, self.num_heads))
         batch, length, _ = x.shape
-        query_in = x[:, length - 1:, :] if last_only else x
-        q = self._split_heads(self.w_q(query_in), batch, 1 if last_only else length)
+        q = self._split_heads(self.w_q(x), batch, length)
         k = self._split_heads(self.w_k(x), batch, length)
         v = self._split_heads(self.w_v(x), batch, length)
 
         scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(self.head_dim))
-        if self.causal and not last_only:
+        if self.causal:
             mask = np.triu(np.full((length, length), -1e9), k=1)
             scores = scores + Tensor(mask)
         attn = scores.softmax(axis=-1)
-        context = attn @ v  # (B, H, Tq, Dh)
-        merged = context.transpose(0, 2, 1, 3).reshape(
-            batch, 1 if last_only else length, self.dim)
+        context = attn @ v  # (B, H, T, Dh)
+        merged = context.transpose(0, 2, 1, 3).reshape(batch, length, self.dim)
         return self.w_o(merged)
 
 

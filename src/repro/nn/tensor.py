@@ -35,12 +35,23 @@ as chains of the elementary ops above:
 * :meth:`Tensor.frozen_batch_norm` — running statistics and affine
   parameters folded into one scale-and-shift (``BatchNorm`` in eval mode);
 * :meth:`Tensor.message_pass` — gather x factor -> segment-sum -> mean ->
-  add (the GNN's Eq. 2-3), over a compiled :class:`EdgeSchedule`.
+  add (the GNN's Eq. 2-3), over a compiled :class:`EdgeSchedule`;
+* :meth:`Tensor.pooled_projection` — the text path of all of a KG's
+  concept nodes (token mean, then the projection into the joint space);
+* :meth:`Tensor.take_rows` — a static row gather whose backward uses a
+  schedule compiled once.
 
 Each forward keeps the operation order of the expression it stands for
 (the tests hold them bit-equal to it).  A kernel computes nothing for its
 backward ahead of time, and off the tape ``_make`` drops the closure, so
 no array outlives a forward on behalf of a backward that will never run.
+
+One kernel is not the expression it replaced but an algebraic rewrite of
+it, equal to rounding and cheaper in FLOPs:
+
+* :meth:`Tensor.last_query_attention` — multi-head attention for the last
+  position's query alone, with the key projection folded into the query
+  and the values projected after mixing (the temporal model's last block).
 """
 
 from __future__ import annotations
@@ -51,7 +62,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled", "as_tensor",
-           "MIN_STABLE_GEMM_ROWS", "pad_gemm_rows", "EdgeSchedule"]
+           "MIN_STABLE_GEMM_ROWS", "pad_gemm_rows", "EdgeSchedule",
+           "scatter_passes"]
 
 _GRAD_ENABLED = True
 
@@ -594,6 +606,17 @@ class Tensor:
 
         return Tensor._make(self.data[index], (self,), backward)
 
+    def take_rows(self, rows: np.ndarray, passes: tuple[tuple, ...]) -> "Tensor":
+        """``self[rows]`` of an ``(n, D)`` matrix for a static index:
+        ``passes`` is ``scatter_passes(rows)``, compiled once by whoever
+        owns ``rows`` instead of by every backward."""
+        def backward(out: Tensor) -> None:
+            grad = np.zeros_like(self.data)
+            _scatter_add(grad, passes, out.grad)
+            self._accumulate(grad)
+
+        return Tensor._make(self.data[rows], (self,), backward)
+
     @staticmethod
     def segment_sum(values: "Tensor", segment_ids: np.ndarray,
                     num_segments: int) -> "Tensor":
@@ -803,6 +826,114 @@ class Tensor:
                 refined._accumulate(into)
 
         return Tensor._make(out, (refined, factor, own), backward)
+
+    @staticmethod
+    def pooled_projection(tokens: Sequence["Tensor"], projection: np.ndarray,
+                          rows: np.ndarray, base: np.ndarray) -> "Tensor":
+        """``base`` with row ``rows[i]`` set to ``mean(tokens[i]) @ projection``.
+
+        The text path of a KG's concept nodes: ``tokens[i]`` is node
+        ``i``'s ``(n_i, token_dim)`` token matrix (``n_i`` varies, hence
+        the loop), ``projection`` the frozen ``(token_dim, D)`` map and
+        ``base`` the ``(n, D)`` constant rows.  Each row is the GEMV the
+        per-node expression ``tokens.sum(0) * (1 / n_i) @ projection`` runs.
+        """
+        out = base.copy()
+        for row, node in zip(rows, tokens):
+            out[row] = (node.data.sum(axis=0) * (1.0 / node.shape[0])) @ projection
+
+        def backward(result: Tensor) -> None:
+            pooled = result.grad[rows] @ projection.T
+            for grad, node in zip(pooled, tokens):
+                if node.requires_grad:
+                    count = node.shape[0]
+                    node._accumulate(
+                        np.repeat(grad[None] * (1.0 / count), count, axis=0))
+
+        return Tensor._make(out, tuple(tokens), backward)
+
+    def last_query_attention(self, w_q: "Tensor", b_q: "Tensor", w_k: "Tensor",
+                             w_v: "Tensor", b_v: "Tensor",
+                             num_heads: int) -> "Tensor":
+        """Multi-head attention of the last position's query over all ``T``.
+
+        ``self`` is ``(B, T, D)``; the result is the merged heads
+        ``(B, 1, D)``, before the output projection.  One query needs
+        neither K nor V.  With ``q_h`` the query's head ``h`` and
+        ``W_k[h]``, ``W_v[h]`` the ``(D, d_h)`` column blocks:
+        ``q_h . (x_t W_k[h] + b_k[h]) = (W_k[h] q_h) . x_t + const``, and a
+        constant over ``t`` cancels in the softmax (the key bias takes no
+        part and gets no gradient); ``sum_t a_t (x_t W_v[h] + b_v[h]) =
+        (sum_t a_t x_t) W_v[h] + b_v[h]`` because the weights sum to one.
+        So the keys' projection is folded into the query and the values are
+        projected after mixing: ``2 D^2 + 2 H T D`` multiply-adds per
+        window instead of ``2 T D^2``.
+
+        Every product whose row count is the number of windows pads it to
+        :data:`MIN_STABLE_GEMM_ROWS` like :meth:`affine`, and the two
+        per-window products have shapes that do not depend on ``B``, so a
+        window's result does not depend on what it was batched with.  The
+        head-major weight blocks are laid out per call: nothing is cached,
+        so nothing needs invalidating when a weight is rebound.
+        """
+        x = self.data
+        batch, _, dim = x.shape
+        head_dim = dim // num_heads
+        scale = 1.0 / np.sqrt(head_dim)
+        by_head = (1, 0, 2)  # (B, H, .) <-> (H, B, .)
+        last, _ = pad_gemm_rows(x[:, -1, :])
+        padded = last.shape[0]
+        q = last @ w_q.data
+        q += b_q.data
+        k_blocks = np.ascontiguousarray(w_k.data.T).reshape(
+            num_heads, head_dim, dim)                             # W_k[h].T
+        v_blocks = np.ascontiguousarray(
+            w_v.data.reshape(dim, num_heads, head_dim).transpose(by_head))
+        folded = (q.reshape(padded, num_heads, head_dim).transpose(by_head)
+                  @ k_blocks).transpose(by_head)[:batch]         # (B, H, D)
+        attn = folded @ x.transpose(0, 2, 1)                      # (B, H, T)
+        attn *= scale
+        np.exp(attn - attn.max(axis=-1, keepdims=True), out=attn)
+        attn /= attn.sum(axis=-1, keepdims=True)
+        mixed = np.zeros((padded, num_heads, dim))
+        np.matmul(attn, x, out=mixed[:batch])                     # (B, H, D)
+        out = (mixed.transpose(by_head) @ v_blocks).transpose(by_head)[:batch]
+        out = out.reshape(batch, 1, dim)
+        out += b_v.data
+
+        def backward(node: Tensor) -> None:
+            grad = node.grad.reshape(batch, num_heads, head_dim)
+            g_heads = grad.transpose(by_head)                     # (H, B, d_h)
+            if b_v.requires_grad:
+                b_v._accumulate(grad.reshape(batch, dim).sum(axis=0))
+            if w_v.requires_grad:
+                mixed_heads = mixed[:batch].transpose(by_head)    # (H, B, D)
+                w_v._accumulate((mixed_heads.transpose(0, 2, 1) @ g_heads)
+                                .transpose(by_head).reshape(dim, dim))
+            g_mixed = (g_heads @ v_blocks.transpose(0, 2, 1)).transpose(by_head)
+            g_scores = g_mixed @ x.transpose(0, 2, 1)             # (B, H, T)
+            g_scores -= (g_scores * attn).sum(axis=-1, keepdims=True)
+            g_scores *= attn
+            g_scores *= scale
+            g_folded = (g_scores @ x).transpose(by_head)          # (H, B, D)
+            if w_k.requires_grad:
+                q_heads = q[:batch].reshape(batch, num_heads, head_dim)
+                w_k._accumulate(
+                    (g_folded.transpose(0, 2, 1) @ q_heads.transpose(by_head))
+                    .transpose(by_head).reshape(dim, dim))
+            g_q = ((g_folded @ k_blocks.transpose(0, 2, 1))
+                   .transpose(by_head).reshape(batch, dim))
+            if b_q.requires_grad:
+                b_q._accumulate(g_q.sum(axis=0))
+            if w_q.requires_grad:
+                w_q._accumulate(x[:, -1, :].T @ g_q)
+            if self.requires_grad:
+                g_x = attn.transpose(0, 2, 1) @ g_mixed           # (B, T, D)
+                g_x += g_scores.transpose(0, 2, 1) @ folded
+                g_x[:, -1, :] += g_q @ w_q.data.T
+                self._accumulate(g_x)
+
+        return Tensor._make(out, (self, w_q, b_q, w_k, w_v, b_v), backward)
 
     # ------------------------------------------------------------------
     # Composite ops

@@ -9,6 +9,7 @@ from repro.analysis import Analyzer, SourceFile
 from repro.analysis.core import PARSE_ERROR_ID
 from repro.analysis.rules import RULES
 from repro.analysis.rules.async_blocking import AsyncBlockingRule
+from repro.analysis.rules.data_rebind import DataRebindRule
 from repro.analysis.rules.lock_guard import LockGuardRule
 from repro.analysis.rules.typed_raise import TypedRaiseRule
 from repro.analysis.rules.wire_consts import WireConstsRule
@@ -26,7 +27,7 @@ def _run(rule, text, module, filename="fixture.py"):
 # ---------------------------------------------------------------------
 def test_registry_ids_match_classes():
     assert set(RULES) == {"layer-dag", "lock-guard", "async-blocking",
-                          "typed-raise", "wire-consts"}
+                          "typed-raise", "wire-consts", "data-rebind"}
     for rule_id, rule_cls in RULES.items():
         assert rule_cls.id == rule_id
         assert rule_cls.summary
@@ -224,6 +225,49 @@ class TestTypedRaise:
     def test_outside_scope_passes(self):
         assert _run(TypedRaiseRule(), "raise ValueError('x')\n",
                     module="repro.eval.metrics") == []
+
+
+# ---------------------------------------------------------------------
+# data-rebind
+# ---------------------------------------------------------------------
+class TestDataRebind:
+    @pytest.mark.parametrize("statement, attr", [
+        ("param.data[0] = 1.0", "data"),
+        ("param.data[rows][:, 0] = 1.0", "data"),
+        ("param.data -= lr * grad", "data"),
+        ("norm.running_mean *= 0.9", "running_mean"),
+        ("norm.running_var[mask] += 1.0", "running_var"),
+        ("node.token_embeddings[:] = tokens", "token_embeddings"),
+        ("a, layer.dense.weight.data[0] = 1.0, 2.0", "data"),
+        ("np.add(x, y, out=param.data)", "data"),
+        ("np.matmul(x, y, out=self.weight.data[:rows])", "data"),
+        ("np.copyto(node.token_embeddings, tokens)", "token_embeddings"),
+        ("copyto(param.data[0], row)", "data"),
+    ])
+    def test_in_place_store_flags(self, statement, attr):
+        findings = _run(DataRebindRule(), statement + "\n",
+                        module="repro.adaptation.token_update")
+        assert len(findings) == 1 and f"'.{attr}'" in findings[0].message
+
+    @pytest.mark.parametrize("statement", [
+        "param.data = param.data - lr * grad",
+        "norm.running_mean = 0.9 * norm.running_mean + 0.1 * mean",
+        "node.token_embeddings = tensor.data.copy()",
+        "out = param.data[rows]",
+        "grads[param.data.shape] = 1",
+        "local = param.data.copy()\nlocal[0] += 1.0",
+        "np.add(param.data, 1.0, out=scratch)",
+        "np.copyto(scratch, param.data)",
+        "self.grad += grad",
+        "tensor.data: np.ndarray = fresh",
+    ])
+    def test_rebinding_and_reads_pass(self, statement):
+        assert _run(DataRebindRule(), statement + "\n",
+                    module="repro.nn.optim") == []
+
+    def test_outside_src_passes(self):
+        assert _run(DataRebindRule(), "tensor.data += 0.5\n",
+                    module="test_gnn_sliced") == []
 
 
 # ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the edge/cloud cost models (Table I substrate)."""
 
+import numpy as np
 import pytest
 
 from repro.edge import (
@@ -13,6 +14,8 @@ from repro.edge import (
     count_temporal_forward,
     count_token_side,
 )
+from repro.gnn import MissionGNNConfig, MissionGNNModel
+from repro.nn import Tensor
 
 
 class TestFlopCounting:
@@ -57,6 +60,55 @@ class TestFlopCounting:
         small = count_temporal_forward(fresh_model(window=4))
         large = count_temporal_forward(fresh_model(window=8))
         assert large > small
+
+    @pytest.mark.parametrize("batch, layers", [(1, 1), (5, 1), (5, 2)])
+    def test_temporal_flops_are_what_a_forward_executes(
+            self, fresh_kg, embedding_model, monkeypatch, batch, layers):
+        """The accounting against an op-level tally of one real
+        ``anomaly_scores`` call: every product the temporal model runs,
+        ``2 * rows * in * out`` each, padding rows not billed.  One block
+        is the served model; with two, the first runs on all positions."""
+        model = MissionGNNModel(
+            [fresh_kg()], embedding_model,
+            MissionGNNConfig(temporal_window=8, temporal_layers=layers))
+        model.freeze_for_deployment()
+        executed = []
+        affine, attention = Tensor.affine, Tensor.last_query_attention
+        matmul = Tensor.__matmul__
+
+        def counted_affine(x, weight, bias=None):
+            executed.append(2.0 * (x.size // x.shape[-1]) * weight.size)
+            return affine(x, weight, bias)
+
+        def counted_matmul(a, b):
+            executed.append(2.0 * a.size * b.shape[-1])
+            return matmul(a, b)
+
+        def counted_attention(x, w_q, b_q, w_k, w_v, b_v, num_heads):
+            windows, length, dim = x.shape
+            executed.append(windows * (
+                3 * 2.0 * dim * dim                     # q, key fold, values
+                + 2 * 2.0 * num_heads * length * dim))  # scores, mix
+            return attention(x, w_q, b_q, w_k, w_v, b_v, num_heads)
+
+        temporal = model.temporal.forward
+
+        def counted_temporal(sequences):
+            with monkeypatch.context() as patch:
+                patch.setattr(Tensor, "affine", counted_affine)
+                patch.setattr(Tensor, "__matmul__", counted_matmul)
+                patch.setattr(Tensor, "last_query_attention", counted_attention)
+                return temporal(sequences)
+
+        monkeypatch.setattr(model.temporal, "forward", counted_temporal)
+        model.anomaly_scores(np.random.default_rng(0).normal(
+            size=(batch, 8, embedding_model.frame_dim)))
+        # in, out, and per block: attention, o, ff1, ff2 (all-queries
+        # blocks: q, k, v, scores, context in place of the kernel).
+        assert len(executed) == 2 + 4 + 8 * (layers - 1)
+        assert sum(executed) == batch * count_temporal_forward(model)
+        if layers == 1:
+            assert count_temporal_forward(model) == 444_416
 
     def test_adaptation_step_scaling(self, fresh_model):
         model = fresh_model(window=4)

@@ -1,5 +1,8 @@
 """Tests for multi-head attention and the transformer encoder."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from repro.nn import (
     Tensor,
     TransformerEncoder,
     TransformerEncoderLayer,
+    no_grad,
     sinusoidal_positions,
 )
 
@@ -78,6 +82,60 @@ class TestMultiHeadAttention:
         attn(x).sum().backward()
         assert x.grad is not None
         assert np.any(x.grad != 0)
+
+
+class TestLastQueryAttention:
+    """``forward(x, last_only=True)``: the single-query kernel.  Values and
+    gradients are held to the all-queries path in test_nn_gradcheck.py;
+    here, the serving contracts."""
+
+    def test_output_shape(self):
+        attn = MultiHeadAttention(16, 4, make_rng())
+        out = attn(Tensor(make_rng().normal(size=(3, 5, 16))), last_only=True)
+        assert out.shape == (3, 1, 16)
+
+    @pytest.mark.parametrize("batch", [15, 16, 40])
+    def test_a_window_scores_the_same_alone_or_batched(self, batch):
+        """The row-floor contract, at the served shape: under, at and over
+        ``MIN_STABLE_GEMM_ROWS`` windows per call."""
+        attn = MultiHeadAttention(128, 8, make_rng(), causal=True)
+        x = np.random.default_rng(9).normal(size=(batch, 8, 128))
+        with no_grad():
+            together = attn(Tensor(x), last_only=True).numpy()
+            for index in range(batch):
+                alone = attn(Tensor(x[index:index + 1]), last_only=True)
+                assert np.array_equal(alone.numpy(), together[index:index + 1])
+
+    @pytest.mark.parametrize("mission", ["Stealing", "Robbery"])
+    def test_model_scores_solo_equal_coalesced(self, fresh_model,
+                                               embedding_model, mission):
+        model = fresh_model(mission, window=8)
+        model.freeze_for_deployment()
+        windows = np.random.default_rng(10).normal(
+            size=(40, 8, embedding_model.frame_dim))
+        together = model.anomaly_scores(windows)
+        for index in (0, 14, 15, 16, 39):
+            assert np.array_equal(
+                model.anomaly_scores(windows[index:index + 1]),
+                together[index:index + 1])
+        assert np.array_equal(model.anomaly_scores(windows[:15]), together[:15])
+        assert np.array_equal(model.anomaly_scores(windows[24:]), together[24:])
+
+    def test_off_the_tape_nothing_outlives_the_call(self):
+        """No closure, hence no input, is kept for a backward that will
+        never run."""
+        attn = MultiHeadAttention(16, 4, make_rng())
+        gc.collect()
+        gc.disable()
+        try:
+            x = Tensor(make_rng().normal(size=(2, 5, 16)))
+            with no_grad():
+                out = attn(x, last_only=True)
+            probe = weakref.ref(x)
+            del x
+            assert probe() is None and out.shape == (2, 1, 16)
+        finally:
+            gc.enable()
 
 
 class TestTransformerEncoder:

@@ -21,7 +21,7 @@ from repro.nn import (
     vad_loss,
 )
 from repro.nn.gradcheck import GradcheckError, check_gradients, numerical_gradient
-from repro.nn.tensor import MIN_STABLE_GEMM_ROWS, EdgeSchedule
+from repro.nn.tensor import MIN_STABLE_GEMM_ROWS, EdgeSchedule, scatter_passes
 
 
 def make_rng():
@@ -186,6 +186,41 @@ def composite_message_pass(refined, factor, own, sources, targets, mean_scale):
     np.add.at(np.moveaxis(summed, -2, 0), targets,
               np.moveaxis(messages, -2, 0))
     return summed * mean_scale + own
+
+
+def composite_last_only_attention(attn, x):
+    """``MultiHeadAttention.forward(x, last_only=True)`` as the 17
+    elementary ops ``Tensor.last_query_attention`` replaced: one query,
+    but keys and values projected at all ``T`` positions."""
+    batch, length, _ = x.shape
+    q = attn._split_heads(attn.w_q(x[:, length - 1:, :]), batch, 1)
+    k = attn._split_heads(attn.w_k(x), batch, length)
+    v = attn._split_heads(attn.w_v(x), batch, length)
+    scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(attn.head_dim))
+    context = scores.softmax(axis=-1) @ v
+    return attn.w_o(context.transpose(0, 2, 1, 3).reshape(batch, 1, attn.dim))
+
+
+def composite_node_embedding_matrix(reasoner):
+    """``KGReasoner.node_embedding_matrix`` as one ``sum``, ``mul`` and
+    ``@`` per concept node plus the ``stack``."""
+    joint_dim = reasoner.embedding_model.joint_dim
+    projection = Tensor(reasoner.embedding_model._text_projection)
+    tokens = reasoner.token_tensors()
+    rows = []
+    for node_id in reasoner.spec.node_ids:
+        node = reasoner.kg.node(node_id)
+        if node.is_concept:
+            rows.append(tokens[node_id].mean(axis=0) @ projection)
+        elif node.is_embedding:
+            rows.append(Tensor(np.full(joint_dim, 0.05 / np.sqrt(joint_dim))))
+        else:
+            rows.append(Tensor(np.zeros(joint_dim)))
+    return Tensor.stack(rows, axis=0)
+
+
+def max_relative_difference(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
 
 
 def assert_same_gradients(fused_loss, composite_loss, tensors):
@@ -360,6 +395,112 @@ class TestFusedKernels:
                                          mean_scale) * mix).sum(),
             composite, [refined, factor, own])
 
+    # (B, T, H, d_h): under, at and over the GEMM row floor; the served
+    # shape first.
+    ATTENTION_SHAPES = [(1, 8, 8, 16), (15, 8, 8, 16), (16, 3, 2, 4),
+                        (40, 8, 4, 8)]
+
+    @staticmethod
+    def make_attention(shape):
+        """An attention block with every bias non-zero, its input and a
+        mixing array for the loss."""
+        batch, length, heads, head_dim = shape
+        rng = make_rng()
+        dim = heads * head_dim
+        attn = MultiHeadAttention(dim, heads, rng, causal=True)
+        for dense in (attn.w_q, attn.w_k, attn.w_v, attn.w_o):
+            dense.bias.data = rng.normal(size=dim)
+        x = Tensor(rng.normal(size=(batch, length, dim)), requires_grad=True)
+        return attn, x, rng.normal(size=(batch, 1, dim))
+
+    @pytest.mark.parametrize("shape", ATTENTION_SHAPES)
+    @pytest.mark.parametrize("trainable", [True, False])
+    def test_last_query_attention_gradcheck(self, shape, trainable):
+        attn, x, mix = self.make_attention(shape)
+        if not trainable:
+            attn.freeze()
+
+        def loss():
+            return (attn(x, last_only=True) * mix).sum()
+
+        checked = [("x", x)]
+        if trainable:
+            checked += [("w_q", attn.w_q.weight), ("b_q", attn.w_q.bias),
+                        ("w_k", attn.w_k.weight), ("w_v", attn.w_v.weight),
+                        ("b_v", attn.w_v.bias)]
+        check_gradients(loss, checked, sample=60)
+        if not trainable:
+            assert all(p.grad is None for p in attn.parameters())
+
+    @pytest.mark.parametrize("shape", ATTENTION_SHAPES)
+    def test_last_query_attention_is_the_last_row_of_all_queries(self, shape):
+        """Against the untouched all-queries path, with a non-zero key
+        bias: the constant the fold drops really cancels in the softmax,
+        and the bias it no longer reads gets no gradient."""
+        attn, x, mix = self.make_attention(shape)
+        length = shape[1]
+        tensors = [x] + list(attn.parameters())
+        grads = []
+        for forward in (lambda: attn(x, last_only=True),
+                        lambda: attn(x)[:, length - 1:, :],
+                        lambda: composite_last_only_attention(attn, x)):
+            for tensor in tensors:
+                tensor.zero_grad()
+            out = forward()
+            (out * mix).sum().backward()
+            grads.append((out.numpy(), [t.grad for t in tensors]))
+        (fused, fused_grads), *references = grads
+        for reference, reference_grads in references:
+            assert max_relative_difference(fused, reference) <= 1e-12
+            for tensor, got, want in zip(tensors, fused_grads, reference_grads):
+                if tensor is attn.w_k.bias:
+                    assert got is None and np.abs(want).max() <= 1e-12
+                else:
+                    assert max_relative_difference(got, want) <= 1e-12
+
+    def test_node_embedding_matrix(self, fresh_model):
+        """The text-path kernel: the same per-node GEMVs forward, the
+        elementary ops' gradients backward (ragged token counts)."""
+        model = fresh_model()
+        model.freeze_for_deployment()
+        reasoner = model.reasoners[0]
+        tokens = list(reasoner.token_tensors().values())
+        assert len({t.shape[0] for t in tokens}) > 1
+        assert np.array_equal(reasoner.node_embedding_matrix().numpy(),
+                              composite_node_embedding_matrix(reasoner).numpy())
+        mix = make_rng().normal(size=(reasoner.spec.num_nodes,
+                                      model.embedding_model.joint_dim))
+        grads = []
+        for matrix in (reasoner.node_embedding_matrix,
+                       lambda: composite_node_embedding_matrix(reasoner)):
+            for tensor in tokens:
+                tensor.zero_grad()
+            (matrix() * mix).sum().backward()
+            grads.append([t.grad for t in tokens])
+        for got, want in zip(*grads):
+            assert max_relative_difference(got, want) <= 1e-12
+        check_gradients(
+            lambda: (reasoner.node_embedding_matrix() * mix).sum(),
+            [(str(i), t) for i, t in enumerate(tokens[:3])], sample=20)
+
+    def test_take_rows(self):
+        """A gather over precompiled passes is ``x[rows]``, bit for bit in
+        both directions; no rows at all (a level nothing reaches) too."""
+        rng = make_rng()
+        x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        for rows in ([3, 0, 3, 3, 1, 0], []):
+            rows = np.asarray(rows, dtype=np.int64)
+            mix = rng.normal(size=(rows.size, 3))
+            grads = []
+            for gather in (lambda: x.take_rows(rows, scatter_passes(rows)),
+                           lambda: x[rows]):
+                x.zero_grad()
+                out = gather()
+                (out * mix).sum().backward()
+                grads.append((out.numpy(), x.grad))
+            for got, want in zip(*grads):
+                assert np.array_equal(got, want)
+
 
 def count_tensor_ops(monkeypatch, fn) -> int:
     made = []
@@ -391,7 +532,43 @@ class TestTapeSize:
             model.anomaly_scores(windows[:batch])  # token side now at rest
             assert count_tensor_ops(
                 monkeypatch,
-                lambda: model.anomaly_scores(windows[:batch])) <= 90
+                lambda: model.anomaly_scores(windows[:batch])) <= 45
         targets = np.arange(16) % 2
         assert count_tensor_ops(
-            monkeypatch, lambda: vad_loss(model(windows), targets)) <= 160
+            monkeypatch, lambda: vad_loss(model(windows), targets)) <= 100
+
+    def test_update_step_matches_the_elementary_ops_tape(self, fresh_model,
+                                                         embedding_model,
+                                                         monkeypatch):
+        """Token gradients of one 22-window step, kernels vs the op chains
+        they replaced (attention, text path, index gathers), and no
+        schedule compiled on the way."""
+        model = fresh_model(window=8)
+        model.freeze_for_deployment()
+        windows = make_rng().normal(size=(22, 8, embedding_model.frame_dim))
+        targets = np.arange(22) % 2
+        tokens = model.token_parameters()
+
+        def token_gradients():
+            for tensor in tokens:
+                tensor.zero_grad()
+            vad_loss(model(windows), targets).backward()
+            return [t.grad for t in tokens]
+
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.nn.tensor.scatter_passes", None)
+            fused = token_gradients()
+        reasoner = model.reasoners[0]
+        all_queries = MultiHeadAttention.forward
+        monkeypatch.setattr(
+            MultiHeadAttention, "forward",
+            lambda attn, x, last_only=False:
+                composite_last_only_attention(attn, x) if last_only
+                else all_queries(attn, x))
+        monkeypatch.setattr(
+            reasoner, "node_embedding_matrix",
+            lambda: composite_node_embedding_matrix(reasoner))
+        monkeypatch.setattr(Tensor, "take_rows",
+                            lambda tensor, rows, passes: tensor[rows])
+        for got, want in zip(fused, token_gradients()):
+            assert max_relative_difference(got, want) <= 1e-10
