@@ -45,7 +45,7 @@ LAYER_DEPS: dict[str, frozenset[str]] = {
     "llm": frozenset({"concepts", "utils"}),
     "embedding": frozenset({"concepts", "nn", "utils"}),
     "data": frozenset({"concepts", "embedding", "utils"}),
-    "kg": frozenset({"llm", "embedding", "utils"}),
+    "kg": frozenset({"llm", "embedding", "errors", "utils"}),
     "gnn": frozenset({"embedding", "kg", "nn", "utils"}),
     "baselines": frozenset({"embedding", "nn", "utils"}),
     "adaptation": frozenset({"embedding", "gnn", "kg", "nn", "utils"}),

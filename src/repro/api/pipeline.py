@@ -56,6 +56,7 @@ class Pipeline:
         self._generator: FrameGenerator | None = None
         self._dataset: SyntheticUCFCrime | None = None
         self._kg_cache: dict[str, dict] = {}
+        self._anchors: dict[tuple[str, int], np.ndarray] = {}
         self.trained_count = 0  # registry misses that led to actual training
 
     @classmethod
@@ -178,8 +179,13 @@ class Pipeline:
             anomaly_videos=exp.train_anomaly_videos)
 
     def normal_anchors(self, mission: str, count: int = 60) -> np.ndarray:
-        windows, labels = self.train_windows(mission)
-        return windows[labels == 0][:count]
+        """First ``count`` normal training windows: one shared read-only array."""
+        key = (mission, count)
+        if key not in self._anchors:
+            windows, labels = self.train_windows(mission)
+            self._anchors[key] = windows[np.flatnonzero(labels == 0)[:count]]
+            self._anchors[key].flags.writeable = False
+        return self._anchors[key]
 
     def eval_windows(self, anomaly_class: str,
                      seed_tag: str = "eval") -> tuple[np.ndarray, np.ndarray]:

@@ -6,13 +6,18 @@ simple byte-pair encoding (BPE) vocabulary used in ImageBind".  We implement
 real BPE (Sennrich et al., 2016): word-level frequency counting, iterative
 most-frequent-pair merging with an end-of-word marker, deterministic
 tie-breaking, and a decoder that restores surface text.
+
+Training is incremental.  Invariant: pair counts and, per pair, the set of
+words containing it are **exact after every merge**, and the winner is the
+naive recount's argmax (highest count, then lexicographic) over the live
+pairs — same total order, same merges and ids (oracle: ``tests/test_bpe.py``).
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 from ..utils.serialization import atomic_write_json
@@ -68,24 +73,37 @@ class BPETokenizer:
         characters = {c for word in word_freq for c in word}
         initial_symbols = sorted(characters | {c + _EOW for c in characters})
 
+        pair_freq: Counter[tuple[str, str]] = Counter()
+        pair_words: defaultdict[tuple[str, str], set[str]] = defaultdict(set)
+
+        def count_pairs(word: str, sign: int) -> None:
+            symbols, freq = splits[word], sign * word_freq[word]
+            for pair in zip(symbols, symbols[1:]):
+                pair_freq[pair] += freq
+                if sign > 0:
+                    pair_words[pair].add(word)
+                else:
+                    pair_words[pair].discard(word)
+                    if not pair_freq[pair]:
+                        del pair_freq[pair], pair_words[pair]
+
+        for word in splits:
+            count_pairs(word, +1)
+
         merges: list[tuple[str, str]] = []
-        for _ in range(num_merges):
-            pair_freq: Counter[tuple[str, str]] = Counter()
-            for word, freq in word_freq.items():
-                symbols = splits[word]
-                for a, b in zip(symbols, symbols[1:]):
-                    pair_freq[(a, b)] += freq
-            if not pair_freq:
-                break
+        while len(merges) < num_merges and pair_freq:
             # Deterministic: highest frequency, then lexicographic.
-            best = max(pair_freq.items(), key=lambda kv: (kv[1], kv[0][0], kv[0][1]))
-            pair, freq = best
+            pair, freq = max(pair_freq.items(),
+                             key=lambda kv: (kv[1], kv[0][0], kv[0][1]))
             if freq < 2:
                 break
             merges.append(pair)
             merged = pair[0] + pair[1]
-            for word in splits:
+            # Whole-word replace, not a patch at the merge site: "a a a" stays right.
+            for word in list(pair_words[pair]):
+                count_pairs(word, -1)
                 splits[word] = self._apply_merge(splits[word], pair, merged)
+                count_pairs(word, +1)
 
         self.merges = merges
         self._merge_ranks = {pair: i for i, pair in enumerate(merges)}

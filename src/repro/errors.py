@@ -39,15 +39,18 @@ so every layer can raise typed errors without importing a sibling:
 ``CheckpointError``
     A checkpoint/attach payload cannot be used: unknown format version,
     non-checkpointable stream, fingerprint mismatch.
+``MissingExtraError``
+    A package only an optional extra installs is missing (named in the text).
 
 Every concrete class also subclasses the builtin its call sites
 historically raised — ``DurabilityError``, ``FleetError``, and
 ``StateError`` are ``RuntimeError``; ``ConfigError``,
-``WindowShapeError``, and ``CheckpointError`` are ``ValueError`` — so
-code (and tests) written against the bare builtins keep working; new
-code should catch the typed classes.  The **typed-raise** rule of
-``repro lint`` enforces that serving/runtime/gateway/wal code raises
-these types rather than fresh bare builtins.
+``WindowShapeError``, and ``CheckpointError`` are ``ValueError``;
+``MissingExtraError`` is ``ImportError`` — so code (and tests) written
+against the bare builtins keep working; new code should catch the typed
+classes.  The **typed-raise** rule of ``repro lint`` enforces that
+serving/runtime/gateway/wal code raises these types rather than fresh
+bare builtins.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from __future__ import annotations
 __all__ = ["ReproError", "DurabilityError", "WalCorruptionError",
            "RecoveryError", "FleetError", "WorkerError",
            "WorkerStartupError", "ConfigError", "WindowShapeError",
-           "StateError", "CheckpointError"]
+           "StateError", "CheckpointError", "MissingExtraError"]
 
 
 class ReproError(Exception):
@@ -114,3 +117,7 @@ class StateError(ReproError, RuntimeError):
 class CheckpointError(ReproError, ValueError):
     """A checkpoint/attach payload cannot be used: unknown format
     version, non-checkpointable stream, wrong fingerprint."""
+
+
+class MissingExtraError(ReproError, ImportError):
+    """A package only an optional extra installs is missing; the message names it."""

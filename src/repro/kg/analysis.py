@@ -10,23 +10,34 @@ Operational tooling around the reasoning KG:
   and how far each surviving node's token embeddings moved.  This is the
   quantitative companion of the paper's qualitative Fig. 6.
 
-networkx is used for the graph-theoretic measures.
+networkx (the ``analysis`` extra) is used for the graph-theoretic measures
+and imported only inside :func:`to_networkx` and :func:`kg_statistics`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
+from ..errors import MissingExtraError
 from .graph import ReasoningKG
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["kg_statistics", "KGDiff", "diff_kgs", "to_networkx"]
 
 
 def to_networkx(kg: ReasoningKG) -> nx.DiGraph:
     """Convert a reasoning KG to a networkx DiGraph (node attrs: text, level)."""
+    try:
+        import networkx as nx
+    except ImportError as exc:
+        raise MissingExtraError(
+            "KG graph analysis (to_networkx, kg_statistics) needs networkx: "
+            "pip install 'repro[analysis]'") from exc
     graph = nx.DiGraph()
     for node in kg.nodes():
         graph.add_node(node.node_id, text=node.text, level=node.level)
@@ -40,7 +51,8 @@ def kg_statistics(kg: ReasoningKG) -> dict:
     Returns level widths, edge density per level transition, the fraction
     of concept nodes on a sensor->embedding path, and the mean fan-in.
     """
-    graph = to_networkx(kg)
+    graph = to_networkx(kg)  # raises MissingExtraError without the extra
+    import networkx as nx
     stats: dict = {
         "num_nodes": kg.num_nodes,
         "num_edges": kg.num_edges,

@@ -84,21 +84,21 @@ def read_records(wal_dir: str | Path) -> list[dict]:
 
 def _rebuild_fleet(snapshot: dict, shards: int | None,
                    metrics: MetricsRegistry | None):
-    """The fleet a snapshot record describes, inline or sharded."""
+    """The fleet a snapshot record describes, its :class:`FleetInfra`, and
+    the ``(embedding, generator)`` pair it hangs off — ``None`` for a
+    sharded fleet, whose workers each build their own."""
     from ..serving import DeploymentFleet, FleetInfra, ShardedFleet
     infra = FleetInfra.from_payload(snapshot["infra"])
     if shards is not None:
+        built = None
         fleet = ShardedFleet.from_dict(snapshot["fleet"], shards=shards,
                                        infra=infra)
-        if metrics is not None:
-            fleet.engine.metrics = metrics
-        return fleet, infra
-    embedding, generator = infra.build()
-    fleet = DeploymentFleet.from_dict(snapshot["fleet"], embedding,
-                                      generator)
+    else:
+        built = infra.build()
+        fleet = DeploymentFleet.from_dict(snapshot["fleet"], *built)
     if metrics is not None:
         fleet.engine.metrics = metrics
-    return fleet, infra
+    return fleet, infra, built
 
 
 def _attach_entry(fleet, entry: dict, embedding, generator) -> None:
@@ -152,8 +152,7 @@ def recover_fleet(wal_dir: str | Path, shards: int | None = None,
             "snapshot at startup)")
     report.snapshot_seq = int(snapshot["seq"])
 
-    fleet, infra = _rebuild_fleet(snapshot, shards, metrics)
-    embedding, generator = infra.build()
+    fleet, infra, built = _rebuild_fleet(snapshot, shards, metrics)
     applied = {name: int(seq) for name, seq in snapshot["applied"].items()}
 
     for record in records:
@@ -189,7 +188,9 @@ def recover_fleet(wal_dir: str | Path, shards: int | None = None,
             if int(record["seq"]) <= report.snapshot_seq:
                 continue
             if kind == "attach" and record["entry"]["name"] not in fleet:
-                _attach_entry(fleet, record["entry"], embedding, generator)
+                if built is None:  # sharded: the first parent-side need
+                    built = infra.build()
+                _attach_entry(fleet, record["entry"], *built)
                 report.attached += 1
             elif kind == "detach" and record["stream"] in fleet:
                 fleet.remove(record["stream"])

@@ -9,6 +9,7 @@ from repro.analysis import Analyzer, SourceFile
 from repro.analysis.core import PARSE_ERROR_ID
 from repro.analysis.rules import RULES
 from repro.analysis.rules.async_blocking import AsyncBlockingRule
+from repro.analysis.rules.cold_import import ColdImportRule
 from repro.analysis.rules.data_rebind import DataRebindRule
 from repro.analysis.rules.lock_guard import LockGuardRule
 from repro.analysis.rules.typed_raise import TypedRaiseRule
@@ -27,7 +28,8 @@ def _run(rule, text, module, filename="fixture.py"):
 # ---------------------------------------------------------------------
 def test_registry_ids_match_classes():
     assert set(RULES) == {"layer-dag", "lock-guard", "async-blocking",
-                          "typed-raise", "wire-consts", "data-rebind"}
+                          "typed-raise", "wire-consts", "data-rebind",
+                          "cold-import"}
     for rule_id, rule_cls in RULES.items():
         assert rule_cls.id == rule_id
         assert rule_cls.summary
@@ -268,6 +270,44 @@ class TestDataRebind:
     def test_outside_src_passes(self):
         assert _run(DataRebindRule(), "tensor.data += 0.5\n",
                     module="test_gnn_sliced") == []
+
+
+# ---------------------------------------------------------------------
+# cold-import
+# ---------------------------------------------------------------------
+class TestColdImport:
+    @pytest.mark.parametrize("text, name", [
+        ("import networkx as nx\n", "networkx"),
+        ("from scipy.sparse import csr_matrix\n", "scipy.sparse"),
+        ("import os, yaml\n", "yaml"),
+        ("try:\n    import orjson\nexcept ImportError:\n    orjson = None\n",
+         "orjson"),
+        ("class Lazy:\n    import torch\n", "torch"),
+        ("if TYPE_CHECKING:\n    pass\nelse:\n    import networkx\n",
+         "networkx"),
+    ])
+    def test_import_time_third_party_flags(self, text, name):
+        findings = _run(ColdImportRule(), text, module="repro.kg.analysis")
+        assert len(findings) == 1 and f"'{name}'" in findings[0].message
+
+    @pytest.mark.parametrize("text", [
+        "def to_networkx(kg):\n    import networkx as nx\n    return nx\n",
+        "async def probe():\n    from aiohttp import web\n",
+        "class A:\n    def f(self):\n        import networkx\n",
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n    import networkx as nx\n",
+        "import typing\nif typing.TYPE_CHECKING:\n    import networkx\n",
+        "import numpy.linalg\nfrom numpy.lib import stride_tricks\n",
+        "from ..errors import ConfigError\nfrom . import graph\n",
+        "import repro.errors\nfrom repro.kg import graph\n",
+        "from __future__ import annotations\nimport json, multiprocessing.shared_memory\n",
+    ])
+    def test_deferred_typing_and_first_party_pass(self, text):
+        assert _run(ColdImportRule(), text, module="repro.kg.analysis") == []
+
+    def test_outside_src_passes(self):
+        assert _run(ColdImportRule(), "import hypothesis\n",
+                    module="test_bpe") == []
 
 
 # ---------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """Tests for the Pipeline facade, the model registry, and BN buffer state."""
 
+import copy
+
 import numpy as np
 import pytest
 
-from repro.api import ModelRegistry, Pipeline, ReproConfig
+from test_api_deployment import deployment_config
+
+from repro.adaptation import ConvergenceConfig
+from repro.api import Deployment, ModelRegistry, Pipeline, ReproConfig
 from repro.eval import ExperimentConfig, ExperimentContext
 
 
@@ -88,6 +93,70 @@ class TestRegistryCaching:
         assert registry.contains("Robbery", pipe._fingerprint())
         registry.clear()
         assert registry.keys() == []
+
+
+class TestSharedAnchors:
+    """One read-only anchor array per (pipeline, mission): every deployment
+    of the mission holds the same object, and nothing writes it."""
+
+    def test_deployments_of_a_mission_share_one_read_only_array(self, pipeline):
+        first = pipeline.deploy("Stealing").normal_anchor_windows
+        assert pipeline.deploy("Stealing").normal_anchor_windows is first
+        assert pipeline.deploy("Stealing").controller.normal_anchor_windows \
+            is first
+        assert first.flags.writeable is False
+        assert first.base is None  # 60 rows, not a view pinning the split
+        windows, labels = pipeline.train_windows("Stealing")
+        np.testing.assert_array_equal(first, windows[labels == 0][:60])
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0, 0] = 0.0
+
+    def test_other_mission_and_other_count_get_their_own(self, pipeline):
+        stealing = pipeline.normal_anchors("Stealing")
+        robbery = pipeline.deploy("Robbery").normal_anchor_windows
+        assert robbery is not stealing
+        fewer = pipeline.normal_anchors("Stealing", count=10)
+        assert fewer.shape[0] == 10 and fewer is not stealing
+        np.testing.assert_array_equal(fewer, stealing[:10])
+
+    def test_adaptation_on_shared_anchors_matches_a_private_copy(self, tmp_path):
+        """40 steps across a class shift, an adaptation phase on most of
+        them and prunes among them: a deployment on the shared read-only
+        array and one handed its own writable copy stay bit-identical —
+        and since a write to the shared array would raise, nothing
+        writes the anchors."""
+        cfg = deployment_config()  # an adaptation loop that triggers
+        cfg.adaptation.convergence = ConvergenceConfig(
+            patience=1, tolerance=0.0, min_updates=2)  # ... and prunes
+        cfg.stream.steps_before_shift = 8
+        cfg.stream.steps_after_shift = 32
+        pipe = Pipeline.from_config(cfg)
+        shared = pipe.deploy("Stealing")
+        private = Deployment(
+            pipe.train("Stealing"), mission="Stealing",
+            adaptation_config=copy.deepcopy(cfg.adaptation),
+            normal_anchor_windows=pipe.normal_anchors("Stealing").copy())
+        assert private.normal_anchor_windows.flags.writeable
+        assert shared.normal_anchor_windows is pipe.normal_anchors("Stealing")
+
+        batches = list(pipe.stream("Stealing", "Robbery"))
+        assert len(batches) == 40
+        for batch in batches:
+            ours, theirs = (shared.ingest(batch.windows),
+                            private.ingest(batch.windows))
+            np.testing.assert_array_equal(ours.scores, theirs.scores)
+            assert ours.updated == theirs.updated
+            assert ours.pruned == theirs.pruned
+        assert shared.update_count >= 2 and shared.total_pruned >= 1
+        # Model (token embeddings included), controller and anchors, as
+        # the checkpoint stores them: equal encodings are equal bits.
+        assert shared.to_dict() == private.to_dict()
+
+        path = tmp_path / "shared.json"
+        shared.save(path)
+        loaded = Deployment.load(path, pipe.embedding_model)
+        assert loaded.to_dict() == shared.to_dict()
+        assert loaded.normal_anchor_windows.flags.writeable  # its own copy
 
 
 class TestContextShim:

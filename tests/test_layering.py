@@ -8,8 +8,15 @@ file's original bespoke AST walk).  This test runs that rule over the
 source tree per module, checks the declaration itself is acyclic, and
 keeps self-check fixtures proving the rule still catches every spelling
 the old guard existed to forbid.
+
+The last class looks at the *loaded* import set in a fresh interpreter:
+what a serving process pays for at start-up, and that the numpy-only
+install ``pyproject.toml`` declares can build a fleet and serve.
 """
 
+import os
+import subprocess
+import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -102,3 +109,52 @@ class TestGuardSelf:
         findings = [f for f in LayerDagRule().check(source)
                     if not source.is_suppressed(f)]
         assert findings == []
+
+
+_SERVE = """
+import repro.cli, repro.gateway, repro.serving, repro.wal, repro.api
+from repro.api import Pipeline
+from repro.serving import build_fleet
+pipe = Pipeline.from_config(None, overrides=[
+    "experiment.train_steps=5", "experiment.dataset_scale=0.1",
+    "experiment.frames_per_video=24"])
+fleet = build_fleet(pipe, ["Stealing"], streams=2)
+events = fleet.step()
+assert [e.scores.shape for e in events] == [(2,), (2,)], events
+"""
+
+
+def _fresh_interpreter(script: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestServingImportSet:
+    def test_serving_never_loads_networkx(self):
+        """285 modules and 14 MB per process when ``repro.kg`` imported it
+        at module level (the cold-import rule is the static half of this
+        check)."""
+        out = _fresh_interpreter(
+            "import sys\n" + _SERVE + "print('networkx' in sys.modules)\n")
+        assert out.strip() == "False"
+
+    def test_numpy_only_install_serves_and_names_the_extra(self):
+        """``sys.modules[name] = None`` makes ``import name`` raise
+        ImportError: the install ``pip install -e .`` produces."""
+        out = _fresh_interpreter(
+            "import sys\nsys.modules['networkx'] = None\n" + _SERVE + """
+from repro.errors import MissingExtraError
+from repro.kg import kg_statistics, to_networkx
+for needs_extra in (kg_statistics, to_networkx):
+    try:
+        needs_extra(pipe.generate_kg("Stealing"))
+    except MissingExtraError as exc:
+        assert isinstance(exc, ImportError)
+        print(exc)
+""")
+        assert out.count("repro[analysis]") == 2

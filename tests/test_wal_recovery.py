@@ -325,6 +325,46 @@ class TestMembershipReplay:
         assert np.array_equal(report.scores["cam-new"][0],
                               twin_events["cam-new"].scores)
 
+    @pytest.mark.parametrize("shards, attach, builds", [
+        (None, True, 1), (None, False, 1), (2, True, 1), (2, False, 0)])
+    def test_shared_infrastructure_is_built_once(
+            self, fleet_factory, fresh_model, frame_generator, tmp_path,
+            monkeypatch, shards, attach, builds):
+        """Snapshotted streams and a stream attached after the snapshot
+        hang off one embedding model; a sharded recovery (whose workers
+        build their own) builds a parent-side one for such an attach only."""
+        from repro.embedding import joint_space
+        built = []
+        build = joint_space.build_default_embedding_model
+
+        def counting_build(**kwargs):
+            built.append(build(**kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(joint_space, "build_default_embedding_model",
+                            counting_build)
+        fleet = fleet_factory()
+        durability = make_durable(fleet, tmp_path)
+        if attach:
+            model = fresh_model("Stealing", window=4)
+            model.eval()
+            deployment = Deployment(model, mission="Stealing", adaptive=False)
+            stream = make_stream(frame_generator, seed=90)
+            fleet.add("cam-new", deployment, stream)
+            durability.record_attach("cam-new", deployment, stream)
+        durability.wal.flush()
+        assert built == []
+
+        recovered, report = recover_fleet(tmp_path, shards=shards)
+        try:
+            assert report.attached == attach and len(recovered) == 3 + attach
+            assert len(built) == builds
+            if shards is None:
+                assert all(slot.deployment.model.embedding_model is built[0]
+                           for slot in recovered.slots)
+        finally:
+            recovered.close()
+
     def test_pre_snapshot_churn_does_not_regress_snapshot(
             self, fleet_factory, fresh_model, frame_generator,
             materialized, tmp_path):
