@@ -45,7 +45,7 @@ Subpackages
 ``repro.eval``        metrics + experiment harnesses (Fig. 5/6, Table I)
 """
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 __all__ = [
     "api", "runtime", "metrics", "obs", "serving", "gateway", "wal",

@@ -41,7 +41,7 @@ LAYER_DEPS: dict[str, frozenset[str]] = {
     "obs": frozenset({"metrics", "utils"}),
     "concepts": frozenset({"utils"}),
     # domain layers
-    "nn": frozenset(),
+    "nn": frozenset({"errors"}),
     "llm": frozenset({"concepts", "utils"}),
     "embedding": frozenset({"concepts", "nn", "utils"}),
     "data": frozenset({"concepts", "embedding", "utils"}),

@@ -178,9 +178,11 @@ class Deployment:
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
-    def to_dict(self, include_model: bool = True) -> dict:
-        """Serialize the runtime; ``include_model=False`` omits the model
-        section (the fleet checkpoint stores shared models separately)."""
+    def to_dict(self, include_model: bool = True,
+                include_anchors: bool = True) -> dict:
+        """Serialize the runtime; ``include_model=False`` /
+        ``include_anchors=False`` omit the model section / the anchor
+        windows (the fleet checkpoint stores what deployments share once)."""
         payload = {
             "format_version": _FORMAT_VERSION,
             "mission": self.mission,
@@ -190,6 +192,7 @@ class Deployment:
             "model": deployment_to_dict(self.model) if include_model else None,
             "adaptation_config": config_to_dict(self.adaptation_config),
             "anchors": (None if self.normal_anchor_windows is None
+                        or not include_anchors
                         else encode_array(self.normal_anchor_windows)),
             "runtime": (None if self.controller is None
                         else self.controller.export_state()),
@@ -203,13 +206,14 @@ class Deployment:
 
     @classmethod
     def from_dict(cls, payload: dict, embedding_model: JointEmbeddingModel,
-                  model: MissionGNNModel | None = None) -> "Deployment":
+                  model: MissionGNNModel | None = None,
+                  anchors: np.ndarray | None = None) -> "Deployment":
         """Rebuild from :meth:`to_dict` output.
 
-        ``model`` injects an already-restored model instance instead of
-        rebuilding one from ``payload["model"]`` — the fleet checkpoint
-        stores each shared scoring model once and passes it to every
-        deployment that referenced it.
+        ``model`` / ``anchors`` inject an already-restored model instance /
+        anchor array instead of rebuilding them from the payload — the
+        fleet checkpoint stores what deployments share once and passes it
+        to every deployment that referenced it.
         """
         version = payload.get("format_version")
         if version != _FORMAT_VERSION:
@@ -228,8 +232,8 @@ class Deployment:
                     "include_model=False); pass the restored model via "
                     "the `model` argument")
             model = deployment_from_dict(payload["model"], embedding_model)
-        anchors = (None if payload.get("anchors") is None
-                   else decode_array(payload["anchors"]))
+        if anchors is None and payload.get("anchors") is not None:
+            anchors = decode_array(payload["anchors"])
         adaptation = config_from_dict(AdaptationConfig,
                                       payload["adaptation_config"])
         deployment = cls(model, mission=payload.get("mission"),

@@ -57,6 +57,7 @@ class Pipeline:
         self._dataset: SyntheticUCFCrime | None = None
         self._kg_cache: dict[str, dict] = {}
         self._anchors: dict[tuple[str, int], np.ndarray] = {}
+        self._bases: dict[tuple[str, str], MissionGNNModel] = {}
         self.trained_count = 0  # registry misses that led to actual training
 
     @classmethod
@@ -222,11 +223,16 @@ class Pipeline:
     # ------------------------------------------------------------------
     # Edge side
     # ------------------------------------------------------------------
-    def deploy(self, mission: str, adaptive: bool = True,
-               with_anchors: bool = True) -> Deployment:
-        """Train (or fetch) the mission model and wrap it as a deployment."""
-        model = self.train(mission)
-        anchors = self.normal_anchors(mission) if with_anchors else None
+    def deploy(self, mission: str, adaptive: bool = True) -> Deployment:
+        """Train (or fetch) the mission model and wrap it as a deployment:
+        a :meth:`~MissionGNNModel.sharer` of the mission's one set of
+        frozen weights (its own KG state, nothing else) plus, if adaptive,
+        the mission's one anchor array (a static one never reads anchors)."""
+        key = (mission, self._fingerprint())
+        if key not in self._bases:
+            self._bases[key] = self.train(mission)
+        model = self._bases[key].sharer()
+        anchors = self.normal_anchors(mission) if adaptive else None
         return Deployment(model, mission=mission,
                           adaptation_config=copy.deepcopy(self.config.adaptation),
                           adaptive=adaptive, normal_anchor_windows=anchors)

@@ -16,7 +16,6 @@ registry is where those artifacts live.  It replaces the old
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import re
@@ -89,7 +88,7 @@ class ModelRegistry:
             self.misses += 1
             return None
         self.hits += 1
-        return deployment_from_dict(copy.deepcopy(payload), embedding_model)
+        return deployment_from_dict(payload, embedding_model)  # only reads it
 
     def store(self, mission: str, fingerprint: str,
               model: MissionGNNModel) -> str:

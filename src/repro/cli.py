@@ -511,7 +511,9 @@ def cmd_stats(args) -> int:
     if coalesce:
         print(f"  coalesce: {coalesce['windows_per_forward']:.2f} "
               f"windows/forward ({coalesce['windows_scored']} windows, "
-              f"{coalesce['batches_run']} forward(s))")
+              f"{coalesce['batches_run']} forward(s)); holds "
+              f"{coalesce.get('weight_sets', '?')} weight set(s), "
+              f"{coalesce.get('token_states', '?')} token state(s)")
     transport = engine.get("transport")
     if transport:
         print("  transport: " + ", ".join(
@@ -613,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stream-seed", type=int, default=100,
                    help="base stream seed; stream i uses seed+i (default 100)")
     p.add_argument("--adaptive", action="store_true",
-                   help="continuously adapting deployments (private models; "
+                   help="continuously adapting deployments (own KG state; "
                         "default: static shared scoring models)")
     p.add_argument("--sequential", action="store_true",
                    help="disable micro-batching (per-deployment scoring loop)")
@@ -639,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stream-seed", type=int, default=100,
                    help="base stream seed; stream i uses seed+i (default 100)")
     p.add_argument("--adaptive", action="store_true",
-                   help="continuously adapting deployments (private models)")
+                   help="continuously adapting deployments (own KG state)")
     p.add_argument("--shards", type=int, default=1,
                    help="partition the fleet across N worker processes")
     p.add_argument("--policy", choices=("fair", "greedy", "priority"),

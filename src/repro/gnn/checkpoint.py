@@ -27,32 +27,35 @@ __all__ = ["save_deployment", "load_deployment", "deployment_to_dict",
 _FORMAT_VERSION = 1
 
 
-def deployment_to_dict(model: MissionGNNModel) -> dict:
+def deployment_to_dict(model: MissionGNNModel, weights: bool = True) -> dict:
     """Serialize a trained model + its KGs to a JSON-safe dict.
 
     ``state_dict`` carries the batch-norm running statistics natively (they
-    are registered buffers), so ``weights`` is the complete model state.
+    are registered buffers), so ``weights`` is the complete model state
+    (``weights=False``: left to a caller that stores shared weights once).
     """
-    return {
-        "format_version": _FORMAT_VERSION,
-        "config": asdict(model.config),
-        "weights": {name: _encode(value)
-                    for name, value in model.state_dict().items()},
-        "kgs": [kg_to_dict(kg) for kg in model.kgs],
-    }
+    payload = {"format_version": _FORMAT_VERSION, "config": asdict(model.config)}
+    if weights:
+        payload["weights"] = {name: _encode(value)
+                              for name, value in model.state_dict().items()}
+    payload["kgs"] = [kg_to_dict(kg) for kg in model.kgs]
+    return payload
 
 
-def deployment_from_dict(payload: dict,
-                         embedding_model: JointEmbeddingModel) -> MissionGNNModel:
+def deployment_from_dict(payload: dict, embedding_model: JointEmbeddingModel,
+                         base: MissionGNNModel | None = None) -> MissionGNNModel:
     """Rebuild a deployable model from :func:`deployment_to_dict` output.
 
     The joint embedding model is frozen and shared infrastructure (the
     paper ships it once, not per deployment), so it is passed in rather
-    than serialized.
+    than serialized.  With ``base`` the payload's KGs come back as a
+    :meth:`~MissionGNNModel.sharer` of that model; no weights are read.
     """
     version = payload.get("format_version")
     if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported deployment format version: {version}")
+    if base is not None:
+        return base.sharer([kg_from_dict(entry) for entry in payload["kgs"]])
     config = MissionGNNConfig(**payload["config"])
     kgs = [kg_from_dict(entry) for entry in payload["kgs"]]
     model = MissionGNNModel(kgs, embedding_model, config)

@@ -83,6 +83,8 @@ class GraphSpec:
     level_slices:
         Per level ``l``: the same structure in level-local coordinates
         (:class:`LevelSlice`), for the frame side of the forward.
+    signature:
+        Hashable ``level_slices`` shapes and edges; equal ones stack (frame side).
     """
 
     def __init__(self, kg: ReasoningKG):
@@ -140,6 +142,8 @@ class GraphSpec:
                 edges=EdgeSchedule(sources, targets),
                 mean_scale=self.mean_scale[level][rows],
                 keep_mask=self.keep_mask[level][rows]))
+        self.signature = tuple((s.rows.size, s.sources.tobytes(), s.targets.tobytes())
+                               for s in self.level_slices)
 
     def row_of(self, node_id: int) -> int:
         """Row index of a node id in the embedding matrix."""
@@ -194,7 +198,8 @@ class HierarchicalGNNLayer(Module):
         result is ``(B, n_l, D_out)``.  ``own`` ``(n_l, D_out)`` and
         ``target_factor`` ``(|E(l)|, D_out)`` come from the token side: the
         level's refined rows masked to the nodes that receive no message,
-        and Eq. 2's target-row factor per edge.  The same kernel as
+        and Eq. 2's target-row factor per edge — or, with a leading ``B``
+        axis, each frame's own token side.  The same kernel as
         :meth:`finish` on these rows, so the values are bit-identical to
         the all-nodes path.
         """

@@ -113,16 +113,47 @@ class HierarchicalGNN(Module):
         return sides
 
     def frame_side(self, encoded: Tensor,
-                   token_side: list[tuple[Tensor, Tensor]],
-                   spec: GraphSpec) -> Tensor:
+                   sides: list[tuple[list[tuple[Tensor, Tensor]], GraphSpec]],
+                   owner: np.ndarray | None = None) -> Tensor:
         """(B, input_dim) frame encodings -> reasoning embeddings (B, D).
 
         Level 0 is the sensor row alone, level ``depth + 1`` the embedding
         node alone; in between only the current level's rows are carried.
+
+        ``sides`` holds one ``(token_side, spec)`` per token state, ``owner[b]``
+        says whose frame ``b`` is (``None`` with one state: its ``(n, D)``
+        arrays broadcast).  Layer 0 runs once over all frames; states of one
+        :attr:`GraphSpec.signature` climb the levels together, each frame
+        gathering its owner's rows into the leading axis, a diverged structure
+        (a prune) alone.  Elementwise work, row-stable GEMMs: batch-invariant.
         """
         first = self.layers[0]
         h = first.norm(first.dense(encoded)).elu().reshape(
             encoded.shape[0], 1, -1)
+        if len(sides) == 1:
+            return self._climb(h, *sides[0])
+        groups: dict[tuple, list[int]] = {}
+        for index, (_, spec) in enumerate(sides):
+            groups.setdefault(spec.signature, []).append(index)
+        alone = len(groups) == 1  # the usual case: all frames, in place
+        outputs, frames = [], []
+        for members in groups.values():
+            mine = slice(None) if alone else np.flatnonzero(np.isin(owner, members))
+            token_side, spec = sides[members[0]]
+            if len(members) > 1:
+                local = np.searchsorted(members, owner[mine])
+                token_side = [  # per level: members' (own, factor), stacked
+                    tuple(Tensor.stack(column)[local] for column in zip(*level))
+                    for level in zip(*(sides[m][0] for m in members))]
+            outputs.append(self._climb(h[mine], token_side, spec))
+            frames.append(mine)
+        if alone:
+            return outputs[0]
+        return Tensor.concat(outputs)[np.argsort(np.concatenate(frames))]
+
+    def _climb(self, h: Tensor, token_side: list[tuple[Tensor, Tensor]],
+               spec: GraphSpec) -> Tensor:
+        """Levels ``1 .. depth + 1`` over the sensor rows ``h`` (B, 1, D)."""
         for layer, level, (own, target_factor) in zip(
                 self.layers[1:], spec.level_slices[1:], token_side):
             h = layer.propagate(h, level, own, target_factor)
@@ -269,11 +300,15 @@ class KGReasoner(Module):
             self._token_side_inputs = inputs
         return self._token_side
 
-    def forward(self, frames: np.ndarray) -> Tensor:
+    def forward(self, frames: np.ndarray,
+                sharers: list["KGReasoner"] | None = None,
+                owner: np.ndarray | None = None) -> Tensor:
         """Reason over a batch of frames -> (B, gnn_output_dim).
 
         ``frames`` holds raw frame features (B, frame_dim); they are encoded
         with the frozen image encoder E_I and placed on the sensor node.
+        With ``sharers`` (over this GNN, this one among them) frame ``b`` is
+        reasoned over ``sharers[owner[b]]``'s KG.
         """
         frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim == 1:
@@ -281,8 +316,9 @@ class KGReasoner(Module):
         # Frames are data (constant on the tape); adaptation gradients flow
         # through the token side into the token embeddings.
         encoded = Tensor(self.embedding_model.encode_image(frames))
-        if self.gnn.norm_training:
+        if self.gnn.norm_training:  # never shared: Module.train refuses
             return self.gnn.forward_embedded(self.node_embedding_matrix(),
                                              encoded, self.spec)
-        return self.gnn.frame_side(encoded, self._current_token_side(),
-                                   self.spec)
+        return self.gnn.frame_side(
+            encoded, [(reasoner._current_token_side(), reasoner.spec)
+                      for reasoner in sharers or [self]], owner)

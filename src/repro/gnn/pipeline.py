@@ -12,16 +12,21 @@ The model's trainable surface is configurable in the exact way the paper
 needs: during initial training everything learns; after deployment
 ``freeze()`` locks all model weights and ``set_tokens_trainable(True)``
 re-opens *only* the KG token embeddings for continuous adaptation.
+Then only KG state differs between a mission's streams: ``model.sharer()``
+hands out models that own just that, and :func:`score_parts` scores any
+number of them in one forward.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..embedding.joint_space import JointEmbeddingModel
 from ..kg.graph import ReasoningKG
+from ..kg.serialization import kg_from_dict, kg_to_dict
 from ..nn.layers import Module
 from ..nn.tensor import Tensor, no_grad
 from ..utils.rng import derive_rng
@@ -29,7 +34,7 @@ from .decision import DecisionModel
 from .model import HierarchicalGNN, KGReasoner
 from .temporal import ShortTermTemporalModel
 
-__all__ = ["MissionGNNConfig", "MissionGNNModel"]
+__all__ = ["MissionGNNConfig", "MissionGNNModel", "score_parts"]
 
 
 @dataclass
@@ -76,27 +81,35 @@ class MissionGNNModel(Module):
     # ------------------------------------------------------------------
     # Forward paths
     # ------------------------------------------------------------------
-    def reason_frames(self, frames: np.ndarray) -> Tensor:
-        """Frames (B, frame_dim) -> concatenated reasoning embeddings (B, D)."""
-        outputs = [reasoner(frames) for reasoner in self.reasoners]
-        return outputs[0] if len(outputs) == 1 else Tensor.concat(outputs, axis=1)
-
     def forward(self, windows: np.ndarray) -> Tensor:
         """Frame windows (B, T, frame_dim) -> decision logits (B, n+1)."""
-        windows = np.asarray(windows, dtype=np.float64)
-        if windows.ndim != 3:
-            raise ValueError(f"expected (B, T, frame_dim), got {windows.shape}")
-        batch, length, frame_dim = windows.shape
-        flat = windows.reshape(batch * length, frame_dim)
-        reasoning = self.reason_frames(flat).reshape(batch, length, self.reasoning_dim)
-        pooled = self.temporal(reasoning)
-        return self.decision(pooled)
+        return _logits([(self, windows)])
 
     def anomaly_scores(self, windows: np.ndarray) -> np.ndarray:
         """Inference-only anomaly probabilities p_A for each window (B,)."""
-        with no_grad():
-            probs = self.forward(windows).softmax(axis=-1)
-        return DecisionModel.anomaly_probability(probs.numpy())
+        return score_parts([(self, windows)])
+
+    @property
+    def weight_set(self) -> Module:
+        """The same object for exactly the models that share their weights."""
+        return self.temporal
+
+    def sharer(self, kgs: list[ReasoningKG] | None = None) -> "MissionGNNModel":
+        """A model over this one's GNNs, temporal model and decision head
+        that owns only its KG state: ``kgs``, or copies of this model's (via
+        their serialized form, as an artifact rebuild gets them).  The shared
+        modules are frozen, in eval mode, and now refuse ``train``/``unfreeze``."""
+        if kgs is None:
+            kgs = [kg_from_dict(kg_to_dict(kg)) for kg in self.kgs]
+        twin = copy.copy(self)
+        twin.reasoners = [
+            KGReasoner(kg, self.embedding_model, reasoner.gnn)
+            for kg, reasoner in zip(kgs, self.reasoners, strict=True)]
+        for shared in (*(r.gnn for r in self.reasoners),
+                       self.temporal, self.decision):
+            for module in shared.eval().freeze().modules():
+                module.shared = True
+        return twin
 
     # ------------------------------------------------------------------
     # Adaptation surface control (paper Fig. 2C)
@@ -122,3 +135,37 @@ class MissionGNNModel(Module):
     @property
     def kgs(self) -> list[ReasoningKG]:
         return [reasoner.kg for reasoner in self.reasoners]
+
+
+def _logits(parts: list[tuple[MissionGNNModel, np.ndarray]]) -> Tensor:
+    """Decision logits, in part order, of ``[(model, (B_i, T, frame_dim)
+    windows), ...]`` over one weight set: all frames go through each GNN
+    together, the temporal model and decision head run once over the batch."""
+    lead = parts[0][0]
+    batches = [np.asarray(windows, dtype=np.float64) for _, windows in parts]
+    if any(windows.ndim != 3 for windows in batches):
+        raise ValueError("expected (B, T, frame_dim) windows, got "
+                         f"{[windows.shape for windows in batches]}")
+    stacked = batches[0] if len(batches) == 1 else np.concatenate(batches)
+    batch, length, frame_dim = stacked.shape
+    flat = stacked.reshape(batch * length, frame_dim)
+    states = list({id(model): model for model, _ in parts}.values())
+    owner = None  # with several token states: whose each frame is
+    if len(states) > 1:
+        owner = np.repeat([states.index(model) for model, _ in parts],
+                          [len(windows) * length for windows in batches])
+    outputs = [lead.reasoners[k](
+                   flat, [model.reasoners[k] for model in states], owner)
+               for k in range(len(lead.reasoners))]
+    reasoning = outputs[0] if len(outputs) == 1 else Tensor.concat(outputs, axis=1)
+    pooled = lead.temporal(reasoning.reshape(batch, length, lead.reasoning_dim))
+    return lead.decision(pooled)
+
+
+def score_parts(parts: list[tuple[MissionGNNModel, np.ndarray]]) -> np.ndarray:
+    """Anomaly probabilities p_A, concatenated in part order, of ``[(model,
+    windows), ...]`` sharing one :attr:`~MissionGNNModel.weight_set`, from
+    one forward.  A window's score does not depend on what it rode with."""
+    with no_grad():
+        probs = _logits(parts).softmax(axis=-1)
+    return DecisionModel.anomaly_probability(probs.numpy())

@@ -68,13 +68,8 @@ def kg_statistics(kg: ReasoningKG) -> dict:
         stats["on_path_fraction"] = (
             len(on_path & set(concepts)) / len(concepts) if concepts else 0.0)
         stats["is_dag"] = nx.is_directed_acyclic_graph(graph)
-        path_lengths = []
-        try:
-            path_lengths = [len(p) - 1 for p in nx.all_simple_paths(
-                graph, kg.sensor_id, kg.embedding_id)]
-        except nx.NetworkXNoPath:  # pragma: no cover - degenerate KG
-            pass
-        stats["num_reasoning_paths"] = len(path_lengths)
+        stats["num_reasoning_paths"] = sum(1 for _ in nx.all_simple_paths(
+            graph, kg.sensor_id, kg.embedding_id))
     in_degrees = [kg.in_degree(n.node_id) for n in kg.concept_nodes()]
     stats["mean_fan_in"] = float(np.mean(in_degrees)) if in_degrees else 0.0
     return stats

@@ -13,6 +13,7 @@ from typing import Iterator
 
 import numpy as np
 
+from ..errors import StateError
 from . import init
 from .tensor import Tensor
 
@@ -40,6 +41,9 @@ class Parameter(Tensor):
 
 class Module:
     """Base class with parameter traversal, mode switching and freezing."""
+
+    #: Set by ``MissionGNNModel.sharer`` once models share it: frozen, eval, for good.
+    shared = False
 
     def __init__(self) -> None:
         self.training = True
@@ -124,7 +128,13 @@ class Module:
                         yield from item.modules()
 
     # -- mode -----------------------------------------------------------
+    def _refuse_if_shared(self, action: str) -> None:
+        if any(module.shared for module in self.modules()):
+            raise StateError(
+                f"cannot {action} weights that several models share")
+
     def train(self) -> "Module":
+        self._refuse_if_shared("put back into training mode")
         for module in self.modules():
             module.training = True
         return self
@@ -142,6 +152,7 @@ class Module:
         return self
 
     def unfreeze(self) -> "Module":
+        self._refuse_if_shared("unfreeze")
         for param in self.parameters():
             param.requires_grad = True
         return self

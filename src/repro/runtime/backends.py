@@ -90,8 +90,9 @@ class ExecutionBackend(abc.ABC):
         ``batched``, else one per-deployment forward each."""
 
     def batch_stats(self) -> dict | None:
-        """Coalescing counters (``batches_run``/``windows_scored``) when
-        the backend can report them cheaply; ``None`` otherwise."""
+        """Coalescing counters (``batches_run``/``windows_scored``) and
+        distinct ``weight_sets``/``token_states`` (scoring models) held,
+        when the backend can report them cheaply; ``None`` otherwise."""
         return None
 
     def transport_stats(self) -> dict | None:
@@ -219,8 +220,12 @@ class InlineBackend(ExecutionBackend):
 
     def batch_stats(self) -> dict:
         batcher = self._fleet.batcher
+        models = [slot.deployment.model for slot in list(self._slots().values())]
         return {"batches_run": batcher.batches_run,
-                "windows_scored": batcher.windows_scored}
+                "windows_scored": batcher.windows_scored,
+                "weight_sets": len({id(getattr(model, "weight_set", model))
+                                    for model in models}),
+                "token_states": len({id(model) for model in models})}
 
 
 class ShardedBackend(ExecutionBackend):
@@ -259,9 +264,7 @@ class ShardedBackend(ExecutionBackend):
     def batch_stats(self) -> dict | None:
         if self._fleet._closed:
             return None
-        stats = self._fleet.batcher_stats()
-        return {"batches_run": stats["batches_run"],
-                "windows_scored": stats["windows_scored"]}
+        return self._fleet.batcher_stats()
 
     def transport_stats(self) -> dict | None:
         # Parent-side counters only — no worker round-trip, so this is

@@ -226,6 +226,8 @@ class ServingEngine:
         self.rounds = 0
         self._clock = clock
         self._queues: dict[str, deque[EngineRequest]] = {}  # repro: guarded-by[_lock]
+        # len of all _queues, kept by submit / drop_pending / run_round
+        self._queued = 0  # repro: guarded-by[_lock]
         self._lock = Lock()
         self.durability = durability
         self._durability_failed = False  # repro: guarded-by[_lock]
@@ -350,6 +352,7 @@ class ServingEngine:
             if not request.queued_at:
                 request.queued_at = self._clock()
             queue.append(request)
+            self._queued += 1
             self._update_queue_gauge()
 
     def queued_depths(self) -> dict[str, int]:
@@ -360,14 +363,13 @@ class ServingEngine:
                     for name, queue in self._queues.items() if queue}
 
     def has_pending(self) -> bool:
-        with self._lock:
-            return any(self._queues.values())
+        return self.pending_count() > 0
 
     def pending_count(self) -> int:
         """Total queued-but-unserved requests (the pipelined gateway's
         round-gather loop polls this between arrivals)."""
         with self._lock:
-            return sum(len(queue) for queue in self._queues.values())
+            return self._queued
 
     def drop_pending(self, predicate) -> list[EngineRequest]:
         """Remove every queued request matching ``predicate`` (e.g. all
@@ -388,7 +390,8 @@ class ServingEngine:
                 if len(dropped) != before:
                     queue.clear()
                     queue.extend(kept)
-            self._update_queue_gauge()
+                    self._queued -= len(dropped) - before
+                    self._update_queue_gauge()
         if self.durability is not None:
             try:
                 for request in dropped:
@@ -430,7 +433,7 @@ class ServingEngine:
         tracer = self.tracer
         wall, started = time.time(), time.perf_counter()
         with self._lock:
-            if not any(self._queues.values()):
+            if not self._queued:
                 return []
             now = self._clock()
             view = {name: tuple(queue)
@@ -457,6 +460,7 @@ class ServingEngine:
                     kept = [r for r in queue if id(r) not in taken]
                     queue.clear()
                     queue.extend(kept)
+            self._queued -= len(taken)
             self._update_queue_gauge()
         scheduled = time.perf_counter()
 
@@ -838,8 +842,7 @@ class ServingEngine:
         self.metrics.gauge("engine.last_round_windows").set(windows)
 
     def _update_queue_gauge(self) -> None:  # repro: lock-held
-        self.metrics.gauge("engine.queue_depth").set(
-            sum(len(queue) for queue in self._queues.values()))
+        self.metrics.gauge("engine.queue_depth").set(self._queued)
 
     def stats(self, concurrent: bool = False) -> dict:
         """Engine-level summary for the ``stats`` op and the benchmark

@@ -4,14 +4,17 @@ Many concurrent streams each deliver a small arrival batch per tick; one
 forward pass per stream wastes most of its time on per-call fixed costs
 (node-matrix assembly, tape construction, op dispatch) rather than on the
 windows themselves.  :class:`MicroBatcher` coalesces the pending windows
-of all streams that share a scoring model into one batched
-``anomaly_scores`` call and slices the results back out per stream.
+of all streams whose models run through one set of frozen weights into one
+forward (``model.anomaly_scores`` for one model, :func:`~repro.gnn.pipeline.
+score_parts` when each stream brings its own KG tokens) and slices the
+results back out per stream.
 
 Because every op in the scoring path is batch-independent per window
 (eval-mode BatchNorm, per-window attention, row-stable GEMMs — see
-:data:`repro.nn.tensor.MIN_STABLE_GEMM_ROWS`), the coalesced scores are
-**bit-identical** to scoring each stream's windows separately; micro-
-batching is purely a throughput decision, never an accuracy one.
+:data:`repro.nn.tensor.MIN_STABLE_GEMM_ROWS` — and a per-frame gather of
+token-side rows), the coalesced scores are **bit-identical** to scoring
+each stream's windows separately; micro-batching is purely a throughput
+decision, never an accuracy one.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from ..errors import ConfigError, WindowShapeError
+from ..gnn.pipeline import score_parts
 
 __all__ = ["ScoreRequest", "MicroBatcher"]
 
@@ -41,11 +45,10 @@ class ScoreRequest:
 class MicroBatcher:
     """Coalesces score requests across streams into batched forwards.
 
-    Requests are grouped by scoring-model identity (streams served by the
-    same model instance can share a forward; adaptive deployments own
-    diverging model copies and keep their own group).  Each group is
-    scored in one call, optionally chunked to ``max_batch_windows`` to
-    bound peak memory.  Results come back in request order.
+    Requests are grouped by weight set (a model's ``weight_set``; a model
+    without one is its own).  Each group is scored in one forward,
+    optionally chunked to ``max_batch_windows`` to bound peak memory.
+    Results come back in request order.
     """
 
     def __init__(self, max_batch_windows: int | None = None):
@@ -56,37 +59,48 @@ class MicroBatcher:
         self.windows_scored = 0  # total windows pushed through
 
     def score(self, requests: list[ScoreRequest]) -> list[np.ndarray]:
-        """Score all requests, coalescing per model; returns per-request
-        score arrays in input order."""
+        """Score all requests, coalescing per weight set; returns
+        per-request score arrays in input order."""
         groups: dict[int, list[int]] = {}
         for index, request in enumerate(requests):
-            groups.setdefault(id(request.model), []).append(index)
+            weights = getattr(request.model, "weight_set", request.model)
+            groups.setdefault(id(weights), []).append(index)
 
         results: list[np.ndarray | None] = [None] * len(requests)
         for indices in groups.values():
-            model = requests[indices[0]].model
             shapes = {requests[i].windows.shape[1:] for i in indices}
             if len(shapes) > 1:
                 raise WindowShapeError(
                     f"cannot coalesce windows of mixed shapes {sorted(shapes)} "
                     "into one batch")
-            stacked = np.concatenate([requests[i].windows for i in indices])
-            scores = self._score_chunked(model, stacked)
+            scores = np.concatenate([
+                self._forward(chunk) for chunk in self._chunks(
+                    [(requests[i].model, requests[i].windows)
+                     for i in indices])])
             offset = 0
             for i in indices:
                 count = requests[i].windows.shape[0]
                 results[i] = scores[offset:offset + count]
                 offset += count
-            self.windows_scored += stacked.shape[0]
+            self.windows_scored += offset
         return results  # type: ignore[return-value]
 
-    def _score_chunked(self, model, windows: np.ndarray) -> np.ndarray:
+    def _chunks(self, parts: list[tuple]) -> list[list[tuple]]:
+        """``parts`` cut into runs of at most ``max_batch_windows``."""
         cap = self.max_batch_windows
-        if cap is None or windows.shape[0] <= cap:
-            self.batches_run += 1
-            return model.anomaly_scores(windows)
-        parts = []
-        for start in range(0, windows.shape[0], cap):
-            self.batches_run += 1
-            parts.append(model.anomaly_scores(windows[start:start + cap]))
-        return np.concatenate(parts)
+        if cap is None or sum(len(windows) for _, windows in parts) <= cap:
+            return [parts]
+        singles = [(model, windows[i:i + 1]) for model, windows in parts
+                   for i in range(len(windows))]
+        return [singles[start:start + cap]
+                for start in range(0, len(singles), cap)]
+
+    def _forward(self, chunk: list[tuple]) -> np.ndarray:
+        """One forward over ``[(model, windows), ...]`` of one weight set."""
+        self.batches_run += 1
+        model = chunk[0][0]
+        if any(other is not model for other, _ in chunk):
+            return score_parts(chunk)
+        # Looked up on the instance, so an instrumented method is honoured.
+        return model.anomaly_scores(
+            np.concatenate([windows for _, windows in chunk]))

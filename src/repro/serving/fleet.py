@@ -6,13 +6,13 @@ production serving means N cameras with mixed missions, each backed by a
 allows.  :class:`DeploymentFleet` owns the per-stream runtimes and drives
 them in lock-step rounds: each round pulls every live stream's arrival
 batch, scores all pending windows through the :class:`MicroBatcher`
-(streams sharing a scoring model coalesce into one forward), and
-dispatches the per-stream score slices back into each deployment's
-monitor/controller.
+(streams whose models run through one weight set coalesce into one
+forward), and dispatches the per-stream score slices back into each
+deployment's monitor/controller.
 
 Streams can be attached and detached mid-run, and a whole fleet —
 deployments, adaptation state, stream positions — checkpoints to a single
-JSON file, deduplicating scoring models shared across static streams.
+JSON file that stores what slots share (weights, anchors, models) once.
 
 Since the ``repro.runtime`` extraction the fleet is a thin facade: it
 owns stream *state* (slots, batcher, checkpoints) while the round loop
@@ -33,14 +33,14 @@ from ..api.deployment import Deployment
 from ..data.streams import TrendShiftConfig, TrendShiftStream
 from ..runtime.engine import FleetEvent, ServingEngine
 from ..gnn.checkpoint import deployment_from_dict, deployment_to_dict
-from ..utils.serialization import atomic_write_json
+from ..utils.serialization import atomic_write_json, decode_array, encode_array
 from .batcher import MicroBatcher
 from ..errors import CheckpointError, ConfigError
 
 __all__ = ["FLEET_FORMAT_VERSION", "FleetEvent", "StreamSlot",
            "DeploymentFleet", "build_fleet"]
 
-FLEET_FORMAT_VERSION = 1
+FLEET_FORMAT_VERSION = 2
 
 
 class StreamSlot:
@@ -119,11 +119,10 @@ class DeploymentFleet:
     def add(self, name: str, deployment: Deployment, stream) -> StreamSlot:
         """Attach a stream under ``name``; serving picks it up next round.
 
-        A model instance may be shared across *static* deployments (that
-        is what lets the micro-batcher coalesce their windows), but never
-        where any sharer is adaptive: adaptation mutates the shared
-        weights mid-round, which would make batched and sequential
-        serving diverge and entangle the streams' trajectories.
+        A model instance may be shared across *static* deployments, but
+        never where any sharer is adaptive: adaptation mutates its KG tokens
+        mid-round, which would make batched and sequential serving diverge
+        and entangle the streams.  Frozen weights (``model.sharer()``) may.
         """
         if name in self._slots:
             raise ConfigError(f"stream {name!r} already attached")
@@ -133,7 +132,8 @@ class DeploymentFleet:
                 raise ConfigError(
                     f"stream {name!r} shares a scoring model with "
                     f"{other.name!r} and at least one of them is adaptive; "
-                    "adaptive deployments need private model copies")
+                    "adaptive deployments need private model copies of the "
+                    "KG state (model.sharer() keeps the weights shared)")
         slot = StreamSlot(name, deployment, stream)
         self._slots[name] = slot
         return slot
@@ -232,10 +232,20 @@ class DeploymentFleet:
     # Checkpointing
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        """Whole-fleet snapshot; scoring models shared across slots are
-        stored once and re-shared on restore."""
-        models: list[dict] = []
-        model_index: dict[int, int] = {}
+        """Whole-fleet snapshot.  What slots share is stored once and
+        re-shared on restore: each weight set in ``weights``, each anchor
+        array in ``anchors``, each scoring model's KGs (plus the index of
+        its weights) in ``models``; a slot names its two by index."""
+        weights, anchors, models = [], [], []
+        position: dict[int, int] = {}  # id(shared object) -> index in its list
+
+        def once(shared, into: list, encode) -> int:
+            """Index of ``shared`` in ``into``, encoded on first sight."""
+            if id(shared) not in position:
+                position[id(shared)] = len(into)
+                into.append(encode())
+            return position[id(shared)]
+
         slots = []
         for slot in self._slots.values():
             if not slot.indexable or not isinstance(slot.stream,
@@ -243,19 +253,25 @@ class DeploymentFleet:
                 raise CheckpointError(
                     f"stream {slot.name!r} is not a TrendShiftStream; "
                     "only random-access streams can be checkpointed")
-            key = id(slot.deployment.model)
-            if key not in model_index:
-                model_index[key] = len(models)
-                models.append(deployment_to_dict(slot.deployment.model))
+            deployment, model = slot.deployment, slot.deployment.model
+            windows = deployment.normal_anchor_windows
             slots.append({
                 "name": slot.name,
-                "model_index": model_index[key],
-                "deployment": slot.deployment.to_dict(include_model=False),
+                "model_index": once(model, models, lambda: {
+                    **deployment_to_dict(model, weights=False),
+                    "weights": once(model.weight_set, weights, lambda: {
+                        name: encode_array(value)
+                        for name, value in model.state_dict().items()})}),
+                "anchors_index": None if windows is None else once(
+                    windows, anchors, lambda: encode_array(windows)),
+                "deployment": deployment.to_dict(include_model=False,
+                                                 include_anchors=False),
                 "stream_config": config_to_dict(slot.stream.config),
                 "cursor": slot.cursor,
                 "done": slot.done,
             })
         return {"fleet_format_version": FLEET_FORMAT_VERSION,
+                "weights": weights, "anchors": anchors,
                 "models": models, "slots": slots,
                 "max_batch_windows": self.batcher.max_batch_windows,
                 "rounds": self.rounds}
@@ -277,12 +293,23 @@ class DeploymentFleet:
             raise CheckpointError(f"unsupported fleet format version: {version}")
         fleet = cls(MicroBatcher(payload.get("max_batch_windows")))
         fleet.rounds = int(payload.get("rounds", 0))
-        models = [deployment_from_dict(p, embedding_model)
-                  for p in payload["models"]]
+        # First model over a weight set: rebuilt in full; the rest: its sharers.
+        bases, models = {}, []
+        for entry in payload["models"]:
+            key = entry["weights"]
+            models.append(deployment_from_dict(
+                {**entry, "weights": payload["weights"][key]},
+                embedding_model, base=bases.get(key)))
+            bases.setdefault(key, models[-1])
+        anchors = [decode_array(entry) for entry in payload["anchors"]]
+        for array in anchors:
+            array.flags.writeable = False  # shared, like Pipeline's
         for entry in payload["slots"]:
+            index = entry["anchors_index"]
             deployment = Deployment.from_dict(
                 entry["deployment"], embedding_model,
-                model=models[entry["model_index"]])
+                model=models[entry["model_index"]],
+                anchors=None if index is None else anchors[index])
             stream = TrendShiftStream(
                 generator,
                 config_from_dict(TrendShiftConfig, entry["stream_config"]))
@@ -299,18 +326,18 @@ class DeploymentFleet:
 
 
 def build_fleet(pipeline, missions: list[str], streams: int,
-                adaptive: bool = False, share_models: bool = True,
+                adaptive: bool = False,
                 windows_per_step: int = 2, stream_seed: int = 100,
                 max_batch_windows: int | None = None,
                 **stream_overrides) -> DeploymentFleet:
     """Assemble a fleet of ``streams`` trend-shift streams over a
     :class:`~repro.api.Pipeline`.
 
-    Missions are assigned round-robin.  Static fleets (``adaptive=False``)
-    with ``share_models`` reuse one trained scoring model per mission, the
-    configuration under which micro-batching coalesces across streams;
-    adaptive deployments always own a private model copy, since continuous
-    KG adaptation makes each stream's weights diverge.
+    Missions are assigned round-robin.  Static streams reuse one scoring
+    model per mission; adaptive ones each get a model of their own over the
+    mission's one set of frozen weights (``Pipeline.deploy``), since
+    continuous KG adaptation makes each stream's KG tokens diverge.  Either
+    way a mission's streams coalesce into one forward per round.
     """
     if streams < 1:
         raise ConfigError("need at least one stream")
@@ -321,14 +348,12 @@ def build_fleet(pipeline, missions: list[str], streams: int,
     for index in range(streams):
         mission = missions[index % len(missions)]
         if adaptive:
-            deployment = pipeline.deploy(mission, adaptive=True)
-        elif share_models:
+            deployment = pipeline.deploy(mission)
+        else:
             if mission not in shared:
                 shared[mission] = pipeline.train(mission)
             deployment = Deployment(shared[mission], mission=mission,
                                     adaptive=False)
-        else:
-            deployment = pipeline.deploy(mission, adaptive=False)
         stream = pipeline.stream(mission, None,
                                  windows_per_step=windows_per_step,
                                  seed=stream_seed + index, **stream_overrides)

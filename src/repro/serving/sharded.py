@@ -130,38 +130,48 @@ class FleetInfra:
                                          or {}))
 
 
-def _empty_fleet_payload(max_batch_windows: int | None) -> dict:
+def _empty_fleet_payload(max_batch_windows: int | None, rounds: int = 0) -> dict:
     return {"fleet_format_version": FLEET_FORMAT_VERSION,
-            "models": [], "slots": [],
-            "max_batch_windows": max_batch_windows, "rounds": 0}
+            "weights": [], "anchors": [], "models": [], "slots": [],
+            "max_batch_windows": max_batch_windows, "rounds": rounds}
 
 
 def partition_fleet_payload(payload: dict, shards: int) -> list[dict]:
     """Split a whole-fleet checkpoint payload into per-shard payloads.
 
     Slots are assigned round-robin in stored (= attach) order; each shard
-    payload keeps only the models its slots reference, with indices
-    remapped, so shared models keep coalescing *within* a shard.
+    payload keeps only the models, weight sets and anchor arrays its slots
+    reference, re-indexed, so what was shared stays shared *within* a shard.
     """
     if shards < 1:
         raise ConfigError("need at least one shard")
-    parts = []
-    for shard in range(shards):
-        entries = [dict(entry) for index, entry in enumerate(payload["slots"])
-                   if index % shards == shard]
-        model_map: dict[int, int] = {}
-        models = []
-        for entry in entries:
-            old = entry["model_index"]
-            if old not in model_map:
-                model_map[old] = len(models)
-                models.append(payload["models"][old])
-            entry["model_index"] = model_map[old]
-        parts.append({"fleet_format_version": FLEET_FORMAT_VERSION,
-                      "models": models, "slots": entries,
-                      "max_batch_windows": payload.get("max_batch_windows"),
-                      "rounds": int(payload.get("rounds", 0))})
-    return parts
+    return [_carry(_empty_fleet_payload(payload.get("max_batch_windows"),
+                                        int(payload.get("rounds", 0))),
+                   payload, payload["slots"][shard::shards])
+            for shard in range(shards)]
+
+
+def _carry(into: dict, payload: dict, slots: list[dict]) -> dict:
+    """Append ``slots`` of ``payload`` to the payload ``into``, with the
+    models, weight sets and anchors they reference, re-indexed."""
+    moved: dict[tuple[str, int], int] = {}
+
+    def move(kind: str, old: int) -> int:
+        if (kind, old) not in moved:
+            item = payload[kind][old]
+            if kind == "models":
+                item = {**item, "weights": move("weights", item["weights"])}
+            moved[kind, old] = len(into[kind])
+            into[kind].append(item)
+        return moved[kind, old]
+
+    for entry in slots:
+        anchors = entry["anchors_index"]
+        into["slots"].append({
+            **entry, "model_index": move("models", entry["model_index"]),
+            "anchors_index": None if anchors is None
+            else move("anchors", anchors)})
+    return into
 
 
 def _shard_worker_main(conn, payload_json: str, infra_payload: dict,
@@ -254,8 +264,7 @@ def _shard_worker_main(conn, payload_json: str, infra_payload: dict,
         if command == "snapshot":
             return fleet.to_dict()
         if command == "stats":
-            return {"batches_run": fleet.batcher.batches_run,
-                    "windows_scored": fleet.batcher.windows_scored}
+            return fleet.engine.backend.batch_stats()
         raise ConfigError(f"unknown worker command {command!r}")
 
     while True:
@@ -597,10 +606,10 @@ class ShardedFleet:
         return dict(self._assignment)
 
     def batcher_stats(self) -> dict:
-        """Summed micro-batcher counters across shards."""
+        """Micro-batcher counters and held weight sets / token states,
+        summed across shards."""
         stats = self._broadcast(("stats",))
-        return {"batches_run": sum(s["batches_run"] for s in stats),
-                "windows_scored": sum(s["windows_scored"] for s in stats)}
+        return {key: sum(shard[key] for shard in stats) for key in stats[0]}
 
     def transport_stats(self) -> dict:
         """Parent<->worker transport counters: messages/bytes over the
@@ -713,24 +722,14 @@ class ShardedFleet:
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         """Whole-fleet snapshot in the plain fleet format (slots in global
-        attach order, models concatenated across shards) plus a
-        ``"shards"`` hint; loadable by :class:`DeploymentFleet` too."""
-        snapshots = self._broadcast(("snapshot",))
-        models: list[dict] = []
-        slots_by_name: dict[str, dict] = {}
-        for snapshot in snapshots:
-            offset = len(models)
-            models.extend(snapshot["models"])
-            for entry in snapshot["slots"]:
-                entry = dict(entry)
-                entry["model_index"] += offset
-                slots_by_name[entry["name"]] = entry
-        return {"fleet_format_version": FLEET_FORMAT_VERSION,
-                "models": models,
-                "slots": [slots_by_name[name] for name in self._order],
-                "max_batch_windows": self.max_batch_windows,
-                "rounds": self.rounds,
-                "shards": self.shards,
+        attach order, what they reference concatenated across shards) plus
+        a ``"shards"`` hint; loadable by :class:`DeploymentFleet` too."""
+        merged = _empty_fleet_payload(self.max_batch_windows, self.rounds)
+        for snapshot in self._broadcast(("snapshot",)):
+            _carry(merged, snapshot, snapshot["slots"])
+        by_name = {entry["name"]: entry for entry in merged["slots"]}
+        merged["slots"] = [by_name[name] for name in self._order]
+        return {**merged, "shards": self.shards,
                 "infra": self.infra.to_payload()}
 
     def save(self, path: str | Path) -> None:
@@ -809,8 +808,7 @@ class ShardedFleet:
 
 def build_sharded_fleet(pipeline, missions: list[str], streams: int,
                         shards: int, adaptive: bool = False,
-                        share_models: bool = True, windows_per_step: int = 2,
-                        stream_seed: int = 100,
+                        windows_per_step: int = 2, stream_seed: int = 100,
                         max_batch_windows: int | None = None,
                         ring_bytes: int | None = None,
                         **stream_overrides) -> ShardedFleet:
@@ -822,7 +820,6 @@ def build_sharded_fleet(pipeline, missions: list[str], streams: int,
     built with the same arguments serve identical streams and scores.
     """
     fleet = build_fleet(pipeline, missions, streams, adaptive=adaptive,
-                        share_models=share_models,
                         windows_per_step=windows_per_step,
                         stream_seed=stream_seed,
                         max_batch_windows=max_batch_windows,

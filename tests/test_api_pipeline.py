@@ -111,6 +111,25 @@ class TestSharedAnchors:
         with pytest.raises(ValueError, match="read-only"):
             first[0, 0, 0] = 0.0
 
+    def test_static_deployment_gets_no_anchors(self, pipeline):
+        """It never reads them, so it neither holds nor checkpoints them."""
+        static = pipeline.deploy("Stealing", adaptive=False)
+        assert static.normal_anchor_windows is None
+        assert static.to_dict()["anchors"] is None
+
+    def test_deployments_of_a_mission_share_one_weight_set(self, pipeline):
+        first, second = pipeline.deploy("Stealing"), pipeline.deploy("Stealing")
+        assert first.model is not second.model
+        assert first.model.weight_set is second.model.weight_set
+        assert first.model.kgs[0] is not second.model.kgs[0]
+        assert pipeline.deploy("Stealing", adaptive=False).model.weight_set \
+            is first.model.weight_set
+        assert pipeline.deploy("Robbery").model.weight_set \
+            is not first.model.weight_set
+        # train() stays the cloud side: a model of one's own to train on.
+        assert pipeline.train("Stealing").weight_set \
+            is not first.model.weight_set
+
     def test_other_mission_and_other_count_get_their_own(self, pipeline):
         stealing = pipeline.normal_anchors("Stealing")
         robbery = pipeline.deploy("Robbery").normal_anchor_windows

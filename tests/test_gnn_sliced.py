@@ -5,6 +5,8 @@ the same logits as the all-nodes reference and the same token gradients.
 (b) Invalidation: after every way the tokens (or the structure, or a
 weight) can change, the next ``anomaly_scores`` equals a freshly built
 model's — a stale token side is never served.
+(c) Mixing: sharers of one weight set with different tokens, and for some
+different structures, score in one forward exactly as each does alone.
 """
 
 import numpy as np
@@ -21,7 +23,10 @@ from repro.api import Deployment
 from repro.gnn import MissionGNNConfig, MissionGNNModel
 from repro.gnn.checkpoint import deployment_from_dict, deployment_to_dict
 from repro.kg import ReasoningKG
+from repro.gnn.pipeline import score_parts
 from repro.nn import Tensor
+from repro.serving import MicroBatcher
+from repro.serving.batcher import ScoreRequest
 from repro.utils import derive_rng
 
 WINDOW = 4
@@ -305,3 +310,76 @@ class TestTokenSideInvalidation:
         DecisionModelTrainer(model, TrainingConfig(
             steps=2, batch_size=4, learning_rate=0.05)).train(windows, labels)
         assert_serves_current_tokens(model, windows, before)
+
+
+# ----------------------------------------------------------------------
+# (c) several token states in one forward
+# ----------------------------------------------------------------------
+class TestMixedMatchesSolo:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), depth=st.integers(1, 4),
+           sharers=st.integers(2, 5), data=st.data())
+    def test_generated_sharers(self, embedding_model, seed, depth, sharers,
+                               data):
+        widths = data.draw(st.lists(st.integers(1, 4), min_size=depth,
+                                    max_size=depth))
+        rng = np.random.default_rng(seed)
+        base = eval_model(random_kg(rng, depth, widths,
+                                    embedding_model.token_dim),
+                          embedding_model, rng)
+        models = [base] + [base.sharer() for _ in range(sharers - 1)]
+        restructure = data.draw(st.lists(st.booleans(), min_size=sharers,
+                                         max_size=sharers))
+        for model, prune in zip(models[1:], restructure[1:]):
+            model.freeze_for_deployment()
+            for tensor in model.token_parameters():
+                tensor.data = tensor.data + rng.normal(scale=0.3,
+                                                       size=tensor.shape)
+            model.commit_tokens()
+            if prune:  # a pruned and a re-created node (None: level of one)
+                victim = model.kgs[0].concept_nodes()[
+                    int(rng.integers(len(model.kgs[0].concept_nodes())))]
+                StructuralAdapter(
+                    model.reasoners, token_dim=embedding_model.token_dim,
+                    rng=rng).replace_node(0, victim.node_id)
+        # 1 .. 64 windows over 1 .. 4 requests; a model may send two.
+        requests = data.draw(st.lists(
+            st.tuples(st.integers(0, sharers - 1), st.integers(1, 16)),
+            min_size=1, max_size=4))
+        parts = [(models[owner], rng.normal(
+                      size=(count, WINDOW, embedding_model.frame_dim)))
+                 for owner, count in requests]
+        solo = [model.anomaly_scores(windows) for model, windows in parts]
+        total = sum(count for _, count in requests)
+
+        assert np.array_equal(score_parts(parts), np.concatenate(solo))
+        cap = data.draw(st.integers(1, 20))
+        for batcher, forwards in ((MicroBatcher(), 1),
+                                  (MicroBatcher(cap), -(-total // cap))):
+            scored = batcher.score([ScoreRequest(model, windows)
+                                    for model, windows in parts])
+            assert batcher.batches_run == forwards
+            assert batcher.windows_scored == total
+            for got, want in zip(scored, solo):
+                assert np.array_equal(got, want)
+
+    def test_diverged_structures_share_a_forward(self, fresh_model,
+                                                 embedding_model, rng):
+        """Two sharers stack, the third — one node pruned, one created —
+        climbs the levels as its own group; one forward either way."""
+        base = fresh_model(window=WINDOW)
+        base.freeze_for_deployment()
+        models = [base.sharer() for _ in range(3)]
+        for model in models:
+            model.freeze_for_deployment()
+        victim = models[2].kgs[0].nodes_at_level(2)[0].node_id
+        assert StructuralAdapter(
+            models[2].reasoners, token_dim=embedding_model.token_dim,
+            rng=derive_rng(3, "structural")).replace_node(0, victim)
+        signatures = [model.reasoners[0].spec.signature for model in models]
+        assert signatures[0] == signatures[1] != signatures[2]
+        parts = [(model, rng.normal(size=(3, WINDOW, embedding_model.frame_dim)))
+                 for model in models]
+        assert np.array_equal(
+            score_parts(parts),
+            np.concatenate([m.anomaly_scores(w) for m, w in parts]))

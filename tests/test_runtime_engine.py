@@ -250,6 +250,9 @@ class TestEngineMetrics:
         assert stats["coalesce"]["batches_run"] == 1
         assert stats["coalesce"]["windows_scored"] == 6
         assert stats["coalesce"]["windows_per_forward"] == 6.0
+        # ... and what the fleet holds: one weight set, one token state.
+        assert stats["coalesce"]["weight_sets"] == 1
+        assert stats["coalesce"]["token_states"] == 1
         # Concurrent readers may still read inline backend counters.
         assert "coalesce" in fleet.engine.stats(concurrent=True)
 
@@ -267,6 +270,60 @@ class TestEngineMetrics:
         engine.run_round()
         assert engine.metrics.gauge("engine.queue_depth").value == 0
         assert engine.metrics.to_dict()["counters"]["engine.requests"] == 3
+
+    def test_running_queue_count_equals_the_queues(self, fresh_model,
+                                                   frame_generator,
+                                                   materialized):
+        """The one count ``pending_count`` / ``has_pending`` / the gauge
+        read is kept at submit, drop and dequeue; it must equal the walk
+        it replaced after any interleaving of them, a rejected admission
+        and a predicate that raises mid-drop included."""
+        windows, _ = materialized
+        fleet = make_fleet(fresh_model, frame_generator)
+        engine = fleet.engine
+        engine.max_queue_depth = 2
+        engine.policy = GreedyDrain(max_per_stream=1)
+
+        def check():
+            total = sum(engine.queued_depths().values())
+            assert engine.pending_count() == total
+            assert engine.has_pending() == (total > 0)
+            assert engine.metrics.gauge("engine.queue_depth").value == total
+
+        def submit(name, index, tag=None):
+            engine.submit(EngineRequest(op="ingest", stream=name, tag=tag,
+                                        windows=windows[name][index]))
+            check()
+
+        check()
+        submit("cam-0", 0)
+        submit("cam-0", 1, tag="doomed")
+        with pytest.raises(AdmissionError):
+            submit("cam-0", 2)      # over the limit: never queued
+        check()
+        submit("cam-1", 0, tag="doomed")
+        submit("cam-2", 0)
+        assert len(engine.run_round()) == 3   # one per stream leaves
+        check()
+        assert engine.pending_count() == 1
+        submit("cam-1", 1)
+        submit("cam-2", 1, tag="doomed")
+
+        def explode_on_cam2(request):
+            if request.stream == "cam-2":
+                raise RuntimeError("broken predicate")
+            return request.tag == "doomed"
+
+        with pytest.raises(RuntimeError, match="broken predicate"):
+            engine.drop_pending(explode_on_cam2)   # cam-0's went, then raised
+        check()
+        assert engine.pending_count() == 2
+        assert len(engine.drop_pending(lambda r: r.tag == "doomed")) == 1
+        check()
+        while engine.has_pending():
+            engine.run_round()
+        check()
+        assert engine.pending_count() == 0
 
     def test_shared_registry_with_caller(self, fresh_model,
                                          frame_generator):
