@@ -11,11 +11,15 @@ This script proves the property the hard way:
 
 1. run an uninterrupted reference fleet in this process;
 2. launch a child process serving a bit-identical fleet over TCP with a
-   WAL directory, and ingest a few rounds through the network client
-   (printing the pipelining overlap stats the gateway reports);
-3. ``SIGKILL`` the child mid-flight — no drain, no close, no snapshot;
-4. ``recover_fleet`` from the WAL directory alone and verify the
-   recovered fleet continues bit-identically with the reference.
+   WAL directory, snapshotting after every round (so the log is
+   truncated and the frozen weights live in one content-addressed blob
+   file the snapshots name), and ingest a few rounds through the network
+   client (printing the pipelining overlap stats the gateway reports);
+3. ``SIGKILL`` the child mid-flight — no drain, no close, no parting
+   snapshot;
+4. ``recover_fleet`` from the WAL directory alone — a periodic snapshot
+   and its blob, then the log after it — and verify the recovered fleet
+   continues bit-identically with the reference.
 
 Exits non-zero on any mismatch, so CI runs it as the crash-recovery
 smoke job.
@@ -42,7 +46,7 @@ from repro.gnn import MissionGNNConfig, MissionGNNModel
 from repro.kg import KGGenerationConfig, KGGenerator
 from repro.llm import SyntheticLLM
 from repro.serving import DeploymentFleet
-from repro.wal import WalConfig, recover_fleet
+from repro.wal import SnapshotPolicy, WalConfig, recover_fleet
 
 STREAMS = 3
 WINDOW = 4
@@ -77,7 +81,8 @@ def serve_forever(wal_dir: str, port_file: str) -> None:
     from repro.gateway import serve_in_thread
     fleet = build_fleet()
     handle = serve_in_thread(fleet, wal_dir=wal_dir,
-                             wal_config=WalConfig(fsync_batch=4))
+                             wal_config=WalConfig(fsync_batch=4),
+                             snapshot_policy=SnapshotPolicy(every_rounds=1))
     host, port = handle.address
     Path(port_file).write_text(f"{host} {port}\n")
     signal.pause()   # SIGKILL is the only way out — that is the demo
@@ -165,7 +170,7 @@ def main() -> None:
             report_overlap(client.stats())
 
         print(f"[3/4] SIGKILL the gateway (pid {child.pid}) — no drain, "
-              "no snapshot ...")
+              "no parting snapshot ...")
         os.kill(child.pid, signal.SIGKILL)
         child.wait()
     finally:
@@ -176,6 +181,10 @@ def main() -> None:
     print(f"[4/4] Recovering the fleet from {wal_dir} alone ...")
     recovered, report = recover_fleet(wal_dir)
     print(f"      {report.summary()}")
+    blobs = list(wal_dir.glob("*.blob"))
+    print(f"      {len(blobs)} weight blob file(s) beside the segments")
+    assert report.snapshot_seq > 0 and len(blobs) == 1, \
+        "recovery did not go through a periodic, blob-naming snapshot"
     assert sorted(recovered.names) == sorted(windows), \
         "recovered fleet lost streams"
     events = recovered.ingest_round(

@@ -7,7 +7,8 @@ kernels that lay weights out per call (``Tensor.last_query_attention``,
 new array.  Both hold only while every writer under ``src/`` rebinds
 (``tensor.data = new``) — so a subscript store, an augmented assignment,
 ``out=`` or ``np.copyto`` aimed at a ``.data``, ``.running_mean``,
-``.running_var`` or ``.token_embeddings`` attribute is a finding.
+``.running_var``, ``.token_embeddings`` or ``.vectors`` (the WAL's blob
+and fingerprint memos rely on it too) attribute is a finding.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ __all__ = ["DataRebindRule"]
 
 #: attributes whose arrays are compared by identity, never by value
 REBOUND = frozenset({"data", "running_mean", "running_var",
-                     "token_embeddings"})
+                     "token_embeddings", "vectors"})
 
 
 def _rebound_attr(node: ast.expr) -> str | None:

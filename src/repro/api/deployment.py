@@ -43,10 +43,7 @@ def _embedding_fingerprint(embedding_model: JointEmbeddingModel) -> str:
     (e.g. a different seed), which would otherwise silently produce
     garbage scores.
     """
-    import hashlib
-    vectors = np.ascontiguousarray(embedding_model.token_table.vectors,
-                                   dtype=np.float64)
-    return hashlib.sha256(vectors.tobytes()).hexdigest()[:16]
+    return embedding_model.token_table.fingerprint
 
 
 @dataclass

@@ -528,13 +528,14 @@ def cmd_stats(args) -> int:
                  if hist.get("count")}
     if populated:
         width = max(len(name) for name in populated)
-        print("  latency:")
+        print("  histograms:")
         for name in sorted(populated):
             hist = populated[name]
-            print(f"    {name:<{width}s}  n={hist['count']:<8d}"
-                  f"p50 {hist.get('p50_ms', float('nan')):8.2f} ms  "
-                  f"p95 {hist.get('p95_ms', float('nan')):8.2f} ms  "
-                  f"p99 {hist.get('p99_ms', float('nan')):8.2f} ms")
+            unit = next((key[4:] for key in hist if key.startswith("p50_")),
+                        "ms")
+            print(f"    {name:<{width}s}  n={hist['count']:<8d}" + "  ".join(
+                f"p{q} {hist.get(f'p{q}_{unit}', float('nan')):8.2f} {unit}"
+                for q in (50, 95, 99)))
     counters = metrics.get("counters") or {}
     if counters:
         print("  counters: " + ", ".join(

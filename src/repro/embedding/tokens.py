@@ -11,6 +11,8 @@ BPE vocabulary token.  Two consumers:
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from ..utils.rng import derive_rng
@@ -43,6 +45,16 @@ class TokenEmbeddingTable:
         table = rng.normal(0.0, 1.0, size=(tokenizer.vocab_size, dim))
         table /= np.linalg.norm(table, axis=1, keepdims=True)
         self.vectors: np.ndarray = table  # frozen; never trained
+        self._fingerprint: tuple[np.ndarray | None, str] = (None, "")
+
+    @property
+    def fingerprint(self) -> str:
+        """SHA-256 of :attr:`vectors`, once per array (``data-rebind``)."""
+        if self._fingerprint[0] is not self.vectors:
+            vectors = np.ascontiguousarray(self.vectors, dtype=np.float64)
+            self._fingerprint = (self.vectors, hashlib.sha256(
+                vectors.tobytes()).hexdigest()[:16])
+        return self._fingerprint[1]
 
     @property
     def vocab_size(self) -> int:

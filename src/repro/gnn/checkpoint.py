@@ -61,15 +61,6 @@ def deployment_from_dict(payload: dict, embedding_model: JointEmbeddingModel,
     model = MissionGNNModel(kgs, embedding_model, config)
     model.load_state_dict({name: _decode(value)
                            for name, value in payload["weights"].items()})
-    # Older artifacts shipped BN statistics in a side section instead of the
-    # state dict; apply it when present so they stay loadable.
-    for kg_index, reasoner in enumerate(model.reasoners):
-        for layer_index, layer in enumerate(reasoner.gnn.layers):
-            stats = payload.get("norm_stats", {}).get(
-                f"kg{kg_index}.layer{layer_index}")
-            if stats is not None:
-                layer.norm.running_mean = _decode(stats["running_mean"])
-                layer.norm.running_var = _decode(stats["running_var"])
     model.eval()
     return model
 

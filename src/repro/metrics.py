@@ -84,8 +84,9 @@ class LatencyHistogram:
     """Latency distribution summarized as count/mean/p50/p95/p99.
 
     Samples are seconds in, milliseconds out (the convention of every
-    ``BENCH_*.json`` in this repo).  A bounded reservoir keeps memory
-    constant under sustained serving load; up to ``max_samples``
+    ``BENCH_*.json`` in this repo); another ``unit`` (``"bytes"``) is
+    summarized as observed, as ``p50_<unit>``.  A bounded reservoir keeps
+    memory constant under sustained serving load; up to ``max_samples``
     observations the summary is exact.  ``count`` is always the true
     number of observations (never the reservoir size); ``summary()``
     reports both, plus ``sampled``, so percentile uncertainty is
@@ -97,10 +98,12 @@ class LatencyHistogram:
     mutation, so the RNG must never be touched outside the lock.
     """
 
-    def __init__(self, max_samples: int = 65536, seed: int = 0):
+    def __init__(self, max_samples: int = 65536, seed: int = 0,
+                 unit: str = "ms"):
         if max_samples < 1:
             raise ValueError("max_samples must be >= 1")
         self.max_samples = max_samples
+        self.unit = unit
         self._samples: list[float] = []
         self._seen = 0
         self._rng = random.Random(seed)
@@ -155,14 +158,11 @@ class LatencyHistogram:
             seen = self._seen
         if not samples:
             return {"count": 0}
-        return {
-            "count": seen,
-            "sampled": len(samples),
-            "mean_ms": float(np.mean(samples)) * 1e3,
-            "p50_ms": percentile(samples, 50, phase) * 1e3,
-            "p95_ms": percentile(samples, 95, phase) * 1e3,
-            "p99_ms": percentile(samples, 99, phase) * 1e3,
-        }
+        unit, scale = self.unit, 1e3 if self.unit == "ms" else 1.0
+        return {"count": seen, "sampled": len(samples),
+                f"mean_{unit}": float(np.mean(samples)) * scale,
+                **{f"p{q}_{unit}": percentile(samples, q, phase) * scale
+                   for q in (50, 95, 99)}}
 
 
 class MetricsRegistry:
@@ -195,9 +195,9 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get(name, Gauge, Gauge)
 
-    def histogram(self, name: str, max_samples: int = 65536) -> LatencyHistogram:
+    def histogram(self, name: str, max_samples: int = 65536, unit: str = "ms") -> LatencyHistogram:
         return self._get(name, LatencyHistogram,
-                         lambda: LatencyHistogram(max_samples))
+                         lambda: LatencyHistogram(max_samples, unit=unit))
 
     def to_dict(self) -> dict:
         """JSON-ready snapshot: ``{counters: {...}, gauges: {...},

@@ -178,6 +178,7 @@ class Module:
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        self._refuse_if_shared("overwrite")
         params = dict(self.named_parameters())
         buffer_names = {name for name, _ in self.named_buffers()}
         missing = set(params) - set(state)

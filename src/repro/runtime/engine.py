@@ -703,6 +703,7 @@ class ServingEngine:
             due = self._snapshot_due
         if not due or self.durability is None:
             return
+        start = time.perf_counter()  # the whole round-thread stall
         self.drain_commits()
         with self._lock:
             self._snapshot_due = False
@@ -716,6 +717,8 @@ class ServingEngine:
             self.metrics.counter("engine.durability_errors").inc()
             with self._lock:
                 self._durability_failed = True
+        self.metrics.histogram("engine.snapshot_stall").observe(
+            time.perf_counter() - start)
 
     def min_pending_wal_seq(self) -> int | None:
         """Lowest durability-log seq still queued *or riding an

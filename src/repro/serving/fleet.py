@@ -231,11 +231,13 @@ class DeploymentFleet:
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
+    def to_dict(self, blobs=None) -> dict:
         """Whole-fleet snapshot.  What slots share is stored once and
         re-shared on restore: each weight set in ``weights``, each anchor
         array in ``anchors``, each scoring model's KGs (plus the index of
-        its weights) in ``models``; a slot names its two by index."""
+        its weights) in ``models``; a slot names its two by index.  With
+        ``blobs`` (a :class:`repro.wal.BlobStore`: WAL snapshots) those two
+        lists hold each entry's ``{"blob": digest}`` reference instead."""
         weights, anchors, models = [], [], []
         position: dict[int, int] = {}  # id(shared object) -> index in its list
 
@@ -245,6 +247,10 @@ class DeploymentFleet:
                 position[id(shared)] = len(into)
                 into.append(encode())
             return position[id(shared)]
+
+        def blob(key: tuple, encode):
+            """``encode()``, or its reference; ``key``: owner + its arrays."""
+            return encode() if blobs is None else blobs.reference(key, encode)
 
         slots = []
         for slot in self._slots.values():
@@ -259,11 +265,14 @@ class DeploymentFleet:
                 "name": slot.name,
                 "model_index": once(model, models, lambda: {
                     **deployment_to_dict(model, weights=False),
-                    "weights": once(model.weight_set, weights, lambda: {
-                        name: encode_array(value)
-                        for name, value in model.state_dict().items()})}),
+                    "weights": once(model.weight_set, weights, lambda: blob(
+                        (model.weight_set, *model.buffers(),
+                         *(param.data for param in model.parameters())),
+                        lambda: {name: encode_array(value) for name, value
+                                 in model.state_dict().items()}))}),
                 "anchors_index": None if windows is None else once(
-                    windows, anchors, lambda: encode_array(windows)),
+                    windows, anchors, lambda: blob(
+                        (windows,), lambda: encode_array(windows))),
                 "deployment": deployment.to_dict(include_model=False,
                                                  include_anchors=False),
                 "stream_config": config_to_dict(slot.stream.config),

@@ -22,6 +22,14 @@ write-ahead log:
   full-log watermark replay, rebuilding per-stream state bit-identically
   as either an inline or a sharded fleet.
 
+On disk: numbered segments (``00000001.wal``, …) and :class:`BlobStore`
+files, ``<sha256>.blob`` — each the JSON of one weight set or anchor
+array, written atomically and fsynced with the directory before the
+first snapshot record naming it ``{"blob": digest}``, deleted by the
+first snapshot-and-truncate that no longer does.  A digest is remembered
+by the identity of the owner and of each of its arrays: model arrays are
+only ever rebound (``data-rebind`` lint rule), so nothing is re-encoded.
+
 Layering: ``repro.wal`` sits beside :mod:`repro.serving` (recovery
 imports it); the runtime engine only ever sees the duck-typed
 durability hook, and :mod:`repro.gateway` / the CLI wire the two
@@ -34,9 +42,10 @@ from .records import (RECORD_KINDS, attach_record, detach_record,
                       ingest_record, record_windows, skip_record,
                       snapshot_record, validate_record)
 from .recovery import RecoveryReport, read_records, recover_fleet
-from .snapshot import SnapshotManager, SnapshotPolicy
+from .snapshot import BlobStore, SnapshotManager, SnapshotPolicy
 
 __all__ = [
+    "BlobStore",
     "FRAME_HEADER",
     "RECORD_KINDS",
     "RecoveryReport",

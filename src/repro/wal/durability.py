@@ -39,7 +39,7 @@ from ..metrics import MetricsRegistry
 from .log import WalConfig, WriteAheadLog
 from .records import (attach_record, detach_record, ingest_record,
                       skip_record)
-from .snapshot import SnapshotManager, SnapshotPolicy
+from .snapshot import BlobStore, SnapshotManager, SnapshotPolicy
 
 __all__ = ["WalDurability", "infra_for_fleet"]
 
@@ -95,12 +95,11 @@ class WalDurability:
                 "durable fleet at a fresh directory")
         self.infra = infra if infra is not None else infra_for_fleet(fleet)
         self.snapshots = SnapshotManager(self.wal, policy)
+        self.blobs = BlobStore(self.wal.directory, self.wal.metrics)
         self._applied: dict[str, int] = {}
         self._closed = False
         # Genesis: an empty log has nothing for recovery to rebuild from.
-        self.snapshots.snapshot(self.fleet.to_dict(),
-                                self.infra.to_payload(),
-                                self._applied, rounds=0)
+        self.snapshot()
 
     # ------------------------------------------------------------------
     # Engine hook surface (repro.runtime.DurabilityHook)
@@ -168,7 +167,7 @@ class WalDurability:
     # ------------------------------------------------------------------
     def snapshot(self, engine=None) -> int:
         """Embed a whole-fleet checkpoint in the log and truncate the
-        segments it makes redundant; returns the snapshot's seq.
+        segments and blobs it makes redundant; returns the snapshot's seq.
 
         Must run on the round-runner thread (fleet state is only mutated
         by rounds, so between rounds it is stable).  ``engine`` supplies
@@ -180,14 +179,19 @@ class WalDurability:
         seq precedes the snapshot's, closing the window in which a
         concurrently admitted request could be truncated away.
         """
+        from ..serving import DeploymentFleet
         pending_low = (engine.min_pending_wal_seq
                        if engine is not None else None)
         rounds = engine.rounds if engine is not None else 0
-        return self.snapshots.snapshot(self.fleet.to_dict(),
-                                       self.infra.to_payload(),
-                                       dict(self._applied),
-                                       rounds=rounds,
-                                       pending_low=pending_low)
+        if isinstance(self.fleet, DeploymentFleet):
+            payload = self.fleet.to_dict(blobs=self.blobs)
+        else:  # sharded: the workers ship their weights inline
+            payload = self.blobs.externalize(self.fleet.to_dict())
+        seq = self.snapshots.snapshot(payload, self.infra.to_payload(),
+                                      dict(self._applied), rounds=rounds,
+                                      pending_low=pending_low)
+        self.blobs.collect(payload)
+        return seq
 
     @property
     def applied_watermarks(self) -> dict[str, int]:

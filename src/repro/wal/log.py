@@ -331,6 +331,8 @@ class WriteAheadLog:
             if due:
                 self._fsync_locked()
             self.metrics.counter("wal.records").inc()
+            if record.get("kind") == "snapshot":
+                self.metrics.histogram("wal.snapshot_bytes", unit="bytes").observe(len(frame))
             self._update_gauges()
         self.metrics.histogram("wal.append_latency").observe(
             time.perf_counter() - start)

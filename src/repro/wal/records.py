@@ -28,7 +28,9 @@ Each record is a JSON-safe dict with a ``"kind"`` discriminator and the
     a fresh process, and the per-stream applied watermark (the highest
     ingest seq each stream had dispatched into its deployment when the
     snapshot was taken).  Recovery rebuilds from the latest snapshot and
-    replays only ingest records past each stream's watermark.
+    replays only ingest records past each stream's watermark.  Its weight
+    sets and anchor arrays are ``{"blob": digest}`` references to files
+    beside the segments (:class:`~repro.wal.BlobStore`), or inline.
 
 Records deliberately stay plain dicts on the wire (the log frames each
 one as a JSON or binary body); the constructors and

@@ -8,9 +8,10 @@
    suffix, never the log.
 2. **Locate** the newest ``snapshot`` record and rebuild the fleet from
    its embedded checkpoint (the PR 3 self-describing ``fleet.to_dict()``
-   payload) using the :class:`~repro.serving.FleetInfra` seeds stored
-   beside it — inline by default, sharded when ``shards`` is given; the
-   two rebuilds score bit-identically.
+   payload, blob references resolved) using the
+   :class:`~repro.serving.FleetInfra` seeds stored beside it — inline
+   by default, sharded when ``shards`` is given; the two rebuilds score
+   bit-identically.
 3. **Replay** the whole retained log in seq order against the snapshot's
    per-stream applied watermarks: an ``ingest`` record applies iff its
    seq is above its stream's watermark and not cancelled by a ``skip``
@@ -44,6 +45,7 @@ from ..errors import RecoveryError
 from ..metrics import MetricsRegistry
 from .log import WriteAheadLog
 from .records import record_windows, validate_record
+from .snapshot import BlobStore
 
 __all__ = ["RecoveryReport", "read_records", "recover_fleet"]
 
@@ -152,6 +154,7 @@ def recover_fleet(wal_dir: str | Path, shards: int | None = None,
             "snapshot at startup)")
     report.snapshot_seq = int(snapshot["seq"])
 
+    snapshot["fleet"] = BlobStore(wal_dir, registry).resolve(snapshot["fleet"])
     fleet, infra, built = _rebuild_fleet(snapshot, shards, metrics)
     applied = {name: int(seq) for name, seq in snapshot["applied"].items()}
 

@@ -18,18 +18,103 @@ watermark makes redundant.  :class:`SnapshotPolicy` decides *when*
    before the snapshot but are not in it; cutting at the snapshot's own
    seq would silently drop them, which is exactly the loss this
    subsystem exists to prevent.
+
+Weight sets and anchor arrays go to a :class:`BlobStore` instead.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 from .log import WriteAheadLog
 from .records import snapshot_record
-from ..errors import ConfigError
+from ..errors import ConfigError, RecoveryError
+from ..metrics import MetricsRegistry
+from ..utils.serialization import atomic_write_text, fsync_directory
 
-__all__ = ["SnapshotPolicy", "SnapshotManager"]
+__all__ = ["BlobStore", "SnapshotPolicy", "SnapshotManager"]
+
+#: fleet-payload lists whose entries may be blob references
+_BLOB_KINDS = ("weights", "anchors")
+
+
+def _is_reference(entry) -> bool:
+    return isinstance(entry, dict) and entry.keys() == {"blob"}
+
+
+def _map_entries(payload: dict, change) -> dict:
+    return {**payload, **{kind: [change(entry) for entry in payload[kind]]
+                          for kind in _BLOB_KINDS}}
+
+
+class BlobStore:
+    """``<sha256>.blob`` files in a WAL directory, each the JSON of one
+    fleet-checkpoint weight set or anchor array (layout, GC rule and why
+    the identity memo is safe: :mod:`repro.wal`)."""
+
+    def __init__(self, directory: str | Path, metrics: MetricsRegistry):
+        self.directory = Path(directory)
+        self.metrics = metrics
+        self._memo: dict[int, tuple[tuple, str]] = {}  # id(owner) -> (key, digest)
+        self._written: set[str] = set()  # fsynced by this store
+
+    def _write(self, entry) -> str:
+        text = json.dumps(entry)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        if digest not in self._written:
+            atomic_write_text(self.directory / f"{digest}.blob", text)  # file + dir fsynced
+            self._written.add(digest)
+        return digest
+
+    def reference(self, key: tuple, encode) -> dict:
+        """``{"blob": digest}`` of ``encode()``, called only if ``key`` (the
+        owner, then its arrays) are not the objects last seen for it."""
+        seen = self._memo.get(id(key[0]))
+        if seen is None or [*map(id, seen[0])] != [*map(id, key)]:  # seen[0] held: ids unique
+            seen = self._memo[id(key[0])] = (key, self._write(encode()))
+        return {"blob": seen[1]}
+
+    def externalize(self, payload: dict) -> dict:
+        """``payload`` with every inline weight set and anchor array
+        written out as a blob (a sharded fleet's merged worker payload)."""
+        return _map_entries(payload, lambda entry: entry if _is_reference(
+            entry) else {"blob": self._write(entry)})
+
+    def collect(self, payload: dict) -> None:
+        """Delete every blob ``payload`` — the newest snapshot — does not
+        name, and forget it."""
+        keep = {entry["blob"] for kind in _BLOB_KINDS
+                for entry in payload[kind] if _is_reference(entry)}
+        self._memo = {owner: seen for owner, seen in self._memo.items()
+                      if seen[1] in keep}
+        self._written &= keep
+        stale = [path for path in self.directory.glob("*.blob") if path.stem not in keep]
+        for path in stale:
+            path.unlink()
+        if stale:
+            fsync_directory(self.directory)
+        self.metrics.gauge("wal.blobs").set(len(keep))
+        self.metrics.gauge("wal.blob_bytes").set(
+            sum((self.directory / f"{digest}.blob").stat().st_size for digest in keep))
+
+    def resolve(self, payload: dict) -> dict:
+        """``payload`` with each reference replaced by its verified entry;
+        a missing or damaged blob is a :class:`RecoveryError` naming it."""
+        def read(digest: str):
+            try:
+                data = (self.directory / f"{digest}.blob").read_bytes()
+            except OSError:
+                data = b""
+            if hashlib.sha256(data).hexdigest() != digest:
+                raise RecoveryError(f"snapshot blob {digest} is missing, "
+                                    "unreadable, truncated or corrupt")
+            return json.loads(data)
+        return _map_entries(payload, lambda entry: read(
+            entry["blob"]) if _is_reference(entry) else entry)
 
 
 @dataclass(frozen=True)

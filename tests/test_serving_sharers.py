@@ -3,8 +3,9 @@
 A mission's GNNs, temporal model and decision head exist once; every
 deployment of it owns only its KG state.  What must hold: (a) the guards —
 a model *object* is still never shared with an adaptive deployment, shared
-weights are, and shared modules refuse ``train()`` / ``unfreeze()``; (b) a
-round over a mission's sharers is one forward; (c) N sharers follow, bit
+weights are, and shared modules refuse ``train()`` / ``unfreeze()`` /
+``load_state_dict()``; (b) a round over a mission's sharers is one
+forward; (c) N sharers follow, bit
 for bit, the trajectories of N private models through token updates,
 rollbacks and prunes; (d) a checkpoint stores what is shared once and every
 restore path — ``DeploymentFleet.from_dict``, shard workers,
@@ -139,6 +140,8 @@ class TestSharedWeightsGuard:
                     module.train()
                 with pytest.raises(StateError, match="share"):
                     module.unfreeze()
+                with pytest.raises(StateError, match="share"):
+                    module.load_state_dict(module.state_dict())
         sharer.eval()      # what a deployment does stays allowed
         sharer.freeze()
         sharer.freeze_for_deployment()
