@@ -21,6 +21,10 @@ This script proves the property the hard way:
    and its blob, then the log after it — and verify the recovered fleet
    continues bit-identically with the reference.
 
+Beside the static streams serves one adaptive stream, a ``sharer()`` of
+the demo model: its monitor window of frame codes crosses the snapshot,
+and its continuation and ``export_state()`` must match bit for bit too.
+
 Exits non-zero on any mismatch, so CI runs it as the crash-recovery
 smoke job.
 
@@ -38,6 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.adaptation import AdaptationConfig, MonitorConfig
 from repro.api import Deployment
 from repro.concepts import build_default_ontology
 from repro.data import FrameGenerator, TrendShiftConfig, TrendShiftStream
@@ -50,6 +55,7 @@ from repro.wal import SnapshotPolicy, WalConfig, recover_fleet
 
 STREAMS = 3
 WINDOW = 4
+ADAPTIVE = "cam-adaptive"
 
 
 def build_fleet() -> DeploymentFleet:
@@ -66,10 +72,17 @@ def build_fleet() -> DeploymentFleet:
                             MissionGNNConfig(temporal_window=WINDOW, seed=7))
     model.eval()
     fleet = DeploymentFleet()
-    for index in range(STREAMS):
+    for index in range(STREAMS + 1):
+        # The adaptive stream's monitor window (4) is shorter than what
+        # it ingests, so its code buffer is full and rolling at the kill.
+        deployment = Deployment(
+            model.sharer(), mission="Stealing",
+            adaptation_config=AdaptationConfig(
+                monitor=MonitorConfig(window=4, lag=2)),
+        ) if index == STREAMS else Deployment(
+            model, mission="Stealing", adaptive=False)
         fleet.add(
-            f"cam-{index}",
-            Deployment(model, mission="Stealing", adaptive=False),
+            ADAPTIVE if index == STREAMS else f"cam-{index}", deployment,
             TrendShiftStream(generator, TrendShiftConfig(
                 steps_before_shift=2, steps_after_shift=2,
                 windows_per_step=2, window=WINDOW, seed=60 + index)))
@@ -126,8 +139,8 @@ def main() -> None:
         return
     rounds = 2 if args.quick else args.rounds
 
-    print(f"[1/4] Uninterrupted reference run ({STREAMS} streams, "
-          f"{rounds + 1} rounds) ...")
+    print(f"[1/4] Uninterrupted reference run ({STREAMS} static + 1 "
+          f"adaptive streams, {rounds + 1} rounds) ...")
     reference_fleet = build_fleet()
     windows = {slot.name: [np.asarray(slot.stream.batch(r).windows,
                                       dtype=np.float64)
@@ -187,11 +200,18 @@ def main() -> None:
         "recovery did not go through a periodic, blob-naming snapshot"
     assert sorted(recovered.names) == sorted(windows), \
         "recovered fleet lost streams"
+    controller = recovered.slots[recovered.names.index(ADAPTIVE)] \
+        .deployment.controller
+    print(f"      {ADAPTIVE}: {len(controller._code_buffer)} frame codes "
+          f"of shape {controller._code_buffer[0].shape} recovered")
     events = recovered.ingest_round(
         {name: windows[name][rounds] for name in recovered.names})
     for name, event in events.items():
         assert np.array_equal(event.scores, reference[name][rounds]), \
             f"post-recovery {name} diverged — durability is broken"
+    assert controller.export_state() == reference_fleet.slots[
+        reference_fleet.names.index(ADAPTIVE)].deployment.controller \
+        .export_state(), f"{ADAPTIVE}'s adaptation state diverged"
     print("\nEvery acked score survived the kill; the recovered fleet "
           "continues bit-identically. Durable serving works.")
 

@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from ..errors import NonFiniteError
 from ..gnn.pipeline import MissionGNNModel
 from ..nn.optim import Adam
 from ..utils.rng import derive_rng
@@ -33,7 +34,8 @@ from .monitor import LOG_TRAIL_LENGTH, AnomalyScoreMonitor, MonitorConfig
 from .structure import StructuralAdapter, StructuralEvent
 from .token_update import TokenEmbeddingUpdater, TokenUpdateConfig
 
-__all__ = ["AdaptationConfig", "AdaptationStepLog", "ContinuousAdaptationController"]
+__all__ = ["AdaptationConfig", "AdaptationStepLog", "ContinuousAdaptationController",
+           "checked_batch"]
 
 
 @dataclass
@@ -67,6 +69,20 @@ class AdaptationStepLog:
     pruned: list[StructuralEvent] = field(default_factory=list)
 
 
+def checked_batch(windows: np.ndarray, scores: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(B, T, frame_dim)`` finite windows and their ``(B,)`` scores (or None)."""
+    windows = np.asarray(windows, dtype=np.float64)
+    if windows.ndim != 3:
+        raise ValueError(f"expected (B, T, frame_dim), got {windows.shape}")
+    if not np.isfinite(windows).all():
+        raise NonFiniteError("windows hold NaN or ±Inf values")
+    if scores is not None and np.shape(scores) != (windows.shape[0],):
+        raise ValueError(f"expected {windows.shape[0]} precomputed "
+                         f"scores, got shape {np.shape(scores)}")
+    return windows, None if scores is None else np.asarray(scores, np.float64)
+
+
 class ContinuousAdaptationController:
     """Edge-side driver of continuous KG adaptive learning."""
 
@@ -90,15 +106,12 @@ class ContinuousAdaptationController:
         self.model = model
         self.config = config or AdaptationConfig()
         self.anomaly_type = anomaly_type
-        if normal_anchor_windows is not None:
-            normal_anchor_windows = np.asarray(normal_anchor_windows,
-                                               dtype=np.float64)
-            if normal_anchor_windows.ndim != 3:
-                raise ValueError("normal_anchor_windows must be (N, T, frame_dim)")
         self.normal_anchor_windows = normal_anchor_windows
         self._anchor_rng = derive_rng(self.config.seed, "anchors")
 
         model.freeze_for_deployment()
+        self._anchor_codes = (None if normal_anchor_windows is None
+                              else model.shared_codes(normal_anchor_windows))
         self.monitor = AnomalyScoreMonitor(self.config.monitor)
         self.updater = TokenEmbeddingUpdater(model, self.config.update)
         self.tracker = NodeConvergenceTracker(self.config.convergence)
@@ -109,8 +122,9 @@ class ContinuousAdaptationController:
             edge_probability=self.config.edge_probability,
             token_bank=model.embedding_model.token_table.vectors)
 
-        capacity = self.config.monitor.window + self.config.monitor.lag
-        self._window_buffer: deque[np.ndarray] = deque(maxlen=capacity)
+        # The monitor window's frame codes: all a phase reads of past windows.
+        self._code_buffer: deque[np.ndarray] = deque(
+            maxlen=self.config.monitor.window)
         self.logs: deque[AdaptationStepLog] = deque(maxlen=LOG_TRAIL_LENGTH)
         self.step_count = 0    # batches processed, across checkpoint restores
         self.update_count = 0  # total token-update iterations (Fig. 6 x-axis)
@@ -126,20 +140,14 @@ class ContinuousAdaptationController:
         caller is responsible for the scores actually being this model's
         output for ``windows`` — the batched path guarantees bit-equality.
         """
-        windows = np.asarray(windows, dtype=np.float64)
-        if windows.ndim != 3:
-            raise ValueError(f"expected (B, T, frame_dim), got {windows.shape}")
+        windows, scores = checked_batch(windows, scores)
         step = self.step_count
+        codes = self.model.codes_of(windows)
         if scores is None:
-            scores = self.model.anomaly_scores(windows)
-        else:
-            scores = np.asarray(scores, dtype=np.float64)
-            if scores.shape != (windows.shape[0],):
-                raise ValueError(f"expected {windows.shape[0]} precomputed "
-                                 f"scores, got shape {scores.shape}")
+            scores = self.model.code_scores(codes)
         self.monitor.observe(scores)
-        for w in windows:
-            self._window_buffer.append(w)
+        # A copy: a view would keep the whole round's codes alive.
+        self._code_buffer.extend(np.array(codes[-self._code_buffer.maxlen:]))
         log = AdaptationStepLog(step=step, scores=scores)
 
         if self.monitor.warmed_up:
@@ -155,8 +163,8 @@ class ContinuousAdaptationController:
 
     # ------------------------------------------------------------------
     def _pick_normals(self, k: int, exclude: set[int],
-                      recent_windows: np.ndarray) -> np.ndarray:
-        """Known non-anomalous windows for the update batch.
+                      recent: np.ndarray) -> np.ndarray:
+        """Frame codes of known non-anomalous windows for the update batch.
 
         Prefers the deployment's normal anchors (paper IV-B: "corresponding
         non-anomalous samples from the training set"); lacking anchors, the
@@ -165,16 +173,16 @@ class ContinuousAdaptationController:
         """
         cfg = self.config
         n_normals = min(cfg.normals_per_update, max(k, 1) * 4)
-        if self.normal_anchor_windows is not None:
+        if self._anchor_codes is not None:
             pick = self._anchor_rng.choice(
-                self.normal_anchor_windows.shape[0],
-                size=min(n_normals, self.normal_anchor_windows.shape[0]),
+                self._anchor_codes.shape[0],
+                size=min(n_normals, self._anchor_codes.shape[0]),
                 replace=False)
-            return self.normal_anchor_windows[pick]
-        scores = self.model.anomaly_scores(recent_windows)
+            return self._anchor_codes[pick]
+        scores = self.model.code_scores(recent)
         order = np.argsort(scores, kind="mergesort")
         low = [i for i in order if i not in exclude]
-        return recent_windows[np.asarray(low[:n_normals], dtype=np.int64)]
+        return recent[np.asarray(low[:n_normals], dtype=np.int64)]
 
     def _snapshot_tokens(self) -> list[np.ndarray]:
         return [t.data.copy() for t in self.model.token_parameters()]
@@ -185,10 +193,9 @@ class ContinuousAdaptationController:
         self.model.commit_tokens()
 
     def _anchor_mean_score(self) -> float | None:
-        if self.normal_anchor_windows is None:
+        if self._anchor_codes is None:
             return None
-        sample = self.normal_anchor_windows[:48]
-        return float(self.model.anomaly_scores(sample).mean())
+        return float(self.model.code_scores(self._anchor_codes[:48]).mean())
 
     def _adapt(self, k: int, log: AdaptationStepLog) -> None:
         """One adaptation phase: re-select top-K and update, several rounds.
@@ -210,18 +217,18 @@ class ContinuousAdaptationController:
           half the step size.
         """
         cfg = self.config
-        recent = list(self._window_buffer)[-self.monitor.current_window().size:]
-        recent_windows = np.stack(recent)
-        k = min(k, recent_windows.shape[0])
+        recent = np.stack(list(self._code_buffer)[
+            -self.monitor.current_window().size:])
+        k = min(k, recent.shape[0])
 
         prev_loss: float | None = None
         baseline_anchor = self._anchor_mean_score()
         lr_damping = 1.0
         for _ in range(max(cfg.adaptation_rounds, 1)):
-            scores = self.model.anomaly_scores(recent_windows)
+            scores = self.model.code_scores(recent)
             top = np.argsort(-scores, kind="mergesort")[:k]
-            pseudo_anomalies = recent_windows[top]
-            normals = self._pick_normals(k, set(top.tolist()), recent_windows)
+            pseudo_anomalies = recent[top]
+            normals = self._pick_normals(k, set(top.tolist()), recent)
             batch = np.concatenate([pseudo_anomalies, normals])
             labels = np.concatenate([
                 np.ones(pseudo_anomalies.shape[0], dtype=np.int64),
@@ -297,8 +304,8 @@ class ContinuousAdaptationController:
         """JSON-safe snapshot of the loop's mutable runtime state.
 
         Covers everything a restarted process needs to continue adapting
-        exactly where this one stopped: monitor scores, the recent-window
-        buffer, per-node convergence statistics, structural events, and
+        exactly where this one stopped: monitor scores, the monitor window's
+        frame codes, per-node convergence statistics, structural events, and
         every RNG state.  Model weights and KG tokens are *not* included —
         they travel in the deployment checkpoint's model section.
         """
@@ -319,7 +326,7 @@ class ContinuousAdaptationController:
                 "scores": [float(s) for s in self.monitor._scores],
                 "history": [float(h) for h in self.monitor.history],
             },
-            "buffer": [encode_array(w) for w in self._window_buffer],
+            "buffer": [encode_array(c) for c in self._code_buffer],
             "anchor_rng": self._anchor_rng.bit_generator.state,
             "structural_rng": self.structural.rng.bit_generator.state,
             "structural_events": [asdict(e) for e in self.structural.events],
@@ -354,9 +361,8 @@ class ContinuousAdaptationController:
         # The trails keep the newest entries of a longer saved list.
         self.monitor.history.clear()
         self.monitor.history.extend(float(h) for h in state["monitor"]["history"])
-        self._window_buffer.clear()
-        for payload in state["buffer"]:
-            self._window_buffer.append(decode_array(payload))
+        self._code_buffer.clear()
+        self._code_buffer.extend(decode_array(p) for p in state["buffer"])
         self._anchor_rng.bit_generator.state = state["anchor_rng"]
         self.structural.rng.bit_generator.state = state["structural_rng"]
         self.structural.events = [StructuralEvent(**e)
@@ -375,14 +381,8 @@ class ContinuousAdaptationController:
         # then put back the optimizer's own state (Adam moments, step count)
         # so the first post-resume update matches an uninterrupted run.
         self.updater.rebuild_optimizer()
-        optimizer = self.updater._optimizer
-        saved_optimizer = state.get("optimizer", {})
-        optimizer.step_count = int(saved_optimizer.get("step_count", 0))
-        if isinstance(optimizer, Adam) and "m" in saved_optimizer:
-            moments_m = [decode_array(p) for p in saved_optimizer["m"]]
-            moments_v = [decode_array(p) for p in saved_optimizer["v"]]
-            if (len(moments_m) == len(optimizer._m)
-                    and all(a.shape == b.shape
-                            for a, b in zip(moments_m, optimizer._m))):
-                optimizer._m = moments_m
-                optimizer._v = moments_v
+        optimizer, saved = self.updater._optimizer, state["optimizer"]
+        optimizer.step_count = int(saved["step_count"])
+        if isinstance(optimizer, Adam):
+            optimizer._m = [decode_array(p) for p in saved["m"]]
+            optimizer._v = [decode_array(p) for p in saved["v"]]

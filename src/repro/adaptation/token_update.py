@@ -92,7 +92,8 @@ class TokenEmbeddingUpdater:
         Parameters
         ----------
         windows:
-            (B, T, frame_dim) recent frame windows.
+            (B, T, frame_dim) recent frame windows, or their (B, K, T, D)
+            frame codes (:meth:`MissionGNNModel.frame_codes`).
         pseudo_labels:
             (B,) binary pseudo-labels from the monitor (1 = pseudo-anomaly).
         anomaly_type:
@@ -111,6 +112,7 @@ class TokenEmbeddingUpdater:
             raise ValueError("windows/pseudo_labels length mismatch")
         if windows.shape[0] == 0:
             raise ValueError("empty adaptation batch")
+        codes = windows if windows.ndim == 4 else self.model.frame_codes(windows)
         cfg = self.config
 
         before = {
@@ -125,7 +127,7 @@ class TokenEmbeddingUpdater:
         base_lr = self._optimizer.lr
         self._optimizer.lr = base_lr * max(lr_scale, 0.0)
         for _ in range(max(cfg.inner_steps, 1)):
-            logits = self.model(windows)
+            logits = self.model.code_logits(codes)
             loss = vad_loss(logits, targets,
                             lambda_spa=cfg.lambda_spa, lambda_smt=cfg.lambda_smt)
             self._optimizer.zero_grad()

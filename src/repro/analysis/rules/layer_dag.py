@@ -48,12 +48,12 @@ LAYER_DEPS: dict[str, frozenset[str]] = {
     "kg": frozenset({"llm", "embedding", "errors", "utils"}),
     "gnn": frozenset({"embedding", "kg", "nn", "utils"}),
     "baselines": frozenset({"embedding", "nn", "utils"}),
-    "adaptation": frozenset({"embedding", "gnn", "kg", "nn", "utils"}),
+    "adaptation": frozenset({"embedding", "errors", "gnn", "kg", "nn", "utils"}),
     "edge": frozenset({"adaptation", "gnn", "kg"}),
     "eval": frozenset({"adaptation", "concepts", "data", "embedding",
                        "gnn", "kg", "nn", "utils"}),
-    "api": frozenset({"adaptation", "concepts", "data", "eval", "embedding",
-                      "gnn", "kg", "llm", "utils"}),
+    "api": frozenset({"adaptation", "concepts", "data", "errors", "eval",
+                      "embedding", "gnn", "kg", "llm", "utils"}),
     # serving stack, bottom-up
     "runtime": frozenset({"adaptation", "errors", "metrics", "obs",
                           "utils"}),

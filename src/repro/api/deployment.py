@@ -7,7 +7,7 @@ continuous-adaptation controller behind a small serving surface:
 * :meth:`scores` — score windows without feeding the monitor;
 * :meth:`serve` — drive a whole stream, yielding one event per batch;
 * :meth:`save` / :meth:`load` — checkpoint the *entire* runtime (model,
-  KGs, adaptation config, monitor state, window buffer, RNG states) so a
+  KGs, adaptation config, monitor state, frame-code buffer, RNG states) so a
   deployment survives process restarts mid-adaptation.
 """
 
@@ -23,8 +23,10 @@ from ..adaptation.controller import (
     AdaptationConfig,
     AdaptationStepLog,
     ContinuousAdaptationController,
+    checked_batch,
 )
 from ..embedding.joint_space import JointEmbeddingModel
+from ..errors import CheckpointError
 from ..gnn.checkpoint import deployment_from_dict, deployment_to_dict
 from ..gnn.pipeline import MissionGNNModel
 from ..utils.serialization import atomic_write_json, decode_array, encode_array
@@ -32,7 +34,7 @@ from .config import config_from_dict, config_to_dict
 
 __all__ = ["Deployment", "ServeEvent"]
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2  # the controller buffers frame codes
 
 
 def _embedding_fingerprint(embedding_model: JointEmbeddingModel) -> str:
@@ -93,22 +95,14 @@ class Deployment:
 
         ``scores`` may carry this model's precomputed anomaly scores for
         ``windows`` (the fleet micro-batcher scores many streams in one
-        coalesced forward and dispatches the slices back here).
+        coalesced forward and dispatches the slices back here).  Windows
+        holding NaN or ±Inf are refused before any state changes.
         """
         if self.controller is not None:
             return self.controller.process_batch(windows, scores=scores)
-        windows = np.asarray(windows, dtype=np.float64)
-        if windows.ndim != 3:
-            raise ValueError(f"expected (B, T, frame_dim), got {windows.shape}")
+        windows, scores = checked_batch(windows, scores)
         if scores is None:
             scores = self.model.anomaly_scores(windows)
-        else:
-            # Mirror the controller's validation: a mis-sliced micro-batch
-            # result must raise here, not silently log garbage scores.
-            scores = np.asarray(scores, dtype=np.float64)
-            if scores.shape != (windows.shape[0],):
-                raise ValueError(f"expected {windows.shape[0]} precomputed "
-                                 f"scores, got shape {scores.shape}")
         log = AdaptationStepLog(step=self._static_steps, scores=scores)
         self._static_steps += 1
         return log
@@ -214,10 +208,9 @@ class Deployment:
         """
         version = payload.get("format_version")
         if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported deployment format version: {version}")
-        saved_fingerprint = payload.get("embedding_fingerprint")
-        if (saved_fingerprint is not None
-                and saved_fingerprint != _embedding_fingerprint(embedding_model)):
+            raise CheckpointError(f"unsupported deployment format version: {version}")
+        if payload["embedding_fingerprint"] != _embedding_fingerprint(
+                embedding_model):
             raise ValueError(
                 "embedding model mismatch: this deployment was built on a "
                 "different joint embedding vocabulary (check the experiment "

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..concepts.ontology import ConceptOntology, build_default_ontology
 from ..data.streams import TrendShiftStream
-from ..data.synthetic import FrameGenerator
+from ..data.synthetic import FrameGenerator, make_windows
 from ..data.ucf_crime import SyntheticUCFCrime
 from ..embedding.joint_space import JointEmbeddingModel, build_default_embedding_model
 from ..gnn.pipeline import MissionGNNConfig, MissionGNNModel
@@ -180,11 +180,19 @@ class Pipeline:
             anomaly_videos=exp.train_anomaly_videos)
 
     def normal_anchors(self, mission: str, count: int = 60) -> np.ndarray:
-        """First ``count`` normal training windows: one shared read-only array."""
+        """First ``count`` label-0 rows of :meth:`train_windows`, synthesising
+        videos only until found: one shared read-only array."""
         key = (mission, count)
         if key not in self._anchors:
-            windows, labels = self.train_windows(mission)
-            self._anchors[key] = windows[np.flatnonzero(labels == 0)[:count]]
+            exp, found = self.config.experiment, []
+            for video in self.dataset.mission_videos(
+                    "train", mission, exp.train_normal_videos,
+                    exp.train_anomaly_videos):
+                windows, labels = make_windows(video, exp.window, stride=4)
+                found += list(windows[labels == 0][:count - len(found)])
+                if len(found) == count:
+                    break
+            self._anchors[key] = np.array(found)
             self._anchors[key].flags.writeable = False
         return self._anchors[key]
 

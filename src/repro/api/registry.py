@@ -51,7 +51,7 @@ class ModelRegistry:
         self.root = Path(root) if root is not None else None
         if self.root is not None:
             self.root.mkdir(parents=True, exist_ok=True)
-        self._entries: dict[str, dict] = {}
+        self._entries: dict[str, dict] = {}  # in-memory payloads (root=None)
         self.hits = 0
         self.misses = 0
 
@@ -78,12 +78,12 @@ class ModelRegistry:
 
     def load(self, mission: str, fingerprint: str,
              embedding_model: JointEmbeddingModel) -> MissionGNNModel | None:
-        """Rebuild the stored model, or ``None`` on a registry miss."""
+        """Rebuild the stored model, or ``None`` on a registry miss.  A
+        disk registry reads the file each time and keeps nothing of it."""
         key = self.key(mission, fingerprint)
         payload = self._entries.get(key)
         if payload is None and self.root is not None and self._path(key).exists():
             payload = json.loads(self._path(key).read_text())
-            self._entries[key] = payload
         if payload is None:
             self.misses += 1
             return None
@@ -95,8 +95,9 @@ class ModelRegistry:
         """Checkpoint ``model`` under the mission/config key; returns the key."""
         key = self.key(mission, fingerprint)
         payload = deployment_to_dict(model)
-        self._entries[key] = payload
-        if self.root is not None:
+        if self.root is None:
+            self._entries[key] = payload
+        else:
             atomic_write_json(self._path(key), payload)
         return key
 

@@ -7,12 +7,14 @@ module reproduces that schema synthetically with a ``scale`` knob (the
 experiments use a fraction of the full 1 900 videos to stay laptop-fast;
 ``scale=1.0`` yields the paper-exact counts).
 
-Videos are materialized lazily and cached, so constructing the dataset is
-cheap and experiments touch only the classes they use.
+Videos are materialized lazily, so constructing the dataset is cheap and
+experiments touch only the classes they use; ``video`` caches what it
+returns, ``mission_windows`` keeps no video once its windows are cut.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,14 +101,14 @@ class SyntheticUCFCrime:
     # ------------------------------------------------------------------
     def video(self, key: _VideoKey) -> Video:
         if key not in self._cache:
-            rng = derive_rng(self.seed, "video", key.split, key.kind, key.index)
-            if key.kind == "normal":
-                self._cache[key] = self.generator.normal_video(
-                    self.frames_per_video, rng)
-            else:
-                self._cache[key] = self.generator.anomalous_video(
-                    key.kind, self.frames_per_video, rng)
+            self._cache[key] = self._synthesise(key)
         return self._cache[key]
+
+    def _synthesise(self, key: _VideoKey) -> Video:
+        rng = derive_rng(self.seed, "video", key.split, key.kind, key.index)
+        if key.kind == "normal":
+            return self.generator.normal_video(self.frames_per_video, rng)
+        return self.generator.anomalous_video(key.kind, self.frames_per_video, rng)
 
     def clear_cache(self) -> None:
         self._cache.clear()
@@ -121,21 +123,27 @@ class SyntheticUCFCrime:
             return self.test
         raise ValueError("split must be 'train' or 'test'")
 
+    def _class_keys(self, split: str, anomaly_class: str,
+                    limit: int | None) -> list[_VideoKey]:
+        if anomaly_class not in ANOMALY_CLASSES:
+            raise KeyError(f"unknown anomaly class: {anomaly_class!r}")
+        return [k for k in self._split(split).anomalous if k.kind == anomaly_class][:limit]
+
     def class_videos(self, split: str, anomaly_class: str,
                      limit: int | None = None) -> list[Video]:
         """Anomalous videos of one class in a split."""
-        if anomaly_class not in ANOMALY_CLASSES:
-            raise KeyError(f"unknown anomaly class: {anomaly_class!r}")
-        keys = [k for k in self._split(split).anomalous if k.kind == anomaly_class]
-        if limit is not None:
-            keys = keys[:limit]
-        return [self.video(k) for k in keys]
+        return [self.video(k) for k in self._class_keys(split, anomaly_class, limit)]
 
     def normal_videos(self, split: str, limit: int | None = None) -> list[Video]:
-        keys = self._split(split).normal
-        if limit is not None:
-            keys = keys[:limit]
-        return [self.video(k) for k in keys]
+        return [self.video(k) for k in self._split(split).normal[:limit]]
+
+    def mission_videos(self, split: str, anomaly_class: str,
+                       normal_videos: int | None = None,
+                       anomaly_videos: int | None = None) -> Iterator[Video]:
+        """A mission task's videos, normal ones first, each synthesised when reached."""
+        keys = self._split(split).normal[:normal_videos] + self._class_keys(
+            split, anomaly_class, anomaly_videos)
+        return (self._synthesise(key) for key in keys)
 
     def mission_windows(self, split: str, anomaly_class: str, window: int,
                         stride: int = 4, normal_videos: int | None = None,
@@ -148,13 +156,7 @@ class SyntheticUCFCrime:
         covers both normal-video windows and normal frames of anomalous
         videos (untrimmed, as in UCF-Crime).
         """
-        all_windows, all_labels = [], []
-        for video in self.normal_videos(split, limit=normal_videos):
-            windows_, labels_ = make_windows(video, window, stride)
-            all_windows.append(windows_)
-            all_labels.append(labels_)
-        for video in self.class_videos(split, anomaly_class, limit=anomaly_videos):
-            windows_, labels_ = make_windows(video, window, stride)
-            all_windows.append(windows_)
-            all_labels.append(labels_)
-        return np.concatenate(all_windows), np.concatenate(all_labels)
+        videos = self.mission_videos(split, anomaly_class, normal_videos,
+                                     anomaly_videos)
+        windows, labels = zip(*(make_windows(v, window, stride) for v in videos))
+        return np.concatenate(windows), np.concatenate(labels)

@@ -30,9 +30,9 @@ so every layer can raise typed errors without importing a sibling:
     A constructor or entry point was handed invalid parameters (bad
     sizes, unknown names, malformed options) — the call can never
     succeed as written.
-``WindowShapeError``
+``WindowShapeError`` / ``NonFiniteError``
     Window/score arrays with the wrong rank, an empty axis, or mixed
-    shapes where one shape is required.
+    shapes where one shape is required / windows holding NaN or ±Inf.
 ``StateError``
     An operation was invoked against an object in the wrong lifecycle
     state (scoring before priming, serving after close/drain).
@@ -58,7 +58,8 @@ from __future__ import annotations
 __all__ = ["ReproError", "DurabilityError", "WalCorruptionError",
            "RecoveryError", "FleetError", "WorkerError",
            "WorkerStartupError", "ConfigError", "WindowShapeError",
-           "StateError", "CheckpointError", "MissingExtraError"]
+           "NonFiniteError", "StateError", "CheckpointError",
+           "MissingExtraError"]
 
 
 class ReproError(Exception):
@@ -107,6 +108,10 @@ class ConfigError(ReproError, ValueError):
 class WindowShapeError(ConfigError):
     """Window/score arrays with the wrong rank, an empty axis, or mixed
     shapes where a single shape is required."""
+
+
+class NonFiniteError(ConfigError):
+    """Windows holding NaN or ±Inf, refused before any state changes."""
 
 
 class StateError(ReproError, RuntimeError):

@@ -687,6 +687,9 @@ class GatewayServer:
                 "bad_request",
                 f"expected non-empty (B, T, frame_dim) windows, got shape "
                 f"{windows.shape}")
+        if not np.isfinite(windows).all():
+            raise RequestError("bad_request",
+                               "'windows' hold NaN or ±Inf values")
         future = asyncio.get_running_loop().create_future()
         request = EngineRequest(op=op, stream=stream, windows=windows,
                                 priority=priority, deadline=deadline,

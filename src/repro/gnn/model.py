@@ -112,24 +112,28 @@ class HierarchicalGNN(Module):
                                          level.edges.target_passes)))
         return sides
 
-    def frame_side(self, encoded: Tensor,
+    def frame_code(self, encoded: Tensor) -> Tensor:
+        """(B, input_dim) frame encodings -> (B, D) *frame codes*: layer 0 on
+        the sensor row, which no token reaches; all :meth:`frame_side` reads."""
+        first = self.layers[0]
+        return first.norm(first.dense(encoded)).elu()
+
+    def frame_side(self, codes: Tensor,
                    sides: list[tuple[list[tuple[Tensor, Tensor]], GraphSpec]],
                    owner: np.ndarray | None = None) -> Tensor:
-        """(B, input_dim) frame encodings -> reasoning embeddings (B, D).
+        """(B, D) frame codes -> reasoning embeddings (B, D).
 
         Level 0 is the sensor row alone, level ``depth + 1`` the embedding
         node alone; in between only the current level's rows are carried.
 
         ``sides`` holds one ``(token_side, spec)`` per token state, ``owner[b]``
         says whose frame ``b`` is (``None`` with one state: its ``(n, D)``
-        arrays broadcast).  Layer 0 runs once over all frames; states of one
-        :attr:`GraphSpec.signature` climb the levels together, each frame
-        gathering its owner's rows into the leading axis, a diverged structure
-        (a prune) alone.  Elementwise work, row-stable GEMMs: batch-invariant.
+        arrays broadcast).  States of one :attr:`GraphSpec.signature` climb
+        the levels together, each frame gathering its owner's rows into the
+        leading axis, a diverged structure (a prune) alone.  Elementwise
+        work, row-stable GEMMs: batch-invariant.
         """
-        first = self.layers[0]
-        h = first.norm(first.dense(encoded)).elu().reshape(
-            encoded.shape[0], 1, -1)
+        h = codes.reshape(codes.shape[0], 1, -1)
         if len(sides) == 1:
             return self._climb(h, *sides[0])
         groups: dict[tuple, list[int]] = {}
@@ -300,15 +304,11 @@ class KGReasoner(Module):
             self._token_side_inputs = inputs
         return self._token_side
 
-    def forward(self, frames: np.ndarray,
-                sharers: list["KGReasoner"] | None = None,
-                owner: np.ndarray | None = None) -> Tensor:
+    def forward(self, frames: np.ndarray) -> Tensor:
         """Reason over a batch of frames -> (B, gnn_output_dim).
 
         ``frames`` holds raw frame features (B, frame_dim); they are encoded
         with the frozen image encoder E_I and placed on the sensor node.
-        With ``sharers`` (over this GNN, this one among them) frame ``b`` is
-        reasoned over ``sharers[owner[b]]``'s KG.
         """
         frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim == 1:
@@ -319,6 +319,12 @@ class KGReasoner(Module):
         if self.gnn.norm_training:  # never shared: Module.train refuses
             return self.gnn.forward_embedded(self.node_embedding_matrix(),
                                              encoded, self.spec)
+        return self.climb(self.gnn.frame_code(encoded))
+
+    def climb(self, codes: Tensor, sharers: list["KGReasoner"] | None = None,
+              owner: np.ndarray | None = None) -> Tensor:
+        """(B, D) frame codes -> (B, D) reasoning embeddings, frame ``b``
+        over ``sharers[owner[b]]``'s KG (sharers of this GNN, ``self`` too)."""
         return self.gnn.frame_side(
-            encoded, [(reasoner._current_token_side(), reasoner.spec)
-                      for reasoner in sharers or [self]], owner)
+            codes, [(reasoner._current_token_side(), reasoner.spec)
+                    for reasoner in sharers or [self]], owner)

@@ -20,6 +20,7 @@ number of them in one forward.
 from __future__ import annotations
 
 import copy
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,17 +78,61 @@ class MissionGNNModel(Module):
             num_layers=cfg.temporal_layers)
         self.decision = DecisionModel(self.reasoning_dim, num_anomaly_types=len(kgs),
                                       rng=derive_rng(cfg.seed, "decision"))
+        self._shared_codes: dict[int, np.ndarray] = {}  # sharers copy the dict
+        self._scored: tuple | None = None  # see codes_of
 
     # ------------------------------------------------------------------
     # Forward paths
     # ------------------------------------------------------------------
     def forward(self, windows: np.ndarray) -> Tensor:
         """Frame windows (B, T, frame_dim) -> decision logits (B, n+1)."""
-        return _logits([(self, windows)])
+        windows = _as_windows(windows)
+        batch, length, frame_dim = windows.shape
+        return self._decide([reasoner(windows.reshape(-1, frame_dim))
+                             for reasoner in self.reasoners], batch, length)
 
     def anomaly_scores(self, windows: np.ndarray) -> np.ndarray:
         """Inference-only anomaly probabilities p_A for each window (B,)."""
         return score_parts([(self, windows)])
+
+    def frame_codes(self, windows: np.ndarray) -> np.ndarray:
+        """(B, T, frame_dim) windows -> (B, K, T, D) *frame codes* (E_I, then
+        :meth:`HierarchicalGNN.frame_code` per KG): all a frozen forward reads."""
+        encoded = Tensor(self.embedding_model.encode_image(_as_windows(windows)))
+        with no_grad():  # one row-stable GEMM per layer over all B * T frames
+            codes = [reasoner.gnn.frame_code(encoded).data
+                     for reasoner in self.reasoners]
+        return codes[0][:, None] if len(codes) == 1 else np.stack(codes, axis=1)
+
+    def code_logits(self, codes: np.ndarray) -> Tensor:
+        """:meth:`forward` of the windows with these frame codes."""
+        return _logits([(self, len(codes))], codes)
+
+    def code_scores(self, codes: np.ndarray) -> np.ndarray:
+        """:meth:`anomaly_scores` of the windows with these frame codes."""
+        return _scores([(self, len(codes))], codes)
+
+    def codes_of(self, windows: np.ndarray) -> np.ndarray:
+        """Frame codes of ``windows``: the last :func:`score_parts`' if it
+        scored this very array (a served round scores, then ingests)."""
+        scored, self._scored = self._scored, None
+        if scored is not None and scored[0]() is windows:
+            return scored[1]
+        return self.frame_codes(windows)
+
+    def shared_codes(self, windows: np.ndarray) -> np.ndarray:
+        """Frame codes of an array all sharers pass (a mission's anchors),
+        computed once per weight set and forgotten with the array."""
+        windows = np.asarray(windows, dtype=np.float64)
+        if id(windows) not in self._shared_codes:
+            self._shared_codes[id(windows)] = self.frame_codes(windows)
+            weakref.finalize(windows, self._shared_codes.pop, id(windows), None)
+        return self._shared_codes[id(windows)]
+
+    def _decide(self, outputs: list[Tensor], batch: int, length: int) -> Tensor:
+        reasoning = outputs[0] if len(outputs) == 1 else Tensor.concat(outputs, axis=1)
+        return self.decision(self.temporal(
+            reasoning.reshape(batch, length, self.reasoning_dim)))
 
     @property
     def weight_set(self) -> Module:
@@ -101,7 +146,7 @@ class MissionGNNModel(Module):
         modules are frozen, in eval mode, and now refuse ``train``/``unfreeze``."""
         if kgs is None:
             kgs = [kg_from_dict(kg_to_dict(kg)) for kg in self.kgs]
-        twin = copy.copy(self)
+        twin = copy.copy(self)  # codes in _scored fit every sharer
         twin.reasoners = [
             KGReasoner(kg, self.embedding_model, reasoner.gnn)
             for kg, reasoner in zip(kgs, self.reasoners, strict=True)]
@@ -137,35 +182,48 @@ class MissionGNNModel(Module):
         return [reasoner.kg for reasoner in self.reasoners]
 
 
-def _logits(parts: list[tuple[MissionGNNModel, np.ndarray]]) -> Tensor:
-    """Decision logits, in part order, of ``[(model, (B_i, T, frame_dim)
-    windows), ...]`` over one weight set: all frames go through each GNN
-    together, the temporal model and decision head run once over the batch."""
+def _as_windows(windows: np.ndarray) -> np.ndarray:
+    windows = np.asarray(windows, dtype=np.float64)
+    if windows.ndim != 3:
+        raise ValueError(f"expected (B, T, frame_dim) windows, got {windows.shape}")
+    return windows
+
+
+def _logits(parts: list[tuple[MissionGNNModel, int]], codes: np.ndarray) -> Tensor:
+    """Decision logits of (B, K, T, D) frame ``codes`` over one weight set,
+    ``parts`` (``[(model, window count), ...]``) saying whose: all frames
+    climb each GNN together, the temporal model and decision head run once."""
     lead = parts[0][0]
-    batches = [np.asarray(windows, dtype=np.float64) for _, windows in parts]
-    if any(windows.ndim != 3 for windows in batches):
-        raise ValueError("expected (B, T, frame_dim) windows, got "
-                         f"{[windows.shape for windows in batches]}")
-    stacked = batches[0] if len(batches) == 1 else np.concatenate(batches)
-    batch, length, frame_dim = stacked.shape
-    flat = stacked.reshape(batch * length, frame_dim)
+    batch, _, length, hidden = codes.shape
     states = list({id(model): model for model, _ in parts}.values())
     owner = None  # with several token states: whose each frame is
     if len(states) > 1:
         owner = np.repeat([states.index(model) for model, _ in parts],
-                          [len(windows) * length for windows in batches])
-    outputs = [lead.reasoners[k](
-                   flat, [model.reasoners[k] for model in states], owner)
-               for k in range(len(lead.reasoners))]
-    reasoning = outputs[0] if len(outputs) == 1 else Tensor.concat(outputs, axis=1)
-    pooled = lead.temporal(reasoning.reshape(batch, length, lead.reasoning_dim))
-    return lead.decision(pooled)
+                          [count * length for _, count in parts])
+    return lead._decide([lead.reasoners[k].climb(
+        Tensor(codes[:, k].reshape(-1, hidden)),
+        [model.reasoners[k] for model in states], owner)
+        for k in range(len(lead.reasoners))], batch, length)
+
+
+def _scores(parts: list[tuple[MissionGNNModel, int]], codes: np.ndarray) -> np.ndarray:
+    with no_grad():
+        probs = _logits(parts, codes).softmax(axis=-1)
+    return DecisionModel.anomaly_probability(probs.numpy())
 
 
 def score_parts(parts: list[tuple[MissionGNNModel, np.ndarray]]) -> np.ndarray:
     """Anomaly probabilities p_A, concatenated in part order, of ``[(model,
     windows), ...]`` sharing one :attr:`~MissionGNNModel.weight_set`, from
-    one forward.  A window's score does not depend on what it rode with."""
-    with no_grad():
-        probs = _logits(parts).softmax(axis=-1)
-    return DecisionModel.anomaly_probability(probs.numpy())
+    one forward.  A window's score does not depend on what it rode with.
+    An adapting model keeps its part's codes for :meth:`~MissionGNNModel.codes_of`."""
+    batches = [_as_windows(windows) for _, windows in parts]
+    codes = parts[0][0].frame_codes(
+        batches[0] if len(batches) == 1 else np.concatenate(batches))
+    start = 0
+    for (model, _), windows in zip(parts, batches):
+        if any(t.requires_grad for t in model.token_parameters()):  # a controller's
+            model._scored = (weakref.ref(windows), codes[start:start + len(windows)])
+        start += len(windows)
+    return _scores([(model, len(windows))
+                    for (model, _), windows in zip(parts, batches)], codes)

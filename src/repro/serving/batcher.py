@@ -101,6 +101,7 @@ class MicroBatcher:
         model = chunk[0][0]
         if any(other is not model for other, _ in chunk):
             return score_parts(chunk)
-        # Looked up on the instance, so an instrumented method is honoured.
-        return model.anomaly_scores(
-            np.concatenate([windows for _, windows in chunk]))
+        # On the instance (an instrumented method is honoured), and a lone
+        # request's own array, so its ingest finds its frame codes.
+        return model.anomaly_scores(chunk[0][1] if len(chunk) == 1 else
+                                    np.concatenate([w for _, w in chunk]))

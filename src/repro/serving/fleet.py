@@ -40,7 +40,7 @@ from ..errors import CheckpointError, ConfigError
 __all__ = ["FLEET_FORMAT_VERSION", "FleetEvent", "StreamSlot",
            "DeploymentFleet", "build_fleet"]
 
-FLEET_FORMAT_VERSION = 2
+FLEET_FORMAT_VERSION = 3  # its deployments are format 2: frame-code buffers
 
 
 class StreamSlot:

@@ -5,6 +5,8 @@ import pytest
 
 from repro.adaptation import AdaptationConfig, MonitorConfig, TokenUpdateConfig
 from repro.api import Deployment, Pipeline, ReproConfig
+from repro.errors import CheckpointError, NonFiniteError
+from repro.utils.serialization import decode_array
 
 
 def deployment_config() -> ReproConfig:
@@ -98,7 +100,47 @@ class TestStaticIngestValidation:
         assert log.scores.dtype == np.float64
 
 
+class TestNonFiniteWindows:
+    @pytest.mark.parametrize("adaptive", [True, False])
+    def test_refused_before_any_state_changes(self, pipeline, adaptive):
+        deployment = pipeline.deploy("Stealing", adaptive=adaptive)
+        windows, _ = pipeline.eval_windows("Stealing")
+        windows = windows[:4]
+        for value in (np.nan, np.inf, -np.inf):
+            poisoned = windows.copy()
+            poisoned[2, 3, 4] = value
+            with pytest.raises(NonFiniteError, match="NaN"):
+                deployment.ingest(poisoned)
+            with pytest.raises(NonFiniteError):
+                deployment.ingest(poisoned, scores=np.zeros(4))
+        assert deployment.step_count == 0
+        if adaptive:
+            assert not deployment.controller._code_buffer
+            assert not deployment.controller.monitor._scores
+        assert deployment.ingest(windows).step == 0
+
+
 class TestCheckpointResume:
+    def test_buffer_is_the_monitor_windows_codes_format_2(self, pipeline):
+        deployment = pipeline.deploy("Stealing")
+        monitor = deployment.adaptation_config.monitor
+        for batch in pipeline.stream("Stealing", "Robbery"):
+            deployment.ingest(batch.windows)
+        assert deployment.step_count * 12 > monitor.window + monitor.lag
+        payload = deployment.to_dict()
+        assert payload["format_version"] == 2
+        buffer = [decode_array(p) for p in payload["runtime"]["buffer"]]
+        assert len(buffer) == monitor.window
+        model = deployment.model
+        assert buffer[0].shape == (len(model.kgs), model.config.temporal_window,
+                                   model.config.gnn_hidden_dim)
+        last = batch.windows[-monitor.window:]  # the newest windows' codes
+        assert np.array_equal(np.stack(buffer)[-len(last):],
+                              model.frame_codes(last))
+        payload["format_version"] = 1
+        with pytest.raises(CheckpointError, match="format version: 1"):
+            Deployment.from_dict(payload, pipeline.embedding_model)
+
     def test_save_load_preserves_scores(self, pipeline, tmp_path):
         deployment = pipeline.deploy("Stealing")
         for _ in deployment.serve(pipeline.stream("Stealing", "Robbery")):

@@ -10,6 +10,7 @@ from test_api_deployment import deployment_config
 from repro.adaptation import ConvergenceConfig
 from repro.api import Deployment, ModelRegistry, Pipeline, ReproConfig
 from repro.eval import ExperimentConfig, ExperimentContext
+from repro.gnn.checkpoint import deployment_to_dict
 
 
 def small_config(**experiment_overrides) -> ReproConfig:
@@ -176,6 +177,39 @@ class TestSharedAnchors:
         loaded = Deployment.load(path, pipe.embedding_model)
         assert loaded.to_dict() == shared.to_dict()
         assert loaded.normal_anchor_windows.flags.writeable  # its own copy
+
+
+class TestServingKeepsOnlyWhatItUses:
+    """A serving process synthesises only the anchors' videos, and keeps
+    neither videos nor a disk registry's parsed payloads."""
+
+    @pytest.mark.parametrize("count", [10, 60, 10_000])
+    def test_anchors_are_the_training_splits_first_normal_rows(
+            self, pipeline, count):
+        windows, labels = pipeline.train_windows("Stealing")
+        want = windows[np.flatnonzero(labels == 0)[:count]]
+        got = pipeline.normal_anchors("Stealing", count=count)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_dataset_holds_no_video_after_deploy(self):
+        pipe = Pipeline.from_config(small_config(train_steps=5))
+        pipe.deploy("Stealing")
+        pipe.deploy("Robbery", adaptive=False)
+        assert pipe.dataset._cache == {}
+
+    def test_disk_registry_keeps_no_payload(self, tmp_path):
+        cfg = small_config(train_steps=5)
+        memory = Pipeline.from_config(cfg)
+        cfg.registry_dir = str(tmp_path / "models")
+        disk = Pipeline.from_config(cfg)
+        built = disk.train("Stealing")
+        assert disk.registry._entries == {}
+        loaded = Pipeline.from_config(cfg).train("Stealing")
+        assert disk.registry._entries == {}
+        memory.train("Stealing")
+        assert list(memory.registry._entries) == memory.registry.keys()
+        for model in (loaded, memory.train("Stealing")):  # same bits
+            assert deployment_to_dict(model) == deployment_to_dict(built)
 
 
 class TestContextShim:

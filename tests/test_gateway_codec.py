@@ -14,7 +14,7 @@ import pytest
 
 from repro.api import Deployment
 from repro.data import TrendShiftConfig, TrendShiftStream
-from repro.gateway import GatewayClient, serve_in_thread
+from repro.gateway import GatewayClient, GatewayError, serve_in_thread
 from repro.gateway.protocol import (
     ERROR_CODES,
     FrameError,
@@ -25,7 +25,7 @@ from repro.gateway.protocol import (
     request_frame,
 )
 from repro.serving import DeploymentFleet
-from repro.utils.binframe import BIN_HEADER, BIN_MAGIC
+from repro.utils.binframe import BIN_HEADER, BIN_MAGIC, decode_payload
 
 ROUNDS = 3
 
@@ -201,22 +201,29 @@ class TestBinaryParity:
                     reference["cam-0"][0])
 
     def test_nan_inf_windows_round_trip(self, fleet_factory, materialized):
-        """Pathological float payloads ride binary frames bit-exactly;
-        the binary response matches the JSON response for the same
-        windows (NaN-aware comparison)."""
+        """Pathological float payloads ride binary frames bit-exactly, and
+        reach admission in either codec — which refuses them alike with a
+        typed ``bad_request``, before any stream sees them."""
         windows, _ = materialized
         ugly = np.array(windows["cam-0"][0])
         ugly[0, 0, 0] = np.nan
         ugly[0, 1, 0] = np.inf
         ugly[0, 1, 1] = -np.inf
+        frame = encode_frame(request_frame("scores", 1, stream="cam-0",
+                                           windows=ugly), codec="binary")
+        decoded, _ = decode_payload(frame)
+        assert np.asarray(decoded["windows"]).tobytes() == ugly.tobytes()
+        refusals = []
         with fleet_factory() as fleet, serve_in_thread(fleet) as handle:
             with GatewayClient(*handle.address, codec="json") as js, \
                     GatewayClient(*handle.address) as bin_client:
-                js.attach("cam-0")
-                bin_client.attach("cam-0")
-                got_json = js.scores("cam-0", ugly)
-                got_binary = bin_client.scores("cam-0", ugly)
-        np.testing.assert_array_equal(got_json, got_binary)
+                for client in (js, bin_client):
+                    client.attach("cam-0")
+                    with pytest.raises(GatewayError) as err:
+                        client.scores("cam-0", ugly)
+                    refusals.append((err.value.code, err.value.message))
+        assert refusals[0] == refusals[1]
+        assert refusals[0][0] == "bad_request"
 
 
 class TestFrameFuzz:

@@ -320,6 +320,31 @@ class TestFailurePaths:
                                    windows=[[["x"]]])
                 assert err.value.code == "bad_request"
 
+    @pytest.mark.parametrize("codec", ["binary", "json"])
+    def test_non_finite_windows_refused_at_admission(
+            self, fresh_model, frame_generator, codec):
+        """NaN and ±Inf never reach a stream: an adaptive one would keep
+        their frame codes for a whole monitor window."""
+        fleet = DeploymentFleet()
+        fleet.add("cam-0", Deployment(fresh_model(window=4),
+                                      mission="Stealing"),
+                  make_stream(frame_generator, seed=40))
+        deployment = fleet.slots[0].deployment
+        good = np.asarray(fleet.slots[0].stream.batch(0).windows)
+        with fleet, serve_in_thread(fleet) as handle:
+            with GatewayClient(*handle.address, codec=codec) as client:
+                client.attach("cam-0")
+                for value in (np.nan, np.inf, -np.inf):
+                    poisoned = good.copy()
+                    poisoned[-1, 1, 2] = value
+                    with pytest.raises(GatewayError) as err:
+                        client.ingest("cam-0", poisoned)
+                    assert err.value.code == "bad_request"
+                    assert "NaN" in err.value.message
+                assert deployment.step_count == 0
+                assert not deployment.controller._code_buffer
+                assert client.ingest("cam-0", good)["step"] == 0
+
     def test_backpressure_rejection(self, fleet_factory, materialized):
         windows, reference = materialized
         with fleet_factory() as fleet, \

@@ -7,7 +7,11 @@ weight) can change, the next ``anomaly_scores`` equals a freshly built
 model's — a stale token side is never served.
 (c) Mixing: sharers of one weight set with different tokens, and for some
 different structures, score in one forward exactly as each does alone.
+(d) Frame codes: scoring and token gradients from a window's codes equal
+those from its frames, bit for bit, and a round hands each sharer its own.
 """
+
+import gc
 
 import numpy as np
 import pytest
@@ -20,11 +24,11 @@ from repro.adaptation import (
 )
 from repro.adaptation.structure import StructuralAdapter
 from repro.api import Deployment
-from repro.gnn import MissionGNNConfig, MissionGNNModel
+from repro.gnn import DecisionModel, MissionGNNConfig, MissionGNNModel
 from repro.gnn.checkpoint import deployment_from_dict, deployment_to_dict
 from repro.kg import ReasoningKG
 from repro.gnn.pipeline import score_parts
-from repro.nn import Tensor
+from repro.nn import Tensor, no_grad, vad_loss
 from repro.serving import MicroBatcher
 from repro.serving.batcher import ScoreRequest
 from repro.utils import derive_rng
@@ -383,3 +387,105 @@ class TestMixedMatchesSolo:
         assert np.array_equal(
             score_parts(parts),
             np.concatenate([m.anomaly_scores(w) for m, w in parts]))
+
+
+# ----------------------------------------------------------------------
+# (d) frame codes: every window-dependent input of the forward, computed once
+# ----------------------------------------------------------------------
+def windows_logits(model: MissionGNNModel, windows: np.ndarray) -> Tensor:
+    """Logits with the frames on the tape: each reasoner encodes them and
+    runs layer 0 itself (the path a learning layer 0 still takes)."""
+    batch, length, frame_dim = windows.shape
+    flat = windows.reshape(batch * length, frame_dim)
+    return model._decide([reasoner(flat) for reasoner in model.reasoners],
+                         batch, length)
+
+
+def windows_scores(model: MissionGNNModel, windows: np.ndarray) -> np.ndarray:
+    with no_grad():
+        probs = windows_logits(model, windows).softmax(axis=-1).numpy()
+    return DecisionModel.anomaly_probability(probs)
+
+
+class TestFrameCodes:
+    @pytest.fixture()
+    def model(self, fresh_model):
+        model = fresh_model(window=8)
+        model.freeze_for_deployment()
+        return model
+
+    @pytest.mark.parametrize("batch", [1, 8, 96])
+    def test_codes_score_as_their_windows(self, model, embedding_model, rng,
+                                          batch):
+        windows = rng.normal(size=(batch, 8, embedding_model.frame_dim))
+        codes = model.frame_codes(windows)
+        assert codes.shape == (batch, 1, 8, model.config.gnn_hidden_dim)
+        want = windows_scores(model, windows)
+        assert np.array_equal(model.anomaly_scores(windows), want)
+        assert np.array_equal(model.code_scores(codes), want)
+        alone = [model.frame_codes(windows[i:i + 1]) for i in range(batch)]
+        assert np.array_equal(np.concatenate(alone), codes)
+
+    def test_mixed_round_hands_each_sharer_its_codes(self, model,
+                                                     embedding_model, rng):
+        models = [model.sharer() for _ in range(3)]
+        for sharer in models:
+            sharer.freeze_for_deployment()
+        victim = models[2].kgs[0].nodes_at_level(2)[0].node_id
+        assert StructuralAdapter(
+            models[2].reasoners, token_dim=embedding_model.token_dim,
+            rng=derive_rng(3, "structural")).replace_node(0, victim)
+        assert len({m.reasoners[0].spec.signature for m in models}) == 2
+        parts = [(sharer, rng.normal(size=(count, 8, embedding_model.frame_dim)))
+                 for sharer, count in zip(models, (3, 1, 5))]
+        scores = np.split(score_parts(parts), [3, 4])
+        handed = [sharer.codes_of(windows) for sharer, windows in parts]
+        for (sharer, windows), got, codes in zip(parts, scores, handed):
+            assert np.array_equal(codes, sharer.frame_codes(windows))
+            assert np.array_equal(got, sharer.code_scores(codes))
+            assert np.array_equal(got, windows_scores(sharer, windows))
+            assert codes.base is handed[0].base  # one computation
+            # Handed over once, and only for that very array.
+            assert sharer.codes_of(windows).base is not codes.base
+        sharer, windows = parts[0]
+        score_parts([parts[0]])
+        stashed = sharer._scored[1]
+        assert sharer.codes_of(windows.copy()).base is not stashed.base
+
+    def test_anchor_codes_once_per_weight_set_and_forgotten_with_them(
+            self, model, embedding_model, rng):
+        anchors = rng.normal(size=(6, 8, embedding_model.frame_dim))
+        controllers = [ContinuousAdaptationController(
+            model.sharer(), normal_anchor_windows=anchors) for _ in range(2)]
+        assert controllers[0]._anchor_codes is controllers[1]._anchor_codes
+        assert np.array_equal(controllers[0]._anchor_codes,
+                              model.frame_codes(anchors))
+        del controllers, anchors
+        gc.collect()
+        assert model._shared_codes == {}
+
+    def test_updater_loss_and_gradients_from_codes(self, fresh_model,
+                                                   embedding_model, rng):
+        twins = [fresh_model(window=8) for _ in range(2)]
+        for twin in twins:
+            twin.freeze_for_deployment()
+        windows = rng.normal(size=(10, 8, embedding_model.frame_dim))
+        labels = (np.arange(10) % 2).astype(np.int64)
+        losses, grads = [], []
+        for twin, logits in ((twins[0], windows_logits(twins[0], windows)),
+                             (twins[1], twins[1].code_logits(
+                                 twins[1].frame_codes(windows)))):
+            loss = vad_loss(logits, labels)
+            loss.backward()
+            losses.append(loss.item())
+            grads.append([t.grad.copy() for t in twin.token_parameters()])
+        assert losses[0] == losses[1]
+        for a, b in zip(*grads, strict=True):
+            assert np.array_equal(a, b)
+        results = [TokenEmbeddingUpdater(twins[0]).update(windows, labels),
+                   TokenEmbeddingUpdater(twins[1]).update(
+                       twins[1].frame_codes(windows), labels)]
+        assert results[0].loss == results[1].loss
+        for a, b in zip(twins[0].token_parameters(),
+                        twins[1].token_parameters(), strict=True):
+            assert np.array_equal(a.data, b.data)

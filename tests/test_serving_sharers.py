@@ -9,20 +9,28 @@ forward; (c) N sharers follow, bit
 for bit, the trajectories of N private models through token updates,
 rollbacks and prunes; (d) a checkpoint stores what is shared once and every
 restore path — ``DeploymentFleet.from_dict``, shard workers,
-``recover_fleet`` — shares it again and continues identically.
+``recover_fleet`` — shares it again and continues identically; (e) the
+40-round trajectory's bits match a pinned digest.
 """
 
 import copy
+import hashlib
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from test_api_deployment import deployment_config
 
+import repro
 from repro.adaptation import ConvergenceConfig
-from repro.api import Deployment, Pipeline
-from repro.errors import StateError
+from repro.api import Deployment, Pipeline, ReproConfig
+from repro.errors import CheckpointError, StateError
 from repro.runtime import EngineRequest
 from repro.serving import (
     DeploymentFleet,
@@ -30,6 +38,7 @@ from repro.serving import (
     MicroBatcher,
     ScoreRequest,
     ShardedFleet,
+    build_fleet,
 )
 from repro.wal import WalDurability, recover_fleet
 
@@ -222,7 +231,7 @@ def served(pipeline):
 class TestCheckpointFollowsOwnership:
     def test_payload_stores_shared_things_once(self, served):
         _, payload, _ = served
-        assert payload["fleet_format_version"] == 2
+        assert payload["fleet_format_version"] == 3
         assert len(payload["weights"]) == 1
         assert len(payload["anchors"]) == 1
         assert len(payload["models"]) == STREAMS
@@ -235,13 +244,17 @@ class TestCheckpointFollowsOwnership:
             assert slot["deployment"]["model"] is None
 
     def test_format_1_is_refused(self, served, pipeline):
+        """... and format 2, whose deployments buffered raw windows."""
         _, payload, _ = served
-        payload["fleet_format_version"] = 1
-        with pytest.raises(ValueError, match="unsupported fleet format"):
-            DeploymentFleet.from_dict(payload, pipeline.embedding_model,
-                                      pipeline.generator)
-        with pytest.raises(ValueError, match="unsupported fleet format"):
-            ShardedFleet.from_dict(payload)
+        for version in (1, 2):
+            payload["fleet_format_version"] = version
+            with pytest.raises(CheckpointError,
+                               match="unsupported fleet format"):
+                DeploymentFleet.from_dict(payload, pipeline.embedding_model,
+                                          pipeline.generator)
+            with pytest.raises(CheckpointError,
+                               match="unsupported fleet format"):
+                ShardedFleet.from_dict(payload)
 
     def test_from_dict_shares_again_and_continues(self, served, pipeline):
         _, payload, expected = served
@@ -292,3 +305,87 @@ class TestCheckpointFollowsOwnership:
             slot.cursor = 8  # replay feeds windows, not the slots' streams
         for _ in range(3):
             assert_same_events(recovered.step(), twin.step())
+
+
+def test_adaptive_shift_shaped_checkpoint_holds_codes_and_continues():
+    """perfbench's ``adaptive_shift`` fleet (eight streams of eight windows
+    over two missions, the default monitor) after 62 steps: each stream
+    checkpoints one monitor window of frame codes, and a restore continues
+    bit for bit through the phases the Stealing streams then run."""
+    cfg = ReproConfig()
+    cfg.experiment.train_steps = 150
+    cfg.apply_overrides(["adaptation.convergence.patience=1",
+                         "adaptation.convergence.tolerance=0"])
+    pipeline = Pipeline.from_config(cfg)
+    fleet = build_fleet(pipeline, ["Stealing", "Robbery"], 8, adaptive=True,
+                        windows_per_step=8, steps_before_shift=56,
+                        steps_after_shift=16)
+    for _ in range(62):
+        fleet.step()
+    payload = fleet.to_dict()
+    assert len(json.dumps(payload)) <= 9_000_000  # 26.2 MB of raw windows
+    for slot in payload["slots"]:
+        assert len(slot["deployment"]["runtime"]["buffer"]) \
+            == cfg.adaptation.monitor.window
+    restored = DeploymentFleet.from_dict(json.loads(json.dumps(payload)),
+                                         pipeline.embedding_model,
+                                         pipeline.generator)
+    updates = [slot.deployment.update_count for slot in fleet.slots]
+    for _ in range(8):
+        assert_same_events(restored.step(), fleet.step())
+    assert sum(updates) > 0
+    assert sum(slot.deployment.update_count for slot in fleet.slots) \
+        > sum(updates)
+    for ours, theirs in zip(restored.slots, fleet.slots, strict=True):
+        assert ours.deployment.to_dict() == theirs.deployment.to_dict()
+
+
+# ----------------------------------------------------------------------
+# (e) the trajectory's bits, pinned across refactors of the forward
+# ----------------------------------------------------------------------
+#: The BLAS build and kernel the digest was recorded with.  GEMM bits depend
+#: on both (and on the thread count), so the digest is taken in a child
+#: with one thread and the kernel forced; another BLAS build skips.
+PINNED_BLAS = ("OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY "
+               "Haswell MAX_THREADS=64")
+PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+              "OPENBLAS_CORETYPE": "Haswell"}
+PINNED_DIGEST = \
+    "bfe990acbb8075f986a0087d1adb8e32ede98412b6a635f5a39de37d73636875"
+
+
+def trajectory_digest() -> str:
+    """sha256 over every score, ``updated`` and ``len(pruned)`` of the
+    40-round :func:`shared_fleet`, then every final token array."""
+    cfg = deployment_config()
+    cfg.adaptation.convergence = ConvergenceConfig(
+        patience=1, tolerance=0.0, min_updates=2)
+    fleet = shared_fleet(Pipeline.from_config(cfg))
+    digest = hashlib.sha256()
+    for events in fleet.serve():
+        for event in events:
+            digest.update(event.stream.encode())
+            digest.update(np.asarray(event.scores, dtype=np.float64).tobytes())
+            digest.update(bytes([event.log.updated, len(event.log.pruned)]))
+    for model in models_of(fleet):
+        for tensor in model.token_parameters():
+            digest.update(repr(tensor.shape).encode())
+            digest.update(tensor.data.tobytes())
+    return digest.hexdigest()
+
+
+def test_shared_fleet_trajectory_matches_its_pinned_digest():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if (platform.machine() != "x86_64"
+            or blas.get("openblas configuration") != PINNED_BLAS):
+        pytest.skip("digest recorded on another BLAS build")
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(Path(repro.__file__).resolve().parents[1]),
+                            str(tests)])
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import test_serving_sharers as t; print(t.trajectory_digest())"],
+        cwd=tests, env={**os.environ, **PINNED_ENV, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=600)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split()[-1] == PINNED_DIGEST
