@@ -12,14 +12,19 @@ with :class:`repro.serving.ShardedFleet` and demonstrates:
 3. one whole-fleet checkpoint file shared with ``DeploymentFleet``
    (save sharded, resume sharded or single-process).
 
-Spawn-safety caveat: worker processes rebuild models and streams from
-the fleet checkpoint format, so anything attached must be a
-checkpointable ``TrendShiftStream``, and this script needs the
-``if __name__ == "__main__"`` guard you see below.
+Workers are plain subprocesses that inherit their pipe and their shared
+buffers as file descriptors, so sharding needs a POSIX system, nothing
+re-imports this script and nothing appears in ``/dev/shm``.  They
+rebuild models and streams from the fleet checkpoint format, so anything
+attached must be a checkpointable ``TrendShiftStream``.
+
+Exits non-zero unless the sharded scores equal the single-process ones
+bit for bit and the resumed fleet's next round is identical.
 
 Run:  python examples/sharded_fleet.py
 """
 
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -34,7 +39,7 @@ SHARDS = 2
 MISSIONS = ["Stealing", "Robbery"]
 
 
-def main() -> None:
+def main() -> int:
     config = ReproConfig()
     config.override("experiment.train_steps", 150)  # demo-sized training
     pipeline = Pipeline.from_config(config)
@@ -94,7 +99,11 @@ def main() -> None:
         print(f"      resumed fleet's next round identical: {identical}")
         resumed.close()
     fleet.close()
+    if max(diffs) != 0.0 or not identical:
+        print("FAILED: sharded serving diverged from single-process serving")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

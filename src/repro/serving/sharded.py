@@ -14,9 +14,9 @@ disjoint streams and disjoint model instances, per-shard coalescing keeps
 the row-stable GEMM guarantees, and model/stream state crosses the
 process boundary through the existing fleet checkpoint format
 (``to_dict``/``from_dict`` are the wire format), whose round-trip is
-exact.  Workers are spawn-safe: each child rebuilds the frozen joint
-embedding model and frame generator from seeds and the fleet from its
-shard's checkpoint payload, so nothing unpicklable is ever shipped.
+exact.  Each worker rebuilds the frozen joint embedding model and frame
+generator from seeds and the fleet from its shard's checkpoint payload,
+so only JSON and pickled arrays ever cross the process boundary.
 
 A whole sharded fleet checkpoints to a *single* file in the plain fleet
 format (plus a ``"shards"`` hint), so ``DeploymentFleet.load`` can open a
@@ -28,22 +28,33 @@ facade over :class:`~repro.runtime.ServingEngine` — here with a
 worker pool, while each worker's in-process fleet runs the same engine
 loop over its own shard.
 
-Parent<->worker payloads ride per-shard :mod:`multiprocessing.shared_memory`
-ring buffers (:mod:`repro.serving.shm_ring`); the pipe is the control
-plane — a ``("shm", length)`` doorbell per message (which also provides
-the happens-before edge that makes the lock-free SPSC rings safe under
-the fleet's strict request/response alternation), ``("inline", payload)``
-fallbacks for messages that outsize a ring, and error/``stop``
-signaling.  :meth:`ShardedFleet.transport_stats` counts ring traffic
-and pipe fallbacks; ``ring_bytes=0`` turns the rings off entirely.
+Workers are plain ``python -c`` subprocesses, not :mod:`multiprocessing`
+children, so sharding needs a POSIX system.  Each inherits exactly three
+descriptors: its end of a socketpair carrying a
+:class:`multiprocessing.connection.Connection`, and one anonymous
+:mod:`~repro.serving.shm_ring` buffer per direction.  Nothing re-imports
+the parent's ``__main__`` (a script needs no ``if __name__ ==
+"__main__"`` guard), no resource-tracker process starts, and no name
+ever appears in ``/dev/shm``.
+
+Parent<->worker payloads ride those buffers; the connection is the
+control plane — a ``("shm", length)`` doorbell per message (which also
+provides the happens-before edge that makes the lock-free buffers safe
+under the fleet's strict request/response alternation), ``("inline",
+payload)`` fallbacks for messages that outsize a buffer, and
+error/``stop`` signaling.  :meth:`ShardedFleet.transport_stats` counts
+buffer traffic and pipe fallbacks.
 """
 
 from __future__ import annotations
 
 import inspect
 import json
-import multiprocessing
+import os
+import subprocess
+import sys
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection, Pipe
 from pathlib import Path
 
 from ..api.config import config_from_dict, config_to_dict
@@ -67,6 +78,16 @@ __all__ = ["FleetInfra", "ShardedFleet", "build_sharded_fleet",
 _GENERATOR_PARAMS = ("anchor_weight", "normal_anchor_weight",
                      "concept_weight", "concepts_per_frame",
                      "semantic_noise", "sensor_noise")
+
+#: What a shard worker runs under ``python -c``; its three descriptors
+#: follow in ``sys.argv``.  (``-m repro.serving.sharded`` would import
+#: this module a second time, as ``__main__``.)
+_WORKER_ENTRY = ("from repro.serving.sharded import _shard_worker_main; "
+                 "_shard_worker_main()")
+
+#: The directory holding this ``repro`` package, put first on every
+#: worker's ``PYTHONPATH`` so workers import the parent's code.
+_PACKAGE_ROOT = str(Path(__file__).resolve().parents[2])
 
 
 def _generator_param_defaults() -> dict:
@@ -174,49 +195,45 @@ def _carry(into: dict, payload: dict, slots: list[dict]) -> dict:
     return into
 
 
-def _shard_worker_main(conn, payload_json: str, infra_payload: dict,
-                       ring_names: tuple[str, str] | None = None) -> None:
+def _shard_worker_main() -> None:
     """One shard's process: a private DeploymentFleet behind a pipe.
 
-    Module-level so the ``spawn`` start method can import it; every
-    request is answered with ``("ok", result)`` or ``("error", message)``
-    — worker exceptions surface in the parent instead of killing the
-    shard.  Startup failures (bad payload, embedding-fingerprint
-    mismatch) are relayed as a ``("fatal", message)`` reply so the
-    parent's next request reports the real cause rather than a bare
-    EOFError.
+    Runs under ``python -c`` (:data:`_WORKER_ENTRY`) with three inherited
+    descriptors in ``sys.argv``: the control connection, then the
+    parent->worker and worker->parent buffers.  The first message on the
+    connection is the boot payload — JSON bytes of the infra seeds and
+    the shard's fleet checkpoint — which the worker parses, builds from
+    and drops.  Every later request is answered with ``("ok", result)``
+    or ``("error", message)`` — worker exceptions surface in the parent
+    instead of killing the shard.  Startup failures (bad payload,
+    embedding-fingerprint mismatch) are relayed as a ``("fatal",
+    message)`` reply so the parent's next request reports the real cause
+    rather than a bare EOFError.
 
-    With ``ring_names`` the payload bytes of every request and reply
-    ride the parent's shared-memory rings (see
-    :mod:`repro.serving.shm_ring`); the pipe carries only transport
-    tokens — ``("shm", length)`` doorbells or ``("inline", payload)``
-    fallbacks for messages that outsize the ring.
+    The payload bytes of every request and reply ride the buffers (see
+    :mod:`repro.serving.shm_ring`); the connection carries only
+    transport tokens — ``("shm", length)`` doorbells or ``("inline",
+    payload)`` fallbacks for messages that outsize a buffer.
     """
-    ring_in = ring_out = None
+    conn_fd, in_fd, out_fd = map(int, sys.argv[1:4])
+    conn = Connection(conn_fd)
+    ring_in, ring_out = RingBuffer(in_fd), RingBuffer(out_fd)
 
     def reply(payload: tuple) -> None:
-        if ring_out is not None:
-            blob = dumps_message(payload)
-            if ring_out.write(blob):
-                conn.send(("shm", len(blob)))
-                return
-        conn.send(("inline", payload))
+        blob = dumps_message(payload)
+        if ring_out.write(blob):
+            conn.send(("shm", len(blob)))
+        else:
+            conn.send(("inline", payload))
 
     try:
-        if ring_names is not None:
-            # (parent->worker, worker->parent), named from the parent's
-            # point of view; attaching never unlinks (see RingBuffer).
-            ring_in = RingBuffer.attach(ring_names[0])
-            ring_out = RingBuffer.attach(ring_names[1])
-        embedding, generator = FleetInfra.from_payload(infra_payload).build()
-        fleet = DeploymentFleet.from_dict(json.loads(payload_json),
-                                          embedding, generator)
+        boot = json.loads(conn.recv_bytes())
+        embedding, generator = FleetInfra.from_payload(boot["infra"]).build()
+        fleet = DeploymentFleet.from_dict(boot["fleet"], embedding, generator)
+        del boot  # serve without the payload text or its parsed dict
     except Exception as exc:  # noqa: BLE001 — relayed to the parent
-        try:
-            conn.send(("inline", ("fatal", f"worker startup failed: "
-                                           f"{type(exc).__name__}: {exc}")))
-        finally:
-            conn.close()
+        conn.send(("inline", ("fatal", f"worker startup failed: "
+                                       f"{type(exc).__name__}: {exc}")))
         return
     models_by_token: dict[str, object] = {}  # "add"-shipped shared models
 
@@ -271,7 +288,7 @@ def _shard_worker_main(conn, payload_json: str, infra_payload: dict,
         try:
             token = conn.recv()
         except EOFError:
-            break
+            return
         try:
             kind = token[0] if isinstance(token, tuple) and token else None
             if kind == "shm":
@@ -286,15 +303,11 @@ def _shard_worker_main(conn, payload_json: str, infra_payload: dict,
         command, *args = message
         if command == "stop":
             reply(("ok", None))
-            break
+            return
         try:
             reply(("ok", execute(command, args)))
         except Exception as exc:  # noqa: BLE001 — relayed to the parent
             reply(("error", f"{type(exc).__name__}: {exc}"))
-    for ring in (ring_in, ring_out):
-        if ring is not None:
-            ring.close()
-    conn.close()
 
 
 class ShardedFleet:
@@ -311,8 +324,7 @@ class ShardedFleet:
     """
 
     def __init__(self, shards: int, infra: FleetInfra | None = None,
-                 max_batch_windows: int | None = None,
-                 ring_bytes: int | None = None):
+                 max_batch_windows: int | None = None):
         if shards < 1:
             raise ConfigError("need at least one shard")
         self.shards = shards
@@ -327,25 +339,21 @@ class ShardedFleet:
         self._model_tokens: dict[int, tuple[str, object]] = {}
         self._shipped_models: set[tuple[int, str]] = set()
         self._local_embedding = None       # lazily built for remove()
-        self._conns: list = []
-        self._procs: list = []
-        self._closed = False
-        self._init_transport(ring_bytes)
+        self._init_transport()
         self._init_engine()
         self._start_workers([_empty_fleet_payload(max_batch_windows)
                              for _ in range(shards)])
 
-    def _init_transport(self, ring_bytes: int | None) -> None:
-        """Per-shard shared-memory ring state.  ``ring_bytes`` sizes each
-        direction's ring (``None`` = default, ``0`` = pure pipe)."""
-        self._ring_bytes = DEFAULT_RING_BYTES if ring_bytes is None \
-            else int(ring_bytes)
-        if self._ring_bytes < 0:
-            raise ConfigError("ring_bytes must be >= 0")
-        self._rings_out: list[RingBuffer | None] = []  # parent -> worker
-        self._rings_in: list[RingBuffer | None] = []   # worker -> parent
+    def _init_transport(self) -> None:
+        """Per-shard control connections, worker processes and message
+        buffers (one per direction), plus the transport counters."""
+        self._conns: list[Connection] = []
+        self._procs: list[subprocess.Popen] = []
+        self._rings_out: list[RingBuffer] = []  # parent -> worker
+        self._rings_in: list[RingBuffer] = []   # worker -> parent
         self._transport_counters = {"shm_messages": 0, "shm_bytes": 0,
                                     "pipe_fallbacks": 0, "fused_rounds": 0}
+        self._closed = False
 
     def _init_engine(self, policy=None, metrics=None) -> None:
         from ..runtime.backends import ShardedBackend
@@ -365,82 +373,82 @@ class ShardedFleet:
     # Worker plumbing
     # ------------------------------------------------------------------
     def _start_workers(self, payloads: list[dict]) -> None:
-        context = multiprocessing.get_context("spawn")
-        infra_payload = self.infra.to_payload()
-        for payload in payloads:
-            to_worker = from_worker = None
-            if self._ring_bytes:
-                try:
-                    to_worker = RingBuffer.create(self._ring_bytes)
-                    from_worker = RingBuffer.create(self._ring_bytes)
-                except (OSError, ValueError):
-                    # No usable /dev/shm: serve over the pipe alone.
-                    if to_worker is not None:
-                        to_worker.close()
-                        to_worker.unlink()
-                    to_worker = from_worker = None
-            ring_names = None if to_worker is None \
-                else (to_worker.name, from_worker.name)
-            parent_conn, child_conn = context.Pipe()
-            process = context.Process(
-                target=_shard_worker_main,
-                args=(child_conn, json.dumps(payload), infra_payload,
-                      ring_names),
-                daemon=True)
-            process.start()
-            child_conn.close()
-            self._conns.append(parent_conn)
-            self._procs.append(process)
-            self._rings_out.append(to_worker)
-            self._rings_in.append(from_worker)
+        """Launch one worker per shard payload, then send each its boot
+        message (see :func:`_shard_worker_main`).
+
+        Every worker is started before any payload is sent, so workers
+        import and build concurrently.  The payload rides the control
+        connection, not a buffer: it is larger than any round message
+        and would raise the pages a buffer touches for good.
+        Construction returns before the workers have finished building
+        — the first request waits for them and reports a startup
+        failure; acknowledging each boot here would add a worker's build
+        time to every construction.
+        """
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": _PACKAGE_ROOT if not path
+               else _PACKAGE_ROOT + os.pathsep + path}
+        for _ in payloads:
+            conn, child = Pipe()
+            self._conns.append(conn)
+            self._rings_out.append(RingBuffer.create(DEFAULT_RING_BYTES))
+            self._rings_in.append(RingBuffer.create(DEFAULT_RING_BYTES))
+            fds = (child.fileno(), self._rings_out[-1].fileno(),
+                   self._rings_in[-1].fileno())
+            try:
+                self._procs.append(subprocess.Popen(
+                    [sys.executable, "-c", _WORKER_ENTRY, *map(str, fds)],
+                    pass_fds=fds, env=env, stdin=subprocess.DEVNULL))
+            finally:
+                child.close()
+        infra = self.infra.to_payload()
+        for conn, payload in zip(self._conns, payloads):
+            try:
+                conn.send_bytes(json.dumps({"infra": infra,
+                                            "fleet": payload}).encode())
+            except OSError:
+                pass  # a worker dead at startup: the next request says so
 
     def _check_open(self) -> None:
         if self._closed:
             raise FleetError("fleet is closed")
 
-    def _post(self, shard: int, message: tuple, blob: bytes | None) -> None:
+    def _post(self, shard: int, message: tuple, blob: bytes) -> None:
         # A send to a dead worker fails; its queued "fatal" reply (or an
         # EOF) is still waiting on the recv side, which reports the cause.
         #
-        # The payload rides this shard's shared-memory ring when it
+        # The payload rides this shard's shared-memory buffer when it
         # fits (the pipe carries only a ("shm", length) doorbell) and
         # falls back to an inline pipe message otherwise — capacity
         # bounds latency, never correctness.
         conn = self._conns[shard]
-        ring = self._rings_out[shard]
         try:
-            if ring is not None and blob is not None:
-                if ring.write(blob):
-                    self._transport_counters["shm_messages"] += 1
-                    self._transport_counters["shm_bytes"] += len(blob)
-                    conn.send(("shm", len(blob)))
-                    return
+            if self._rings_out[shard].write(blob):
+                self._transport_counters["shm_messages"] += 1
+                self._transport_counters["shm_bytes"] += len(blob)
+                conn.send(("shm", len(blob)))
+            else:
                 self._transport_counters["pipe_fallbacks"] += 1
-            conn.send(("inline", message))
-        except (BrokenPipeError, OSError, RingError):
+                conn.send(("inline", message))
+        except OSError:
             pass
 
     def _recv(self, shard: int) -> tuple:
         try:
             token = self._conns[shard].recv()
-        except EOFError:
+        except (EOFError, OSError):  # a killed worker may reset the socket
             return ("error", "worker process died unexpectedly")
         kind = token[0] if isinstance(token, tuple) and token else None
         if kind == "inline":
             return token[1]
         if kind == "shm":
-            ring = self._rings_in[shard]
-            if ring is None:
-                return ("error", "worker sent a shared-memory doorbell "
-                                 "but this fleet has no ring attached")
             try:
-                reply = loads_message(ring.read(token[1]))
-                self._transport_counters["shm_messages"] += 1
-                self._transport_counters["shm_bytes"] += int(token[1])
-                return reply
+                reply = loads_message(self._rings_in[shard].read(token[1]))
             except RingError as exc:
-                return ("error",
-                        f"shared-memory transport failure: {exc}")
+                return ("error", f"shared-memory transport failure: {exc}")
+            self._transport_counters["shm_messages"] += 1
+            self._transport_counters["shm_bytes"] += int(token[1])
+            return reply
         return ("error", f"unexpected transport token {token!r}")
 
     def _request(self, shard: int, message: tuple):
@@ -467,7 +475,6 @@ class ShardedFleet:
         """
         self._check_open()
         blobs = {shard: dumps_message(message)
-                 if self._rings_out[shard] is not None else None
                  for shard, message in messages.items()}
         for shard, message in messages.items():
             self._post(shard, message, blobs[shard])
@@ -488,9 +495,10 @@ class ShardedFleet:
     def close(self) -> None:
         """Shut down the worker processes (idempotent).
 
-        Shared-memory segments are closed and unlinked *after* the
-        workers are down — even workers that died mid-command — so a
-        closed fleet never leaks ``/dev/shm`` entries.
+        Each worker is asked to stop and waited for (killed if it does
+        not exit in time), then this side's buffers are closed.  They
+        are anonymous, so nothing outlives the processes that map them —
+        not even after a worker crash.
         """
         if self._closed:
             return
@@ -500,22 +508,19 @@ class ShardedFleet:
                 # "stop" is control-plane: always inline on the pipe.
                 conn.send(("inline", ("stop",)))
                 self._recv(shard)
-            except (BrokenPipeError, EOFError, OSError):
+            except OSError:
                 pass
             conn.close()
         for process in self._procs:
-            process.join(timeout=10)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=5)
+            try:
+                process.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                process.kill()
+                process.wait()
         for ring in (*self._rings_out, *self._rings_in):
-            if ring is not None:
-                ring.close()
-                ring.unlink()
-        self._conns = []
-        self._procs = []
-        self._rings_out = []
-        self._rings_in = []
+            ring.close()
+        self._conns, self._procs = [], []
+        self._rings_out, self._rings_in = [], []
 
     def __enter__(self) -> "ShardedFleet":
         return self
@@ -612,13 +617,11 @@ class ShardedFleet:
         return {key: sum(shard[key] for shard in stats) for key in stats[0]}
 
     def transport_stats(self) -> dict:
-        """Parent<->worker transport counters: messages/bytes over the
-        shared-memory rings and how often a message outsized its ring
+        """Parent<->worker transport counters: messages/bytes through the
+        shared-memory buffers and how often a message outsized its buffer
         and fell back to the pipe (surfaced through ``engine.stats()``
         and the gateway ``stats`` op)."""
-        shm = any(ring is not None for ring in self._rings_out)
-        return {"transport": "shm" if shm else "pipe",
-                "ring_bytes": self._ring_bytes if shm else 0,
+        return {"transport": "shm", "ring_bytes": DEFAULT_RING_BYTES,
                 **self._transport_counters}
 
     # ------------------------------------------------------------------
@@ -737,8 +740,7 @@ class ShardedFleet:
 
     @classmethod
     def from_dict(cls, payload: dict, shards: int | None = None,
-                  infra: FleetInfra | None = None,
-                  ring_bytes: int | None = None) -> "ShardedFleet":
+                  infra: FleetInfra | None = None) -> "ShardedFleet":
         """Rebuild a sharded fleet from a whole-fleet payload.
 
         ``shards`` defaults to the payload's ``"shards"`` hint (1 for a
@@ -759,7 +761,7 @@ class ShardedFleet:
         fleet.shards = shards
         fleet.infra = infra or FleetInfra()
         fleet.max_batch_windows = payload.get("max_batch_windows")
-        fleet._init_transport(ring_bytes)
+        fleet._init_transport()
         fleet._init_engine()
         fleet.rounds = int(payload.get("rounds", 0))
         fleet._order = [entry["name"] for entry in payload["slots"]]
@@ -769,24 +771,18 @@ class ShardedFleet:
         fleet._model_tokens = {}
         fleet._shipped_models = set()
         fleet._local_embedding = None
-        fleet._conns = []
-        fleet._procs = []
-        fleet._closed = False
         fleet._start_workers(partition_fleet_payload(payload, shards))
         return fleet
 
     @classmethod
     def load(cls, path: str | Path, shards: int | None = None,
-             infra: FleetInfra | None = None,
-             ring_bytes: int | None = None) -> "ShardedFleet":
+             infra: FleetInfra | None = None) -> "ShardedFleet":
         return cls.from_dict(json.loads(Path(path).read_text()),
-                             shards=shards, infra=infra,
-                             ring_bytes=ring_bytes)
+                             shards=shards, infra=infra)
 
     @classmethod
     def from_fleet(cls, fleet: DeploymentFleet, shards: int,
-                   infra: FleetInfra | None = None,
-                   ring_bytes: int | None = None) -> "ShardedFleet":
+                   infra: FleetInfra | None = None) -> "ShardedFleet":
         """Partition an in-process fleet across ``shards`` workers.
 
         The fleet is serialized through its checkpoint format, so every
@@ -801,16 +797,13 @@ class ShardedFleet:
             generator = fleet.slots[0].stream.generator
             infra = FleetInfra.from_generator(generator.model.seed,
                                               generator)
-        payload = fleet.to_dict()
-        return cls.from_dict(payload, shards=shards, infra=infra,
-                             ring_bytes=ring_bytes)
+        return cls.from_dict(fleet.to_dict(), shards=shards, infra=infra)
 
 
 def build_sharded_fleet(pipeline, missions: list[str], streams: int,
                         shards: int, adaptive: bool = False,
                         windows_per_step: int = 2, stream_seed: int = 100,
                         max_batch_windows: int | None = None,
-                        ring_bytes: int | None = None,
                         **stream_overrides) -> ShardedFleet:
     """Assemble a sharded fleet over a :class:`~repro.api.Pipeline`.
 
@@ -825,5 +818,4 @@ def build_sharded_fleet(pipeline, missions: list[str], streams: int,
                         max_batch_windows=max_batch_windows,
                         **stream_overrides)
     return ShardedFleet.from_fleet(fleet, shards,
-                                   infra=FleetInfra.from_pipeline(pipeline),
-                                   ring_bytes=ring_bytes)
+                                   infra=FleetInfra.from_pipeline(pipeline))

@@ -1,26 +1,28 @@
-"""Shared-memory SPSC ring buffers for parent<->worker shard traffic.
+"""Shared-memory message buffers for parent<->worker shard traffic.
 
 Pickling a round's windows and scores through a :mod:`multiprocessing`
 pipe costs two copies and a kernel round-trip per message; at gateway
 rates the pipe becomes the sharded fleet's hot path.  This module moves
-the *payload* bytes into a :class:`multiprocessing.shared_memory` ring
-buffer per direction — the pipe stays as the control plane (a tiny
-``("shm", length)`` doorbell per message, plus error/"stop" signaling
-and the happens-before edge that makes the lock-free ring safe).
+the *payload* bytes into a shared buffer per direction — the pipe stays
+as the control plane (a tiny ``("shm", length)`` doorbell per message,
+plus error/"stop" signaling and the happens-before edge that makes the
+lock-free buffer safe).
 
-Single-producer/single-consumer by construction: the sharded fleet
-keeps at most one outstanding request per shard (send, then receive),
-so by the time either side touches the ring the doorbell message has
-already synchronized it with the peer — positions never race.
+Each buffer is an anonymous file (``os.memfd_create``, or an unnamed
+``tempfile.TemporaryFile`` where that is missing) mapped by both sides:
+the worker inherits the descriptor, so no name ever exists — nothing to
+unlink, and a killed process tree frees the memory with its last
+descriptor.
 
-Layout: an 16-byte control header of two little-endian u64 *monotonic*
-byte counters (``write_pos``, ``read_pos``), then ``capacity`` data
-bytes used circularly (``capacity`` derives from the segment's true
-size, which the kernel may round up to a page).  A message that does
-not fit in the free span is the caller's problem — :meth:`RingBuffer.
-write` returns ``False`` and the caller falls back to sending the
-payload inline over the pipe, so ring capacity bounds *latency*, never
-correctness.
+One message at a time: the sharded fleet keeps at most one message in
+flight per direction (send, then receive), so a message always lands at
+offset 0 and the pages a buffer ever touches are those of its largest
+message.  Layout: an 8-byte little-endian u64 holding the unread
+message's length (0 = empty), then ``capacity`` data bytes.  A message
+that does not fit, or a write while the previous message is unread, is
+refused — :meth:`RingBuffer.write` returns ``False`` and the caller
+falls back to sending the payload inline over the pipe, so capacity
+bounds *latency*, never correctness.
 
 Messages themselves are framed with :func:`dumps_message` /
 :func:`loads_message`: pickle protocol 5 with out-of-band buffers, so
@@ -30,150 +32,108 @@ and decode into *writable* arrays over a fresh ``bytearray``.
 
 from __future__ import annotations
 
+import mmap
+import os
 import pickle
 import struct
-from multiprocessing import shared_memory
+import tempfile
+
 from ..errors import ConfigError
 
 __all__ = ["RingBuffer", "RingError", "dumps_message", "loads_message",
            "DEFAULT_RING_BYTES"]
 
-#: Per-direction ring capacity the sharded fleet asks for by default.
-#: Big enough for a round's windows at benchmark batch sizes; anything
-#: larger falls back to the pipe (counted, not failed).
+#: Per-direction buffer capacity the sharded fleet maps.  Big enough for
+#: a round's windows at benchmark batch sizes; anything larger falls
+#: back to the pipe (counted, not failed).  Untouched pages cost nothing.
 DEFAULT_RING_BYTES = 4 * 1024 * 1024
 
-#: write_pos, read_pos — monotonic byte counters (never wrapped; the
-#: data offset is ``pos % capacity``), so ``write_pos - read_pos`` is
-#: exactly the number of unread bytes even after u64 aeons.
-_CTRL = struct.Struct("<QQ")
+_PENDING = struct.Struct("<Q")      # length of the unread message, 0 = empty
 
 _MSG_COUNT = struct.Struct("<I")    # segments per message (pickle first)
 _MSG_LEN = struct.Struct("<Q")      # length of one segment
 
 
 class RingError(RuntimeError):
-    """The ring or a message frame is in a state that cannot be correct
-    under the SPSC protocol (torn counters, short reads, bad frames)."""
+    """The buffer or a message frame is in a state that cannot be
+    correct under the one-in-flight protocol (length mismatch, bad
+    frames, use after close)."""
 
 
 class RingBuffer:
-    """One single-producer/single-consumer byte ring in shared memory.
+    """One single-producer/single-consumer message buffer over an
+    anonymous shared file.
 
-    The creating side owns the segment (and must eventually
-    :meth:`unlink` it); the attaching side maps the same bytes and is
-    unregistered from its process's resource tracker so a worker exit —
-    clean or not — never unlinks a live segment.
+    :meth:`create` makes a new buffer; the constructor maps a buffer's
+    descriptor — in a worker, the one it inherited from the creator —
+    and takes ownership of it.  Each side releases its descriptor and
+    mapping on :meth:`close`.
     """
 
-    def __init__(self, shm: shared_memory.SharedMemory, owner: bool):
-        self._shm = shm
-        self._owner = owner
+    def __init__(self, fd: int):
+        self._fd = fd
+        self._map = mmap.mmap(fd, 0)
+        self._view = memoryview(self._map)
         self._closed = False
-        self.capacity = shm.size - _CTRL.size
-        if self.capacity < 1:
-            raise ConfigError(f"segment of {shm.size} bytes leaves no "
-                             f"data capacity")
+        self.capacity = len(self._map) - _PENDING.size
 
     @classmethod
     def create(cls, capacity: int = DEFAULT_RING_BYTES) -> "RingBuffer":
         if capacity < 1:
             raise ConfigError("ring capacity must be >= 1 byte")
-        shm = shared_memory.SharedMemory(create=True,
-                                         size=_CTRL.size + capacity)
-        shm.buf[:_CTRL.size] = _CTRL.pack(0, 0)
-        return cls(shm, owner=True)
+        fd = os.memfd_create("repro-ring") if hasattr(os, "memfd_create") \
+            else os.dup(tempfile.TemporaryFile().fileno())
+        os.ftruncate(fd, _PENDING.size + capacity)   # reads as zeros
+        return cls(fd)
 
-    @classmethod
-    def attach(cls, name: str) -> "RingBuffer":
-        # Spawned workers share the parent's resource-tracker process
-        # (the fd rides the spawn handshake), so this attach's REGISTER
-        # is an idempotent re-add of the owner's entry — no unregister
-        # games needed, and the owner's unlink() retires the entry once.
-        shm = shared_memory.SharedMemory(name=name)
-        return cls(shm, owner=False)
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    def _positions(self) -> tuple[int, int]:
-        return _CTRL.unpack_from(self._shm.buf, 0)
+    def fileno(self) -> int:
+        """The descriptor a child process inherits to map this buffer."""
+        return self._fd
 
     def used(self) -> int:
-        """Unread bytes currently in the ring."""
-        write_pos, read_pos = self._positions()
-        return write_pos - read_pos
-
-    def free(self) -> int:
-        return self.capacity - self.used()
-
-    def write(self, data) -> bool:
-        """Append ``data`` (with wraparound); ``False`` when it does not
-        fit in the free span — the caller's cue to fall back to the
-        pipe.  Only ever called by the producing side."""
+        """Length of the unread message (0 when empty)."""
         if self._closed:
             raise RingError("ring is closed")
+        return _PENDING.unpack_from(self._view, 0)[0]
+
+    def write(self, data) -> bool:
+        """Place one message at offset 0; ``False`` when it does not fit
+        or the previous message is still unread — the caller's cue to
+        fall back to the pipe.  Only ever called by the producing side."""
         count = len(data)
-        write_pos, read_pos = self._positions()
-        if count > self.capacity - (write_pos - read_pos):
+        if self.used() or count > self.capacity:
             return False
-        view = memoryview(data)
-        buf = self._shm.buf
-        start = write_pos % self.capacity
-        first = min(count, self.capacity - start)
-        base = _CTRL.size
-        buf[base + start:base + start + first] = view[:first]
-        if first < count:
-            buf[base:base + count - first] = view[first:]
-        # Publish last: the consumer only learns the new write_pos via
-        # the pipe doorbell, which happens-after this store.
-        struct.pack_into("<Q", buf, 0, write_pos + count)
+        self._view[_PENDING.size:_PENDING.size + count] = data
+        # Publish last: the consumer only learns of the message via the
+        # pipe doorbell, which happens-after this store.
+        _PENDING.pack_into(self._view, 0, count)
         return True
 
     def read(self, count: int) -> bytearray:
-        """Consume exactly ``count`` bytes (with wraparound) into a
-        fresh writable buffer.  Only ever called by the consuming side;
-        the doorbell told it exactly how many bytes one message holds."""
-        if self._closed:
-            raise RingError("ring is closed")
-        write_pos, read_pos = self._positions()
-        if count > write_pos - read_pos:
+        """Consume the unread message, which the doorbell said holds
+        exactly ``count`` bytes, into a fresh writable buffer.  Only ever
+        called by the consuming side."""
+        pending = self.used()
+        if count != pending:
             raise RingError(
-                f"ring holds {write_pos - read_pos} unread byte(s); "
-                f"asked for {count} — producer and consumer are "
-                f"desynchronized")
-        out = bytearray(count)
-        buf = self._shm.buf
-        start = read_pos % self.capacity
-        first = min(count, self.capacity - start)
-        base = _CTRL.size
-        out[:first] = buf[base + start:base + start + first]
-        if first < count:
-            out[first:] = buf[base:base + count - first]
-        struct.pack_into("<Q", buf, 8, read_pos + count)
+                f"ring holds {pending} unread byte(s); asked for {count} "
+                f"— producer and consumer are desynchronized")
+        out = bytearray(self._view[_PENDING.size:_PENDING.size + count])
+        _PENDING.pack_into(self._view, 0, 0)
         return out
 
     def close(self) -> None:
-        """Unmap this side's view (idempotent); the segment itself lives
-        until the owner unlinks it."""
+        """Unmap this side's view and close its descriptor (idempotent);
+        the memory is freed once every side has closed."""
         if self._closed:
             return
         self._closed = True
-        try:
-            self._shm.close()
-        except (OSError, BufferError):
-            pass
+        self._view.release()
+        self._map.close()
+        os.close(self._fd)
 
     def unlink(self) -> None:
-        """Remove the segment from ``/dev/shm`` (owner side, idempotent;
-        a no-op if the segment is already gone)."""
-        if not self._owner:
-            return
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:
-            pass
+        """No-op: an anonymous buffer has no name to remove."""
 
     def __enter__(self) -> "RingBuffer":
         return self

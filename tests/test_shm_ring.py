@@ -1,20 +1,26 @@
-"""Shared-memory ring transport tests: the byte ring itself, pickle-5
-message framing, the sharded fleet's ring path (parity + counters), and
-/dev/shm hygiene when workers die uncleanly.
+"""Shared-memory buffer transport tests: the buffer itself, pickle-5
+message framing, the sharded fleet's buffer path (parity + counters),
+and what shard workers leave behind — no /dev/shm entry, no resource
+tracker, no child process, no open descriptor — even after a SIGKILL.
 """
 
 import os
 import signal
-import time
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
+import repro.serving.sharded as sharded_module
 from repro.serving import (
     DEFAULT_RING_BYTES,
     RingBuffer,
     RingError,
     ShardedFleet,
+    WorkerError,
     dumps_message,
     loads_message,
 )
@@ -25,23 +31,98 @@ from test_serving_sharded import (
     make_single_fleet,
 )
 
+#: Run in a fresh interpreter, with no ``__main__`` guard: a 2-shard
+#: fleet serves two rounds bit-identical to inline serving, then closes.
+UNGUARDED_SCRIPT = """
+import os
+import sys
 
-def shm_exists(name: str) -> bool:
-    return os.path.exists(f"/dev/shm/{name.lstrip('/')}")
+import numpy as np
+
+from repro.api import Deployment
+from repro.concepts import build_default_ontology
+from repro.data import TrendShiftConfig, TrendShiftStream
+from repro.gnn import MissionGNNConfig, MissionGNNModel
+from repro.kg import KGGenerationConfig, KGGenerator
+from repro.llm import SyntheticLLM
+from repro.serving import DeploymentFleet, FleetInfra, ShardedFleet
+
+infra = FleetInfra(embedding_seed=7, generator_seed=5)
+embedding, generator = infra.build()
+kg, _ = KGGenerator(SyntheticLLM(build_default_ontology(), seed=3),
+                    KGGenerationConfig(depth=3)).generate("Stealing")
+kg.initialize_tokens(embedding)
+model = MissionGNNModel([kg], embedding,
+                        MissionGNNConfig(temporal_window=4, seed=7))
+model.eval()
+
+
+def fleet():
+    built = DeploymentFleet()
+    for index in range(4):
+        built.add(f"cam-{index}",
+                  Deployment(model, mission="Stealing", adaptive=False),
+                  TrendShiftStream(generator, TrendShiftConfig(
+                      steps_before_shift=1, steps_after_shift=1,
+                      windows_per_step=3, window=4, seed=30 + index)))
+    return built
+
+
+def children():
+    found = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/stat") as stat:
+                fields = stat.read().rsplit(")", 1)[1].split()
+            with open(f"/proc/{pid}/cmdline", "rb") as cmdline:
+                command = cmdline.read()
+        except OSError:
+            continue
+        if int(fields[1]) == os.getpid():
+            found.append(command)
+    return found
+
+
+inline = fleet()
+expected = [[event.scores for event in inline.step()] for _ in range(2)]
+sharded = ShardedFleet.from_fleet(fleet(), 2, infra=infra)
+got = [[event.scores for event in sharded.step()] for _ in range(2)]
+workers = children()
+sharded.close()
+assert [len(events) for events in got] == [4, 4], got
+assert all(np.array_equal(a, b)
+           for x, y in zip(expected, got) for a, b in zip(x, y))
+assert len(workers) == 2, workers
+assert not any(b"resource_tracker" in command for command in workers)
+assert "multiprocessing.resource_tracker" not in sys.modules
+assert children() == [], children()
+print("ok")
+"""
+
+
+def shm_entries() -> set[str]:
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
 
 
 class TestRingBuffer:
     def test_create_attach_round_trip(self):
+        """A second mapping of the descriptor (what a worker maps) sees
+        the creator's message; no /dev/shm name is ever made."""
+        before = shm_entries()
         with RingBuffer.create(1 << 16) as ring:
-            with RingBuffer.attach(ring.name) as other:
+            with RingBuffer(os.dup(ring.fileno())) as peer:
                 assert ring.write(b"hello rings")
-                assert bytes(other.read(11)) == b"hello rings"
-            ring.unlink()
-        assert not shm_exists(ring.name)
+                assert bytes(peer.read(11)) == b"hello rings"
+                assert ring.used() == 0
+            assert shm_entries() == before
 
     def test_wraparound_many_cycles(self):
-        """Fill/drain far past capacity: the monotonic counters wrap the
-        data region while every message round-trips intact."""
+        """Alternate far past capacity: every message round-trips intact
+        and the buffer ends empty."""
         with RingBuffer.create(1 << 12) as ring:
             capacity = ring.capacity
             message = bytes(range(256)) * 3   # 768 bytes, not a divisor
@@ -55,12 +136,29 @@ class TestRingBuffer:
 
     def test_interleaved_writes_wrap_the_boundary(self):
         with RingBuffer.create(1 << 12) as ring:
-            chunk = ring.capacity // 3 + 7    # forces a split write soon
+            chunk = ring.capacity // 3 + 7    # not a divisor of the capacity
             for index in range(30):
                 data = bytes([index % 251]) * chunk
                 assert ring.write(data)
                 assert bytes(ring.read(chunk)) == data
             ring.unlink()
+
+    def test_one_message_in_flight_lands_at_offset_zero(self):
+        """A second write before a read is refused; alternating messages
+        always land at offset 0, so after 50 rounds of a 768-byte message
+        in a 4 KiB buffer no data byte past 768 was ever written."""
+        message = bytes(range(256)) * 3
+        with RingBuffer.create(1 << 12) as ring:
+            assert ring.write(message)
+            assert not ring.write(b"x")
+            for _ in range(50):
+                assert bytes(ring.read(len(message))) == message
+                assert ring.write(message)
+            size = os.fstat(ring.fileno()).st_size
+            data = os.pread(ring.fileno(), ring.capacity,
+                            size - ring.capacity)
+            assert data[:len(message)] == message
+            assert data[len(message):] == bytes(ring.capacity - len(message))
 
     def test_oversized_write_returns_false(self):
         with RingBuffer.create(1 << 12) as ring:
@@ -87,17 +185,6 @@ class TestRingBuffer:
         with pytest.raises(RingError, match="closed"):
             ring.read(1)
         ring.unlink()
-
-    def test_unlink_is_owner_only_and_idempotent(self):
-        ring = RingBuffer.create(1 << 12)
-        peer = RingBuffer.attach(ring.name)
-        peer.unlink()                      # non-owner: no-op
-        assert shm_exists(ring.name)
-        peer.close()
-        ring.close()
-        ring.unlink()
-        ring.unlink()                      # second unlink: no-op
-        assert not shm_exists(ring.name)
 
 
 class TestMessageFraming:
@@ -144,9 +231,9 @@ class TestShardedRingTransport:
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_parity_over_the_ring_path(self, fresh_model, frame_generator,
                                        shards):
-        """Sharded serving over shared-memory rings stays bit-identical
+        """Sharded serving over shared-memory buffers stays bit-identical
         to the single-process fleet at every shard count — and actually
-        used the rings (shm transport, zero pipe fallbacks)."""
+        used the buffers (shm transport, zero pipe fallbacks)."""
         single = make_single_fleet(fresh_model, frame_generator, streams=4)
         reference = collect_rounds(single, max_rounds=2)
         single = make_single_fleet(fresh_model, frame_generator, streams=4)
@@ -160,12 +247,11 @@ class TestShardedRingTransport:
         assert stats["pipe_fallbacks"] == 0
 
     def test_oversized_round_falls_back_to_the_pipe(self, fresh_model,
-                                                    frame_generator):
-        """A ring too small for a round's payload is a latency knob, not
-        a correctness cliff: the oversized message rides the pipe and
-        scores stay bit-identical.  (The kernel page-rounds a ring
-        request up, so overflow it with a window batch bigger than any
-        page-rounded minimum ring.)"""
+                                                    frame_generator,
+                                                    monkeypatch):
+        """A buffer too small for a round's payload is a latency knob,
+        not a correctness cliff: the oversized message rides the pipe
+        and scores stay bit-identical."""
         single = make_single_fleet(fresh_model, frame_generator, streams=3)
         frame_dim = single.slots[0].stream.batch(0).windows.shape[-1]
         batches = 2 + (1 << 16) // (4 * frame_dim * 8)  # > 64 KiB payload
@@ -175,8 +261,8 @@ class TestShardedRingTransport:
             for name in list(single.names)[:2]}
         expected = single.score_only(arrivals)
         single = make_single_fleet(fresh_model, frame_generator, streams=3)
-        with ShardedFleet.from_fleet(single, 2, infra=INFRA,
-                                     ring_bytes=1024) as sharded:
+        monkeypatch.setattr(sharded_module, "DEFAULT_RING_BYTES", 1 << 12)
+        with ShardedFleet.from_fleet(single, 2, infra=INFRA) as sharded:
             got = sharded.score_only(arrivals)
             stats = sharded.transport_stats()
         assert set(got) == set(expected)
@@ -185,44 +271,38 @@ class TestShardedRingTransport:
         assert stats["transport"] == "shm"
         assert stats["pipe_fallbacks"] > 0
 
-    def test_ring_bytes_zero_is_pure_pipe(self, fresh_model,
-                                          frame_generator):
-        single = make_single_fleet(fresh_model, frame_generator, streams=3)
-        reference = collect_rounds(single, max_rounds=2)
-        single = make_single_fleet(fresh_model, frame_generator, streams=3)
-        with ShardedFleet.from_fleet(single, 2, infra=INFRA,
-                                     ring_bytes=0) as sharded:
-            rounds = collect_rounds(sharded, max_rounds=2)
-            stats = sharded.transport_stats()
-        assert_rounds_identical(reference, rounds)
-        assert stats["transport"] == "pipe"
-        assert stats["shm_messages"] == 0
+    def test_unguarded_script_shards_and_leaves_nothing_behind(self,
+                                                               tmp_path):
+        """A script with no ``__main__`` guard can shard (nothing
+        re-imports it), starts no resource tracker, adds no /dev/shm
+        entry and leaves no child process behind."""
+        script = tmp_path / "unguarded.py"
+        script.write_text(UNGUARDED_SCRIPT)
+        root = str(Path(repro.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ,
+               "PYTHONPATH": root if not path else root + os.pathsep + path}
+        before = shm_entries()
+        done = subprocess.run([sys.executable, str(script)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["ok"]
+        assert shm_entries() == before
 
-    def test_close_unlinks_every_segment(self, fresh_model,
-                                         frame_generator):
-        single = make_single_fleet(fresh_model, frame_generator, streams=3)
-        sharded = ShardedFleet.from_fleet(single, 2, infra=INFRA)
-        names = [ring.name
-                 for ring in (*sharded._rings_out, *sharded._rings_in)]
-        assert names and all(shm_exists(name) for name in names)
-        sharded.close()
-        assert not any(shm_exists(name) for name in names)
-
-    def test_worker_crash_leaves_no_segments(self, fresh_model,
-                                             frame_generator):
-        """SIGKILL a worker mid-run (it can never close its side), then
-        close(): the parent still unlinks every ring segment."""
+    def test_killed_worker_is_reported_and_close_frees_every_fd(
+            self, fresh_model, frame_generator):
+        """SIGKILL one worker: the next call raises WorkerError naming
+        its shard, and close() leaves this process exactly the
+        descriptors it had before the fleet existed."""
         single = make_single_fleet(fresh_model, frame_generator, streams=4)
+        fds_before = open_fds()
         sharded = ShardedFleet.from_fleet(single, 2, infra=INFRA)
-        names = [ring.name
-                 for ring in (*sharded._rings_out, *sharded._rings_in)]
         collect_rounds(sharded, max_rounds=1)
-        victim = sharded._procs[0]
+        victim = sharded._procs[1]
         os.kill(victim.pid, signal.SIGKILL)
-        victim.join(timeout=10)
-        deadline = time.monotonic() + 10
-        while victim.is_alive() and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert not victim.is_alive()
+        victim.wait(timeout=10)
+        with pytest.raises(WorkerError) as raised:
+            sharded.step()
+        assert raised.value.shard == 1
         sharded.close()
-        assert not any(shm_exists(name) for name in names)
+        assert open_fds() == fds_before
