@@ -127,14 +127,14 @@ class TokenEmbeddingUpdater:
         base_lr = self._optimizer.lr
         self._optimizer.lr = base_lr * max(lr_scale, 0.0)
         for _ in range(max(cfg.inner_steps, 1)):
-            logits = self.model.code_logits(codes)
-            loss = vad_loss(logits, targets,
+            loss = vad_loss(self.model.code_logits(codes), targets,
                             lambda_spa=cfg.lambda_spa, lambda_smt=cfg.lambda_smt)
             self._optimizer.zero_grad()
             loss.backward()
             grad_norm = clip_grad_norm(self.model.token_parameters(), cfg.grad_clip)
             self._optimizer.step()
             loss_value = float(loss.item())
+            del loss  # this step's tape dies before the next one is built
             if cfg.max_token_norm > 0:
                 # Vocabulary embeddings are unit-norm; keep learned tokens on
                 # a comparable scale so retrieval stays meaningful and the

@@ -167,9 +167,18 @@ def cmd_serve(args) -> int:
     return 0
 
 
+def _build_fleet(args, pipeline):
+    """``--streams`` over ``--missions``, sharded when ``--shards`` > 1."""
+    from .serving import build_fleet, build_sharded_fleet
+    extra = {"shards": args.shards} if args.shards > 1 else {}
+    return (build_sharded_fleet if extra else build_fleet)(
+        pipeline, args.missions, args.streams, adaptive=args.adaptive,
+        windows_per_step=args.windows_per_step, stream_seed=args.stream_seed,
+        max_batch_windows=args.max_batch_windows, **extra)
+
+
 def cmd_fleet(args) -> int:
     """Batched multi-stream serving: N streams, mixed missions, one loop."""
-    from .serving import build_fleet, build_sharded_fleet
     if args.shards < 1:
         raise SystemExit("error: --shards must be >= 1")
     pipeline = _pipeline(args)
@@ -178,13 +187,7 @@ def cmd_fleet(args) -> int:
           f"{args.missions} (adaptive={args.adaptive}, "
           f"batched={not args.sequential}"
           + (f", shards={args.shards}" if sharded else "") + ")")
-    build = build_sharded_fleet if sharded else build_fleet
-    extra = {"shards": args.shards} if sharded else {}
-    fleet = build(pipeline, args.missions, args.streams,
-                  adaptive=args.adaptive,
-                  windows_per_step=args.windows_per_step,
-                  stream_seed=args.stream_seed,
-                  max_batch_windows=args.max_batch_windows, **extra)
+    fleet = _build_fleet(args, pipeline)
     try:
         t0 = time.perf_counter()
         total_windows = 0
@@ -219,7 +222,6 @@ def cmd_gateway(args) -> int:
     import asyncio
 
     from .gateway import GatewayServer
-    from .serving import build_fleet, build_sharded_fleet
     if args.shards < 1:
         raise SystemExit("error: --shards must be >= 1")
     pipeline = _pipeline(args)
@@ -227,13 +229,7 @@ def cmd_gateway(args) -> int:
     print(f"[gateway] building {args.streams} stream(s) over missions "
           f"{args.missions} (adaptive={args.adaptive}"
           + (f", shards={args.shards}" if sharded else "") + ")")
-    build = build_sharded_fleet if sharded else build_fleet
-    extra = {"shards": args.shards} if sharded else {}
-    fleet = build(pipeline, args.missions, args.streams,
-                  adaptive=args.adaptive,
-                  windows_per_step=args.windows_per_step,
-                  stream_seed=args.stream_seed,
-                  max_batch_windows=args.max_batch_windows, **extra)
+    fleet = _build_fleet(args, pipeline)
     wal_kwargs = {}
     if args.wal_dir:
         from .wal import SnapshotPolicy, WalConfig

@@ -24,6 +24,7 @@ is re-exported here for compatibility).
 from __future__ import annotations
 
 import json
+from itertools import cycle
 from pathlib import Path
 
 import numpy as np
@@ -348,23 +349,37 @@ def build_fleet(pipeline, missions: list[str], streams: int,
     continuous KG adaptation makes each stream's KG tokens diverge.  Either
     way a mission's streams coalesce into one forward per round.
     """
+    fleet = DeploymentFleet(MicroBatcher(max_batch_windows))
+    shared: dict[str, object] = {}
+    for spec in _slot_specs(missions, streams, adaptive, windows_per_step,
+                            stream_seed, stream_overrides):
+        fleet.add(*_build_slot(pipeline, shared, **spec))
+    return fleet
+
+
+def _slot_specs(missions: list[str], streams: int, adaptive: bool,
+                windows_per_step: int, stream_seed: int,
+                stream_overrides: dict) -> list[dict]:
+    """Slot build arguments in attach order (JSON: shard workers get them)."""
     if streams < 1:
         raise ConfigError("need at least one stream")
     if not missions:
         raise ConfigError("need at least one mission")
-    fleet = DeploymentFleet(MicroBatcher(max_batch_windows))
-    shared: dict[str, object] = {}
-    for index in range(streams):
-        mission = missions[index % len(missions)]
-        if adaptive:
-            deployment = pipeline.deploy(mission)
-        else:
-            if mission not in shared:
-                shared[mission] = pipeline.train(mission)
-            deployment = Deployment(shared[mission], mission=mission,
-                                    adaptive=False)
-        stream = pipeline.stream(mission, None,
-                                 windows_per_step=windows_per_step,
-                                 seed=stream_seed + index, **stream_overrides)
-        fleet.add(f"{mission.lower()}-{index}", deployment, stream)
-    return fleet
+    return [{"name": f"{mission.lower()}-{index}", "mission": mission,
+             "adaptive": adaptive, "stream": {
+                 "windows_per_step": windows_per_step,
+                 "seed": stream_seed + index, **stream_overrides}}
+            for index, mission in zip(range(streams), cycle(missions))]
+
+
+def _build_slot(pipeline, shared: dict, name: str, mission: str,
+                adaptive: bool, stream: dict) -> tuple:
+    """One slot; a mission's static slots share the model in ``shared``."""
+    if adaptive:
+        deployment = pipeline.deploy(mission)
+    else:
+        if mission not in shared:
+            shared[mission] = pipeline.train(mission)
+        deployment = Deployment(shared[mission], mission=mission,
+                                adaptive=False)
+    return name, deployment, pipeline.stream(mission, None, **stream)

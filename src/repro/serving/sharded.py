@@ -10,13 +10,13 @@ merges per-round :class:`~repro.serving.FleetEvent` lists back in stable
 stream order.
 
 Scores are bit-identical to single-process batched serving: shards own
-disjoint streams and disjoint model instances, per-shard coalescing keeps
-the row-stable GEMM guarantees, and model/stream state crosses the
-process boundary through the existing fleet checkpoint format
-(``to_dict``/``from_dict`` are the wire format), whose round-trip is
-exact.  Each worker rebuilds the frozen joint embedding model and frame
-generator from seeds and the fleet from its shard's checkpoint payload,
-so only JSON and pickled arrays ever cross the process boundary.
+disjoint streams and models, per-shard coalescing keeps the row-stable
+GEMM guarantees, and each worker rebuilds the embedding model and frame
+generator from seeds, then its streams from its slice of a fleet
+checkpoint (whose round-trip is exact) or — :func:`build_sharded_fleet`,
+whose parent loads no model — from the registry, with the per-slot code
+of :func:`~repro.serving.build_fleet`.  Only JSON and pickled arrays
+ever cross the process boundary.
 
 A whole sharded fleet checkpoints to a *single* file in the plain fleet
 format (plus a ``"shards"`` hint), so ``DeploymentFleet.load`` can open a
@@ -57,15 +57,18 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, Pipe
 from pathlib import Path
 
-from ..api.config import config_from_dict, config_to_dict
+from ..api.config import ReproConfig, config_from_dict, config_to_dict
 from ..api.deployment import Deployment
+from ..api.pipeline import Pipeline
+from ..api.registry import ModelRegistry
 from ..data.streams import TrendShiftConfig, TrendShiftStream
 from ..data.synthetic import FrameGenerator
 from ..errors import (CheckpointError, ConfigError, FleetError,
                       WorkerError, WorkerStartupError)
 from ..runtime.engine import FleetEvent, ServingEngine
 from ..utils.serialization import atomic_write_json
-from .fleet import FLEET_FORMAT_VERSION, DeploymentFleet, build_fleet
+from .fleet import (FLEET_FORMAT_VERSION, DeploymentFleet, _build_slot,
+                    _slot_specs)
 from .shm_ring import (DEFAULT_RING_BYTES, RingBuffer, RingError,
                        dumps_message, loads_message)
 
@@ -117,8 +120,9 @@ class FleetInfra:
 
     @classmethod
     def from_pipeline(cls, pipeline) -> "FleetInfra":
-        return cls.from_generator(pipeline.config.experiment.seed,
-                                  pipeline.generator)
+        """What ``pipeline`` builds, read from its config (builds nothing)."""
+        seed = pipeline.config.experiment.seed
+        return cls(embedding_seed=seed, generator_seed=seed)
 
     @classmethod
     def from_generator(cls, embedding_seed: int,
@@ -201,12 +205,12 @@ def _shard_worker_main() -> None:
     Runs under ``python -c`` (:data:`_WORKER_ENTRY`) with three inherited
     descriptors in ``sys.argv``: the control connection, then the
     parent->worker and worker->parent buffers.  The first message on the
-    connection is the boot payload — JSON bytes of the infra seeds and
-    the shard's fleet checkpoint — which the worker parses, builds from
-    and drops.  Every later request is answered with ``("ok", result)``
-    or ``("error", message)`` — worker exceptions surface in the parent
-    instead of killing the shard.  Startup failures (bad payload,
-    embedding-fingerprint mismatch) are relayed as a ``("fatal",
+    connection is the boot payload (see :meth:`ShardedFleet._start_workers`),
+    which the worker parses, builds from and drops.  Every later request
+    is answered with ``("ok", result)`` or ``("error", message)`` —
+    worker exceptions surface in the parent instead of killing the shard.
+    Startup failures (bad payload, embedding-fingerprint mismatch, a
+    mission missing from the registry) are relayed as a ``("fatal",
     message)`` reply so the parent's next request reports the real cause
     rather than a bare EOFError.
 
@@ -230,6 +234,8 @@ def _shard_worker_main() -> None:
         boot = json.loads(conn.recv_bytes())
         embedding, generator = FleetInfra.from_payload(boot["infra"]).build()
         fleet = DeploymentFleet.from_dict(boot["fleet"], embedding, generator)
+        if "build" in boot:
+            _build_shard(fleet, boot["build"], embedding, generator)
         del boot  # serve without the payload text or its parsed dict
     except Exception as exc:  # noqa: BLE001 — relayed to the parent
         conn.send(("inline", ("fatal", f"worker startup failed: "
@@ -310,6 +316,22 @@ def _shard_worker_main() -> None:
             reply(("error", f"{type(exc).__name__}: {exc}"))
 
 
+def _build_shard(fleet, build: dict, embedding, generator) -> None:
+    """Attach ``build["slots"]`` as ``build_fleet`` does; never trains."""
+    registry = ModelRegistry(build["registry"])  # a root, or in memory ...
+    registry._entries.update(build["artifacts"])  # ... holding these
+    pipeline = Pipeline(ReproConfig.from_dict(build["config"]), registry)
+    pipeline._embedding_model, pipeline._generator = embedding, generator
+    fingerprint, shared = pipeline._fingerprint(), {}
+    for spec in build["slots"]:
+        try:
+            if not registry.contains(spec["mission"], fingerprint):
+                raise CheckpointError("no artifact in the model registry")
+            fleet.add(*_build_slot(pipeline, shared, **spec))
+        except Exception as exc:
+            raise CheckpointError(f"mission {spec['mission']!r}: {exc!r}") from exc
+
+
 class ShardedFleet:
     """A :class:`DeploymentFleet` partitioned across worker processes.
 
@@ -325,28 +347,31 @@ class ShardedFleet:
 
     def __init__(self, shards: int, infra: FleetInfra | None = None,
                  max_batch_windows: int | None = None):
+        self._setup(shards, infra, max_batch_windows, names=[])
+        self._start_workers([{"fleet": _empty_fleet_payload(max_batch_windows)}
+                             for _ in range(shards)])
+
+    def _setup(self, shards: int, infra: FleetInfra | None,
+               max_batch_windows: int | None, names: list[str],
+               rounds: int = 0) -> "ShardedFleet":
+        """All but the workers, ``names`` attached round-robin in order."""
         if shards < 1:
             raise ConfigError("need at least one shard")
         self.shards = shards
         self.infra = infra or FleetInfra()
         self.max_batch_windows = max_batch_windows
-        self._order: list[str] = []        # global attach order
-        self._assignment: dict[str, int] = {}
-        self._attach_counter = 0           # round-robin cursor
+        self._order = list(names)          # global attach order
+        self._assignment = {name: index % shards
+                            for index, name in enumerate(names)}
+        self._attach_counter = len(names)  # round-robin cursor
         # Model identity tracking for add(): streams sharing a model ship
         # it once per shard (the strong reference pins the id() for the
         # fleet's lifetime so tokens can never alias a recycled object).
         self._model_tokens: dict[int, tuple[str, object]] = {}
         self._shipped_models: set[tuple[int, str]] = set()
         self._local_embedding = None       # lazily built for remove()
-        self._init_transport()
-        self._init_engine()
-        self._start_workers([_empty_fleet_payload(max_batch_windows)
-                             for _ in range(shards)])
-
-    def _init_transport(self) -> None:
-        """Per-shard control connections, worker processes and message
-        buffers (one per direction), plus the transport counters."""
+        # Per-shard control connections, worker processes and message
+        # buffers (one per direction), plus the transport counters.
         self._conns: list[Connection] = []
         self._procs: list[subprocess.Popen] = []
         self._rings_out: list[RingBuffer] = []  # parent -> worker
@@ -354,11 +379,10 @@ class ShardedFleet:
         self._transport_counters = {"shm_messages": 0, "shm_bytes": 0,
                                     "pipe_fallbacks": 0, "fused_rounds": 0}
         self._closed = False
-
-    def _init_engine(self, policy=None, metrics=None) -> None:
         from ..runtime.backends import ShardedBackend
-        self.engine = ServingEngine(ShardedBackend(self), policy=policy,
-                                    metrics=metrics)
+        self.engine = ServingEngine(ShardedBackend(self))
+        self.rounds = rounds
+        return self
 
     @property
     def rounds(self) -> int:
@@ -372,9 +396,9 @@ class ShardedFleet:
     # ------------------------------------------------------------------
     # Worker plumbing
     # ------------------------------------------------------------------
-    def _start_workers(self, payloads: list[dict]) -> None:
-        """Launch one worker per shard payload, then send each its boot
-        message (see :func:`_shard_worker_main`).
+    def _start_workers(self, boots: list[dict]) -> None:
+        """Launch one worker per shard, then send each its boot message: infra
+        seeds, a fleet checkpoint slice and maybe ``"build"`` (:func:`_build_shard`).
 
         Every worker is started before any payload is sent, so workers
         import and build concurrently.  The payload rides the control
@@ -388,7 +412,7 @@ class ShardedFleet:
         path = os.environ.get("PYTHONPATH")
         env = {**os.environ, "PYTHONPATH": _PACKAGE_ROOT if not path
                else _PACKAGE_ROOT + os.pathsep + path}
-        for _ in payloads:
+        for _ in boots:
             conn, child = Pipe()
             self._conns.append(conn)
             self._rings_out.append(RingBuffer.create(DEFAULT_RING_BYTES))
@@ -402,10 +426,9 @@ class ShardedFleet:
             finally:
                 child.close()
         infra = self.infra.to_payload()
-        for conn, payload in zip(self._conns, payloads):
+        for conn, boot in zip(self._conns, boots):
             try:
-                conn.send_bytes(json.dumps({"infra": infra,
-                                            "fleet": payload}).encode())
+                conn.send_bytes(json.dumps({"infra": infra, **boot}).encode())
             except OSError:
                 pass  # a worker dead at startup: the next request says so
 
@@ -757,21 +780,12 @@ class ShardedFleet:
             shards = int(payload.get("shards", 1))
         if infra is None and payload.get("infra") is not None:
             infra = FleetInfra.from_payload(payload["infra"])
-        fleet = cls.__new__(cls)
-        fleet.shards = shards
-        fleet.infra = infra or FleetInfra()
-        fleet.max_batch_windows = payload.get("max_batch_windows")
-        fleet._init_transport()
-        fleet._init_engine()
-        fleet.rounds = int(payload.get("rounds", 0))
-        fleet._order = [entry["name"] for entry in payload["slots"]]
-        fleet._assignment = {name: index % shards
-                             for index, name in enumerate(fleet._order)}
-        fleet._attach_counter = len(fleet._order)
-        fleet._model_tokens = {}
-        fleet._shipped_models = set()
-        fleet._local_embedding = None
-        fleet._start_workers(partition_fleet_payload(payload, shards))
+        fleet = cls.__new__(cls)._setup(
+            shards, infra, payload.get("max_batch_windows"),
+            [entry["name"] for entry in payload["slots"]],
+            int(payload.get("rounds", 0)))
+        fleet._start_workers([{"fleet": part} for part in
+                              partition_fleet_payload(payload, shards)])
         return fleet
 
     @classmethod
@@ -807,15 +821,30 @@ def build_sharded_fleet(pipeline, missions: list[str], streams: int,
                         **stream_overrides) -> ShardedFleet:
     """Assemble a sharded fleet over a :class:`~repro.api.Pipeline`.
 
-    Mirrors :func:`~repro.serving.build_fleet` (same missions round-robin,
-    same stream seeds, same names) and then partitions the result across
-    ``shards`` worker processes, so sharded and single-process fleets
-    built with the same arguments serve identical streams and scores.
+    :func:`~repro.serving.build_fleet`'s fleet for the same arguments,
+    streams dealt round-robin to ``shards`` workers, each of which builds
+    its own from the registry: this process only trains missions missing
+    there (loading nothing on a hit) and sends each worker the config, the
+    registry (a root the workers must be able to read, or the artifacts)
+    and its slots' build arguments.  Construction returns before any
+    model is loaded; the first request waits for the workers.
     """
-    fleet = build_fleet(pipeline, missions, streams, adaptive=adaptive,
-                        windows_per_step=windows_per_step,
-                        stream_seed=stream_seed,
-                        max_batch_windows=max_batch_windows,
-                        **stream_overrides)
-    return ShardedFleet.from_fleet(fleet, shards,
-                                   infra=FleetInfra.from_pipeline(pipeline))
+    specs = _slot_specs(missions, streams, adaptive, windows_per_step,
+                        stream_seed, stream_overrides)
+    fleet = ShardedFleet.__new__(ShardedFleet)._setup(
+        shards, FleetInfra.from_pipeline(pipeline), max_batch_windows,
+        [spec["name"] for spec in specs])
+    registry, fingerprint = pipeline.registry, pipeline._fingerprint()
+    for mission in dict.fromkeys(spec["mission"] for spec in specs):
+        if not registry.contains(mission, fingerprint):
+            pipeline.train(mission)
+    config = pipeline.config.to_dict()
+    root = registry.root and str(registry.root.resolve())
+    boots = []
+    for slots in (specs[shard::shards] for shard in range(shards)):
+        keys = {registry.key(spec["mission"], fingerprint) for spec in slots}
+        boots.append({"fleet": _empty_fleet_payload(max_batch_windows), "build": {
+            "config": config, "slots": slots, "registry": root,
+            "artifacts": {} if root else {k: registry._entries[k] for k in keys}}})
+    fleet._start_workers(boots)
+    return fleet

@@ -76,6 +76,10 @@ class RingBuffer:
         self._view = memoryview(self._map)
         self._closed = False
         self.capacity = len(self._map) - _PENDING.size
+        # Freeing a block above glibc's mmap threshold raises it to that
+        # size (the heap trim threshold to twice it): one untouched (calloc)
+        # block keeps each round's message copies on a heap never re-faulted.
+        bytes(2 * len(self._map))
 
     @classmethod
     def create(cls, capacity: int = DEFAULT_RING_BYTES) -> "RingBuffer":

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.adaptation import TokenEmbeddingUpdater, TokenUpdateConfig
+from repro.nn.losses import vad_loss
 
 
 def deployed(fresh_model):
@@ -170,3 +171,33 @@ class TestUpdateMemory:
             gc.enable()
         assert peak - baseline > 1 << 20  # the tape itself is not small
         assert current - baseline < 1 << 20
+
+    def test_update_holds_one_tape_at_a_time(self, fresh_model,
+                                             embedding_model, rng):
+        """Inner step i's tape is freed before step i+1 builds its own, so
+        a whole update peaks near one forward+backward, not two."""
+        model = deployed(fresh_model)
+        updater = TokenEmbeddingUpdater(model)
+        windows, labels = small_batch(embedding_model, rng, n=22)
+        codes = model.frame_codes(windows)
+        updater.update(codes, labels)  # lazy one-off allocations
+
+        def peak_of(run) -> int:
+            gc.collect()
+            tracemalloc.start()
+            try:
+                baseline, _ = tracemalloc.get_traced_memory()
+                run()
+                return tracemalloc.get_traced_memory()[1] - baseline
+            finally:
+                tracemalloc.stop()
+
+        def forward_backward():
+            loss = vad_loss(model.code_logits(codes), labels,
+                            lambda_spa=updater.config.lambda_spa,
+                            lambda_smt=updater.config.lambda_smt)
+            loss.backward()
+
+        single = peak_of(forward_backward)
+        whole = peak_of(lambda: updater.update(codes, labels))
+        assert whole <= 1.3 * single, (whole, single)

@@ -5,9 +5,11 @@ tracker, no child process, no open descriptor — even after a SIGKILL.
 """
 
 import os
+import platform
 import signal
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +187,55 @@ class TestRingBuffer:
         with pytest.raises(RingError, match="closed"):
             ring.read(1)
         ring.unlink()
+
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="glibc's dynamic mmap threshold")
+    def test_mapping_keeps_round_buffers_on_a_warm_heap(self):
+        """A process that maps a buffer reuses its round-sized allocations
+        instead of faulting them in and trimming them every round (a
+        sharded gateway's parent never loads a model, so nothing else
+        warms its heap) — and warming touches no page."""
+        script = textwrap.dedent("""
+            import resource, sys
+            from repro.serving import RingBuffer
+
+            def hwm_mb():
+                with open("/proc/self/status") as status:
+                    for line in status:
+                        if line.startswith("VmHWM"):
+                            return int(line.split()[1]) / 1024
+
+            def faults():
+                return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+            def round_buffers():  # one round's message copies, then freed
+                return [bytearray(3 << 20) for _ in range(3)]
+
+            before = hwm_mb()
+            if sys.argv[1] == "ring":
+                ring = RingBuffer.create(8 << 20)
+            grown = hwm_mb() - before
+            round_buffers()
+            start = faults()
+            for _ in range(20):
+                round_buffers()
+            print(faults() - start, grown)
+        """)
+        src = str(Path(repro.__file__).resolve().parents[1])
+
+        def run(mode):
+            out = subprocess.run(
+                [sys.executable, "-c", script, mode], check=True,
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": src}).stdout.split()
+            return int(out[0]), float(out[1])
+
+        cold_faults, _ = run("none")
+        warm_faults, grown_mb = run("ring")
+        assert cold_faults > 20 * 1000  # 9 MB re-faulted every round
+        assert warm_faults < 100
+        assert grown_mb < 1
 
 
 class TestMessageFraming:
