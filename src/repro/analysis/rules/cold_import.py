@@ -1,6 +1,6 @@
 """cold-import: importing ``repro`` loads the stdlib, numpy and ``repro``.
 
-Every process of a deployment (gateway, shard worker, recovery child, CLI
+Every process of a deployment (gateway, recovery child, benchmark, CLI
 call) pays a module-level import again, used or not — ``import networkx``
 in ``kg/analysis.py`` was 285 modules, 0.1 s and 14 MB per process, and
 broke the numpy-only install ``pyproject.toml`` declares.  So an import

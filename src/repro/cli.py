@@ -201,8 +201,7 @@ def cmd_fleet(args) -> int:
             print(f"  round {fleet.rounds:3d}: {len(events):2d} stream(s), "
                   f"mean score {mean:.3f}{note}")
         elapsed = time.perf_counter() - t0
-        batches_run = (fleet.batcher_stats()["batches_run"] if sharded
-                       else fleet.batcher.batches_run)
+        batches_run = fleet.engine.backend.batch_stats()["batches_run"]
         print(f"[fleet] served {total_windows} windows over {fleet.rounds} "
               f"round(s) in {elapsed:.2f}s "
               f"({total_windows / max(elapsed, 1e-9):.1f} windows/s, "
@@ -212,8 +211,7 @@ def cmd_fleet(args) -> int:
             fleet.save(args.save)
             print(f"[fleet] checkpointed fleet to {args.save}")
     finally:
-        if sharded:
-            fleet.close()
+        fleet.close()
     return 0
 
 
@@ -617,8 +615,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sequential", action="store_true",
                    help="disable micro-batching (per-deployment scoring loop)")
     p.add_argument("--shards", type=int, default=1,
-                   help="partition the fleet across N worker processes "
-                        "(default 1: single-process serving)")
+                   help="partition the fleet into N in-process shards, "
+                        "run on threads when the process may use two or "
+                        "more CPUs (default 1: one fleet)")
     p.add_argument("--max-batch-windows", type=int, default=None,
                    help="cap windows per coalesced forward")
     p.add_argument("--save", metavar="PATH", default=None,
@@ -640,7 +639,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adaptive", action="store_true",
                    help="continuously adapting deployments (own KG state)")
     p.add_argument("--shards", type=int, default=1,
-                   help="partition the fleet across N worker processes")
+                   help="partition the fleet into N in-process shards, "
+                        "run on threads when the process may use two or "
+                        "more CPUs")
     p.add_argument("--policy", choices=("fair", "greedy", "priority"),
                    default=None,
                    help="engine scheduling policy: fair round-robin "
@@ -701,9 +702,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("wal_dir", metavar="WAL_DIR",
                    help="the --wal-dir a durable gateway was serving from")
     p.add_argument("--shards", type=int, default=1,
-                   help="rebuild as a sharded fleet over N worker "
-                        "processes (default 1: in-process fleet; either "
-                        "way the recovered state is bit-identical)")
+                   help="rebuild as a fleet of N in-process shards "
+                        "(default 1: one fleet; either way the recovered "
+                        "state is bit-identical)")
     p.add_argument("--verify", action="store_true",
                    help="replay the WAL twice and fail unless both "
                         "replays produce the bit-identical fleet "

@@ -1,8 +1,8 @@
 """Typed exception hierarchy shared across the serving stack.
 
-Production callers need to branch on *what* failed — a shard worker
-dying is retryable by restarting the fleet, a corrupt write-ahead log
-segment is not — which bare ``RuntimeError`` strings cannot support.
+Production callers need to branch on *what* failed — a shard that
+cannot be built needs its registry fixed, a corrupt log segment needs
+recovery — which bare ``RuntimeError`` strings cannot support.
 The hierarchy lives at the top of the dependency graph (stdlib only)
 so every layer can raise typed errors without importing a sibling:
 
@@ -18,12 +18,13 @@ so every layer can raise typed errors without importing a sibling:
     Replay cannot rebuild a fleet (no snapshot record, unknown record
     kinds, a replayed ingest that fails to score).
 ``FleetError``
-    Multi-process fleet serving (:class:`~repro.serving.ShardedFleet`).
+    Sharded fleet serving (:class:`~repro.serving.ShardedFleet`).
 ``WorkerError``
-    A shard worker failed mid-command or died; carries ``shard`` when a
-    single shard is attributable.
+    A shard failed; carries ``shard`` when a single shard is
+    attributable.  Raised as its one subclass:
 ``WorkerStartupError``
-    A worker could not build its fleet at all (bad checkpoint payload,
+    A shard could not be built at its first request (a missing or
+    unreadable registry artifact, a bad checkpoint payload, an
     embedding-fingerprint mismatch) — retrying the command cannot help.
 
 ``ConfigError``
@@ -80,14 +81,14 @@ class RecoveryError(DurabilityError):
 
 
 class FleetError(ReproError, RuntimeError):
-    """Multi-process fleet serving failed."""
+    """Sharded fleet serving failed."""
 
 
 class WorkerError(FleetError):
-    """A shard worker failed mid-command or died unexpectedly.
+    """A shard failed.
 
-    ``shard`` is the failing shard's index when exactly one shard is
-    attributable, else ``None`` (aggregated broadcast failures).
+    ``shard`` is the failing shard's index (the first one, when several
+    failed), else ``None``.
     """
 
     def __init__(self, message: str, shard: int | None = None):
@@ -96,8 +97,8 @@ class WorkerError(FleetError):
 
 
 class WorkerStartupError(WorkerError):
-    """A shard worker could not build its fleet at startup; the command
-    that surfaced this cannot succeed by retrying."""
+    """A shard could not be built at the first request that needed it;
+    that command, and every later one, cannot succeed by retrying."""
 
 
 class ConfigError(ReproError, ValueError):

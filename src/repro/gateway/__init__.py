@@ -1,8 +1,8 @@
 """Network serving gateway: a deployment fleet behind a TCP socket.
 
-PRs 1–3 built the in-process serving stack — ``Deployment`` →
-``DeploymentFleet`` (micro-batched) → ``ShardedFleet`` (multi-process) —
-but every deployment was still driven by the caller's own loop.  This
+The in-process serving stack — ``Deployment`` → ``DeploymentFleet``
+(micro-batched) → ``ShardedFleet`` (in-process shards, threaded when the
+process has CPUs for it) — is driven by the caller's own loop.  This
 package is the ingestion front door a production stack hangs off it,
 stdlib + numpy only:
 

@@ -1,7 +1,7 @@
 """Serving metrics: counters, gauges, latency histograms, one registry.
 
-Every serving layer — the in-process :class:`~repro.serving.DeploymentFleet`,
-the multi-process :class:`~repro.serving.ShardedFleet`, the asyncio
+Every serving layer — the :class:`~repro.serving.DeploymentFleet`, its
+sharded twin :class:`~repro.serving.ShardedFleet`, the asyncio
 :class:`~repro.gateway.GatewayServer`, and the benchmark harnesses — needs
 the same three primitives: monotonic counters, point-in-time gauges, and
 latency distributions summarized as p50/p95/p99.  They live here once

@@ -57,6 +57,7 @@ it, equal to rounding and cheaper in FLOPs:
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,7 +66,15 @@ __all__ = ["Tensor", "no_grad", "is_grad_enabled", "as_tensor",
            "MIN_STABLE_GEMM_ROWS", "pad_gemm_rows", "EdgeSchedule",
            "scatter_passes"]
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    """Whether ops record the tape, per thread: a sharded fleet's shards
+    score under ``no_grad`` on one thread while another adapts."""
+
+    enabled = True
+
+
+_GRAD = _GradMode()
 
 # BLAS kernels switch algorithm (and with it the K-accumulation order) for
 # very small row counts, so the same logical row can produce last-ulp
@@ -94,18 +103,18 @@ def pad_gemm_rows(matrix: np.ndarray) -> tuple[np.ndarray, int]:
 @contextlib.contextmanager
 def no_grad():
     """Context manager that disables gradient tape recording."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    previous = _GRAD.enabled
+    _GRAD.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _GRAD.enabled = previous
 
 
 def is_grad_enabled() -> bool:
-    """Return whether operations are currently being recorded on the tape."""
-    return _GRAD_ENABLED
+    """Return whether operations are currently being recorded on the tape
+    (on this thread)."""
+    return _GRAD.enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -210,7 +219,7 @@ class Tensor:
             data = data.data
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad = bool(requires_grad) and _GRAD.enabled
         self._backward: Callable[[Tensor], None] | None = None
         self._prev: tuple[Tensor, ...] = ()
         self.name = name
@@ -264,7 +273,7 @@ class Tensor:
         out.grad = None
         out.name = None
         requires = False
-        if _GRAD_ENABLED:
+        if _GRAD.enabled:
             for parent in parents:
                 if parent.requires_grad:
                     requires = True

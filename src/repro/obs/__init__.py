@@ -24,8 +24,8 @@ engine.schedule    engine   policy selection under the engine lock
 engine.score       engine   one wave's scoring (envelope over shards)
 engine.ingest      engine   one wave's ingest (envelope over shards)
 engine.durability  engine   handoff → the round's commit fsync
-shard.score        worker   a shard's scoring inside ``serve_round``
-shard.ingest       worker   a shard's ingest inside ``serve_round``
+shard.score        shard    a shard's scoring inside ``serve_round``
+shard.ingest       shard    a shard's ingest inside ``serve_round``
 wal.fsync          wal      one group-commit fsync
 ================== ======== ===========================================
 """

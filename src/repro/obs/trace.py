@@ -1,7 +1,7 @@
 """Trace contexts, spans, and the bounded in-process recorder.
 
 A *trace* is the story of one request (or one engine round) as it moves
-client → gateway → engine → shard worker → WAL.  Each stage contributes
+client → gateway → engine → shard → WAL.  Each stage contributes
 a :class:`Span` — a named interval with a wall-clock start and a
 monotonic-measured duration — linked to its parent by ``parent_id``.
 
@@ -13,8 +13,8 @@ Design constraints, in order:
    any scored value (ids come from :func:`new_span_id`, never from the
    data path).
 2. **Cross-process comparability.**  Span start timestamps are
-   ``time.time()`` epoch seconds so spans recorded in shard worker
-   processes line up with parent-process spans on one timeline.
+   ``time.time()`` epoch seconds so spans recorded in different
+   processes (client and gateway) line up on one timeline.
    Durations are measured with ``time.perf_counter()`` deltas, which do
    not drift with wall-clock adjustments.
 3. **Bounded memory.**  :class:`TraceRecorder` holds at most
@@ -186,9 +186,8 @@ class ActiveSpan:
 class TraceRecorder:
     """Thread-safe bounded sink for finished spans.
 
-    All serving threads — the asyncio loop, the round executor, client
-    threads, and the sharded backend relaying worker spans — record into
-    one instance.  ``capacity`` bounds memory under request floods: once
+    All serving threads — the asyncio loop, the round executor and
+    client threads — record into one instance.  ``capacity`` bounds memory under request floods: once
     full, new spans are dropped and counted (the earliest, complete
     traces are the useful ones for diagnosis; a rolling window would
     keep only fragments of every trace).

@@ -1,7 +1,7 @@
 """The unified serving core: one engine, pluggable backends and policies.
 
-Every serving layer in this repo — the in-process
-:class:`~repro.serving.DeploymentFleet`, the multi-process
+Every serving layer in this repo — the
+:class:`~repro.serving.DeploymentFleet`, its sharded twin
 :class:`~repro.serving.ShardedFleet`, and the network
 :class:`~repro.gateway.GatewayServer` — is a facade over one
 :class:`ServingEngine`, which owns the canonical round loop (gather →
@@ -17,8 +17,9 @@ instruments it through one :class:`repro.metrics.MetricsRegistry`:
     a :class:`DurabilityHook` for ack-after-fsync serving.
 :class:`ExecutionBackend` → :class:`InlineBackend` / :class:`ShardedBackend`
     Where the compute runs.  ``serve_round`` is the one wave primitive:
-    the caller's process (micro-batched coalescing), or a scatter of
-    that same inline implementation across shard worker processes.
+    the caller's thread (micro-batched coalescing), or a scatter of
+    that same inline implementation across in-process shards, on a
+    thread pool when the process may run on two or more CPUs.
     Stage timings ride every reply (:mod:`repro.runtime.timeline`), so
     ``engine.stage.*`` histograms fill with or without a tracer.
 :class:`SchedulingPolicy` → :class:`FairRoundRobin` / :class:`GreedyDrain` / :class:`PriorityAdmission`

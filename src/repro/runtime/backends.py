@@ -10,17 +10,17 @@ survives as the engine's per-entry isolation fallback and the
 ``score_only``/``ingest_round`` facade.  Two backends ship:
 
 :class:`InlineBackend`
-    Single-process execution over a :class:`~repro.serving.DeploymentFleet`'s
-    slots and :class:`~repro.serving.MicroBatcher` — the engine's round
-    runs on the caller's thread, windows of streams sharing a scoring
-    model coalescing into one forward.
+    Execution over a :class:`~repro.serving.DeploymentFleet`'s slots and
+    :class:`~repro.serving.MicroBatcher` — the engine's round runs on
+    the caller's thread, windows of streams sharing a scoring model
+    coalescing into one forward.
 :class:`ShardedBackend`
-    Multi-process execution over a :class:`~repro.serving.ShardedFleet`'s
-    worker pool — arrivals scatter to the owning shards (each shard
-    micro-batches its slice concurrently), per-shard results merge back
-    in stable stream order.  Inside each worker the shard's own
+    Execution over a :class:`~repro.serving.ShardedFleet`'s in-process
+    shards — arrivals scatter to the owning shards, each shard's own
     ``DeploymentFleet`` answers through the very same
-    :class:`InlineBackend`, so sharding only scatters and merges the
+    :class:`InlineBackend` (on a thread pool when the process has CPUs
+    for it, else one after another), and per-shard results merge back in
+    stable stream order.  Sharding only scatters and merges the
     canonical wave rather than duplicating it.
 
 Both backends produce bit-identical scores for identical per-stream
@@ -49,8 +49,8 @@ class ExecutionBackend(abc.ABC):
     name: str = "backend"
 
     #: Whether :meth:`batch_stats` may be called from a thread other
-    #: than the round runner's (plain attribute reads: yes; anything
-    #: that talks to worker processes over their pipes: no).
+    #: than the round runner's (plain attribute reads: yes; a call that
+    #: may first build the shards: no).
     concurrent_safe_stats: bool = False
 
     @abc.abstractmethod
@@ -70,10 +70,11 @@ class ExecutionBackend(abc.ABC):
         theirs was ingested, so the caller may retry them one by one
         through :meth:`score` + :meth:`ingest`); and the stage intervals
         stamped on the way (:func:`~repro.runtime.timeline.stage_timing`
-        entries, plus ``"shard"``/``"pid"`` when stamped in a worker).
+        entries, plus ``"shard"``/``"pid"`` when stamped in a shard).
 
         Raising means the outcome is indeterminate for the ingest subset
-        (a worker died mid-wave); the caller must not blindly re-send."""
+        (another shard may have ingested); the caller must not blindly
+        re-send."""
 
     @abc.abstractmethod
     def score(self, arrivals: dict) -> dict[str, np.ndarray]:
@@ -96,15 +97,14 @@ class ExecutionBackend(abc.ABC):
         return None
 
     def transport_stats(self) -> dict | None:
-        """Cross-process transport counters (shared-memory ring traffic,
-        pipe fallbacks) when the backend has a transport; ``None``
-        otherwise.  Must be cheap and thread-safe — plain attribute
-        reads, no worker round-trips — because ``engine.stats()``
-        surfaces it on concurrent snapshots too."""
+        """How the backend spreads a round (shards, pool threads, fused
+        waves) when it spreads one; ``None`` otherwise.  Must be cheap
+        and thread-safe — plain attribute reads — because
+        ``engine.stats()`` surfaces it on concurrent snapshots too."""
         return None
 
     def close(self) -> None:
-        """Release backend resources (worker processes, sockets)."""
+        """Release backend resources (thread pools, sockets)."""
 
 
 class InlineBackend(ExecutionBackend):
@@ -229,7 +229,7 @@ class InlineBackend(ExecutionBackend):
 
 
 class ShardedBackend(ExecutionBackend):
-    """Execute rounds across a ``ShardedFleet``'s worker processes."""
+    """Execute rounds across a ``ShardedFleet``'s in-process shards."""
 
     name = "sharded"
 
@@ -237,41 +237,40 @@ class ShardedBackend(ExecutionBackend):
         self._fleet = fleet
 
     def pull_round(self, batched: bool) -> list[FleetEvent]:
-        # Every shard steps concurrently (each worker's fleet runs the
-        # same engine loop over its own slots); events merge back in
-        # stable (attach-order) stream order, matching the inline
-        # backend's event order exactly.
-        per_shard = self._fleet._broadcast(("step", batched))
+        # Every shard pulls through its own inline backend; events merge
+        # back in stable (attach-order) stream order, matching the
+        # inline backend's event order exactly.
+        per_shard = self._fleet._each(
+            lambda fleet, _: fleet.engine.backend.pull_round(batched),
+            dict.fromkeys(range(self._fleet.shards)))
         by_stream = {event.stream: event
-                     for events in per_shard for event in events}
+                     for events in per_shard.values() for event in events}
         return [by_stream[name] for name in self._fleet._order
                 if name in by_stream]
 
     def serve_round(self, arrivals: dict, ingest_names: list[str]) \
             -> tuple[dict, dict, list[str], list[dict]]:
-        # One ring round-trip per involved shard; looked up on the fleet
-        # at call time so an instrumented fleet method is honoured.
+        # Looked up on the fleet at call time so an instrumented fleet
+        # method is honoured.
         return self._fleet.serve_round(arrivals, ingest_names)
 
     def score(self, arrivals: dict) -> dict[str, np.ndarray]:
-        return self._fleet._scatter("score_only", arrivals)
+        return self._fleet._scatter(
+            lambda fleet, part: fleet.engine.backend.score(part), arrivals)
 
     def ingest(self, arrivals: dict, scores: dict | None = None,
                batched: bool = True) -> dict[str, FleetEvent]:
-        return self._fleet._scatter("ingest_round", arrivals,
-                                    extra=(batched, scores))
+        return self._fleet._scatter(
+            lambda fleet, part: fleet.engine.backend.ingest(
+                part, scores=scores, batched=batched), arrivals)
 
     def batch_stats(self) -> dict | None:
-        if self._fleet._closed:
-            return None
-        return self._fleet.batcher_stats()
+        return None if self._fleet._closed else self._fleet.batcher_stats()
 
     def transport_stats(self) -> dict | None:
-        # Parent-side counters only — no worker round-trip, so this is
-        # safe on concurrent stats snapshots (unlike batch_stats).
-        if self._fleet._closed:
-            return None
-        return self._fleet.transport_stats()
+        # Plain attribute reads, so this is safe on concurrent stats
+        # snapshots (unlike batch_stats, whose first call builds shards).
+        return None if self._fleet._closed else self._fleet.transport_stats()
 
     def close(self) -> None:
         self._fleet.close()

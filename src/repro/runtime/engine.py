@@ -1,7 +1,7 @@
 """The serving engine: one canonical round loop for every serving layer.
 
-PRs 2–4 grew three serving layers — the in-process
-:class:`~repro.serving.DeploymentFleet`, the multi-process
+Three serving layers — the
+:class:`~repro.serving.DeploymentFleet`, its sharded twin
 :class:`~repro.serving.ShardedFleet`, and the network
 :class:`~repro.gateway.GatewayServer` — and each re-implemented the same
 round shape: gather pending arrivals, pick this round's work, micro-batch
@@ -14,8 +14,8 @@ report what happened.  :class:`ServingEngine` owns that loop once:
   decides which queued requests form the round (:meth:`run_round`);
 * **serve** — each wave of the round is one
   :meth:`~repro.runtime.ExecutionBackend.serve_round` call: the backend
-  scores the wave coalesced (in-process micro-batching or one scatter
-  across shard workers) and its deployments ingest their precomputed
+  scores the wave coalesced (micro-batching, or one scatter across
+  in-process shards) and its deployments ingest their precomputed
   score slices, with per-entry isolation when a coalesced forward fails;
 * **commit** — one commit routine (durability records, group-commit
   fsync) runs inline or on the committer thread;
@@ -775,7 +775,7 @@ class ServingEngine:
         (bit-identical — batch composition never changes scores) slices.
         Retrying is safe precisely because scoring is stateless.  A
         *raised* ``serve_round`` is indeterminate for ingest — some
-        shards may have applied their slice before another died — so
+        shards may have applied their slice before another raised — so
         ingest requests get a typed ``internal`` error, while stateless
         ``scores`` requests are retried solo.
         """
@@ -855,7 +855,7 @@ class ServingEngine:
         With ``concurrent=True`` (a caller on a different thread than
         the round runner, e.g. the gateway's ``stats`` op) backends whose
         counters aren't safe to read mid-round — the sharded backend's
-        go over the worker pipes — are skipped instead of queried.
+        first read builds its shards — are skipped instead of queried.
         """
         # The root package only defines metadata (no subpackage imports),
         # so this upward import cannot cycle; deferred anyway so the
@@ -870,9 +870,9 @@ class ServingEngine:
             "started_at": self._started_monotonic,
             "uptime_seconds": time.monotonic() - self._started_monotonic,
         }
-        # Transport counters (sharded shm rings vs pipe fallbacks) are
-        # plain parent-side attribute reads — safe from any thread, so
-        # they're reported even on concurrent snapshots.
+        # Transport counters (shards, pool threads, fused waves) are
+        # plain attribute reads — safe from any thread, so they're
+        # reported even on concurrent snapshots.
         transport = self.backend.transport_stats()
         if transport:
             out["transport"] = transport
@@ -887,9 +887,6 @@ class ServingEngine:
                 "commit_batches": int(
                     self.metrics.counter("engine.commit_batches").value),
             }
-            fused = (out.get("transport") or {}).get("fused_rounds")
-            if fused is not None:
-                out["pipeline"]["fused_rounds"] = fused
         if concurrent and not self.backend.concurrent_safe_stats:
             return out
         batch = self.backend.batch_stats()

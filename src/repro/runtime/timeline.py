@@ -117,7 +117,7 @@ class RoundTimeline:
                     waves: list[tuple[list, dict]]) -> None:
         """The one place engine spans come from.  Per wave, each
         stage's envelope becomes ``engine.score``/``engine.ingest``; an
-        entry stamped in a shard worker also becomes a ``shard.*`` child;
+        entry stamped in a shard also becomes a ``shard.*`` child;
         each traced request gets a ``stage.*`` echo of the entry that
         produced *its* result, under its own context — including a
         ``stage.durability`` echo even without a WAL (~0 duration), so

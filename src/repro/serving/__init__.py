@@ -11,16 +11,19 @@ is the production layer above it:
     missions, mid-run attach/detach), serves them in batched lock-step
     rounds, and checkpoints the whole fleet to one file.
 :class:`ShardedFleet`
-    Partitions a fleet across worker processes (round-robin by attach
-    order, one micro-batcher per shard) and merges per-round events back
-    in stable stream order — scores bit-identical to single-process
-    batched serving, throughput scaling with physical cores.
+    Partitions a fleet into in-process shards (round-robin by attach
+    order, one micro-batcher and one copy of its missions' weights per
+    shard), runs a round's shards on threads when the process has CPUs
+    for them, and merges per-round events back in stable stream order —
+    scores bit-identical to one batched fleet.
 
 Both fleet classes are facades over the unified serving core: the round
 loop (and its metrics) lives in :class:`repro.runtime.ServingEngine`,
 executing through an :class:`~repro.runtime.InlineBackend`
 (``DeploymentFleet``) or :class:`~repro.runtime.ShardedBackend`
 (``ShardedFleet``); the fleets own stream state and checkpointing.
+:class:`RingBuffer` and its framing are used by no fleet; the benchmark
+still imports them.
 """
 
 from ..errors import FleetError, WorkerError, WorkerStartupError

@@ -88,22 +88,12 @@ class StreamSlot:
         return batch
 
 
-class DeploymentFleet:
-    """Batched lock-step serving over many concurrent deployment streams.
-
-    A facade over a :class:`~repro.runtime.ServingEngine` with an
-    :class:`~repro.runtime.InlineBackend`: the fleet owns the slots and
-    the micro-batcher (state, checkpointing), the engine owns the round
-    loop and its metrics.
-    """
-
-    def __init__(self, batcher: MicroBatcher | None = None,
-                 policy=None, metrics=None):
-        from ..runtime.backends import InlineBackend
-        self.batcher = batcher or MicroBatcher()
-        self._slots: dict[str, StreamSlot] = {}
-        self.engine = ServingEngine(InlineBackend(self), policy=policy,
-                                    metrics=metrics)
+class _FleetFacade:
+    """The serving surface :class:`DeploymentFleet` and
+    :class:`~repro.serving.ShardedFleet` share: a facade over ``engine``,
+    a :class:`~repro.runtime.ServingEngine` that owns the round loop and
+    its metrics, so callers (GatewayServer, examples) drive either
+    uniformly."""
 
     @property
     def rounds(self) -> int:
@@ -113,57 +103,6 @@ class DeploymentFleet:
     @rounds.setter
     def rounds(self, value: int) -> None:
         self.engine.rounds = int(value)
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def add(self, name: str, deployment: Deployment, stream) -> StreamSlot:
-        """Attach a stream under ``name``; serving picks it up next round.
-
-        A model instance may be shared across *static* deployments, but
-        never where any sharer is adaptive: adaptation mutates its KG tokens
-        mid-round, which would make batched and sequential serving diverge
-        and entangle the streams.  Frozen weights (``model.sharer()``) may.
-        """
-        if name in self._slots:
-            raise ConfigError(f"stream {name!r} already attached")
-        for other in self._slots.values():
-            if (other.deployment.model is deployment.model
-                    and (deployment.adaptive or other.deployment.adaptive)):
-                raise ConfigError(
-                    f"stream {name!r} shares a scoring model with "
-                    f"{other.name!r} and at least one of them is adaptive; "
-                    "adaptive deployments need private model copies of the "
-                    "KG state (model.sharer() keeps the weights shared)")
-        slot = StreamSlot(name, deployment, stream)
-        self._slots[name] = slot
-        return slot
-
-    def remove(self, name: str) -> Deployment:
-        """Detach a stream mid-run; returns its deployment for disposal."""
-        try:
-            slot = self._slots.pop(name)
-        except KeyError:
-            raise KeyError(f"no stream named {name!r} attached") from None
-        return slot.deployment
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._slots
-
-    @property
-    def names(self) -> list[str]:
-        return list(self._slots)
-
-    @property
-    def slots(self) -> list[StreamSlot]:
-        return list(self._slots.values())
-
-    @property
-    def active_count(self) -> int:
-        return sum(not slot.done for slot in self._slots.values())
 
     # ------------------------------------------------------------------
     # Serving
@@ -215,19 +154,85 @@ class DeploymentFleet:
         micro-batched forward as :meth:`ingest_round`."""
         return self.engine.score_only(arrivals)
 
-    # ------------------------------------------------------------------
-    # Resource management — no-ops, mirroring ShardedFleet's surface so
-    # callers (GatewayServer, examples) can manage either fleet type
-    # uniformly.
-    # ------------------------------------------------------------------
     def close(self) -> None:
-        """Nothing to release in-process; exists for fleet-type parity."""
+        """Nothing to release (a :class:`ShardedFleet` stops its pool)."""
 
-    def __enter__(self) -> "DeploymentFleet":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+    def save(self, path: str | Path) -> None:
+        atomic_write_json(path, self.to_dict())
+
+
+class DeploymentFleet(_FleetFacade):
+    """Batched lock-step serving over many concurrent deployment streams.
+
+    Its engine runs an :class:`~repro.runtime.InlineBackend`: the fleet
+    owns the slots and the micro-batcher (state, checkpointing), the
+    engine owns the round loop and its metrics.
+    """
+
+    def __init__(self, batcher: MicroBatcher | None = None,
+                 policy=None, metrics=None):
+        from ..runtime.backends import InlineBackend
+        self.batcher = batcher or MicroBatcher()
+        self._slots: dict[str, StreamSlot] = {}
+        self.engine = ServingEngine(InlineBackend(self), policy=policy,
+                                    metrics=metrics)
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    def add(self, name: str, deployment: Deployment, stream) -> StreamSlot:
+        """Attach a stream under ``name``; serving picks it up next round.
+
+        A model instance may be shared across *static* deployments, but
+        never where any sharer is adaptive: adaptation mutates its KG tokens
+        mid-round, which would make batched and sequential serving diverge
+        and entangle the streams.  Frozen weights (``model.sharer()``) may.
+        """
+        if name in self._slots:
+            raise ConfigError(f"stream {name!r} already attached")
+        for other in self._slots.values():
+            if (other.deployment.model is deployment.model
+                    and (deployment.adaptive or other.deployment.adaptive)):
+                raise ConfigError(
+                    f"stream {name!r} shares a scoring model with "
+                    f"{other.name!r} and at least one of them is adaptive; "
+                    "adaptive deployments need private model copies of the "
+                    "KG state (model.sharer() keeps the weights shared)")
+        slot = StreamSlot(name, deployment, stream)
+        self._slots[name] = slot
+        return slot
+
+    def remove(self, name: str) -> Deployment:
+        """Detach a stream mid-run; returns its deployment for disposal."""
+        try:
+            slot = self._slots.pop(name)
+        except KeyError:
+            raise KeyError(f"no stream named {name!r} attached") from None
+        return slot.deployment
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._slots
+
+    @property
+    def names(self) -> list[str]:
+        return list(self._slots)
+
+    @property
+    def slots(self) -> list[StreamSlot]:
+        return list(self._slots.values())
+
+    @property
+    def active_count(self) -> int:
+        return sum(not slot.done for slot in self._slots.values())
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -285,9 +290,6 @@ class DeploymentFleet:
                 "models": models, "slots": slots,
                 "max_batch_windows": self.batcher.max_batch_windows,
                 "rounds": self.rounds}
-
-    def save(self, path: str | Path) -> None:
-        atomic_write_json(path, self.to_dict())
 
     @classmethod
     def from_dict(cls, payload: dict, embedding_model,
@@ -360,7 +362,8 @@ def build_fleet(pipeline, missions: list[str], streams: int,
 def _slot_specs(missions: list[str], streams: int, adaptive: bool,
                 windows_per_step: int, stream_seed: int,
                 stream_overrides: dict) -> list[dict]:
-    """Slot build arguments in attach order (JSON: shard workers get them)."""
+    """Slot build arguments in attach order (``build_sharded_fleet``
+    deals them to its shards)."""
     if streams < 1:
         raise ConfigError("need at least one stream")
     if not missions:

@@ -47,7 +47,7 @@ __all__ = ["WalDurability", "infra_for_fleet"]
 def infra_for_fleet(fleet):
     """The :class:`~repro.serving.FleetInfra` that rebuilds ``fleet``'s
     shared infrastructure in a fresh process: a sharded fleet carries
-    its own, an inline fleet derives one from its first slot's stream
+    its own, a plain fleet derives one from its first slot's stream
     generator (the same rule :meth:`ShardedFleet.from_fleet` uses)."""
     from ..serving import FleetInfra
     infra = getattr(fleet, "infra", None)
@@ -179,14 +179,10 @@ class WalDurability:
         seq precedes the snapshot's, closing the window in which a
         concurrently admitted request could be truncated away.
         """
-        from ..serving import DeploymentFleet
         pending_low = (engine.min_pending_wal_seq
                        if engine is not None else None)
         rounds = engine.rounds if engine is not None else 0
-        if isinstance(self.fleet, DeploymentFleet):
-            payload = self.fleet.to_dict(blobs=self.blobs)
-        else:  # sharded: the workers ship their weights inline
-            payload = self.blobs.externalize(self.fleet.to_dict())
+        payload = self.fleet.to_dict(blobs=self.blobs)
         seq = self.snapshots.snapshot(payload, self.infra.to_payload(),
                                       dict(self._applied), rounds=rounds,
                                       pending_low=pending_low)
@@ -210,7 +206,7 @@ class WalDurability:
         try:
             self.snapshot(engine)
         except Exception:  # noqa: BLE001 — the fleet may already be torn
-            # down (closed shard workers); the flushed log alone is
+            # down (a closed sharded fleet); the flushed log alone is
             # enough for recovery, so never let shutdown fail here.
             try:
                 self.wal.flush()

@@ -19,8 +19,8 @@ Each record is a JSON-safe dict with a ``"kind"`` discriminator and the
 ``attach`` / ``detach``
     A stream joining or leaving the fleet mid-run.  The attach body is
     one slot entry in the fleet-checkpoint format (deployment payload
-    with its model, stream config, cursor), the same self-describing
-    shape :class:`~repro.serving.ShardedFleet` ships over worker pipes.
+    with its model inlined, stream config, cursor), so replay rebuilds
+    the slot without cross-record references.
 ``snapshot``
     A whole-fleet checkpoint embedded in the log: the fleet payload
     (``fleet.to_dict()`` — the PR 3 self-describing checkpoint format),

@@ -35,6 +35,7 @@ never served now get served).
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -86,21 +87,21 @@ def read_records(wal_dir: str | Path) -> list[dict]:
 
 def _rebuild_fleet(snapshot: dict, shards: int | None,
                    metrics: MetricsRegistry | None):
-    """The fleet a snapshot record describes, its :class:`FleetInfra`, and
-    the ``(embedding, generator)`` pair it hangs off — ``None`` for a
-    sharded fleet, whose workers each build their own."""
+    """The fleet a snapshot record describes, and a callable returning
+    the ``(embedding, generator)`` pair its streams hang off (a sharded
+    fleet builds that pair at its first need)."""
     from ..serving import DeploymentFleet, FleetInfra, ShardedFleet
     infra = FleetInfra.from_payload(snapshot["infra"])
     if shards is not None:
-        built = None
         fleet = ShardedFleet.from_dict(snapshot["fleet"], shards=shards,
                                        infra=infra)
+        shared = fleet.shared_infra
     else:
-        built = infra.build()
-        fleet = DeploymentFleet.from_dict(snapshot["fleet"], *built)
+        shared = functools.cache(infra.build)
+        fleet = DeploymentFleet.from_dict(snapshot["fleet"], *shared())
     if metrics is not None:
         fleet.engine.metrics = metrics
-    return fleet, infra, built
+    return fleet, shared
 
 
 def _attach_entry(fleet, entry: dict, embedding, generator) -> None:
@@ -123,11 +124,11 @@ def recover_fleet(wal_dir: str | Path, shards: int | None = None,
                   metrics: MetricsRegistry | None = None):
     """Rebuild the fleet a WAL directory describes.
 
-    Returns ``(fleet, report)``.  ``shards=None`` rebuilds an in-process
+    Returns ``(fleet, report)``.  ``shards=None`` rebuilds a
     :class:`~repro.serving.DeploymentFleet`; an integer rebuilds a
-    :class:`~repro.serving.ShardedFleet` over that many worker
-    processes — either way the recovered per-stream state is
-    bit-identical, so pick whichever the restarted service runs.
+    :class:`~repro.serving.ShardedFleet` of that many shards — either
+    way the recovered per-stream state is bit-identical, so pick
+    whichever the restarted service runs.
 
     Raises :class:`~repro.errors.RecoveryError` when the directory holds
     no snapshot record (a WAL written by :class:`~repro.wal.
@@ -155,7 +156,7 @@ def recover_fleet(wal_dir: str | Path, shards: int | None = None,
     report.snapshot_seq = int(snapshot["seq"])
 
     snapshot["fleet"] = BlobStore(wal_dir, registry).resolve(snapshot["fleet"])
-    fleet, infra, built = _rebuild_fleet(snapshot, shards, metrics)
+    fleet, shared = _rebuild_fleet(snapshot, shards, metrics)
     applied = {name: int(seq) for name, seq in snapshot["applied"].items()}
 
     for record in records:
@@ -191,9 +192,7 @@ def recover_fleet(wal_dir: str | Path, shards: int | None = None,
             if int(record["seq"]) <= report.snapshot_seq:
                 continue
             if kind == "attach" and record["entry"]["name"] not in fleet:
-                if built is None:  # sharded: the first parent-side need
-                    built = infra.build()
-                _attach_entry(fleet, record["entry"], *built)
+                _attach_entry(fleet, record["entry"], *shared())
                 report.attached += 1
             elif kind == "detach" and record["stream"] in fleet:
                 fleet.remove(record["stream"])

@@ -46,11 +46,6 @@ def _is_reference(entry) -> bool:
     return isinstance(entry, dict) and entry.keys() == {"blob"}
 
 
-def _map_entries(payload: dict, change) -> dict:
-    return {**payload, **{kind: [change(entry) for entry in payload[kind]]
-                          for kind in _BLOB_KINDS}}
-
-
 class BlobStore:
     """``<sha256>.blob`` files in a WAL directory, each the JSON of one
     fleet-checkpoint weight set or anchor array (layout, GC rule and why
@@ -77,12 +72,6 @@ class BlobStore:
         if seen is None or [*map(id, seen[0])] != [*map(id, key)]:  # seen[0] held: ids unique
             seen = self._memo[id(key[0])] = (key, self._write(encode()))
         return {"blob": seen[1]}
-
-    def externalize(self, payload: dict) -> dict:
-        """``payload`` with every inline weight set and anchor array
-        written out as a blob (a sharded fleet's merged worker payload)."""
-        return _map_entries(payload, lambda entry: entry if _is_reference(
-            entry) else {"blob": self._write(entry)})
 
     def collect(self, payload: dict) -> None:
         """Delete every blob ``payload`` — the newest snapshot — does not
@@ -113,8 +102,9 @@ class BlobStore:
                 raise RecoveryError(f"snapshot blob {digest} is missing, "
                                     "unreadable, truncated or corrupt")
             return json.loads(data)
-        return _map_entries(payload, lambda entry: read(
-            entry["blob"]) if _is_reference(entry) else entry)
+        return {**payload, **{kind: [read(entry["blob"]) if _is_reference(
+            entry) else entry for entry in payload[kind]]
+            for kind in _BLOB_KINDS}}
 
 
 @dataclass(frozen=True)

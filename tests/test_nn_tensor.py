@@ -1,6 +1,8 @@
 """Autodiff engine tests: every op checked against numerical gradients."""
 
 import gc
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -299,6 +301,43 @@ class TestTapeMechanics:
             assert not is_grad_enabled()
             out = t * 2.0
         assert not out.requires_grad
+        assert is_grad_enabled()
+
+    def test_no_grad_is_per_thread(self):
+        """One thread's ``no_grad`` never turns another thread's tape off:
+        a sharded fleet's shards score on one thread while another adapts.
+        More threads than cores, switching as often as the interpreter
+        allows."""
+        interval = sys.getswitchinterval()
+        errors: list[str] = []
+        start = threading.Barrier(6)
+
+        def scorer():
+            start.wait()
+            for _ in range(2000):
+                with no_grad():
+                    if is_grad_enabled():
+                        errors.append("no_grad scope saw the tape on")
+
+        def learner():
+            start.wait()
+            leaf = Tensor(np.ones(3), requires_grad=True)
+            for _ in range(2000):
+                if not (leaf * 2.0).requires_grad:
+                    errors.append("another thread's no_grad stopped the tape")
+
+        threads = [threading.Thread(target=work)
+                   for work in (scorer, learner) * 3]
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
         assert is_grad_enabled()
 
     def test_op_outputs_are_float64_arrays(self):

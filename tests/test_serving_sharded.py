@@ -1,7 +1,7 @@
-"""Tests for multi-process sharded fleet serving.
+"""Tests for sharded fleet serving.
 
 The load-bearing property throughout: a :class:`ShardedFleet` is
-*observationally identical* to the single-process
+*observationally identical* to the plain
 :class:`DeploymentFleet` it was partitioned from — same event order,
 bit-identical scores, same checkpoints — for any shard count.
 """
@@ -65,7 +65,7 @@ def assert_rounds_identical(rounds_a, rounds_b):
 
 
 class TestPartitionPayload:
-    """Pure payload partitioning (no worker processes involved)."""
+    """Pure payload partitioning (no shard is built)."""
 
     def test_round_robin_by_stored_order(self, fresh_model, frame_generator):
         fleet = make_single_fleet(fresh_model, frame_generator, streams=5)
@@ -145,7 +145,7 @@ class TestLifecycle:
     def test_added_streams_share_models_within_shard(self, fresh_model,
                                                      frame_generator):
         """Streams attached via add() keep sharing their scoring model
-        inside each worker: one coalesced forward per shard per round,
+        inside each shard: one coalesced forward per shard per round,
         and shard snapshots store the shared model once."""
         model = fresh_model(window=4)
         model.eval()
@@ -212,21 +212,9 @@ class TestLifecycle:
         model = fresh_model(window=4)
         model.eval()
         with ShardedFleet(1, infra=INFRA) as fleet:
-            with pytest.raises(ValueError, match="process boundary"):
+            with pytest.raises(ValueError, match="not a TrendShiftStream"):
                 fleet.add("raw", Deployment(model, adaptive=False),
                           [rng.normal(size=(2, 4, 192))])
-
-    def test_worker_error_surfaces_without_desync(self, fresh_model,
-                                                  frame_generator):
-        model = fresh_model(window=4)
-        model.eval()
-        with ShardedFleet(2, infra=INFRA) as fleet:
-            fleet.add("cam", Deployment(model, adaptive=False),
-                      make_stream(frame_generator, seed=3))
-            with pytest.raises(RuntimeError, match="unknown worker command"):
-                fleet._broadcast(("no-such-command",))
-            # The pipe protocol stays in sync after a worker-side error.
-            assert len(fleet.step()) == 1
 
     def test_close_is_idempotent_and_final(self, frame_generator):
         fleet = ShardedFleet(1, infra=INFRA)
@@ -307,8 +295,8 @@ class TestShardedCheckpoint:
 
 
 class TestInfraFidelity:
-    """Workers must rebuild the exact same frame-generation setup the
-    parent's streams were built over — or fail fast, never silently
+    """A restored fleet must rebuild the exact same frame-generation
+    setup its streams were built over — or fail fast, never silently
     diverge."""
 
     def test_mismatched_generator_rejected_at_add(self, fresh_model,
@@ -342,9 +330,9 @@ class TestInfraFidelity:
         with ShardedFleet.from_fleet(single, 1, infra=INFRA) as sharded:
             path = tmp_path / "fleet.json"
             sharded.save(path)
-        # Wrong embedding seed: the worker dies on the deployment's
-        # stored embedding fingerprint, and the parent must surface that
-        # instead of a bare EOFError.
+        # Wrong embedding seed: the shard cannot be built over the
+        # deployment's stored embedding fingerprint, and the first
+        # request must say so.
         bad = ShardedFleet.load(path, infra=FleetInfra(embedding_seed=1))
         try:
             with pytest.raises(RuntimeError, match="startup failed.*embedding"):

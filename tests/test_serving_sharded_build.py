@@ -1,17 +1,15 @@
-"""``build_sharded_fleet``: workers build their own shard from the registry.
+"""``build_sharded_fleet``: each shard is built from the registry at the
+first request.
 
 What must hold: (a) the fleet it builds equals — checkpoint and every
 event, bit for bit — ``ShardedFleet.from_fleet(build_fleet(...))`` under
 the same arguments, over a disk registry and an in-memory one, static and
-adaptive; (b) the parent loads no model and builds no embedding model on a
-registry hit, trains each mission once on a miss, and a missing or
-unreadable artifact fails worker startup naming the mission.
+adaptive; (b) construction loads no model and builds no embedding model on
+a registry hit, trains each mission once on a miss, and a missing or
+unreadable artifact fails the first request naming the mission.
 """
 
-import os
-import subprocess
 import sys
-import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +17,7 @@ import pytest
 
 from test_api_deployment import deployment_config
 
-import repro
+import repro.gnn.checkpoint as checkpoint
 from repro.api import ModelRegistry, Pipeline
 from repro.errors import WorkerStartupError
 from repro.serving import ShardedFleet, build_fleet, build_sharded_fleet
@@ -109,61 +107,42 @@ class TestBuildPathParity:
                 without_hints(reference.to_dict())
 
 
-CHILD = textwrap.dedent("""
-    import sys
-    import numpy as np
-    import repro.serving
-    import repro.gnn.checkpoint as checkpoint
-    from repro.api import Pipeline, ReproConfig
-
+def refuse_model_loads(monkeypatch) -> None:
+    """Make every module's ``deployment_from_dict`` raise."""
     original = checkpoint.deployment_from_dict
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the parent loaded a model")
+        raise AssertionError("a model was loaded")
 
     for module in list(sys.modules.values()):
         if getattr(module, "deployment_from_dict", None) is original:
-            module.deployment_from_dict = refuse
-    config_path, windows_path, out_path = sys.argv[1:4]
-    pipeline = Pipeline.from_config(ReproConfig.load(config_path))
-    windows = np.load(windows_path)
-    with repro.serving.build_sharded_fleet(
-            pipeline, ["Stealing", "Robbery"], 4, shards=2,
-            adaptive=True) as fleet:
-        scores = fleet.score_only(
-            {name: windows for name in fleet.names})
-    assert pipeline._embedding_model is None, "built an embedding model"
-    assert pipeline._generator is None, "built a frame generator"
-    assert pipeline._bases == {}, pipeline._bases
-    np.savez(out_path, **scores)
-""")
+            monkeypatch.setattr(module, "deployment_from_dict", refuse)
 
 
 class TestParentLoadsNothing:
-    def test_registry_hit_loads_nothing_in_the_parent(
-            self, memory_pipeline, disk_root, tmp_path):
-        config = deployment_config()
-        config.registry_dir = str(disk_root)
-        config.save(tmp_path / "config.json")
+    def test_registry_hit_loads_nothing_until_the_first_request(
+            self, memory_pipeline, disk_root, monkeypatch):
+        """Construction loads no model and builds no embedding model or
+        frame generator; the first request builds every shard."""
+        pipeline = disk_pipeline(disk_root)
+        refuse_model_loads(monkeypatch)
+        fleet = build_sharded_fleet(pipeline, MISSIONS, STREAMS,
+                                    shards=SHARDS, adaptive=True)
+        assert pipeline._embedding_model is None, "built an embedding model"
+        assert pipeline._generator is None, "built a frame generator"
+        assert pipeline._bases == {}, pipeline._bases
+        monkeypatch.undo()
         windows = memory_pipeline.stream(
             "Robbery", None, windows_per_step=3).batch(0).windows
-        np.save(tmp_path / "windows.npy", windows)
-        src = str(Path(repro.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep
-               + os.environ.get("PYTHONPATH", "")}
-        run = subprocess.run(
-            [sys.executable, "-c", CHILD, str(tmp_path / "config.json"),
-             str(tmp_path / "windows.npy"), str(tmp_path / "scores.npz")],
-            env=env, capture_output=True, text=True, timeout=300)
-        assert run.returncode == 0, run.stderr
+        with fleet:
+            scores = fleet.score_only({name: windows for name in fleet.names})
         with build_fleet(memory_pipeline, MISSIONS, STREAMS,
                          adaptive=True) as reference:
             expected = reference.score_only(
                 {name: windows for name in reference.names})
-        with np.load(tmp_path / "scores.npz") as scores:
-            assert sorted(scores.files) == sorted(expected)
-            for name, value in expected.items():
-                assert np.array_equal(scores[name], value)
+        assert sorted(scores) == sorted(expected)
+        for name, value in expected.items():
+            assert np.array_equal(scores[name], value)
 
     def test_registry_miss_trains_once_in_the_parent(self, tmp_path):
         config = deployment_config()
@@ -179,7 +158,7 @@ class TestParentLoadsNothing:
                       for path in files]
             windows = pipeline.stream("Stealing", None).batch(0).windows
             scores = fleet.score_only({name: windows for name in fleet.names})
-            # The workers read those artifacts; none trained or rewrote one.
+            # The shards read those artifacts; none trained or rewrote one.
             assert [(path.stat().st_mtime_ns, path.read_bytes())
                     for path in sorted(tmp_path.glob("*.json"))] == stamps
         assert pipeline.trained_count == len(MISSIONS)

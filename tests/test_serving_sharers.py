@@ -8,7 +8,7 @@ weights are, and shared modules refuse ``train()`` / ``unfreeze()`` /
 forward; (c) N sharers follow, bit
 for bit, the trajectories of N private models through token updates,
 rollbacks and prunes; (d) a checkpoint stores what is shared once and every
-restore path — ``DeploymentFleet.from_dict``, shard workers,
+restore path — ``DeploymentFleet.from_dict``, shards,
 ``recover_fleet`` — shares it again and continues identically; (e) the
 40-round trajectory's bits match a pinned digest.
 """
@@ -272,7 +272,7 @@ class TestCheckpointFollowsOwnership:
         with ShardedFleet.from_dict(
                 payload, shards=2,
                 infra=FleetInfra.from_pipeline(pipeline)) as sharded:
-            # Identity as each worker sees it: cam-0 and cam-2 live in
+            # Identity as each shard sees it: cam-0 and cam-2 live in
             # shard 0 over one weight set, cam-1 alone in shard 1.
             stats = sharded.batcher_stats()
             assert stats["weight_sets"] == 2

@@ -1,12 +1,10 @@
-"""Shared-memory buffer transport tests: the buffer itself, pickle-5
-message framing, the sharded fleet's buffer path (parity + counters),
-and what shard workers leave behind — no /dev/shm entry, no resource
-tracker, no child process, no open descriptor — even after a SIGKILL.
+"""Shared-memory buffer tests: the buffer itself (no /dev/shm entry,
+its heap warm-up) and pickle-5 message framing.  No fleet uses the
+buffers any more; the benchmark's layer replay still times them.
 """
 
 import os
 import platform
-import signal
 import subprocess
 import sys
 import textwrap
@@ -16,98 +14,11 @@ import numpy as np
 import pytest
 
 import repro
-import repro.serving.sharded as sharded_module
-from repro.serving import (
-    DEFAULT_RING_BYTES,
-    RingBuffer,
-    RingError,
-    ShardedFleet,
-    WorkerError,
-    dumps_message,
-    loads_message,
-)
-from test_serving_sharded import (
-    INFRA,
-    assert_rounds_identical,
-    collect_rounds,
-    make_single_fleet,
-)
-
-#: Run in a fresh interpreter, with no ``__main__`` guard: a 2-shard
-#: fleet serves two rounds bit-identical to inline serving, then closes.
-UNGUARDED_SCRIPT = """
-import os
-import sys
-
-import numpy as np
-
-from repro.api import Deployment
-from repro.concepts import build_default_ontology
-from repro.data import TrendShiftConfig, TrendShiftStream
-from repro.gnn import MissionGNNConfig, MissionGNNModel
-from repro.kg import KGGenerationConfig, KGGenerator
-from repro.llm import SyntheticLLM
-from repro.serving import DeploymentFleet, FleetInfra, ShardedFleet
-
-infra = FleetInfra(embedding_seed=7, generator_seed=5)
-embedding, generator = infra.build()
-kg, _ = KGGenerator(SyntheticLLM(build_default_ontology(), seed=3),
-                    KGGenerationConfig(depth=3)).generate("Stealing")
-kg.initialize_tokens(embedding)
-model = MissionGNNModel([kg], embedding,
-                        MissionGNNConfig(temporal_window=4, seed=7))
-model.eval()
-
-
-def fleet():
-    built = DeploymentFleet()
-    for index in range(4):
-        built.add(f"cam-{index}",
-                  Deployment(model, mission="Stealing", adaptive=False),
-                  TrendShiftStream(generator, TrendShiftConfig(
-                      steps_before_shift=1, steps_after_shift=1,
-                      windows_per_step=3, window=4, seed=30 + index)))
-    return built
-
-
-def children():
-    found = []
-    for pid in filter(str.isdigit, os.listdir("/proc")):
-        try:
-            with open(f"/proc/{pid}/stat") as stat:
-                fields = stat.read().rsplit(")", 1)[1].split()
-            with open(f"/proc/{pid}/cmdline", "rb") as cmdline:
-                command = cmdline.read()
-        except OSError:
-            continue
-        if int(fields[1]) == os.getpid():
-            found.append(command)
-    return found
-
-
-inline = fleet()
-expected = [[event.scores for event in inline.step()] for _ in range(2)]
-sharded = ShardedFleet.from_fleet(fleet(), 2, infra=infra)
-got = [[event.scores for event in sharded.step()] for _ in range(2)]
-workers = children()
-sharded.close()
-assert [len(events) for events in got] == [4, 4], got
-assert all(np.array_equal(a, b)
-           for x, y in zip(expected, got) for a, b in zip(x, y))
-assert len(workers) == 2, workers
-assert not any(b"resource_tracker" in command for command in workers)
-assert "multiprocessing.resource_tracker" not in sys.modules
-assert children() == [], children()
-print("ok")
-"""
+from repro.serving import RingBuffer, RingError, dumps_message, loads_message
 
 
 def shm_entries() -> set[str]:
     return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
-
-
-def open_fds() -> int:
-    return len(os.listdir("/proc/self/fd"))
 
 
 class TestRingBuffer:
@@ -276,84 +187,3 @@ class TestMessageFraming:
         blob[-1] ^= 0xFF                       # corrupt the pickle tail
         with pytest.raises(RingError, match="undecodable"):
             loads_message(bytes(blob))
-
-
-class TestShardedRingTransport:
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_parity_over_the_ring_path(self, fresh_model, frame_generator,
-                                       shards):
-        """Sharded serving over shared-memory buffers stays bit-identical
-        to the single-process fleet at every shard count — and actually
-        used the buffers (shm transport, zero pipe fallbacks)."""
-        single = make_single_fleet(fresh_model, frame_generator, streams=4)
-        reference = collect_rounds(single, max_rounds=2)
-        single = make_single_fleet(fresh_model, frame_generator, streams=4)
-        with ShardedFleet.from_fleet(single, shards, infra=INFRA) as sharded:
-            rounds = collect_rounds(sharded, max_rounds=2)
-            stats = sharded.transport_stats()
-        assert_rounds_identical(reference, rounds)
-        assert stats["transport"] == "shm"
-        assert stats["ring_bytes"] == DEFAULT_RING_BYTES
-        assert stats["shm_messages"] > 0
-        assert stats["pipe_fallbacks"] == 0
-
-    def test_oversized_round_falls_back_to_the_pipe(self, fresh_model,
-                                                    frame_generator,
-                                                    monkeypatch):
-        """A buffer too small for a round's payload is a latency knob,
-        not a correctness cliff: the oversized message rides the pipe
-        and scores stay bit-identical."""
-        single = make_single_fleet(fresh_model, frame_generator, streams=3)
-        frame_dim = single.slots[0].stream.batch(0).windows.shape[-1]
-        batches = 2 + (1 << 16) // (4 * frame_dim * 8)  # > 64 KiB payload
-        arrivals = {
-            name: np.linspace(0.0, 1.0, batches * 4 * frame_dim)
-            .reshape(batches, 4, frame_dim)
-            for name in list(single.names)[:2]}
-        expected = single.score_only(arrivals)
-        single = make_single_fleet(fresh_model, frame_generator, streams=3)
-        monkeypatch.setattr(sharded_module, "DEFAULT_RING_BYTES", 1 << 12)
-        with ShardedFleet.from_fleet(single, 2, infra=INFRA) as sharded:
-            got = sharded.score_only(arrivals)
-            stats = sharded.transport_stats()
-        assert set(got) == set(expected)
-        for name in got:
-            np.testing.assert_array_equal(got[name], expected[name])
-        assert stats["transport"] == "shm"
-        assert stats["pipe_fallbacks"] > 0
-
-    def test_unguarded_script_shards_and_leaves_nothing_behind(self,
-                                                               tmp_path):
-        """A script with no ``__main__`` guard can shard (nothing
-        re-imports it), starts no resource tracker, adds no /dev/shm
-        entry and leaves no child process behind."""
-        script = tmp_path / "unguarded.py"
-        script.write_text(UNGUARDED_SCRIPT)
-        root = str(Path(repro.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = {**os.environ,
-               "PYTHONPATH": root if not path else root + os.pathsep + path}
-        before = shm_entries()
-        done = subprocess.run([sys.executable, str(script)], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["ok"]
-        assert shm_entries() == before
-
-    def test_killed_worker_is_reported_and_close_frees_every_fd(
-            self, fresh_model, frame_generator):
-        """SIGKILL one worker: the next call raises WorkerError naming
-        its shard, and close() leaves this process exactly the
-        descriptors it had before the fleet existed."""
-        single = make_single_fleet(fresh_model, frame_generator, streams=4)
-        fds_before = open_fds()
-        sharded = ShardedFleet.from_fleet(single, 2, infra=INFRA)
-        collect_rounds(sharded, max_rounds=1)
-        victim = sharded._procs[1]
-        os.kill(victim.pid, signal.SIGKILL)
-        victim.wait(timeout=10)
-        with pytest.raises(WorkerError) as raised:
-            sharded.step()
-        assert raised.value.shard == 1
-        sharded.close()
-        assert open_fds() == fds_before

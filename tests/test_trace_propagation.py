@@ -1,5 +1,5 @@
-"""End-to-end trace propagation: client -> gateway -> engine -> shard
-workers -> WAL, across both wire codecs and both backends, plus v1-peer
+"""End-to-end trace propagation: client -> gateway -> engine -> shards
+-> WAL, across both wire codecs and both backends, plus v1-peer
 compatibility, recorder bounding under flood, bit-parity with tracing
 on, and the promoted stats/version surface."""
 
@@ -29,7 +29,7 @@ def make_stream(frame_generator, seed, windows_per_step=2):
 @pytest.fixture()
 def fleet_factory(fresh_model, frame_generator):
     """Deterministic fleet factory (bit-identical replicas per call);
-    ``shards`` > 0 partitions the replica across worker processes."""
+    ``shards`` > 0 partitions the replica into that many shards."""
     def make(streams=3, shards=0):
         fleet = DeploymentFleet()
         model = fresh_model("Stealing", window=4)
@@ -128,9 +128,8 @@ class TestEndToEndPropagation:
         shard_spans = [span for span in spans
                        if span["name"] in ("shard.score", "shard.ingest")]
         if shards:
-            # Worker spans crossed the process boundary into the parent
-            # recorder, attributed to both shards, parented under the
-            # engine's score/ingest spans.
+            # Shard spans are attributed to both shards and parented
+            # under the engine's score/ingest spans.
             assert {span["attrs"]["shard"] for span in shard_spans} \
                 == set(range(shards))
             for span in shard_spans:
@@ -249,6 +248,28 @@ class TestStatsSurface:
             name = f"engine.stage.{stage}"
             assert histograms[name]["count"] > 0, name
             assert "sampled" in histograms[name]
+
+    @pytest.mark.parametrize("cpus, pool", [(1, 0), (2, 2)])
+    def test_repro_stats_shows_how_shards_run(
+            self, fleet_factory, materialized, monkeypatch, capsys, cpus,
+            pool):
+        """An operator sees the shard count, whether shards run on a
+        thread pool (0 threads on one CPU) and the fused waves."""
+        import repro.serving.sharded as sharded_module
+        monkeypatch.setattr(sharded_module, "_cpu_count", lambda: cpus)
+        windows, reference = materialized
+        with fleet_factory(shards=2) as fleet, \
+                serve_in_thread(fleet) as handle:
+            drive(handle.address, windows, reference)
+            host, port = handle.address
+            capsys.readouterr()
+            assert cli.main(["stats", "--host", host,
+                             "--port", str(port)]) == 0
+            rounds = fleet.rounds
+        out = capsys.readouterr().out
+        assert (f"  transport: fused_rounds={rounds}, pool_threads={pool}, "
+                "shards=2\n") in out
+        assert "shm" not in out
 
     def test_engine_stats_uptime_is_monotonic(self, fleet_factory):
         with fleet_factory(streams=1) as fleet:

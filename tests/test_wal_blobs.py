@@ -123,8 +123,8 @@ def test_snapshots_write_each_shared_entry_once(two_missions, tmp_path,
 
 
 def test_sharded_payload_becomes_blobs(two_missions, tmp_path):
-    """Shard workers ship weights inline; the snapshot stores them by
-    digest all the same, and an inline rebuild continues like a twin."""
+    """A sharded fleet's snapshot stores its shards' weights by digest,
+    as a plain fleet's does, and a plain rebuild continues like a twin."""
     twin = two_missions()
     windows = arrivals(twin)
     twin.ingest_round({name: windows[name][0] for name in twin.names})

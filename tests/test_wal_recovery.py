@@ -331,8 +331,9 @@ class TestMembershipReplay:
             self, fleet_factory, fresh_model, frame_generator, tmp_path,
             monkeypatch, shards, attach, builds):
         """Snapshotted streams and a stream attached after the snapshot
-        hang off one embedding model; a sharded recovery (whose workers
-        build their own) builds a parent-side one for such an attach only."""
+        hang off one embedding model; a sharded recovery (whose shards
+        build theirs at the first request) builds one for such an attach
+        only, and its shards share it."""
         from repro.embedding import joint_space
         built = []
         build = joint_space.build_default_embedding_model
