@@ -7,6 +7,8 @@ so the expensive cloud-side training happens once per mission class.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.api import Pipeline, ReproConfig
@@ -17,10 +19,10 @@ def pipeline():
     return Pipeline.from_config(ReproConfig())
 
 
-@pytest.fixture(scope="session")
-def context(pipeline):
-    """Backwards-compatible ExperimentContext view of the session pipeline."""
-    return pipeline.context
+def with_adaptation(pipeline, adaptation) -> Pipeline:
+    """A pipeline serving with ``adaptation`` over ``pipeline``'s trained models."""
+    return Pipeline(dataclasses.replace(pipeline.config, adaptation=adaptation),
+                    registry=pipeline.registry)
 
 
 def emit(title: str, body: str) -> None:

@@ -13,15 +13,11 @@ label set by the evidence of a shift) and clearly beats no adaptation.
 
 import pytest
 
-from repro.adaptation import (
-    AdaptationConfig,
-    ContinuousAdaptationController,
-    MonitorConfig,
-)
+from repro.adaptation import AdaptationConfig, MonitorConfig
 from repro.data import TrendShiftConfig, TrendShiftStream
 from repro.eval import roc_auc
 
-from .conftest import emit
+from .conftest import emit, with_adaptation
 
 STREAM = TrendShiftConfig(
     initial_class="Stealing", shifted_class="Robbery",
@@ -29,32 +25,31 @@ STREAM = TrendShiftConfig(
     anomaly_fraction=0.3, window=8, seed=11)
 
 
-def run_variant(context, variant: str) -> float:
-    model = context.train_model(STREAM.initial_class)
-    eval_w, eval_l = context.eval_windows(STREAM.shifted_class)
-    if variant != "disabled":
-        if variant == "paper":
-            monitor = MonitorConfig(window=72, lag=36)
-        elif variant == "fixed":
-            # Constant-size selection: trigger threshold off, fixed K via
-            # min_k with the adaptive term neutralized by max_k_fraction.
-            monitor = MonitorConfig(window=72, lag=36, min_k=8,
-                                    trigger_threshold=0.0,
-                                    max_k_fraction=8 / 72)
-        controller = ContinuousAdaptationController(
-            model, AdaptationConfig(monitor=monitor),
-            normal_anchor_windows=context.normal_anchors(STREAM.initial_class))
-    stream = TrendShiftStream(context.generator, STREAM)
-    for batch in stream:
-        if variant != "disabled":
-            controller.process_batch(batch.windows)
-    return roc_auc(model.anomaly_scores(eval_w), eval_l)
+MONITORS = {
+    "paper": MonitorConfig(window=72, lag=36),
+    # Constant-size selection: trigger threshold off, fixed K via min_k
+    # with the adaptive term neutralized by max_k_fraction.
+    "fixed": MonitorConfig(window=72, lag=36, min_k=8, trigger_threshold=0.0,
+                           max_k_fraction=8 / 72),
+}
+
+
+def run_variant(pipeline, variant: str) -> float:
+    adaptive = variant != "disabled"
+    if adaptive:
+        pipeline = with_adaptation(
+            pipeline, AdaptationConfig(monitor=MONITORS[variant]))
+    deployment = pipeline.deploy(STREAM.initial_class, adaptive=adaptive)
+    for batch in TrendShiftStream(pipeline.generator, STREAM):
+        deployment.ingest(batch.windows)
+    eval_w, eval_l = pipeline.eval_windows(STREAM.shifted_class)
+    return roc_auc(deployment.scores(eval_w), eval_l)
 
 
 @pytest.mark.benchmark(group="ablation-kselect")
-def test_ablation_k_selection_rule(benchmark, context):
+def test_ablation_k_selection_rule(benchmark, pipeline):
     def run_all():
-        return {v: run_variant(context, v)
+        return {v: run_variant(pipeline, v)
                 for v in ("paper", "fixed", "disabled")}
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)

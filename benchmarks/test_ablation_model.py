@@ -26,12 +26,12 @@ from .conftest import emit
 TRAIN_STEPS = 150
 
 
-def train_and_eval(context, window: int, hidden_dim: int) -> float:
-    kg = context.generate_kg("Stealing")
-    model = MissionGNNModel([kg], context.embedding_model, MissionGNNConfig(
+def train_and_eval(pipeline, window: int, hidden_dim: int) -> float:
+    kg = pipeline.generate_kg("Stealing")
+    model = MissionGNNModel([kg], pipeline.embedding_model, MissionGNNConfig(
         temporal_window=window, gnn_hidden_dim=hidden_dim,
-        seed=context.config.seed))
-    windows, labels = context.dataset.mission_windows(
+        seed=pipeline.config.experiment.seed))
+    windows, labels = pipeline.dataset.mission_windows(
         "train", "Stealing", window=window, stride=4,
         normal_videos=20, anomaly_videos=8)
     DecisionModelTrainer(model, TrainingConfig(
@@ -40,15 +40,15 @@ def train_and_eval(context, window: int, hidden_dim: int) -> float:
     # Build matching-window eval data.
     import numpy as np
     from repro.utils import derive_rng
-    rng = derive_rng(context.config.seed, "ablation-eval", window)
+    rng = derive_rng(pipeline.config.experiment.seed, "ablation-eval", window)
     eval_windows, eval_labels = [], []
     for _ in range(30):
-        eval_windows.append(np.stack([context.generator.normal_frame(rng)
+        eval_windows.append(np.stack([pipeline.generator.normal_frame(rng)
                                       for _ in range(window)]))
         eval_labels.append(0)
     for _ in range(15):
         eval_windows.append(np.stack([
-            context.generator.anomaly_frame("Stealing", rng)
+            pipeline.generator.anomaly_frame("Stealing", rng)
             for _ in range(window)]))
         eval_labels.append(1)
     return roc_auc(model.anomaly_scores(np.stack(eval_windows)),
@@ -56,9 +56,9 @@ def train_and_eval(context, window: int, hidden_dim: int) -> float:
 
 
 @pytest.mark.benchmark(group="ablation-model")
-def test_ablation_temporal_window(benchmark, context):
+def test_ablation_temporal_window(benchmark, pipeline):
     def run():
-        return {t: train_and_eval(context, window=t, hidden_dim=8)
+        return {t: train_and_eval(pipeline, window=t, hidden_dim=8)
                 for t in (4, 8, 12)}
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -68,9 +68,9 @@ def test_ablation_temporal_window(benchmark, context):
 
 
 @pytest.mark.benchmark(group="ablation-model")
-def test_ablation_gnn_hidden_dim(benchmark, context):
+def test_ablation_gnn_hidden_dim(benchmark, pipeline):
     def run():
-        return {d: train_and_eval(context, window=8, hidden_dim=d)
+        return {d: train_and_eval(pipeline, window=8, hidden_dim=d)
                 for d in (4, 8, 16)}
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -11,16 +11,11 @@ churn stays bounded (the rate limiter works).
 
 import pytest
 
-from repro.adaptation import (
-    AdaptationConfig,
-    ContinuousAdaptationController,
-    ConvergenceConfig,
-    MonitorConfig,
-)
+from repro.adaptation import AdaptationConfig, ConvergenceConfig, MonitorConfig
 from repro.data import TrendShiftConfig, TrendShiftStream
 from repro.eval import roc_auc
 
-from .conftest import emit
+from .conftest import emit, with_adaptation
 
 STREAM = TrendShiftConfig(
     initial_class="Stealing", shifted_class="Explosion",
@@ -28,30 +23,27 @@ STREAM = TrendShiftConfig(
     anomaly_fraction=0.3, window=8, seed=11)
 
 
-def run_variant(context, structural: bool, eager: bool = False):
-    model = context.train_model(STREAM.initial_class)
-    eval_w, eval_l = context.eval_windows(STREAM.shifted_class)
+def run_variant(pipeline, structural: bool, eager: bool = False):
     convergence = (ConvergenceConfig(patience=2, min_updates=3, min_distance=0.01)
                    if eager else ConvergenceConfig())
-    controller = ContinuousAdaptationController(
-        model,
-        AdaptationConfig(monitor=MonitorConfig(window=72, lag=36),
-                         convergence=convergence,
-                         structural_adaptation=structural),
-        normal_anchor_windows=context.normal_anchors(STREAM.initial_class))
-    for batch in TrendShiftStream(context.generator, STREAM):
-        controller.process_batch(batch.windows)
-    auc = roc_auc(model.anomaly_scores(eval_w), eval_l)
-    return auc, controller.total_pruned, controller.update_count
+    pipe = with_adaptation(pipeline, AdaptationConfig(
+        monitor=MonitorConfig(window=72, lag=36), convergence=convergence,
+        structural_adaptation=structural))
+    deployment = pipe.deploy(STREAM.initial_class)
+    for batch in TrendShiftStream(pipe.generator, STREAM):
+        deployment.ingest(batch.windows)
+    eval_w, eval_l = pipe.eval_windows(STREAM.shifted_class)
+    auc = roc_auc(deployment.scores(eval_w), eval_l)
+    return auc, deployment.total_pruned, deployment.update_count
 
 
 @pytest.mark.benchmark(group="ablation-pruning")
-def test_ablation_structural_adaptation(benchmark, context):
+def test_ablation_structural_adaptation(benchmark, pipeline):
     def run_all():
         return {
-            "tokens only": run_variant(context, structural=False),
-            "tokens + prune/create": run_variant(context, structural=True),
-            "eager pruning": run_variant(context, structural=True, eager=True),
+            "tokens only": run_variant(pipeline, structural=False),
+            "tokens + prune/create": run_variant(pipeline, structural=True),
+            "eager pruning": run_variant(pipeline, structural=True, eager=True),
         }
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)

@@ -32,8 +32,8 @@ def top1_accuracy(table, metric: str, noise: float, rng) -> float:
 
 
 @pytest.mark.benchmark(group="ablation-retrieval")
-def test_ablation_retrieval_metrics(benchmark, context):
-    table = context.embedding_model.token_table
+def test_ablation_retrieval_metrics(benchmark, pipeline):
+    table = pipeline.embedding_model.token_table
 
     def run_all():
         rng = derive_rng(0, "retrieval-ablation")

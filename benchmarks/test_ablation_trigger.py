@@ -27,14 +27,14 @@ from .conftest import emit
 
 
 @pytest.mark.benchmark(group="ablation-trigger")
-def test_ablation_trigger_rules(benchmark, context):
+def test_ablation_trigger_rules(benchmark, pipeline):
     def run():
-        model = context.train_model("Stealing")
+        model = pipeline.train("Stealing")
         stream_config = TrendShiftConfig(
             initial_class="Stealing", shifted_class="Robbery",
             steps_before_shift=10, steps_after_shift=10, windows_per_step=24,
             anomaly_fraction=0.3, window=8, seed=11)
-        stream = TrendShiftStream(context.generator, stream_config)
+        stream = TrendShiftStream(pipeline.generator, stream_config)
         shift_at = stream_config.steps_before_shift
 
         monitor = AnomalyScoreMonitor(MonitorConfig(window=72, lag=36))

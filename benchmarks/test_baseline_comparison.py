@@ -26,21 +26,21 @@ from .conftest import emit
 
 
 @pytest.mark.benchmark(group="baselines")
-def test_baselines_vs_missiongnn(benchmark, context):
+def test_baselines_vs_missiongnn(benchmark, pipeline):
     def run():
-        train_w, train_l = context.train_windows("Stealing")
-        test_w, test_l = context.eval_windows("Stealing")
+        train_w, train_l = pipeline.train_windows("Stealing")
+        test_w, test_l = pipeline.eval_windows("Stealing")
         results = {}
         detectors = {
-            "nearest-centroid": NearestCentroidDetector(context.embedding_model),
-            "mahalanobis": MahalanobisDetector(context.embedding_model),
-            "knn (k=5)": KNNDetector(context.embedding_model, k=5),
-            "mlp": MLPClassifierBaseline(context.embedding_model),
+            "nearest-centroid": NearestCentroidDetector(pipeline.embedding_model),
+            "mahalanobis": MahalanobisDetector(pipeline.embedding_model),
+            "knn (k=5)": KNNDetector(pipeline.embedding_model, k=5),
+            "mlp": MLPClassifierBaseline(pipeline.embedding_model),
         }
         for name, detector in detectors.items():
             detector.fit(train_w, train_l)
             results[name] = roc_auc(detector.anomaly_scores(test_w), test_l)
-        model = context.train_model("Stealing")
+        model = pipeline.train("Stealing")
         results["missiongnn"] = roc_auc(model.anomaly_scores(test_w), test_l)
         return results
 

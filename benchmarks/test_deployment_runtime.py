@@ -14,17 +14,14 @@ from .conftest import emit
 
 
 @pytest.mark.benchmark(group="runtime")
-def test_metered_deployment(benchmark, context):
+def test_metered_deployment(benchmark, pipeline):
     def run():
-        model = context.train_model("Stealing")
-        simulator = EdgeDeploymentSimulator(
-            model, normal_anchor_windows=context.normal_anchors("Stealing"))
-        stream = TrendShiftStream(context.generator, TrendShiftConfig(
+        simulator = EdgeDeploymentSimulator(pipeline.deploy("Stealing"))
+        stream = TrendShiftStream(pipeline.generator, TrendShiftConfig(
             initial_class="Stealing", shifted_class="Robbery",
             steps_before_shift=6, steps_after_shift=14, windows_per_step=24,
             anomaly_fraction=0.3, window=8, seed=11))
-        report = simulator.run(stream)
-        return report
+        return simulator.run(stream)
 
     report = benchmark.pedantic(run, rounds=1, iterations=1)
     # One "day" = one stream step in the compressed timeline.

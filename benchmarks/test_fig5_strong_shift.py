@@ -14,8 +14,8 @@ from .conftest import emit
 
 
 @pytest.mark.benchmark(group="fig5-strong")
-def test_fig5b_stealing_to_explosion(benchmark, context):
-    experiment = TrendShiftExperiment(context, TrendShiftConfig(
+def test_fig5b_stealing_to_explosion(benchmark, pipeline):
+    experiment = TrendShiftExperiment(pipeline, TrendShiftConfig(
         initial_class="Stealing", shifted_class="Explosion",
         steps_before_shift=6, steps_after_shift=20, windows_per_step=24,
         anomaly_fraction=0.3, window=8, seed=11))
@@ -34,15 +34,15 @@ def test_fig5b_stealing_to_explosion(benchmark, context):
 
 
 @pytest.mark.benchmark(group="fig5-strong")
-def test_fig5_weak_recovers_higher_than_strong(benchmark, context):
+def test_fig5_weak_recovers_higher_than_strong(benchmark, pipeline):
     """Cross-panel property: weak-shift adaptation converges to a higher
     AUC than strong-shift adaptation (paper's central Fig. 5 contrast)."""
     def run_both():
-        weak = TrendShiftExperiment(context, TrendShiftConfig(
+        weak = TrendShiftExperiment(pipeline, TrendShiftConfig(
             initial_class="Stealing", shifted_class="Robbery",
             steps_before_shift=6, steps_after_shift=20, windows_per_step=24,
             anomaly_fraction=0.3, window=8, seed=11)).run()
-        strong = TrendShiftExperiment(context, TrendShiftConfig(
+        strong = TrendShiftExperiment(pipeline, TrendShiftConfig(
             initial_class="Stealing", shifted_class="Explosion",
             steps_before_shift=6, steps_after_shift=20, windows_per_step=24,
             anomaly_fraction=0.3, window=8, seed=11)).run()

@@ -19,16 +19,16 @@ STREAM = dict(steps_before_shift=6, steps_after_shift=20, windows_per_step=24,
               anomaly_fraction=0.3, window=8, seed=11)
 
 
-def run_panel(context, initial, shifted):
-    experiment = TrendShiftExperiment(context, TrendShiftConfig(
+def run_panel(pipeline, initial, shifted):
+    experiment = TrendShiftExperiment(pipeline, TrendShiftConfig(
         initial_class=initial, shifted_class=shifted, **STREAM))
     return experiment.run()
 
 
 @pytest.mark.benchmark(group="fig5-weak")
-def test_fig5a_stealing_to_robbery(benchmark, context):
+def test_fig5a_stealing_to_robbery(benchmark, pipeline):
     result = benchmark.pedantic(
-        lambda: run_panel(context, "Stealing", "Robbery"),
+        lambda: run_panel(pipeline, "Stealing", "Robbery"),
         rounds=1, iterations=1)
     emit("Fig. 5(A) panel 1 — Stealing -> Robbery (weak shift)",
          format_trend_shift(result))
@@ -43,9 +43,9 @@ def test_fig5a_stealing_to_robbery(benchmark, context):
 
 
 @pytest.mark.benchmark(group="fig5-weak")
-def test_fig5a_robbery_to_stealing(benchmark, context):
+def test_fig5a_robbery_to_stealing(benchmark, pipeline):
     result = benchmark.pedantic(
-        lambda: run_panel(context, "Robbery", "Stealing"),
+        lambda: run_panel(pipeline, "Robbery", "Stealing"),
         rounds=1, iterations=1)
     emit("Fig. 5(A) panel 2 — Robbery -> Stealing (weak shift)",
          format_trend_shift(result))

@@ -13,15 +13,16 @@ initial concept words toward concept words of the new anomaly.
 import pytest
 
 from repro.data import TrendShiftConfig
-from repro.eval import RetrievalDriftExperiment, format_retrieval_drift
+from repro.eval import FIG6_ADAPTATION, RetrievalDriftExperiment, format_retrieval_drift
 
-from .conftest import emit
+from .conftest import emit, with_adaptation
 
 
 @pytest.mark.benchmark(group="fig6")
-def test_fig6_sneaky_drifts_toward_firearm(benchmark, context):
+def test_fig6_sneaky_drifts_toward_firearm(benchmark, pipeline):
     experiment = RetrievalDriftExperiment(
-        context, initial_class="Stealing", shifted_class="Robbery",
+        with_adaptation(pipeline, FIG6_ADAPTATION),
+        initial_class="Stealing", shifted_class="Robbery",
         tracked_word="sneaky", target_word="firearm",
         stream_config=TrendShiftConfig(
             initial_class="Stealing", shifted_class="Robbery",
@@ -39,15 +40,15 @@ def test_fig6_sneaky_drifts_toward_firearm(benchmark, context):
 
 
 @pytest.mark.benchmark(group="fig6")
-def test_fig6_retrieval_metric_choice(benchmark, context):
+def test_fig6_retrieval_metric_choice(benchmark, pipeline):
     """The paper tested dot/cosine/Euclidean for retrieval and chose
     Euclidean.  Verify all three produce valid retrievals on the adapted KG
     and report what each returns for the tracked node."""
     from repro.adaptation import InterpretableKGRetrieval
 
     def run():
-        model = context.train_model("Stealing")
-        table = context.embedding_model.token_table
+        model = pipeline.train("Stealing")
+        table = pipeline.embedding_model.token_table
         kg = model.kgs[0]
         node = kg.concept_nodes()[0]
         return {

@@ -17,20 +17,20 @@ from repro.llm import SyntheticLLM
 
 
 @pytest.mark.benchmark(group="micro")
-def test_bench_inference_per_batch(benchmark, context):
-    model = context.train_model("Stealing")
-    windows, _ = context.eval_windows("Stealing")
+def test_bench_inference_per_batch(benchmark, pipeline):
+    model = pipeline.train("Stealing")
+    windows, _ = pipeline.eval_windows("Stealing")
     batch = windows[:16]
     scores = benchmark(model.anomaly_scores, batch)
     assert scores.shape == (16,)
 
 
 @pytest.mark.benchmark(group="micro")
-def test_bench_adaptation_step(benchmark, context):
-    model = context.train_model("Stealing")
+def test_bench_adaptation_step(benchmark, pipeline):
+    model = pipeline.train("Stealing")
     model.freeze_for_deployment()
     updater = TokenEmbeddingUpdater(model)
-    windows, labels = context.eval_windows("Stealing")
+    windows, labels = pipeline.eval_windows("Stealing")
     batch, pseudo = windows[:20], labels[:20]
 
     result = benchmark(updater.update, batch, pseudo)
@@ -51,8 +51,8 @@ def test_bench_kg_generation(benchmark):
 
 
 @pytest.mark.benchmark(group="micro")
-def test_bench_tokenizer_encode(benchmark, context):
-    tokenizer = context.embedding_model.tokenizer
+def test_bench_tokenizer_encode(benchmark, pipeline):
+    tokenizer = pipeline.embedding_model.tokenizer
     text = ("surveillance captured a masked person pointing weapon at the "
             "register while a crowd of shoppers fled the scene") * 4
     ids = benchmark(tokenizer.encode, text)
@@ -60,9 +60,9 @@ def test_bench_tokenizer_encode(benchmark, context):
 
 
 @pytest.mark.benchmark(group="micro")
-def test_bench_interpretable_retrieval(benchmark, context):
-    model = context.train_model("Stealing")
-    retrieval = InterpretableKGRetrieval(context.embedding_model.token_table)
+def test_bench_interpretable_retrieval(benchmark, pipeline):
+    model = pipeline.train("Stealing")
+    retrieval = InterpretableKGRetrieval(pipeline.embedding_model.token_table)
     results = benchmark(retrieval.retrieve_kg, model.kgs[0])
     assert results
 

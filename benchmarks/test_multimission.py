@@ -17,8 +17,8 @@ MISSIONS = ["Stealing", "Explosion", "Arrest"]
 
 
 @pytest.mark.benchmark(group="multimission")
-def test_three_mission_deployment(benchmark, context):
-    experiment = MultiMissionExperiment(context, MISSIONS)
+def test_three_mission_deployment(benchmark, pipeline):
+    experiment = MultiMissionExperiment(pipeline, MISSIONS)
     result = benchmark.pedantic(experiment.run, rounds=1, iterations=1)
     emit("Multi-mission deployment — 3 anomaly types, one model",
          result.summary())

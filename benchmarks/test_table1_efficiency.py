@@ -24,14 +24,14 @@ from .conftest import emit
 
 
 @pytest.mark.benchmark(group="table1")
-def test_table1_cloud_vs_edge(benchmark, context):
+def test_table1_cloud_vs_edge(benchmark, pipeline):
     def run():
         experiment = EfficiencyExperiment(
-            context, class_a="Stealing", class_b="Robbery",
+            pipeline, class_a="Stealing", class_b="Robbery",
             alternations=4, steps_per_phase=10)
         measured = experiment.run()
         comparison = EfficiencyComparison(
-            model=context.train_model("Stealing"),
+            model=pipeline.train("Stealing"),
             auc_baseline=measured.auc_baseline,
             auc_proposed=measured.auc_proposed)
         return measured, comparison

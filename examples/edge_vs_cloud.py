@@ -17,7 +17,7 @@ def main() -> None:
     print("[1/2] Simulating one month of alternating anomaly trends ...")
     pipeline = Pipeline.from_config(ReproConfig())
     experiment = EfficiencyExperiment(
-        pipeline.context, class_a="Stealing", class_b="Robbery",
+        pipeline, class_a="Stealing", class_b="Robbery",
         alternations=4, steps_per_phase=10)
     measured = experiment.run()
     print(f"      baseline per-phase AUC: "

@@ -11,16 +11,17 @@ Run:  python examples/interpretable_retrieval.py
 from repro.adaptation import InterpretableKGRetrieval
 from repro.api import Pipeline, ReproConfig
 from repro.data import TrendShiftConfig
-from repro.eval import RetrievalDriftExperiment, format_retrieval_drift
+from repro.eval import FIG6_ADAPTATION, RetrievalDriftExperiment, format_retrieval_drift
 
 
 def main() -> None:
     print("[1/3] Training the Stealing-mission model ...")
-    pipeline = Pipeline.from_config(ReproConfig())
+    # Fig. 6 serves with its paper-tuned, more aggressive adaptation.
+    pipeline = Pipeline.from_config(ReproConfig(adaptation=FIG6_ADAPTATION))
 
     print("[2/3] Running Stealing -> Robbery adaptation with drift tracking ...")
     experiment = RetrievalDriftExperiment(
-        pipeline.context, initial_class="Stealing", shifted_class="Robbery",
+        pipeline, initial_class="Stealing", shifted_class="Robbery",
         tracked_word="sneaky", target_word="firearm",
         stream_config=TrendShiftConfig(
             initial_class="Stealing", shifted_class="Robbery",
@@ -30,9 +31,9 @@ def main() -> None:
     print()
     print(format_retrieval_drift(result))
 
-    print("\n[3/3] Full interpretable retrieval of the adapted KG "
-          "(Euclidean metric, the paper's choice):")
-    model = pipeline.train("Stealing")  # fresh registry copy for comparison
+    print("\n[3/3] For comparison, full interpretable retrieval of the "
+          "cloud-trained KG before adaptation (Euclidean metric, the paper's choice):")
+    model = pipeline.train("Stealing")  # a fresh registry copy
     retrieval = InterpretableKGRetrieval(pipeline.embedding_model.token_table,
                                          metric="euclidean", top_k=2)
     for node_result in retrieval.retrieve_kg(model.kgs[0]):

@@ -24,7 +24,7 @@ def main() -> None:
     missions = ["Stealing", "Explosion", "Arrest"]
     print(f"[1/3] Training one model over {len(missions)} mission KGs ...")
     pipeline = Pipeline.from_config(ReproConfig())
-    experiment = MultiMissionExperiment(pipeline.context, missions)
+    experiment = MultiMissionExperiment(pipeline, missions)
     result = experiment.run()
     print()
     print(result.summary())

@@ -112,9 +112,9 @@ class ReproConfig:
         Data shaping and the canonical seed / window / training budget
         (:class:`~repro.eval.ExperimentConfig`).  ``seed``, ``window``,
         ``train_steps``, ``train_batch`` and ``train_lr`` here are
-        authoritative: the pipeline projects them into the model and
-        training sections, exactly as :class:`ExperimentContext` always
-        did.
+        authoritative: :meth:`~repro.api.Pipeline.model_config` and
+        :meth:`~repro.api.Pipeline.training_config` project them into the
+        model and training sections.
     ``model``
         Architecture knobs (:class:`~repro.gnn.MissionGNNConfig`).
     ``training``

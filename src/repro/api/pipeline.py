@@ -244,12 +244,3 @@ class Pipeline:
         return Deployment(model, mission=mission,
                           adaptation_config=copy.deepcopy(self.config.adaptation),
                           adaptive=adaptive, normal_anchor_windows=anchors)
-
-    # ------------------------------------------------------------------
-    # Backwards compatibility
-    # ------------------------------------------------------------------
-    @property
-    def context(self):
-        """An :class:`~repro.eval.ExperimentContext` view of this pipeline."""
-        from ..eval.experiments import ExperimentContext
-        return ExperimentContext.from_pipeline(self)

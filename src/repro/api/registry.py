@@ -1,8 +1,7 @@
 """Persistent registry of trained deployment models.
 
 The cloud side of the paper trains one decision model per mission; the
-registry is where those artifacts live.  It replaces the old
-``ExperimentContext._model_cache`` side dict with a first-class object:
+registry is where those artifacts live:
 
 * keyed by mission + a fingerprint of every config knob that affects
   training, so changing the config never serves a stale model;

@@ -81,10 +81,6 @@ def _pipeline(args):
     return Pipeline(_build_config(args))
 
 
-def _context(args):
-    return _pipeline(args).context
-
-
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", default=None,
                         help="start from a ReproConfig JSON file")
@@ -342,34 +338,31 @@ def cmd_fig5(args) -> int:
     from .eval import TrendShiftExperiment, format_trend_shift
     shifted = "Robbery" if args.shift == "weak" else "Explosion"
     config = _build_config(args)
-    pipeline = Pipeline(config)
     experiment = TrendShiftExperiment(
-        pipeline.context,
+        Pipeline(config),
         _experiment_stream(config, initial_class=args.initial,
                            shifted_class=shifted,
                            steps_before_shift=args.steps_before,
                            steps_after_shift=args.steps_after,
-                           seed=args.stream_seed),
-        adaptation_config=config.adaptation)
+                           seed=args.stream_seed))
     print(format_trend_shift(experiment.run()))
     return 0
 
 
 def cmd_fig6(args) -> int:
     from .api import Pipeline
-    from .eval import RetrievalDriftExperiment, format_retrieval_drift
+    from .eval import FIG6_ADAPTATION, RetrievalDriftExperiment, format_retrieval_drift
     config = _build_config(args)
-    pipeline = Pipeline(config)
-    # Fig. 6 has paper-tuned aggressive adaptation defaults (applied when
-    # adaptation_config is None); only replace them when the user asked.
-    adaptation = config.adaptation if _adaptation_overridden(args) else None
+    # Fig. 6 serves with its paper-tuned aggressive adaptation unless the
+    # user asked for other adaptation settings.
+    if not _adaptation_overridden(args):
+        config.adaptation = FIG6_ADAPTATION
     experiment = RetrievalDriftExperiment(
-        pipeline.context, tracked_word=args.tracked, target_word=args.target,
+        Pipeline(config), tracked_word=args.tracked, target_word=args.target,
         stream_config=_experiment_stream(
             config, initial_class="Stealing", shifted_class="Robbery",
             steps_before_shift=6, steps_after_shift=args.steps_after,
-            seed=args.stream_seed),
-        adaptation_config=adaptation)
+            seed=args.stream_seed))
     print(format_retrieval_drift(experiment.run()))
     return 0
 
@@ -378,16 +371,13 @@ def cmd_table1(args) -> int:
     from .api import Pipeline
     from .edge import EfficiencyComparison
     from .eval import EfficiencyExperiment
-    config = _build_config(args)
-    pipeline = Pipeline(config)
-    context = pipeline.context
+    pipeline = Pipeline(_build_config(args))
     experiment = EfficiencyExperiment(
-        context, class_a="Stealing", class_b="Robbery",
-        alternations=args.alternations, steps_per_phase=10,
-        adaptation_config=config.adaptation)
+        pipeline, class_a="Stealing", class_b="Robbery",
+        alternations=args.alternations, steps_per_phase=10)
     measured = experiment.run()
     comparison = EfficiencyComparison(
-        model=context.train_model("Stealing"),
+        model=pipeline.train("Stealing"),
         auc_baseline=measured.auc_baseline,
         auc_proposed=measured.auc_proposed)
     print(comparison.format_table())
@@ -396,8 +386,7 @@ def cmd_table1(args) -> int:
 
 def cmd_multimission(args) -> int:
     from .eval.multimission import MultiMissionExperiment
-    context = _context(args)
-    experiment = MultiMissionExperiment(context, missions=args.missions)
+    experiment = MultiMissionExperiment(_pipeline(args), missions=args.missions)
     result = experiment.run()
     print(result.summary())
     if result.type_confusion is not None:

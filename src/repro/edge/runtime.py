@@ -1,7 +1,7 @@
-"""Edge deployment runtime: a metered wrapper around the adaptation loop.
+"""Edge deployment runtime: a metered wrapper around a served deployment.
 
-``EdgeDeploymentSimulator`` runs the continuous-adaptation controller over
-an arrival stream while accounting for every FLOP the device spends —
+``EdgeDeploymentSimulator`` drives a :class:`repro.api.Deployment` over an
+arrival stream while accounting for every FLOP the device spends —
 inference scoring, adaptation forward/backward passes — and converting
 them to energy and latency through the :class:`EdgeDeviceModel`.  Its
 report is the measured counterpart of Table I's per-day edge numbers.
@@ -13,12 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..adaptation.controller import (
-    AdaptationConfig,
-    AdaptationStepLog,
-    ContinuousAdaptationController,
-)
-from ..gnn.pipeline import MissionGNNModel
+from ..adaptation.controller import AdaptationStepLog
 from .device import EdgeDeviceModel
 from .flops import count_model_forward, count_token_side
 
@@ -93,27 +88,24 @@ class DeploymentReport:
 class EdgeDeploymentSimulator:
     """Runs a deployment while metering device resources.
 
-    Wraps a :class:`ContinuousAdaptationController`; every
-    :meth:`process_batch` both advances the adaptation loop and records a
-    :class:`StepMeter`.  Adaptation cost is derived from the controller's
-    actual update count delta (so backtracked/retried rounds are billed
-    too) times the measured per-iteration cost.
+    Meters a :class:`repro.api.Deployment` (e.g. ``pipeline.deploy(mission)``);
+    every :meth:`process_batch` feeds the deployment one batch through
+    ``ingest`` and records a :class:`StepMeter`.  Adaptation cost is derived
+    from the deployment's actual update count delta (so backtracked/retried
+    rounds are billed too) times the measured per-iteration cost.
     """
 
-    def __init__(self, model: MissionGNNModel,
-                 config: AdaptationConfig | None = None,
+    def __init__(self, deployment,
                  device: EdgeDeviceModel | None = None,
-                 normal_anchor_windows: np.ndarray | None = None,
                  device_flops_per_second: float = 1e10):
-        self.model = model
-        self.controller = ContinuousAdaptationController(
-            model, config, normal_anchor_windows=normal_anchor_windows)
+        self.deployment = deployment
+        self.model = deployment.model
         self.device = device or EdgeDeviceModel()
         self.device_flops_per_second = device_flops_per_second
         self.report = DeploymentReport()
-        self._forward_flops = count_model_forward(model).total
-        self._token_side_flops = count_token_side(model)
-        self._structural_seen = self.controller.total_pruned
+        self._forward_flops = count_model_forward(self.model).total
+        self._token_side_flops = count_token_side(self.model)
+        self._structural_seen = deployment.total_pruned
 
     # ------------------------------------------------------------------
     def _adaptation_flops(self, updates: int) -> float:
@@ -123,7 +115,7 @@ class EdgeDeploymentSimulator:
         on a batch of roughly (K + normals) windows, deriving the token
         side once per iteration; backward ~ 2x forward.
         """
-        cfg = self.controller.config
+        cfg = self.deployment.adaptation_config
         batch = cfg.normals_per_update * 2  # typical K + anchors
         per_update = ((batch * self._forward_flops + self._token_side_flops)
                       * 3.0 * max(cfg.update.inner_steps, 1))
@@ -131,12 +123,12 @@ class EdgeDeploymentSimulator:
 
     def process_batch(self, windows: np.ndarray) -> tuple[AdaptationStepLog, StepMeter]:
         """Score (and possibly adapt on) one arrival batch, metered."""
-        updates_before = self.controller.update_count
-        log = self.controller.process_batch(windows)
-        updates_done = self.controller.update_count - updates_before
+        updates_before = self.deployment.update_count
+        log = self.deployment.ingest(windows)
+        updates_done = self.deployment.update_count - updates_before
 
         # This step's inference ran on the pre-adaptation structure (the
-        # controller scores before it adapts), so it is billed at the
+        # deployment scores before it adapts), so it is billed at the
         # cached per-forward cost; the cache is refreshed below once any
         # structural change lands.
         inference = windows.shape[0] * self._forward_flops
@@ -152,13 +144,13 @@ class EdgeDeploymentSimulator:
                 total, self.device_flops_per_second),
             adapted=updates_done > 0)
         self.report.steps.append(meter)
-        if self.controller.total_pruned != self._structural_seen:
+        if self.deployment.total_pruned != self._structural_seen:
             # Structural adaptation pruned/created KG nodes, changing the
             # true per-forward cost (edge counts shifted); a cached figure
             # from __init__ would mis-bill every subsequent window.
             self._forward_flops = count_model_forward(self.model).total
             self._token_side_flops = count_token_side(self.model)
-            self._structural_seen = self.controller.total_pruned
+            self._structural_seen = self.deployment.total_pruned
         return log, meter
 
     def run(self, stream) -> DeploymentReport:

@@ -4,7 +4,7 @@ from .experiments import (
     EfficiencyExperiment,
     EfficiencyResult,
     ExperimentConfig,
-    ExperimentContext,
+    FIG6_ADAPTATION,
     RetrievalDriftExperiment,
     RetrievalDriftResult,
     TrendShiftExperiment,
@@ -19,7 +19,7 @@ __all__ = [
     "average_precision",
     "score_statistics",
     "ExperimentConfig",
-    "ExperimentContext",
+    "FIG6_ADAPTATION",
     "TrendShiftExperiment",
     "TrendShiftResult",
     "RetrievalDriftExperiment",

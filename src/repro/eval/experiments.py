@@ -4,11 +4,14 @@
 * :class:`RetrievalDriftExperiment` -> Fig. 6 (interpretable drift)
 * :class:`EfficiencyExperiment` -> Table I (cloud baseline vs edge adaptation)
 
-All harnesses share an :class:`ExperimentContext` that assembles the full
-stack (ontology -> embedding model -> LLM oracle -> mission KG -> trained
-decision model) deterministically from a seed.  ``ExperimentContext`` is
-now a thin backwards-compatible shim over :class:`repro.api.Pipeline`;
-new code should use the :mod:`repro.api` facade directly.
+Every harness takes a :class:`repro.api.Pipeline` and measures the served
+path: its models are ``pipeline.deploy(mission)`` (adaptive) and
+``pipeline.deploy(mission, adaptive=False)`` (static) deployments, driven
+through ``Deployment.ingest`` and scored with ``Deployment.scores``.  A
+harness's adaptation config is therefore its pipeline's
+``config.adaptation``; a variant runs on its own pipeline that shares the
+trained models, ``Pipeline(dataclasses.replace(config, adaptation=...),
+registry=pipeline.registry)``.
 """
 
 from __future__ import annotations
@@ -17,20 +20,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..adaptation.controller import AdaptationConfig, ContinuousAdaptationController
+from ..adaptation.controller import AdaptationConfig
+from ..adaptation.monitor import MonitorConfig
 from ..adaptation.retrieval import DriftTrajectory, InterpretableKGRetrieval
-from ..concepts.ontology import ConceptOntology
+from ..adaptation.token_update import TokenUpdateConfig
 from ..data.streams import TrendShiftConfig, TrendShiftStream
-from ..data.synthetic import FrameGenerator
-from ..data.ucf_crime import SyntheticUCFCrime
-from ..embedding.joint_space import JointEmbeddingModel
-from ..gnn.pipeline import MissionGNNModel
-from ..kg.graph import ReasoningKG
 from .metrics import roc_auc
 
 __all__ = [
     "ExperimentConfig",
-    "ExperimentContext",
+    "FIG6_ADAPTATION",
     "TrendShiftExperiment",
     "TrendShiftResult",
     "RetrievalDriftExperiment",
@@ -38,6 +37,16 @@ __all__ = [
     "EfficiencyExperiment",
     "EfficiencyResult",
 ]
+
+#: Fig. 6's adaptation config.  The paper runs ~900 token-update
+#: iterations for Fig. 6, so this qualitative experiment adapts more
+#: aggressively and continuously (maintenance trickle on) than the Fig. 5
+#: runs; ``repro fig6`` serves with it unless an ``adaptation.*`` override
+#: is given.
+FIG6_ADAPTATION = AdaptationConfig(
+    monitor=MonitorConfig(window=72, lag=36, min_k=6, trigger_threshold=0.02),
+    update=TokenUpdateConfig(learning_rate=0.08, inner_steps=4),
+    adaptation_rounds=8)
 
 
 @dataclass
@@ -56,72 +65,6 @@ class ExperimentConfig:
     train_anomaly_videos: int = 8
     eval_normal_windows: int = 40
     eval_anomaly_windows: int = 20
-
-
-class ExperimentContext:
-    """Backwards-compatible view of :class:`repro.api.Pipeline`.
-
-    Historically this class hand-built and cached the whole stack; it now
-    delegates everything to a :class:`~repro.api.Pipeline` (whose model
-    registry replaced the old per-mission state-dict cache).  Existing
-    call sites keep working; new code should construct a ``Pipeline``.
-    """
-
-    def __init__(self, config: ExperimentConfig | None = None):
-        # repro: allow[layer-dag] compat shim wraps the higher-level
-        from ..api.config import ReproConfig
-        # repro: allow[layer-dag] Pipeline; lazy so eval stays below api
-        from ..api.pipeline import Pipeline
-        self.pipeline = Pipeline(ReproConfig(experiment=config
-                                             or ExperimentConfig()))
-
-    @classmethod
-    def from_pipeline(cls, pipeline) -> "ExperimentContext":
-        """Wrap an existing pipeline without rebuilding anything."""
-        context = cls.__new__(cls)
-        context.pipeline = pipeline
-        return context
-
-    @property
-    def config(self) -> ExperimentConfig:
-        return self.pipeline.config.experiment
-
-    @property
-    def ontology(self) -> ConceptOntology:
-        return self.pipeline.ontology
-
-    @property
-    def embedding_model(self) -> JointEmbeddingModel:
-        return self.pipeline.embedding_model
-
-    @property
-    def generator(self) -> FrameGenerator:
-        return self.pipeline.generator
-
-    @property
-    def dataset(self) -> SyntheticUCFCrime:
-        return self.pipeline.dataset
-
-    # ------------------------------------------------------------------
-    def generate_kg(self, mission: str) -> ReasoningKG:
-        """Mission KG via the LLM oracle (cached structurally, fresh tokens)."""
-        return self.pipeline.generate_kg(mission)
-
-    def train_model(self, mission: str) -> MissionGNNModel:
-        """Cloud-side training for a mission; served from the model registry."""
-        return self.pipeline.train(mission)
-
-    # ------------------------------------------------------------------
-    def train_windows(self, mission: str) -> tuple[np.ndarray, np.ndarray]:
-        return self.pipeline.train_windows(mission)
-
-    def normal_anchors(self, mission: str, count: int = 60) -> np.ndarray:
-        return self.pipeline.normal_anchors(mission, count=count)
-
-    def eval_windows(self, anomaly_class: str,
-                     seed_tag: str = "eval") -> tuple[np.ndarray, np.ndarray]:
-        """Balanced held-out windows of one anomaly class vs normal."""
-        return self.pipeline.eval_windows(anomaly_class, seed_tag=seed_tag)
 
 
 # ----------------------------------------------------------------------
@@ -163,21 +106,18 @@ class TrendShiftResult:
 class TrendShiftExperiment:
     """Reproduces one panel of Fig. 5.
 
-    Runs the *same* trend-shift stream twice — once through the continuous
-    adaptation controller, once with a static KG — and records test AUC
-    against the currently-active anomaly class at every step.
+    Feeds a trend-shift stream to an adaptive deployment of the initial
+    class and, after every step, records the test AUC of it and of a
+    static deployment against the currently-active anomaly class.
     """
 
-    def __init__(self, context: ExperimentContext,
-                 stream_config: TrendShiftConfig | None = None,
-                 adaptation_config: AdaptationConfig | None = None):
-        self.context = context
+    def __init__(self, pipeline, stream_config: TrendShiftConfig | None = None):
+        self.pipeline = pipeline
         self.stream_config = stream_config or TrendShiftConfig(
-            window=context.config.window)
-        self.adaptation_config = adaptation_config
+            window=pipeline.config.experiment.window)
 
     def run(self) -> TrendShiftResult:
-        ctx = self.context
+        pipe = self.pipeline
         scfg = self.stream_config
         result = TrendShiftResult(
             initial_class=scfg.initial_class,
@@ -186,27 +126,21 @@ class TrendShiftExperiment:
             shift_step=scfg.steps_before_shift)
 
         eval_sets = {
-            cls: ctx.eval_windows(cls)
+            cls: pipe.eval_windows(cls)
             for cls in (scfg.initial_class, scfg.shifted_class)
         }
 
-        adaptive_model = ctx.train_model(scfg.initial_class)
-        static_model = ctx.train_model(scfg.initial_class)
-        controller = ContinuousAdaptationController(
-            adaptive_model, self.adaptation_config,
-            normal_anchor_windows=ctx.normal_anchors(scfg.initial_class))
-
-        stream = TrendShiftStream(ctx.generator, scfg)
-        for batch in stream:
-            controller.process_batch(batch.windows)
+        adaptive = pipe.deploy(scfg.initial_class)
+        static = pipe.deploy(scfg.initial_class, adaptive=False)
+        for batch in TrendShiftStream(pipe.generator, scfg):
+            adaptive.ingest(batch.windows)
             windows, labels = eval_sets[batch.active_class]
             result.steps.append(batch.step)
             result.auc_adaptive.append(
-                roc_auc(adaptive_model.anomaly_scores(windows), labels))
-            result.auc_static.append(
-                roc_auc(static_model.anomaly_scores(windows), labels))
-        result.pruned_nodes = controller.total_pruned
-        result.token_updates = controller.update_count
+                roc_auc(adaptive.scores(windows), labels))
+            result.auc_static.append(roc_auc(static.scores(windows), labels))
+        result.pruned_nodes = adaptive.total_pruned
+        result.token_updates = adaptive.update_count
         return result
 
 
@@ -237,45 +171,32 @@ class RetrievalDriftExperiment:
     the target word ("firearm") plus the retrieved nearest words.
     """
 
-    def __init__(self, context: ExperimentContext,
+    def __init__(self, pipeline,
                  initial_class: str = "Stealing", shifted_class: str = "Robbery",
                  tracked_word: str = "sneaky", target_word: str = "firearm",
                  stream_config: TrendShiftConfig | None = None,
-                 adaptation_config: AdaptationConfig | None = None,
                  metric: str = "euclidean"):
-        self.context = context
+        self.pipeline = pipeline
         self.initial_class = initial_class
         self.shifted_class = shifted_class
         self.tracked_word = tracked_word
         self.target_word = target_word
         self.stream_config = stream_config or TrendShiftConfig(
             initial_class=initial_class, shifted_class=shifted_class,
-            window=context.config.window)
-        if adaptation_config is None:
-            # The paper runs ~900 token-update iterations for Fig. 6; this
-            # qualitative experiment therefore adapts more aggressively and
-            # continuously (maintenance trickle on) than the Fig. 5 runs.
-            from ..adaptation.monitor import MonitorConfig
-            from ..adaptation.token_update import TokenUpdateConfig
-            adaptation_config = AdaptationConfig(
-                monitor=MonitorConfig(window=72, lag=36, min_k=6,
-                                      trigger_threshold=0.02),
-                update=TokenUpdateConfig(learning_rate=0.08, inner_steps=4),
-                adaptation_rounds=8)
-        self.adaptation_config = adaptation_config
+            window=pipeline.config.experiment.window)
         self.metric = metric
 
     def run(self) -> RetrievalDriftResult:
-        ctx = self.context
-        model = ctx.train_model(self.initial_class)
-        kg = model.kgs[0]
+        pipe = self.pipeline
+        deployment = pipe.deploy(self.initial_class)
+        kg = deployment.model.kgs[0]
         tracked = next((n for n in kg.concept_nodes()
                         if n.text == self.tracked_word), None)
         if tracked is None:  # fall back to any level-1 node
             tracked = kg.nodes_at_level(1)[0]
         tracked_id = tracked.node_id
 
-        table = ctx.embedding_model.token_table
+        table = pipe.embedding_model.token_table
         initial_vec = table.embed_text(tracked.text)
         target_vec = table.embed_text(self.target_word)
 
@@ -283,9 +204,6 @@ class RetrievalDriftExperiment:
         result.trajectory = DriftTrajectory(initial_word=tracked.text,
                                             target_word=self.target_word)
         retrieval = InterpretableKGRetrieval(table, metric=self.metric)
-        controller = ContinuousAdaptationController(
-            model, self.adaptation_config,
-            normal_anchor_windows=ctx.normal_anchors(self.initial_class))
 
         def snapshot(iteration: int) -> None:
             node = kg.node(tracked_id) if tracked_id in [
@@ -298,10 +216,9 @@ class RetrievalDriftExperiment:
             result.retrieved_words[iteration] = hits.top_words(per_token=1)
 
         snapshot(0)
-        stream = TrendShiftStream(ctx.generator, self.stream_config)
-        for batch in stream:
-            controller.process_batch(batch.windows)
-            snapshot(controller.update_count)
+        for batch in TrendShiftStream(pipe.generator, self.stream_config):
+            deployment.ingest(batch.windows)
+            snapshot(deployment.update_count)
         return result
 
 
@@ -331,47 +248,43 @@ class EfficiencyExperiment:
     for both strategies.
     """
 
-    def __init__(self, context: ExperimentContext,
+    def __init__(self, pipeline,
                  class_a: str = "Stealing", class_b: str = "Robbery",
-                 alternations: int = 4, steps_per_phase: int = 10,
-                 adaptation_config: AdaptationConfig | None = None):
-        self.context = context
+                 alternations: int = 4, steps_per_phase: int = 10):
+        self.pipeline = pipeline
         self.class_a = class_a
         self.class_b = class_b
         self.alternations = alternations
         self.steps_per_phase = steps_per_phase
-        self.adaptation_config = adaptation_config
 
     def run(self) -> EfficiencyResult:
-        ctx = self.context
+        pipe = self.pipeline
+        exp = pipe.config.experiment
         phases = [self.class_a if i % 2 == 0 else self.class_b
                   for i in range(self.alternations)]
-        eval_sets = {cls: ctx.eval_windows(cls) for cls in set(phases)}
+        eval_sets = {cls: pipe.eval_windows(cls) for cls in set(phases)}
 
         # Proposed: one deployment, continuous edge adaptation across phases.
-        proposed = ctx.train_model(phases[0])
-        controller = ContinuousAdaptationController(
-            proposed, self.adaptation_config,
-            normal_anchor_windows=ctx.normal_anchors(phases[0]))
+        proposed = pipe.deploy(phases[0])
         proposed_aucs: list[float] = []
         step_counter = 0
         for phase_class in phases:
-            stream = TrendShiftStream(ctx.generator, TrendShiftConfig(
+            stream = TrendShiftStream(pipe.generator, TrendShiftConfig(
                 initial_class=phase_class, shifted_class=phase_class,
                 steps_before_shift=self.steps_per_phase, steps_after_shift=0,
-                window=ctx.config.window, seed=ctx.config.seed + step_counter))
+                window=exp.window, seed=exp.seed + step_counter))
             for batch in stream:
-                controller.process_batch(batch.windows)
+                proposed.ingest(batch.windows)
             windows, labels = eval_sets[phase_class]
-            proposed_aucs.append(roc_auc(proposed.anomaly_scores(windows), labels))
+            proposed_aucs.append(roc_auc(proposed.scores(windows), labels))
             step_counter += self.steps_per_phase
 
         # Baseline: fresh cloud KG + retrained model per phase.
         baseline_aucs: list[float] = []
         for phase_class in phases:
-            model = ctx.train_model(phase_class)
+            baseline = pipe.deploy(phase_class, adaptive=False)
             windows, labels = eval_sets[phase_class]
-            baseline_aucs.append(roc_auc(model.anomaly_scores(windows), labels))
+            baseline_aucs.append(roc_auc(baseline.scores(windows), labels))
 
         return EfficiencyResult(
             auc_baseline=float(np.mean(baseline_aucs)),
@@ -379,4 +292,4 @@ class EfficiencyExperiment:
             phase_aucs_baseline=baseline_aucs,
             phase_aucs_proposed=proposed_aucs,
             kg_regenerations_baseline=len(phases),
-            edge_updates_proposed=controller.update_count)
+            edge_updates_proposed=proposed.update_count)

@@ -10,16 +10,16 @@ anomalies — the capability a multi-camera deployment would rely on.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..gnn.decision import DecisionModel
-from ..gnn.pipeline import MissionGNNConfig, MissionGNNModel
-from ..gnn.training import DecisionModelTrainer, TrainingConfig
+from ..gnn.pipeline import MissionGNNModel
+from ..gnn.training import DecisionModelTrainer
 from ..nn.tensor import no_grad
 from ..utils.rng import derive_rng
-from .experiments import ExperimentContext
 from .metrics import roc_auc
 
 __all__ = ["MultiMissionResult", "MultiMissionExperiment"]
@@ -48,31 +48,34 @@ class MultiMissionResult:
 
 
 class MultiMissionExperiment:
-    """Trains and evaluates one model over several mission KGs."""
+    """Trains and evaluates one model over several mission KGs.
 
-    def __init__(self, context: ExperimentContext, missions: list[str],
+    ``pipeline`` (a :class:`repro.api.Pipeline`) supplies the KGs, the
+    data and the effective model / training configs, so its
+    ``model.*`` and ``training.*`` settings shape the multi-mission model.
+    """
+
+    def __init__(self, pipeline, missions: list[str],
                  train_steps: int | None = None):
         if len(missions) < 2:
             raise ValueError("multi-mission needs at least two missions")
         if len(set(missions)) != len(missions):
             raise ValueError("missions must be distinct")
-        self.context = context
+        self.pipeline = pipeline
         self.missions = list(missions)
         self.train_steps = train_steps
 
     # ------------------------------------------------------------------
     def build_model(self) -> MissionGNNModel:
-        ctx = self.context
-        kgs = [ctx.generate_kg(mission) for mission in self.missions]
-        return MissionGNNModel(kgs, ctx.embedding_model, MissionGNNConfig(
-            temporal_window=ctx.config.window, seed=ctx.config.seed))
+        pipe = self.pipeline
+        kgs = [pipe.generate_kg(mission) for mission in self.missions]
+        return MissionGNNModel(kgs, pipe.embedding_model, pipe.model_config())
 
     def training_data(self) -> tuple[np.ndarray, np.ndarray]:
         """Windows labeled 0 = normal, i = mission i's anomaly (1-based)."""
-        ctx = self.context
         all_windows, all_labels = [], []
         for type_index, mission in enumerate(self.missions, start=1):
-            windows, labels = ctx.train_windows(mission)
+            windows, labels = self.pipeline.train_windows(mission)
             relabeled = np.where(labels > 0, type_index, 0)
             if type_index > 1:
                 # Keep normals from the first mission only (identical
@@ -85,31 +88,31 @@ class MultiMissionExperiment:
 
     # ------------------------------------------------------------------
     def run(self) -> MultiMissionResult:
-        ctx = self.context
+        pipe = self.pipeline
+        exp = pipe.config.experiment
         model = self.build_model()
         windows, labels = self.training_data()
-        steps = self.train_steps or ctx.config.train_steps
-        DecisionModelTrainer(model, TrainingConfig(
-            steps=steps, batch_size=ctx.config.train_batch,
-            learning_rate=ctx.config.train_lr, seed=ctx.config.seed)).train(
-            windows, labels)
+        training = pipe.training_config()
+        if self.train_steps:
+            training = dataclasses.replace(training, steps=self.train_steps)
+        DecisionModelTrainer(model, training).train(windows, labels)
 
         result = MultiMissionResult(missions=self.missions)
         # Per-class binary detection AUC.
         for mission in self.missions:
-            eval_windows, eval_labels = ctx.eval_windows(mission)
+            eval_windows, eval_labels = pipe.eval_windows(mission)
             scores = model.anomaly_scores(eval_windows)
             result.auc_per_class[mission] = roc_auc(scores, eval_labels)
 
         # Anomaly-type classification among anomalous windows.
-        rng = derive_rng(ctx.config.seed, "multimission-type-eval")
+        rng = derive_rng(exp.seed, "multimission-type-eval")
         per_class = 12
         type_windows, type_labels = [], []
         for type_index, mission in enumerate(self.missions):
             for _ in range(per_class):
                 type_windows.append(np.stack([
-                    ctx.generator.anomaly_frame(mission, rng)
-                    for _ in range(ctx.config.window)]))
+                    pipe.generator.anomaly_frame(mission, rng)
+                    for _ in range(exp.window)]))
                 type_labels.append(type_index)
         type_windows = np.stack(type_windows)
         type_labels = np.asarray(type_labels)

@@ -10,10 +10,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import Pipeline, ReproConfig
 from repro.concepts import build_default_ontology
 from repro.data import FrameGenerator
 from repro.embedding import build_default_embedding_model
-from repro.eval import ExperimentConfig, ExperimentContext
+from repro.eval import ExperimentConfig
 from repro.gnn import MissionGNNConfig, MissionGNNModel
 from repro.kg import KGGenerationConfig, KGGenerator
 from repro.llm import SyntheticLLM
@@ -65,13 +66,13 @@ def fresh_model(fresh_kg, embedding_model):
 
 
 @pytest.fixture(scope="session")
-def trained_context():
-    """A small but genuinely trained experiment context (shared, read-only)."""
-    ctx = ExperimentContext(ExperimentConfig(
+def trained_pipeline():
+    """A small but genuinely trained pipeline (shared, read-only)."""
+    pipeline = Pipeline(ReproConfig(experiment=ExperimentConfig(
         train_steps=300, train_batch=32, dataset_scale=0.15,
-        frames_per_video=40, eval_normal_windows=24, eval_anomaly_windows=12))
-    ctx.train_model("Stealing")  # warm the cache
-    return ctx
+        frames_per_video=40, eval_normal_windows=24, eval_anomaly_windows=12)))
+    pipeline.train("Stealing")  # warm the registry
+    return pipeline
 
 
 @pytest.fixture()

@@ -9,7 +9,6 @@ from test_api_deployment import deployment_config
 
 from repro.adaptation import ConvergenceConfig
 from repro.api import Deployment, ModelRegistry, Pipeline, ReproConfig
-from repro.eval import ExperimentConfig, ExperimentContext
 from repro.gnn.checkpoint import deployment_to_dict
 
 
@@ -210,25 +209,6 @@ class TestServingKeepsOnlyWhatItUses:
         assert list(memory.registry._entries) == memory.registry.keys()
         for model in (loaded, memory.train("Stealing")):  # same bits
             assert deployment_to_dict(model) == deployment_to_dict(built)
-
-
-class TestContextShim:
-    def test_context_view_shares_the_pipeline(self, pipeline):
-        context = pipeline.context
-        assert context.pipeline is pipeline
-        assert context.config is pipeline.config.experiment
-        assert context.embedding_model is pipeline.embedding_model
-
-    def test_legacy_constructor_matches_pipeline(self):
-        exp = ExperimentConfig(train_steps=40, eval_normal_windows=12,
-                               eval_anomaly_windows=6)
-        context = ExperimentContext(exp)
-        cfg = ReproConfig(experiment=exp)
-        pipe = Pipeline.from_config(cfg)
-        windows, _ = context.eval_windows("Stealing")
-        np.testing.assert_allclose(
-            context.train_model("Stealing").anomaly_scores(windows[:4]),
-            pipe.train("Stealing").anomaly_scores(windows[:4]))
 
 
 class TestBatchNormBuffers:

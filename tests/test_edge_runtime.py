@@ -3,17 +3,18 @@
 import pytest
 
 from repro.adaptation import AdaptationConfig, MonitorConfig
+from repro.api import Deployment
 from repro.edge import DeploymentReport, EdgeDeploymentSimulator, EdgeDeviceModel
 from repro.edge.flops import count_model_forward
 
 
 def make_simulator(fresh_model, embedding_model, rng, **kwargs):
-    model = fresh_model(window=4)
     anchors = rng.normal(size=(8, 4, embedding_model.frame_dim))
-    return EdgeDeploymentSimulator(
-        model,
-        AdaptationConfig(monitor=MonitorConfig(window=12, lag=6)),
-        normal_anchor_windows=anchors, **kwargs)
+    deployment = Deployment(
+        fresh_model(window=4),
+        adaptation_config=AdaptationConfig(monitor=MonitorConfig(window=12, lag=6)),
+        normal_anchor_windows=anchors)
+    return EdgeDeploymentSimulator(deployment, **kwargs)
 
 
 class TestMetering:
@@ -82,8 +83,9 @@ class TestStructuralMeteringRefresh:
 
         busiest = max(candidates, key=edge_count)
         assert edge_count(busiest) > 2  # replacement gets exactly 2 edges
-        sim.controller.structural.edge_probability = 0.0
-        event = sim.controller.structural.replace_node(
+        structural = sim.deployment.controller.structural
+        structural.edge_probability = 0.0
+        event = structural.replace_node(
             0, busiest.node_id, step=0)
         assert event is not None
 
