@@ -19,8 +19,12 @@ like a remote camera uplink would:
    slowest request's tree, exactly what ``repro trace`` does for
    ``--trace-dir`` exports.
 
-Run:  python examples/gateway_serving.py
+Run:  python examples/gateway_serving.py   (exits non-zero unless the
+first ingest, every load-generated response and the traced run's stage
+chains all check out)
 """
+
+import sys
 
 import numpy as np
 
@@ -40,7 +44,7 @@ def build(pipeline):
     return build_fleet(pipeline, MISSIONS, STREAMS, windows_per_step=2)
 
 
-def main() -> None:
+def main() -> int:
     config = ReproConfig()
     config.override("experiment.train_steps", 150)  # demo-sized training
     pipeline = Pipeline.from_config(config)
@@ -122,7 +126,14 @@ def main() -> None:
           f"({duration * 1e3:.3f} ms):")
     for line in render_tree(group).splitlines():
         print(f"        {line}")
+    if not identical or not parity:
+        print("FAILED: gateway-served scores diverged from fleet.step()")
+        return 1
+    if problems:
+        print(f"FAILED: {len(problems)} broken stage chain(s)")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

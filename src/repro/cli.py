@@ -245,8 +245,7 @@ def cmd_gateway(args) -> int:
     try:
         server = GatewayServer(fleet, host=args.host, port=args.port,
                                max_queue_depth=args.max_queue_depth,
-                               policy=args.policy, codec=args.codec,
-                               pipeline=args.pipeline_rounds,
+                               codec=args.codec, pipeline=args.pipeline_rounds,
                                **wal_kwargs, **trace_kwargs)
     except DurabilityError as exc:
         fleet.close()
@@ -255,8 +254,7 @@ def cmd_gateway(args) -> int:
     async def main() -> None:
         host, port = await server.start()
         print(f"[gateway] listening on {host}:{port} "
-              f"(policy: {server.engine.policy.name}, codecs: "
-              f"{'/'.join(server.codecs)}) — streams: "
+              f"(codecs: {'/'.join(server.codecs)}) — streams: "
               f"{', '.join(fleet.names)}")
         if args.wal_dir:
             print(f"[gateway] durable: write-ahead log at {args.wal_dir} "
@@ -486,9 +484,9 @@ def cmd_stats(args) -> int:
           f"{reply.get('server_version', '?')}, up "
           f"{reply.get('uptime_seconds', 0.0):.1f}s")
     queued = engine.get("queued") or {}
-    print(f"  engine: backend {engine.get('backend', '?')}, policy "
-          f"{engine.get('policy', '?')}, {engine.get('rounds', 0)} "
-          f"round(s), {sum(queued.values())} queued request(s) across "
+    print(f"  engine: backend {engine.get('backend', '?')}, "
+          f"{engine.get('rounds', 0)} round(s), "
+          f"{sum(queued.values())} queued request(s) across "
           f"{len(queued)} stream(s)")
     coalesce = engine.get("coalesce")
     if coalesce:
@@ -631,11 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="partition the fleet into N in-process shards, "
                         "run on threads when the process may use two or "
                         "more CPUs")
-    p.add_argument("--policy", choices=("fair", "greedy", "priority"),
-                   default=None,
-                   help="engine scheduling policy: fair round-robin "
-                        "(default), greedy drain, or priority/deadline "
-                        "admission — scores are bit-identical under all")
     p.add_argument("--max-batch-windows", type=int, default=None,
                    help="cap windows per coalesced forward")
     p.add_argument("--host", default="127.0.0.1",

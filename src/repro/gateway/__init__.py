@@ -28,9 +28,8 @@ stdlib + numpy only:
     serving layer and surfaced through the ``stats`` op.
 
 The server itself no longer owns a round loop: requests feed the fleet's
-:class:`repro.runtime.ServingEngine` admission queues, and a pluggable
-:class:`~repro.runtime.SchedulingPolicy` (``policy="fair"|"greedy"|
-"priority"``) composes the rounds.
+:class:`repro.runtime.ServingEngine` admission queues, and each engine
+round serves the front request of every stream's queue.
 """
 
 from .client import (

@@ -104,7 +104,6 @@ ERROR_CODES = (
     "unknown_stream",    # stream name not attached to the fleet
     "not_attached",      # ingest/scores before attach on this connection
     "backpressure",      # admission control: per-stream queue is full
-    "expired",           # request missed its deadline_ms while queued
     "durability",        # served but its WAL commit failed: NOT on disk
     "shutting_down",     # server is draining; no new work accepted
     "internal",          # serving round failed server-side

@@ -1,27 +1,26 @@
 """The asyncio TCP gateway: a serving engine behind a network socket.
 
-:class:`GatewayServer` accepts length-prefixed JSON frames (see
-:mod:`repro.gateway.protocol`) and submits each connection's ``ingest``
-/ ``scores`` requests into its fleet's
+:class:`GatewayServer` accepts length-prefixed frames in either codec —
+JSON (protocol v1) or binary (protocol v2; see
+:mod:`repro.gateway.protocol`) — and submits each connection's
+``ingest`` / ``scores`` requests into its fleet's
 :class:`~repro.runtime.ServingEngine` — the same engine that drives
-``fleet.step()`` — whose bounded per-stream admission queues and
-pluggable :class:`~repro.runtime.SchedulingPolicy` replace the old
-hardcoded ≤1-request-per-stream-per-round pop loop.  A single gateway
-loop asks the engine to run policy-composed rounds in a one-worker
-executor thread; because scoring is batch-composition-independent and
-the engine preserves per-stream FIFO no matter the policy, gateway-served
-scores are bit-identical to a direct in-process ``fleet.step()`` run over
-the same per-stream window sequence, no matter how clients interleave.
+``fleet.step()`` — and its bounded per-stream admission queues.  A
+single gateway loop asks the engine to run rounds in a one-worker
+executor thread; each round serves the front request of every
+non-empty stream queue.  Because scoring is batch-composition-
+independent and each stream is served strictly FIFO, gateway-served
+scores are bit-identical to a direct in-process ``fleet.step()`` run
+over the same per-stream window sequence, no matter how clients
+interleave.
 
 Natural batching, no added latency: while one round is scoring in the
 executor, newly arriving windows pile up in the engine's queues and form
 the next round; an idle gateway serves a lone request immediately.
 Admission control rejects work beyond ``max_queue_depth`` queued requests
 per stream with a typed ``backpressure`` frame instead of buffering
-without bound; requests may carry ``priority``/``deadline_ms`` fields for
-the priority policy (a missed deadline answers a typed ``expired``
-frame); and ``shutdown`` drains every queued request before the server
-closes.
+without bound, and ``shutdown`` drains every queued request before the
+server closes.
 
 Durable serving: constructed with ``wal_dir``, the gateway attaches a
 :class:`~repro.wal.WalDurability` hook to the engine — every accepted
@@ -63,7 +62,7 @@ import numpy as np
 from ..errors import ConfigError, StateError
 from ..metrics import MetricsRegistry
 from ..obs import TraceContext, TraceRecorder, write_chrome_trace, write_jsonl
-from ..runtime import AdmissionError, EngineRequest, resolve_policy
+from ..runtime import AdmissionError, EngineRequest
 from .protocol import (
     CODECS,
     MAX_FRAME_BYTES,
@@ -114,13 +113,17 @@ class GatewayServer:
                  max_queue_depth: int = DEFAULT_MAX_QUEUE_DEPTH,
                  max_frame_bytes: int = MAX_FRAME_BYTES,
                  metrics: MetricsRegistry | None = None,
-                 policy=None, wal_dir=None, wal_config=None,
+                 policy: str = "fair", wal_dir=None, wal_config=None,
                  snapshot_policy=None, codec: str = "binary",
                  tracer=None, trace_dir=None,
                  slow_round_ms: float | None = None,
                  pipeline: bool = True):
         if max_queue_depth < 1:
             raise ConfigError("max_queue_depth must be >= 1")
+        # Rounds serve the front of every stream's queue; "fair" is the
+        # only accepted name for that, kept for callers that pass it.
+        if policy != "fair":
+            raise ConfigError(f"policy must be 'fair', got {policy!r}")
         if codec not in CODECS:
             raise ConfigError(f"codec must be one of {CODECS}, got {codec!r}")
         # codec="binary": speak protocol v1 and v2, advertise both codecs
@@ -141,8 +144,6 @@ class GatewayServer:
         self.fleet = fleet
         self.engine = engine
         self.engine.max_queue_depth = max_queue_depth
-        if policy is not None:
-            self.engine.policy = resolve_policy(policy)
         if metrics is not None:
             # One registry for everything: the caller's registry replaces
             # the engine's so engine.* and gateway.* metrics land together.
@@ -322,14 +323,13 @@ class GatewayServer:
     # The round loop
     # ------------------------------------------------------------------
     async def _round_loop(self) -> None:
-        """Drive the engine: whenever work is queued, run one
-        policy-composed round in the executor thread and resolve the
-        finished requests' futures.
+        """Drive the engine: whenever work is queued, run one round in
+        the executor thread and resolve the finished requests' futures.
 
-        The round itself — scheduling, waves, score-then-ingest with
-        per-entry error isolation — lives in
+        The round itself — dequeuing, score-then-ingest with per-entry
+        error isolation — lives in
         :meth:`repro.runtime.ServingEngine.run_round`, which is total:
-        every selected or expired request comes back as exactly one
+        every dequeued request comes back as exactly one
         :class:`~repro.runtime.RoundResult`, so no client is ever left
         hanging.
 
@@ -607,28 +607,6 @@ class GatewayServer:
                    "rounds": self.fleet.rounds},
             queued=self.engine.queued_depths(), draining=self._draining)
 
-    def _scheduling_fields(self, payload: dict) -> tuple[int, float | None]:
-        """Optional ``priority``/``deadline_ms`` request fields for the
-        priority policy (harmless under fair/greedy scheduling)."""
-        priority = payload.get("priority", 0)
-        if not isinstance(priority, int) or isinstance(priority, bool):
-            raise RequestError("bad_request",
-                               f"'priority' must be an integer, got "
-                               f"{type(priority).__name__}")
-        deadline_ms = payload.get("deadline_ms")
-        if deadline_ms is None:
-            return priority, None
-        if isinstance(deadline_ms, bool) \
-                or not isinstance(deadline_ms, (int, float)) \
-                or deadline_ms <= 0:
-            raise RequestError("bad_request",
-                               "'deadline_ms' must be a positive number "
-                               "of milliseconds")
-        # On the engine's scheduling clock, not time.monotonic(): expiry
-        # is evaluated against engine.now(), and the two must agree when
-        # a non-default clock was injected.
-        return priority, self.engine.now() + float(deadline_ms) / 1e3
-
     async def _serve_windows(self, op: str, payload: dict,
                              conn: _Connection, echo_id,
                              echo_v: int) -> dict:
@@ -676,7 +654,6 @@ class GatewayServer:
         if stream not in self.fleet:
             raise RequestError("unknown_stream",
                                f"stream {stream!r} has left the fleet")
-        priority, deadline = self._scheduling_fields(payload)
         try:
             windows = np.asarray(payload.get("windows"), dtype=np.float64)
         except (TypeError, ValueError) as exc:
@@ -692,7 +669,6 @@ class GatewayServer:
                                "'windows' hold NaN or ±Inf values")
         future = asyncio.get_running_loop().create_future()
         request = EngineRequest(op=op, stream=stream, windows=windows,
-                                priority=priority, deadline=deadline,
                                 tag=_Pending(future=future, owner=conn),
                                 trace=trace)
         try:

@@ -20,9 +20,9 @@ stage.score        engine   the (shard's) scoring that scored the request
 stage.ingest       engine   the (shard's) ingest that applied the request
 stage.durability   engine   the request's share of the round commit
 engine.round       engine   one round, schedule → handoff (own trace)
-engine.schedule    engine   policy selection under the engine lock
-engine.score       engine   one wave's scoring (envelope over shards)
-engine.ingest      engine   one wave's ingest (envelope over shards)
+engine.schedule    engine   dequeuing each stream's front request
+engine.score       engine   the round's scoring (envelope over shards)
+engine.ingest      engine   the round's ingest (envelope over shards)
 engine.durability  engine   handoff → the round's commit fsync
 shard.score        shard    a shard's scoring inside ``serve_round``
 shard.ingest       shard    a shard's ingest inside ``serve_round``

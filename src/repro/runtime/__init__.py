@@ -1,4 +1,4 @@
-"""The unified serving core: one engine, pluggable backends and policies.
+"""The unified serving core: one engine over pluggable execution backends.
 
 Every serving layer in this repo — the
 :class:`~repro.serving.DeploymentFleet`, its sharded twin
@@ -10,9 +10,11 @@ instruments it through one :class:`repro.metrics.MetricsRegistry`:
 
 :class:`ServingEngine`
     The round loop: lock-step rounds pulled from backend-owned streams
-    (``step``/``serve``/``ingest_round``/``score_only``) and
-    policy-composed rounds over bounded admission queues
-    (``submit``/``run_round``) — one wave executor, one commit routine
+    (``step``/``serve``/``ingest_round``/``score_only``) and queued
+    rounds over bounded per-stream admission queues
+    (``submit``/``run_round``: each round serves the front request of
+    every non-empty queue, so each stream is served strictly FIFO) — one
+    wave executor, one commit routine
     (inline or on the committer thread), per-entry error isolation, and
     a :class:`DurabilityHook` for ack-after-fsync serving.
 :class:`ExecutionBackend` → :class:`InlineBackend` / :class:`ShardedBackend`
@@ -21,11 +23,9 @@ instruments it through one :class:`repro.metrics.MetricsRegistry`:
     that same inline implementation across in-process shards, on a
     thread pool when the process may run on two or more CPUs.
     Stage timings ride every reply (:mod:`repro.runtime.timeline`), so
-    ``engine.stage.*`` histograms fill with or without a tracer.
-:class:`SchedulingPolicy` → :class:`FairRoundRobin` / :class:`GreedyDrain` / :class:`PriorityAdmission`
-    How queued requests compose a round.  Per-stream FIFO is an engine
-    invariant, so every backend × policy combination serves bit-identical
-    per-stream scores — locked down by the parity-matrix tests.
+    ``engine.stage.*`` histograms fill with or without a tracer.  Every
+    backend serves bit-identical per-stream scores — locked down by the
+    backend parity tests.
 """
 
 from .engine import (
@@ -36,15 +36,6 @@ from .engine import (
     RoundResult,
     ServingEngine,
     make_fleet_event,
-)
-from .policies import (
-    POLICIES,
-    FairRoundRobin,
-    GreedyDrain,
-    PriorityAdmission,
-    RoundPlan,
-    SchedulingPolicy,
-    resolve_policy,
 )
 from .backends import ExecutionBackend, InlineBackend, ShardedBackend
 
@@ -59,11 +50,4 @@ __all__ = [
     "ExecutionBackend",
     "InlineBackend",
     "ShardedBackend",
-    "SchedulingPolicy",
-    "RoundPlan",
-    "FairRoundRobin",
-    "GreedyDrain",
-    "PriorityAdmission",
-    "POLICIES",
-    "resolve_policy",
 ]

@@ -25,8 +25,8 @@ survives as the engine's per-entry isolation fallback and the
 
 Both backends produce bit-identical scores for identical per-stream
 window sequences (shards own disjoint streams and models, and per-shard
-coalescing keeps the row-stable GEMM guarantees) — the engine's parity
-matrix locks this down for every backend × policy combination.
+coalescing keeps the row-stable GEMM guarantees) — the engine's backend
+parity tests lock this down.
 """
 
 from __future__ import annotations

@@ -10,11 +10,11 @@ report what happened.  :class:`ServingEngine` owns that loop once:
 
 * **gather** — either pulled from backend-owned streams (:meth:`step`)
   or pushed into bounded per-stream admission queues (:meth:`submit`);
-* **schedule** — a pluggable :class:`~repro.runtime.SchedulingPolicy`
-  decides which queued requests form the round (:meth:`run_round`);
-* **serve** — each wave of the round is one
+* **schedule** — a round takes the front request of every non-empty
+  per-stream queue, streams in first-arrival order (:meth:`run_round`);
+* **serve** — the round is one
   :meth:`~repro.runtime.ExecutionBackend.serve_round` call: the backend
-  scores the wave coalesced (micro-batching, or one scatter across
+  scores it coalesced (micro-batching, or one scatter across
   in-process shards) and its deployments ingest their precomputed
   score slices, with per-entry isolation when a coalesced forward fails;
 * **commit** — one commit routine (durability records, group-commit
@@ -24,12 +24,11 @@ report what happened.  :class:`ServingEngine` owns that loop once:
   :class:`repro.metrics.MetricsRegistry`, and — from the same stamps,
   only when a recorder is attached — the round's trace spans.
 
-Scores are bit-identical across backends and policies: scoring is
-stateless and batch-composition-independent (see
-:mod:`repro.serving.batcher`), and the engine preserves per-stream FIFO
-order no matter how a policy composes rounds, so every stream sees the
-exact ingest sequence a plain ``DeploymentFleet.step()`` run would
-produce.
+Scores are bit-identical across backends: scoring is stateless and
+batch-composition-independent (see :mod:`repro.serving.batcher`), and
+the engine serves each stream's queue strictly FIFO, so every stream
+sees the exact ingest sequence a plain ``DeploymentFleet.step()`` run
+would produce.
 """
 
 from __future__ import annotations
@@ -80,20 +79,15 @@ def make_fleet_event(slot, log, batch=None) -> FleetEvent:
 
 @dataclass
 class EngineRequest:
-    """One queued ``ingest``/``scores`` request awaiting scheduling.
+    """One queued ``ingest``/``scores`` request awaiting its round.
 
-    ``priority`` and ``deadline`` only matter to policies that read them
-    (higher priority first; ``deadline`` is an absolute
-    ``time.monotonic()`` instant after which the request is expired
-    instead of served).  ``tag`` is an opaque caller handle — the gateway
-    stores its response future there — threaded through untouched.
+    ``tag`` is an opaque caller handle — the gateway stores its response
+    future there — threaded through untouched.
     """
 
     op: str                        # "ingest" | "scores"
     stream: str
     windows: np.ndarray
-    priority: int = 0
-    deadline: float | None = None
     queued_at: float = 0.0
     tag: object = None
     wal_seq: int | None = None     # durability log seq (set at admission)
@@ -211,28 +205,24 @@ class ServingEngine:
     :class:`_CommitBatch` by value.
     """
 
-    def __init__(self, backend, policy=None, metrics: MetricsRegistry | None = None,
-                 max_queue_depth: int | None = None, clock=time.monotonic,
+    def __init__(self, backend, metrics: MetricsRegistry | None = None,
+                 max_queue_depth: int | None = None,
                  durability: DurabilityHook | None = None, tracer=None,
                  slow_round_ms: float | None = None, on_slow_round=None,
                  pipeline: bool = False, on_commit=None):
-        from .policies import FairRoundRobin
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ConfigError("max_queue_depth must be >= 1")
         self.backend = backend
-        self.policy = policy or FairRoundRobin()
         self.metrics = metrics or MetricsRegistry()
         self.max_queue_depth = max_queue_depth
         self.rounds = 0
-        self._clock = clock
         self._queues: dict[str, deque[EngineRequest]] = {}  # repro: guarded-by[_lock]
         # len of all _queues, kept by submit / drop_pending / run_round
         self._queued = 0  # repro: guarded-by[_lock]
         self._lock = Lock()
         self.durability = durability
         self._durability_failed = False  # repro: guarded-by[_lock]
-        # Uptime baseline for stats(); always real monotonic time, never
-        # the injected scheduling clock.
+        # Uptime baseline for stats().
         self._started_monotonic = time.monotonic()
         # The attached repro.obs.TraceRecorder, or None.  It never
         # selects a code path: a recorder only adds the spans derived
@@ -310,15 +300,8 @@ class ServingEngine:
         return self.backend.score(arrivals)
 
     # ------------------------------------------------------------------
-    # Queued serving: admission, scheduling, policy-composed rounds
+    # Queued serving: admission and rounds over the per-stream queues
     # ------------------------------------------------------------------
-    def now(self) -> float:
-        """The engine's scheduling clock (``time.monotonic`` unless one
-        was injected).  ``EngineRequest.deadline`` instants must be
-        computed against this clock, never ``time.monotonic`` directly,
-        or deadline math silently breaks under an injected clock."""
-        return self._clock()
-
     def submit(self, request: EngineRequest) -> None:
         """Admit a request into its stream's queue; raises
         :class:`AdmissionError` (``backpressure``) past
@@ -349,8 +332,7 @@ class ServingEngine:
                         "engine refuses new ingests until the WAL is "
                         "healthy (restart the service and run recovery)")
                 request.wal_seq = self.durability.record_submit(request)
-            if not request.queued_at:
-                request.queued_at = self._clock()
+            request.queued_at = time.monotonic()
             queue.append(request)
             self._queued += 1
             self._update_queue_gauge()
@@ -404,25 +386,19 @@ class ServingEngine:
         return dropped
 
     def run_round(self) -> list[RoundResult]:
-        """One policy-composed round over the queued requests.
-
-        The policy selects which requests run (and which have expired);
-        the engine partitions the selection into waves of at most one
-        request per stream — per-stream FIFO is an invariant the policy
-        cannot break, it only shapes round *composition* — and executes
-        each wave through the backend's ``serve_round``.  Total: every
-        selected or expired request gets exactly one
-        :class:`RoundResult`; this method never raises on bad client
-        input or backend failure.
+        """One round over the queued requests: the front request of every
+        non-empty per-stream queue, streams in first-arrival order, served
+        as one :meth:`_execute_wave`.  Total: every dequeued request gets
+        exactly one :class:`RoundResult`; this method never raises on bad
+        client input or backend failure.
 
         Every round stamps one :class:`~repro.runtime.timeline.RoundTimeline`
         from which the ``engine.stage.*`` histograms are observed, traced
         or not.  With a recorder attached the same stamps also become
         the round's own trace (``engine.round`` → ``engine.schedule`` /
-        per-wave ``engine.score``/``engine.ingest`` /
-        ``engine.durability``) and per-request ``queue.wait`` /
-        ``stage.*`` spans parented under each traced request's context.
-        Empty rounds record nothing.
+        ``engine.score``/``engine.ingest`` / ``engine.durability``) and
+        per-request ``queue.wait`` / ``stage.*`` spans parented under
+        each traced request's context.  Empty rounds record nothing.
 
         In pipelined mode this returns ``[]`` and the results arrive via
         ``on_commit`` once their group commit fsyncs (see the class
@@ -430,91 +406,51 @@ class ServingEngine:
         results are returned, post-commit.
         """
         self._maybe_snapshot()
-        tracer = self.tracer
         wall, started = time.time(), time.perf_counter()
         with self._lock:
             if not self._queued:
                 return []
-            now = self._clock()
-            view = {name: tuple(queue)
-                    for name, queue in self._queues.items() if queue}
-            try:
-                plan = self.policy.select(view, now)
-                selected = list(plan.entries)
-                expired = list(plan.expired)
-            except Exception:  # noqa: BLE001 — a broken policy must not
-                # wedge the server: degrade to the fair default (front of
-                # every queue) so queued clients still get served.
-                self.metrics.counter("engine.policy_errors").inc()
-                selected = [queue[0] for queue in view.values()]
-                expired = []
-            # A policy may only return requests that are actually queued;
-            # anything else (a buggy custom policy echoing stale objects)
-            # is dropped here rather than served-but-not-dequeued.
-            queued = {id(r) for queue in view.values() for r in queue}
-            selected = [r for r in selected if id(r) in queued]
-            expired = [r for r in expired if id(r) in queued]
-            taken = {id(r) for r in selected} | {id(r) for r in expired}
-            for queue in self._queues.values():
-                if any(id(r) in taken for r in queue):
-                    kept = [r for r in queue if id(r) not in taken]
-                    queue.clear()
-                    queue.extend(kept)
-            self._queued -= len(taken)
+            wave = [queue.popleft() for queue in self._queues.values()
+                    if queue]
+            self._queued -= len(wave)
             self._update_queue_gauge()
         scheduled = time.perf_counter()
 
-        # Queue wait is only knowable at dequeue time, on the scheduling
-        # clock (its span is backdated on the wall clock).
-        dequeued_at = self._clock()
-        waits = [(request, max(0.0, dequeued_at - request.queued_at)
-                  if request.queued_at else 0.0) for request in selected]
-
-        results: list[RoundResult] = []
-        for request in expired:
-            self.metrics.counter("engine.expired").inc()
-            results.append(_failed(
-                request, "expired",
-                f"request for stream {request.stream!r} missed its "
-                f"deadline while queued; it was never served"))
-        waves: list[tuple[list[EngineRequest], list[dict]]] = []
-        windows = 0
-        for wave in self._waves(selected, view):
-            outcomes, timings = self._execute_wave(wave)
-            results.extend(outcomes)
-            waves.append((wave, timings))
-            try:
-                # Count served work from the outcomes (one score per
-                # window), not from the raw request payloads — a request
-                # whose windows never scored (bad shape, ragged list)
-                # already carries a typed error result.
-                windows += sum(
-                    int(np.asarray(out.event.scores if out.kind == "event"
-                                   else out.scores).shape[0])
-                    for out in outcomes if out.kind != "error")
-            except Exception:  # noqa: BLE001 — telemetry only: an odd
-                pass           # custom-backend score shape must not lose
-                               # the already-computed round results.
-        if selected:
-            try:
-                self.metrics.counter("engine.requests").inc(len(selected))
-                self._observe_round(time.perf_counter() - scheduled,
-                                    len(selected), windows)
-            except Exception:  # noqa: BLE001 — a metric name/kind
-                pass           # collision on a shared registry is not
-                               # worth hanging the callers awaiting
-                               # these results.
-        if not results:
-            return []
+        # Queue wait is only knowable at dequeue time (its span is
+        # backdated on the wall clock).
+        dequeued_at = time.monotonic()
+        waits = [(request, max(0.0, dequeued_at - request.queued_at))
+                 for request in wave]
+        results, timings = self._execute_wave(wave)
+        try:
+            # Count served work from the outcomes (one score per window),
+            # not from the raw request payloads — a request whose windows
+            # never scored (bad shape, ragged list) already carries a
+            # typed error result.
+            windows = sum(
+                int(np.asarray(out.event.scores if out.kind == "event"
+                               else out.scores).shape[0])
+                for out in results if out.kind != "error")
+        except Exception:  # noqa: BLE001 — telemetry only: an odd
+            windows = 0    # custom-backend score shape must not lose
+                           # the already-computed round results.
+        try:
+            self.metrics.counter("engine.requests").inc(len(wave))
+            self._observe_round(time.perf_counter() - scheduled,
+                                len(wave), windows)
+        except Exception:  # noqa: BLE001 — a metric name/kind
+            pass           # collision on a shared registry is not
+                           # worth hanging the callers awaiting
+                           # these results.
         batch = _CommitBatch(
             results=results,
             timeline=RoundTimeline(
                 round_index=self.rounds, wall=wall, started=started,
                 scheduled=scheduled, handed_off=time.perf_counter(),
-                waits=waits, expired=len(expired), waves=waves,
-                windows=windows, tracer=tracer),
-            wal_seqs=[result.request.wal_seq for result in results
-                      if result.request.wal_seq is not None])
+                waits=waits, timings=timings, windows=windows,
+                tracer=self.tracer),
+            wal_seqs=[request.wal_seq for request in wave
+                      if request.wal_seq is not None])
         if self.pipeline:
             # The caller's next run_round() overlaps this batch's fsync.
             self._enqueue_commit(batch)
@@ -528,8 +464,8 @@ class ServingEngine:
         round thread or, in pipelined mode, on the committer thread.
 
         With a durability hook: advance each applied ingest's stream
-        watermark, append skip records for requests that errored or
-        expired (logged but never applied, so replay must not apply them
+        watermark, append skip records for requests that errored
+        (logged but never applied, so replay must not apply them
         either), then group-commit fsync — all *before* the results
         reach any caller, which is what makes the gateway's acks
         ack-after-append.  A due snapshot is only *flagged* here: taking
@@ -736,35 +672,12 @@ class ServingEngine:
                 seqs.extend(batch.wal_seqs)
         return min(seqs) if seqs else None
 
-    @staticmethod
-    def _waves(selected: list[EngineRequest],
-               view: dict[str, tuple]) -> list[list[EngineRequest]]:
-        """Partition a selection into waves of ≤1 request per stream,
-        each stream's requests in queue (FIFO) order, streams ordered by
-        first appearance in the policy's selection."""
-        position = {id(request): index
-                    for queue in view.values()
-                    for index, request in enumerate(queue)}
-        per_stream: dict[str, list[EngineRequest]] = {}
-        for request in selected:
-            per_stream.setdefault(request.stream, []).append(request)
-        for requests in per_stream.values():
-            requests.sort(key=lambda r: position.get(id(r), 0))
-        waves: list[list[EngineRequest]] = []
-        depth = 0
-        while True:
-            wave = [requests[depth] for requests in per_stream.values()
-                    if len(requests) > depth]
-            if not wave:
-                return waves
-            waves.append(wave)
-            depth += 1
-
     def _execute_wave(self, wave: list[EngineRequest]) \
             -> tuple[list[RoundResult], list[dict]]:
-        """Serve one wave (≤1 request per stream, so keying by stream
-        name is unambiguous) through the backend's ``serve_round``;
-        returns the wave's results and its stage timings.
+        """Serve one round's wave (≤1 request per stream, so keying by
+        stream name is unambiguous) through the backend's
+        ``serve_round``; returns the wave's results and its stage
+        timings.
 
         Failure contract: a *clean* coalesced-score failure — e.g. one
         request's windows have a frame_dim the models can't score, which
@@ -849,7 +762,7 @@ class ServingEngine:
 
     def stats(self, concurrent: bool = False) -> dict:
         """Engine-level summary for the ``stats`` op and the benchmark
-        payloads: backend/policy names, rounds, queue depths, and the
+        payloads: the backend name, rounds, queue depths, and the
         backend's coalescing counters (windows per forward).
 
         With ``concurrent=True`` (a caller on a different thread than
@@ -863,7 +776,6 @@ class ServingEngine:
         from .. import __version__
         out = {
             "backend": self.backend.name,
-            "policy": self.policy.name,
             "rounds": self.rounds,
             "queued": self.queued_depths(),
             "version": __version__,

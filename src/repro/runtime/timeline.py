@@ -1,6 +1,6 @@
 """The round timeline: the serving engine's one timing spine.
 
-Every policy-composed round stamps one :class:`RoundTimeline` —
+Every queued round stamps one :class:`RoundTimeline` —
 ``perf_counter`` instants for schedule, handoff, commit start and fsync
 end, plus the stage intervals each backend stamps inside ``serve_round``
 (:func:`stage_timing`) — and both outputs derive from it: the
@@ -69,9 +69,8 @@ class RoundTimeline:
     started: float
     scheduled: float
     handed_off: float
-    waits: list[tuple]      # (EngineRequest, seconds queued), as selected
-    expired: int
-    waves: list[tuple[list, list[dict]]]  # (wave's requests, its timings)
+    waits: list[tuple]      # (EngineRequest, seconds queued), as served
+    timings: list[dict]     # the round's stage_timing entries
     windows: int
     tracer: object = None   # repro.obs.TraceRecorder | None
     commit_started: float = 0.0
@@ -86,13 +85,13 @@ class RoundTimeline:
 
     @property
     def compute_seconds(self) -> float:
-        """Round start → handoff: scheduling plus every wave."""
+        """Round start → handoff: scheduling plus the wave."""
         return self.handed_off - self.started
 
     def close(self, metrics: MetricsRegistry, results: list,
               durable: bool) -> None:
         """Observe every stage histogram — per-request ``queue_wait``,
-        the round's ``schedule``, each wave's ``score``/``ingest``,
+        the round's ``schedule``, its ``score``/``ingest``,
         ``commit_wait`` (handoff → commit start), ``durability``
         (handoff → fsync end) — then emit a traced round's spans.
         Called once, after the commit, on the committing thread."""
@@ -101,22 +100,20 @@ class RoundTimeline:
             queue_wait.observe(wait)
         metrics.histogram("engine.stage.schedule") \
             .observe(self.scheduled - self.started)
-        waves = [(wave, stage_envelopes(timings))
-                 for wave, timings in self.waves]
-        for _, envelopes in waves:
-            for stage, (_, dur, _) in envelopes.items():
-                metrics.histogram(f"engine.stage.{stage}").observe(dur)
+        envelopes = stage_envelopes(self.timings)
+        for stage, (_, dur, _) in envelopes.items():
+            metrics.histogram(f"engine.stage.{stage}").observe(dur)
         metrics.histogram("engine.stage.commit_wait") \
             .observe(self.commit_started - self.handed_off)
         metrics.histogram("engine.stage.durability") \
             .observe(self.fsync_ended - self.handed_off)
         if self.tracer is not None:
-            self._emit_spans(results, durable, waves)
+            self._emit_spans(results, durable, envelopes)
 
     def _emit_spans(self, results: list, durable: bool,
-                    waves: list[tuple[list, dict]]) -> None:
-        """The one place engine spans come from.  Per wave, each
-        stage's envelope becomes ``engine.score``/``engine.ingest``; an
+                    envelopes: dict[str, tuple]) -> None:
+        """The one place engine spans come from.  Each stage's envelope
+        becomes ``engine.score``/``engine.ingest``; an
         entry stamped in a shard also becomes a ``shard.*`` child;
         each traced request gets a ``stage.*`` echo of the entry that
         produced *its* result, under its own context — including a
@@ -132,34 +129,32 @@ class RoundTimeline:
              context=ctx, round=index, streams=len(self.waits),
              windows=self.windows)
         span("engine.schedule", ctx, self.wall,
-             self.scheduled - self.started, selected=len(self.waits),
-             expired=self.expired)
+             self.scheduled - self.started, selected=len(self.waits))
         dequeued = self.wall + (self.scheduled - self.started)
+        traced = {}
         for request, wait in self.waits:
             if request.trace is not None:
+                traced[request.stream] = request.trace
                 span("queue.wait", request.trace, dequeued - wait, wait,
                      stream=request.stream, round=index)
-        for wave, envelopes in waves:
-            traced = {request.stream: request.trace for request in wave
-                      if request.trace is not None}
-            for stage, (ts, dur, entries) in envelopes.items():
-                stage_span = span(
-                    f"engine.{stage}", ctx, ts, dur,
-                    streams=len({name for entry in entries
-                                 for name in entry["streams"]}))
-                echoes: dict[str, dict] = {}
-                for entry in entries:
-                    if "shard" in entry:
-                        span(f"shard.{stage}", stage_span.context,
-                             entry["ts"], entry["dur"], shard=entry["shard"],
-                             pid=entry["pid"], streams=len(entry["streams"]))
-                    echoes.update((name, entry) for name in entry["streams"]
-                                  if name in traced)
-                for name, entry in echoes.items():
-                    shard = {"shard": entry["shard"]} \
-                        if "shard" in entry else {}
-                    span(f"stage.{stage}", traced[name], entry["ts"],
-                         entry["dur"], stream=name, **shard)
+        for stage, (ts, dur, entries) in envelopes.items():
+            stage_span = span(
+                f"engine.{stage}", ctx, ts, dur,
+                streams=len({name for entry in entries
+                             for name in entry["streams"]}))
+            echoes: dict[str, dict] = {}
+            for entry in entries:
+                if "shard" in entry:
+                    span(f"shard.{stage}", stage_span.context,
+                         entry["ts"], entry["dur"], shard=entry["shard"],
+                         pid=entry["pid"], streams=len(entry["streams"]))
+                echoes.update((name, entry) for name in entry["streams"]
+                              if name in traced)
+            for name, entry in echoes.items():
+                shard = {"shard": entry["shard"]} \
+                    if "shard" in entry else {}
+                span(f"stage.{stage}", traced[name], entry["ts"],
+                     entry["dur"], stream=name, **shard)
         handed_off = self.wall + self.compute_seconds
         committed = self.fsync_ended - self.handed_off
         span("engine.durability", ctx, handed_off, committed,

@@ -176,12 +176,11 @@ class DeploymentFleet(_FleetFacade):
     """
 
     def __init__(self, batcher: MicroBatcher | None = None,
-                 policy=None, metrics=None):
+                 metrics=None):
         from ..runtime.backends import InlineBackend
         self.batcher = batcher or MicroBatcher()
         self._slots: dict[str, StreamSlot] = {}
-        self.engine = ServingEngine(InlineBackend(self), policy=policy,
-                                    metrics=metrics)
+        self.engine = ServingEngine(InlineBackend(self), metrics=metrics)
 
     # ------------------------------------------------------------------
     # Lifecycle

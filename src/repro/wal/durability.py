@@ -14,8 +14,8 @@ imports this package) to make queued serving durable:
   depends on.
 * :meth:`record_applied` / :meth:`record_skip` — called as each round's
   results materialize: applied seqs advance the per-stream watermark
-  snapshots store; a request that errored (expired deadline, windows
-  that cannot score) gets a ``skip`` record so replay will not apply
+  snapshots store; a request that errored (windows that cannot score)
+  gets a ``skip`` record so replay will not apply
   what the live engine never did.
 * :meth:`flush` — called once per round's commit *before* the results
   reach any caller: one group-commit fsync covering every request the
@@ -119,7 +119,8 @@ class WalDurability:
 
     def record_skip(self, seq: int) -> None:
         """Log that the ingest record at ``seq`` was accepted but never
-        applied (expired or unscoreable) so replay skips it too."""
+        applied (unscoreable, or dropped while queued) so replay skips it
+        too."""
         self.wal.append(skip_record(seq))
 
     def record_attach(self, name: str, deployment, stream,

@@ -14,8 +14,9 @@ Each record is a JSON-safe dict with a ``"kind"`` discriminator and the
     decodes both.
 ``skip``
     Cancels one earlier ``ingest`` record (by its seq): the request was
-    accepted and logged but never reached a deployment — it expired on
-    its deadline or failed to score — so replay must not apply it.
+    accepted and logged but never reached a deployment — it failed to
+    score, or its connection dropped it while queued — so replay must
+    not apply it.
 ``attach`` / ``detach``
     A stream joining or leaving the fleet mid-run.  The attach body is
     one slot entry in the fleet-checkpoint format (deployment payload

@@ -127,29 +127,22 @@ class TestParser:
         assert args.port == 7641
         assert args.max_queue_depth == 8
         assert args.shards == 1
-        assert args.policy is None  # engine default: fair round-robin
         assert not args.adaptive
 
     def test_gateway_flags(self):
         args = build_parser().parse_args(
             ["gateway", "--streams", "8", "--port", "0", "--host", "0.0.0.0",
-             "--max-queue-depth", "2", "--shards", "2", "--adaptive",
-             "--policy", "priority"])
+             "--max-queue-depth", "2", "--shards", "2", "--adaptive"])
         assert args.streams == 8
         assert args.port == 0
         assert args.host == "0.0.0.0"
         assert args.max_queue_depth == 2
         assert args.shards == 2
         assert args.adaptive
-        assert args.policy == "priority"
 
     def test_gateway_bad_shards(self):
         with pytest.raises(SystemExit, match="--shards must be"):
             main(["gateway", "--shards", "0"])
-
-    def test_gateway_bad_policy(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["gateway", "--policy", "lifo"])
 
 
 class TestDocumentedCommands:

@@ -1,13 +1,17 @@
 """Tests for the gateway wire format: framing, validation, error typing."""
 
+import ast
 import asyncio
 import socket
 import struct
 import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.gateway.protocol import (
+    ERROR_CODES,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     FrameError,
@@ -172,3 +176,23 @@ class TestValidation:
     def test_error_frame_rejects_unknown_code(self):
         with pytest.raises(AssertionError):
             error_frame(1, "made_up_code", "nope")
+
+    def test_every_error_code_has_a_producer(self):
+        """A code in ``ERROR_CODES`` that no module outside the table
+        spells as a string literal can never reach a client: it is a
+        dead entry in the wire contract."""
+        literals: set[str] = set()
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            table = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Assign) and any(
+                        isinstance(target, ast.Name)
+                        and target.id == "ERROR_CODES"
+                        for target in node.targets):
+                    table.update(id(n) for n in ast.walk(node.value))
+            literals.update(
+                node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, str) and id(node) not in table)
+        assert [code for code in ERROR_CODES if code not in literals] == []

@@ -13,9 +13,11 @@ import pytest
 
 from repro.api import Deployment
 from repro.data import TrendShiftConfig, TrendShiftStream
+from repro.errors import ConfigError
 from repro.gateway import (
     GatewayClient,
     GatewayError,
+    GatewayServer,
     LoadGenConfig,
     LoadGenerator,
     serve_in_thread,
@@ -568,16 +570,15 @@ def _wait_for_queue(client: GatewayClient, expected: dict,
     raise AssertionError(f"queue never reached {expected!r}")
 
 
-class TestEnginePolicies:
-    """The gateway's scheduling seam: pluggable engine policies over the
-    wire — parity under every policy, deadlines shed stale work."""
+class TestEngineRounds:
+    """The gateway over the engine's rounds: wire-served scores equal
+    the seed-style step, and ``policy="fair"`` is the only name the
+    server accepts."""
 
-    @pytest.mark.parametrize("policy", ["fair", "greedy", "priority"])
-    def test_parity_under_every_policy(self, fleet_factory, materialized,
-                                       policy):
+    def test_parity_under_fair_rounds(self, fleet_factory, materialized):
         windows, reference = materialized
         with fleet_factory() as fleet, \
-                serve_in_thread(fleet, policy=policy) as handle:
+                serve_in_thread(fleet, policy="fair") as handle:
             with GatewayClient(*handle.address) as client:
                 for name in windows:
                     client.attach(name)
@@ -588,58 +589,34 @@ class TestEnginePolicies:
                         assert np.array_equal(
                             reply["scores_array"],
                             reference[name][round_index]), \
-                            f"{policy}: {name}[{round_index}] diverged"
+                            f"{name}[{round_index}] diverged"
                 stats = client.stats()
-                assert stats["engine"]["policy"] == policy
+                assert "policy" not in stats["engine"]
                 assert stats["engine"]["backend"] == "inline"
                 assert stats["engine"]["rounds"] >= 1
 
-    def test_priority_request_fields_validated(self, fleet_factory,
-                                               materialized):
-        windows, _ = materialized
+    @pytest.mark.parametrize("policy", ["greedy", "priority", "FAIR",
+                                        None])
+    def test_unknown_policy_refused(self, fleet_factory, policy):
+        with fleet_factory() as fleet:
+            with pytest.raises(ConfigError, match="policy"):
+                GatewayServer(fleet, policy=policy)
+
+    @pytest.mark.parametrize("priority", ["high", -1])
+    def test_former_scheduling_fields_are_ignored(
+            self, fleet_factory, materialized, priority):
+        """``priority`` was validated once; it is now an unknown request
+        field like any other, and the request is served as usual."""
+        windows, reference = materialized
         with fleet_factory() as fleet, serve_in_thread(fleet) as handle:
             with GatewayClient(*handle.address) as client:
                 client.attach("cam-0")
-                body = np.asarray(windows["cam-0"][0]).tolist()
-                with pytest.raises(GatewayError) as err:
-                    client.request("ingest", stream="cam-0", windows=body,
-                                   priority="high")
-                assert err.value.code == "bad_request"
-                with pytest.raises(GatewayError) as err:
-                    client.request("ingest", stream="cam-0", windows=body,
-                                   deadline_ms=-5)
-                assert err.value.code == "bad_request"
-
-    def test_missed_deadline_answers_expired(self, fleet_factory,
-                                             materialized):
-        windows, reference = materialized
-        with fleet_factory() as fleet, \
-                serve_in_thread(fleet, policy="priority") as handle:
-            handle.pause_rounds()  # let the deadline lapse while queued
-            client = GatewayClient(*handle.address)
-            observer = GatewayClient(*handle.address)
-            try:
-                client.attach("cam-0")
-                observer.attach("cam-0")
-                with ThreadPoolExecutor(max_workers=1) as pool:
-                    doomed = pool.submit(
-                        client.request, "ingest", stream="cam-0",
-                        windows=np.asarray(windows["cam-0"][0]).tolist(),
-                        deadline_ms=20)
-                    _wait_for_queue(observer, {"cam-0": 1})
-                    time.sleep(0.1)  # 20 ms deadline long gone
-                    handle.resume_rounds()
-                    with pytest.raises(GatewayError) as err:
-                        doomed.result(timeout=60)
-                    assert err.value.code == "expired"
-                # The expired request consumed no deployment step.
-                reply = observer.ingest("cam-0", windows["cam-0"][0])
-                assert reply["step"] == 0
-                assert np.array_equal(reply["scores_array"],
-                                      reference["cam-0"][0])
-            finally:
-                client.close()
-                observer.close()
+                reply = client.request(
+                    "ingest", stream="cam-0", priority=priority,
+                    windows=np.asarray(windows["cam-0"][0]).tolist())
+        np.testing.assert_array_equal(
+            np.asarray(reply["scores"], dtype=np.float64),
+            reference["cam-0"][0])
 
 
 class TestFleetRoundEntryPoints:

@@ -1,14 +1,20 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, invariant, rule,
+                                 run_state_machine_as_test)
 
 from repro.adaptation import AnomalyScoreMonitor, MonitorConfig
 from repro.embedding import BPETokenizer
 from repro.eval import roc_auc
 from repro.kg import ReasoningKG
 from repro.nn import Tensor
+from repro.runtime import (AdmissionError, EngineRequest, ExecutionBackend,
+                           FleetEvent, ServingEngine)
 
 # ----------------------------------------------------------------------
 # Autodiff engine properties
@@ -185,3 +191,163 @@ class TestKGInvariantProperties:
                 level = int(rng.integers(1, 3))
                 kg.create_node(level=level, token_dim=4, n_tokens=2, rng=rng)
             kg.validate()  # invariants hold after every operation
+
+
+# ----------------------------------------------------------------------
+# Admission-queue histories: the engine's rounds against a deque model
+# ----------------------------------------------------------------------
+STREAMS = ("a", "b", "c")
+
+
+class _RecordingBackend(ExecutionBackend):
+    """A stub substrate: a request's windows hold its id, its "score" is
+    that id, and every ingest is recorded in per-stream order."""
+
+    name = "recording"
+
+    def __init__(self):
+        self.ingested: dict[str, list[int]] = {name: [] for name in STREAMS}
+        self.waves: list[list[str]] = []
+
+    def pull_round(self, batched):
+        return []
+
+    def serve_round(self, arrivals, ingest_names):
+        self.waves.append(list(arrivals))
+        scored = self.score(arrivals)
+        return scored, self.ingest({name: arrivals[name]
+                                    for name in ingest_names}, scored), [], []
+
+    def score(self, arrivals):
+        return {name: np.asarray(windows)[:, 0, 0]
+                for name, windows in arrivals.items()}
+
+    def ingest(self, arrivals, scores=None, batched=True):
+        scores = scores or self.score(arrivals)
+        events = {}
+        for name in arrivals:
+            self.ingested[name].append(int(scores[name][0]))
+            events[name] = FleetEvent(stream=name, mission=None,
+                                      step=len(self.ingested[name]) - 1,
+                                      scores=scores[name])
+        return events
+
+
+class AdmissionQueueMachine(RuleBasedStateMachine):
+    """Generated submit / run_round / drop_pending histories checked
+    against one deque per stream: each round serves the front of every
+    non-empty queue (streams in first-arrival order), every request ends
+    exactly once, and the engine's counts equal the model's."""
+
+    def __init__(self, pipeline: bool, max_queue_depth: int):
+        super().__init__()
+        self.backend = _RecordingBackend()
+        self.delivered = []
+        self.max_queue_depth = max_queue_depth
+        self.engine = ServingEngine(self.backend,
+                                    max_queue_depth=max_queue_depth,
+                                    pipeline=pipeline,
+                                    on_commit=self.delivered.extend)
+        self.model: dict[str, deque] = {}     # first-arrival order
+        self.outcomes: dict[int, str] = {}
+        self.ops: dict[int, str] = {}
+        self.owners: dict[int, int] = {}
+        self.next_id = 0
+
+    def _end(self, request_id: int, outcome: str) -> None:
+        assert request_id not in self.outcomes, \
+            f"request {request_id} ended twice"
+        self.outcomes[request_id] = outcome
+
+    @rule(stream=st.sampled_from(STREAMS),
+          op=st.sampled_from(("ingest", "scores")),
+          owner=st.integers(0, 2))
+    def submit(self, stream, op, owner):
+        request_id, self.next_id = self.next_id, self.next_id + 1
+        self.ops[request_id], self.owners[request_id] = op, owner
+        queue = self.model.setdefault(stream, deque())
+        try:
+            self.engine.submit(EngineRequest(
+                op=op, stream=stream, tag=request_id,
+                windows=np.full((1, 1, 1), float(request_id))))
+        except AdmissionError as exc:
+            assert exc.code == "backpressure"
+            assert len(queue) >= self.max_queue_depth
+            self._end(request_id, "backpressure")
+            return
+        assert len(queue) < self.max_queue_depth
+        queue.append(request_id)
+
+    @rule()
+    def run_round(self):
+        expected = {stream: queue.popleft()
+                    for stream, queue in self.model.items() if queue}
+        waves = len(self.backend.waves)
+        results = self.engine.run_round()
+        if self.engine.pipeline:
+            assert results == []
+            assert self.engine.drain_commits(timeout=10.0)
+            results = self.delivered[:]
+            self.delivered.clear()
+        if not expected:
+            assert results == [] and len(self.backend.waves) == waves
+            return
+        # One wave per round: the front of every non-empty queue, once.
+        assert self.backend.waves[waves:] == [list(expected)]
+        assert {r.request.stream: r.request.tag for r in results} == expected
+        assert len(results) == len(expected)
+        for result in results:
+            request_id = result.request.tag
+            kind = "event" if self.ops[request_id] == "ingest" else "scores"
+            assert result.kind == kind
+            self._end(request_id, kind)
+
+    @rule(owner=st.integers(0, 2))
+    def drop_pending(self, owner):
+        dropped = self.engine.drop_pending(
+            lambda request: self.owners[request.tag] == owner)
+        expected = []
+        for queue in self.model.values():
+            expected += [rid for rid in queue if self.owners[rid] == owner]
+            kept = [rid for rid in queue if self.owners[rid] != owner]
+            queue.clear()
+            queue.extend(kept)
+        assert sorted(r.tag for r in dropped) == sorted(expected)
+        for request_id in expected:
+            self._end(request_id, "dropped")
+
+    @invariant()
+    def counts_match_the_model(self):
+        pending = sum(len(queue) for queue in self.model.values())
+        assert self.engine.pending_count() == pending
+        assert self.engine.metrics.gauge("engine.queue_depth").value \
+            == pending
+        assert self.engine.queued_depths() == {
+            stream: len(queue) for stream, queue in self.model.items()
+            if queue}
+
+    @invariant()
+    def each_stream_ingests_fifo(self):
+        for stream, ingested in self.backend.ingested.items():
+            assert ingested == sorted(ingested), stream
+
+    def teardown(self):
+        while self.engine.has_pending():
+            self.run_round()
+        self.engine.stop_committer()
+        assert sorted(self.outcomes) == list(range(self.next_id)), \
+            "a submitted request never ended"
+
+
+class TestAdmissionQueueHistories:
+    # Depth 1 refuses a stream's second request; depth 3 lets backlogs
+    # build up behind the front for drops and rounds to work through.
+    @pytest.mark.parametrize("max_queue_depth", [1, 3],
+                             ids=["depth1", "depth3"])
+    @pytest.mark.parametrize("pipeline", [False, True],
+                             ids=["serial", "pipelined"])
+    def test_generated_histories(self, pipeline, max_queue_depth):
+        run_state_machine_as_test(
+            lambda: AdmissionQueueMachine(pipeline, max_queue_depth),
+            settings=settings(max_examples=40, stateful_step_count=30,
+                              deadline=None))

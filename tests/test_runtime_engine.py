@@ -1,15 +1,12 @@
-"""Tests for the unified serving core: engine, backends, policies.
+"""Tests for the unified serving core: engine and backends.
 
-The load-bearing property: every (ExecutionBackend, SchedulingPolicy)
-combination serves **bit-identical** per-stream scores to a seed-style
-direct ``DeploymentFleet.step()`` run over the same windows — backends
-and policies may only change *round composition*, never a score bit.
-Plus: engine metrics land in one registry, admission control bounds the
-queues, deadlines expire stale work, and per-stream FIFO survives every
-policy.
+The load-bearing property: every ExecutionBackend serves
+**bit-identical** per-stream scores to a seed-style direct
+``DeploymentFleet.step()`` run over the same windows — a backend may
+only change where the compute runs, never a score bit.  Plus: engine
+metrics land in one registry, admission control bounds the queues, and
+each round serves the front of every stream's queue, FIFO.
 """
-
-import time
 
 import numpy as np
 import pytest
@@ -21,12 +18,8 @@ from repro.obs import TraceRecorder, check_trace, span_dicts
 from repro.runtime import (
     AdmissionError,
     EngineRequest,
-    FairRoundRobin,
-    GreedyDrain,
     InlineBackend,
-    PriorityAdmission,
     ShardedBackend,
-    resolve_policy,
 )
 from repro.serving import DeploymentFleet, FleetInfra, ShardedFleet
 
@@ -69,7 +62,7 @@ def materialized(fresh_model, frame_generator):
 
 
 def drain_engine(engine):
-    """Run policy-composed rounds until the queues empty; returns
+    """Run rounds until the queues empty; returns
     (per-stream score lists in served order, engine rounds used)."""
     served: dict[str, list] = {}
     errors = []
@@ -88,50 +81,36 @@ def drain_engine(engine):
 
 
 class TestBackendPolicyParityMatrix:
-    """(InlineBackend, ShardedBackend) x (fair, greedy, priority)."""
-
-    POLICIES = {
-        "fair": FairRoundRobin,
-        "greedy": GreedyDrain,
-        "priority": PriorityAdmission,
-    }
+    """InlineBackend and ShardedBackend against the seed-style step."""
 
     @pytest.mark.parametrize("backend", ["inline", "sharded"])
-    @pytest.mark.parametrize("policy", ["fair", "greedy", "priority"])
     def test_scores_bit_identical_to_seed_step(
-            self, fresh_model, frame_generator, backend, policy,
-            materialized):
+            self, fresh_model, frame_generator, backend, materialized):
         windows, reference = materialized
         fleet = make_fleet(fresh_model, frame_generator)
         if backend == "sharded":
             fleet = ShardedFleet.from_fleet(fleet, shards=2, infra=INFRA)
         with fleet:
             engine = fleet.engine
-            engine.policy = self.POLICIES[policy]()
             assert isinstance(
                 engine.backend,
                 InlineBackend if backend == "inline" else ShardedBackend)
-            # Interleaved arrivals with distinct priorities, so the
-            # priority policy actually reorders cross-stream.
+            # Interleaved arrivals: every stream's whole backlog queued
+            # before the first round.
             for round_index in range(ROUNDS):
-                for position, name in enumerate(windows):
+                for name in windows:
                     engine.submit(EngineRequest(
                         op="ingest", stream=name,
-                        windows=windows[name][round_index],
-                        priority=position))
+                        windows=windows[name][round_index]))
             served, engine_rounds = drain_engine(engine)
         for name, expected_rounds in reference.items():
             assert len(served[name]) == len(expected_rounds)
             for round_index, expected in enumerate(expected_rounds):
                 np.testing.assert_array_equal(
                     served[name][round_index], expected,
-                    err_msg=f"{backend}x{policy}: {name} round "
+                    err_msg=f"{backend}: {name} round "
                             f"{round_index} diverged")
-        # Policies differ only in round composition.
-        if policy == "greedy":
-            assert engine_rounds == 1        # whole backlog in one round
-        elif policy == "fair":
-            assert engine_rounds == ROUNDS   # <=1 per stream per round
+        assert engine_rounds == ROUNDS   # <=1 per stream per round
 
     @pytest.mark.parametrize("pipeline", [False, True],
                              ids=["serial", "pipelined"])
@@ -243,7 +222,7 @@ class TestEngineMetrics:
         fleet.step()
         stats = fleet.engine.stats()
         assert stats["backend"] == "inline"
-        assert stats["policy"] == "fair"
+        assert "policy" not in stats
         assert stats["rounds"] == 1
         # 3 streams share one scoring model: one coalesced forward for
         # all 6 windows.
@@ -282,7 +261,6 @@ class TestEngineMetrics:
         fleet = make_fleet(fresh_model, frame_generator)
         engine = fleet.engine
         engine.max_queue_depth = 2
-        engine.policy = GreedyDrain(max_per_stream=1)
 
         def check():
             total = sum(engine.queued_depths().values())
@@ -338,7 +316,7 @@ class TestEngineMetrics:
         assert registry.to_dict()["counters"]["engine.rounds"] == 1
 
 
-class TestAdmissionAndDeadlines:
+class TestAdmission:
     def test_backpressure_beyond_max_queue_depth(self, fresh_model,
                                                  frame_generator,
                                                  materialized):
@@ -353,65 +331,6 @@ class TestAdmissionAndDeadlines:
                                         windows=windows["cam-0"][1]))
         assert err.value.code == "backpressure"
         assert "retry" in err.value.message
-
-    def test_expired_deadline_is_shed_not_served(self, fresh_model,
-                                                 frame_generator,
-                                                 materialized):
-        windows, reference = materialized
-        fleet = make_fleet(fresh_model, frame_generator)
-        engine = fleet.engine
-        engine.policy = PriorityAdmission()
-        engine.submit(EngineRequest(op="ingest", stream="cam-0",
-                                    windows=windows["cam-0"][0],
-                                    deadline=time.monotonic() - 1.0))
-        engine.submit(EngineRequest(op="ingest", stream="cam-1",
-                                    windows=windows["cam-1"][0]))
-        results = {r.request.stream: r for r in engine.run_round()}
-        assert results["cam-0"].kind == "error"
-        assert results["cam-0"].code == "expired"
-        assert results["cam-1"].kind == "event"
-        np.testing.assert_array_equal(results["cam-1"].event.scores,
-                                      reference["cam-1"][0])
-        # The expired stream never consumed a deployment step.
-        event = fleet.ingest_round(
-            {"cam-0": windows["cam-0"][0]})["cam-0"]
-        assert event.step == 0
-        assert engine.metrics.to_dict()["counters"]["engine.expired"] == 1
-
-    def test_priority_orders_streams_under_round_cap(self, fresh_model,
-                                                     frame_generator,
-                                                     materialized):
-        windows, _ = materialized
-        fleet = make_fleet(fresh_model, frame_generator)
-        engine = fleet.engine
-        engine.policy = PriorityAdmission(max_streams=1)
-        engine.submit(EngineRequest(op="ingest", stream="cam-0",
-                                    windows=windows["cam-0"][0],
-                                    priority=0))
-        engine.submit(EngineRequest(op="ingest", stream="cam-2",
-                                    windows=windows["cam-2"][0],
-                                    priority=5))
-        first = engine.run_round()
-        assert [r.request.stream for r in first] == ["cam-2"]
-        second = engine.run_round()
-        assert [r.request.stream for r in second] == ["cam-0"]
-
-    def test_greedy_cap_limits_per_stream_drain(self, fresh_model,
-                                                frame_generator,
-                                                materialized):
-        windows, reference = materialized
-        fleet = make_fleet(fresh_model, frame_generator)
-        engine = fleet.engine
-        engine.policy = GreedyDrain(max_per_stream=2)
-        for round_index in range(ROUNDS):
-            engine.submit(EngineRequest(op="ingest", stream="cam-0",
-                                        windows=windows["cam-0"][round_index]))
-        results = engine.run_round()
-        assert len(results) == 2           # two FIFO waves in one round
-        assert engine.queued_depths() == {"cam-0": 1}
-        for round_index, result in enumerate(results):
-            np.testing.assert_array_equal(result.event.scores,
-                                          reference["cam-0"][round_index])
 
     def test_drop_pending_cancels_matching_work(self, fresh_model,
                                                 frame_generator,
@@ -429,107 +348,175 @@ class TestAdmissionAndDeadlines:
         assert dropped == [doomed]
         assert engine.queued_depths() == {"cam-1": 1}
 
-    def test_broken_policy_degrades_to_fair_service(self, fresh_model,
-                                                    frame_generator,
-                                                    materialized):
-        """A raising policy must not wedge the engine (or, through it,
-        the gateway's round loop): run_round falls back to serving each
-        queue's front request and counts the failure."""
+    def test_backpressure_lifts_once_the_front_is_served(
+            self, fresh_model, frame_generator, materialized):
         windows, reference = materialized
-        fleet = make_fleet(fresh_model, frame_generator)
-        engine = fleet.engine
-
-        class ExplodingPolicy(FairRoundRobin):
-            def select(self, queues, now):
-                raise RuntimeError("scheduler bug")
-
-        engine.policy = ExplodingPolicy()
+        engine = make_fleet(fresh_model, frame_generator).engine
+        engine.max_queue_depth = 1
         engine.submit(EngineRequest(op="ingest", stream="cam-0",
                                     windows=windows["cam-0"][0]))
-        results = engine.run_round()
-        assert [r.kind for r in results] == ["event"]
-        np.testing.assert_array_equal(results[0].event.scores,
+        with pytest.raises(AdmissionError):
+            engine.submit(EngineRequest(op="ingest", stream="cam-0",
+                                        windows=windows["cam-0"][1]))
+        [served] = engine.run_round()
+        np.testing.assert_array_equal(served.event.scores,
                                       reference["cam-0"][0])
-        assert not engine.has_pending()
-        assert engine.metrics.to_dict()["counters"][
-            "engine.policy_errors"] == 1
+        # The refused request was never queued: resubmitting it is the
+        # stream's next round, not a duplicate.
+        engine.submit(EngineRequest(op="ingest", stream="cam-0",
+                                    windows=windows["cam-0"][1]))
+        [served] = engine.run_round()
+        np.testing.assert_array_equal(served.event.scores,
+                                      reference["cam-0"][1])
+        assert served.event.step == 1
 
-    def test_stale_policy_selection_is_ignored(self, fresh_model,
+
+def served_order(results):
+    """``[(stream, scores)]`` of a round's results, in result order."""
+    assert all(r.kind == "event" for r in results), \
+        [(r.code, r.message) for r in results]
+    return [(r.request.stream, r.event.scores) for r in results]
+
+
+class TestRoundShape:
+    """Every round serves the front request of every non-empty stream
+    queue — at most one per stream, streams in first-arrival order —
+    and nothing queued is ever shed."""
+
+    @pytest.mark.parametrize("backend", ["inline", "sharded"])
+    def test_front_of_each_queue_in_first_arrival_order(
+            self, fresh_model, frame_generator, materialized, backend):
+        windows, reference = materialized
+        fleet = make_fleet(fresh_model, frame_generator)
+        if backend == "sharded":
+            fleet = ShardedFleet.from_fleet(fleet, shards=2, infra=INFRA)
+        arrivals = [("cam-2", 0), ("cam-0", 0), ("cam-2", 1),
+                    ("cam-1", 0), ("cam-0", 1), ("cam-2", 2)]
+        with fleet:
+            engine = fleet.engine
+            for name, index in arrivals:
+                engine.submit(EngineRequest(op="ingest", stream=name,
+                                            windows=windows[name][index]))
+            rounds = []
+            while engine.has_pending():
+                rounds.append(served_order(engine.run_round()))
+                assert engine.metrics.gauge(
+                    "engine.last_round_streams").value == len(rounds[-1])
+        expected = [[("cam-2", 0), ("cam-0", 0), ("cam-1", 0)],
+                    [("cam-2", 1), ("cam-0", 1)],
+                    [("cam-2", 2)]]
+        assert [[name for name, _ in served] for served in rounds] \
+            == [[name for name, _ in wave] for wave in expected]
+        for served, wave in zip(rounds, expected):
+            for (name, scores), (_, index) in zip(served, wave):
+                np.testing.assert_array_equal(scores,
+                                              reference[name][index])
+
+    @pytest.mark.parametrize("backend", ["inline", "sharded"])
+    def test_late_stream_joins_the_next_round(
+            self, fresh_model, frame_generator, materialized, backend):
+        windows, reference = materialized
+        fleet = make_fleet(fresh_model, frame_generator)
+        if backend == "sharded":
+            fleet = ShardedFleet.from_fleet(fleet, shards=2, infra=INFRA)
+        with fleet:
+            engine = fleet.engine
+            for index in range(2):
+                engine.submit(EngineRequest(op="ingest", stream="cam-1",
+                                            windows=windows["cam-1"][index]))
+            first = served_order(engine.run_round())
+            engine.submit(EngineRequest(op="ingest", stream="cam-0",
+                                        windows=windows["cam-0"][0]))
+            second = served_order(engine.run_round())
+            assert engine.run_round() == []
+        assert [name for name, _ in first] == ["cam-1"]
+        # cam-1 arrived first, so it stays ahead of the newcomer.
+        assert [name for name, _ in second] == ["cam-1", "cam-0"]
+        np.testing.assert_array_equal(second[0][1], reference["cam-1"][1])
+        np.testing.assert_array_equal(second[1][1], reference["cam-0"][0])
+
+    def test_scores_and_ingest_share_one_round(self, fresh_model,
                                                frame_generator,
                                                materialized):
-        """A policy returning request objects that are not actually
-        queued (stale echoes) must not serve-without-dequeuing."""
         windows, reference = materialized
-        fleet = make_fleet(fresh_model, frame_generator)
-        engine = fleet.engine
-        stale = EngineRequest(op="ingest", stream="cam-0",
-                              windows=windows["cam-0"][1])
-
-        class StalePolicy(FairRoundRobin):
-            def select(self, queues, now):
-                plan = super().select(queues, now)
-                plan.entries.append(stale)  # never submitted
-                return plan
-
-        engine.policy = StalePolicy()
+        engine = make_fleet(fresh_model, frame_generator).engine
         engine.submit(EngineRequest(op="ingest", stream="cam-0",
                                     windows=windows["cam-0"][0]))
-        results = engine.run_round()
-        assert len(results) == 1
-        np.testing.assert_array_equal(results[0].event.scores,
-                                      reference["cam-0"][0])
-        assert not engine.has_pending()
+        engine.submit(EngineRequest(op="scores", stream="cam-1",
+                                    windows=windows["cam-1"][0]))
+        engine.submit(EngineRequest(op="ingest", stream="cam-1",
+                                    windows=windows["cam-1"][0]))
+        ingest, scores = engine.run_round()
+        assert (ingest.kind, scores.kind) == ("event", "scores")
+        assert engine.rounds == 1
+        np.testing.assert_array_equal(scores.scores, reference["cam-1"][0])
+        # The scores op queued ahead of cam-1's ingest took its round but
+        # not its stream step.
+        [late] = engine.run_round()
+        assert late.event.step == 0
+        np.testing.assert_array_equal(late.event.scores,
+                                      reference["cam-1"][0])
 
+    def test_long_queued_request_is_served_not_shed(
+            self, fresh_model, frame_generator, materialized):
+        windows, reference = materialized
+        engine = make_fleet(fresh_model, frame_generator).engine
+        for index in range(ROUNDS):
+            engine.submit(EngineRequest(op="ingest", stream="cam-0",
+                                        windows=windows["cam-0"][index]))
+        served, rounds = drain_engine(engine)
+        assert rounds == ROUNDS
+        for index, expected in enumerate(reference["cam-0"]):
+            np.testing.assert_array_equal(served["cam-0"][index], expected)
+        counters = engine.metrics.to_dict()["counters"]
+        assert counters["engine.requests"] == ROUNDS
+        assert "engine.expired" not in counters
+        waits = engine.metrics.histogram("engine.stage.queue_wait")
+        assert waits.count == ROUNDS
 
-class TestPolicyUnits:
-    def _queues(self, *requests):
-        queues: dict[str, list] = {}
-        for request in requests:
-            queues.setdefault(request.stream, []).append(request)
-        return {name: tuple(q) for name, q in queues.items()}
+    def test_drop_of_a_front_request_promotes_the_next(
+            self, fresh_model, frame_generator, materialized):
+        windows, reference = materialized
+        engine = make_fleet(fresh_model, frame_generator).engine
+        for index in range(2):
+            engine.submit(EngineRequest(op="ingest", stream="cam-0",
+                                        tag=index,
+                                        windows=windows["cam-0"][index]))
+        [dropped] = engine.drop_pending(lambda r: r.tag == 0)
+        assert dropped.tag == 0
+        [served] = engine.run_round()
+        assert served.request.tag == 1
+        # The dropped request never reached the model: the survivor
+        # takes the stream's first step, with its own windows' scores.
+        assert served.event.step == 0
+        np.testing.assert_array_equal(served.event.scores,
+                                      reference["cam-0"][1])
 
-    def _request(self, stream, priority=0, deadline=None, queued_at=0.0):
-        return EngineRequest(op="ingest", stream=stream,
-                             windows=np.zeros((1, 2, 3)),
-                             priority=priority, deadline=deadline,
-                             queued_at=queued_at)
+    def test_empty_round_records_nothing(self, fresh_model,
+                                         frame_generator):
+        engine = make_fleet(fresh_model, frame_generator).engine
+        engine.tracer = recorder = TraceRecorder()
+        assert engine.run_round() == []
+        assert engine.rounds == 0
+        assert "engine.rounds" not in engine.metrics.to_dict()["counters"]
+        assert recorder.snapshot() == []
 
-    def test_fair_takes_one_per_stream_in_arrival_order(self):
-        a0, a1 = self._request("a"), self._request("a")
-        b0 = self._request("b")
-        plan = FairRoundRobin().select(self._queues(a0, a1, b0), now=0.0)
-        assert plan.entries == [a0, b0]
-        assert plan.expired == []
-
-    def test_greedy_drains_up_to_cap(self):
-        a = [self._request("a") for _ in range(3)]
-        plan = GreedyDrain(max_per_stream=2).select(self._queues(*a), 0.0)
-        assert plan.entries == a[:2]
-        assert GreedyDrain().select(self._queues(*a), 0.0).entries == a
-
-    def test_priority_orders_and_expires(self):
-        stale = self._request("a", deadline=5.0)
-        live = self._request("a", priority=1, queued_at=2.0)
-        urgent = self._request("b", priority=9, queued_at=3.0)
-        plan = PriorityAdmission().select(self._queues(stale, live, urgent),
-                                          now=10.0)
-        assert plan.expired == [stale]
-        assert plan.entries == [urgent, live]
-
-    def test_priority_breaks_ties_by_queue_age(self):
-        older = self._request("a", queued_at=1.0)
-        newer = self._request("b", queued_at=2.0)
-        plan = PriorityAdmission().select(self._queues(newer, older), 5.0)
-        assert plan.entries == [older, newer]
-
-    def test_resolve_policy(self):
-        assert isinstance(resolve_policy(None), FairRoundRobin)
-        assert isinstance(resolve_policy("greedy"), GreedyDrain)
-        custom = PriorityAdmission(max_streams=2)
-        assert resolve_policy(custom) is custom
-        with pytest.raises(ValueError, match="unknown scheduling policy"):
-            resolve_policy("lifo")
-        with pytest.raises(ValueError):
-            GreedyDrain(max_per_stream=0)
-        with pytest.raises(ValueError):
-            PriorityAdmission(max_streams=0)
+    def test_traced_round_is_one_wave(self, fresh_model, frame_generator,
+                                      materialized):
+        windows, _ = materialized
+        engine = make_fleet(fresh_model, frame_generator).engine
+        engine.tracer = recorder = TraceRecorder()
+        for name in windows:
+            for index in range(2):
+                engine.submit(EngineRequest(op="ingest", stream=name,
+                                            windows=windows[name][index]))
+        drain_engine(engine)
+        spans = span_dicts(recorder.snapshot())
+        names = [span["name"] for span in spans]
+        assert names.count("engine.round") == 2
+        # One wave per round: one score and one ingest stage each.
+        assert names.count("engine.score") == 2
+        assert names.count("engine.ingest") == 2
+        schedules = [span["attrs"] for span in spans
+                     if span["name"] == "engine.schedule"]
+        assert schedules == [{"selected": 3}, {"selected": 3}]

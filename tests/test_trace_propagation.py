@@ -271,6 +271,23 @@ class TestStatsSurface:
                 "shards=2\n") in out
         assert "shm" not in out
 
+    def test_repro_stats_engine_line(self, fleet_factory, materialized,
+                                     capsys):
+        """The engine line names the backend, the rounds served and the
+        queue — no scheduling policy."""
+        windows, reference = materialized
+        with fleet_factory() as fleet, serve_in_thread(fleet) as handle:
+            drive(handle.address, windows, reference)
+            host, port = handle.address
+            capsys.readouterr()
+            assert cli.main(["stats", "--host", host,
+                             "--port", str(port)]) == 0
+            rounds = fleet.rounds
+        out = capsys.readouterr().out
+        assert (f"  engine: backend inline, {rounds} round(s), 0 queued "
+                "request(s) across 0 stream(s)\n") in out
+        assert "policy" not in out
+
     def test_engine_stats_uptime_is_monotonic(self, fleet_factory):
         with fleet_factory(streams=1) as fleet:
             first = fleet.engine.stats()

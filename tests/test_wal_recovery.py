@@ -270,19 +270,30 @@ class TestSkipRecords:
         events = recovered.ingest_round({victim: windows[victim][0]})
         assert np.array_equal(events[victim].scores, reference[victim][0])
 
-    def test_expired_deadline_replays_as_skip(self, fleet_factory,
-                                              materialized, tmp_path):
-        from repro.runtime import PriorityAdmission
-        windows, _ = materialized
+    @pytest.mark.parametrize("pipeline", [False, True],
+                             ids=["serial", "pipelined"])
+    def test_unscoreable_ingest_replays_as_skip(self, fleet_factory,
+                                                tmp_path, pipeline):
+        """A request that errors in its round reaches the commit as a
+        ``skip`` record: logged at admission, never applied — whether
+        the round thread or the committer thread commits it."""
         fleet = fleet_factory()
         durability = make_durable(fleet, tmp_path)
-        fleet.engine.policy = PriorityAdmission()  # the deadline-aware one
+        engine = fleet.engine
+        delivered = []
+        engine.pipeline = pipeline
+        engine.on_commit = delivered.extend
         name = fleet.names[0]
-        fleet.engine.submit(EngineRequest(
-            op="ingest", stream=name, windows=windows[name][0],
-            deadline=fleet.engine.now() - 1.0))   # already expired
-        results = fleet.engine.run_round()
-        assert [r.code for r in results] == ["expired"]
+        engine.submit(EngineRequest(
+            op="ingest", stream=name,
+            windows=np.zeros((1, 4, 7))))   # a frame_dim no model scores
+        results = engine.run_round()
+        if pipeline:
+            assert results == []
+            assert engine.drain_commits(timeout=30.0)
+            engine.stop_committer()
+            results = delivered
+        assert [r.code for r in results] == ["bad_request"]
         durability.wal.flush()
         recovered, report = recover_fleet(tmp_path)
         assert report.skipped == 1 and report.replayed == 0
