@@ -66,9 +66,6 @@ def main() -> int:
         with GatewayClient(host, port) as client:
             name = fleet.names[0]
             client.attach(name)
-            print(f"      negotiated wire codec: {client.negotiated_codec} "
-                  f"(protocol v{client.protocol_version}; windows/scores "
-                  "ride as raw float64 buffers)")
             reply = client.ingest(name, windows[name][0])
             identical = np.array_equal(reply["scores_array"],
                                        reference[name][0])

@@ -1,7 +1,7 @@
 """wire-consts: the two wire modules agree on their framing constants.
 
 :mod:`repro.utils.binframe` (binary body codec) and
-:mod:`repro.gateway.protocol` (stream framing + negotiation) each carry
+:mod:`repro.gateway.protocol` (stream framing) each carry
 constants the other relies on: the 2-byte magic, the 16-byte
 little-endian binary header, the big-endian u32 JSON length prefix, the
 32 MiB frame cap, op/flag field widths.  This rule reads the constants
@@ -14,8 +14,7 @@ out of both modules' ASTs (folding literal arithmetic like
 * the JSON length prefix ``_HEADER`` stays ``">I"`` (big-endian u32) and
   ``MAX_FRAME_BYTES`` fits in it;
 * ``len(OPS) + 1`` fits the u8 op field, ``PROTOCOL_VERSION`` the u8
-  version field (and is listed in ``SUPPORTED_VERSIONS``),
-  ``FLAG_RESPONSE`` the u16 flags field;
+  version field, ``FLAG_RESPONSE`` the u16 flags field;
 * every framing entry point (``encode_frame``/``read_frame``/
   ``write_frame``/``recv_frame``/``send_frame``) defaults its
   ``max_bytes`` parameter to ``MAX_FRAME_BYTES`` — the cap is enforced
@@ -213,12 +212,6 @@ class WireConstsRule(Rule):
             yield self._fail(facts, "PROTOCOL_VERSION",
                              f"PROTOCOL_VERSION={version} does not fit the "
                              f"u8 binary version field")
-        supported = facts.const("SUPPORTED_VERSIONS")
-        if isinstance(version, int) and isinstance(supported, tuple) \
-                and version not in supported:
-            yield self._fail(facts, "SUPPORTED_VERSIONS",
-                             f"PROTOCOL_VERSION={version} is missing from "
-                             f"SUPPORTED_VERSIONS={supported}")
         flags = facts.const("FLAG_RESPONSE")
         if isinstance(flags, int) and not 0 <= flags <= 0xFFFF:
             yield self._fail(facts, "FLAG_RESPONSE",

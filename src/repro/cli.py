@@ -245,7 +245,7 @@ def cmd_gateway(args) -> int:
     try:
         server = GatewayServer(fleet, host=args.host, port=args.port,
                                max_queue_depth=args.max_queue_depth,
-                               codec=args.codec, pipeline=args.pipeline_rounds,
+                               pipeline=args.pipeline_rounds,
                                **wal_kwargs, **trace_kwargs)
     except DurabilityError as exc:
         fleet.close()
@@ -253,8 +253,7 @@ def cmd_gateway(args) -> int:
 
     async def main() -> None:
         host, port = await server.start()
-        print(f"[gateway] listening on {host}:{port} "
-              f"(codecs: {'/'.join(server.codecs)}) — streams: "
+        print(f"[gateway] listening on {host}:{port} — streams: "
               f"{', '.join(fleet.names)}")
         if args.wal_dir:
             print(f"[gateway] durable: write-ahead log at {args.wal_dir} "
@@ -638,11 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-queue-depth", type=int, default=8,
                    help="queued requests per stream before backpressure "
                         "(default 8)")
-    p.add_argument("--codec", choices=("binary", "json"), default="binary",
-                   help="wire codecs to offer: binary (raw float64 frames, "
-                        "negotiated per client, JSON always accepted — the "
-                        "default) or json (v1-compatible server; binary-"
-                        "preferring clients fall back automatically)")
     p.add_argument("--wal-dir", metavar="PATH", default=None,
                    help="durable serving: write-ahead log every accepted "
                         "ingest to this (fresh) directory; acks follow the "

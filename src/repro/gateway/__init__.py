@@ -7,11 +7,10 @@ package is the ingestion front door a production stack hangs off it,
 stdlib + numpy only:
 
 :mod:`~repro.gateway.protocol`
-    Versioned wire format — length-prefixed JSON frames (protocol v1)
-    and binary frames with raw float64 window/score buffers (protocol
-    v2, negotiated at ``attach``, JSON fallback for old peers) — with
-    ops for ``ingest``, ``scores``, ``attach``/``detach``, ``stats``
-    and ``shutdown``, plus typed error frames.
+    Wire format, protocol v2 — length-prefixed JSON frames and binary
+    frames with raw float64 window/score buffers, told apart frame by
+    frame — with ops for ``ingest``, ``scores``, ``attach``/``detach``,
+    ``stats`` and ``shutdown``, plus typed error frames.
 :class:`GatewayServer`
     Asyncio TCP server fronting a :class:`~repro.serving.DeploymentFleet`
     or :class:`~repro.serving.ShardedFleet`: concurrently arriving
@@ -20,8 +19,8 @@ stdlib + numpy only:
     queues reject overload with ``backpressure`` frames, and shutdown
     drains gracefully.
 :class:`GatewayClient` / :class:`LoadGenerator`
-    Blocking client SDK and a multi-connection load generator
-    (closed-loop, or open-loop at a target request rate).
+    Blocking client SDK (binary frames only) and a multi-connection load
+    generator (closed-loop, or open-loop at a target request rate).
 :class:`MetricsRegistry`
     Re-exported from :mod:`repro.metrics` (promoted out of the gateway):
     counters, gauges and p50/p95/p99 latency histograms shared by every
@@ -54,7 +53,6 @@ from .protocol import (
     MAX_FRAME_BYTES,
     OPS,
     PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
     FrameError,
     RequestError,
 )
@@ -67,7 +65,6 @@ from .server import (
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "SUPPORTED_VERSIONS",
     "CODECS",
     "MAX_FRAME_BYTES",
     "OPS",

@@ -1,9 +1,9 @@
 """Blocking gateway client SDK and the open-loop load generator.
 
 :class:`GatewayClient` is the synchronous counterpart of the asyncio
-server: one TCP connection, one request in flight, typed
-:class:`GatewayError` on error frames — the shape an edge device's
-uplink code would take.
+server: one TCP connection, one request in flight, every frame binary
+at protocol v2, typed :class:`GatewayError` on error frames — the shape
+an edge device's uplink code would take.
 
 :class:`LoadGenerator` drives a gateway with many concurrent client
 connections.  Streams are split round-robin across clients; each client
@@ -28,9 +28,7 @@ import numpy as np
 
 from ..metrics import LatencyHistogram
 from .protocol import (
-    CODECS,
     MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
     FrameError,
     recv_frame,
     request_frame,
@@ -54,53 +52,34 @@ class GatewayError(Exception):
 class GatewayClient:
     """Blocking request/response client for one gateway connection.
 
-    ``codec`` is a *preference*: the client always opens the
-    conversation in JSON (the one codec every peer speaks) at its
-    newest protocol version, and upgrades window traffic to binary
-    frames only after an ``attach`` response advertises the codec.  A
-    v1-only server answers ``version_mismatch`` instead; the client
-    transparently re-attaches with ``v = 1`` and stays on JSON — the
-    fallback path that keeps old peers working.  ``negotiated_codec``
-    reports where negotiation landed.
+    Every request goes out as a binary frame at protocol v2, so windows
+    ride as raw float64 buffers and scores come back the same way.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 60.0,
-                 max_frame_bytes: int = MAX_FRAME_BYTES,
-                 codec: str = "binary", tracer=None):
-        if codec not in CODECS:
-            raise ConfigError(f"codec must be one of {CODECS}, got {codec!r}")
+                 max_frame_bytes: int = MAX_FRAME_BYTES, tracer=None):
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.max_frame_bytes = max_frame_bytes
-        self.preferred_codec = codec
         #: Optional :class:`repro.obs.TraceRecorder`; when set, window
         #: ops record ``client.request`` spans whose context rides the
         #: request's ``trace`` field (an ordinary optional frame field,
-        #: so untraced and v1 peers are unaffected).
+        #: so untraced peers are unaffected).
         self.tracer = tracer
-        #: Protocol version spoken on this connection; drops to 1 after
-        #: a ``version_mismatch`` from a v1-only peer.
-        self.protocol_version = PROTOCOL_VERSION if codec == "binary" else 1
-        #: Wire codec for window traffic; "json" until negotiated up.
-        self.negotiated_codec = "json"
         self._next_id = 0
         self._closed = False
 
     # -- plumbing ------------------------------------------------------
-    def request(self, op: str, codec: str | None = None, **fields) -> dict:
+    def request(self, op: str, **fields) -> dict:
         """Send one request and wait for its response frame; raises
         :class:`GatewayError` on an error frame, :class:`FrameError` /
-        :class:`ConnectionError` on transport problems.  ``codec``
-        overrides the negotiated wire codec for this one frame."""
+        :class:`ConnectionError` on transport problems."""
         if self._closed:
             raise ConnectionError("client is closed")
         request_id = self._next_id
         self._next_id += 1
-        send_frame(self._sock,
-                   request_frame(op, request_id,
-                                 version=self.protocol_version, **fields),
-                   codec=codec or self.negotiated_codec,
-                   max_bytes=self.max_frame_bytes)
+        send_frame(self._sock, request_frame(op, request_id, **fields),
+                   codec="binary", max_bytes=self.max_frame_bytes)
         reply = recv_frame(self._sock, self.max_frame_bytes)
         if reply is None:
             raise ConnectionError("gateway closed the connection")
@@ -125,23 +104,14 @@ class GatewayClient:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _wire_windows(self, windows) -> object:
-        """Windows as this connection's codec spells them: an ndarray
-        rides a binary frame as its raw float64 buffer; JSON gets nested
-        lists.  Either way the server decodes the identical values."""
-        array = np.asarray(windows, dtype=np.float64)
-        return array if self.negotiated_codec == "binary" else array.tolist()
-
     def _traced_request(self, op: str, stream: str, **fields) -> dict:
         """One window op, wrapped in a ``client.request`` span when a
         tracer is attached; the span's context is stamped on the frame
         so the server's ``gateway.request`` span joins this trace."""
         if self.tracer is None:
             return self.request(op, stream=stream, **fields)
-        span = self.tracer.start(
-            "client.request",
-            attrs={"op": op, "stream": stream,
-                   "codec": self.negotiated_codec})
+        span = self.tracer.start("client.request",
+                                 attrs={"op": op, "stream": stream})
         try:
             reply = self.request(op, stream=stream,
                                  trace=dict(span.context.to_wire()),
@@ -157,44 +127,23 @@ class GatewayClient:
 
     # -- ops -----------------------------------------------------------
     def attach(self, stream: str) -> dict:
-        """Attach to a stream — and negotiate the wire codec.
-
-        The attach itself always goes as JSON: it must be readable by a
-        peer that has never heard of binary frames.  A v2 response
-        advertising ``codecs`` upgrades this connection's window traffic
-        to the preferred codec; a ``version_mismatch`` from a v1-only
-        peer triggers one silent re-attach at ``v = 1``.
-        """
-        try:
-            reply = self.request("attach", stream=stream, codec="json")
-        except GatewayError as exc:
-            if exc.code != "version_mismatch" or self.protocol_version <= 1:
-                raise
-            self.protocol_version = 1
-            self.negotiated_codec = "json"
-            reply = self.request("attach", stream=stream, codec="json")
-        advertised = reply.get("codecs") or ["json"]
-        if self.preferred_codec == "binary" and "binary" in advertised \
-                and self.protocol_version >= 2:
-            self.negotiated_codec = "binary"
-        return reply
+        return self.request("attach", stream=stream)
 
     def detach(self, stream: str) -> dict:
         return self.request("detach", stream=stream)
 
     def ingest(self, stream: str, windows) -> dict:
-        """Submit one arrival batch; the reply's ``"scores"`` (nested
-        list over JSON, raw float64 ndarray over binary) is normalized
-        to an array under ``"scores_array"``."""
-        reply = self._traced_request("ingest", stream,
-                                     windows=self._wire_windows(windows))
+        """Submit one arrival batch; the reply's ``"scores"`` array is
+        also under ``"scores_array"``."""
+        reply = self._traced_request(
+            "ingest", stream, windows=np.asarray(windows, dtype=np.float64))
         reply["scores_array"] = np.asarray(reply["scores"], dtype=np.float64)
         return reply
 
     def scores(self, stream: str, windows) -> np.ndarray:
         """Score windows without feeding the stream's monitor."""
-        reply = self._traced_request("scores", stream,
-                                     windows=self._wire_windows(windows))
+        reply = self._traced_request(
+            "scores", stream, windows=np.asarray(windows, dtype=np.float64))
         return np.asarray(reply["scores"], dtype=np.float64)
 
     def stats(self) -> dict:
@@ -217,7 +166,6 @@ class LoadGenConfig:
     rate: float | None = None         # total requests/sec; None = closed-loop
     timeout: float = 120.0
     max_samples: int = 65536
-    codec: str = "binary"             # preferred wire codec (negotiated)
 
 
 @dataclass
@@ -329,7 +277,7 @@ class LoadGenerator:
         cfg = self.config
         try:
             client = GatewayClient(*self.address, timeout=cfg.timeout,
-                                   codec=cfg.codec, tracer=self.tracer)
+                                   tracer=self.tracer)
         except OSError as exc:
             part.errors.append(f"client {index}: connect: {exc}")
             return

@@ -1,14 +1,14 @@
-"""The gateway wire format: JSON frames and binary frames, negotiated.
+"""The gateway wire format: protocol v2, in JSON or binary frames.
 
 Every message — request or response, either direction — is one *frame*.
 Two codecs share the TCP stream and are told apart from the first bytes:
 
-JSON (codec ``"json"``, protocol v1's only codec)
+JSON (codec ``"json"``)
     A 4-byte big-endian unsigned length prefix followed by exactly that
     many bytes of UTF-8 JSON encoding a single object.  Debuggable with
     ``nc``-grade tooling; float windows ride as nested lists.
 
-Binary (codec ``"binary"``, protocol v2)
+Binary (codec ``"binary"``)
     A 16-byte little-endian struct header — magic, version, op, flags,
     array count, meta length, payload length (see
     :mod:`repro.utils.binframe`) — followed by a small JSON meta section
@@ -20,22 +20,19 @@ Binary (codec ``"binary"``, protocol v2)
 The two magic bytes can never begin a JSON frame (a valid JSON length
 prefix is bounded by ``MAX_FRAME_BYTES``, so its first byte is tiny),
 which is what lets one connection carry both codecs frame by frame.
+There is one protocol version, :data:`PROTOCOL_VERSION`, and no
+negotiation: :class:`~repro.gateway.GatewayClient` sends every frame as
+binary, and the server answers each frame in the codec it arrived in,
+so a peer may send its control frames as JSON and its windows as
+binary on one connection.
 
-**Negotiation** rides the existing ``"v"`` request field: a client that
-wants binary sends its (JSON) ``attach`` with ``v = 2``; a v2 server's
-``attach`` response advertises ``"codecs": ["json", "binary"]`` and the
-client switches its window traffic to binary frames.  A v1-only peer
-instead answers ``version_mismatch``, the client re-attaches with
-``v = 1``, and everything stays JSON — old peers keep working
-unmodified.  Servers always answer in the codec the request arrived in,
-so mixed-codec clients coexist on one server and on one connection.
-
-Requests carry ``{"v": 1|2, "op": ..., "id": ...}`` plus op-specific
-fields; responses echo the request ``id`` with ``{"ok": true, ...}`` or
-a typed error ``{"ok": false, "error": {"code": ..., "message": ...}}``.
-Anything the peer cannot parse at the framing layer raises
-:class:`FrameError` (the server answers with a ``bad_frame`` error and
-closes the connection, since a corrupt stream cannot be
+Requests carry ``{"v": 2, "op": ..., "id": ...}`` plus op-specific
+fields (a binary frame's header version byte must say 2 as well);
+responses echo the request ``id`` with ``{"ok": true, ...}`` or a typed
+error ``{"ok": false, "error": {"code": ..., "message": ...}}``, always
+at ``"v": 2``.  Anything the peer cannot parse at the framing layer
+raises :class:`FrameError` (the server answers with a ``bad_frame``
+error and closes the connection, since a corrupt stream cannot be
 re-synchronized).  The frame-size cap is enforced on *both* ends of the
 pipe: readers refuse to buffer an oversized frame, and the encoders
 raise :class:`FrameError` before sending one a peer would reject.
@@ -60,7 +57,7 @@ from ..utils.binframe import (
 )
 
 __all__ = [
-    "PROTOCOL_VERSION", "SUPPORTED_VERSIONS", "CODECS", "MAX_FRAME_BYTES",
+    "PROTOCOL_VERSION", "CODECS", "MAX_FRAME_BYTES",
     "OPS", "ERROR_CODES", "FLAG_RESPONSE", "CODEC_KEY",
     "FrameError", "RequestError",
     "encode_frame", "decode_body", "frame_codec",
@@ -68,10 +65,9 @@ __all__ = [
     "request_frame", "ok_frame", "error_frame", "validate_request",
 ]
 
-#: v1 speaks JSON frames only; v2 adds the binary codec.  Responses echo
-#: the request's version.
+#: The one protocol version; every request must carry it and every
+#: response does.
 PROTOCOL_VERSION = 2
-SUPPORTED_VERSIONS = (1, 2)
 
 #: Wire codecs a peer may speak; see the module docstring.
 CODECS = ("json", "binary")
@@ -99,7 +95,7 @@ FLAG_RESPONSE = 0x0001
 ERROR_CODES = (
     "bad_frame",         # unframeable bytes: truncated/oversized/non-JSON
     "bad_request",       # well-framed but missing/invalid fields
-    "version_mismatch",  # request "v" not among the peer's versions
+    "version_mismatch",  # request "v" is not PROTOCOL_VERSION
     "unknown_op",        # "op" not in OPS
     "unknown_stream",    # stream name not attached to the fleet
     "not_attached",      # ingest/scores before attach on this connection
@@ -151,7 +147,7 @@ def encode_frame(payload: dict, codec: str = "json",
         try:
             return _encode_binary(
                 payload,
-                version=int(payload.get("v", PROTOCOL_VERSION)),
+                version=PROTOCOL_VERSION,
                 op=_binary_op_code(payload),
                 flags=FLAG_RESPONSE if "ok" in payload else 0,
                 max_bytes=max_bytes)
@@ -197,7 +193,10 @@ def _decode_binary_frame(header_bytes: bytes, tail: bytes) -> dict:
         payload = _decode_binary_tail(header, tail)
     except BinaryFormatError as exc:
         raise FrameError(str(exc)) from None
-    payload.setdefault("v", header.version)
+    # The header's version byte is the frame's claim; a meta "v" may
+    # only repeat it.
+    if header.version != PROTOCOL_VERSION or "v" not in payload:
+        payload["v"] = header.version
     if header.op and "op" not in payload:
         if header.op > len(OPS):
             raise FrameError(f"binary header op code {header.op} is out of "
@@ -329,42 +328,35 @@ def send_frame(sock: socket.socket, payload: dict, codec: str = "json",
 # ---------------------------------------------------------------------
 # Message constructors / validation
 # ---------------------------------------------------------------------
-def request_frame(op: str, request_id: int,
-                  version: int = PROTOCOL_VERSION, **fields) -> dict:
-    return {"v": version, "op": op, "id": request_id, **fields}
+def request_frame(op: str, request_id: int, **fields) -> dict:
+    return {"v": PROTOCOL_VERSION, "op": op, "id": request_id, **fields}
 
 
-def ok_frame(request_id, version: int = PROTOCOL_VERSION, **payload) -> dict:
-    return {"v": version, "id": request_id, "ok": True, **payload}
+def ok_frame(request_id, **payload) -> dict:
+    return {"v": PROTOCOL_VERSION, "id": request_id, "ok": True, **payload}
 
 
-def error_frame(request_id, code: str, message: str,
-                version: int = PROTOCOL_VERSION) -> dict:
+def error_frame(request_id, code: str, message: str) -> dict:
     assert code in ERROR_CODES, code
-    return {"v": version, "id": request_id, "ok": False,
+    return {"v": PROTOCOL_VERSION, "id": request_id, "ok": False,
             "error": {"code": code, "message": message}}
 
 
-def validate_request(payload: dict,
-                     supported: tuple[int, ...] = SUPPORTED_VERSIONS) -> str:
+def validate_request(payload: dict) -> str:
     """Check the request envelope; returns the op.
 
-    Raises :class:`RequestError` with a typed code on an unsupported
-    version, missing/invalid op, or a malformed ``id`` (the id must be a
-    JSON scalar so it can be echoed back verbatim).  A binary frame
-    claiming protocol v1 is rejected too: v1 never spoke binary.
+    Raises :class:`RequestError` with a typed code on a version other
+    than :data:`PROTOCOL_VERSION` (an ``int``: ``true``, ``2.0`` and
+    ``"2"`` are refused too), a missing/invalid op, or a malformed
+    ``id`` (the id must be a JSON scalar so it can be echoed back
+    verbatim).
     """
     version = payload.get("v")
-    if version not in supported:
+    if type(version) is not int or version != PROTOCOL_VERSION:
         raise RequestError(
             "version_mismatch",
             f"protocol version {version!r} unsupported "
-            f"(server speaks {', '.join(str(v) for v in supported)})")
-    if frame_codec(payload) == "binary" and version < 2:
-        raise RequestError(
-            "version_mismatch",
-            f"binary frames require protocol v2; this one claims "
-            f"v{version}")
+            f"(server speaks {PROTOCOL_VERSION})")
     request_id = payload.get("id")
     if not isinstance(request_id, (int, str, type(None))) \
             or isinstance(request_id, bool):

@@ -1,8 +1,8 @@
 """The asyncio TCP gateway: a serving engine behind a network socket.
 
-:class:`GatewayServer` accepts length-prefixed frames in either codec —
-JSON (protocol v1) or binary (protocol v2; see
-:mod:`repro.gateway.protocol`) — and submits each connection's
+:class:`GatewayServer` speaks protocol v2 (see
+:mod:`repro.gateway.protocol`), reads JSON and binary frames alike and
+answers each in the codec it arrived in.  It submits each connection's
 ``ingest`` / ``scores`` requests into its fleet's
 :class:`~repro.runtime.ServingEngine` — the same engine that drives
 ``fleet.step()`` — and its bounded per-stream admission queues.  A
@@ -66,8 +66,6 @@ from ..runtime import AdmissionError, EngineRequest
 from .protocol import (
     CODECS,
     MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
     FrameError,
     RequestError,
     error_frame,
@@ -124,17 +122,11 @@ class GatewayServer:
         # only accepted name for that, kept for callers that pass it.
         if policy != "fair":
             raise ConfigError(f"policy must be 'fair', got {policy!r}")
-        if codec not in CODECS:
-            raise ConfigError(f"codec must be one of {CODECS}, got {codec!r}")
-        # codec="binary": speak protocol v1 and v2, advertise both codecs
-        # in attach responses, answer each request in the codec it
-        # arrived in.  codec="json": behave as a legacy v1-only peer —
-        # v2 requests get version_mismatch and binary frames get
-        # bad_frame — which is exactly what clients negotiate against.
-        self.codec = codec
-        self.supported_versions = SUPPORTED_VERSIONS if codec == "binary" \
-            else (1,)
-        self.codecs = ("json", "binary") if codec == "binary" else ("json",)
+        # Frames are read in either codec and answered in theirs;
+        # "binary" is the only accepted name, kept for callers that pass
+        # it.
+        if codec != "binary":
+            raise ConfigError(f"codec must be 'binary', got {codec!r}")
         engine = getattr(fleet, "engine", None)
         if engine is None:
             raise TypeError(
@@ -438,15 +430,6 @@ class GatewayServer:
             while True:
                 try:
                     payload = await read_frame(reader, self.max_frame_bytes)
-                    if payload is not None \
-                            and frame_codec(payload) == "binary" \
-                            and "binary" not in self.codecs:
-                        # A v1-only peer does not even understand binary
-                        # framing; refuse at the framing layer, exactly
-                        # as a genuinely old server would.
-                        raise FrameError(
-                            "this server speaks protocol v1 (JSON frames "
-                            "only); binary frames are not understood")
                 except FrameError as exc:
                     # A corrupt stream cannot be re-synchronized: answer
                     # once, then hang up.
@@ -454,8 +437,7 @@ class GatewayServer:
                     with contextlib.suppress(ConnectionError, OSError):
                         async with conn.write_lock:
                             await write_frame(writer, error_frame(
-                                None, "bad_frame", str(exc),
-                                version=max(self.supported_versions)),
+                                None, "bad_frame", str(exc)),
                                 max_bytes=self.max_frame_bytes)
                     break
                 if payload is None:
@@ -475,8 +457,8 @@ class GatewayServer:
     async def _respond(self, payload: dict, conn: _Connection) -> None:
         # Answer in the codec the request arrived in: binary requests get
         # binary responses (scores as raw float64 buffers), JSON requests
-        # get JSON — which is what lets mixed-codec clients share one
-        # server, or one connection switch codecs frame by frame.
+        # get JSON — so one connection may send its control frames as
+        # JSON and its windows as binary.
         codec = frame_codec(payload)
         self.metrics.counter(f"gateway.frames.{codec}").inc()
         try:
@@ -486,8 +468,7 @@ class GatewayServer:
         except Exception as exc:  # noqa: BLE001 — never leave a client hanging
             self.metrics.counter("gateway.errors").inc()
             reply = error_frame(None, "internal",
-                                f"{type(exc).__name__}: {exc}",
-                                version=max(self.supported_versions))
+                                f"{type(exc).__name__}: {exc}")
         with contextlib.suppress(ConnectionError, OSError):
             async with conn.write_lock:
                 try:
@@ -502,9 +483,7 @@ class GatewayServer:
                         conn.writer,
                         error_frame(reply.get("id"), "bad_frame",
                                     f"response exceeds the frame cap: "
-                                    f"{exc}",
-                                    version=reply.get(
-                                        "v", max(self.supported_versions))),
+                                    f"{exc}"),
                         codec=codec, max_bytes=self.max_frame_bytes)
 
     def _drop_pending(self, conn: _Connection) -> None:
@@ -519,41 +498,32 @@ class GatewayServer:
         raw_id = payload.get("id")
         echo_id = raw_id if isinstance(raw_id, (int, str)) \
             and not isinstance(raw_id, bool) else None
-        # Echo the request's protocol version in the response envelope
-        # (a v1 client must not see v2 frames); invalid versions are
-        # answered with the server's newest.
-        raw_v = payload.get("v")
-        echo_v = raw_v if raw_v in self.supported_versions \
-            else max(self.supported_versions)
         try:
-            op = validate_request(payload, self.supported_versions)
+            op = validate_request(payload)
         except RequestError as exc:
             self.metrics.counter("gateway.errors").inc()
-            return error_frame(echo_id, exc.code, exc.message,
-                               version=echo_v)
+            return error_frame(echo_id, exc.code, exc.message)
         self.metrics.counter(f"gateway.requests.{op}").inc()
         try:
             if op in ("ingest", "scores"):
-                return await self._serve_windows(op, payload, conn, echo_id,
-                                                 echo_v)
+                return await self._serve_windows(op, payload, conn, echo_id)
             if op == "attach":
-                return self._attach(payload, conn, echo_id, echo_v)
+                return self._attach(payload, conn, echo_id)
             if op == "detach":
-                return self._detach(payload, conn, echo_id, echo_v)
+                return self._detach(payload, conn, echo_id)
             if op == "stats":
-                return self._stats(echo_id, echo_v)
+                return self._stats(echo_id)
             # shutdown: acknowledge first; the drain task closes the
             # connection once every queued request has been served.
             if self._drain_task is None:
                 self._draining = True
                 self._drain_task = asyncio.ensure_future(
                     self._drain_and_stop())
-            return ok_frame(echo_id, version=echo_v, draining=True)
+            return ok_frame(echo_id, draining=True)
         except RequestError as exc:
             if exc.code != "backpressure":  # rejections counted separately
                 self.metrics.counter("gateway.errors").inc()
-            return error_frame(echo_id, exc.code, exc.message,
-                               version=echo_v)
+            return error_frame(echo_id, exc.code, exc.message)
 
     def _stream_of(self, payload: dict) -> str:
         stream = payload.get("stream")
@@ -562,8 +532,7 @@ class GatewayServer:
                                "request needs a non-empty 'stream' field")
         return stream
 
-    def _attach(self, payload: dict, conn: _Connection, echo_id,
-                echo_v: int) -> dict:
+    def _attach(self, payload: dict, conn: _Connection, echo_id) -> dict:
         if self._draining:
             raise RequestError("shutting_down",
                                "server is draining; no new attachments")
@@ -574,32 +543,26 @@ class GatewayServer:
                 f"no stream named {stream!r} attached to the fleet "
                 f"(known: {', '.join(sorted(self.fleet.names)) or 'none'})")
         conn.attached.add(stream)
-        # The negotiation advertisement: the codecs list tells a v2
-        # client it may switch this connection to binary frames.
-        return ok_frame(echo_id, version=echo_v, stream=stream,
+        return ok_frame(echo_id, stream=stream,
                         attached=sorted(conn.attached),
-                        max_queue_depth=self.max_queue_depth,
-                        codecs=list(self.codecs))
+                        max_queue_depth=self.max_queue_depth)
 
-    def _detach(self, payload: dict, conn: _Connection, echo_id,
-                echo_v: int) -> dict:
+    def _detach(self, payload: dict, conn: _Connection, echo_id) -> dict:
         stream = self._stream_of(payload)
         if stream not in conn.attached:
             raise RequestError(
                 "not_attached",
                 f"this connection is not attached to stream {stream!r}")
         conn.attached.discard(stream)
-        return ok_frame(echo_id, version=echo_v, stream=stream,
+        return ok_frame(echo_id, stream=stream,
                         attached=sorted(conn.attached))
 
-    def _stats(self, echo_id, echo_v: int) -> dict:
+    def _stats(self, echo_id) -> dict:
         engine = self.engine.stats(concurrent=True)
         return ok_frame(
-            echo_id, version=echo_v,
+            echo_id,
             metrics=self.metrics.to_dict(),
             engine=engine,
-            # "version" is ok_frame's protocol-version kwarg, so the
-            # package version is promoted under its own key.
             server_version=engine["version"],
             uptime_seconds=engine["uptime_seconds"],
             fleet={"type": type(self.fleet).__name__,
@@ -608,11 +571,10 @@ class GatewayServer:
             queued=self.engine.queued_depths(), draining=self._draining)
 
     async def _serve_windows(self, op: str, payload: dict,
-                             conn: _Connection, echo_id,
-                             echo_v: int) -> dict:
+                             conn: _Connection, echo_id) -> dict:
         # A traced request: the server span joins the client's trace via
-        # the optional ``trace`` wire field (absent on v1/untraced peers
-        # → a new root), and the engine parents queue-wait/stage spans
+        # the optional ``trace`` wire field (absent on untraced peers →
+        # a new root), and the engine parents queue-wait/stage spans
         # under the request's context.
         server_span = None
         if self.tracer is not None:
@@ -624,7 +586,7 @@ class GatewayServer:
         outcome = "error"
         try:
             reply = await self._serve_windows_inner(
-                op, payload, conn, echo_id, echo_v,
+                op, payload, conn, echo_id,
                 server_span.context if server_span is not None else None)
             outcome = "ok"
             return reply
@@ -637,7 +599,7 @@ class GatewayServer:
 
     async def _serve_windows_inner(self, op: str, payload: dict,
                                    conn: _Connection, echo_id,
-                                   echo_v: int, trace) -> dict:
+                                   trace) -> dict:
         started = time.perf_counter()
         # Binary responses carry scores as raw float64 buffers; JSON as
         # nested lists.  Either way the values are bit-identical — JSON
@@ -687,12 +649,12 @@ class GatewayServer:
             return array if binary_reply else array.tolist()
 
         if result.kind == "scores":
-            return ok_frame(echo_id, version=echo_v, stream=stream,
+            return ok_frame(echo_id, stream=stream,
                             scores=_wire_scores(result.scores))
         event = result.event
         log = event.log
         return ok_frame(
-            echo_id, version=echo_v, stream=stream, step=event.step,
+            echo_id, stream=stream, step=event.step,
             scores=_wire_scores(event.scores),
             mission=event.mission,
             adapted=bool(log.updated) if log is not None else False,

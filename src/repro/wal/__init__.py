@@ -6,8 +6,9 @@ checkpoint: kill a gateway mid-run and every acked ingest since the last
 write-ahead log:
 
 * :class:`WriteAheadLog` (:mod:`~repro.wal.log`) — append-only segmented
-  log of CRC32-framed JSON records with group-commit fsync batching,
-  segment rotation, and torn-tail repair on open.
+  log of CRC32-framed records (binary bodies for ingest windows, JSON
+  for the rest) with group-commit fsync batching, segment rotation,
+  and torn-tail repair on open.
 * :mod:`~repro.wal.records` — the typed record shapes: accepted ingests
   (bit-exact window codec), skip markers, stream attach/detach, and
   snapshots that embed the self-describing fleet checkpoint.

@@ -7,15 +7,13 @@ records to the highest one.  Each frame is::
     [u32 payload length][u32 crc32(payload)][payload bytes]
 
 little-endian, with the payload being one record dict (see
-:mod:`repro.wal.records`) as either UTF-8 JSON or — when the record
-carries ndarray fields and the log's codec is ``"binary"`` (the
-default) — a :mod:`repro.utils.binframe` binary body, the same raw
-little-endian float64 format the gateway's wire frames use.  The two
-are distinguished per frame by the binary magic bytes, so one log may
-mix them freely: old base64-JSON logs replay unchanged, and a log
-reopened under a different codec keeps appending without conversion.
-Sequence numbers are assigned at append time, strictly increasing
-across segments and across process restarts.
+:mod:`repro.wal.records`): a record that carries ndarray fields (an
+``ingest`` record's windows) is a :mod:`repro.utils.binframe` binary
+body, the same raw little-endian float64 format the gateway's binary
+frames use, and every other record is UTF-8 JSON.  The two are told
+apart per frame by the binary magic bytes.  Sequence numbers are
+assigned at append time, strictly increasing across segments and across
+process restarts.
 
 Durability is group-committed: ``append`` buffers through the OS and
 only fsyncs when ``fsync_batch`` appends have accumulated or the oldest
@@ -55,7 +53,7 @@ import numpy as np
 from ..errors import ConfigError, DurabilityError, WalCorruptionError
 from ..metrics import MetricsRegistry
 from ..utils import binframe
-from ..utils.serialization import encode_array, fsync_directory
+from ..utils.serialization import fsync_directory
 
 __all__ = ["WalConfig", "SegmentInfo", "WriteAheadLog", "FRAME_HEADER"]
 
@@ -74,17 +72,11 @@ class WalConfig:
     or the oldest pending append is ``fsync_interval_ms`` old; between
     those bounds appends ride the OS buffer until the next ``flush()``
     (the engine flushes once per round, before acks go out).
-
-    ``codec`` picks how records with ndarray fields (ingest windows)
-    hit the disk: ``"binary"`` (default) frames them as raw float64
-    binary bodies, ``"json"`` as base64-in-JSON — the format pre-binary
-    versions wrote.  Reading is codec-blind either way.
     """
 
     fsync_batch: int = 64
     fsync_interval_ms: float = 50.0
     max_segment_bytes: int = 4 * 1024 * 1024
-    codec: str = "binary"
 
     def __post_init__(self):
         if self.fsync_batch < 1:
@@ -93,9 +85,6 @@ class WalConfig:
             raise ConfigError("fsync_interval_ms must be >= 0")
         if self.max_segment_bytes < 1024:
             raise ConfigError("max_segment_bytes must be >= 1024")
-        if self.codec not in ("binary", "json"):
-            raise ConfigError(f"codec must be 'binary' or 'json', "
-                             f"got {self.codec!r}")
 
 
 @dataclass
@@ -218,25 +207,17 @@ class WriteAheadLog:
         active = self._segments[-1]
         self._file = active.path.open("ab")
 
-    def _encode_record(self, record: dict) -> bytes:
-        """One record dict -> frame payload bytes, per the log's codec.
-
-        Records without ndarray fields are always JSON (the binary body
-        would just wrap the same JSON in a header); records with them
-        go binary by default, or base64-in-JSON under ``codec="json"``.
-        """
-        has_arrays = any(isinstance(value, np.ndarray)
-                         for value in record.values())
-        if has_arrays and self.config.codec == "binary":
+    @staticmethod
+    def _encode_record(record: dict) -> bytes:
+        """One record dict -> frame payload bytes: a binary body when it
+        carries ndarray fields, JSON otherwise (the binary body would
+        just wrap the same JSON in a header)."""
+        if any(isinstance(value, np.ndarray) for value in record.values()):
             try:
                 return binframe.encode_payload(record)
             except binframe.BinaryFormatError as exc:
                 raise DurabilityError(
                     f"cannot encode WAL record as a binary body: {exc}")
-        if has_arrays:
-            record = {key: (encode_array(value)
-                            if isinstance(value, np.ndarray) else value)
-                      for key, value in record.items()}
         return json.dumps(record).encode("utf-8")
 
     @staticmethod

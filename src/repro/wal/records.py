@@ -9,9 +9,9 @@ Each record is a JSON-safe dict with a ``"kind"`` discriminator and the
     the log serializes them through the shared binary body codec
     (:mod:`repro.utils.binframe` — raw little-endian float64 buffers,
     same wire format as the gateway's binary frames) so replayed
-    windows score to the very same bits.  Logs written by older
-    versions carry base64 dicts instead; :func:`record_windows`
-    decodes both.
+    windows score to the very same bits.  A pre-binary log, whose
+    ingest records carry base64-in-JSON windows, is refused by
+    :func:`validate_record`.
 ``skip``
     Cancels one earlier ``ingest`` record (by its seq): the request was
     accepted and logged but never reached a deployment — it failed to
@@ -44,7 +44,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import RecoveryError
-from ..utils.serialization import decode_array
 
 __all__ = ["RECORD_KINDS", "ingest_record", "skip_record", "attach_record",
            "detach_record", "snapshot_record", "record_windows",
@@ -63,27 +62,15 @@ _REQUIRED = {
 
 
 def ingest_record(stream: str, windows: np.ndarray) -> dict:
-    """One accepted ingest request's durable form.
-
-    The windows ride as a float64 ndarray; the log picks their on-disk
-    encoding (binary body by default, base64-in-JSON under
-    ``WalConfig(codec="json")``).
-    """
+    """One accepted ingest request's durable form; the log writes its
+    float64 windows as a binary body."""
     return {"kind": "ingest", "stream": stream,
             "windows": np.ascontiguousarray(windows, dtype=np.float64)}
 
 
 def record_windows(record: dict) -> np.ndarray:
-    """An ``ingest`` record's windows (bit-exact round trip).
-
-    Handles both encodings: an ndarray (binary-codec log, or a record
-    that never left this process) and the legacy base64 dict written by
-    pre-binary versions — old logs replay unchanged.
-    """
-    windows = record["windows"]
-    if isinstance(windows, np.ndarray):
-        return np.asarray(windows, dtype=np.float64)
-    return decode_array(windows)
+    """An ``ingest`` record's windows (bit-exact round trip)."""
+    return np.asarray(record["windows"], dtype=np.float64)
 
 
 def skip_record(target_seq: int) -> dict:
@@ -120,8 +107,9 @@ def snapshot_record(fleet_payload: dict, infra_payload: dict,
 def validate_record(record: dict) -> str:
     """Check a decoded record's shape; returns its kind.
 
-    Raises :class:`~repro.errors.RecoveryError` on an unknown kind or a
-    missing field — a structurally valid frame (length + CRC passed)
+    Raises :class:`~repro.errors.RecoveryError` on an unknown kind, a
+    missing field or an ``ingest`` record whose windows are not a binary
+    array — a structurally valid frame (length + CRC passed)
     holding a record replay cannot interpret means the log was written
     by an incompatible version, which silent skipping would turn into
     silently wrong recovered state.
@@ -138,4 +126,10 @@ def validate_record(record: dict) -> str:
         raise RecoveryError(
             f"WAL {kind!r} record at seq {record.get('seq')!r} is missing "
             f"required field(s): {', '.join(missing)}")
+    if kind == "ingest" and not isinstance(record["windows"], np.ndarray):
+        raise RecoveryError(
+            f"WAL ingest record at seq {record['seq']!r} holds "
+            f"{type(record['windows']).__name__} windows, not a binary "
+            f"array: the log was written in the pre-binary WAL format "
+            f"(base64-in-JSON windows), which this version does not read")
     return kind

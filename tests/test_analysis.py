@@ -322,7 +322,6 @@ GOOD_BINFRAME = """
 GOOD_PROTOCOL = """
     import struct
     PROTOCOL_VERSION = 2
-    SUPPORTED_VERSIONS = (1, 2)
     MAX_FRAME_BYTES = 32 * 1024 * 1024
     _HEADER = struct.Struct(">I")
     OPS = ("ingest", "scores", "attach", "detach", "stats", "shutdown")
@@ -417,10 +416,10 @@ class TestWireConsts:
         assert any("recv_frame" in f.message and "_check_length" in f.message
                    for f in _wire(protocol_text=bad))
 
-    def test_version_not_supported_flags(self):
+    def test_version_outside_u8_flags(self):
         bad = GOOD_PROTOCOL.replace("PROTOCOL_VERSION = 2",
-                                    "PROTOCOL_VERSION = 3")
-        assert any("SUPPORTED_VERSIONS" in f.message
+                                    "PROTOCOL_VERSION = 256")
+        assert any("PROTOCOL_VERSION" in f.message and "u8" in f.message
                    for f in _wire(protocol_text=bad))
 
     def test_single_module_skips_cross_checks(self):

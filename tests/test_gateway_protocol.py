@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.gateway import serve_in_thread
 from repro.gateway.protocol import (
     ERROR_CODES,
     MAX_FRAME_BYTES,
@@ -26,6 +27,7 @@ from repro.gateway.protocol import (
     send_frame,
     validate_request,
 )
+from repro.serving import DeploymentFleet
 
 
 def run(coro):
@@ -139,6 +141,26 @@ class TestFraming:
             client.close()
 
 
+#: ``v`` values that must all get ``version_mismatch``: ``True == 1``,
+#: ``1.0 == 1`` and ``2.0 == 2`` in Python, so only the type check keeps
+#: them out.
+NOT_THE_VERSION = [True, False, 1, 1.0, 2.0, "2", None, 3]
+
+
+@pytest.fixture(scope="module")
+def gateway():
+    """A gateway over an empty fleet: envelope checks never reach it."""
+    fleet = DeploymentFleet()
+    with fleet, serve_in_thread(fleet) as handle:
+        yield handle.address
+
+
+def exchange(address, payload: dict, codec: str) -> dict:
+    with socket.create_connection(address, timeout=10) as sock:
+        send_frame(sock, payload, codec=codec)
+        return recv_frame(sock)
+
+
 class TestValidation:
     def test_valid_request(self):
         payload = request_frame("ingest", 5, stream="cam-0")
@@ -149,6 +171,30 @@ class TestValidation:
         with pytest.raises(RequestError) as err:
             validate_request({"v": 99, "op": "stats", "id": 1})
         assert err.value.code == "version_mismatch"
+
+    @pytest.mark.parametrize("version", NOT_THE_VERSION, ids=repr)
+    def test_only_the_int_version_validates(self, version):
+        with pytest.raises(RequestError) as err:
+            validate_request({"v": version, "op": "stats", "id": 1})
+        assert err.value.code == "version_mismatch"
+
+    @pytest.mark.parametrize("codec", ["json", "binary"])
+    @pytest.mark.parametrize("version", NOT_THE_VERSION, ids=repr)
+    def test_served_version_mismatch_replies_at_v2(self, gateway, version,
+                                                   codec):
+        """Sent as a JSON body or as binary meta, every ``v`` but the int
+        2 is refused, and the refusal's envelope says ``"v": 2``."""
+        reply = exchange(gateway, {"v": version, "op": "stats", "id": 1},
+                         codec)
+        assert reply["error"]["code"] == "version_mismatch"
+        assert type(reply["v"]) is int and reply["v"] == PROTOCOL_VERSION
+        assert reply["id"] == 1
+
+    @pytest.mark.parametrize("codec", ["json", "binary"])
+    def test_served_version_passes(self, gateway, codec):
+        reply = exchange(gateway, request_frame("stats", 1), codec)
+        assert reply["ok"] is True
+        assert type(reply["v"]) is int and reply["v"] == PROTOCOL_VERSION
 
     def test_missing_op(self):
         with pytest.raises(RequestError) as err:

@@ -25,12 +25,15 @@ from repro.gateway import (
 from repro.gateway.protocol import (
     PROTOCOL_VERSION,
     encode_frame,
+    frame_codec,
     recv_frame,
     request_frame,
     send_frame,
 )
 from repro.serving import DeploymentFleet, FleetInfra, ShardedFleet
 from repro.wal import WalConfig, recover_fleet
+
+from json_peer import JsonPeer
 
 ROUNDS = 3
 
@@ -74,16 +77,22 @@ def materialized(fleet_factory):
     return windows, reference
 
 
+def connect(address, codec="binary"):
+    """The binary client, or a JSON-frame peer for the ``json`` leg."""
+    return GatewayClient(*address) if codec == "binary" \
+        else JsonPeer(address)
+
+
 def assert_served_parity(address, windows, reference, codec="binary"):
     """Serve every materialized round through one client over ``codec``;
     each reply must match the direct run bit for bit."""
-    with GatewayClient(*address, codec=codec) as client:
+    with connect(address, codec) as client:
         for name in windows:
             client.attach(name)
-        assert client.negotiated_codec == codec
         for round_index in range(ROUNDS):
             for name in windows:
                 reply = client.ingest(name, windows[name][round_index])
+                assert frame_codec(reply) == codec
                 assert reply["step"] == round_index
                 assert reply["mission"] == "Stealing"
                 assert np.array_equal(reply["scores_array"],
@@ -334,7 +343,7 @@ class TestFailurePaths:
         deployment = fleet.slots[0].deployment
         good = np.asarray(fleet.slots[0].stream.batch(0).windows)
         with fleet, serve_in_thread(fleet) as handle:
-            with GatewayClient(*handle.address, codec=codec) as client:
+            with connect(handle.address, codec) as client:
                 client.attach("cam-0")
                 for value in (np.nan, np.inf, -np.inf):
                     poisoned = good.copy()

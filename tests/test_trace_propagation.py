@@ -1,7 +1,7 @@
 """End-to-end trace propagation: client -> gateway -> engine -> shards
--> WAL, across both wire codecs and both backends, plus v1-peer
-compatibility, recorder bounding under flood, bit-parity with tracing
-on, and the promoted stats/version surface."""
+-> WAL, across both wire codecs and both backends, plus recorder
+bounding under flood, bit-parity with tracing on, and the promoted
+stats/version surface."""
 
 import json
 
@@ -15,6 +15,8 @@ from repro.data import TrendShiftConfig, TrendShiftStream
 from repro.gateway import GatewayClient, serve_in_thread
 from repro.obs import TraceRecorder, check_trace, span_dicts
 from repro.serving import DeploymentFleet, FleetInfra, ShardedFleet
+
+from json_peer import JsonPeer
 
 INFRA = FleetInfra(embedding_seed=7, generator_seed=5)
 ROUNDS = 3
@@ -62,9 +64,12 @@ def materialized(fleet_factory):
 
 
 def drive(address, windows, reference, recorder=None, codec="binary"):
-    """Serve every materialized round through one traced client,
-    asserting bit parity against the untraced reference."""
-    with GatewayClient(*address, codec=codec, tracer=recorder) as client:
+    """Serve every materialized round through one traced client (the
+    binary client, or a JSON-frame peer), asserting bit parity against
+    the untraced reference."""
+    client = GatewayClient(*address, tracer=recorder) if codec == "binary" \
+        else JsonPeer(address, tracer=recorder)
+    with client:
         for name in windows:
             client.attach(name)
         for round_index in range(ROUNDS):
@@ -166,22 +171,6 @@ class TestEndToEndPropagation:
         for span in fsyncs:
             assert span["attrs"]["pending"] >= 0
             assert span["attrs"]["segment"].endswith(".wal")
-
-    def test_v1_peer_fallback_stays_traced_client_side(self, fleet_factory,
-                                                       materialized):
-        # A v1-only (json) server has never heard of the trace field;
-        # the traced client falls back to v1 frames, parity holds, and
-        # its own client.request spans still record.
-        windows, reference = materialized
-        recorder = TraceRecorder()
-        with fleet_factory() as fleet, \
-                serve_in_thread(fleet, codec="json") as handle:
-            drive(handle.address, windows, reference, recorder=recorder)
-        spans = span_dicts(recorder.snapshot())
-        clients = by_name(spans, "client.request")
-        assert len(clients) == ROUNDS * len(windows)
-        assert all(span["attrs"]["outcome"] == "ok" for span in clients)
-        assert by_name(spans, "gateway.request") == []
 
     def test_untraced_client_yields_root_server_spans(self, fleet_factory,
                                                       materialized):

@@ -1,5 +1,5 @@
-"""WAL wire-codec tests: binary ingest bodies on disk, legacy base64
-logs replaying unchanged, mixed-codec segments, and corruption typing.
+"""WAL record-encoding tests: binary ingest bodies on disk, refusal of
+pre-binary (base64-in-JSON) logs, and corruption typing.
 """
 
 import json
@@ -9,14 +9,19 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.errors import WalCorruptionError
+from repro import cli
+from repro.api import Deployment
+from repro.data import TrendShiftConfig, TrendShiftStream
+from repro.errors import RecoveryError, WalCorruptionError
+from repro.serving import DeploymentFleet
 from repro.utils.binframe import BIN_MAGIC
 from repro.utils.serialization import encode_array
 from repro.wal import (
-    WalConfig,
+    WalDurability,
     WriteAheadLog,
     ingest_record,
     record_windows,
+    recover_fleet,
     skip_record,
 )
 
@@ -72,44 +77,43 @@ class TestBinaryRecords:
         assert back.tobytes() == ugly.tobytes()
 
 
-class TestCodecConfig:
-    def test_json_codec_writes_legacy_base64(self, tmp_path, windows):
-        with WriteAheadLog(tmp_path, WalConfig(codec="json")) as log:
-            log.append(ingest_record("cam-1", windows), sync=True)
-            path = log.segment_paths[0]
-        payload = path.read_bytes()[FRAME.size:]
-        record = json.loads(payload)
-        assert isinstance(record["windows"], dict)
+class TestPreBinaryLog:
+    def test_pre_binary_ingest_record_is_refused(self, tmp_path, fresh_model,
+                                                 frame_generator):
+        """A durable fleet's log gains, by hand, a CRC-valid ingest record
+        in the pre-binary format (base64-in-JSON windows).  Recovery must
+        refuse the log with a typed error naming the format, not decode
+        the record and not recover a fleet that skipped it."""
+        fleet = DeploymentFleet()
+        model = fresh_model("Stealing", window=4)
+        model.eval()
+        fleet.add("cam-0", Deployment(model, mission="Stealing",
+                                      adaptive=False),
+                  TrendShiftStream(frame_generator, TrendShiftConfig(
+                      steps_before_shift=1, steps_after_shift=1,
+                      windows_per_step=2, window=4, seed=40)))
+        windows = np.asarray(fleet.slots[0].stream.batch(0).windows,
+                             dtype=np.float64)
+        with fleet:
+            durability = WalDurability(fleet, tmp_path)
+            durability.close(fleet.engine)
         with WriteAheadLog(tmp_path) as log:
-            back = record_windows(next(iter(log.replay())))
-        assert back.tobytes() == windows.tobytes()
-
-    def test_unknown_codec_rejected(self):
-        with pytest.raises(ValueError, match="codec"):
-            WalConfig(codec="msgpack")
-
-
-class TestCompatibility:
-    def test_legacy_log_replays_and_appends_mixed(self, tmp_path, windows):
-        """A log written by a pre-binary version (base64-in-JSON frames)
-        replays unchanged, and this version keeps appending binary
-        frames to the very same segment."""
-        legacy = json.dumps({"kind": "ingest", "stream": "cam-1", "seq": 0,
+            seq, index = log.next_seq, log.segment_count + 1
+        legacy = json.dumps({"kind": "ingest", "stream": "cam-0", "seq": seq,
                              "windows": encode_array(windows)}).encode()
-        (tmp_path / "00000001.wal").write_bytes(frame_bytes(legacy))
-        with WriteAheadLog(tmp_path) as log:
-            assert log.next_seq == 1
-            log.append(ingest_record("cam-2", windows * 2), sync=True)
-        with WriteAheadLog(tmp_path) as log:
-            records = list(log.replay())
-        assert record_windows(records[0]).tobytes() == windows.tobytes()
-        assert record_windows(records[1]).tobytes() == (windows * 2).tobytes()
+        segment = tmp_path / f"{index:08d}.wal"
+        segment.write_bytes(frame_bytes(legacy))
 
-    def test_record_windows_accepts_both_encodings(self, windows):
-        assert record_windows(
-            {"windows": windows}).tobytes() == windows.tobytes()
-        assert record_windows(
-            {"windows": encode_array(windows)}).tobytes() == windows.tobytes()
+        with pytest.raises(RecoveryError, match="pre-binary WAL format"):
+            recover_fleet(tmp_path)
+        with pytest.raises(SystemExit, match="pre-binary WAL format"):
+            cli.main(["recover", str(tmp_path)])
+        # Without the legacy record the same directory recovers.
+        segment.unlink()
+        recovered, report = recover_fleet(tmp_path)
+        with recovered:
+            assert recovered.names == ["cam-0"]
+            assert report.replayed == 0
 
 
 class TestCorruption:
