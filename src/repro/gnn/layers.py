@@ -180,11 +180,12 @@ class HierarchicalGNNLayer(Module):
             # Eq. 2: per-edge messages X_s * X_d.  Eq. 3: mean-aggregate
             # into receiving nodes, identity elsewhere.  ``mean_scale`` is
             # zero on non-receiving nodes, so the aggregated term needs no
-            # extra masking.
+            # extra masking.  The kernel takes the rows first.
+            rows = refined.transpose(1, 0, 2)
             combined = Tensor.message_pass(
-                refined, refined[:, edges.targets, :],
-                refined * Tensor(spec.keep_mask[level]), edges,
-                spec.mean_scale[level])
+                rows, rows[edges.targets],
+                rows * Tensor(spec.keep_mask[level][:, :, None]), edges,
+                spec.mean_scale[level]).transpose(1, 0, 2)
         else:
             combined = refined
 
@@ -194,13 +195,14 @@ class HierarchicalGNNLayer(Module):
                   target_factor: Tensor) -> Tensor:
         """``G_l`` on the level's own rows only (frozen norm statistics).
 
-        ``h`` holds the previous level's rows ``(B, n_{l-1}, D_in)``; the
-        result is ``(B, n_l, D_out)``.  ``own`` ``(n_l, D_out)`` and
+        Rows first: ``h`` holds the previous level's rows
+        ``(n_{l-1}, B, D_in)``, a block of all ``B`` frames each; the
+        result is ``(n_l, B, D_out)``.  ``own`` ``(n_l, D_out)`` and
         ``target_factor`` ``(|E(l)|, D_out)`` come from the token side: the
         level's refined rows masked to the nodes that receive no message,
-        and Eq. 2's target-row factor per edge — or, with a leading ``B``
-        axis, each frame's own token side.  The same kernel as
-        :meth:`finish` on these rows, so the values are bit-identical to
+        and Eq. 2's target-row factor per edge — or, with a ``B`` axis
+        after the row axis, each frame's own token side.  The same kernel
+        as :meth:`finish` on these rows, so the values are bit-identical to
         the all-nodes path.
         """
         # Eq. 1 on the rows messages start from.  With no edge (the level's

@@ -20,6 +20,8 @@ from it; the **frame side** carries only the current level's rows for the
 batch.  On the served KGs that is 16 node-rows per frame instead of
 (d+2)·|V| = 80, and on the edge only the tokens ever change, so off the
 tape the token side is kept until they (or the structure, or a weight) do.
+The frame side holds its rows first, ``(level rows, frames, D)``: a
+message then moves one contiguous block of every frame's row at once.
 """
 
 from __future__ import annotations
@@ -130,12 +132,11 @@ class HierarchicalGNN(Module):
         says whose frame ``b`` is (``None`` with one state: its ``(n, D)``
         arrays broadcast).  States of one :attr:`GraphSpec.signature` climb
         the levels together, each frame gathering its owner's rows into the
-        leading axis, a diverged structure (a prune) alone.  Elementwise
+        frame axis, a diverged structure (a prune) alone.  Elementwise
         work, row-stable GEMMs: batch-invariant.
         """
-        h = codes.reshape(codes.shape[0], 1, -1)
         if len(sides) == 1:
-            return self._climb(h, *sides[0])
+            return self._climb(codes, *sides[0])
         groups: dict[tuple, list[int]] = {}
         for index, (_, spec) in enumerate(sides):
             groups.setdefault(spec.signature, []).append(index)
@@ -146,22 +147,28 @@ class HierarchicalGNN(Module):
             token_side, spec = sides[members[0]]
             if len(members) > 1:
                 local = np.searchsorted(members, owner[mine])
-                token_side = [  # per level: members' (own, factor), stacked
-                    tuple(Tensor.stack(column)[local] for column in zip(*level))
+                token_side = [  # per level: members' (own, factor), (n, B, D)
+                    tuple(Tensor.stack(column, axis=1)[:, local]
+                          for column in zip(*level))
                     for level in zip(*(sides[m][0] for m in members))]
-            outputs.append(self._climb(h[mine], token_side, spec))
+            outputs.append(self._climb(codes[mine], token_side, spec))
             frames.append(mine)
         if alone:
             return outputs[0]
         return Tensor.concat(outputs)[np.argsort(np.concatenate(frames))]
 
-    def _climb(self, h: Tensor, token_side: list[tuple[Tensor, Tensor]],
+    def _climb(self, codes: Tensor, token_side: list[tuple[Tensor, Tensor]],
                spec: GraphSpec) -> Tensor:
-        """Levels ``1 .. depth + 1`` over the sensor rows ``h`` (B, 1, D)."""
+        """Levels ``1 .. depth + 1`` over the frame codes (B, D).
+
+        Carried rows first, ``(level rows, B, D)``: every gather and scatter
+        of the message passing then moves a block of all frames per edge.
+        """
+        h = codes.reshape((1,) + codes.shape)  # the sensor row
         for layer, level, (own, target_factor) in zip(
                 self.layers[1:], spec.level_slices[1:], token_side):
             h = layer.propagate(h, level, own, target_factor)
-        return h[:, 0, :]
+        return h[0]  # the embedding node's row
 
     def forward_embedded(self, base: Tensor, encoded: Tensor,
                          spec: GraphSpec) -> Tensor:

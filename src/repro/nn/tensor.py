@@ -35,7 +35,8 @@ as chains of the elementary ops above:
 * :meth:`Tensor.frozen_batch_norm` — running statistics and affine
   parameters folded into one scale-and-shift (``BatchNorm`` in eval mode);
 * :meth:`Tensor.message_pass` — gather x factor -> segment-sum -> mean ->
-  add (the GNN's Eq. 2-3), over a compiled :class:`EdgeSchedule`;
+  add (the GNN's Eq. 2-3), over a compiled :class:`EdgeSchedule`, rows
+  first: each gather and scatter moves one block of all frames per edge;
 * :meth:`Tensor.pooled_projection` — the text path of all of a KG's
   concept nodes (token mean, then the projection into the joint space);
 * :meth:`Tensor.take_rows` — a static row gather whose backward uses a
@@ -45,6 +46,9 @@ Each forward keeps the operation order of the expression it stands for
 (the tests hold them bit-equal to it).  A kernel computes nothing for its
 backward ahead of time, and off the tape ``_make`` drops the closure, so
 no array outlives a forward on behalf of a backward that will never run.
+Elementwise ops use whole-array numpy calls, not boolean-mask gathers and
+scatters: :meth:`Tensor.elu` equals the masked formula to the bit, signed
+zeros included.
 
 One kernel is not the expression it replaced but an algebraic rewrite of
 it, equal to rounding and cheaper in FLOPs:
@@ -175,9 +179,10 @@ def scatter_passes(ids: np.ndarray) -> tuple[tuple, ...]:
 
 def _scatter_add(out: np.ndarray, passes: tuple[tuple, ...],
                  values: np.ndarray) -> None:
-    """``out[..., ids[e], :] += values[..., e, :]`` by :func:`scatter_passes`."""
+    """``out[ids[e]] += values[e]`` by :func:`scatter_passes`, along axis 0:
+    one contiguous block per entry when the arrays are."""
     for positions, ids in passes:
-        out[..., ids, :] += values[..., positions, :]
+        out[ids] += values[positions]
 
 
 class EdgeSchedule:
@@ -484,18 +489,21 @@ class Tensor:
 
     def elu(self, alpha: float = 1.0) -> "Tensor":
         """Exponential linear unit — the activation in the paper's GNN layer (Eq. 4)."""
-        negative = self.data <= 0
-        # The transcendental is the expensive part: evaluate expm1 only on
-        # the negative entries instead of over the whole array.
-        neg_expm1 = np.expm1(self.data[negative])
-        value = self.data.copy()
-        value[negative] = alpha * neg_expm1
+        x = self.data
+        # Whole-array ops, no boolean gather or scatter (with random signs
+        # those cost several times the transcendental).  ``expm1`` is
+        # expm1(x) on every entry ELU bends (copysign keeps the -0.0 that
+        # np.minimum may turn into +0.0) and +0.0 on the rest, so a large
+        # positive entry never reaches expm1; np.maximum(x, -0.0) is x on
+        # those and -0.0, which adds nothing, on the bent ones.
+        expm1 = np.copysign(np.expm1(np.minimum(x, 0.0)), x)
+        value = alpha * expm1
+        value += np.maximum(x, -0.0)
 
         def backward(out: Tensor) -> None:
             if self.requires_grad:
-                local = np.ones_like(self.data)
-                local[negative] = alpha * (neg_expm1 + 1.0)
-                self._accumulate(out.grad * local)
+                self._accumulate(
+                    out.grad * np.where(x <= 0, alpha * (expm1 + 1.0), 1.0))
 
         return Tensor._make(value, (self,), backward)
 
@@ -602,13 +610,8 @@ class Tensor:
                     grad[index] += out.grad
                 elif (isinstance(index, np.ndarray) and index.ndim == 1
                         and index.dtype.kind in "iu"):
-                    # Axis 0 as the row axis of a (1, rows, rest) view.
-                    count = self.shape[0]
-                    width = int(np.prod(self.shape[1:]))
-                    rows = np.where(index < 0, index + count, index)
-                    _scatter_add(grad.reshape(1, count, width),
-                                 scatter_passes(rows),
-                                 out.grad.reshape(1, index.size, width))
+                    rows = np.where(index < 0, index + self.shape[0], index)
+                    _scatter_add(grad, scatter_passes(rows), out.grad)
                 else:
                     np.add.at(grad, index, out.grad)
                 self._accumulate(grad)
@@ -649,7 +652,8 @@ class Tensor:
         if ids.size and (ids.min() < 0 or ids.max() >= num_segments):
             raise IndexError("segment id out of range")
         summed = np.zeros(values.shape[:-2] + (num_segments, values.shape[-1]))
-        _scatter_add(summed, scatter_passes(ids), values.data)
+        _scatter_add(np.moveaxis(summed, -2, 0), scatter_passes(ids),
+                     np.moveaxis(values.data, -2, 0))
 
         def backward(out: Tensor) -> None:
             if values.requires_grad:
@@ -802,36 +806,56 @@ class Tensor:
                      edges: EdgeSchedule, mean_scale: np.ndarray) -> "Tensor":
         """The GNN's hierarchical message passing and aggregation (Eq. 2-3).
 
-        ``refined`` ``(..., n_src, D)`` holds the rows messages start from;
-        edge ``e`` carries ``refined[..., sources[e], :] * factor[..., e, :]``
-        into row ``targets[e]``; the rows' sums, times ``mean_scale``
-        ``(n, 1)`` (reciprocal in-degree), are added to ``own``
-        ``(..., n, D)``.  ``factor`` and ``own`` may lack ``refined``'s
-        leading axes (the token side has none).  With no edge the result
-        is ``own`` for every leading index of ``refined``, whose trailing
-        axes are then not read.
+        Rows first: ``refined`` ``(n_src, ..., D)`` holds the rows messages
+        start from, each a block over the frame axes ``...``; edge ``e``
+        carries ``refined[sources[e]] * factor[e]`` into row ``targets[e]``;
+        the rows' sums, times ``mean_scale`` (the ``n`` reciprocal
+        in-degrees, any shape of that size), are added to ``own``
+        ``(n, ..., D)``.  ``factor`` ``(E, D)`` and ``own`` ``(n, D)`` may
+        lack the frame axes (the token side has none) and are then shared
+        by every frame.  With no edge the result is ``own`` for every
+        frame of ``refined``, whose rows are then not read.
+
+        Every gather and scatter moves one block of all frames per edge,
+        not one ``D``-row per (frame, edge).
         """
-        lead = refined.shape[:-2]
-        out = np.zeros(lead + own.shape[-2:])
+        frames = refined.shape[1:-1]
+        axes = tuple(range(1, 1 + len(frames)))  # a row block's frame axes
+
+        def spread(tensor: Tensor) -> np.ndarray:
+            data = tensor.data
+            return data if data.ndim == refined.ndim else np.expand_dims(data, axes)
+
+        def collapse(grad: np.ndarray, tensor: Tensor) -> np.ndarray:
+            return grad if tensor.ndim == grad.ndim else grad.sum(axis=axes)
+
+        scale = mean_scale.reshape((own.shape[0],) + (1,) * (len(frames) + 1))
+        shape = own.shape[:1] + frames + own.shape[-1:]
+        # Results (and ``into`` below) keep the memory order of the arrays
+        # they stand for: ``finish`` passes rows-first views of frames-first
+        # arrays, and the training-mode batch statistics after it reduce in
+        # memory order, so their bits (and the trained weights') depend on it.
+        out = np.zeros_like(own.data) if own.shape == shape else np.zeros(shape)
         gathered = None
         if edges.sources.size:
-            gathered = refined.data[..., edges.sources, :]
-            _scatter_add(out, edges.target_passes, gathered * factor.data)
-        out *= mean_scale
-        out += own.data
+            gathered = refined.data[edges.sources]
+            _scatter_add(out, edges.target_passes, gathered * spread(factor))
+        out *= scale
+        out += spread(own)
 
         def backward(node: Tensor) -> None:
             grad = node.grad
             if own.requires_grad:
-                own._accumulate(_unbroadcast(grad, own.shape))
+                own._accumulate(collapse(grad, own))
             if gathered is None:
                 return
-            per_edge = (grad * mean_scale)[..., edges.targets, :]
+            per_edge = (grad * scale)[edges.targets]
             if factor.requires_grad:
-                factor._accumulate(_unbroadcast(per_edge * gathered, factor.shape))
+                factor._accumulate(collapse(per_edge * gathered, factor))
             if refined.requires_grad:
                 into = np.zeros_like(refined.data)
-                _scatter_add(into, edges.source_passes, per_edge * factor.data)
+                _scatter_add(into, edges.source_passes,
+                             per_edge * spread(factor))
                 refined._accumulate(into)
 
         return Tensor._make(out, (refined, factor, own), backward)

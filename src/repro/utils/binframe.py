@@ -130,8 +130,7 @@ def encode_payload(payload: dict, *, version: int = 1, op: int = 0,
     except (TypeError, ValueError) as exc:
         raise BinaryFormatError(
             f"payload meta is not JSON-serializable: {exc}") from None
-    buffers = [array.tobytes(order="C") for array in arrays.values()]
-    payload_len = sum(len(buffer) for buffer in buffers)
+    payload_len = sum(array.nbytes for array in arrays.values())
     total = BIN_HEADER.size + len(meta_bytes) + payload_len
     if max_bytes is not None and total > max_bytes:
         raise BinaryFormatError(
@@ -144,19 +143,22 @@ def encode_payload(payload: dict, *, version: int = 1, op: int = 0,
             f"flags={flags}")
     header = BIN_HEADER.pack(BIN_MAGIC, version, op, flags, len(arrays),
                              len(meta_bytes), payload_len)
-    return b"".join([header, meta_bytes, *buffers])
+    # The C-contiguous arrays are their own buffers: the join is the one
+    # copy of their bytes.
+    return b"".join([header, meta_bytes, *arrays.values()])
 
 
-def decode_body(header: BinaryHeader, body: bytes) -> dict:
+def decode_body(header: BinaryHeader, body: bytes | memoryview) -> dict:
     """Decode the bytes after the fixed header (meta + buffers) back to
     the payload dict; arrays come back as fresh writable float64
-    ndarrays."""
+    ndarrays, each one copy of its bytes in ``body``."""
+    body = memoryview(body)
     if len(body) != header.body_len:
         raise BinaryFormatError(
             f"binary body is {len(body)} bytes; header promised "
             f"{header.body_len}")
     try:
-        meta = json.loads(body[:header.meta_len].decode("utf-8"))
+        meta = json.loads(str(body[:header.meta_len], "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise BinaryFormatError(
             f"malformed binary meta section: {exc}") from None
@@ -189,7 +191,8 @@ def decode_body(header: BinaryHeader, body: bytes) -> dict:
                 f"array field {field!r} with shape {shape} needs {nbytes} "
                 f"payload bytes but only {end - offset} remain")
         # bytearray, not bytes: the rebuilt arrays view this buffer, and
-        # downstream code expects writable windows/scores.
+        # downstream code expects writable windows/scores.  The one copy:
+        # ``body`` is a memoryview, so the slice copies nothing.
         chunk = bytearray(body[offset:offset + nbytes])
         payload[field] = np.frombuffer(
             chunk, dtype=_FLOAT64_LE).reshape(shape)
@@ -210,4 +213,4 @@ def decode_payload(data: bytes,
             f"binary body of {len(data)} bytes is shorter than the "
             f"{BIN_HEADER.size}-byte header")
     header = parse_header(data[:BIN_HEADER.size], max_bytes=max_bytes)
-    return decode_body(header, data[BIN_HEADER.size:]), header
+    return decode_body(header, memoryview(data)[BIN_HEADER.size:]), header

@@ -5,6 +5,7 @@ malformed body must always surface as :class:`BinaryFormatError` —
 never a struct/json/numpy exception, and never a silently wrong array.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -75,6 +76,65 @@ class TestRoundTrip:
         meta, arrays = split_payload({"a": 1, "b": np.zeros(2), "c": [1]})
         assert meta == {"a": 1, "c": [1]}
         assert set(arrays) == {"b"}
+
+
+class TestEncodingIsPinned:
+    """The bytes a payload encodes to are the format: the WAL stores them
+    and peers of other builds read them, so they never move."""
+
+    META = {"op": "attach", "id": 3, "stream": "cam-\u00e9",
+            "tags": ["a", 1.5, None], "n": {"k": True}}
+
+    @staticmethod
+    def arrays_payload():
+        return {"op": "ingest", "id": 7, "stream": "cam-1",
+                "windows": np.linspace(-1.0, 1.0, 48).reshape(2, 4, 6),
+                "scores": np.arange(5, dtype=np.float32) / 3,
+                "point": np.array(4.25),
+                "empty": np.empty((0, 3)),
+                "strided": np.arange(12.0).reshape(3, 4).T,
+                "big": np.arange(3.0).astype(">f8")}
+
+    @staticmethod
+    def spelled_out(payload, version=1, op=0, flags=0):
+        """The module docstring's layout, built by hand."""
+        meta, arrays = split_payload(payload)
+        meta["_arrays"] = [[k, list(a.shape)] for k, a in arrays.items()]
+        meta_bytes = json.dumps(meta, separators=(",", ":")).encode()
+        data = b"".join(a.astype("<f8").tobytes() for a in arrays.values())
+        return BIN_HEADER.pack(BIN_MAGIC, version, op, flags, len(arrays),
+                               len(meta_bytes), len(data)) + meta_bytes + data
+
+    def test_json_meta_payload(self):
+        body = encode_payload(self.META)
+        assert body == self.spelled_out(self.META)
+        assert hashlib.sha256(body).hexdigest() == (
+            "38936f12a8176a796bdd85ac850daef9826c2c7c1d14a47ac55d55bdb0cf9502")
+
+    def test_multi_array_payload(self):
+        payload = self.arrays_payload()
+        body = encode_payload(payload, version=2, op=3, flags=1)
+        assert body == self.spelled_out(payload, version=2, op=3, flags=1)
+        assert hashlib.sha256(body).hexdigest() == (
+            "288b934350a17636d771c1d712c5a9f4b34c5c2980b99286fbd7e3bd59551d65")
+
+    @pytest.mark.parametrize("buffer", [bytes, bytearray])
+    def test_decoded_arrays_own_their_memory(self, buffer):
+        payload = self.arrays_payload()
+        frame = buffer(encode_payload(payload))
+        header = parse_header(frame[:BIN_HEADER.size])
+        body = frame[BIN_HEADER.size:]
+        decoded = decode_body(header, body)
+        raw = np.frombuffer(body, dtype=np.uint8)
+        arrays = [decoded[key] for key in split_payload(payload)[1]]
+        for index, array in enumerate(arrays):
+            assert array.flags.writeable
+            assert not np.shares_memory(array, raw)
+            assert not any(np.shares_memory(array, other)
+                           for other in arrays[index + 1:])
+        if buffer is bytearray:  # a receive buffer, reused for the next frame
+            body[:] = bytes(len(body))
+            assert decoded["windows"].tobytes() == payload["windows"].tobytes()
 
 
 class TestHeaderFuzz:

@@ -258,9 +258,16 @@ class TestBinaryParity:
 
 class TestFrameFuzz:
     def test_truncated_binary_header_closes_connection(self, fleet_factory):
+        """Three bytes of a header, then the peer's end of the stream: the
+        server names the truncation once and hangs up."""
         with fleet_factory() as fleet, serve_in_thread(fleet) as handle:
-            reply = raw_exchange(handle.address, [BIN_MAGIC + b"\x02"])[0]
-            assert reply is None  # server dropped the unparseable stream
+            with socket.create_connection(handle.address, timeout=10) as sock:
+                sock.sendall(BIN_MAGIC + b"\x02")
+                sock.shutdown(socket.SHUT_WR)
+                reply = recv_frame(sock)
+                assert reply["error"]["code"] == "bad_frame"
+                assert reply["error"]["message"] == "truncated frame header"
+                assert recv_frame(sock) is None  # then the close
 
     def test_oversized_binary_lengths_rejected(self, fleet_factory):
         with fleet_factory() as fleet, \

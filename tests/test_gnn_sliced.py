@@ -9,6 +9,8 @@ model's — a stale token side is never served.
 different structures, score in one forward exactly as each does alone.
 (d) Frame codes: scoring and token gradients from a window's codes equal
 those from its frames, bit for bit, and a round hands each sharer its own.
+(e) Layout: the rows-first climb equals a frames-first reference climb bit
+for bit, in its embeddings and in the token gradients taped through it.
 """
 
 import gc
@@ -489,3 +491,144 @@ class TestFrameCodes:
         for a, b in zip(twins[0].token_parameters(),
                         twins[1].token_parameters(), strict=True):
             assert np.array_equal(a.data, b.data)
+
+
+# ----------------------------------------------------------------------
+# (e) the rows-first climb against a frames-first reference
+# ----------------------------------------------------------------------
+def frames_first_message_pass(refined, factor, own, level):
+    """Eq. 2-3 over ``(B, rows, D)`` as elementary ops, the layout the
+    frame side had before it carried rows first."""
+    messages = refined[:, level.sources, :] * factor
+    summed = Tensor.segment_sum(messages, level.targets, level.rows.size)
+    return summed * Tensor(level.mean_scale) + own
+
+
+def frames_first_frame_side(gnn, codes, sides, owner=None):
+    """``HierarchicalGNN.frame_side`` with each frame's rows a ``(rows, D)``
+    block of a ``(B, rows, D)`` array, and owners gathered frames first."""
+    def climb(h, token_side, spec):
+        for layer, level, (own, factor) in zip(
+                gnn.layers[1:], spec.level_slices[1:], token_side):
+            refined = layer.dense(h) if level.sources.size else h
+            h = layer.norm(frames_first_message_pass(
+                refined, factor, own, level)).elu()
+        return h[:, 0, :]
+
+    h = codes.reshape(codes.shape[0], 1, -1)
+    if len(sides) == 1:
+        return climb(h, *sides[0])
+    groups = {}
+    for index, (_, spec) in enumerate(sides):
+        groups.setdefault(spec.signature, []).append(index)
+    outputs, frames = [], []
+    for members in groups.values():
+        mine = np.flatnonzero(np.isin(owner, members))
+        token_side, spec = sides[members[0]]
+        if len(members) > 1:
+            local = np.searchsorted(members, owner[mine])
+            token_side = [tuple(Tensor.stack(column)[local]
+                                for column in zip(*level))
+                          for level in zip(*(sides[m][0] for m in members))]
+        outputs.append(climb(h[mine], token_side, spec))
+        frames.append(mine)
+    return Tensor.concat(outputs)[np.argsort(np.concatenate(frames))]
+
+
+def frames_first_finish(layer, refined, spec, level):
+    """``HierarchicalGNNLayer.finish`` over ``(B, |V|, D)`` as elementary
+    ops, before the kernel took its rows first."""
+    edges = spec.edge_schedules[level]
+    combined = refined
+    if edges.sources.size:
+        messages = refined[:, edges.sources, :] * refined[:, edges.targets, :]
+        summed = Tensor.segment_sum(messages, edges.targets, spec.num_nodes)
+        combined = (summed * Tensor(spec.mean_scale[level])
+                    + refined * Tensor(spec.keep_mask[level]))
+    return layer.norm(combined).elu()
+
+
+def level_two_cut_off(embedding_model) -> ReasoningKG:
+    """Depth 3 with no edge into level 2: that level's rows are the token
+    side's alone, once per frame."""
+    kg = ReasoningKG(mission="m", depth=3)
+    for i in range(2):
+        kg.add_node(f"a{i}", level=1)
+    top = kg.add_node("c", level=3)
+    for i in range(3):
+        kg.add_edge(kg.add_node(f"b{i}", level=2), top)
+    kg.attach_terminals()
+    kg.initialize_tokens(embedding_model)
+    assert not kg.edges_at_level(2)
+    return kg
+
+
+class TestRowsFirstClimb:
+    @pytest.fixture()
+    def sharers(self, fresh_model, embedding_model, rng):
+        """Four token states of one GNN: two of the served KG's structure,
+        two whose level 2 has no edge at all."""
+        base = eval_model(fresh_model(window=8).kgs[0], embedding_model, rng)
+        models = [base, base.sharer(),
+                  base.sharer([level_two_cut_off(embedding_model)])]
+        models.append(models[2].sharer([level_two_cut_off(embedding_model)]))
+        for model in models:
+            model.freeze_for_deployment()
+            for tensor in model.token_parameters():
+                tensor.data = tensor.data + rng.normal(scale=0.3,
+                                                       size=tensor.shape)
+        assert len({m.reasoners[0].spec.signature for m in models}) == 2
+        return [model.reasoners[0] for model in models]
+
+    @staticmethod
+    def climb(frame_side, reasoners, codes, owner, mix):
+        """Embeddings and the token gradients of ``sum(out * mix)``."""
+        tokens = [t for r in reasoners for t in r.token_tensors().values()]
+        for tensor in tokens:
+            tensor.zero_grad()
+        out = frame_side(Tensor(codes), [(r._current_token_side(), r.spec)
+                                         for r in reasoners], owner)
+        (out * Tensor(mix)).sum().backward()
+        return out.numpy(), [tensor.grad.copy() for tensor in tokens]
+
+    @pytest.mark.parametrize("batch", [1, 6, 33, 128])
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_bit_identical_to_frames_first(self, sharers, rng, batch, mixed):
+        gnn = sharers[0].gnn
+        reasoners = sharers if mixed else sharers[:1]
+        owner = rng.integers(len(reasoners), size=batch) if mixed else None
+        codes = rng.normal(size=(batch, gnn.hidden_dim))
+        mix = rng.normal(size=(batch, gnn.hidden_dim))
+        got, got_grads = self.climb(gnn.frame_side, reasoners, codes, owner,
+                                    mix)
+        want, want_grads = self.climb(
+            lambda *args: frames_first_frame_side(gnn, *args), reasoners,
+            codes, owner, mix)
+        assert got.tobytes() == want.tobytes()
+        assert len(got_grads) == len(want_grads)
+        for a, b in zip(got_grads, want_grads):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 6, 33])
+    def test_all_nodes_layer_in_training_mode(self, fresh_model, rng, batch):
+        """The all-nodes path transposes around the kernel; its batch
+        statistics must still reduce the frames-first array."""
+        reasoner = fresh_model(window=8).reasoners[0]
+        gnn, spec = reasoner.gnn, reasoner.spec
+        gnn.train()
+        for level, layer in enumerate(gnn.layers[1:], start=1):
+            refined = Tensor(rng.normal(size=(batch, spec.num_nodes,
+                                              gnn.hidden_dim)),
+                             requires_grad=True)
+            mix = Tensor(rng.normal(size=refined.shape))
+            outputs, grads = [], []
+            for finish in (layer.finish, lambda *args: frames_first_finish(
+                    layer, *args)):
+                refined.zero_grad()
+                out = finish(refined, spec, level)
+                (out * mix).sum().backward()
+                outputs.append(out.numpy())
+                grads.append(refined.grad)
+            assert outputs[0].tobytes() == outputs[1].tobytes()
+            np.testing.assert_allclose(grads[0], grads[1], rtol=1e-12,
+                                       atol=1e-15)

@@ -343,6 +343,14 @@ class TestFusedKernels:
     EDGES = {"mixed": ([0, 2, 1, 0, 2, 1, 2], [1, 2, 1, 0, 1, 2, 1]),
              "edgeless": ([], [])}
 
+    @staticmethod
+    def rows_first(frames_first: np.ndarray) -> Tensor:
+        """The kernel's input layout, (rows, frames, D), of a (frames, rows,
+        D) array; a 2-D one (shared by all frames) is the same either way."""
+        data = frames_first if frames_first.ndim == 2 else \
+            np.ascontiguousarray(frames_first.swapaxes(0, 1))
+        return Tensor(data, requires_grad=True)
+
     @pytest.mark.parametrize("edges", ["mixed", "edgeless"])
     @pytest.mark.parametrize("batched", [True, False])
     def test_message_pass(self, edges, batched):
@@ -353,22 +361,26 @@ class TestFusedKernels:
                             for ids in self.EDGES[edges])
         schedule = EdgeSchedule(sources, targets)
         lead = (6,) if batched else ()
-        refined = Tensor(rng.normal(size=(6, 3, 2)), requires_grad=True)
-        factor = Tensor(rng.normal(size=lead + (sources.size, 2)),
-                        requires_grad=True)
-        own = Tensor(rng.normal(size=lead + (4, 2)), requires_grad=True)
+        refined = self.rows_first(rng.normal(size=(6, 3, 2)))
+        factor = self.rows_first(rng.normal(size=lead + (sources.size, 2)))
+        own = self.rows_first(rng.normal(size=lead + (4, 2)))
         in_degree = np.bincount(targets, minlength=4)
         mean_scale = np.where(in_degree, 1.0 / np.maximum(in_degree, 1),
                               0.0)[:, None]
-        mix = rng.normal(size=(6, 4, 2))
+        mix = self.rows_first(rng.normal(size=(6, 4, 2))).data
 
         def fused():
             return Tensor.message_pass(refined, factor, own, schedule,
                                        mean_scale)
 
+        def frames_first(data):
+            return data if data.ndim == 2 else data.swapaxes(0, 1)
+
         assert np.array_equal(
-            fused().numpy(),
-            composite_message_pass(refined.data, factor.data, own.data,
+            frames_first(fused().numpy()),
+            composite_message_pass(frames_first(refined.data),
+                                   frames_first(factor.data),
+                                   frames_first(own.data),
                                    sources, targets, mean_scale))
         check_gradients(lambda: (fused() * mix).sum(),
                         [("refined", refined), ("factor", factor),
@@ -379,20 +391,21 @@ class TestFusedKernels:
         sources, targets = (np.asarray(ids, dtype=np.int64)
                             for ids in self.EDGES["mixed"])
         schedule = EdgeSchedule(sources, targets)
-        refined = Tensor(rng.normal(size=(6, 3, 2)), requires_grad=True)
+        refined = self.rows_first(rng.normal(size=(6, 3, 2)))
         factor = Tensor(rng.normal(size=(7, 2)), requires_grad=True)
         own = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
         mean_scale = rng.uniform(size=(4, 1))
         mix = rng.normal(size=(6, 4, 2))
 
         def composite():
-            summed = Tensor.segment_sum(refined[:, sources, :] * factor,
-                                        targets, 4)
+            summed = Tensor.segment_sum(
+                refined.transpose(1, 0, 2)[:, sources, :] * factor, targets, 4)
             return ((summed * Tensor(mean_scale) + own) * mix).sum()
 
         assert_same_gradients(
             lambda: (Tensor.message_pass(refined, factor, own, schedule,
-                                         mean_scale) * mix).sum(),
+                                         mean_scale).transpose(1, 0, 2)
+                     * mix).sum(),
             composite, [refined, factor, own])
 
     # (B, T, H, d_h): under, at and over the GEMM row floor; the served

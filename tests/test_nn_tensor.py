@@ -90,6 +90,69 @@ class TestElementwiseGradients:
         check_gradient(lambda t: -t, (3,))
 
 
+def masked_elu(x: np.ndarray, alpha: float):
+    """ELU's value and local gradient by boolean-mask gather and scatter:
+    expm1 evaluated on the entries ``x <= 0`` only."""
+    negative = x <= 0
+    neg_expm1 = np.expm1(x[negative])
+    value = x.copy()
+    value[negative] = alpha * neg_expm1
+    local = np.ones_like(x)
+    local[negative] = alpha * (neg_expm1 + 1.0)
+    return value, local
+
+
+class TestEluBits:
+    """``Tensor.elu`` is the masked formula to the bit, zero signs, NaN,
+    subnormals and floating-point exceptions included."""
+
+    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, -1e-310, 2.2250738585072014e-308,
+               -2.2250738585072014e-308, -800.0, 800.0, -np.inf, np.inf,
+               np.nan, -np.nan, -1e-17, 1e-17, -37.5, 709.0, 710.0]
+
+    @staticmethod
+    def fused(x: np.ndarray, alpha: float, grad: np.ndarray):
+        tensor = Tensor(x, requires_grad=True)
+        tensor.elu(alpha).backward(grad)
+        return tensor.elu(alpha).numpy(), tensor.grad
+
+    @staticmethod
+    def outcome(fn):
+        try:
+            return fn()
+        except FloatingPointError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    @pytest.mark.parametrize("value", SPECIAL)
+    def test_special_values(self, alpha, value):
+        x = np.array([value, -value, 1.0, -1.0])
+        grad = np.array([0.75, -1.25, 3.0, 0.5])
+        with np.errstate(all="raise"):  # the same exceptions, if any
+            got = self.outcome(lambda: self.fused(x, alpha, grad))
+            want = self.outcome(lambda: masked_elu(x, alpha))
+        assert isinstance(got, str) == isinstance(want, str)
+        if isinstance(want, str):  # alpha times a subnormal underflows
+            assert got == want
+        with np.errstate(all="raise", under="ignore"):
+            got = self.fused(x, alpha, grad)
+            want = masked_elu(x, alpha)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == (grad * want[1]).tobytes()
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    @pytest.mark.parametrize("shape", [(7,), (16, 8), (5, 33, 8)])
+    def test_random_signs(self, alpha, shape):
+        rng = np.random.default_rng(11)
+        x = rng.normal(scale=3.0, size=shape)
+        x.reshape(-1)[::5] = -0.0
+        grad = rng.normal(size=shape)
+        value, local = masked_elu(x, alpha)
+        got_value, got_grad = self.fused(x, alpha, grad)
+        assert got_value.tobytes() == value.tobytes()
+        assert got_grad.tobytes() == (grad * local).tobytes()
+
+
 class TestMatmulGradients:
     def test_matmul_2d(self):
         rng = np.random.default_rng(1)

@@ -2,6 +2,7 @@
 pre-binary (base64-in-JSON) logs, and corruption typing.
 """
 
+import hashlib
 import json
 import struct
 import zlib
@@ -59,6 +60,17 @@ class TestBinaryRecords:
         legacy = json.dumps({"kind": "ingest", "stream": "cam-1", "seq": 0,
                              "windows": encode_array(windows)})
         assert len(payload) < len(legacy)
+
+    def test_segment_bytes_are_pinned(self, tmp_path):
+        """An ingest and a skip record on disk, byte for byte: the log a
+        build writes is the log every later build recovers."""
+        windows = np.linspace(-2.0, 2.0, 3 * 4 * 6).reshape(3, 4, 6)
+        with WriteAheadLog(tmp_path) as log:
+            log.append(ingest_record("cam-1", windows), sync=True)
+            log.append(skip_record(0), sync=True)
+            [path] = log.segment_paths
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "9f3bcbd4be97a3349a424882ffa31516b75751c5488af8ab3d871b8f0e50e530")
 
     def test_records_without_arrays_stay_json(self, tmp_path):
         with WriteAheadLog(tmp_path) as log:
