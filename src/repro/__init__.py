@@ -26,7 +26,7 @@ state) to a single JSON artifact.  The CLI mirrors it:
 Subpackages
 -----------
 ``repro.api``         public deployment facade (Pipeline/Deployment/ReproConfig)
-``repro.runtime``     unified serving core (ServingEngine/backends)
+``repro.runtime``     unified serving core (ServingEngine over a fleet)
 ``repro.metrics``     serving metrics primitives (counters/gauges/histograms)
 ``repro.obs``         end-to-end request tracing (TraceRecorder/spans/exports)
 ``repro.serving``     multi-stream fleet serving (DeploymentFleet/MicroBatcher)
@@ -45,7 +45,7 @@ Subpackages
 ``repro.eval``        metrics + experiment harnesses (Fig. 5/6, Table I)
 """
 
-__version__ = "1.18.0"
+__version__ = "1.19.0"
 
 __all__ = [
     "api", "runtime", "metrics", "obs", "serving", "gateway", "wal",

@@ -33,7 +33,7 @@ BLOCKING_CALLS = frozenset({
 
 #: method names that execute a synchronous fleet/engine round
 ROUND_METHODS = frozenset({
-    "run_round", "ingest_round", "score_only", "pull_round",
+    "run_round", "ingest_round", "score_only", "serve_round",
 })
 
 

@@ -14,8 +14,8 @@ is now a thin wrapper over this rule.  Layer order, foundations first::
       -> adaptation / edge / eval -> api
       -> runtime -> serving -> wal -> gateway -> cli
 
-``runtime`` sits *below* ``serving`` (serving backends drive the
-engine); the single engine->batcher lazy import that breaks this order
+``runtime`` sits *below* ``serving`` (the engine serves over a fleet it
+is handed, and never imports one); a lazy import that breaks this order
 is suppressed inline where it happens, not widened here.
 """
 

@@ -115,9 +115,9 @@ class Deployment:
 
         Serving runs through the canonical
         :class:`~repro.runtime.ServingEngine` round loop as a
-        single-stream fleet (``batched=False``: with one stream per round
-        there is nothing to coalesce, and the deployment scores inside
-        :meth:`ingest` exactly as before).  ``tracer`` (an optional
+        single-stream fleet: each batch is scored by its own forward and
+        ingested with those scores, bit-identical to :meth:`ingest`
+        scoring it.  ``tracer`` (an optional
         :class:`repro.obs.TraceRecorder`) records one ``engine.round``
         span per served round.
         """
@@ -130,7 +130,7 @@ class Deployment:
         fleet.add("deployment", self, stream)
         if tracer is not None:
             fleet.engine.tracer = tracer
-        for events in fleet.serve(batched=False):
+        for events in fleet.serve():
             for event in events:
                 yield ServeEvent(step=event.step, scores=event.scores,
                                  log=event.log,

@@ -180,15 +180,13 @@ def cmd_fleet(args) -> int:
     pipeline = _pipeline(args)
     sharded = args.shards > 1
     print(f"[fleet] building {args.streams} stream(s) over missions "
-          f"{args.missions} (adaptive={args.adaptive}, "
-          f"batched={not args.sequential}"
+          f"{args.missions} (adaptive={args.adaptive}"
           + (f", shards={args.shards}" if sharded else "") + ")")
     fleet = _build_fleet(args, pipeline)
     try:
         t0 = time.perf_counter()
         total_windows = 0
-        for events in fleet.serve(max_rounds=args.rounds,
-                                  batched=not args.sequential):
+        for events in fleet.serve(max_rounds=args.rounds):
             total_windows += sum(e.scores.size for e in events)
             mean = sum(float(e.scores.mean()) for e in events) / len(events)
             adapted = sum(1 for e in events
@@ -197,7 +195,7 @@ def cmd_fleet(args) -> int:
             print(f"  round {fleet.rounds:3d}: {len(events):2d} stream(s), "
                   f"mean score {mean:.3f}{note}")
         elapsed = time.perf_counter() - t0
-        batches_run = fleet.engine.backend.batch_stats()["batches_run"]
+        batches_run = fleet.batcher_stats()["batches_run"]
         print(f"[fleet] served {total_windows} windows over {fleet.rounds} "
               f"round(s) in {elapsed:.2f}s "
               f"({total_windows / max(elapsed, 1e-9):.1f} windows/s, "
@@ -598,8 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adaptive", action="store_true",
                    help="continuously adapting deployments (own KG state; "
                         "default: static shared scoring models)")
-    p.add_argument("--sequential", action="store_true",
-                   help="disable micro-batching (per-deployment scoring loop)")
     p.add_argument("--shards", type=int, default=1,
                    help="partition the fleet into N in-process shards, "
                         "run on threads when the process may use two or "

@@ -1,4 +1,4 @@
-"""The unified serving core: one engine over pluggable execution backends.
+"""The unified serving core: one engine over a fleet.
 
 Every serving layer in this repo — the
 :class:`~repro.serving.DeploymentFleet`, its sharded twin
@@ -9,23 +9,24 @@ schedule → micro-batch score → ingest → emit :class:`FleetEvent`s) and
 instruments it through one :class:`repro.metrics.MetricsRegistry`:
 
 :class:`ServingEngine`
-    The round loop: lock-step rounds pulled from backend-owned streams
+    The round loop: lock-step rounds pulled from the fleet's streams
     (``step``/``serve``/``ingest_round``/``score_only``) and queued
     rounds over bounded per-stream admission queues
     (``submit``/``run_round``: each round serves the front request of
     every non-empty queue, so each stream is served strictly FIFO) — one
-    wave executor, one commit routine
-    (inline or on the committer thread), per-entry error isolation, and
-    a :class:`DurabilityHook` for ack-after-fsync serving.
-:class:`ExecutionBackend` → :class:`InlineBackend` / :class:`ShardedBackend`
-    Where the compute runs.  ``serve_round`` is the one wave primitive:
-    the caller's thread (micro-batched coalescing), or a scatter of
-    that same inline implementation across in-process shards, on a
-    thread pool when the process may run on two or more CPUs.
-    Stage timings ride every reply (:mod:`repro.runtime.timeline`), so
-    ``engine.stage.*`` histograms fill with or without a tracer.  Every
-    backend serves bit-identical per-stream scores — locked down by the
-    backend parity tests.
+    wave primitive for both (the fleet's ``serve_round``), one commit
+    routine (inline or on the committer thread), per-entry error
+    isolation, and a :class:`DurabilityHook` for ack-after-fsync
+    serving.
+
+The fleet the engine serves is where the compute runs: a
+``DeploymentFleet`` scores on the caller's thread (micro-batched
+coalescing), a ``ShardedFleet`` scatters the same wave across its
+in-process shard fleets, on a thread pool when the process may run on
+two or more CPUs.  Stage timings ride every wave
+(:mod:`repro.runtime.timeline`), so ``engine.stage.*`` histograms fill
+with or without a tracer.  Both fleets serve bit-identical per-stream
+scores — locked down by the fleet-class parity tests.
 """
 
 from .engine import (
@@ -35,19 +36,13 @@ from .engine import (
     FleetEvent,
     RoundResult,
     ServingEngine,
-    make_fleet_event,
 )
-from .backends import ExecutionBackend, InlineBackend, ShardedBackend
 
 __all__ = [
     "ServingEngine",
     "FleetEvent",
-    "make_fleet_event",
     "EngineRequest",
     "RoundResult",
     "AdmissionError",
     "DurabilityHook",
-    "ExecutionBackend",
-    "InlineBackend",
-    "ShardedBackend",
 ]

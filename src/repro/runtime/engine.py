@@ -1,22 +1,23 @@
-"""The serving engine: one canonical round loop for every serving layer.
+"""The serving engine over a fleet: one round loop for every serving layer.
 
 Three serving layers — the
 :class:`~repro.serving.DeploymentFleet`, its sharded twin
 :class:`~repro.serving.ShardedFleet`, and the network
-:class:`~repro.gateway.GatewayServer` — and each re-implemented the same
-round shape: gather pending arrivals, pick this round's work, micro-batch
-score it, dispatch the score slices into each deployment's monitor, and
-report what happened.  :class:`ServingEngine` owns that loop once:
+:class:`~repro.gateway.GatewayServer` — share one round shape: gather
+pending arrivals, pick this round's work, micro-batch score it, dispatch
+the score slices into each deployment's monitor, and report what
+happened.  :class:`ServingEngine` owns that loop once, over the fleet it
+serves:
 
-* **gather** — either pulled from backend-owned streams (:meth:`step`)
+* **gather** — either pulled from the fleet's own streams (:meth:`step`)
   or pushed into bounded per-stream admission queues (:meth:`submit`);
 * **schedule** — a round takes the front request of every non-empty
   per-stream queue, streams in first-arrival order (:meth:`run_round`);
-* **serve** — the round is one
-  :meth:`~repro.runtime.ExecutionBackend.serve_round` call: the backend
-  scores it coalesced (micro-batching, or one scatter across
-  in-process shards) and its deployments ingest their precomputed
-  score slices, with per-entry isolation when a coalesced forward fails;
+* **serve** — every round, lock-step or queued, is one
+  ``fleet.serve_round`` wave: the fleet scores it coalesced
+  (micro-batching, or one scatter across in-process shards) and its
+  deployments ingest their precomputed score slices, with per-entry
+  isolation when a coalesced forward or one stream's ingest fails;
 * **commit** — one commit routine (durability records, group-commit
   fsync) runs inline or on the committer thread;
 * **emit** — :class:`FleetEvent`/:class:`RoundResult` objects for the
@@ -24,7 +25,7 @@ report what happened.  :class:`ServingEngine` owns that loop once:
   :class:`repro.metrics.MetricsRegistry`, and — from the same stamps,
   only when a recorder is attached — the round's trace spans.
 
-Scores are bit-identical across backends: scoring is stateless and
+Scores are bit-identical across fleet classes: scoring is stateless and
 batch-composition-independent (see :mod:`repro.serving.batcher`), and
 the engine serves each stream's queue strictly FIFO, so every stream
 sees the exact ingest sequence a plain ``DeploymentFleet.step()`` run
@@ -48,8 +49,8 @@ from .timeline import RoundTimeline, stage_timing
 if TYPE_CHECKING:  # pragma: no cover — typing only
     from ..adaptation.controller import AdaptationStepLog
 
-__all__ = ["FleetEvent", "make_fleet_event", "EngineRequest", "RoundResult",
-           "AdmissionError", "DurabilityHook", "ServingEngine"]
+__all__ = ["FleetEvent", "EngineRequest", "RoundResult", "AdmissionError",
+           "DurabilityHook", "ServingEngine"]
 
 
 @dataclass
@@ -63,18 +64,6 @@ class FleetEvent:
     log: "AdaptationStepLog | None" = None
     active_class: str | None = None
     is_post_shift: bool | None = None
-
-
-def make_fleet_event(slot, log, batch=None) -> FleetEvent:
-    """The one place a :class:`FleetEvent` is assembled from a slot's
-    ingest log (``batch`` carries stream metadata when the round was
-    pulled from the slot's own stream; externally supplied arrivals have
-    none)."""
-    return FleetEvent(
-        stream=slot.name, mission=slot.deployment.mission,
-        step=log.step, scores=log.scores, log=log,
-        active_class=getattr(batch, "active_class", None),
-        is_post_shift=getattr(batch, "is_post_shift", None))
 
 
 @dataclass
@@ -172,7 +161,11 @@ class _CommitBatch:
 
 
 class ServingEngine:
-    """Drives rounds over an :class:`~repro.runtime.ExecutionBackend`.
+    """Drives rounds over a fleet (a :class:`~repro.serving.DeploymentFleet`
+    or :class:`~repro.serving.ShardedFleet`), looking up at every call —
+    so a method wrapped on the instance is honoured — its ``serve_round``
+    (every wave), ``score``/``ingest`` (per-entry isolation), ``pull``
+    (:meth:`step`) and its stats attributes (:meth:`stats`).
 
     Thread-safety: the admission queue (:meth:`submit` /
     :meth:`run_round` / :meth:`drop_pending`) is lock-protected, so an
@@ -205,14 +198,14 @@ class ServingEngine:
     :class:`_CommitBatch` by value.
     """
 
-    def __init__(self, backend, metrics: MetricsRegistry | None = None,
+    def __init__(self, fleet, metrics: MetricsRegistry | None = None,
                  max_queue_depth: int | None = None,
                  durability: DurabilityHook | None = None, tracer=None,
                  slow_round_ms: float | None = None, on_slow_round=None,
                  pipeline: bool = False, on_commit=None):
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ConfigError("max_queue_depth must be >= 1")
-        self.backend = backend
+        self.fleet = fleet
         self.metrics = metrics or MetricsRegistry()
         self.max_queue_depth = max_queue_depth
         self.rounds = 0
@@ -246,17 +239,24 @@ class ServingEngine:
         self._commit_cv = Condition(self._lock)
 
     # ------------------------------------------------------------------
-    # Lock-step serving: rounds pulled from backend-owned streams
+    # Lock-step serving: rounds pulled from the fleet's streams
     # ------------------------------------------------------------------
-    def step(self, batched: bool = True) -> list[FleetEvent]:
-        """One serving round over every live backend stream: pull each
-        stream's next arrival batch, score (coalesced when ``batched``),
-        ingest, emit events.  With a tracer attached each non-empty pull
-        becomes one ``engine.round`` span."""
+    def step(self) -> list[FleetEvent]:
+        """One serving round over every live fleet stream: pull each
+        stream's next arrival batch and serve them as one wave, every
+        stream ingested; events come in attach order and carry their
+        batch's ``active_class``/``is_post_shift``.  With a tracer
+        attached each non-empty pull becomes one ``engine.round`` span."""
         wall, start = time.time(), time.perf_counter()
-        events = self.backend.pull_round(batched)
-        if not events:
+        batches = self.fleet.pull()
+        if not batches:
             return []
+        served = self._lockstep_wave({name: getattr(batch, "windows", batch)
+                                      for name, batch in batches.items()})
+        events = [served[name] for name in batches]
+        for event, batch in zip(events, batches.values()):
+            event.active_class = getattr(batch, "active_class", None)
+            event.is_post_shift = getattr(batch, "is_post_shift", None)
         elapsed = time.perf_counter() - start
         self._observe_round(elapsed, len(events),
                             sum(int(event.scores.size) for event in events))
@@ -267,26 +267,23 @@ class ServingEngine:
                        "pull": True})
         return events
 
-    def serve(self, max_rounds: int | None = None, batched: bool = True):
+    def serve(self, max_rounds: int | None = None):
         """Yield per-round event lists until every stream is exhausted
         (or ``max_rounds`` rounds have run)."""
         rounds = 0
         while max_rounds is None or rounds < max_rounds:
-            events = self.step(batched=batched)
+            events = self.step()
             if not events:
                 return
             yield events
             rounds += 1
 
-    def ingest_round(self, arrivals: dict, batched: bool = True,
-                     scores: dict | None = None) -> dict[str, FleetEvent]:
+    def ingest_round(self, arrivals: dict) -> dict[str, FleetEvent]:
         """One serving round over externally supplied arrival windows
-        (``{stream name: (B, T, frame_dim) windows}``); ``scores`` may
-        carry precomputed per-stream score slices (e.g. from a prior
-        :meth:`score_only` call), in which case scoring is skipped."""
+        (``{stream name: (B, T, frame_dim) windows}``): one wave, every
+        stream ingested."""
         start = time.perf_counter()
-        events = self.backend.ingest(arrivals, scores=scores,
-                                     batched=batched)
+        events = self._lockstep_wave(arrivals)
         if events:
             self._observe_round(
                 time.perf_counter() - start, len(events),
@@ -297,7 +294,24 @@ class ServingEngine:
         """Score externally supplied windows without feeding any
         deployment's monitor; stateless and safely retryable."""
         self.metrics.counter("engine.score_only").inc()
-        return self.backend.score(arrivals)
+        return self.fleet.score(arrivals)
+
+    def _lockstep_wave(self, arrivals: dict) -> dict[str, FleetEvent]:
+        """Serve ``arrivals`` as one wave with every stream ingested, and
+        raise what a stream's scoring or ingest raised once the wave is
+        over (the other streams' ingests stand, as they would in a
+        queued round)."""
+        _, events, unscored, _ = self.fleet.serve_round(arrivals,
+                                                        list(arrivals))
+        if unscored:
+            # A clean coalesced-score failure: scoring the same slice
+            # again (stateless, deterministic) raises its error.
+            retry = {name: arrivals[name] for name in unscored}
+            events.update(self.fleet.ingest(retry, self.fleet.score(retry)))
+        for outcome in events.values():
+            if isinstance(outcome, Exception):
+                raise outcome
+        return events
 
     # ------------------------------------------------------------------
     # Queued serving: admission and rounds over the per-stream queues
@@ -390,7 +404,7 @@ class ServingEngine:
         non-empty per-stream queue, streams in first-arrival order, served
         as one :meth:`_execute_wave`.  Total: every dequeued request gets
         exactly one :class:`RoundResult`; this method never raises on bad
-        client input or backend failure.
+        client input or fleet failure.
 
         Every round stamps one :class:`~repro.runtime.timeline.RoundTimeline`
         from which the ``engine.stage.*`` histograms are observed, traced
@@ -432,7 +446,7 @@ class ServingEngine:
                                else out.scores).shape[0])
                 for out in results if out.kind != "error")
         except Exception:  # noqa: BLE001 — telemetry only: an odd
-            windows = 0    # custom-backend score shape must not lose
+            windows = 0    # custom-fleet score shape must not lose
                            # the already-computed round results.
         try:
             self.metrics.counter("engine.requests").inc(len(wave))
@@ -631,7 +645,7 @@ class ServingEngine:
 
         :meth:`_commit_batch` only *flags* a due snapshot; taking it
         requires walking live fleet state, which is only safe here —
-        between rounds, after a full commit drain, with the backend
+        between rounds, after a full commit drain, with the fleet
         quiescent.  Called right after an inline commit, and at the top
         of every round for flags the committer thread raised.
         """
@@ -675,22 +689,25 @@ class ServingEngine:
     def _execute_wave(self, wave: list[EngineRequest]) \
             -> tuple[list[RoundResult], list[dict]]:
         """Serve one round's wave (≤1 request per stream, so keying by
-        stream name is unambiguous) through the backend's
-        ``serve_round``; returns the wave's results and its stage
-        timings.
+        stream name is unambiguous) through the fleet's ``serve_round``;
+        returns the wave's results and its stage timings.
 
         Failure contract: a *clean* coalesced-score failure — e.g. one
         request's windows have a frame_dim the models can't score, which
         shape checks at admission cannot know — comes back as
         ``unscored`` streams with nothing ingested, and each is re-scored
         alone so only the offending request errors while the rest
-        proceed through ``backend.ingest`` with their precomputed
+        proceed through ``fleet.ingest`` with their precomputed
         (bit-identical — batch composition never changes scores) slices.
-        Retrying is safe precisely because scoring is stateless.  A
-        *raised* ``serve_round`` is indeterminate for ingest — some
-        shards may have applied their slice before another raised — so
-        ingest requests get a typed ``internal`` error, while stateless
-        ``scores`` requests are retried solo.
+        Retrying is safe precisely because scoring is stateless.  One
+        stream's failed ingest is that request's alone: a
+        :class:`~repro.errors.ConfigError` (raised before any state
+        changes, e.g. NaN windows) is its ``bad_request``, anything else
+        its ``internal``, and the streams that did ingest keep their
+        events.  A *raised* ``serve_round`` is indeterminate for ingest
+        — some shards may have applied their slice before another raised
+        — so ingest requests get a typed ``internal`` error, while
+        stateless ``scores`` requests are retried solo.
         """
         by_stream = {request.stream: request for request in wave}
         arrivals = {name: request.windows
@@ -708,7 +725,7 @@ class ServingEngine:
 
         try:
             scored, events, unscored, timings = \
-                self.backend.serve_round(arrivals, ingest_names)
+                self.fleet.serve_round(arrivals, ingest_names)
         except Exception as exc:  # noqa: BLE001 — typed to caller
             internal(ingest_names, exc)
             scored, events, timings = {}, {}, []
@@ -716,7 +733,7 @@ class ServingEngine:
         for name in unscored:
             try:
                 with stage_timing(timings, "score", [name]):
-                    scored[name] = self.backend.score(
+                    scored[name] = self.fleet.score(
                         {name: arrivals[name]})[name]
             except Exception as exc:  # noqa: BLE001 — typed to caller
                 outcomes[name] = _failed(
@@ -728,13 +745,21 @@ class ServingEngine:
         if retry:
             try:
                 with stage_timing(timings, "ingest", list(retry)):
-                    events.update(self.backend.ingest(
-                        retry, scores={name: scored[name] for name in retry}))
+                    events.update(self.fleet.ingest(
+                        retry, {name: scored[name] for name in retry}))
             except Exception as exc:  # noqa: BLE001 — typed to caller
                 internal(retry, exc)
         for name, event in events.items():
-            outcomes[name] = RoundResult(
-                request=by_stream[name], kind="event", event=event)
+            if isinstance(event, ConfigError):
+                outcomes[name] = _failed(
+                    by_stream[name], "bad_request",
+                    f"windows for stream {name!r} were refused: "
+                    f"{type(event).__name__}: {event}")
+            elif isinstance(event, Exception):
+                internal([name], event)
+            else:
+                outcomes[name] = RoundResult(
+                    request=by_stream[name], kind="event", event=event)
         for name, request in by_stream.items():
             if request.op == "scores" and name in scored:
                 outcomes[name] = RoundResult(
@@ -762,20 +787,21 @@ class ServingEngine:
 
     def stats(self, concurrent: bool = False) -> dict:
         """Engine-level summary for the ``stats`` op and the benchmark
-        payloads: the backend name, rounds, queue depths, and the
-        backend's coalescing counters (windows per forward).
+        payloads: the fleet's backend name (``"inline"``/``"sharded"``),
+        rounds, queue depths, and the fleet's coalescing counters
+        (windows per forward).
 
         With ``concurrent=True`` (a caller on a different thread than
-        the round runner, e.g. the gateway's ``stats`` op) backends whose
-        counters aren't safe to read mid-round — the sharded backend's
-        first read builds its shards — are skipped instead of queried.
+        the round runner, e.g. the gateway's ``stats`` op) fleets whose
+        counters aren't safe to read mid-round — a sharded fleet's first
+        read builds its shards — are skipped instead of queried.
         """
         # The root package only defines metadata (no subpackage imports),
         # so this upward import cannot cycle; deferred anyway so the
         # engine module stays importable mid-bootstrap.
         from .. import __version__
         out = {
-            "backend": self.backend.name,
+            "backend": self.fleet.backend,
             "rounds": self.rounds,
             "queued": self.queued_depths(),
             "version": __version__,
@@ -785,7 +811,7 @@ class ServingEngine:
         # Transport counters (shards, pool threads, fused waves) are
         # plain attribute reads — safe from any thread, so they're
         # reported even on concurrent snapshots.
-        transport = self.backend.transport_stats()
+        transport = self.fleet.transport_stats()
         if transport:
             out["transport"] = transport
         if self.pipeline:
@@ -799,9 +825,9 @@ class ServingEngine:
                 "commit_batches": int(
                     self.metrics.counter("engine.commit_batches").value),
             }
-        if concurrent and not self.backend.concurrent_safe_stats:
+        if concurrent and not self.fleet.concurrent_safe_stats:
             return out
-        batch = self.backend.batch_stats()
+        batch = self.fleet.batcher_stats()
         if batch:
             forwards = int(batch.get("batches_run", 0))
             scored = int(batch.get("windows_scored", 0))

@@ -2,7 +2,7 @@
 
 Every queued round stamps one :class:`RoundTimeline` —
 ``perf_counter`` instants for schedule, handoff, commit start and fsync
-end, plus the stage intervals each backend stamps inside ``serve_round``
+end, plus the stage intervals each fleet stamps inside ``serve_round``
 (:func:`stage_timing`) — and both outputs derive from it: the
 ``engine.stage.*`` histograms on every round and, only when a recorder
 is attached, the round's spans.  A recorder never selects a code path.

@@ -17,10 +17,11 @@ is the production layer above it:
     for them, and merges per-round events back in stable stream order —
     scores bit-identical to one batched fleet.
 
-Both fleet classes are facades over the unified serving core: the round
-loop (and its metrics) lives in :class:`repro.runtime.ServingEngine`,
-executing through an :class:`~repro.runtime.InlineBackend`
-(``DeploymentFleet``) or :class:`~repro.runtime.ShardedBackend`
+Both fleet classes are what the unified serving core serves over: the
+round loop (and its metrics) lives in
+:class:`repro.runtime.ServingEngine`, and every round it runs is one
+``serve_round`` wave of the fleet's — coalesced on the caller's thread
+(``DeploymentFleet``) or scattered across the shard fleets
 (``ShardedFleet``); the fleets own stream state and checkpointing.
 :class:`RingBuffer` and its framing are used by no fleet; the benchmark
 still imports them.

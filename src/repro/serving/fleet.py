@@ -14,11 +14,11 @@ Streams can be attached and detached mid-run, and a whole fleet —
 deployments, adaptation state, stream positions — checkpoints to a single
 JSON file that stores what slots share (weights, anchors, models) once.
 
-Since the ``repro.runtime`` extraction the fleet is a thin facade: it
-owns stream *state* (slots, batcher, checkpoints) while the round loop
-itself lives in :class:`~repro.runtime.ServingEngine` over an
-:class:`~repro.runtime.InlineBackend` (``FleetEvent`` moved there too and
-is re-exported here for compatibility).
+The fleet owns stream *state* (slots, batcher, checkpoints) and the one
+wave its rounds run (:meth:`DeploymentFleet.serve_round`: coalesced
+scoring, then each deployment ingests its slice); the round loop itself
+lives in :class:`~repro.runtime.ServingEngine`, which serves over the
+fleet (``FleetEvent`` lives there too and is re-exported here).
 """
 
 from __future__ import annotations
@@ -33,10 +33,11 @@ from ..api.config import config_from_dict, config_to_dict
 from ..api.deployment import Deployment
 from ..data.streams import TrendShiftConfig, TrendShiftStream
 from ..runtime.engine import FleetEvent, ServingEngine
+from ..runtime.timeline import stage_timing
 from ..gnn.checkpoint import deployment_from_dict, deployment_to_dict
 from ..utils.serialization import atomic_write_json, decode_array, encode_array
-from .batcher import MicroBatcher
-from ..errors import CheckpointError, ConfigError
+from .batcher import MicroBatcher, ScoreRequest
+from ..errors import CheckpointError, ConfigError, WindowShapeError
 
 __all__ = ["FLEET_FORMAT_VERSION", "FleetEvent", "StreamSlot",
            "DeploymentFleet", "build_fleet"]
@@ -95,6 +96,10 @@ class _FleetFacade:
     its metrics, so callers (GatewayServer, examples) drive either
     uniformly."""
 
+    #: Whether :meth:`batcher_stats` may be called from a thread other
+    #: than the round runner's (``engine.stats(concurrent=True)``).
+    concurrent_safe_stats = True
+
     @property
     def rounds(self) -> int:
         """Serving rounds run so far (counted by the engine)."""
@@ -107,26 +112,21 @@ class _FleetFacade:
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
-    def step(self, batched: bool = True) -> list[FleetEvent]:
-        """One serving round over every live stream.
-
-        With ``batched`` (the default) all pending windows are scored
-        through the micro-batcher — one coalesced forward per distinct
-        scoring model — and each deployment ingests its precomputed score
-        slice.  With ``batched=False`` each deployment scores its own
-        windows (the sequential per-deployment loop; the benchmark's
-        baseline).  Both paths produce bit-identical scores and adaptation
-        decisions.
+    def step(self) -> list[FleetEvent]:
+        """One serving round over every live stream: all pending windows
+        are scored through the micro-batcher — one coalesced forward per
+        distinct scoring model — and each deployment ingests its
+        precomputed score slice, with scores and adaptation decisions
+        bit-identical to each deployment scoring its own windows.
         """
-        return self.engine.step(batched=batched)
+        return self.engine.step()
 
-    def serve(self, max_rounds: int | None = None, batched: bool = True):
+    def serve(self, max_rounds: int | None = None):
         """Yield per-round event lists until every stream is exhausted
         (or ``max_rounds`` rounds have run)."""
-        return self.engine.serve(max_rounds=max_rounds, batched=batched)
+        return self.engine.serve(max_rounds=max_rounds)
 
-    def ingest_round(self, arrivals: dict, batched: bool = True,
-                     scores: dict | None = None) -> dict[str, FleetEvent]:
+    def ingest_round(self, arrivals: dict) -> dict[str, FleetEvent]:
         """One serving round over externally supplied arrival windows.
 
         ``arrivals`` maps attached stream names to ``(B, T, frame_dim)``
@@ -138,21 +138,23 @@ class _FleetFacade:
         a direct ``step()`` run over the same per-stream window sequence.
         Slot stream cursors are untouched.
 
-        ``scores`` may carry each stream's precomputed anomaly scores
-        (e.g. from a prior :meth:`score_only` call over the same
-        windows); scoring is then skipped and the deployments ingest the
-        given slices.  The forward is score-then-ingest either way, so a
-        scoring failure (bad shapes, mixed window lengths) raises before
-        any deployment's state is touched.
+        The forward is score-then-ingest, so a scoring failure (bad
+        shapes, mixed window lengths) raises before any deployment's
+        state is touched; a stream whose ingest fails raises after the
+        other streams have ingested.
         """
-        return self.engine.ingest_round(arrivals, batched=batched,
-                                        scores=scores)
+        return self.engine.ingest_round(arrivals)
 
     def score_only(self, arrivals: dict) -> dict[str, np.ndarray]:
         """Score externally supplied windows without feeding any
         deployment's monitor (the gateway's ``scores`` op); same
         micro-batched forward as :meth:`ingest_round`."""
         return self.engine.score_only(arrivals)
+
+    def transport_stats(self) -> dict | None:
+        """How the fleet spreads a round (:class:`ShardedFleet`); ``None``
+        for one fleet."""
+        return None
 
     def close(self) -> None:
         """Nothing to release (a :class:`ShardedFleet` stops its pool)."""
@@ -170,17 +172,19 @@ class _FleetFacade:
 class DeploymentFleet(_FleetFacade):
     """Batched lock-step serving over many concurrent deployment streams.
 
-    Its engine runs an :class:`~repro.runtime.InlineBackend`: the fleet
-    owns the slots and the micro-batcher (state, checkpointing), the
-    engine owns the round loop and its metrics.
+    The fleet owns the slots and the micro-batcher (state,
+    checkpointing) and runs each wave on the caller's thread; its engine
+    owns the round loop and its metrics.
     """
+
+    #: The ``backend`` name ``engine.stats()`` reports.
+    backend = "inline"
 
     def __init__(self, batcher: MicroBatcher | None = None,
                  metrics=None):
-        from ..runtime.backends import InlineBackend
         self.batcher = batcher or MicroBatcher()
         self._slots: dict[str, StreamSlot] = {}
-        self.engine = ServingEngine(InlineBackend(self), metrics=metrics)
+        self.engine = ServingEngine(self, metrics=metrics)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -190,8 +194,8 @@ class DeploymentFleet(_FleetFacade):
 
         A model instance may be shared across *static* deployments, but
         never where any sharer is adaptive: adaptation mutates its KG tokens
-        mid-round, which would make batched and sequential serving diverge
-        and entangle the streams.  Frozen weights (``model.sharer()``) may.
+        mid-round, which would make coalesced scores diverge from each
+        deployment scoring alone and entangle the streams.  Frozen weights (``model.sharer()``) may.
         """
         if name in self._slots:
             raise ConfigError(f"stream {name!r} already attached")
@@ -232,6 +236,107 @@ class DeploymentFleet(_FleetFacade):
     @property
     def active_count(self) -> int:
         return sum(not slot.done for slot in self._slots.values())
+
+    # ------------------------------------------------------------------
+    # Waves (what the engine serves with)
+    # ------------------------------------------------------------------
+    def pull(self) -> dict:
+        """Each live slot's next arrival batch, ``{name: batch}`` in attach
+        order (exhausted slots are left out)."""
+        return {slot.name: batch for slot in self._slots.values()
+                if (batch := slot.next_batch()) is not None}
+
+    def serve_round(self, arrivals: dict, ingest_names: list[str]) \
+            -> tuple[dict, dict, list[str], list[dict]]:
+        """One wave: score every arrival coalesced, then ingest the
+        ``ingest_names`` subset with its precomputed slices.  Returns
+        ``(scored, events, unscored, timings)``: per-stream scores; the
+        ingested subset's :meth:`ingest` results; the streams whose
+        coalesced score failed *cleanly* (nothing of theirs ingested, so
+        the caller may retry them one by one through :meth:`score` +
+        :meth:`ingest`); and the :func:`~repro.runtime.timeline.
+        stage_timing` entries stamped on the way."""
+        timings: list[dict] = []
+        try:
+            with stage_timing(timings, "score", list(arrivals)):
+                scored = self.score(arrivals)
+        except Exception:  # noqa: BLE001 — a clean failure: scoring is
+            # stateless and nothing was ingested, so the caller isolates
+            # the offending entry by re-scoring each stream alone.
+            return {}, {}, list(arrivals), timings
+        todo = {name: arrivals[name] for name in ingest_names}
+        events = {}
+        if todo:
+            with stage_timing(timings, "ingest", list(todo)):
+                events = self.ingest(todo, scored)
+        return scored, events, [], timings
+
+    def score(self, arrivals: dict) -> dict[str, np.ndarray]:
+        """Stateless coalesced scoring of externally supplied windows
+        (``{stream name: (B, T, frame_dim) windows}``); no deployment
+        monitor is touched, so a failed or repeated call is safe."""
+        slots, windows = self._gather(arrivals)
+        if not slots:
+            return {}
+        all_scores = self.batcher.score(
+            [ScoreRequest(slot.deployment.model, batch)
+             for slot, batch in zip(slots, windows)])
+        return {slot.name: scores
+                for slot, scores in zip(slots, all_scores)}
+
+    def ingest(self, arrivals: dict, scores: dict) -> dict:
+        """Each stream's deployment ingests its windows with its
+        precomputed ``scores`` slice, in attach order.  Returns
+        ``{stream: FleetEvent}``, except that a stream whose ingest
+        raised maps to the exception instead: one stream's failure is
+        its own, and the streams that ingested keep their events."""
+        slots, windows = self._gather(arrivals)
+        missing = [slot.name for slot in slots if slot.name not in scores]
+        if missing:
+            raise KeyError(f"no precomputed scores for stream "
+                           f"{missing[0]!r}")
+        events: dict = {}
+        for slot, batch in zip(slots, windows):
+            deployment = slot.deployment
+            try:
+                log = deployment.ingest(batch, scores=np.asarray(
+                    scores[slot.name], dtype=np.float64))
+            except Exception as exc:  # noqa: BLE001 — the stream's outcome
+                events[slot.name] = exc
+                continue
+            events[slot.name] = FleetEvent(
+                stream=slot.name, mission=deployment.mission,
+                step=log.step, scores=log.scores, log=log)
+        return events
+
+    def _gather(self, arrivals: dict):
+        """Validate externally supplied arrivals and order them by slot
+        attach order (the order rounds score in)."""
+        unknown = sorted(set(arrivals) - set(self._slots))
+        if unknown:
+            raise KeyError(f"no stream named {unknown[0]!r} attached")
+        slots = [slot for name, slot in self._slots.items()
+                 if name in arrivals]
+        windows = []
+        for slot in slots:
+            batch = np.asarray(arrivals[slot.name], dtype=np.float64)
+            if batch.ndim != 3 or 0 in batch.shape:
+                raise WindowShapeError(
+                    f"stream {slot.name!r}: expected non-empty "
+                    f"(B, T, frame_dim) windows, got shape {batch.shape}")
+            windows.append(batch)
+        return slots, windows
+
+    def batcher_stats(self) -> dict:
+        """Coalescing counters (``batches_run``/``windows_scored``) and
+        the distinct ``weight_sets``/``token_states`` (scoring models)
+        the slots hold."""
+        models = [slot.deployment.model for slot in list(self._slots.values())]
+        return {"batches_run": self.batcher.batches_run,
+                "windows_scored": self.batcher.windows_scored,
+                "weight_sets": len({id(getattr(model, "weight_set", model))
+                                    for model in models}),
+                "token_states": len({id(model) for model in models})}
 
     # ------------------------------------------------------------------
     # Checkpointing

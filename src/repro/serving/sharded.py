@@ -218,6 +218,12 @@ class ShardedFleet(_FleetFacade):
     stops the shard thread pool if one was started.
     """
 
+    #: The ``backend`` name ``engine.stats()`` reports.
+    backend = "sharded"
+    #: The first :meth:`batcher_stats` builds the shards, so concurrent
+    #: ``engine.stats()`` readers skip it.
+    concurrent_safe_stats = False
+
     def __init__(self, shards: int, infra: FleetInfra | None = None,
                  max_batch_windows: int | None = None):
         self._setup(shards, infra, max_batch_windows, names=[])
@@ -250,8 +256,7 @@ class ShardedFleet(_FleetFacade):
         self._pool: ThreadPoolExecutor | None = None
         self.fused_rounds = 0
         self._closed = False
-        from ..runtime.backends import ShardedBackend
-        self.engine = ServingEngine(ShardedBackend(self))
+        self.engine = ServingEngine(self)
         self.rounds = rounds
         return self
 
@@ -388,16 +393,21 @@ class ShardedFleet(_FleetFacade):
         """Stream name -> shard index."""
         return dict(self._assignment)
 
-    def batcher_stats(self) -> dict:
+    def batcher_stats(self) -> dict | None:
         """Micro-batcher counters and held weight sets / token states,
-        summed across shards."""
-        stats = [fleet.engine.backend.batch_stats() for fleet in self._fleets()]
+        summed across shards; ``None`` once closed."""
+        if self._closed:
+            return None
+        stats = [fleet.batcher_stats() for fleet in self._fleets()]
         return {key: sum(shard[key] for shard in stats) for key in stats[0]}
 
-    def transport_stats(self) -> dict:
+    def transport_stats(self) -> dict | None:
         """``shards``, ``pool_threads`` (0: shards run in turn on the round
         thread) and ``fused_rounds`` (waves through :meth:`serve_round`);
-        plain attribute reads, surfaced by the gateway ``stats`` op."""
+        ``None`` once closed.  Plain attribute reads, so safe from any
+        thread: the gateway ``stats`` op surfaces them."""
+        if self._closed:
+            return None
         return {"shards": self.shards, "pool_threads": self.pool_threads,
                 "fused_rounds": self.fused_rounds}
 
@@ -423,20 +433,39 @@ class ShardedFleet(_FleetFacade):
             merged.update(reply)
         return merged
 
+    def pull(self) -> dict:
+        """Each live stream's next arrival batch, ``{name: batch}`` in
+        global attach order."""
+        batches = {name: batch for fleet in self._fleets()
+                   for name, batch in fleet.pull().items()}
+        return {name: batches[name] for name in self._order
+                if name in batches}
+
+    def score(self, arrivals: dict) -> dict:
+        """Stateless scoring, each shard's slice coalesced on that shard
+        (:meth:`DeploymentFleet.score`)."""
+        return self._scatter(lambda fleet, part: fleet.score(part), arrivals)
+
+    def ingest(self, arrivals: dict, scores: dict) -> dict:
+        """Each shard's slice through :meth:`DeploymentFleet.ingest`
+        (events, or a failed stream's exception), merged."""
+        return self._scatter(lambda fleet, part: fleet.ingest(part, scores),
+                             arrivals)
+
     def serve_round(self, arrivals: dict, ingest: list[str]) \
             -> tuple[dict, dict, list[str], list[dict]]:
-        """One whole wave: each involved shard's inline backend scores
-        its slice (same batch composition as a split ``score_only``, so
+        """One whole wave: each involved shard fleet scores its slice
+        (same batch composition as a split ``score_only``, so
         bit-identical scores) and ingests the ``ingest`` subset.  Returns
         the merged ``(scored, events, unscored, timings)`` of
-        :meth:`repro.runtime.ExecutionBackend.serve_round` — ``unscored``
-        lists the streams of any shard whose coalesced score failed
-        *cleanly* (that shard ingested nothing), and every timing entry
-        gains the ``shard`` index and the ``pid`` that stamped it.
+        :meth:`DeploymentFleet.serve_round` — ``unscored`` lists the
+        streams of any shard whose coalesced score failed *cleanly* (that
+        shard ingested nothing), and every timing entry gains the
+        ``shard`` index and the ``pid`` that stamped it.
         """
         ingest_set = set(ingest)
         replies = self._exchange(arrivals, lambda fleet, part: (
-            fleet.engine.backend.serve_round(
+            fleet.serve_round(
                 part, [name for name in part if name in ingest_set])))
         self.fused_rounds += 1
         scored: dict = {}

@@ -90,16 +90,17 @@ class TestParser:
         assert args.streams == 4
         assert args.missions == ["Stealing"]
         assert args.rounds is None
-        assert not args.adaptive and not args.sequential
+        assert not args.adaptive
+        assert not hasattr(args, "sequential")  # one scoring path
 
     def test_fleet_flags(self):
         args = build_parser().parse_args(
             ["fleet", "--streams", "8", "--missions", "Stealing", "Robbery",
-             "--adaptive", "--sequential", "--rounds", "5",
+             "--adaptive", "--rounds", "5",
              "--save", "fleet.json"])
         assert args.streams == 8
         assert args.missions == ["Stealing", "Robbery"]
-        assert args.adaptive and args.sequential
+        assert args.adaptive
         assert args.rounds == 5
         assert args.save == "fleet.json"
 

@@ -78,7 +78,7 @@ def materialized(fleet_factory):
                for slot in fleet.slots}
     reference = {name: [] for name in fleet.names}
     for _ in range(ROUNDS):
-        for event in fleet.step(batched=True):
+        for event in fleet.step():
             reference[event.stream].append(event.scores)
     return windows, reference
 

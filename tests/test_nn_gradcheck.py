@@ -352,15 +352,15 @@ class TestFusedKernels:
         return Tensor(data, requires_grad=True)
 
     @pytest.mark.parametrize("edges", ["mixed", "edgeless"])
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_message_pass(self, edges, batched):
-        """``batched``: ``factor`` and ``own`` per frame (the all-nodes
+    @pytest.mark.parametrize("per_frame", [True, False])
+    def test_message_pass(self, edges, per_frame):
+        """``per_frame``: ``factor`` and ``own`` per frame (the all-nodes
         path) or shared by all frames (the token side's)."""
         rng = make_rng()
         sources, targets = (np.asarray(ids, dtype=np.int64)
                             for ids in self.EDGES[edges])
         schedule = EdgeSchedule(sources, targets)
-        lead = (6,) if batched else ()
+        lead = (6,) if per_frame else ()
         refined = self.rows_first(rng.normal(size=(6, 3, 2)))
         factor = self.rows_first(rng.normal(size=lead + (sources.size, 2)))
         own = self.rows_first(rng.normal(size=lead + (4, 2)))

@@ -13,8 +13,8 @@ from repro.embedding import BPETokenizer
 from repro.eval import roc_auc
 from repro.kg import ReasoningKG
 from repro.nn import Tensor
-from repro.runtime import (AdmissionError, EngineRequest, ExecutionBackend,
-                           FleetEvent, ServingEngine)
+from repro.runtime import (AdmissionError, EngineRequest, FleetEvent,
+                           ServingEngine)
 
 # ----------------------------------------------------------------------
 # Autodiff engine properties
@@ -199,18 +199,16 @@ class TestKGInvariantProperties:
 STREAMS = ("a", "b", "c")
 
 
-class _RecordingBackend(ExecutionBackend):
-    """A stub substrate: a request's windows hold its id, its "score" is
-    that id, and every ingest is recorded in per-stream order."""
+class _RecordingFleet:
+    """A duck-typed stub fleet: a request's windows hold its id, its
+    "score" is that id, and every ingest is recorded in per-stream
+    order."""
 
-    name = "recording"
+    backend = "recording"
 
     def __init__(self):
         self.ingested: dict[str, list[int]] = {name: [] for name in STREAMS}
         self.waves: list[list[str]] = []
-
-    def pull_round(self, batched):
-        return []
 
     def serve_round(self, arrivals, ingest_names):
         self.waves.append(list(arrivals))
@@ -222,8 +220,7 @@ class _RecordingBackend(ExecutionBackend):
         return {name: np.asarray(windows)[:, 0, 0]
                 for name, windows in arrivals.items()}
 
-    def ingest(self, arrivals, scores=None, batched=True):
-        scores = scores or self.score(arrivals)
+    def ingest(self, arrivals, scores):
         events = {}
         for name in arrivals:
             self.ingested[name].append(int(scores[name][0]))
@@ -241,10 +238,10 @@ class AdmissionQueueMachine(RuleBasedStateMachine):
 
     def __init__(self, pipeline: bool, max_queue_depth: int):
         super().__init__()
-        self.backend = _RecordingBackend()
+        self.fleet = _RecordingFleet()
         self.delivered = []
         self.max_queue_depth = max_queue_depth
-        self.engine = ServingEngine(self.backend,
+        self.engine = ServingEngine(self.fleet,
                                     max_queue_depth=max_queue_depth,
                                     pipeline=pipeline,
                                     on_commit=self.delivered.extend)
@@ -282,7 +279,7 @@ class AdmissionQueueMachine(RuleBasedStateMachine):
     def run_round(self):
         expected = {stream: queue.popleft()
                     for stream, queue in self.model.items() if queue}
-        waves = len(self.backend.waves)
+        waves = len(self.fleet.waves)
         results = self.engine.run_round()
         if self.engine.pipeline:
             assert results == []
@@ -290,10 +287,10 @@ class AdmissionQueueMachine(RuleBasedStateMachine):
             results = self.delivered[:]
             self.delivered.clear()
         if not expected:
-            assert results == [] and len(self.backend.waves) == waves
+            assert results == [] and len(self.fleet.waves) == waves
             return
         # One wave per round: the front of every non-empty queue, once.
-        assert self.backend.waves[waves:] == [list(expected)]
+        assert self.fleet.waves[waves:] == [list(expected)]
         assert {r.request.stream: r.request.tag for r in results} == expected
         assert len(results) == len(expected)
         for result in results:
@@ -328,7 +325,7 @@ class AdmissionQueueMachine(RuleBasedStateMachine):
 
     @invariant()
     def each_stream_ingests_fifo(self):
-        for stream, ingested in self.backend.ingested.items():
+        for stream, ingested in self.fleet.ingested.items():
             assert ingested == sorted(ingested), stream
 
     def teardown(self):

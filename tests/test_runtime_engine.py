@@ -1,8 +1,8 @@
-"""Tests for the unified serving core: engine and backends.
+"""Tests for the unified serving core: the engine over both fleet classes.
 
-The load-bearing property: every ExecutionBackend serves
-**bit-identical** per-stream scores to a seed-style direct
-``DeploymentFleet.step()`` run over the same windows — a backend may
+The load-bearing property: both fleet classes the engine serves over
+serve **bit-identical** per-stream scores to a seed-style direct
+``DeploymentFleet.step()`` run over the same windows — a fleet class may
 only change where the compute runs, never a score bit.  Plus: engine
 metrics land in one registry, admission control bounds the queues, and
 each round serves the front of every stream's queue, FIFO.
@@ -15,13 +15,9 @@ from repro.api import Deployment
 from repro.data import TrendShiftConfig, TrendShiftStream
 from repro.metrics import MetricsRegistry
 from repro.obs import TraceRecorder, check_trace, span_dicts
-from repro.runtime import (
-    AdmissionError,
-    EngineRequest,
-    InlineBackend,
-    ShardedBackend,
-)
+from repro.runtime import AdmissionError, EngineRequest
 from repro.serving import DeploymentFleet, FleetInfra, ShardedFleet
+from repro.wal import WalDurability, recover_fleet
 
 INFRA = FleetInfra(embedding_seed=7, generator_seed=5)
 ROUNDS = 3
@@ -56,7 +52,7 @@ def materialized(fresh_model, frame_generator):
                for slot in fleet.slots}
     reference = {name: [] for name in fleet.names}
     for _ in range(ROUNDS):
-        for event in fleet.step(batched=True):
+        for event in fleet.step():
             reference[event.stream].append(event.scores)
     return windows, reference
 
@@ -80,21 +76,29 @@ def drain_engine(engine):
     return served, rounds
 
 
-class TestBackendPolicyParityMatrix:
-    """InlineBackend and ShardedBackend against the seed-style step."""
+def fleet_of(fleet_class, fleet):
+    """``fleet`` as ``fleet_class``: itself, or sharded two ways."""
+    if fleet_class is ShardedFleet:
+        return ShardedFleet.from_fleet(fleet, shards=2, infra=INFRA)
+    return fleet
 
-    @pytest.mark.parametrize("backend", ["inline", "sharded"])
+
+FLEET_CLASSES = pytest.mark.parametrize(
+    "fleet_class", [DeploymentFleet, ShardedFleet], ids=["inline", "sharded"])
+
+
+class TestBackendPolicyParityMatrix:
+    """DeploymentFleet and ShardedFleet against the seed-style step."""
+
+    @FLEET_CLASSES
     def test_scores_bit_identical_to_seed_step(
-            self, fresh_model, frame_generator, backend, materialized):
+            self, fresh_model, frame_generator, fleet_class, materialized):
         windows, reference = materialized
-        fleet = make_fleet(fresh_model, frame_generator)
-        if backend == "sharded":
-            fleet = ShardedFleet.from_fleet(fleet, shards=2, infra=INFRA)
+        fleet = fleet_of(fleet_class,
+                         make_fleet(fresh_model, frame_generator))
         with fleet:
             engine = fleet.engine
-            assert isinstance(
-                engine.backend,
-                InlineBackend if backend == "inline" else ShardedBackend)
+            assert type(fleet) is fleet_class and engine.fleet is fleet
             # Interleaved arrivals: every stream's whole backlog queued
             # before the first round.
             for round_index in range(ROUNDS):
@@ -108,7 +112,7 @@ class TestBackendPolicyParityMatrix:
             for round_index, expected in enumerate(expected_rounds):
                 np.testing.assert_array_equal(
                     served[name][round_index], expected,
-                    err_msg=f"{backend}: {name} round "
+                    err_msg=f"{fleet_class.__name__}: {name} round "
                             f"{round_index} diverged")
         assert engine_rounds == ROUNDS   # <=1 per stream per round
 
@@ -116,13 +120,14 @@ class TestBackendPolicyParityMatrix:
                              ids=["serial", "pipelined"])
     @pytest.mark.parametrize("traced", [False, True],
                              ids=["untraced", "traced"])
-    @pytest.mark.parametrize("backend", ["inline", "sharded"],
+    @pytest.mark.parametrize("fleet_class", [DeploymentFleet, ShardedFleet],
                              ids=["inline", "2shard"])
     def test_mixed_wave(
-            self, fresh_model, frame_generator, backend, traced, pipeline):
+            self, fresh_model, frame_generator, fleet_class, traced,
+            pipeline):
         """One wave holding a bad-shape entry, a ``scores`` op and
         ordinary ingests yields the same ``(kind, code, score bits)``
-        per request on every backend, traced or not, serial or
+        per request on both fleet classes, traced or not, serial or
         pipelined: un-scoreable windows error alone instead of
         poisoning the coalesced round, through the one ``serve_round``
         path plus its per-entry isolation fallback.  (On two shards
@@ -133,10 +138,9 @@ class TestBackendPolicyParityMatrix:
                                          dtype=np.float64)
                    for slot in reference.slots}
         expected = {event.stream: event.scores.tobytes()
-                    for event in reference.step(batched=True)}
-        fleet = make_fleet(fresh_model, frame_generator, streams=4)
-        if backend == "sharded":
-            fleet = ShardedFleet.from_fleet(fleet, shards=2, infra=INFRA)
+                    for event in reference.step()}
+        fleet = fleet_of(fleet_class, make_fleet(fresh_model,
+                                                 frame_generator, streams=4))
         recorder = TraceRecorder() if traced else None
         delivered = []
         with fleet:
@@ -181,7 +185,7 @@ class TestBackendPolicyParityMatrix:
             "cam-2": ("event", None, expected["cam-2"]),
             "cam-3": ("event", None, expected["cam-3"])}
         assert "cam-0" in results["cam-0"].message
-        if backend == "sharded":
+        if fleet_class is ShardedFleet:
             # Traced or not, the wave took the production path.
             assert transport["fused_rounds"] == rounds == 1
         if traced:
@@ -202,6 +206,65 @@ class TestBackendPolicyParityMatrix:
             np.testing.assert_array_equal(scored_sharded[name],
                                           reference[name][0])
 
+
+
+class TestWaveIsolation:
+    """One stream's failed ingest is that request's alone, even in a
+    wave whose other streams already ingested."""
+
+    @pytest.mark.parametrize("durable", [False, True], ids=["memory", "wal"])
+    @FLEET_CLASSES
+    def test_a_refused_ingest_fails_alone(
+            self, fresh_model, frame_generator, materialized, tmp_path,
+            fleet_class, durable):
+        """Two static streams share one model; in one wave cam-0's
+        ingest is good and cam-1's holds a NaN.  cam-0's ingest is
+        applied, answered with its event and, under a WAL, logged
+        applied, so recovery lands on the live steps; cam-1 alone gets
+        ``bad_request``, takes no step and is logged skipped."""
+        windows, reference = materialized
+        poisoned = windows["cam-1"][0].copy()
+        poisoned[0, 1, 2] = np.nan
+        fleet = fleet_of(fleet_class, make_fleet(fresh_model,
+                                                 frame_generator, streams=2))
+        waves = [[("cam-0", windows["cam-0"][0]), ("cam-1", poisoned)],
+                 [("cam-0", windows["cam-0"][1]),
+                  ("cam-1", windows["cam-1"][0])]]
+        results = []
+        with fleet:
+            engine = fleet.engine
+            if durable:
+                engine.durability = WalDurability(fleet, tmp_path)
+            for wave in waves:
+                for name, batch in wave:
+                    engine.submit(EngineRequest(op="ingest", stream=name,
+                                                windows=batch))
+                results.append(engine.run_round())
+            if durable:   # the log closes without a parting snapshot
+                engine.durability.wal.close()
+        (good, bad), (next_good, next_bad) = results
+        assert (good.kind, bad.kind, bad.code) \
+            == ("event", "error", "bad_request")
+        assert "cam-1" in bad.message and "NonFiniteError" in bad.message
+        assert (next_good.kind, next_bad.kind) == ("event", "event")
+        # cam-0 took its step; cam-1's refused ingest took none.
+        assert [r.event.step for r in (good, next_good, next_bad)] \
+            == [0, 1, 0]
+        for result, (name, index) in zip(
+                (good, next_good, next_bad),
+                (("cam-0", 0), ("cam-0", 1), ("cam-1", 0))):
+            np.testing.assert_array_equal(result.event.scores,
+                                          reference[name][index])
+        if durable:   # so recovery replays the log
+            recovered, _ = recover_fleet(tmp_path)
+            assert {slot.name: slot.deployment.step_count
+                    for slot in recovered.slots} == {"cam-0": 2, "cam-1": 1}
+            events = recovered.ingest_round({"cam-0": windows["cam-0"][2],
+                                             "cam-1": windows["cam-1"][1]})
+            for name, index in (("cam-0", 2), ("cam-1", 1)):
+                assert events[name].step == index
+                np.testing.assert_array_equal(events[name].scores,
+                                              reference[name][index])
 
 class TestEngineMetrics:
     def test_step_rounds_instrumented(self, fresh_model, frame_generator):
@@ -232,7 +295,7 @@ class TestEngineMetrics:
         # ... and what the fleet holds: one weight set, one token state.
         assert stats["coalesce"]["weight_sets"] == 1
         assert stats["coalesce"]["token_states"] == 1
-        # Concurrent readers may still read inline backend counters.
+        # Concurrent readers may still read a DeploymentFleet's counters.
         assert "coalesce" in fleet.engine.stats(concurrent=True)
 
     def test_queue_depth_gauge_tracks_submissions(self, fresh_model,
@@ -383,13 +446,12 @@ class TestRoundShape:
     queue — at most one per stream, streams in first-arrival order —
     and nothing queued is ever shed."""
 
-    @pytest.mark.parametrize("backend", ["inline", "sharded"])
+    @FLEET_CLASSES
     def test_front_of_each_queue_in_first_arrival_order(
-            self, fresh_model, frame_generator, materialized, backend):
+            self, fresh_model, frame_generator, materialized, fleet_class):
         windows, reference = materialized
-        fleet = make_fleet(fresh_model, frame_generator)
-        if backend == "sharded":
-            fleet = ShardedFleet.from_fleet(fleet, shards=2, infra=INFRA)
+        fleet = fleet_of(fleet_class,
+                         make_fleet(fresh_model, frame_generator))
         arrivals = [("cam-2", 0), ("cam-0", 0), ("cam-2", 1),
                     ("cam-1", 0), ("cam-0", 1), ("cam-2", 2)]
         with fleet:
@@ -412,13 +474,12 @@ class TestRoundShape:
                 np.testing.assert_array_equal(scores,
                                               reference[name][index])
 
-    @pytest.mark.parametrize("backend", ["inline", "sharded"])
+    @FLEET_CLASSES
     def test_late_stream_joins_the_next_round(
-            self, fresh_model, frame_generator, materialized, backend):
+            self, fresh_model, frame_generator, materialized, fleet_class):
         windows, reference = materialized
-        fleet = make_fleet(fresh_model, frame_generator)
-        if backend == "sharded":
-            fleet = ShardedFleet.from_fleet(fleet, shards=2, infra=INFRA)
+        fleet = fleet_of(fleet_class,
+                         make_fleet(fresh_model, frame_generator))
         with fleet:
             engine = fleet.engine
             for index in range(2):

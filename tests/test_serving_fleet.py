@@ -86,23 +86,31 @@ class TestLifecycle:
 
 class TestBatchedSequentialParity:
     def test_scores_identical_within_zero(self, fresh_model, frame_generator):
-        """The acceptance property: batched fleet scoring equals the
-        sequential per-deployment loop exactly (max abs diff 0.0)."""
+        """The acceptance property: batched fleet scoring equals a hand
+        loop of per-deployment ``Deployment.ingest`` over twin
+        deployments exactly (max abs diff 0.0)."""
         model = fresh_model(window=4)
         model.eval()
         batched_fleet = DeploymentFleet()
-        sequential_fleet = DeploymentFleet()
+        twins, streams = {}, {}
         for index in range(4):
-            for fleet in (batched_fleet, sequential_fleet):
-                fleet.add(f"cam-{index}",
-                          Deployment(model, mission="Stealing", adaptive=False),
-                          make_stream(frame_generator, seed=40 + index))
-        for _ in range(3):
-            batched = batched_fleet.step(batched=True)
-            sequential = sequential_fleet.step(batched=False)
-            for b, s in zip(batched, sequential):
-                assert b.stream == s.stream
-                assert float(np.abs(b.scores - s.scores).max()) == 0.0
+            name = f"cam-{index}"
+            batched_fleet.add(name,
+                              Deployment(model, mission="Stealing",
+                                         adaptive=False),
+                              make_stream(frame_generator, seed=40 + index))
+            twins[name] = Deployment(model, mission="Stealing",
+                                     adaptive=False)
+            streams[name] = make_stream(frame_generator, seed=40 + index)
+        for step in range(3):
+            batched = batched_fleet.step()
+            sequential = [(name, twin.ingest(streams[name].batch(step).windows))
+                          for name, twin in twins.items()]
+            assert len(batched) == len(sequential)
+            for b, (name, log) in zip(batched, sequential):
+                assert b.stream == name
+                assert b.step == log.step
+                assert float(np.abs(b.scores - log.scores).max()) == 0.0
 
     def test_shared_model_coalesces(self, fresh_model, frame_generator):
         model = fresh_model(window=4)
@@ -127,7 +135,7 @@ class TestBatchedSequentialParity:
         fleet = DeploymentFleet()
         fleet.add("cam", batched, make_stream(frame_generator, seed=60))
         for batch in stream:
-            fleet.step(batched=True)
+            fleet.step()
             log = solo.ingest(batch.windows)
             fleet_log = batched.controller.logs[-1]
             np.testing.assert_array_equal(fleet_log.scores, log.scores)

@@ -48,9 +48,8 @@ def make_single_fleet(fresh_model, frame_generator, streams=5,
     return fleet
 
 
-def collect_rounds(fleet, max_rounds=None, batched=True):
-    return [events for events in fleet.serve(max_rounds=max_rounds,
-                                             batched=batched)]
+def collect_rounds(fleet, max_rounds=None):
+    return [events for events in fleet.serve(max_rounds=max_rounds)]
 
 
 def assert_rounds_identical(rounds_a, rounds_b):
