@@ -19,7 +19,9 @@ This script proves the property the hard way:
    snapshot;
 4. ``recover_fleet`` from the WAL directory alone — a periodic snapshot
    and its blob, then the log after it — and verify the recovered fleet
-   continues bit-identically with the reference.
+   continues bit-identically with the reference; then ``repro recover
+   --verify`` replays the same directory twice through the CLI and must
+   land on the same fleet state both times.
 
 Beside the static streams serves one adaptive stream, a ``sharer()`` of
 the demo model: its monitor window of frame codes crosses the snapshot,
@@ -42,6 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import cli
 from repro.adaptation import AdaptationConfig, MonitorConfig
 from repro.api import Deployment
 from repro.concepts import build_default_ontology
@@ -200,6 +203,9 @@ def main() -> None:
         "recovery did not go through a periodic, blob-naming snapshot"
     assert sorted(recovered.names) == sorted(windows), \
         "recovered fleet lost streams"
+    status = cli.main(["recover", str(wal_dir), "--verify"])
+    if status != 0:
+        sys.exit(f"'repro recover --verify' exited {status}")
     controller = recovered.slots[recovered.names.index(ADAPTIVE)] \
         .deployment.controller
     print(f"      {ADAPTIVE}: {len(controller._code_buffer)} frame codes "

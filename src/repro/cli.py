@@ -283,11 +283,9 @@ def cmd_recover(args) -> int:
     """Rebuild a durable fleet from its write-ahead log directory."""
     from .errors import DurabilityError
     from .wal import recover_fleet
-    shards = args.shards if args.shards and args.shards > 1 else None
-    print(f"[recover] replaying WAL at {args.wal_dir}"
-          + (f" into {shards} shard(s)" if shards else ""))
+    print(f"[recover] replaying WAL at {args.wal_dir}")
     try:
-        fleet, report = recover_fleet(args.wal_dir, shards=shards)
+        fleet, report = recover_fleet(args.wal_dir)
     except DurabilityError as exc:
         raise SystemExit(f"error: {exc}")
     try:
@@ -298,7 +296,7 @@ def cmd_recover(args) -> int:
             # Recovery is deterministic: a second replay must land on the
             # bit-identical fleet checkpoint — the cheap self-check that
             # catches a non-reproducible replay before anyone trusts it.
-            twin, _ = recover_fleet(args.wal_dir, shards=shards)
+            twin, _ = recover_fleet(args.wal_dir)
             try:
                 identical = fleet.to_dict() == twin.to_dict()
             finally:
@@ -673,10 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "log")
     p.add_argument("wal_dir", metavar="WAL_DIR",
                    help="the --wal-dir a durable gateway was serving from")
-    p.add_argument("--shards", type=int, default=1,
-                   help="rebuild as a fleet of N in-process shards "
-                        "(default 1: one fleet; either way the recovered "
-                        "state is bit-identical)")
     p.add_argument("--verify", action="store_true",
                    help="replay the WAL twice and fail unless both "
                         "replays produce the bit-identical fleet "

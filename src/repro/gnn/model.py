@@ -56,10 +56,6 @@ class HierarchicalGNN(Module):
             for i in range(depth + 2)
         ]
 
-    @property
-    def output_dim(self) -> int:
-        return self.hidden_dim
-
     def forward(self, x: Tensor, spec: GraphSpec) -> Tensor:
         """Propagate (B, |V|, input_dim) -> final reasoning embedding (B, D).
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["xavier_uniform", "xavier_normal", "kaiming_uniform", "normal", "zeros", "ones"]
+__all__ = ["xavier_uniform", "normal", "zeros", "ones"]
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -18,21 +18,6 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
     """Glorot/Xavier uniform initialization."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     shape = shape or (fan_in, fan_out)
-    return rng.uniform(-limit, limit, size=shape)
-
-
-def xavier_normal(rng: np.random.Generator, fan_in: int, fan_out: int,
-                  shape: tuple[int, ...] | None = None) -> np.ndarray:
-    """Glorot/Xavier normal initialization."""
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    shape = shape or (fan_in, fan_out)
-    return rng.normal(0.0, std, size=shape)
-
-
-def kaiming_uniform(rng: np.random.Generator, fan_in: int,
-                    shape: tuple[int, ...]) -> np.ndarray:
-    """He/Kaiming uniform initialization (for ReLU-family activations)."""
-    limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size=shape)
 
 

@@ -225,6 +225,10 @@ class BatchNorm(Module):
     The paper's GNN layer (Eq. 4) applies BatchNorm over all node embeddings
     before the ELU activation.  Running statistics make edge inference
     deterministic after deployment.
+
+    Training-mode input must be C-contiguous: the batch mean and variance
+    are reduced in the input's memory order, so a transposed or strided
+    view of the same values sums in another order and trains other bits.
     """
 
     def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):

@@ -10,8 +10,9 @@ write-ahead log:
   for the rest) with group-commit fsync batching, segment rotation,
   and torn-tail repair on open.
 * :mod:`~repro.wal.records` — the typed record shapes: accepted ingests
-  (bit-exact window codec), skip markers, stream attach/detach, and
-  snapshots that embed the self-describing fleet checkpoint.
+  (bit-exact window codec), skip markers, and snapshots that embed the
+  self-describing fleet checkpoint (the log's only record of which
+  streams the fleet holds).
 * :class:`WalDurability` (:mod:`~repro.wal.durability`) — the hook a
   :class:`~repro.runtime.ServingEngine` calls to log accepted requests
   *before* they become schedulable and to fsync once per round before
@@ -21,7 +22,7 @@ write-ahead log:
   replay cost stays bounded by rounds-since-snapshot, not uptime.
 * :func:`recover_fleet` (:mod:`~repro.wal.recovery`) — latest snapshot +
   full-log watermark replay, rebuilding per-stream state bit-identically
-  as either an inline or a sharded fleet.
+  as one :class:`~repro.serving.DeploymentFleet`.
 
 On disk: numbered segments (``00000001.wal``, …) and :class:`BlobStore`
 files, ``<sha256>.blob`` — each the JSON of one weight set or anchor
@@ -39,9 +40,8 @@ together.
 
 from .durability import WalDurability, infra_for_fleet
 from .log import FRAME_HEADER, SegmentInfo, WalConfig, WriteAheadLog
-from .records import (RECORD_KINDS, attach_record, detach_record,
-                      ingest_record, record_windows, skip_record,
-                      snapshot_record, validate_record)
+from .records import (RECORD_KINDS, ingest_record, record_windows,
+                      skip_record, snapshot_record, validate_record)
 from .recovery import RecoveryReport, read_records, recover_fleet
 from .snapshot import BlobStore, SnapshotManager, SnapshotPolicy
 
@@ -56,8 +56,6 @@ __all__ = [
     "WalConfig",
     "WalDurability",
     "WriteAheadLog",
-    "attach_record",
-    "detach_record",
     "infra_for_fleet",
     "ingest_record",
     "read_records",

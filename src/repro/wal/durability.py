@@ -37,8 +37,7 @@ from pathlib import Path
 from ..errors import DurabilityError
 from ..metrics import MetricsRegistry
 from .log import WalConfig, WriteAheadLog
-from .records import (attach_record, detach_record, ingest_record,
-                      skip_record)
+from .records import ingest_record, skip_record
 from .snapshot import BlobStore, SnapshotManager, SnapshotPolicy
 
 __all__ = ["WalDurability", "infra_for_fleet"]
@@ -76,6 +75,12 @@ class WalDurability:
     on the round thread: the engine takes a due snapshot (reported by
     :meth:`snapshot_due`) between rounds, behind a full commit drain,
     because snapshotting walks live fleet state.
+
+    The log holds no membership records.  To change a durable fleet's
+    membership, call ``fleet.add`` / ``fleet.remove`` and then
+    ``durability.snapshot(engine)`` between rounds, before a joined
+    stream's first ingest: recovery rebuilds the latest snapshot's
+    streams and drops an ingest for any other stream as orphaned.
     """
 
     def __init__(self, fleet, directory: str | Path,
@@ -122,33 +127,6 @@ class WalDurability:
         applied (unscoreable, or dropped while queued) so replay skips it
         too."""
         self.wal.append(skip_record(seq))
-
-    def record_attach(self, name: str, deployment, stream,
-                      cursor: int = 0, done: bool = False) -> int:
-        """Log a stream joining the fleet (call alongside ``fleet.add``).
-
-        The entry is self-contained — model inlined rather than
-        deduplicated like the checkpoint format — so replay can rebuild
-        the slot without cross-record references.  Synced immediately:
-        membership changes are rare and must not ride a group commit
-        that may never flush.
-        """
-        from ..api.config import config_to_dict
-        from ..gnn.checkpoint import deployment_to_dict
-        entry = {
-            "name": name,
-            "model": deployment_to_dict(deployment.model),
-            "deployment": deployment.to_dict(include_model=False),
-            "stream_config": config_to_dict(stream.config),
-            "cursor": int(cursor),
-            "done": bool(done),
-        }
-        return self.wal.append(attach_record(entry), sync=True)
-
-    def record_detach(self, stream: str) -> int:
-        """Log a stream leaving the fleet (call alongside
-        ``fleet.remove``); synced immediately, like attach."""
-        return self.wal.append(detach_record(stream), sync=True)
 
     def flush(self, trace_parent=None) -> None:
         """The commit barrier: fsync everything logged so far (before

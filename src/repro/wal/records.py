@@ -17,21 +17,18 @@ Each record is a JSON-safe dict with a ``"kind"`` discriminator and the
     accepted and logged but never reached a deployment — it failed to
     score, or its connection dropped it while queued — so replay must
     not apply it.
-``attach`` / ``detach``
-    A stream joining or leaving the fleet mid-run.  The attach body is
-    one slot entry in the fleet-checkpoint format (deployment payload
-    with its model inlined, stream config, cursor), so replay rebuilds
-    the slot without cross-record references.
 ``snapshot``
     A whole-fleet checkpoint embedded in the log: the fleet payload
-    (``fleet.to_dict()`` — the PR 3 self-describing checkpoint format),
+    (``fleet.to_dict()`` — the self-describing checkpoint format),
     the :class:`~repro.serving.FleetInfra` seeds needed to rebuild it in
     a fresh process, and the per-stream applied watermark (the highest
     ingest seq each stream had dispatched into its deployment when the
     snapshot was taken).  Recovery rebuilds from the latest snapshot and
     replays only ingest records past each stream's watermark.  Its weight
     sets and anchor arrays are ``{"blob": digest}`` references to files
-    beside the segments (:class:`~repro.wal.BlobStore`), or inline.
+    beside the segments (:class:`~repro.wal.BlobStore`), or inline.  It
+    is also the only record of fleet membership: a stream that joins or
+    leaves reaches the log with the next snapshot.
 
 Records deliberately stay plain dicts on the wire (the log frames each
 one as a JSON or binary body); the constructors and
@@ -45,18 +42,15 @@ import numpy as np
 
 from ..errors import RecoveryError
 
-__all__ = ["RECORD_KINDS", "ingest_record", "skip_record", "attach_record",
-           "detach_record", "snapshot_record", "record_windows",
-           "validate_record"]
+__all__ = ["RECORD_KINDS", "ingest_record", "skip_record", "snapshot_record",
+           "record_windows", "validate_record"]
 
-RECORD_KINDS = ("ingest", "skip", "attach", "detach", "snapshot")
+RECORD_KINDS = ("ingest", "skip", "snapshot")
 
 #: Required non-``seq`` fields per kind (shape validation for replay).
 _REQUIRED = {
     "ingest": ("stream", "windows"),
     "skip": ("target",),
-    "attach": ("entry",),
-    "detach": ("stream",),
     "snapshot": ("fleet", "infra", "applied"),
 }
 
@@ -76,17 +70,6 @@ def record_windows(record: dict) -> np.ndarray:
 def skip_record(target_seq: int) -> dict:
     """Cancel the ``ingest`` record at ``target_seq`` during replay."""
     return {"kind": "skip", "target": int(target_seq)}
-
-
-def attach_record(entry: dict) -> dict:
-    """A stream joining the fleet; ``entry`` is one fleet-checkpoint slot
-    entry (name, deployment payload with model, stream config, cursor)."""
-    return {"kind": "attach", "entry": entry}
-
-
-def detach_record(stream: str) -> dict:
-    """A stream leaving the fleet."""
-    return {"kind": "detach", "stream": stream}
 
 
 def snapshot_record(fleet_payload: dict, infra_payload: dict,

@@ -212,6 +212,23 @@ class TestServingKeepsOnlyWhatItUses:
 
 
 class TestBatchNormBuffers:
+    def test_training_input_is_c_contiguous(self, monkeypatch):
+        """BatchNorm reduces its batch statistics in the input's memory
+        order, so trained bits hold only while training feeds it
+        C-contiguous arrays."""
+        from repro.nn import BatchNorm
+        forward = BatchNorm.forward
+        contiguous = []
+
+        def recording_forward(self, x):
+            if self.training:
+                contiguous.append(x.data.flags.c_contiguous)
+            return forward(self, x)
+
+        monkeypatch.setattr(BatchNorm, "forward", recording_forward)
+        Pipeline.from_config(small_config(train_steps=20)).train("Stealing")
+        assert contiguous and all(contiguous)
+
     def test_state_dict_carries_running_stats(self, pipeline):
         model = pipeline.train("Stealing")
         state = model.state_dict()

@@ -3,10 +3,11 @@
 :class:`ShardedFleet` runs a round's shards on a thread pool when its
 process may use two or more CPUs, and one after another on the round
 thread when it may use one.  Every way of making a sharded fleet —
-``build_sharded_fleet``, ``from_fleet``, ``from_dict`` and
-``recover_fleet(shards=)`` — must serve ``build_fleet``'s events bit for
-bit either way, adaptation and pruning included, and on one CPU no
-thread may start.
+``build_sharded_fleet``, ``from_fleet``, ``from_dict`` and sharding what
+``recover_fleet`` rebuilt (one :class:`DeploymentFleet`) with
+``from_fleet`` — must serve ``build_fleet``'s events bit for bit either
+way, adaptation and pruning included, and on one CPU no thread may
+start.
 """
 
 import os
@@ -89,7 +90,7 @@ def make_sharded(how, pipeline, adaptive, shards, tmp_path):
         return ShardedFleet.from_dict(fleet.to_dict(), shards=shards,
                                       infra=FleetInfra.from_pipeline(pipeline))
     WalDurability(fleet, tmp_path).close()
-    return recover_fleet(tmp_path, shards=shards)[0]
+    return ShardedFleet.from_fleet(recover_fleet(tmp_path)[0], shards)
 
 
 def shard_threads() -> list[threading.Thread]:

@@ -3,16 +3,18 @@
 The acceptance property: a fleet served through :class:`WalDurability`,
 "crashed" (abandoned without a clean close), and rebuilt by
 :func:`recover_fleet` produces **bit-identical** per-stream scores to an
-uninterrupted run — for both the inline and the sharded rebuild, with
-queued-but-unserved requests replayed in FIFO order and the recovered
-fleet continuing exactly where the reference is.  Plus: snapshot-then-
-truncate bounds, skip/attach/detach replay, watermark semantics, the
-gateway's ``wal_dir`` integration, and every refusal path.
+uninterrupted run, with queued-but-unserved requests replayed in FIFO
+order and the recovered fleet continuing exactly where the reference
+is.  Plus: snapshot-then-truncate bounds, skip replay, membership
+changes that reach the log through snapshots, watermark semantics,
+``repro recover``, the gateway's ``wal_dir`` integration, and every
+refusal path.
 """
 
 import numpy as np
 import pytest
 
+from repro import cli
 from repro.api import Deployment
 from repro.data import TrendShiftConfig, TrendShiftStream
 from repro.errors import DurabilityError, RecoveryError
@@ -93,30 +95,28 @@ def serve_rounds(fleet, windows, count, start=0):
     return served
 
 
+def crash_with_queued_tail(fleet, windows, wal_dir):
+    """Serve two rounds durably (snapshotting after the second), then
+    log round 3 without serving it: the "crash" (no close, no parting
+    snapshot) happens with it still queued.  Returns the served scores."""
+    durability = make_durable(fleet, wal_dir,
+                              policy=SnapshotPolicy(every_rounds=2))
+    served = serve_rounds(fleet, windows, count=2)
+    for name in fleet.names:
+        fleet.engine.submit(EngineRequest(
+            op="ingest", stream=name, windows=windows[name][2]))
+    durability.wal.flush()   # the appends were group-committed
+    return served
+
+
 class TestCrashRecoveryParity:
-    """The acceptance criterion, inline and sharded."""
-
-    def crash_and_recover(self, fleet_factory, materialized, tmp_path,
-                          shards=None):
-        windows, reference = materialized
-        fleet = fleet_factory()
-        durability = make_durable(fleet, tmp_path,
-                                  policy=SnapshotPolicy(every_rounds=2))
-        served = serve_rounds(fleet, windows, count=2)
-        # Round 3 arrives and is logged but never served: the "crash"
-        # (no close, no parting snapshot) happens with it still queued.
-        for name in fleet.names:
-            fleet.engine.submit(EngineRequest(
-                op="ingest", stream=name, windows=windows[name][2]))
-        durability.wal.flush()   # the appends were group-committed
-        del fleet, durability    # SIGKILL stand-in: nothing shuts down
-
-        recovered, report = recover_fleet(tmp_path, shards=shards)
-        return windows, reference, served, recovered, report
+    """The acceptance criterion."""
 
     def test_inline_parity(self, fleet_factory, materialized, tmp_path):
-        windows, reference, served, fleet, report = self.crash_and_recover(
-            fleet_factory, materialized, tmp_path)
+        windows, reference = materialized
+        served = crash_with_queued_tail(fleet_factory(), windows, tmp_path)
+        # SIGKILL stand-in: nothing shuts down before recovery.
+        fleet, report = recover_fleet(tmp_path)
         # What the live fleet served matched the reference bit-for-bit.
         for name in served:
             for got, want in zip(served[name], reference[name]):
@@ -132,12 +132,15 @@ class TestCrashRecoveryParity:
             assert np.array_equal(event.scores, reference[name][3])
 
     def test_sharded_parity(self, fleet_factory, materialized, tmp_path):
-        windows, reference, served, fleet, report = self.crash_and_recover(
-            fleet_factory, materialized, tmp_path, shards=2)
-        assert isinstance(fleet, ShardedFleet)
-        with fleet:
-            for name, scores in report.scores.items():
-                assert np.array_equal(scores[-1], reference[name][2])
+        """Recovery rebuilds one fleet; sharding it afterwards serves the
+        next round to the reference's bits."""
+        windows, reference = materialized
+        crash_with_queued_tail(fleet_factory(), windows, tmp_path)
+        recovered, report = recover_fleet(tmp_path)
+        assert isinstance(recovered, DeploymentFleet)
+        for name, scores in report.scores.items():
+            assert np.array_equal(scores[-1], reference[name][2])
+        with ShardedFleet.from_fleet(recovered, 2) as fleet:
             events = fleet.ingest_round(
                 {name: windows[name][3] for name in fleet.names})
             for name, event in events.items():
@@ -300,12 +303,17 @@ class TestSkipRecords:
 
 
 class TestMembershipReplay:
-    def test_attach_detach_replay(self, fleet_factory, fresh_model,
-                                  frame_generator, materialized, tmp_path):
-        windows, reference = materialized
+    """Membership reaches the log only through snapshots: a stream that
+    joins or leaves is recovered from the next snapshot after it."""
+
+    def test_add_and_remove_recover_through_a_snapshot(
+            self, fleet_factory, fresh_model, frame_generator, materialized,
+            tmp_path):
+        windows, _ = materialized
         fleet = fleet_factory()
         durability = make_durable(fleet, tmp_path)
-        # A new stream joins mid-run (logged), an original one leaves.
+        # A new stream joins mid-run, an original one leaves, and the
+        # snapshot between rounds makes both durable.
         model = fresh_model("Stealing", window=4)
         model.eval()
         deployment = Deployment(model, mission="Stealing", adaptive=False)
@@ -313,17 +321,16 @@ class TestMembershipReplay:
         joined_windows = np.asarray(stream.batch(0).windows,
                                     dtype=np.float64)
         fleet.add("cam-new", deployment, stream)
-        durability.record_attach("cam-new", deployment, stream)
         fleet.remove("cam-0")
-        durability.record_detach("cam-0")
+        durability.snapshot(fleet.engine)
         serve_rounds(fleet, {**windows, "cam-new": [joined_windows]},
                      count=1)
         durability.wal.flush()
 
         recovered, report = recover_fleet(tmp_path)
-        assert report.attached == 1 and report.detached == 1
+        assert report.replayed == 3 and report.orphaned == 0
         assert sorted(recovered.names) == ["cam-1", "cam-2", "cam-new"]
-        # The re-attached stream replayed its round bit-identically: a
+        # The joined stream replayed its round bit-identically: a
         # from-scratch replica of the joined deployment scores the same
         # windows to the same bits.
         twin = DeploymentFleet()
@@ -336,15 +343,11 @@ class TestMembershipReplay:
         assert np.array_equal(report.scores["cam-new"][0],
                               twin_events["cam-new"].scores)
 
-    @pytest.mark.parametrize("shards, attach, builds", [
-        (None, True, 1), (None, False, 1), (2, True, 1), (2, False, 0)])
     def test_shared_infrastructure_is_built_once(
             self, fleet_factory, fresh_model, frame_generator, tmp_path,
-            monkeypatch, shards, attach, builds):
-        """Snapshotted streams and a stream attached after the snapshot
-        hang off one embedding model; a sharded recovery (whose shards
-        build theirs at the first request) builds one for such an attach
-        only, and its shards share it."""
+            monkeypatch):
+        """The snapshotted streams and a stream that joined before the
+        latest snapshot all hang off one embedding model, built once."""
         from repro.embedding import joint_space
         built = []
         build = joint_space.build_default_embedding_model
@@ -357,25 +360,19 @@ class TestMembershipReplay:
                             counting_build)
         fleet = fleet_factory()
         durability = make_durable(fleet, tmp_path)
-        if attach:
-            model = fresh_model("Stealing", window=4)
-            model.eval()
-            deployment = Deployment(model, mission="Stealing", adaptive=False)
-            stream = make_stream(frame_generator, seed=90)
-            fleet.add("cam-new", deployment, stream)
-            durability.record_attach("cam-new", deployment, stream)
-        durability.wal.flush()
+        model = fresh_model("Stealing", window=4)
+        model.eval()
+        fleet.add("cam-new",
+                  Deployment(model, mission="Stealing", adaptive=False),
+                  make_stream(frame_generator, seed=90))
+        durability.snapshot(fleet.engine)
         assert built == []
 
-        recovered, report = recover_fleet(tmp_path, shards=shards)
-        try:
-            assert report.attached == attach and len(recovered) == 3 + attach
-            assert len(built) == builds
-            if shards is None:
-                assert all(slot.deployment.model.embedding_model is built[0]
-                           for slot in recovered.slots)
-        finally:
-            recovered.close()
+        recovered, _ = recover_fleet(tmp_path)
+        with recovered:
+            assert len(recovered) == 4 and len(built) == 1
+            assert all(slot.deployment.model.embedding_model is built[0]
+                       for slot in recovered.slots)
 
     def test_pre_snapshot_churn_does_not_regress_snapshot(
             self, fleet_factory, fresh_model, frame_generator,
@@ -385,21 +382,22 @@ class TestMembershipReplay:
         durability = make_durable(fleet, tmp_path)
         victim, waiting = fleet.names[0], fleet.names[1]
         # A queued-but-unserved request admitted first: its seq bounds
-        # truncation, so every later record — including the churn below
-        # — is still in the retained log when the snapshot fires.
+        # truncation, so every later snapshot — including the ones the
+        # churn below takes — is still in the retained log at the crash.
         fleet.engine.submit(EngineRequest(
             op="ingest", stream=waiting, windows=windows[waiting][0]))
-        # Churn: the victim leaves and rejoins with a fresh deployment...
+        # Churn: the victim leaves and rejoins with a fresh deployment,
+        # each change made durable by a snapshot...
         fleet.remove(victim)
-        durability.record_detach(victim)
+        durability.snapshot(fleet.engine)
         model = fresh_model("Stealing", window=4)
         model.eval()
         deployment = Deployment(model, mission="Stealing", adaptive=False)
         stream = make_stream(frame_generator, seed=60)
         fleet.add(victim, deployment, stream)
-        durability.record_attach(victim, deployment, stream)
-        # ...then advances past its attach-time state: one served,
-        # applied, acked ingest before the snapshot captures it.
+        durability.snapshot(fleet.engine)
+        # ...then advances past its rejoin-time state: one served,
+        # applied, acked ingest before the latest snapshot captures it.
         seq = durability.record_submit(EngineRequest(
             op="ingest", stream=victim, windows=windows[victim][0]))
         fleet.ingest_round({victim: windows[victim][0]})
@@ -407,12 +405,12 @@ class TestMembershipReplay:
         durability.snapshot(fleet.engine)
         durability.wal.flush()
 
+        kinds = [r["kind"] for r in read_records(tmp_path)]
+        assert kinds.count("snapshot") >= 3, kinds
         recovered, report = recover_fleet(tmp_path)
-        # The retained pre-snapshot detach/attach pair must not replay:
-        # the snapshot already reflects it, and replaying would reset
-        # the victim to attach-time state while its watermark-covered
-        # ingest stays un-reapplied — a stream staler than the snapshot.
-        assert report.attached == 0 and report.detached == 0
+        # Only the latest snapshot's membership counts: the retained
+        # earlier snapshots must not reset the victim to its rejoin-time
+        # state while its watermark-covered ingest stays un-reapplied.
         assert report.covered == 1      # the victim's pre-snapshot ingest
         assert report.replayed == 1     # the still-waiting request
         live = fleet.ingest_round({victim: windows[victim][1]})[victim]
@@ -531,12 +529,63 @@ class TestRefusals:
             recover_fleet(tmp_path)
 
     def test_recover_empty_dir_raises(self, tmp_path):
+        missing = tmp_path / "typo" / "fresh"
+        with pytest.raises(RecoveryError, match="no such WAL directory"):
+            recover_fleet(missing)
+        assert not (tmp_path / "typo").exists()
+        # An existing directory without a log is no WAL either.
+        missing.mkdir(parents=True)
         with pytest.raises(RecoveryError, match="no snapshot"):
-            recover_fleet(tmp_path / "fresh")
+            recover_fleet(missing)
+
+    @pytest.mark.parametrize("record", [
+        {"kind": "attach", "entry": {"name": "cam-new"}},
+        {"kind": "detach", "stream": "cam-0"},
+    ], ids=["attach", "detach"])
+    def test_membership_records_are_refused(self, fleet_factory, tmp_path,
+                                            record):
+        """A log from a version that wrote attach/detach records is
+        refused with the unknown-kind error, by the library and the CLI
+        alike, rather than recovered with its membership changes lost."""
+        durability = make_durable(fleet_factory(), tmp_path)
+        durability.wal.append(dict(record), sync=True)
+        with pytest.raises(RecoveryError,
+                           match=f"unknown WAL record kind '{record['kind']}'"
+                           ) as excinfo:
+            recover_fleet(tmp_path)
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["recover", str(tmp_path)])
+        assert exited.value.code == f"error: {excinfo.value}"
 
     def test_empty_fleet_cannot_derive_infra(self, tmp_path):
         with pytest.raises(DurabilityError, match="empty fleet"):
             infra_for_fleet(DeploymentFleet())
+
+
+class TestRecoverCommand:
+    def test_recover_verifies_and_saves(self, fleet_factory, materialized,
+                                        tmp_path, capsys):
+        windows, _ = materialized
+        fleet = fleet_factory()
+        wal_dir, saved = tmp_path / "wal", tmp_path / "recovered.json"
+        crash_with_queued_tail(fleet, windows, wal_dir)
+
+        assert cli.main(["recover", str(wal_dir), "--verify",
+                         "--save", str(saved)]) == 0
+        assert "verified" in capsys.readouterr().out
+        # The live fleet serves its queued tail, which recovery replayed;
+        # then both serve the next round to the same bits.
+        tail = fleet.engine.run_round()
+        assert [r.kind for r in tail] == ["event"] * len(fleet.names)
+        batch = {name: windows[name][3] for name in fleet.names}
+        live = fleet.ingest_round(batch)
+        with DeploymentFleet.load(saved, *infra_for_fleet(fleet).build()) \
+                as recovered:
+            ours = recovered.ingest_round(batch)
+        assert sorted(ours) == sorted(live)
+        for name, event in live.items():
+            assert ours[name].step == event.step
+            assert np.array_equal(ours[name].scores, event.scores)
 
 
 class TestGatewayIntegration:
