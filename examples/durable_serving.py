@@ -54,6 +54,7 @@ from repro.gnn import MissionGNNConfig, MissionGNNModel
 from repro.kg import KGGenerationConfig, KGGenerator
 from repro.llm import SyntheticLLM
 from repro.serving import DeploymentFleet
+from repro.utils.binframe import encode_payload
 from repro.wal import SnapshotPolicy, WalConfig, recover_fleet
 
 STREAMS = 3
@@ -215,9 +216,10 @@ def main() -> None:
     for name, event in events.items():
         assert np.array_equal(event.scores, reference[name][rounds]), \
             f"post-recovery {name} diverged — durability is broken"
-    assert controller.export_state() == reference_fleet.slots[
-        reference_fleet.names.index(ADAPTIVE)].deployment.controller \
-        .export_state(), f"{ADAPTIVE}'s adaptation state diverged"
+    assert encode_payload(controller.export_state()) == encode_payload(
+        reference_fleet.slots[reference_fleet.names.index(ADAPTIVE)]
+        .deployment.controller.export_state()), \
+        f"{ADAPTIVE}'s adaptation state diverged"
     print("\nEvery acked score survived the kill; the recovered fleet "
           "continues bit-identically. Durable serving works.")
 

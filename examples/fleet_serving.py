@@ -77,7 +77,7 @@ def main() -> int:
 
     print("\n[4/4] Checkpointing the whole fleet ...")
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "fleet.json"
+        path = Path(tmp) / "fleet.bin"
         fleet.save(path)
         size_kb = path.stat().st_size / 1024
         restored = DeploymentFleet.load(path, pipeline.embedding_model,

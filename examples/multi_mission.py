@@ -38,7 +38,7 @@ def main() -> None:
     model = experiment.build_model()  # rebuild; run() trains its own copy
     deployment = Deployment(model, mission="+".join(missions), adaptive=False)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "multi_mission_deployment.json"
+        path = Path(tmp) / "multi_mission_deployment.bin"
         deployment.save(path)
         size_kb = path.stat().st_size / 1024
         print(f"      wrote {path.name} ({size_kb:.0f} KiB: weights, "

@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.api import Pipeline, ReproConfig
 from repro.serving import ShardedFleet, build_fleet, build_sharded_fleet
+from repro.utils.binframe import encode_payload
 
 STREAMS = 8
 SHARDS = 2
@@ -68,8 +69,9 @@ def main() -> int:
     # The first request builds the shards; what they built must be what
     # partitioning `single` gives.
     hints = ("shards", "infra")
-    same_checkpoint = ({k: v for k, v in fleet.to_dict().items()
-                        if k not in hints} == single.to_dict())
+    same_checkpoint = (encode_payload({k: v for k, v in fleet.to_dict().items()
+                                       if k not in hints})
+                       == encode_payload(single.to_dict()))
     pool = fleet.transport_stats()["pool_threads"]
     print(f"      checkpoint equals the plain fleet's: {same_checkpoint}; "
           + (f"shards run on {pool} threads" if pool
@@ -113,7 +115,7 @@ def main() -> int:
 
     print("\n[4/4] One checkpoint file, shared with DeploymentFleet ...")
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "fleet.json"
+        path = Path(tmp) / "fleet.bin"
         fleet.save(path)
         size_kb = path.stat().st_size / 1024
         resumed = ShardedFleet.load(path)  # same shard layout

@@ -28,7 +28,6 @@ from ..errors import NonFiniteError
 from ..gnn.pipeline import MissionGNNModel
 from ..nn.optim import Adam
 from ..utils.rng import derive_rng
-from ..utils.serialization import decode_array, encode_array
 from .convergence import ConvergenceConfig, NodeConvergenceTracker
 from .monitor import LOG_TRAIL_LENGTH, AnomalyScoreMonitor, MonitorConfig
 from .structure import StructuralAdapter, StructuralEvent
@@ -301,7 +300,8 @@ class ContinuousAdaptationController:
     # Checkpointing (Deployment.save/load)
     # ------------------------------------------------------------------
     def export_state(self) -> dict:
-        """JSON-safe snapshot of the loop's mutable runtime state.
+        """Snapshot of the loop's mutable runtime state (JSON values and
+        arrays: frame codes and optimizer moments).
 
         Covers everything a restarted process needs to continue adapting
         exactly where this one stopped: monitor scores, the monitor window's
@@ -316,8 +316,9 @@ class ContinuousAdaptationController:
         optimizer = self.updater._optimizer
         optimizer_state = {"step_count": optimizer.step_count}
         if isinstance(optimizer, Adam):
-            optimizer_state["m"] = [encode_array(m) for m in optimizer._m]
-            optimizer_state["v"] = [encode_array(v) for v in optimizer._v]
+            # Copies, here and in restore_state: Adam updates them in place.
+            optimizer_state["m"] = [m.copy() for m in optimizer._m]
+            optimizer_state["v"] = [v.copy() for v in optimizer._v]
         return {
             "step_count": self.step_count,
             "update_count": self.update_count,
@@ -326,7 +327,7 @@ class ContinuousAdaptationController:
                 "scores": [float(s) for s in self.monitor._scores],
                 "history": [float(h) for h in self.monitor.history],
             },
-            "buffer": [encode_array(c) for c in self._code_buffer],
+            "buffer": list(self._code_buffer),
             "anchor_rng": self._anchor_rng.bit_generator.state,
             "structural_rng": self.structural.rng.bit_generator.state,
             "structural_events": [asdict(e) for e in self.structural.events],
@@ -362,7 +363,7 @@ class ContinuousAdaptationController:
         self.monitor.history.clear()
         self.monitor.history.extend(float(h) for h in state["monitor"]["history"])
         self._code_buffer.clear()
-        self._code_buffer.extend(decode_array(p) for p in state["buffer"])
+        self._code_buffer.extend(state["buffer"])
         self._anchor_rng.bit_generator.state = state["anchor_rng"]
         self.structural.rng.bit_generator.state = state["structural_rng"]
         self.structural.events = [StructuralEvent(**e)
@@ -384,5 +385,5 @@ class ContinuousAdaptationController:
         optimizer, saved = self.updater._optimizer, state["optimizer"]
         optimizer.step_count = int(saved["step_count"])
         if isinstance(optimizer, Adam):
-            optimizer._m = [decode_array(p) for p in saved["m"]]
-            optimizer._v = [decode_array(p) for p in saved["v"]]
+            optimizer._m = [np.array(m, dtype=np.float64) for m in saved["m"]]
+            optimizer._v = [np.array(v, dtype=np.float64) for v in saved["v"]]

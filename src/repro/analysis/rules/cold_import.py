@@ -6,6 +6,7 @@ in ``kg/analysis.py`` was 285 modules, 0.1 s and 14 MB per process, and
 broke the numpy-only install ``pyproject.toml`` declares.  So an import
 that runs at import time (outside a function body and ``if TYPE_CHECKING:``)
 names the stdlib, ``numpy`` or ``repro``; the rest is imported where used.
+``base64``, at any depth, is refused: arrays travel as raw float64.
 """
 
 from __future__ import annotations
@@ -38,18 +39,24 @@ def _import_time(body: list[ast.stmt]) -> Iterator[ast.Import | ast.ImportFrom]:
 class ColdImportRule(Rule):
     id = "cold-import"
     summary = ("module-level imports under src/repro name only the stdlib, "
-               "numpy or repro")
+               "numpy or repro; none names base64")
 
     def check(self, source: SourceFile) -> Iterable[Finding]:
         if source.module.split(".")[0] != "repro":
             return
-        for node in _import_time(source.tree.body):
+        at_import = list(_import_time(source.tree.body))
+        for node in ast.walk(source.tree):
             if isinstance(node, ast.ImportFrom):
                 names = [] if node.level else [node.module or ""]
-            else:
+            elif isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
+            else:
+                continue
             for name in names:
-                if name.split(".")[0] not in ALLOWED:
+                if name.split(".")[0] == "base64":
+                    yield source.finding(node, self.id, "import of 'base64' "
+                                         "— arrays travel as raw float64")
+                elif name.split(".")[0] not in ALLOWED and node in at_import:
                     yield source.finding(
                         node, self.id, f"module-level import of '{name}' — "
                         f"every process importing {source.module} pays for it; "

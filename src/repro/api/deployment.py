@@ -13,7 +13,6 @@ continuous-adaptation controller behind a small serving surface:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,12 +28,12 @@ from ..embedding.joint_space import JointEmbeddingModel
 from ..errors import CheckpointError
 from ..gnn.checkpoint import deployment_from_dict, deployment_to_dict
 from ..gnn.pipeline import MissionGNNModel
-from ..utils.serialization import atomic_write_json, decode_array, encode_array
+from ..utils import binframe
 from .config import config_from_dict, config_to_dict
 
 __all__ = ["Deployment", "ServeEvent"]
 
-_FORMAT_VERSION = 2  # the controller buffers frame codes
+_FORMAT_VERSION = 3  # arrays are raw float64 buffers, not base64 text
 
 
 def _embedding_fingerprint(embedding_model: JointEmbeddingModel) -> str:
@@ -182,9 +181,8 @@ class Deployment:
                 self.model.embedding_model),
             "model": deployment_to_dict(self.model) if include_model else None,
             "adaptation_config": config_to_dict(self.adaptation_config),
-            "anchors": (None if self.normal_anchor_windows is None
-                        or not include_anchors
-                        else encode_array(self.normal_anchor_windows)),
+            "anchors": (self.normal_anchor_windows if include_anchors
+                        else None),
             "runtime": (None if self.controller is None
                         else self.controller.export_state()),
             "static_steps": self._static_steps,
@@ -193,7 +191,7 @@ class Deployment:
 
     def save(self, path: str | Path) -> None:
         """Write the whole runtime (model + adaptation state) to one file."""
-        atomic_write_json(path, self.to_dict())
+        binframe.write_file(path, self.to_dict())
 
     @classmethod
     def from_dict(cls, payload: dict, embedding_model: JointEmbeddingModel,
@@ -222,8 +220,8 @@ class Deployment:
                     "include_model=False); pass the restored model via "
                     "the `model` argument")
             model = deployment_from_dict(payload["model"], embedding_model)
-        if anchors is None and payload.get("anchors") is not None:
-            anchors = decode_array(payload["anchors"])
+        if anchors is None:
+            anchors = payload.get("anchors")
         adaptation = config_from_dict(AdaptationConfig,
                                       payload["adaptation_config"])
         deployment = cls(model, mission=payload.get("mission"),
@@ -243,4 +241,4 @@ class Deployment:
         The frozen joint embedding model is shared infrastructure (shipped
         once, not per deployment), so it is passed in rather than stored.
         """
-        return cls.from_dict(json.loads(Path(path).read_text()), embedding_model)
+        return cls.from_dict(binframe.read_file(path), embedding_model)

@@ -9,8 +9,9 @@ registry is where those artifacts live:
   so a restarted process — or a separate serving process — reuses the
   cloud training instead of repeating it;
 * artifacts are the standard deployment checkpoint format
-  (:func:`repro.gnn.deployment_to_dict`), so every entry is also a valid
-  edge deployment file.
+  (:func:`repro.gnn.save_deployment`), so every entry is also a valid
+  edge deployment file; its ``.bin`` suffix lets a directory shared with
+  builds that wrote base64 ``.json`` artifacts hold both.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 from ..embedding.joint_space import JointEmbeddingModel
 from ..gnn.checkpoint import deployment_from_dict, deployment_to_dict
 from ..gnn.pipeline import MissionGNNModel
-from ..utils.serialization import atomic_write_json
+from ..utils import binframe
 
 __all__ = ["ModelRegistry"]
 
@@ -32,9 +33,9 @@ def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9_-]+", "_", text) or "model"
 
 
-# Registry artifacts are ``<mission slug>-<16 hex digits>.json``; file
+# Registry artifacts are ``<mission slug>-<16 hex digits>.bin``; file
 # operations match only this shape so a registry pointed at a shared
-# directory never counts — or deletes — unrelated JSON files.
+# directory never counts — or deletes — unrelated files.
 _KEY_RE = re.compile(r".+-[0-9a-f]{16}\Z")
 
 
@@ -50,7 +51,7 @@ class ModelRegistry:
         self.root = Path(root) if root is not None else None
         if self.root is not None:
             self.root.mkdir(parents=True, exist_ok=True)
-        self._entries: dict[str, dict] = {}  # in-memory payloads (root=None)
+        self._entries: dict[str, bytes] = {}  # in-memory bodies (root=None)
         self.hits = 0
         self.misses = 0
 
@@ -66,7 +67,7 @@ class ModelRegistry:
 
     def _path(self, key: str) -> Path:
         assert self.root is not None
-        return self.root / f"{key}.json"
+        return self.root / f"{key}.bin"
 
     # ------------------------------------------------------------------
     def contains(self, mission: str, fingerprint: str) -> bool:
@@ -80,14 +81,16 @@ class ModelRegistry:
         """Rebuild the stored model, or ``None`` on a registry miss.  A
         disk registry reads the file each time and keeps nothing of it."""
         key = self.key(mission, fingerprint)
-        payload = self._entries.get(key)
-        if payload is None and self.root is not None and self._path(key).exists():
-            payload = json.loads(self._path(key).read_text())
-        if payload is None:
+        body = self._entries.get(key)
+        if body is not None:
+            payload = binframe.decode_payload(body)[0]  # fresh copies
+        elif self.root is not None and self._path(key).exists():
+            payload = binframe.read_file(self._path(key))
+        else:
             self.misses += 1
             return None
         self.hits += 1
-        return deployment_from_dict(payload, embedding_model)  # only reads it
+        return deployment_from_dict(payload, embedding_model)
 
     def store(self, mission: str, fingerprint: str,
               model: MissionGNNModel) -> str:
@@ -95,23 +98,23 @@ class ModelRegistry:
         key = self.key(mission, fingerprint)
         payload = deployment_to_dict(model)
         if self.root is None:
-            self._entries[key] = payload
+            self._entries[key] = binframe.encode_payload(payload)
         else:
-            atomic_write_json(self._path(key), payload)
+            binframe.write_file(self._path(key), payload)
         return key
 
     # ------------------------------------------------------------------
     def keys(self) -> list[str]:
         known = set(self._entries)
         if self.root is not None:
-            known.update(p.stem for p in self.root.glob("*.json")
+            known.update(p.stem for p in self.root.glob("*.bin")
                          if _KEY_RE.match(p.stem))
         return sorted(known)
 
     def clear(self) -> None:
         self._entries.clear()
         if self.root is not None:
-            for path in self.root.glob("*.json"):
+            for path in self.root.glob("*.bin"):
                 if _KEY_RE.match(path.stem):
                     path.unlink()
 

@@ -282,6 +282,7 @@ def cmd_gateway(args) -> int:
 def cmd_recover(args) -> int:
     """Rebuild a durable fleet from its write-ahead log directory."""
     from .errors import DurabilityError
+    from .utils.binframe import encode_payload
     from .wal import recover_fleet
     print(f"[recover] replaying WAL at {args.wal_dir}")
     try:
@@ -298,7 +299,8 @@ def cmd_recover(args) -> int:
             # catches a non-reproducible replay before anyone trusts it.
             twin, _ = recover_fleet(args.wal_dir)
             try:
-                identical = fleet.to_dict() == twin.to_dict()
+                identical = (encode_payload(fleet.to_dict())
+                             == encode_payload(twin.to_dict()))
             finally:
                 twin.close()
             if not identical:

@@ -191,7 +191,7 @@ class FrameGenerator:
 
     # ------------------------------------------------------------------
     def normal_video(self, num_frames: int, rng: np.random.Generator) -> Video:
-        frames = np.stack([self.normal_frame(rng) for _ in range(num_frames)])
+        frames = self.normal_frames(num_frames, rng)
         return Video(frames=frames, labels=np.zeros(num_frames, dtype=np.int64))
 
     def anomalous_video(self, anomaly_class: str, num_frames: int,

@@ -20,7 +20,7 @@ import re
 from collections import Counter, defaultdict
 from pathlib import Path
 
-from ..utils.serialization import atomic_write_json
+from ..utils.serialization import atomic_write_text
 
 __all__ = ["BPETokenizer"]
 
@@ -75,16 +75,21 @@ class BPETokenizer:
 
         pair_freq: Counter[tuple[str, str]] = Counter()
         pair_words: defaultdict[tuple[str, str], set[str]] = defaultdict(set)
+        by_count: defaultdict[int, set[tuple[str, str]]] = defaultdict(set)
 
         def count_pairs(word: str, sign: int) -> None:
             symbols, freq = splits[word], sign * word_freq[word]
             for pair in zip(symbols, symbols[1:]):
-                pair_freq[pair] += freq
+                old = pair_freq[pair]
+                new = pair_freq[pair] = old + freq
+                by_count[old].discard(pair)
+                if new:
+                    by_count[new].add(pair)
                 if sign > 0:
                     pair_words[pair].add(word)
                 else:
                     pair_words[pair].discard(word)
-                    if not pair_freq[pair]:
+                    if not new:
                         del pair_freq[pair], pair_words[pair]
 
         for word in splits:
@@ -92,9 +97,10 @@ class BPETokenizer:
 
         merges: list[tuple[str, str]] = []
         while len(merges) < num_merges and pair_freq:
-            # Deterministic: highest frequency, then lexicographic.
-            pair, freq = max(pair_freq.items(),
-                             key=lambda kv: (kv[1], kv[0][0], kv[0][1]))
+            # Deterministic: highest frequency, then lexicographic — the
+            # max of the one bucket of pairs at the highest count.
+            freq = max(count for count, pairs in by_count.items() if pairs)
+            pair = max(by_count[freq])
             if freq < 2:
                 break
             merges.append(pair)
@@ -192,7 +198,7 @@ class BPETokenizer:
     # ------------------------------------------------------------------
     def save(self, path: str | Path) -> None:
         payload = {"merges": self.merges, "vocab": self.id_to_token}
-        atomic_write_json(path, payload)
+        atomic_write_text(path, json.dumps(payload))
 
     @classmethod
     def load(cls, path: str | Path) -> "BPETokenizer":

@@ -42,6 +42,8 @@ so every layer can raise typed errors without importing a sibling:
     non-checkpointable stream, fingerprint mismatch.
 ``MissingExtraError``
     A package only an optional extra installs is missing (named in the text).
+``AdmissionError``
+    A request refused at the serving engine's queue door (typed ``code``).
 
 Every concrete class also subclasses the builtin its call sites
 historically raised — ``DurabilityError``, ``FleetError``, and
@@ -60,7 +62,7 @@ __all__ = ["ReproError", "DurabilityError", "WalCorruptionError",
            "RecoveryError", "FleetError", "WorkerError",
            "WorkerStartupError", "ConfigError", "WindowShapeError",
            "NonFiniteError", "StateError", "CheckpointError",
-           "MissingExtraError"]
+           "MissingExtraError", "AdmissionError"]
 
 
 class ReproError(Exception):
@@ -127,3 +129,12 @@ class CheckpointError(ReproError, ValueError):
 
 class MissingExtraError(ReproError, ImportError):
     """A package only an optional extra installs is missing; the message names it."""
+
+
+class AdmissionError(ReproError, RuntimeError):
+    """A request refused at the queue door; carries a typed code."""
+
+    def __init__(self, code: str, message: str):
+        super().__init__(message)
+        self.code = code
+        self.message = message

@@ -533,6 +533,8 @@ class GatewayServer:
         return stream
 
     def _attach(self, payload: dict, conn: _Connection, echo_id) -> dict:
+        """Subscribe this connection to a stream the fleet already holds;
+        fleet membership (and so a durable log's) does not change."""
         if self._draining:
             raise RequestError("shutting_down",
                                "server is draining; no new attachments")
@@ -548,6 +550,7 @@ class GatewayServer:
                         max_queue_depth=self.max_queue_depth)
 
     def _detach(self, payload: dict, conn: _Connection, echo_id) -> dict:
+        """Unsubscribe this connection; the stream stays in the fleet."""
         stream = self._stream_of(payload)
         if stream not in conn.attached:
             raise RequestError(

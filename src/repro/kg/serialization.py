@@ -1,45 +1,32 @@
 """Reasoning-KG persistence.
 
 Deployment (paper Fig. 2C) ships the cloud-generated KG — structure plus
-token embeddings — to the edge device.  We serialize to a single JSON file
-with embedded base64 float arrays so a deployment is one artifact.
+token embeddings — to the edge device.  A KG file is one binary body
+(:mod:`repro.utils.binframe`): the structure as JSON meta, the token
+embeddings as raw float64 buffers, so a deployment is one artifact.
+The dict form holds the node arrays themselves; a rebuilt KG adopts
+them (token embeddings are only ever rebound, never written in place).
 """
 
 from __future__ import annotations
 
-import base64
-import json
 from pathlib import Path
 
-import numpy as np
-
-from ..utils.serialization import atomic_write_json
+from ..utils import binframe
 from .graph import EMBEDDING_TEXT, SENSOR_TEXT, KGNode, ReasoningKG
 
 __all__ = ["save_kg", "load_kg", "kg_to_dict", "kg_from_dict"]
 
 
-def _encode_array(array: np.ndarray) -> dict:
-    return {
-        "shape": list(array.shape),
-        "data": base64.b64encode(array.astype(np.float64).tobytes()).decode("ascii"),
-    }
-
-
-def _decode_array(payload: dict) -> np.ndarray:
-    raw = base64.b64decode(payload["data"])
-    return np.frombuffer(raw, dtype=np.float64).reshape(payload["shape"]).copy()
-
-
 def kg_to_dict(kg: ReasoningKG) -> dict:
-    """Convert a KG (including token embeddings) to a JSON-safe dict."""
+    """Convert a KG (including its token-embedding arrays) to a dict."""
     nodes = []
     for node in kg.nodes():
         entry: dict = {"id": node.node_id, "text": node.text, "level": node.level}
         if node.token_ids is not None:
             entry["token_ids"] = list(node.token_ids)
         if node.token_embeddings is not None:
-            entry["token_embeddings"] = _encode_array(node.token_embeddings)
+            entry["token_embeddings"] = node.token_embeddings
         nodes.append(entry)
     return {
         "mission": kg.mission,
@@ -61,7 +48,7 @@ def kg_from_dict(payload: dict) -> ReasoningKG:
         if "token_ids" in entry:
             node.token_ids = [int(i) for i in entry["token_ids"]]
         if "token_embeddings" in entry:
-            node.token_embeddings = _decode_array(entry["token_embeddings"])
+            node.token_embeddings = entry["token_embeddings"]
         kg._nodes[node.node_id] = node
         max_id = max(max_id, node.node_id)
         if node.text == SENSOR_TEXT:
@@ -76,8 +63,8 @@ def kg_from_dict(payload: dict) -> ReasoningKG:
 
 
 def save_kg(kg: ReasoningKG, path: str | Path) -> None:
-    atomic_write_json(path, kg_to_dict(kg))
+    binframe.write_file(path, kg_to_dict(kg))
 
 
 def load_kg(path: str | Path) -> ReasoningKG:
-    return kg_from_dict(json.loads(Path(path).read_text()))
+    return kg_from_dict(binframe.read_file(path))

@@ -190,7 +190,7 @@ class Module:
             if param.data.shape != state[name].shape:
                 raise ValueError(f"shape mismatch for {name}: "
                                  f"{param.data.shape} vs {state[name].shape}")
-            param.data = state[name].copy()
+            param.data = state[name]  # adopted: arrays are only rebound
         # Buffers absent from ``state`` (parameter-only dicts from older
         # checkpoints) keep their current values.
         for name in buffer_names:

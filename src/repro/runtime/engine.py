@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
 
-from ..errors import ConfigError, ReproError
+from ..errors import AdmissionError, ConfigError
 from ..metrics import MetricsRegistry
 from .timeline import RoundTimeline, stage_timing
 
@@ -101,15 +101,6 @@ def _failed(request: EngineRequest, code: str, message: str) -> RoundResult:
     """The typed-error result for ``request``."""
     return RoundResult(request=request, kind="error", code=code,
                        message=message)
-
-
-class AdmissionError(ReproError, RuntimeError):
-    """A request refused at the queue door; carries a typed code."""
-
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
-        self.message = message
 
 
 class DurabilityHook(Protocol):

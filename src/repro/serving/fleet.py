@@ -23,7 +23,6 @@ fleet (``FleetEvent`` lives there too and is re-exported here).
 
 from __future__ import annotations
 
-import json
 from itertools import cycle
 from pathlib import Path
 
@@ -35,14 +34,14 @@ from ..data.streams import TrendShiftConfig, TrendShiftStream
 from ..runtime.engine import FleetEvent, ServingEngine
 from ..runtime.timeline import stage_timing
 from ..gnn.checkpoint import deployment_from_dict, deployment_to_dict
-from ..utils.serialization import atomic_write_json, decode_array, encode_array
+from ..utils import binframe
 from .batcher import MicroBatcher, ScoreRequest
 from ..errors import CheckpointError, ConfigError, WindowShapeError
 
 __all__ = ["FLEET_FORMAT_VERSION", "FleetEvent", "StreamSlot",
            "DeploymentFleet", "build_fleet"]
 
-FLEET_FORMAT_VERSION = 3  # its deployments are format 2: frame-code buffers
+FLEET_FORMAT_VERSION = 4  # arrays are raw float64 buffers, not base64 text
 
 
 class StreamSlot:
@@ -166,7 +165,7 @@ class _FleetFacade:
         self.close()
 
     def save(self, path: str | Path) -> None:
-        atomic_write_json(path, self.to_dict())
+        binframe.write_file(path, self.to_dict())
 
 
 class DeploymentFleet(_FleetFacade):
@@ -378,11 +377,10 @@ class DeploymentFleet(_FleetFacade):
                     "weights": once(model.weight_set, weights, lambda: blob(
                         (model.weight_set, *model.buffers(),
                          *(param.data for param in model.parameters())),
-                        lambda: {name: encode_array(value) for name, value
-                                 in model.state_dict().items()}))}),
+                        model.state_dict))}),
                 "anchors_index": None if windows is None else once(
                     windows, anchors, lambda: blob(
-                        (windows,), lambda: encode_array(windows))),
+                        (windows,), lambda: windows)),
                 "deployment": deployment.to_dict(include_model=False,
                                                  include_anchors=False),
                 "stream_config": config_to_dict(slot.stream.config),
@@ -417,7 +415,7 @@ class DeploymentFleet(_FleetFacade):
                 {**entry, "weights": payload["weights"][key]},
                 embedding_model, base=bases.get(key)))
             bases.setdefault(key, models[-1])
-        anchors = [decode_array(entry) for entry in payload["anchors"]]
+        anchors = [entry.view() for entry in payload["anchors"]]
         for array in anchors:
             array.flags.writeable = False  # shared, like Pipeline's
         for entry in payload["slots"]:
@@ -437,8 +435,8 @@ class DeploymentFleet(_FleetFacade):
     @classmethod
     def load(cls, path: str | Path, embedding_model,
              generator) -> "DeploymentFleet":
-        return cls.from_dict(json.loads(Path(path).read_text()),
-                             embedding_model, generator)
+        return cls.from_dict(binframe.read_file(path), embedding_model,
+                             generator)
 
 
 def build_fleet(pipeline, missions: list[str], streams: int,

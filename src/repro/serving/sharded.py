@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import inspect
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -43,6 +42,7 @@ from ..data.synthetic import FrameGenerator
 from ..errors import (CheckpointError, ConfigError, FleetError,
                       WorkerStartupError)
 from ..runtime.engine import ServingEngine
+from ..utils import binframe
 from .batcher import MicroBatcher
 from .fleet import (FLEET_FORMAT_VERSION, DeploymentFleet, _build_slot,
                     _FleetFacade, _slot_specs)
@@ -530,8 +530,8 @@ class ShardedFleet(_FleetFacade):
     @classmethod
     def load(cls, path: str | Path, shards: int | None = None,
              infra: FleetInfra | None = None) -> "ShardedFleet":
-        return cls.from_dict(json.loads(Path(path).read_text()),
-                             shards=shards, infra=infra)
+        return cls.from_dict(binframe.read_file(path), shards=shards,
+                             infra=infra)
 
     @classmethod
     def from_fleet(cls, fleet: DeploymentFleet, shards: int,

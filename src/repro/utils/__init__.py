@@ -1,14 +1,5 @@
 """Shared utilities: deterministic RNG management, durable serialization."""
 
 from .rng import derive_rng, seed_everything, stable_hash
-from .serialization import (
-    atomic_write_json,
-    atomic_write_text,
-    decode_array,
-    encode_array,
-    fsync_directory,
-)
 
-__all__ = ["derive_rng", "seed_everything", "stable_hash",
-           "encode_array", "decode_array", "atomic_write_text",
-           "atomic_write_json", "fsync_directory"]
+__all__ = ["derive_rng", "seed_everything", "stable_hash"]

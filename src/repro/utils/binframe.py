@@ -17,16 +17,19 @@ which lets both codecs share one TCP stream and be told apart from the
 first bytes alone.  ``meta`` holds the payload dict minus its arrays
 plus a ``"_arrays"`` table of ``[field, shape]`` pairs, in payload
 order, so decoding rebuilds the exact dict that was encoded — float64
-round-trips bit-for-bit by construction, no repr/parse in the loop.
+round-trips bit-for-bit by construction, no repr/parse in the loop.  A
+nested array is listed with a ``null`` field and leaves a
+``{"_array": index}`` reference in its place.
 
 This module is deliberately below every serving layer (``repro.utils``):
 the gateway protocol wraps it for the wire (adding op-code mapping and
-stream framing) and the write-ahead log reuses it verbatim for
-``ingest`` record payloads, replacing base64 window blobs.
+stream framing); WAL records and blobs and every file that stores
+arrays (:func:`write_file` / :func:`read_file`) are such bodies.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from math import prod
@@ -34,9 +37,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .serialization import atomic_write_bytes
+
 __all__ = ["BIN_MAGIC", "BIN_HEADER", "BinaryHeader", "BinaryFormatError",
            "is_binary", "parse_header", "encode_payload", "decode_body",
-           "decode_payload", "split_payload"]
+           "decode_payload", "split_payload", "write_file", "read_file"]
 
 #: Two bytes no JSON frame can start with (see module docstring).
 BIN_MAGIC = b"\xb7\xf3"
@@ -45,6 +50,8 @@ BIN_MAGIC = b"\xb7\xf3"
 BIN_HEADER = struct.Struct("<2sBBHHII")
 
 _FLOAT64_LE = np.dtype("<f8")
+
+_REF = "_array"  # a nested array's reference to its table entry
 
 
 class BinaryHeader(NamedTuple):
@@ -116,21 +123,32 @@ def encode_payload(payload: dict, *, version: int = 1, op: int = 0,
                    flags: int = 0, max_bytes: int | None = None) -> bytes:
     """Serialize one payload dict to a self-delimiting binary body.
 
-    Array fields (top-level ``numpy.ndarray`` values) ride as raw
-    little-endian float64 buffers; the rest is the JSON meta section.
-    ``max_bytes`` enforces the frame cap at *write* time — better a
-    :class:`BinaryFormatError` here than an oversized body the peer will
-    reject after buffering it.
+    Arrays anywhere in the payload ride as raw little-endian float64
+    buffers; the rest is the JSON meta section.  ``max_bytes`` enforces
+    the frame cap at *write* time — better a :class:`BinaryFormatError`
+    here than an oversized body the peer will reject after buffering it.
     """
-    meta, arrays = split_payload(payload)
-    meta["_arrays"] = [[key, list(array.shape)]
-                       for key, array in arrays.items()]
+    meta, fields = split_payload(payload)
+    table = [[key, list(array.shape)] for key, array in fields.items()]
+    arrays = list(fields.values())
+
+    def nested(value):  # the JSON encoder met a non-JSON value
+        if not isinstance(value, np.ndarray):
+            raise TypeError(f"{type(value).__name__} is not JSON-serializable")
+        arrays.append(np.ascontiguousarray(value, dtype=_FLOAT64_LE))
+        table.append([None, list(arrays[-1].shape)])
+        return {_REF: len(arrays) - 1}
+
+    # The table is the meta's last key, so the dump has met (and listed)
+    # every nested array by the time it writes the table.
+    meta["_arrays"] = table
     try:
-        meta_bytes = json.dumps(meta, separators=(",", ":")).encode("utf-8")
+        meta_bytes = json.dumps(meta, separators=(",", ":"),
+                                default=nested).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise BinaryFormatError(
             f"payload meta is not JSON-serializable: {exc}") from None
-    payload_len = sum(array.nbytes for array in arrays.values())
+    payload_len = sum(array.nbytes for array in arrays)
     total = BIN_HEADER.size + len(meta_bytes) + payload_len
     if max_bytes is not None and total > max_bytes:
         raise BinaryFormatError(
@@ -145,13 +163,15 @@ def encode_payload(payload: dict, *, version: int = 1, op: int = 0,
                              len(meta_bytes), payload_len)
     # The C-contiguous arrays are their own buffers: the join is the one
     # copy of their bytes.
-    return b"".join([header, meta_bytes, *arrays.values()])
+    return b"".join([header, meta_bytes, *arrays])
 
 
-def decode_body(header: BinaryHeader, body: bytes | memoryview) -> dict:
+def decode_body(header: BinaryHeader, body: bytes | memoryview, *,
+                copy: bool = True) -> dict:
     """Decode the bytes after the fixed header (meta + buffers) back to
-    the payload dict; arrays come back as fresh writable float64
-    ndarrays, each one copy of its bytes in ``body``."""
+    the payload dict; arrays come back as writable float64 ndarrays, each
+    one copy of its bytes in ``body`` (``copy=False``: views of ``body``,
+    a writable buffer read for this decode alone)."""
     body = memoryview(body)
     if len(body) != header.body_len:
         raise BinaryFormatError(
@@ -173,11 +193,12 @@ def decode_body(header: BinaryHeader, body: bytes | memoryview) -> dict:
             f"{len(table) if isinstance(table, list) else 'no'} entries; "
             f"header promised {header.narrays}")
     payload = dict(meta)
+    arrays: list[np.ndarray] = []
     offset = header.meta_len
     end = header.body_len
     for entry in table:
         if (not isinstance(entry, list) or len(entry) != 2
-                or not isinstance(entry[0], str)
+                or not isinstance(entry[0], (str, type(None)))
                 or not isinstance(entry[1], list)
                 or not all(isinstance(dim, int) and not isinstance(dim, bool)
                            and dim >= 0 for dim in entry[1])):
@@ -190,18 +211,34 @@ def decode_body(header: BinaryHeader, body: bytes | memoryview) -> dict:
             raise BinaryFormatError(
                 f"array field {field!r} with shape {shape} needs {nbytes} "
                 f"payload bytes but only {end - offset} remain")
-        # bytearray, not bytes: the rebuilt arrays view this buffer, and
-        # downstream code expects writable windows/scores.  The one copy:
-        # ``body`` is a memoryview, so the slice copies nothing.
-        chunk = bytearray(body[offset:offset + nbytes])
-        payload[field] = np.frombuffer(
-            chunk, dtype=_FLOAT64_LE).reshape(shape)
+        # Copies are bytearrays (writable windows/scores); ``body`` is a
+        # memoryview, so the slice itself copies nothing.
+        chunk = body[offset:offset + nbytes]
+        arrays.append(np.frombuffer(bytearray(chunk) if copy else chunk,
+                                    dtype=_FLOAT64_LE).reshape(shape))
+        if field is not None:
+            payload[field] = arrays[-1]
         offset += nbytes
     if offset != end:
         raise BinaryFormatError(
             f"binary payload has {end - offset} trailing bytes not "
             f"claimed by any array field")
-    return payload
+    if all(field is not None for field, _ in table):
+        return payload
+
+    def resolve(value):
+        if isinstance(value, list):
+            return [resolve(item) for item in value]
+        if not isinstance(value, dict):
+            return value
+        if value.keys() != {_REF}:
+            return {key: resolve(item) for key, item in value.items()}
+        index = value[_REF]
+        if not isinstance(index, int) or index not in range(len(arrays)) \
+                or table[index][0] is not None:
+            raise BinaryFormatError(f"bad nested array reference {value!r}")
+        return arrays[index]
+    return resolve(payload)
 
 
 def decode_payload(data: bytes,
@@ -214,3 +251,32 @@ def decode_payload(data: bytes,
             f"{BIN_HEADER.size}-byte header")
     header = parse_header(data[:BIN_HEADER.size], max_bytes=max_bytes)
     return decode_body(header, memoryview(data)[BIN_HEADER.size:]), header
+
+
+def write_file(path, payload: dict) -> None:
+    """Write ``payload`` crash-safely as one binary body."""
+    atomic_write_bytes(path, encode_payload(payload))
+
+
+def read_file(path, sha256: str | None = None) -> dict:
+    """Decode a :func:`write_file` file, read once into a buffer placed so
+    that its arrays, which view it, start 8-byte aligned.  With ``sha256``
+    the file must hash to it."""
+    with open(path, "rb") as handle:
+        head = handle.read(BIN_HEADER.size)
+        try:
+            header = parse_header(head)
+        except BinaryFormatError as exc:
+            raise BinaryFormatError(
+                f"{path} is not a binary array file ({exc}); older versions "
+                "wrote base64-in-JSON: re-create it with this version") from None
+        raw = np.empty(header.body_len + 8, np.uint8)
+        body = raw[-(raw.ctypes.data + header.meta_len) % 8:][:header.body_len]
+        if handle.readinto(body) != header.body_len or handle.read(1):
+            raise BinaryFormatError(f"{path} is truncated or overlong")
+    if sha256 is not None:
+        digest = hashlib.sha256(head)
+        digest.update(body)
+        if digest.hexdigest() != sha256:
+            raise BinaryFormatError(f"{path} does not hash to {sha256}")
+    return decode_body(header, body, copy=False)

@@ -1,30 +1,23 @@
-"""JSON-safe numpy array codec shared by every checkpoint format.
+"""Crash-safe file writes shared by every checkpoint format.
 
-Arrays are stored as base64-encoded float64 bytes plus a shape, which
-keeps deployment artifacts plain JSON (inspectable, diffable) while
-round-tripping bit-exactly.
-
-:func:`atomic_write_text` / :func:`atomic_write_json` are the one
+:func:`atomic_write_bytes` (and its text form) is the one
 durable-save path every checkpoint writer uses: a plain
-``Path.write_text`` that crashes mid-write leaves a truncated file where
-the *only* copy of a fleet or deployment snapshot used to be.  Writing a
-temp file in the same directory, fsyncing it, and ``os.replace``-ing it
-over the target makes the save all-or-nothing — readers only ever see
-the old complete file or the new complete file.
+``Path.write_bytes`` that crashes mid-write leaves a truncated file
+where the *only* copy of a fleet or deployment snapshot used to be.
+Writing a temp file in the same directory, fsyncing it, and
+``os.replace``-ing it over the target makes the save all-or-nothing —
+readers only ever see the old complete file or the new complete file.
+Files that hold arrays are binary bodies
+(:func:`repro.utils.binframe.write_file`).
 """
 
 from __future__ import annotations
 
-import base64
-import json
 import os
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
-__all__ = ["encode_array", "decode_array", "atomic_write_text",
-           "atomic_write_json", "fsync_directory"]
+__all__ = ["atomic_write_bytes", "atomic_write_text", "fsync_directory"]
 
 
 def fsync_directory(directory: Path) -> None:
@@ -42,11 +35,11 @@ def fsync_directory(directory: Path) -> None:
         os.close(fd)
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Crash-safe replacement for ``Path(path).write_text(text)``.
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Crash-safe replacement for ``Path(path).write_bytes(data)``.
 
-    The text lands in a temp file beside the target (same filesystem, so
-    the final rename is atomic), is fsynced, then ``os.replace``d over
+    The bytes land in a temp file beside the target (same filesystem, so
+    the final rename is atomic), are fsynced, then ``os.replace``d over
     the target; the directory entry is fsynced last so the rename itself
     survives a power loss.  A crash at any point leaves either the old
     file or the new one — never a truncated hybrid.
@@ -55,8 +48,8 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."),
                                     prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_name, path)
@@ -68,18 +61,6 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     fsync_directory(path.parent)
 
 
-def atomic_write_json(path: str | Path, payload) -> None:
-    """:func:`atomic_write_text` over ``json.dumps(payload)`` — the
-    shared save path for every JSON checkpoint format in this repo."""
-    atomic_write_text(path, json.dumps(payload))
-
-
-def encode_array(array: np.ndarray) -> dict:
-    array = np.asarray(array, dtype=np.float64)
-    return {"shape": list(array.shape),
-            "data": base64.b64encode(array.tobytes()).decode()}
-
-
-def decode_array(payload: dict) -> np.ndarray:
-    raw = base64.b64decode(payload["data"])
-    return np.frombuffer(raw, dtype=np.float64).reshape(payload["shape"]).copy()
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """:func:`atomic_write_bytes` over UTF-8 ``text``."""
+    atomic_write_bytes(path, text.encode("utf-8"))

@@ -6,8 +6,8 @@ checkpoint: kill a gateway mid-run and every acked ingest since the last
 write-ahead log:
 
 * :class:`WriteAheadLog` (:mod:`~repro.wal.log`) — append-only segmented
-  log of CRC32-framed records (binary bodies for ingest windows, JSON
-  for the rest) with group-commit fsync batching, segment rotation,
+  log of CRC32-framed records (binary bodies for records that carry
+  arrays, JSON for the rest) with group-commit fsync batching, segment rotation,
   and torn-tail repair on open.
 * :mod:`~repro.wal.records` — the typed record shapes: accepted ingests
   (bit-exact window codec), skip markers, and snapshots that embed the
@@ -25,8 +25,8 @@ write-ahead log:
   as one :class:`~repro.serving.DeploymentFleet`.
 
 On disk: numbered segments (``00000001.wal``, …) and :class:`BlobStore`
-files, ``<sha256>.blob`` — each the JSON of one weight set or anchor
-array, written atomically and fsynced with the directory before the
+files, ``<sha256>.blob`` — each one binary body holding one weight set
+or anchor array as raw float64, written atomically and fsynced with the directory before the
 first snapshot record naming it ``{"blob": digest}``, deleted by the
 first snapshot-and-truncate that no longer does.  A digest is remembered
 by the identity of the owner and of each of its arrays: model arrays are

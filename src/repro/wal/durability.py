@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..errors import DurabilityError
+from ..errors import AdmissionError, DurabilityError
 from ..metrics import MetricsRegistry
 from .log import WalConfig, WriteAheadLog
 from .records import ingest_record, skip_record
@@ -76,11 +76,11 @@ class WalDurability:
     :meth:`snapshot_due`) between rounds, behind a full commit drain,
     because snapshotting walks live fleet state.
 
-    The log holds no membership records.  To change a durable fleet's
-    membership, call ``fleet.add`` / ``fleet.remove`` and then
-    ``durability.snapshot(engine)`` between rounds, before a joined
-    stream's first ingest: recovery rebuilds the latest snapshot's
-    streams and drops an ingest for any other stream as orphaned.
+    The log holds no membership records: recovery rebuilds the latest
+    snapshot's streams, so :meth:`record_submit` refuses an ingest for
+    any other stream until ``durability.snapshot(engine)`` runs after
+    ``fleet.add``.  A removed stream stays a member until the next
+    snapshot; a recovery before it brings the stream back, acks intact.
     """
 
     def __init__(self, fleet, directory: str | Path,
@@ -102,6 +102,7 @@ class WalDurability:
         self.snapshots = SnapshotManager(self.wal, policy)
         self.blobs = BlobStore(self.wal.directory, self.wal.metrics)
         self._applied: dict[str, int] = {}
+        self._members: frozenset[str] = frozenset()  # the latest snapshot's
         self._closed = False
         # Genesis: an empty log has nothing for recovery to rebuild from.
         self.snapshot()
@@ -111,6 +112,10 @@ class WalDurability:
     # ------------------------------------------------------------------
     def record_submit(self, request) -> int:
         """Log one accepted ingest request; returns its WAL seq."""
+        if request.stream not in self._members:
+            raise AdmissionError("unknown_stream", (
+                f"stream {request.stream!r} is not in the latest WAL snapshot"
+                "; call durability.snapshot(engine) after fleet.add"))
         return self.wal.append(ingest_record(request.stream,
                                              request.windows))
 
@@ -165,6 +170,7 @@ class WalDurability:
         seq = self.snapshots.snapshot(payload, self.infra.to_payload(),
                                       dict(self._applied), rounds=rounds,
                                       pending_low=pending_low)
+        self._members = frozenset(slot["name"] for slot in payload["slots"])
         self.blobs.collect(payload)
         return seq
 

@@ -7,10 +7,11 @@ records to the highest one.  Each frame is::
     [u32 payload length][u32 crc32(payload)][payload bytes]
 
 little-endian, with the payload being one record dict (see
-:mod:`repro.wal.records`): a record that carries ndarray fields (an
-``ingest`` record's windows) is a :mod:`repro.utils.binframe` binary
-body, the same raw little-endian float64 format the gateway's binary
-frames use, and every other record is UTF-8 JSON.  The two are told
+:mod:`repro.wal.records`): a record that carries arrays (an ``ingest``
+record's windows, a snapshot's KG tokens, code buffers and optimizer
+moments) is a :mod:`repro.utils.binframe` binary body, the same raw
+little-endian float64 format the gateway's binary frames use, and every
+other record is UTF-8 JSON.  The two are told
 apart per frame by the binary magic bytes.  Sequence numbers are
 assigned at append time, strictly increasing across segments and across
 process restarts.
@@ -47,8 +48,6 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from threading import Lock
-
-import numpy as np
 
 from ..errors import ConfigError, DurabilityError, WalCorruptionError
 from ..metrics import MetricsRegistry
@@ -210,14 +209,15 @@ class WriteAheadLog:
     @staticmethod
     def _encode_record(record: dict) -> bytes:
         """One record dict -> frame payload bytes: a binary body when it
-        carries ndarray fields, JSON otherwise (the binary body would
-        just wrap the same JSON in a header)."""
-        if any(isinstance(value, np.ndarray) for value in record.values()):
-            try:
-                return binframe.encode_payload(record)
-            except binframe.BinaryFormatError as exc:
-                raise DurabilityError(
-                    f"cannot encode WAL record as a binary body: {exc}")
+        carries arrays, JSON otherwise (the binary body would just wrap
+        the same JSON in a header)."""
+        try:
+            body = binframe.encode_payload(record)
+        except binframe.BinaryFormatError as exc:
+            raise DurabilityError(
+                f"cannot encode WAL record as a binary body: {exc}")
+        if binframe.parse_header(body[:binframe.BIN_HEADER.size]).narrays:
+            return body
         return json.dumps(record).encode("utf-8")
 
     @staticmethod

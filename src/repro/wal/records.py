@@ -1,7 +1,8 @@
 """Typed WAL records: what the durability log actually remembers.
 
-Each record is a JSON-safe dict with a ``"kind"`` discriminator and the
-``"seq"`` the log assigned at append time.  Five kinds exist:
+Each record is a dict (JSON values, float64 arrays) with a ``"kind"``
+discriminator and the ``"seq"`` the log assigned at append time.  Five
+kinds exist:
 
 ``ingest``
     One accepted ingest request: stream name + its ``(B, T, frame_dim)``
@@ -26,9 +27,10 @@ Each record is a JSON-safe dict with a ``"kind"`` discriminator and the
     snapshot was taken).  Recovery rebuilds from the latest snapshot and
     replays only ingest records past each stream's watermark.  Its weight
     sets and anchor arrays are ``{"blob": digest}`` references to files
-    beside the segments (:class:`~repro.wal.BlobStore`), or inline.  It
-    is also the only record of fleet membership: a stream that joins or
-    leaves reaches the log with the next snapshot.
+    beside the segments (:class:`~repro.wal.BlobStore`), or inline; its
+    other arrays ride in the record's binary body.  It is also the only record of
+    fleet membership: a stream that joins or leaves reaches the log with
+    the next snapshot.
 
 Records deliberately stay plain dicts on the wire (the log frames each
 one as a JSON or binary body); the constructors and

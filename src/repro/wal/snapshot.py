@@ -25,7 +25,6 @@ Weight sets and anchor arrays go to a :class:`BlobStore` instead.
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,7 +33,8 @@ from .log import WriteAheadLog
 from .records import snapshot_record
 from ..errors import ConfigError, RecoveryError
 from ..metrics import MetricsRegistry
-from ..utils.serialization import atomic_write_text, fsync_directory
+from ..utils import binframe
+from ..utils.serialization import atomic_write_bytes, fsync_directory
 
 __all__ = ["BlobStore", "SnapshotPolicy", "SnapshotManager"]
 
@@ -47,9 +47,10 @@ def _is_reference(entry) -> bool:
 
 
 class BlobStore:
-    """``<sha256>.blob`` files in a WAL directory, each the JSON of one
-    fleet-checkpoint weight set or anchor array (layout, GC rule and why
-    the identity memo is safe: :mod:`repro.wal`)."""
+    """``<sha256>.blob`` files in a WAL directory, each one binary body
+    holding one fleet-checkpoint weight set or anchor array as
+    ``{"entry": ...}`` (layout, GC rule and why the identity memo is
+    safe: :mod:`repro.wal`)."""
 
     def __init__(self, directory: str | Path, metrics: MetricsRegistry):
         self.directory = Path(directory)
@@ -58,10 +59,10 @@ class BlobStore:
         self._written: set[str] = set()  # fsynced by this store
 
     def _write(self, entry) -> str:
-        text = json.dumps(entry)
-        digest = hashlib.sha256(text.encode()).hexdigest()
+        data = binframe.encode_payload({"entry": entry})
+        digest = hashlib.sha256(data).hexdigest()
         if digest not in self._written:
-            atomic_write_text(self.directory / f"{digest}.blob", text)  # file + dir fsynced
+            atomic_write_bytes(self.directory / f"{digest}.blob", data)  # file + dir fsynced
             self._written.add(digest)
         return digest
 
@@ -95,13 +96,11 @@ class BlobStore:
         a missing or damaged blob is a :class:`RecoveryError` naming it."""
         def read(digest: str):
             try:
-                data = (self.directory / f"{digest}.blob").read_bytes()
-            except OSError:
-                data = b""
-            if hashlib.sha256(data).hexdigest() != digest:
+                return binframe.read_file(self.directory / f"{digest}.blob",
+                                          sha256=digest)["entry"]
+            except (OSError, binframe.BinaryFormatError) as exc:
                 raise RecoveryError(f"snapshot blob {digest} is missing, "
-                                    "unreadable, truncated or corrupt")
-            return json.loads(data)
+                                    f"unreadable, truncated or corrupt: {exc}")
         return {**payload, **{kind: [read(entry["blob"]) if _is_reference(
             entry) else entry for entry in payload[kind]]
             for kind in _BLOB_KINDS}}

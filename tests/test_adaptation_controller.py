@@ -96,9 +96,8 @@ class TestControllerLifecycle:
         snapshot taken after 3 x the trail length is exactly as large as one
         taken after 2 x (and larger than one taken while they fill); a longer list saved by an older build is cut to its
         newest entries on restore."""
-        import json
-
         from repro.adaptation import controller, convergence, monitor
+        from repro.utils.binframe import encode_payload
         trail = 32
         for module in (controller, convergence, monitor):
             monkeypatch.setattr(module, "LOG_TRAIL_LENGTH", trail)
@@ -110,7 +109,7 @@ class TestControllerLifecycle:
             ctl.process_batch(windows, scores=scores)
             ctl.tracker.observe({(0, 1): 0.25, (0, 2): 0.5})
             if step + 1 in (trail // 2, 2 * trail, 3 * trail):
-                sizes.append(len(json.dumps(ctl.export_state())))
+                sizes.append(len(encode_payload(ctl.export_state())))
         assert len(ctl.monitor.history) == trail
         assert {len(t) for t in ctl.tracker.distance_history.values()} == {trail}
         assert sizes[0] < sizes[1] == sizes[2]
@@ -124,7 +123,7 @@ class TestControllerLifecycle:
         newest = [float(v) for v in range(100 - trail, 100)]
         assert list(ctl.monitor.history) == newest
         assert list(ctl.tracker.distance_history[(0, 1)]) == newest
-        assert len(json.dumps(ctl.export_state())) <= sizes[2]
+        assert len(encode_payload(ctl.export_state())) <= sizes[2]
 
     def test_mean_score_trace(self, fresh_model, embedding_model, rng):
         _, controller = deployed_controller(fresh_model, embedding_model, rng)

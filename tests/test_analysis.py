@@ -309,6 +309,18 @@ class TestColdImport:
         assert _run(ColdImportRule(), "import hypothesis\n",
                     module="test_bpe") == []
 
+    @pytest.mark.parametrize("text", [
+        "import base64\n",
+        "from base64 import b64encode\n",
+        "def encode(array):\n    import base64\n    return base64\n",
+    ])
+    def test_base64_is_refused_at_any_depth(self, text):
+        """Arrays cannot drift back into text: even a deferred import of
+        base64 under src/repro is a finding."""
+        findings = _run(ColdImportRule(), text, module="repro.utils.codec")
+        assert len(findings) == 1 and "'base64'" in findings[0].message
+        assert _run(ColdImportRule(), text, module="test_wal_codec") == []
+
 
 # ---------------------------------------------------------------------
 # wire-consts

@@ -6,7 +6,6 @@ import pytest
 from repro.adaptation import AdaptationConfig, MonitorConfig, TokenUpdateConfig
 from repro.api import Deployment, Pipeline, ReproConfig
 from repro.errors import CheckpointError, NonFiniteError
-from repro.utils.serialization import decode_array
 
 
 def deployment_config() -> ReproConfig:
@@ -128,8 +127,8 @@ class TestCheckpointResume:
             deployment.ingest(batch.windows)
         assert deployment.step_count * 12 > monitor.window + monitor.lag
         payload = deployment.to_dict()
-        assert payload["format_version"] == 2
-        buffer = [decode_array(p) for p in payload["runtime"]["buffer"]]
+        assert payload["format_version"] == 3
+        buffer = payload["runtime"]["buffer"]
         assert len(buffer) == monitor.window
         model = deployment.model
         assert buffer[0].shape == (len(model.kgs), model.config.temporal_window,
@@ -137,8 +136,8 @@ class TestCheckpointResume:
         last = batch.windows[-monitor.window:]  # the newest windows' codes
         assert np.array_equal(np.stack(buffer)[-len(last):],
                               model.frame_codes(last))
-        payload["format_version"] = 1
-        with pytest.raises(CheckpointError, match="format version: 1"):
+        payload["format_version"] = 2
+        with pytest.raises(CheckpointError, match="format version: 2"):
             Deployment.from_dict(payload, pipeline.embedding_model)
 
     def test_save_load_preserves_scores(self, pipeline, tmp_path):

@@ -10,6 +10,12 @@ from test_api_deployment import deployment_config
 from repro.adaptation import ConvergenceConfig
 from repro.api import Deployment, ModelRegistry, Pipeline, ReproConfig
 from repro.gnn.checkpoint import deployment_to_dict
+from repro.utils.binframe import encode_payload
+
+
+def same_bits(left: dict, right: dict) -> bool:
+    """Checkpoint payloads hold arrays: equal encodings are equal bits."""
+    return encode_payload(left) == encode_payload(right)
 
 
 def small_config(**experiment_overrides) -> ReproConfig:
@@ -169,12 +175,12 @@ class TestSharedAnchors:
         assert shared.update_count >= 2 and shared.total_pruned >= 1
         # Model (token embeddings included), controller and anchors, as
         # the checkpoint stores them: equal encodings are equal bits.
-        assert shared.to_dict() == private.to_dict()
+        assert same_bits(shared.to_dict(), private.to_dict())
 
-        path = tmp_path / "shared.json"
+        path = tmp_path / "shared.bin"
         shared.save(path)
         loaded = Deployment.load(path, pipe.embedding_model)
-        assert loaded.to_dict() == shared.to_dict()
+        assert same_bits(loaded.to_dict(), shared.to_dict())
         assert loaded.normal_anchor_windows.flags.writeable  # its own copy
 
 
@@ -208,7 +214,26 @@ class TestServingKeepsOnlyWhatItUses:
         memory.train("Stealing")
         assert list(memory.registry._entries) == memory.registry.keys()
         for model in (loaded, memory.train("Stealing")):  # same bits
-            assert deployment_to_dict(model) == deployment_to_dict(built)
+            assert same_bits(deployment_to_dict(model),
+                             deployment_to_dict(built))
+
+    def test_older_json_artifacts_are_a_miss(self, tmp_path):
+        """A registry directory shared with a build that wrote base64
+        JSON artifacts: those are neither read, counted nor deleted."""
+        cfg = small_config(train_steps=5)
+        cfg.registry_dir = str(tmp_path)
+        pipe = Pipeline.from_config(cfg)
+        registry, fingerprint = pipe.registry, pipe._fingerprint()
+        old = tmp_path / f"{registry.key('Stealing', fingerprint)}.json"
+        old.write_text('{"format_version": 1}')
+        assert not registry.contains("Stealing", fingerprint)
+        assert registry.load("Stealing", fingerprint,
+                             pipe.embedding_model) is None
+        assert registry.misses == 1 and registry.keys() == []
+        pipe.train("Stealing")
+        assert len(registry) == 1
+        registry.clear()
+        assert old.exists() and registry.keys() == []
 
 
 class TestBatchNormBuffers:

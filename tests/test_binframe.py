@@ -20,7 +20,9 @@ from repro.utils.binframe import (
     encode_payload,
     is_binary,
     parse_header,
+    read_file,
     split_payload,
+    write_file,
 )
 
 
@@ -272,3 +274,103 @@ class TestBodyFuzz:
             except BinaryFormatError:
                 continue
             assert isinstance(decoded, dict)
+
+
+class TestNestedArrays:
+    """Arrays anywhere in the payload tree: what checkpoints, KG files
+    and WAL snapshots store."""
+
+    @staticmethod
+    def nested_payload():
+        rng = np.random.default_rng(5)
+        return {"format_version": 2, "top": rng.normal(size=(2, 3)),
+                "weights": {"a": rng.normal(size=(4,)), "b": np.array(1.5)},
+                "kgs": [{"nodes": [{"id": 1, "tokens": rng.normal(size=(2, 5))},
+                                   {"id": 2}]}],
+                "buffer": (rng.normal(size=(3,)), rng.normal(size=(3,)))}
+
+    def test_round_trip_is_bit_exact_and_keeps_key_order(self):
+        payload = self.nested_payload()
+        decoded, header = round_trip(payload)
+        assert header.narrays == 6
+        # Top-level arrays come back after the meta fields, as ever.
+        assert list(decoded) == ["format_version", "weights", "kgs",
+                                 "buffer", "top"]
+        assert list(decoded["weights"]) == ["a", "b"]
+        assert decoded["kgs"][0]["nodes"][1] == {"id": 2}
+        pairs = [(decoded["top"], payload["top"]),
+                 (decoded["weights"]["a"], payload["weights"]["a"]),
+                 (decoded["kgs"][0]["nodes"][0]["tokens"],
+                  payload["kgs"][0]["nodes"][0]["tokens"]),
+                 *zip(decoded["buffer"], payload["buffer"])]
+        for got, want in pairs:
+            assert got.tobytes() == want.tobytes() and got.flags.writeable
+        # Re-encoding a decoded tree gives the same bytes.
+        del payload["top"], decoded["top"]
+        assert encode_payload(decoded) == encode_payload(payload)
+
+    def test_nested_arrays_leave_references_in_the_meta(self):
+        body = encode_payload({"a": np.zeros(2), "n": [np.ones(3)]})
+        header = parse_header(body[:BIN_HEADER.size])
+        meta = json.loads(body[BIN_HEADER.size:][:header.meta_len])
+        assert meta == {"n": [{"_array": 1}],
+                        "_arrays": [["a", [2]], [None, [3]]]}
+
+    @pytest.mark.parametrize("ref", [{"_array": 5}, {"_array": "0"},
+                                     {"_array": 0}])
+    def test_bad_references_are_format_errors(self, ref):
+        """Out of range, not an int, or naming a top-level field."""
+        table = [["w", [1]], [None, [1]]]
+        body = TestBodyFuzz()._forged({"n": [ref], "_arrays": table},
+                                      b"\x00" * 16)
+        with pytest.raises(BinaryFormatError, match="nested array"):
+            decode_payload(body)
+
+
+class TestReadFile:
+    def test_arrays_view_one_aligned_read(self, tmp_path):
+        payload = TestNestedArrays.nested_payload()
+        for meta_pad in range(8):  # every alignment of the payload start
+            payload["pad"] = "x" * meta_pad
+            path = tmp_path / "file.bin"
+            write_file(path, payload)
+            decoded = read_file(path)
+            arrays = [decoded["top"], decoded["weights"]["a"],
+                      decoded["kgs"][0]["nodes"][0]["tokens"]]
+            for array in arrays:
+                assert array.flags.aligned and array.flags.writeable
+                assert array.base is not None
+            # Adjacent in the file, adjacent in memory: one buffer.
+            assert arrays[1].ctypes.data \
+                == arrays[0].ctypes.data + arrays[0].nbytes
+            assert decoded["kgs"][0]["nodes"][0]["tokens"].tobytes() \
+                == payload["kgs"][0]["nodes"][0]["tokens"].tobytes()
+
+    def test_digest_is_checked(self, tmp_path):
+        path = tmp_path / "blob"
+        write_file(path, {"w": np.ones(4)})
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert read_file(path, sha256=digest)["w"].tobytes() \
+            == np.ones(4).tobytes()
+        with pytest.raises(BinaryFormatError, match="does not hash"):
+            read_file(path, sha256="0" * 64)
+
+    @pytest.mark.parametrize("data", [
+        b'{"format_version": 1, "weights": {}}',  # an older JSON file
+        b"", BIN_MAGIC + b"\x00"])
+    def test_non_binary_files_name_the_file_and_the_fix(self, tmp_path,
+                                                        data):
+        path = tmp_path / "old.json"
+        path.write_bytes(data)
+        with pytest.raises(BinaryFormatError) as excinfo:
+            read_file(path)
+        assert str(path) in str(excinfo.value)
+        assert "re-create it with this version" in str(excinfo.value)
+
+    def test_truncated_and_overlong_files(self, tmp_path):
+        path = tmp_path / "file.bin"
+        body = encode_payload({"w": np.ones(4)})
+        for data in (body[:-1], body + b"\x00"):
+            path.write_bytes(data)
+            with pytest.raises(BinaryFormatError, match="truncated or over"):
+                read_file(path)

@@ -57,6 +57,15 @@ class TestVideos:
         assert not video.is_anomalous
         assert video.labels.sum() == 0
 
+    def test_normal_video_matches_the_per_frame_loop(self, frame_generator):
+        """The batched path draws and renders exactly what a loop of
+        ``normal_frame`` calls on the same generator state does."""
+        video = frame_generator.normal_video(80, np.random.default_rng(11))
+        rng = np.random.default_rng(11)
+        loop = np.stack([frame_generator.normal_frame(rng) for _ in range(80)])
+        assert video.frames.dtype == loop.dtype
+        assert video.frames.tobytes() == loop.tobytes()
+
     def test_anomalous_video_has_contiguous_segment(self, frame_generator, rng):
         video = frame_generator.anomalous_video("Explosion", 30, rng)
         assert video.is_anomalous

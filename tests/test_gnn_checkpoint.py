@@ -1,4 +1,5 @@
-"""Tests for deployment checkpointing (weights + BN stats + KGs in one file)."""
+"""Tests for deployment checkpointing (weights + BN stats + KGs in one
+binary file)."""
 
 import json
 
@@ -11,6 +12,9 @@ from repro.gnn import (
     load_deployment,
     save_deployment,
 )
+from repro.kg import load_kg
+from repro.utils import binframe
+from repro.utils.binframe import BinaryFormatError
 
 
 class TestDeploymentRoundTrip:
@@ -54,13 +58,47 @@ class TestDeploymentRoundTrip:
         with pytest.raises(ValueError):
             deployment_from_dict(payload, pipe.embedding_model)
 
-    def test_artifact_is_plain_json(self, trained_pipeline, tmp_path):
+    def test_artifact_is_one_binary_body(self, trained_pipeline, tmp_path):
+        """Weights and KG tokens ride as raw float64: the file is barely
+        larger than its arrays, and they read back to the same bits as
+        writable views of one aligned buffer."""
         pipe = trained_pipeline
-        path = tmp_path / "artifact.json"
-        save_deployment(pipe.train("Stealing"), path)
-        payload = json.loads(path.read_text())
-        assert payload["format_version"] == 1
-        assert "weights" in payload and "kgs" in payload
+        model = pipe.train("Stealing")
+        path = tmp_path / "artifact.bin"
+        save_deployment(model, path)
+        payload = binframe.read_file(path)
+        assert payload["format_version"] == 2
+        state = model.state_dict()
+        assert sorted(payload["weights"]) == sorted(state)
+        for name, value in state.items():
+            array = payload["weights"][name]
+            assert array.tobytes() == value.tobytes()
+            assert array.flags.writeable and array.flags.aligned
+            assert array.base is not None  # a view, not a copy
+        tokens = [node.token_embeddings for kg in model.kgs
+                  for node in kg.concept_nodes()]
+        assert all(entry["token_embeddings"].tobytes() == token.tobytes()
+                   for entry, token in zip(
+                       (node for kg in payload["kgs"] for node in kg["nodes"]
+                        if "token_embeddings" in node), tokens))
+        array_bytes = sum(value.nbytes for value in state.values()) + sum(
+            token.nbytes for token in tokens)
+        assert path.stat().st_size < 1.05 * array_bytes
+
+    def test_base64_json_files_are_refused(self, trained_pipeline, tmp_path):
+        """A file an older version wrote (base64-in-JSON) is a typed error
+        naming the file and the fix, from every array-file reader."""
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"format_version": 1, "weights": {},
+                                    "kgs": []}))
+        for load in (lambda: load_deployment(
+                         path, trained_pipeline.embedding_model),
+                     lambda: load_kg(path)):
+            with pytest.raises(BinaryFormatError) as excinfo:
+                load()
+            assert str(path) in str(excinfo.value)
+            assert "base64-in-JSON" in str(excinfo.value)
+            assert "re-create it with this version" in str(excinfo.value)
 
     def test_loaded_model_is_eval_mode(self, trained_pipeline, tmp_path):
         pipe = trained_pipeline

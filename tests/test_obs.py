@@ -310,6 +310,34 @@ class TestLatencyHistogramSemantics:
         assert left.count == 4
         assert sorted(left._samples) == [0.001, 0.002, 0.003, 0.004]
 
+    def test_samples_are_unboxed_float64_with_the_list_reservoir(self):
+        """Past the cap the reservoir holds ``max_samples`` float64s in
+        one buffer, and draws exactly what a list reservoir on the same
+        seed draws."""
+        import random
+
+        import numpy as np
+        max_samples, extra = 256, 1000
+        values = [((index * 7919) % 1013) * 1e-4
+                  for index in range(max_samples + extra)]
+        histogram = LatencyHistogram(max_samples=max_samples, seed=5)
+        reference, rng = [], random.Random(5)
+        for seen, value in enumerate(values, start=1):
+            histogram.observe(value)
+            if len(reference) < max_samples:
+                reference.append(value)
+            elif (slot := rng.randrange(seen)) < max_samples:
+                reference[slot] = value
+        samples = histogram._samples
+        assert samples.typecode == "d"
+        assert samples.buffer_info()[1] * samples.itemsize \
+            == max_samples * 8
+        assert list(samples) == reference
+        summary = histogram.summary()
+        assert summary["count"] == max_samples + extra
+        assert summary["mean_ms"] == float(np.mean(reference)) * 1e3
+        assert summary["p99_ms"] == float(np.percentile(reference, 99)) * 1e3
+
     def test_concurrent_observe_keeps_count_exact(self):
         histogram = LatencyHistogram(max_samples=32)
         per_thread = 500

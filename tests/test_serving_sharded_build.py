@@ -21,7 +21,8 @@ import repro.gnn.checkpoint as checkpoint
 from repro.api import ModelRegistry, Pipeline
 from repro.errors import WorkerStartupError
 from repro.serving import ShardedFleet, build_fleet, build_sharded_fleet
-from repro.utils.serialization import atomic_write_json
+from repro.utils.binframe import encode_payload
+from repro.utils.serialization import atomic_write_bytes
 
 MISSIONS = ["Stealing", "Robbery"]
 STREAMS = 4
@@ -48,9 +49,9 @@ def disk_root(memory_pipeline, tmp_path_factory) -> Path:
     """A disk registry holding the same two artifacts."""
     root = tmp_path_factory.mktemp("registry")
     registry = ModelRegistry(root)
-    for mission, payload in artifacts(memory_pipeline).items():
+    for mission, body in artifacts(memory_pipeline).items():
         key = registry.key(mission, memory_pipeline._fingerprint())
-        atomic_write_json(root / f"{key}.json", payload)
+        atomic_write_bytes(registry._path(key), body)
     return root
 
 
@@ -60,9 +61,11 @@ def disk_pipeline(root) -> Pipeline:
     return Pipeline.from_config(config)
 
 
-def without_hints(payload: dict) -> dict:
-    return {key: value for key, value in payload.items()
-            if key not in ("shards", "infra")}
+def without_hints(payload: dict) -> bytes:
+    """The payload minus the sharded hints, encoded: equal bytes are
+    equal checkpoints (the payload holds arrays)."""
+    return encode_payload({key: value for key, value in payload.items()
+                           if key not in ("shards", "infra")})
 
 
 def assert_same_events(ours, theirs):
@@ -152,7 +155,7 @@ class TestParentLoadsNothing:
         with build_sharded_fleet(pipeline, MISSIONS, STREAMS,
                                  shards=SHARDS) as fleet:
             assert pipeline.trained_count == len(MISSIONS)
-            files = sorted(tmp_path.glob("*.json"))
+            files = sorted(tmp_path.glob("*.bin"))
             assert len(files) == len(MISSIONS)
             stamps = [(path.stat().st_mtime_ns, path.read_bytes())
                       for path in files]
@@ -160,7 +163,7 @@ class TestParentLoadsNothing:
             scores = fleet.score_only({name: windows for name in fleet.names})
             # The shards read those artifacts; none trained or rewrote one.
             assert [(path.stat().st_mtime_ns, path.read_bytes())
-                    for path in sorted(tmp_path.glob("*.json"))] == stamps
+                    for path in sorted(tmp_path.glob("*.bin"))] == stamps
         assert pipeline.trained_count == len(MISSIONS)
         with build_fleet(pipeline, MISSIONS, STREAMS) as reference:
             expected = reference.score_only(
@@ -191,10 +194,10 @@ class TestParentLoadsNothing:
         registry = pipeline.registry
         for mission in MISSIONS:
             key = registry.key(mission, pipeline._fingerprint())
-            (tmp_path / f"{key}.json").write_text("{not json")
+            registry._path(key).write_text("{not json")
         with build_sharded_fleet(pipeline, MISSIONS, 2,
                                  shards=SHARDS) as fleet:
             with pytest.raises(WorkerStartupError,
-                               match="startup failed.*'Stealing'.*JSONDecodeError"):
+                               match="startup failed.*'Stealing'.*BinaryFormatError"):
                 fleet.step()
         assert pipeline.trained_count == 0

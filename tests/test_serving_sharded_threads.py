@@ -28,7 +28,7 @@ from repro.api import Deployment, ModelRegistry, Pipeline
 from repro.data import TrendShiftConfig, TrendShiftStream
 from repro.serving import (DeploymentFleet, FleetInfra, ShardedFleet,
                            build_fleet, build_sharded_fleet)
-from repro.utils.serialization import atomic_write_json
+from repro.utils.serialization import atomic_write_bytes
 from repro.wal import WalDurability, recover_fleet
 
 MISSIONS = ["Stealing", "Robbery"]
@@ -204,8 +204,8 @@ def test_pooled_shards_are_bit_identical_under_threaded_blas(
     registry = ModelRegistry(tmp_path / "registry")
     for mission in MISSIONS:
         key = registry.key(mission, pipeline._fingerprint())
-        atomic_write_json(registry.root / f"{key}.json",
-                          pipeline.registry._entries[key])
+        atomic_write_bytes(registry._path(key),
+                           pipeline.registry._entries[key])
     cfg = config()
     cfg.registry_dir = str(registry.root)
     cfg.save(tmp_path / "config.json")

@@ -15,7 +15,6 @@ restore path — ``DeploymentFleet.from_dict``, shards,
 
 import copy
 import hashlib
-import json
 import os
 import platform
 import subprocess
@@ -40,6 +39,7 @@ from repro.serving import (
     ShardedFleet,
     build_fleet,
 )
+from repro.utils.binframe import decode_payload, encode_payload
 from repro.wal import WalDurability, recover_fleet
 
 STREAMS = 3
@@ -206,10 +206,11 @@ def test_sharers_follow_private_models_bit_for_bit(pipeline):
                         theirs.deployment.model.token_parameters(),
                         strict=True):
             assert np.array_equal(a.data, b.data)
-        assert (ours.deployment.controller.export_state()
-                == theirs.deployment.controller.export_state())
+        assert (encode_payload(ours.deployment.controller.export_state())
+                == encode_payload(theirs.deployment.controller.export_state()))
         # Weights included: the checkpoint cannot tell them apart.
-        assert ours.deployment.to_dict() == theirs.deployment.to_dict()
+        assert (encode_payload(ours.deployment.to_dict())
+                == encode_payload(theirs.deployment.to_dict()))
 
 
 # ----------------------------------------------------------------------
@@ -224,14 +225,14 @@ def served(pipeline):
         fleet.step()
         twin.step()
     assert any(slot.deployment.update_count for slot in fleet.slots)
-    payload = json.loads(json.dumps(fleet.to_dict()))
+    payload = decode_payload(encode_payload(fleet.to_dict()))[0]
     return fleet, payload, [twin.step() for _ in range(3)]
 
 
 class TestCheckpointFollowsOwnership:
     def test_payload_stores_shared_things_once(self, served):
         _, payload, _ = served
-        assert payload["fleet_format_version"] == 3
+        assert payload["fleet_format_version"] == 4
         assert len(payload["weights"]) == 1
         assert len(payload["anchors"]) == 1
         assert len(payload["models"]) == STREAMS
@@ -244,9 +245,10 @@ class TestCheckpointFollowsOwnership:
             assert slot["deployment"]["model"] is None
 
     def test_format_1_is_refused(self, served, pipeline):
-        """... and format 2, whose deployments buffered raw windows."""
+        """... and format 2, whose deployments buffered raw windows, and
+        format 3, whose arrays were base64 text."""
         _, payload, _ = served
-        for version in (1, 2):
+        for version in (1, 2, 3):
             payload["fleet_format_version"] = version
             with pytest.raises(CheckpointError,
                                match="unsupported fleet format"):
@@ -323,13 +325,13 @@ def test_adaptive_shift_shaped_checkpoint_holds_codes_and_continues():
     for _ in range(62):
         fleet.step()
     payload = fleet.to_dict()
-    assert len(json.dumps(payload)) <= 9_000_000  # 26.2 MB of raw windows
+    assert len(encode_payload(payload)) <= 9_000_000  # 26.2 MB of raw windows
     for slot in payload["slots"]:
         assert len(slot["deployment"]["runtime"]["buffer"]) \
             == cfg.adaptation.monitor.window
-    restored = DeploymentFleet.from_dict(json.loads(json.dumps(payload)),
-                                         pipeline.embedding_model,
-                                         pipeline.generator)
+    restored = DeploymentFleet.from_dict(
+        decode_payload(encode_payload(payload))[0],
+        pipeline.embedding_model, pipeline.generator)
     updates = [slot.deployment.update_count for slot in fleet.slots]
     for _ in range(8):
         assert_same_events(restored.step(), fleet.step())
@@ -337,7 +339,8 @@ def test_adaptive_shift_shaped_checkpoint_holds_codes_and_continues():
     assert sum(slot.deployment.update_count for slot in fleet.slots) \
         > sum(updates)
     for ours, theirs in zip(restored.slots, fleet.slots, strict=True):
-        assert ours.deployment.to_dict() == theirs.deployment.to_dict()
+        assert (encode_payload(ours.deployment.to_dict())
+                == encode_payload(theirs.deployment.to_dict()))
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,6 @@ embedding fingerprint is hashed once per token table.
 """
 
 import hashlib
-import json
 
 import numpy as np
 import pytest
@@ -27,6 +26,7 @@ from repro.errors import RecoveryError
 from repro.gnn import MissionGNNConfig, MissionGNNModel
 from repro.nn.layers import Module
 from repro.serving import DeploymentFleet, FleetInfra, ShardedFleet
+from repro.utils.binframe import encode_payload
 from repro.wal import (WriteAheadLog, infra_for_fleet, read_records,
                        recover_fleet, snapshot_record)
 
@@ -91,7 +91,7 @@ def test_snapshots_write_each_shared_entry_once(two_missions, tmp_path,
     # change: one stream per mission keeps them inside the record bound.
     fleet = two_missions(adaptive, streams=2 if adaptive else STREAMS)
     windows = arrivals(fleet)
-    inline_bytes = len(json.dumps(fleet.to_dict()))
+    inline_bytes = len(encode_payload(fleet.to_dict()))
     encodes = []
     state_dict = Module.state_dict
     monkeypatch.setattr(Module, "state_dict",

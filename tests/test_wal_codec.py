@@ -1,7 +1,9 @@
 """WAL record-encoding tests: binary ingest bodies on disk, refusal of
-pre-binary (base64-in-JSON) logs, and corruption typing.
+pre-binary (base64-in-JSON) logs, snapshots and blobs, and corruption
+typing.
 """
 
+import base64
 import hashlib
 import json
 import struct
@@ -15,18 +17,38 @@ from repro.api import Deployment
 from repro.data import TrendShiftConfig, TrendShiftStream
 from repro.errors import RecoveryError, WalCorruptionError
 from repro.serving import DeploymentFleet
+from repro.utils import binframe
 from repro.utils.binframe import BIN_MAGIC
-from repro.utils.serialization import encode_array
 from repro.wal import (
     WalDurability,
     WriteAheadLog,
     ingest_record,
+    read_records,
     record_windows,
     recover_fleet,
     skip_record,
 )
 
 FRAME = struct.Struct("<II")
+
+
+def encode_array(array) -> dict:
+    """An array in the pre-binary form older versions wrote: base64 of
+    its float64 bytes plus its shape."""
+    array = np.asarray(array, dtype=np.float64)
+    return {"shape": list(array.shape),
+            "data": base64.b64encode(array.tobytes()).decode()}
+
+
+def as_base64(value):
+    """``value`` with every array spelled the pre-binary way."""
+    if isinstance(value, np.ndarray):
+        return encode_array(value)
+    if isinstance(value, dict):
+        return {key: as_base64(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [as_base64(item) for item in value]
+    return value
 
 
 def frame_bytes(payload: bytes) -> bytes:
@@ -126,6 +148,65 @@ class TestPreBinaryLog:
         with recovered:
             assert recovered.names == ["cam-0"]
             assert report.replayed == 0
+
+
+    @pytest.fixture()
+    def durable_log(self, tmp_path, fresh_model, frame_generator):
+        """A closed durable log of one adaptive stream (so its snapshot
+        holds KG tokens, a code buffer and optimizer moments)."""
+        fleet = DeploymentFleet()
+        model = fresh_model("Stealing", window=4)
+        fleet.add("cam-0", Deployment(model, mission="Stealing"),
+                  TrendShiftStream(frame_generator, TrendShiftConfig(
+                      steps_before_shift=1, steps_after_shift=1,
+                      windows_per_step=2, window=4, seed=40)))
+        deployment, stream = fleet.slots[0].deployment, fleet.slots[0].stream
+        for step in range(2):
+            deployment.ingest(stream.batch(step).windows)
+        with fleet:
+            durability = WalDurability(fleet, tmp_path)
+            durability.close(fleet.engine)
+        return tmp_path
+
+    def test_base64_snapshot_is_refused(self, durable_log, tmp_path_factory):
+        """The same snapshot written the pre-binary way (fleet format 3,
+        base64-in-JSON arrays) is refused, naming the log and the fix."""
+        [snapshot] = read_records(durable_log)
+        legacy = as_base64({**snapshot, "fleet": {
+            **snapshot["fleet"], "fleet_format_version": 3}})
+        old = tmp_path_factory.mktemp("old-wal")
+        (old / "00000001.wal").write_bytes(
+            frame_bytes(json.dumps(legacy).encode()))
+        with pytest.raises(RecoveryError) as excinfo:
+            recover_fleet(old)
+        message = str(excinfo.value)
+        assert str(old) in message and "fleet format 3" in message
+        assert "fresh WAL directory" in message
+
+    def test_base64_blob_is_refused(self, durable_log):
+        """A weight blob in the pre-binary JSON form is a typed recovery
+        error naming the blob and the format."""
+        blob = next(durable_log.glob("*.blob"))
+        blob.write_text(json.dumps({"w": encode_array(np.ones(3))}))
+        with pytest.raises(RecoveryError) as excinfo:
+            recover_fleet(durable_log)
+        assert blob.stem in str(excinfo.value)
+        assert "base64-in-JSON" in str(excinfo.value)
+
+    def test_adaptive_snapshot_round_trips_bit_identically(self,
+                                                          durable_log):
+        """The snapshot's nested arrays (code buffer, optimizer moments,
+        KG tokens) come back from the binary record to the same bits."""
+        [snapshot] = read_records(durable_log)
+        runtime = snapshot["fleet"]["slots"][0]["deployment"]["runtime"]
+        assert len(runtime["buffer"]) == 4
+        assert all(isinstance(code, np.ndarray) for code in runtime["buffer"])
+        fleet, _ = recover_fleet(durable_log)
+        with fleet:
+            again = fleet.to_dict()
+        for key in ("models", "slots"):
+            assert (binframe.encode_payload({key: again[key]})
+                    == binframe.encode_payload({key: snapshot["fleet"][key]}))
 
 
 class TestCorruption:

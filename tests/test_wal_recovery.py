@@ -26,6 +26,7 @@ from repro.wal import (
     WalConfig,
     WalDurability,
     infra_for_fleet,
+    ingest_record,
     read_records,
     recover_fleet,
 )
@@ -343,6 +344,64 @@ class TestMembershipReplay:
         assert np.array_equal(report.scores["cam-new"][0],
                               twin_events["cam-new"].scores)
 
+    def test_an_unsnapshotted_stream_is_refused_not_lost(
+            self, fleet_factory, fresh_model, frame_generator, materialized,
+            tmp_path):
+        """Ack => recovered: a stream added with no snapshot since is
+        refused at submit; before, its ingest was acked and recovery
+        dropped it as orphaned."""
+        windows, _ = materialized
+        fleet = fleet_factory()
+        make_durable(fleet, tmp_path)
+        model = fresh_model("Stealing", window=4)
+        model.eval()
+        stream = make_stream(frame_generator, seed=90)
+        fleet.add("cam-new", Deployment(model, mission="Stealing",
+                                        adaptive=False), stream)
+        arrivals = {name: windows[name][0] for name in windows}
+        arrivals["cam-new"] = np.asarray(stream.batch(0).windows,
+                                         dtype=np.float64)
+        refused = []
+        for name, batch in arrivals.items():
+            try:
+                fleet.engine.submit(EngineRequest(op="ingest", stream=name,
+                                                  windows=batch))
+            except AdmissionError as exc:
+                refused.append((name, exc.code, exc.message))
+        acked = {result.request.stream: result.event.scores
+                 for result in fleet.engine.run_round()
+                 if result.kind == "event"}
+        # Crash: nothing closes before recovery.
+        _, report = recover_fleet(tmp_path)
+        for name, scores in acked.items():
+            assert np.array_equal(report.scores[name][0], scores), name
+        assert [(name, code) for name, code, _ in refused] == [
+            ("cam-new", "unknown_stream")]
+        assert "'cam-new'" in refused[0][2]
+        assert "durability.snapshot(engine)" in refused[0][2]
+
+    def test_a_removed_stream_returns_until_the_next_snapshot(
+            self, fleet_factory, materialized, tmp_path):
+        """The remove rule: a stream stays a member of the log until the
+        next snapshot, so a recovery before it brings the stream back with
+        every acked ingest; after it, the stream is gone and refused."""
+        windows, _ = materialized
+        fleet = fleet_factory()
+        durability = make_durable(fleet, tmp_path)
+        served = serve_rounds(fleet, windows, count=1)
+        fleet.remove("cam-0")
+        serve_rounds(fleet, windows, count=1, start=1)
+        recovered, report = recover_fleet(tmp_path)
+        assert sorted(recovered.names) == ["cam-0", "cam-1", "cam-2"]
+        assert np.array_equal(report.scores["cam-0"][0], served["cam-0"][0])
+        durability.snapshot(fleet.engine)
+        recovered, _ = recover_fleet(tmp_path)
+        assert sorted(recovered.names) == ["cam-1", "cam-2"]
+        with pytest.raises(AdmissionError) as excinfo:
+            fleet.engine.submit(EngineRequest(
+                op="ingest", stream="cam-0", windows=windows["cam-0"][2]))
+        assert excinfo.value.code == "unknown_stream"
+
     def test_shared_infrastructure_is_built_once(
             self, fleet_factory, fresh_model, frame_generator, tmp_path,
             monkeypatch):
@@ -424,9 +483,10 @@ class TestMembershipReplay:
         fleet = fleet_factory()
         durability = make_durable(fleet, tmp_path)
         # An ingest logged for a stream the snapshot does not know (it
-        # never existed): replay must drop it, not crash.
-        durability.record_submit(EngineRequest(
-            op="ingest", stream="ghost", windows=windows[fleet.names[0]][0]))
+        # never existed; record_submit would refuse it, so it is appended
+        # by hand): replay must drop it, not crash.
+        durability.wal.append(ingest_record("ghost",
+                                            windows[fleet.names[0]][0]))
         durability.wal.flush()
         recovered, report = recover_fleet(tmp_path)
         assert report.orphaned == 1 and report.replayed == 0
