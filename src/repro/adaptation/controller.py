@@ -327,7 +327,7 @@ class ContinuousAdaptationController:
                 "scores": [float(s) for s in self.monitor._scores],
                 "history": [float(h) for h in self.monitor.history],
             },
-            "buffer": list(self._code_buffer),
+            "buffer": np.array(list(self._code_buffer)),  # one array
             "anchor_rng": self._anchor_rng.bit_generator.state,
             "structural_rng": self.structural.rng.bit_generator.state,
             "structural_events": [asdict(e) for e in self.structural.events],
@@ -363,7 +363,7 @@ class ContinuousAdaptationController:
         self.monitor.history.clear()
         self.monitor.history.extend(float(h) for h in state["monitor"]["history"])
         self._code_buffer.clear()
-        self._code_buffer.extend(state["buffer"])
+        self._code_buffer.extend(state["buffer"])  # its rows
         self._anchor_rng.bit_generator.state = state["anchor_rng"]
         self.structural.rng.bit_generator.state = state["structural_rng"]
         self.structural.events = [StructuralEvent(**e)

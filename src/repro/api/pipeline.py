@@ -125,13 +125,14 @@ class Pipeline:
                                    batch_size=exp.train_batch,
                                    learning_rate=exp.train_lr, seed=exp.seed)
 
+    def _trained_config(self) -> dict:
+        """Everything that shapes a trained model."""
+        return {"experiment": config_to_dict(self.config.experiment),
+                "model": config_to_dict(self.model_config()),
+                "training": config_to_dict(self.training_config())}
+
     def _fingerprint(self) -> str:
-        """Registry fingerprint over everything that shapes a trained model."""
-        return ModelRegistry.fingerprint({
-            "experiment": config_to_dict(self.config.experiment),
-            "model": config_to_dict(self.model_config()),
-            "training": config_to_dict(self.training_config()),
-        })
+        return ModelRegistry.fingerprint(self._trained_config())
 
     # ------------------------------------------------------------------
     # Cloud side: KG generation and decision-model training
@@ -164,7 +165,7 @@ class Pipeline:
         DecisionModelTrainer(model, self.training_config()).train(windows, labels)
         model.eval()
         self.trained_count += 1
-        self.registry.store(mission, fingerprint, model)
+        self.registry.store(mission, fingerprint, model, self._trained_config())
         # Serve from the registry even on the first call: the artifact
         # round-trip is what guarantees reload determinism.
         return self.registry.load(mission, fingerprint, self.embedding_model)

@@ -11,7 +11,10 @@ registry is where those artifacts live:
 * artifacts are the standard deployment checkpoint format
   (:func:`repro.gnn.save_deployment`), so every entry is also a valid
   edge deployment file; its ``.bin`` suffix lets a directory shared with
-  builds that wrote base64 ``.json`` artifacts hold both.
+  builds that wrote base64 ``.json`` artifacts hold both;
+* on disk, ``<key>.config.json`` beside each artifact is the config its
+  fingerprint hashes, so a directory says what each model was trained
+  under.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from ..embedding.joint_space import JointEmbeddingModel
 from ..gnn.checkpoint import deployment_from_dict, deployment_to_dict
 from ..gnn.pipeline import MissionGNNModel
 from ..utils import binframe
+from ..utils.serialization import atomic_write_text
 
 __all__ = ["ModelRegistry"]
 
@@ -92,15 +96,18 @@ class ModelRegistry:
         self.hits += 1
         return deployment_from_dict(payload, embedding_model)
 
-    def store(self, mission: str, fingerprint: str,
-              model: MissionGNNModel) -> str:
-        """Checkpoint ``model`` under the mission/config key; returns the key."""
+    def store(self, mission: str, fingerprint: str, model: MissionGNNModel,
+              config: dict) -> str:
+        """Checkpoint ``model`` under the mission/config key (``config``:
+        what ``fingerprint`` hashes); returns the key."""
         key = self.key(mission, fingerprint)
         payload = deployment_to_dict(model)
         if self.root is None:
             self._entries[key] = binframe.encode_payload(payload)
         else:
             binframe.write_file(self._path(key), payload)
+            atomic_write_text(self.root / f"{key}.config.json", json.dumps(
+                config, indent=1, sort_keys=True, default=str))
         return key
 
     # ------------------------------------------------------------------
@@ -117,6 +124,8 @@ class ModelRegistry:
             for path in self.root.glob("*.bin"):
                 if _KEY_RE.match(path.stem):
                     path.unlink()
+                    (self.root / f"{path.stem}.config.json").unlink(
+                        missing_ok=True)
 
     def __len__(self) -> int:
         return len(self.keys())

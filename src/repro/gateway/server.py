@@ -104,6 +104,29 @@ class _Connection:
     write_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
 
 
+#: glibc ``mallopt`` parameter numbers (``malloc.h``).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_round_temporaries_on_the_heap() -> None:
+    """Pin glibc's malloc thresholds for the serving process.
+
+    Every round allocates and frees frame-sized arrays (decoded windows,
+    the batcher's concatenations: 0.4-1.5 MB on ``sharded_large``).
+    Under glibc's dynamic thresholds, whether those come from a fresh
+    ``mmap`` or a just-trimmed heap top, and so page-fault on every
+    round, depends on what the process happened to free while it loaded
+    its models; pinned, they reuse the heap.  A no-op without glibc.
+    """
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 4 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 8 << 20)
+
+
 class GatewayServer:
     """Serve a fleet's streams over TCP with admission control."""
 
@@ -221,6 +244,7 @@ class GatewayServer:
         (with ``port=0`` the OS picks a free ephemeral port)."""
         if self._server is not None:
             raise StateError("server already started")
+        _keep_round_temporaries_on_the_heap()
         self._loop = asyncio.get_running_loop()
         self._work = asyncio.Event()
         self._paused = asyncio.Event()

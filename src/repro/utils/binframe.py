@@ -17,9 +17,10 @@ which lets both codecs share one TCP stream and be told apart from the
 first bytes alone.  ``meta`` holds the payload dict minus its arrays
 plus a ``"_arrays"`` table of ``[field, shape]`` pairs, in payload
 order, so decoding rebuilds the exact dict that was encoded — float64
-round-trips bit-for-bit by construction, no repr/parse in the loop.  A
-nested array is listed with a ``null`` field and leaves a
-``{"_array": index}`` reference in its place.
+round-trips bit-for-bit by construction, no repr/parse in the loop.
+``narrays`` counts the top-level array fields; a nested array is listed
+after them with a ``null`` field and leaves a ``{"_array": index}``
+reference in its place, so nesting depth and count are unbounded.
 
 This module is deliberately below every serving layer (``repro.utils``):
 the gateway protocol wraps it for the wire (adding op-code mapping and
@@ -154,13 +155,11 @@ def encode_payload(payload: dict, *, version: int = 1, op: int = 0,
         raise BinaryFormatError(
             f"binary body of {total} bytes exceeds the "
             f"{max_bytes}-byte limit")
-    if not 0 <= version <= 0xFF or not 0 <= op <= 0xFF \
-            or not 0 <= flags <= 0xFFFF:
-        raise BinaryFormatError(
-            f"header field out of range: version={version} op={op} "
-            f"flags={flags}")
-    header = BIN_HEADER.pack(BIN_MAGIC, version, op, flags, len(arrays),
-                             len(meta_bytes), payload_len)
+    try:  # version, op, flags, top-level array count or a length
+        header = BIN_HEADER.pack(BIN_MAGIC, version, op, flags, len(fields),
+                                 len(meta_bytes), payload_len)
+    except struct.error as exc:
+        raise BinaryFormatError(f"header field out of range: {exc}") from None
     # The C-contiguous arrays are their own buffers: the join is the one
     # copy of their bytes.
     return b"".join([header, meta_bytes, *arrays])
@@ -187,18 +186,19 @@ def decode_body(header: BinaryHeader, body: bytes | memoryview, *,
             f"binary meta must be a JSON object, "
             f"got {type(meta).__name__}")
     table = meta.pop("_arrays", None)
-    if not isinstance(table, list) or len(table) != header.narrays:
+    if not isinstance(table, list) or len(table) < header.narrays:
         raise BinaryFormatError(
             f"binary meta '_arrays' table has "
             f"{len(table) if isinstance(table, list) else 'no'} entries; "
-            f"header promised {header.narrays}")
+            f"header promised {header.narrays} array fields")
     payload = dict(meta)
     arrays: list[np.ndarray] = []
     offset = header.meta_len
     end = header.body_len
-    for entry in table:
+    for index, entry in enumerate(table):
         if (not isinstance(entry, list) or len(entry) != 2
-                or not isinstance(entry[0], (str, type(None)))
+                or not (isinstance(entry[0], str) if index < header.narrays
+                        else entry[0] is None)
                 or not isinstance(entry[1], list)
                 or not all(isinstance(dim, int) and not isinstance(dim, bool)
                            and dim >= 0 for dim in entry[1])):
@@ -216,14 +216,14 @@ def decode_body(header: BinaryHeader, body: bytes | memoryview, *,
         chunk = body[offset:offset + nbytes]
         arrays.append(np.frombuffer(bytearray(chunk) if copy else chunk,
                                     dtype=_FLOAT64_LE).reshape(shape))
-        if field is not None:
+        if index < header.narrays:
             payload[field] = arrays[-1]
         offset += nbytes
     if offset != end:
         raise BinaryFormatError(
             f"binary payload has {end - offset} trailing bytes not "
             f"claimed by any array field")
-    if all(field is not None for field, _ in table):
+    if len(table) == header.narrays:
         return payload
 
     def resolve(value):
@@ -234,8 +234,8 @@ def decode_body(header: BinaryHeader, body: bytes | memoryview, *,
         if value.keys() != {_REF}:
             return {key: resolve(item) for key, item in value.items()}
         index = value[_REF]
-        if not isinstance(index, int) or index not in range(len(arrays)) \
-                or table[index][0] is not None:
+        if not isinstance(index, int) \
+                or index not in range(header.narrays, len(arrays)):
             raise BinaryFormatError(f"bad nested array reference {value!r}")
         return arrays[index]
     return resolve(payload)

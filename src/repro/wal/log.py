@@ -212,13 +212,14 @@ class WriteAheadLog:
         carries arrays, JSON otherwise (the binary body would just wrap
         the same JSON in a header)."""
         try:
-            body = binframe.encode_payload(record)
+            return json.dumps(record).encode("utf-8")
+        except TypeError:  # an ndarray, at any depth
+            pass
+        try:
+            return binframe.encode_payload(record)
         except binframe.BinaryFormatError as exc:
             raise DurabilityError(
                 f"cannot encode WAL record as a binary body: {exc}")
-        if binframe.parse_header(body[:binframe.BIN_HEADER.size]).narrays:
-            return body
-        return json.dumps(record).encode("utf-8")
 
     @staticmethod
     def _decode(payload: bytes, path: Path, offset: int) -> dict:

@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import RecoveryError
+from ..errors import CheckpointError, RecoveryError
 from ..metrics import MetricsRegistry
 from .log import WriteAheadLog
 from .records import record_windows, validate_record
@@ -113,16 +113,13 @@ def recover_fleet(wal_dir: str | Path,
     report.snapshot_seq = int(snapshot["seq"])
 
     from ..serving import DeploymentFleet, FleetInfra
-    from ..serving.fleet import FLEET_FORMAT_VERSION
-    version = snapshot["fleet"].get("fleet_format_version")
-    if version != FLEET_FORMAT_VERSION:  # base64-in-JSON arrays, or newer
-        raise RecoveryError(
-            f"{Path(wal_dir)} holds a fleet format {version} snapshot; this "
-            f"version reads format {FLEET_FORMAT_VERSION}: recover the log "
-            "with the version that wrote it, then use a fresh WAL directory")
-    fleet = DeploymentFleet.from_dict(
-        BlobStore(wal_dir, registry).resolve(snapshot["fleet"]),
-        *FleetInfra.from_payload(snapshot["infra"]).build())
+    try:
+        fleet = DeploymentFleet.from_dict(
+            BlobStore(wal_dir, registry).resolve(snapshot["fleet"]),
+            *FleetInfra.from_payload(snapshot["infra"]).build())
+    except CheckpointError as exc:  # e.g. an older fleet format
+        raise RecoveryError(f"{Path(wal_dir)}: {exc}; recover the log with "
+                            "the version that wrote it") from None
     if metrics is not None:
         fleet.engine.metrics = metrics
     applied = {name: int(seq) for name, seq in snapshot["applied"].items()}

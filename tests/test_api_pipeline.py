@@ -1,6 +1,7 @@
 """Tests for the Pipeline facade, the model registry, and BN buffer state."""
 
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -99,6 +100,18 @@ class TestRegistryCaching:
         assert registry.contains("Robbery", pipe._fingerprint())
         registry.clear()
         assert registry.keys() == []
+        assert list(registry.root.iterdir()) == []
+
+    def test_disk_artifact_says_what_it_was_trained_under(self, tmp_path):
+        """``<key>.config.json`` is the config the key's fingerprint hashes."""
+        registry = ModelRegistry(tmp_path)
+        pipe = Pipeline.from_config(small_config(train_steps=5),
+                                    registry=registry)
+        pipe.train("Robbery")
+        [key] = registry.keys()
+        config = json.loads((tmp_path / f"{key}.config.json").read_text())
+        assert config == json.loads(json.dumps(pipe._trained_config()))
+        assert key.endswith(ModelRegistry.fingerprint(config))
 
 
 class TestSharedAnchors:

@@ -190,10 +190,12 @@ class TestHeaderFuzz:
 
 
 class TestBodyFuzz:
-    def _forged(self, meta: dict, payload: bytes = b"") -> bytes:
+    def _forged(self, meta: dict, payload: bytes = b"",
+                narrays: int | None = None) -> bytes:
         """A body whose header is consistent but whose meta lies."""
         meta_bytes = json.dumps(meta).encode()
-        narrays = len(meta.get("_arrays", []))
+        if narrays is None:
+            narrays = len(meta.get("_arrays", []))
         header = BIN_HEADER.pack(BIN_MAGIC, 2, 1, 0, narrays,
                                  len(meta_bytes), len(payload))
         return header + meta_bytes + payload
@@ -292,7 +294,7 @@ class TestNestedArrays:
     def test_round_trip_is_bit_exact_and_keeps_key_order(self):
         payload = self.nested_payload()
         decoded, header = round_trip(payload)
-        assert header.narrays == 6
+        assert header.narrays == 1  # top-level fields; 5 nested follow
         # Top-level arrays come back after the meta fields, as ever.
         assert list(decoded) == ["format_version", "weights", "kgs",
                                  "buffer", "top"]
@@ -322,9 +324,29 @@ class TestNestedArrays:
         """Out of range, not an int, or naming a top-level field."""
         table = [["w", [1]], [None, [1]]]
         body = TestBodyFuzz()._forged({"n": [ref], "_arrays": table},
-                                      b"\x00" * 16)
+                                      b"\x00" * 16, narrays=1)
         with pytest.raises(BinaryFormatError, match="nested array"):
             decode_payload(body)
+
+    def test_a_nested_entry_counted_as_a_field_is_malformed(self):
+        body = TestBodyFuzz()._forged(
+            {"n": [{"_array": 1}], "_arrays": [["w", [1]], [None, [1]]]},
+            b"\x00" * 16, narrays=2)
+        with pytest.raises(BinaryFormatError, match="malformed"):
+            decode_payload(body)
+
+    def test_nested_arrays_are_not_bounded_by_the_header(self):
+        """``narrays`` (u16) counts top-level fields only: a fleet
+        checkpoint's thousands of nested arrays fit."""
+        payload = {"rows": [np.full(1, float(i)) for i in range(70_000)]}
+        decoded, header = round_trip(payload)
+        assert header.narrays == 0 and len(decoded["rows"]) == 70_000
+        assert decoded["rows"][-1][0] == 69_999.0
+
+    def test_too_many_top_level_fields_is_a_format_error(self):
+        payload = {f"a{i}": np.zeros(0) for i in range(0x10000)}
+        with pytest.raises(BinaryFormatError, match="out of range"):
+            encode_payload(payload)
 
 
 class TestReadFile:

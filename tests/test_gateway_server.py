@@ -674,3 +674,32 @@ class TestFleetRoundEntryPoints:
             assert len(fleet) == 1
         fleet.close()  # idempotent no-op, mirroring ShardedFleet.close
         assert fleet.step()  # still serviceable: close holds no resources
+
+
+class TestMallocThresholds:
+    """A gateway pins glibc's thresholds so a round's frame-sized
+    temporaries reuse the heap instead of page-faulting every round."""
+
+    def test_pins_mmap_and_trim_thresholds(self, monkeypatch):
+        import ctypes
+
+        from repro.gateway import server as server_module
+
+        calls = []
+
+        class Libc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc())
+        server_module._keep_round_temporaries_on_the_heap()
+        assert calls == [(-3, 4 << 20), (-1, 8 << 20)]
+
+    def test_without_glibc_it_does_nothing(self, monkeypatch):
+        import ctypes
+
+        from repro.gateway import server as server_module
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        server_module._keep_round_temporaries_on_the_heap()  # no mallopt

@@ -16,10 +16,12 @@ from repro import cli
 from repro.api import Deployment
 from repro.data import TrendShiftConfig, TrendShiftStream
 from repro.errors import RecoveryError, WalCorruptionError
+from repro.metrics import MetricsRegistry
 from repro.serving import DeploymentFleet
 from repro.utils import binframe
 from repro.utils.binframe import BIN_MAGIC
 from repro.wal import (
+    BlobStore,
     WalDurability,
     WriteAheadLog,
     ingest_record,
@@ -170,18 +172,21 @@ class TestPreBinaryLog:
 
     def test_base64_snapshot_is_refused(self, durable_log, tmp_path_factory):
         """The same snapshot written the pre-binary way (fleet format 3,
-        base64-in-JSON arrays) is refused, naming the log and the fix."""
+        base64-in-JSON arrays, weights inline) is refused, naming the log
+        and the fix."""
         [snapshot] = read_records(durable_log)
+        inline = BlobStore(durable_log, MetricsRegistry()).resolve(
+            snapshot["fleet"])
         legacy = as_base64({**snapshot, "fleet": {
-            **snapshot["fleet"], "fleet_format_version": 3}})
+            **inline, "fleet_format_version": 3}})
         old = tmp_path_factory.mktemp("old-wal")
         (old / "00000001.wal").write_bytes(
             frame_bytes(json.dumps(legacy).encode()))
         with pytest.raises(RecoveryError) as excinfo:
             recover_fleet(old)
         message = str(excinfo.value)
-        assert str(old) in message and "fleet format 3" in message
-        assert "fresh WAL directory" in message
+        assert str(old) in message and "fleet format version: 3" in message
+        assert "the version that wrote it" in message
 
     def test_base64_blob_is_refused(self, durable_log):
         """A weight blob in the pre-binary JSON form is a typed recovery
