@@ -13,41 +13,40 @@ batch of frame windows it:
    (structural adaptation), after which the optimizer re-binds to the new
    token tensors.
 
-Everything the loop does is recorded in :class:`AdaptationStepLog` entries
-so experiments (Fig. 5/6, Table I) can replay the decision trail.
+Each step's :class:`AdaptationStepLog` is returned to the caller; the
+controller keeps only the state its next decision reads.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import NonFiniteError
 from ..gnn.pipeline import MissionGNNModel
-from ..nn.optim import Adam
 from ..utils.rng import derive_rng
 from .convergence import ConvergenceConfig, NodeConvergenceTracker
-from .monitor import LOG_TRAIL_LENGTH, AnomalyScoreMonitor, MonitorConfig
+from .monitor import AnomalyScoreMonitor, MonitorConfig
 from .structure import StructuralAdapter, StructuralEvent
 from .token_update import TokenEmbeddingUpdater, TokenUpdateConfig
 
 __all__ = ["AdaptationConfig", "AdaptationStepLog", "ContinuousAdaptationController",
            "checked_batch"]
 
+#: Known-normal windows mixed into each update round (at most 4 per K).
+NORMALS_PER_UPDATE = 16
+
 
 @dataclass
 class AdaptationConfig:
-    """All knobs of the edge adaptation loop in one place."""
+    """The settable knobs of the edge adaptation loop in one place."""
 
     monitor: MonitorConfig = field(default_factory=MonitorConfig)
     update: TokenUpdateConfig = field(default_factory=TokenUpdateConfig)
     convergence: ConvergenceConfig = field(default_factory=ConvergenceConfig)
     structural_adaptation: bool = True
-    tokens_per_new_node: int = 2
-    edge_probability: float = 0.5
-    normals_per_update: int = 16   # known-normal anchors mixed into each round
     adaptation_rounds: int = 6     # re-select top-K and update this many times
     min_trigger_k: int = 3         # ignore triggers smaller than this
     min_confidence: float = 0.25   # skip rounds whose top-K barely separates
@@ -117,14 +116,11 @@ class ContinuousAdaptationController:
         self.structural = StructuralAdapter(
             model.reasoners, token_dim=model.embedding_model.token_dim,
             rng=derive_rng(self.config.seed, "structural"),
-            tokens_per_new_node=self.config.tokens_per_new_node,
-            edge_probability=self.config.edge_probability,
             token_bank=model.embedding_model.token_table.vectors)
 
         # The monitor window's frame codes: all a phase reads of past windows.
         self._code_buffer: deque[np.ndarray] = deque(
             maxlen=self.config.monitor.window)
-        self.logs: deque[AdaptationStepLog] = deque(maxlen=LOG_TRAIL_LENGTH)
         self.step_count = 0    # batches processed, across checkpoint restores
         self.update_count = 0  # total token-update iterations (Fig. 6 x-axis)
 
@@ -156,7 +152,6 @@ class ContinuousAdaptationController:
             log.k = selection.k
             if selection.triggered and selection.k >= self.config.min_trigger_k:
                 self._adapt(selection.k, log)
-        self.logs.append(log)
         self.step_count += 1
         return log
 
@@ -170,8 +165,7 @@ class ContinuousAdaptationController:
         lowest-scoring recent windows — the ones the deployed model is most
         confident are normal.
         """
-        cfg = self.config
-        n_normals = min(cfg.normals_per_update, max(k, 1) * 4)
+        n_normals = min(NORMALS_PER_UPDATE, max(k, 1) * 4)
         if self._anchor_codes is not None:
             pick = self._anchor_rng.choice(
                 self._anchor_codes.shape[0],
@@ -290,47 +284,34 @@ class ContinuousAdaptationController:
     # ------------------------------------------------------------------
     @property
     def total_pruned(self) -> int:
-        return len(self.structural.events)
-
-    def mean_score_trace(self) -> np.ndarray:
-        """Window-mean trace (the distribution the paper plots over time)."""
-        return np.asarray(self.monitor.history)
+        return self.structural.pruned_count
 
     # ------------------------------------------------------------------
     # Checkpointing (Deployment.save/load)
     # ------------------------------------------------------------------
     def export_state(self) -> dict:
         """Snapshot of the loop's mutable runtime state (JSON values and
-        arrays: frame codes and optimizer moments).
+        one array: the frame codes).
 
         Covers everything a restarted process needs to continue adapting
         exactly where this one stopped: monitor scores, the monitor window's
-        frame codes, per-node convergence statistics, structural events, and
-        every RNG state.  Model weights and KG tokens are *not* included —
-        they travel in the deployment checkpoint's model section.
+        frame codes, per-node convergence statistics, the prune count, and
+        every RNG state.  Nothing in it grows with the deployment's age.
+        Model weights and KG tokens are *not* included — they travel in the
+        deployment checkpoint's model section.
         """
         def key_str(key: tuple[int, int]) -> str:
             return f"{key[0]}:{key[1]}"
 
         tracker = self.tracker
-        optimizer = self.updater._optimizer
-        optimizer_state = {"step_count": optimizer.step_count}
-        if isinstance(optimizer, Adam):
-            # Copies, here and in restore_state: Adam updates them in place.
-            optimizer_state["m"] = [m.copy() for m in optimizer._m]
-            optimizer_state["v"] = [v.copy() for v in optimizer._v]
         return {
             "step_count": self.step_count,
             "update_count": self.update_count,
-            "optimizer": optimizer_state,
-            "monitor": {
-                "scores": [float(s) for s in self.monitor._scores],
-                "history": [float(h) for h in self.monitor.history],
-            },
+            "monitor": {"scores": [float(s) for s in self.monitor._scores]},
             "buffer": np.array(list(self._code_buffer)),  # one array
             "anchor_rng": self._anchor_rng.bit_generator.state,
             "structural_rng": self.structural.rng.bit_generator.state,
-            "structural_events": [asdict(e) for e in self.structural.events],
+            "pruned_count": self.structural.pruned_count,
             "tracker": {
                 "last_distance": {key_str(k): v
                                   for k, v in tracker._last_distance.items()},
@@ -338,8 +319,6 @@ class ContinuousAdaptationController:
                                     for k, v in tracker._increase_streak.items()},
                 "updates_seen": {key_str(k): v
                                  for k, v in tracker._updates_seen.items()},
-                "distance_history": {key_str(k): list(v) for k, v
-                                     in tracker.distance_history.items()},
             },
         }
 
@@ -347,27 +326,21 @@ class ContinuousAdaptationController:
         """Resume from an :meth:`export_state` snapshot.
 
         The controller must wrap the same (restored) model the snapshot
-        was taken against; logs restart empty but ``step_count`` continues
-        from the checkpoint.
+        was taken against; ``step_count`` continues from the checkpoint.
         """
         def key_tuple(text: str) -> tuple[int, int]:
             kg, _, node = text.partition(":")
             return int(kg), int(node)
 
         self.step_count = int(state["step_count"])
-        self.logs.clear()
         self.update_count = int(state["update_count"])
         self.monitor._scores.clear()
         self.monitor._scores.extend(float(s) for s in state["monitor"]["scores"])
-        # The trails keep the newest entries of a longer saved list.
-        self.monitor.history.clear()
-        self.monitor.history.extend(float(h) for h in state["monitor"]["history"])
         self._code_buffer.clear()
         self._code_buffer.extend(state["buffer"])  # its rows
         self._anchor_rng.bit_generator.state = state["anchor_rng"]
         self.structural.rng.bit_generator.state = state["structural_rng"]
-        self.structural.events = [StructuralEvent(**e)
-                                  for e in state["structural_events"]]
+        self.structural.pruned_count = int(state["pruned_count"])
         tracker = self.tracker
         tracker._last_distance = {key_tuple(k): float(v) for k, v
                                   in state["tracker"]["last_distance"].items()}
@@ -375,15 +348,5 @@ class ContinuousAdaptationController:
                                     in state["tracker"]["increase_streak"].items()}
         tracker._updates_seen = {key_tuple(k): int(v) for k, v
                                  in state["tracker"]["updates_seen"].items()}
-        tracker.distance_history = {}
-        for k, v in state["tracker"]["distance_history"].items():
-            tracker.record_distances(key_tuple(k), (float(d) for d in v))
-        # Token tensors may have been replaced by the model restore; re-bind,
-        # then put back the optimizer's own state (Adam moments, step count)
-        # so the first post-resume update matches an uninterrupted run.
+        # Token tensors may have been replaced by the model restore.
         self.updater.rebuild_optimizer()
-        optimizer, saved = self.updater._optimizer, state["optimizer"]
-        optimizer.step_count = int(saved["step_count"])
-        if isinstance(optimizer, Adam):
-            optimizer._m = [np.array(m, dtype=np.float64) for m in saved["m"]]
-            optimizer._v = [np.array(v, dtype=np.float64) for v in saved["v"]]

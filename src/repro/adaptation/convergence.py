@@ -11,18 +11,20 @@ The tracker compares each node's current update distance with its previous
 one.  To avoid pruning on single noisy steps, divergence must persist for
 ``patience`` consecutive increases (with a relative ``tolerance``) before a
 node is flagged — both knobs default to mild smoothing and are ablatable.
+At most :data:`MAX_FLAGS_PER_STEP` nodes are flagged per update.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-
-from .monitor import LOG_TRAIL_LENGTH
 
 __all__ = ["ConvergenceConfig", "NodeConvergenceTracker"]
 
 NodeKey = tuple[int, int]  # (kg index, node id)
+
+#: Nodes pruned at most per update: structural churn is rate-limited so
+#: one bad step cannot gut the KG.
+MAX_FLAGS_PER_STEP = 1
 
 
 @dataclass
@@ -37,7 +39,6 @@ class ConvergenceConfig:
     patience: int = 4
     tolerance: float = 0.05
     min_updates: int = 6  # grace period before a node can be flagged
-    max_flags_per_step: int = 1  # prune at most this many nodes per update
     min_distance: float = 0.02  # increases below this are numerical noise
 
 
@@ -49,15 +50,12 @@ class NodeConvergenceTracker:
         self._last_distance: dict[NodeKey, float] = {}
         self._increase_streak: dict[NodeKey, int] = {}
         self._updates_seen: dict[NodeKey, int] = {}
-        # Per live node, its most recent update distances.
-        self.distance_history: dict[NodeKey, deque[float]] = {}
 
     def observe(self, node_distances: dict[NodeKey, float]) -> list[NodeKey]:
         """Record one step's distances; return the nodes flagged as diverging."""
         cfg = self.config
         flagged: list[NodeKey] = []
         for key, distance in node_distances.items():
-            self.record_distances(key, (distance,))
             seen = self._updates_seen.get(key, 0) + 1
             self._updates_seen[key] = seen
             previous = self._last_distance.get(key)
@@ -71,16 +69,15 @@ class NodeConvergenceTracker:
             self._last_distance[key] = distance
             if seen >= cfg.min_updates and streak >= cfg.patience:
                 flagged.append(key)
-        if len(flagged) > cfg.max_flags_per_step:
-            # Prune only the most-diverging nodes this step; structural
-            # churn is rate-limited so one bad step cannot gut the KG.
+        if len(flagged) > MAX_FLAGS_PER_STEP:
+            # Prune only the most-diverging nodes this step.
             flagged.sort(key=lambda k: self._increase_streak.get(k, 0),
                          reverse=True)
-            flagged = flagged[:cfg.max_flags_per_step]
+            flagged = flagged[:MAX_FLAGS_PER_STEP]
         # Drop state for nodes that disappeared (pruned between steps).
         current = set(node_distances)
         for store in (self._last_distance, self._increase_streak,
-                      self._updates_seen, self.distance_history):
+                      self._updates_seen):
             for key in list(store):
                 if key not in current:
                     del store[key]
@@ -91,16 +88,3 @@ class NodeConvergenceTracker:
         self._last_distance.pop(key, None)
         self._increase_streak.pop(key, None)
         self._updates_seen.pop(key, None)
-        self.distance_history.pop(key, None)
-
-    def record_distances(self, key: NodeKey, distances) -> None:
-        """Append to a node's distance trail (the newest
-        :data:`LOG_TRAIL_LENGTH` entries are kept)."""
-        trail = self.distance_history.get(key)
-        if trail is None:
-            trail = self.distance_history[key] = deque(maxlen=LOG_TRAIL_LENGTH)
-        trail.extend(distances)
-
-    def is_converging(self, key: NodeKey) -> bool:
-        """True when the node's last observed step did not increase."""
-        return self._increase_streak.get(key, 0) == 0

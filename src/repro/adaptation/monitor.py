@@ -25,14 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MonitorConfig", "PseudoLabels", "AnomalyScoreMonitor",
-           "LOG_TRAIL_LENGTH"]
-
-#: Entries kept in every per-step trail of the adaptation loop (step logs,
-#: window-mean trace, per-node distance trails).  A deployment is continuous
-#: — it ingests for as long as it lives — so a trail is the most recent
-#: steps, not all of them, and a checkpoint does not grow with its age.
-LOG_TRAIL_LENGTH = 4096
+__all__ = ["MonitorConfig", "PseudoLabels", "AnomalyScoreMonitor"]
 
 
 @dataclass
@@ -85,16 +78,12 @@ class AnomalyScoreMonitor:
             raise ValueError("lag must be >= 1")
         capacity = self.config.window + self.config.lag
         self._scores: deque[float] = deque(maxlen=capacity)
-        # Window-mean trace for diagnostics, most recent steps.
-        self.history: deque[float] = deque(maxlen=LOG_TRAIL_LENGTH)
 
     # ------------------------------------------------------------------
     def observe(self, scores: np.ndarray | list[float] | float) -> None:
         """Append new anomaly scores (arrival order)."""
         scores = np.atleast_1d(np.asarray(scores, dtype=np.float64))
         self._scores.extend(scores.tolist())
-        if self._scores:
-            self.history.append(float(self.current_window().mean()))
 
     def _snapshot(self) -> np.ndarray:
         """Every retained score, oldest first, as one array."""

@@ -7,8 +7,8 @@ created at the same level as the pruned node, along with random edge
 connections."
 
 ``StructuralAdapter`` applies that prune-then-create sequence to a live
-:class:`~repro.gnn.model.KGReasoner`, recompiles the graph spec, and
-reports every event for logging/inspection.
+:class:`~repro.gnn.model.KGReasoner`, recompiles the graph spec, returns
+each event to its caller and counts them.
 """
 
 from __future__ import annotations
@@ -20,6 +20,12 @@ import numpy as np
 from ..gnn.model import KGReasoner
 
 __all__ = ["StructuralEvent", "StructuralAdapter"]
+
+#: Random tokens a created node gets (drawn near the vocabulary bank).
+TOKENS_PER_NEW_NODE = 2
+#: Chance that a created node is wired to each node of the levels beside its
+#: own (at least one edge per side either way).
+EDGE_PROBABILITY = 0.5
 
 
 @dataclass(frozen=True)
@@ -38,18 +44,15 @@ class StructuralAdapter:
     """Prunes diverging nodes and creates random replacements."""
 
     def __init__(self, reasoners: list[KGReasoner], token_dim: int,
-                 rng: np.random.Generator, tokens_per_new_node: int = 2,
-                 edge_probability: float = 0.5,
+                 rng: np.random.Generator,
                  min_nodes_per_level: int = 1,
                  token_bank: np.ndarray | None = None):
         self.reasoners = reasoners
         self.token_dim = token_dim
         self.rng = rng
-        self.tokens_per_new_node = tokens_per_new_node
-        self.edge_probability = edge_probability
         self.min_nodes_per_level = min_nodes_per_level
         self.token_bank = token_bank
-        self.events: list[StructuralEvent] = []
+        self.pruned_count = 0  # prune+create cycles applied
 
     def replace_node(self, kg_index: int, node_id: int,
                      step: int = -1) -> StructuralEvent | None:
@@ -67,8 +70,8 @@ class StructuralAdapter:
         pruned = kg.prune_node(node_id)
         created_id = kg.create_node(
             level=level, token_dim=self.token_dim,
-            n_tokens=self.tokens_per_new_node, rng=self.rng,
-            edge_probability=self.edge_probability,
+            n_tokens=TOKENS_PER_NEW_NODE, rng=self.rng,
+            edge_probability=EDGE_PROBABILITY,
             token_bank=self.token_bank)
         kg.validate()
         reasoner.refresh_structure()
@@ -76,5 +79,5 @@ class StructuralAdapter:
                                 pruned_text=pruned.text,
                                 created_node_id=created_id, level=level,
                                 step=step)
-        self.events.append(event)
+        self.pruned_count += 1
         return event

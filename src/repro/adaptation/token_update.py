@@ -6,10 +6,13 @@ mission-specific KG.  Importantly, only the embeddings of the KG tokens are
 updated; the weights of other models, including the large joint embedding
 model and the GNN-based decision model, remain unchanged."
 
-``TokenEmbeddingUpdater`` owns an optimizer over exactly the KG token
-tensors; :meth:`update` runs one pseudo-labeled gradient step and returns
-per-node L2 update distances — the signal the convergence tracker
-(Fig. 4's "Compute Distance of Each Node") consumes.
+``TokenEmbeddingUpdater`` owns a plain SGD optimizer over exactly the KG
+token tensors; :meth:`update` runs one pseudo-labeled gradient step and
+returns per-node L2 update distances — the signal the convergence tracker
+(Fig. 4's "Compute Distance of Each Node") consumes.  SGD's steps are
+proportional to the gradient, so a well-fitting pseudo-label batch (tiny
+loss) produces a tiny, safe update, and it keeps no state between steps:
+a checkpoint carries none.
 """
 
 from __future__ import annotations
@@ -20,29 +23,26 @@ import numpy as np
 
 from ..gnn.pipeline import MissionGNNModel
 from ..nn.losses import vad_loss
-from ..nn.optim import SGD, Adam, clip_grad_norm
+from ..nn.optim import SGD, clip_grad_norm
 
 __all__ = ["TokenUpdateConfig", "TokenUpdateResult", "TokenEmbeddingUpdater"]
 
 
+#: The MissionGNN loss's sparsity and smoothness weights (as in training).
+LAMBDA_SPA = 0.001
+LAMBDA_SMT = 0.001
+#: Gradient-norm clip of one inner step.
+GRAD_CLIP = 1.0
+#: Token vectors are re-projected to at most this norm after every step.
+MAX_TOKEN_NORM = 2.5
+
+
 @dataclass
 class TokenUpdateConfig:
-    """Adaptation-step hyperparameters.
+    """Adaptation-step hyperparameters."""
 
-    SGD is the default optimizer: its steps are proportional to the
-    gradient, so a well-fitting pseudo-label batch (tiny loss) produces a
-    tiny, safe update.  Adam's sign-normalized first steps can perturb a
-    frozen model violently even at negligible loss — available for
-    ablation via ``optimizer='adam'``.
-    """
-
-    optimizer: str = "sgd"  # "sgd" | "adam"
     learning_rate: float = 0.03
     inner_steps: int = 3  # gradient iterations per update call
-    lambda_spa: float = 0.001
-    lambda_smt: float = 0.001
-    grad_clip: float = 1.0
-    max_token_norm: float = 2.5  # re-project runaway token vectors
 
 
 @dataclass
@@ -70,19 +70,13 @@ class TokenEmbeddingUpdater:
                 "model.freeze_for_deployment() before constructing the updater")
         if any(p.requires_grad for p in model.parameters()):
             raise ValueError("model weights must be frozen during adaptation")
-        self._optimizer = self._make_optimizer()
-
-    def _make_optimizer(self):
-        cfg = self.config
-        if cfg.optimizer == "sgd":
-            return SGD(self.model.token_parameters(), lr=cfg.learning_rate)
-        if cfg.optimizer == "adam":
-            return Adam(self.model.token_parameters(), lr=cfg.learning_rate)
-        raise ValueError(f"unknown optimizer {cfg.optimizer!r}")
+        self.rebuild_optimizer()
 
     def rebuild_optimizer(self) -> None:
-        """Re-bind the optimizer after structural KG changes (prune/create)."""
-        self._optimizer = self._make_optimizer()
+        """Bind the optimizer to the current token tensors (after
+        structural KG changes or a checkpoint restore rebound them)."""
+        self._optimizer = SGD(self.model.token_parameters(),
+                              lr=self.config.learning_rate)
 
     # ------------------------------------------------------------------
     def update(self, windows: np.ndarray, pseudo_labels: np.ndarray,
@@ -128,22 +122,21 @@ class TokenEmbeddingUpdater:
         self._optimizer.lr = base_lr * max(lr_scale, 0.0)
         for _ in range(max(cfg.inner_steps, 1)):
             loss = vad_loss(self.model.code_logits(codes), targets,
-                            lambda_spa=cfg.lambda_spa, lambda_smt=cfg.lambda_smt)
+                            lambda_spa=LAMBDA_SPA, lambda_smt=LAMBDA_SMT)
             self._optimizer.zero_grad()
             loss.backward()
-            grad_norm = clip_grad_norm(self.model.token_parameters(), cfg.grad_clip)
+            grad_norm = clip_grad_norm(self.model.token_parameters(), GRAD_CLIP)
             self._optimizer.step()
             loss_value = float(loss.item())
             del loss  # this step's tape dies before the next one is built
-            if cfg.max_token_norm > 0:
-                # Vocabulary embeddings are unit-norm; keep learned tokens on
-                # a comparable scale so retrieval stays meaningful and the
-                # frozen GNN is never driven far outside its training envelope.
-                for tensor in self.model.token_parameters():
-                    norms = np.linalg.norm(tensor.data, axis=-1, keepdims=True)
-                    scale = np.minimum(1.0,
-                                       cfg.max_token_norm / np.maximum(norms, 1e-12))
-                    tensor.data = tensor.data * scale
+            # Vocabulary embeddings are unit-norm; keep learned tokens on
+            # a comparable scale so retrieval stays meaningful and the
+            # frozen GNN is never driven far outside its training envelope.
+            for tensor in self.model.token_parameters():
+                norms = np.linalg.norm(tensor.data, axis=-1, keepdims=True)
+                scale = np.minimum(1.0,
+                                   MAX_TOKEN_NORM / np.maximum(norms, 1e-12))
+                tensor.data = tensor.data * scale
         self._optimizer.lr = base_lr
         self.model.commit_tokens()
 

@@ -33,6 +33,16 @@ from ..utils.serialization import atomic_write_text
 
 __all__ = ["ReproConfig", "config_to_dict", "config_from_dict"]
 
+#: Leaves of the ``model`` / ``training`` sections that
+#: :meth:`~repro.api.Pipeline.model_config` and
+#: :meth:`~repro.api.Pipeline.training_config` overwrite from ``experiment``:
+#: section -> {leaf: the experiment field that wins}.
+EXPERIMENT_OWNED = {
+    "model": {"temporal_window": "window", "seed": "seed"},
+    "training": {"steps": "train_steps", "batch_size": "train_batch",
+                 "learning_rate": "train_lr", "seed": "seed"},
+}
+
 
 # ----------------------------------------------------------------------
 # Generic nested-dataclass <-> dict machinery
@@ -165,11 +175,17 @@ class ReproConfig:
 
         String values are coerced to the target field's declared type, so
         the same call path serves programmatic use and ``--set`` flags on
-        the CLI.  Returns ``self`` for chaining.
+        the CLI.  A leaf the ``experiment`` section overwrites
+        (:data:`EXPERIMENT_OWNED`) is refused: setting it would do nothing.
+        Returns ``self`` for chaining.
         """
         parts = path.split(".")
         if not all(parts):
             raise ValueError(f"malformed config path {path!r}")
+        owner = EXPERIMENT_OWNED.get(parts[0], {}).get(".".join(parts[1:]))
+        if owner is not None:
+            raise KeyError(f"{path!r} is set from 'experiment.{owner}'; "
+                           f"override that instead")
         target = self
         for i, part in enumerate(parts[:-1]):
             if not is_dataclass(target) or not hasattr(target, part):

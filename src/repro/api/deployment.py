@@ -33,7 +33,7 @@ from .config import config_from_dict, config_to_dict
 
 __all__ = ["Deployment", "ServeEvent"]
 
-_FORMAT_VERSION = 3  # arrays are raw float64 buffers, not base64 text
+_FORMAT_VERSION = 4  # the runtime holds no optimizer moments or per-step trails
 
 
 def _embedding_fingerprint(embedding_model: JointEmbeddingModel) -> str:

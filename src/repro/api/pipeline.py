@@ -35,7 +35,7 @@ from ..kg.graph import ReasoningKG
 from ..kg.serialization import kg_from_dict, kg_to_dict
 from ..llm.oracle import SyntheticLLM
 from ..utils.rng import derive_rng
-from .config import ReproConfig, config_to_dict
+from .config import EXPERIMENT_OWNED, ReproConfig, config_to_dict
 from .deployment import Deployment
 from .registry import ModelRegistry
 
@@ -113,17 +113,18 @@ class Pipeline:
         return self._dataset
 
     # -- effective sub-configs (experiment section is authoritative) ----
-    def model_config(self) -> MissionGNNConfig:
+    def _from_experiment(self, section: str):
         exp = self.config.experiment
-        return dataclasses.replace(self.config.model,
-                                   temporal_window=exp.window, seed=exp.seed)
+        return dataclasses.replace(
+            getattr(self.config, section),
+            **{leaf: getattr(exp, name)
+               for leaf, name in EXPERIMENT_OWNED[section].items()})
+
+    def model_config(self) -> MissionGNNConfig:
+        return self._from_experiment("model")
 
     def training_config(self) -> TrainingConfig:
-        exp = self.config.experiment
-        return dataclasses.replace(self.config.training,
-                                   steps=exp.train_steps,
-                                   batch_size=exp.train_batch,
-                                   learning_rate=exp.train_lr, seed=exp.seed)
+        return self._from_experiment("training")
 
     def _trained_config(self) -> dict:
         """Everything that shapes a trained model."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..adaptation.controller import AdaptationStepLog
+from ..adaptation.controller import NORMALS_PER_UPDATE, AdaptationStepLog
 from .device import EdgeDeviceModel
 from .flops import count_model_forward, count_token_side
 
@@ -116,7 +116,7 @@ class EdgeDeploymentSimulator:
         side once per iteration; backward ~ 2x forward.
         """
         cfg = self.deployment.adaptation_config
-        batch = cfg.normals_per_update * 2  # typical K + anchors
+        batch = NORMALS_PER_UPDATE * 2  # typical K + anchors
         per_update = ((batch * self._forward_flops + self._token_side_flops)
                       * 3.0 * max(cfg.update.inner_steps, 1))
         return updates * per_update

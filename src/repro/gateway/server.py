@@ -663,7 +663,7 @@ class GatewayServer:
         try:
             self.engine.submit(request)
         except AdmissionError as exc:
-            self.metrics.counter("gateway.rejected.backpressure").inc()
+            self.metrics.counter(f"gateway.rejected.{exc.code}").inc()
             raise RequestError(exc.code, exc.message)
         self._work.set()
         result = await future

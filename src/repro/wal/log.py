@@ -8,8 +8,8 @@ records to the highest one.  Each frame is::
 
 little-endian, with the payload being one record dict (see
 :mod:`repro.wal.records`): a record that carries arrays (an ``ingest``
-record's windows, a snapshot's KG tokens, code buffers and optimizer
-moments) is a :mod:`repro.utils.binframe` binary body, the same raw
+record's windows, a snapshot's KG tokens and code buffers) is a
+:mod:`repro.utils.binframe` binary body, the same raw
 little-endian float64 format the gateway's binary frames use, and every
 other record is UTF-8 JSON.  The two are told
 apart per frame by the binary magic bytes.  Sequence numbers are

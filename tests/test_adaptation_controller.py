@@ -65,70 +65,46 @@ class TestControllerLifecycle:
 
     def test_logs_accumulate(self, fresh_model, embedding_model, rng):
         _, controller = deployed_controller(fresh_model, embedding_model, rng)
-        for _ in range(3):
-            controller.process_batch(rng.normal(size=(4, 4, embedding_model.frame_dim)))
-        assert [log.step for log in controller.logs] == [0, 1, 2]
+        logs = [controller.process_batch(
+            rng.normal(size=(4, 4, embedding_model.frame_dim)))
+            for _ in range(3)]
+        assert [log.step for log in logs] == [0, 1, 2]
 
-    def test_log_trail_is_bounded_and_step_count_is_not(
-            self, fresh_model, embedding_model, rng, monkeypatch):
-        """A continuous deployment ingests forever: the trail keeps the
-        most recent steps, the step count keeps counting, and a checkpoint
-        round trip carries the count (the wire format is unchanged)."""
-        from repro.adaptation import controller as controller_module
-        assert controller_module.LOG_TRAIL_LENGTH >= 1024
-        monkeypatch.setattr(controller_module, "LOG_TRAIL_LENGTH", 4)
+    def test_steps_count_and_survive_a_restore(
+            self, fresh_model, embedding_model, rng):
+        """Each step's log is the return value; the step count keeps
+        counting across a checkpoint round trip."""
         model, controller = deployed_controller(fresh_model, embedding_model, rng)
         windows = rng.normal(size=(1, 4, embedding_model.frame_dim))
         scores = model.anomaly_scores(windows)
-        for _ in range(7):
-            controller.process_batch(windows, scores=scores)
-        assert [log.step for log in controller.logs] == [3, 4, 5, 6]
+        steps = [controller.process_batch(windows, scores=scores).step
+                 for _ in range(7)]
+        assert steps == list(range(7))
         assert controller.step_count == 7
         state = controller.export_state()
         assert state["step_count"] == 7
         controller.restore_state(state)
-        assert controller.step_count == 7 and len(controller.logs) == 0
+        assert controller.step_count == 7
         assert controller.process_batch(windows, scores=scores).step == 7
 
     def test_checkpoint_size_does_not_grow_with_age(
-            self, fresh_model, embedding_model, rng, monkeypatch):
-        """Every per-step trail the checkpoint serialises is bounded, so a
-        snapshot taken after 3 x the trail length is exactly as large as one
-        taken after 2 x (and larger than one taken while they fill); a longer list saved by an older build is cut to its
-        newest entries on restore."""
-        from repro.adaptation import controller, convergence, monitor
+            self, fresh_model, embedding_model, rng):
+        """Nothing the checkpoint serialises grows with the step count:
+        once the monitor's scores and the code buffer are full, a snapshot
+        taken after 3 x (window + lag) steps is exactly as large as one
+        taken after 2 x (and larger than one taken while they fill)."""
         from repro.utils.binframe import encode_payload
-        trail = 32
-        for module in (controller, convergence, monitor):
-            monkeypatch.setattr(module, "LOG_TRAIL_LENGTH", trail)
         model, ctl = deployed_controller(fresh_model, embedding_model, rng)
         windows = rng.normal(size=(1, 4, embedding_model.frame_dim))
         scores = model.anomaly_scores(windows)  # constant: never triggers
+        span = ctl.config.monitor.window + ctl.config.monitor.lag
         sizes = []
-        for step in range(3 * trail):
+        for step in range(3 * span):
             ctl.process_batch(windows, scores=scores)
             ctl.tracker.observe({(0, 1): 0.25, (0, 2): 0.5})
-            if step + 1 in (trail // 2, 2 * trail, 3 * trail):
+            if step + 1 in (span // 2, 2 * span, 3 * span):
                 sizes.append(len(encode_payload(ctl.export_state())))
-        assert len(ctl.monitor.history) == trail
-        assert {len(t) for t in ctl.tracker.distance_history.values()} == {trail}
         assert sizes[0] < sizes[1] == sizes[2]
-        assert isinstance(ctl.mean_score_trace(), np.ndarray)
-        assert ctl.mean_score_trace().shape == (trail,)
-
-        state = ctl.export_state()
-        state["monitor"]["history"] = list(range(100))
-        state["tracker"]["distance_history"]["0:1"] = list(range(100))
-        ctl.restore_state(state)
-        newest = [float(v) for v in range(100 - trail, 100)]
-        assert list(ctl.monitor.history) == newest
-        assert list(ctl.tracker.distance_history[(0, 1)]) == newest
-        assert len(encode_payload(ctl.export_state())) <= sizes[2]
-
-    def test_mean_score_trace(self, fresh_model, embedding_model, rng):
-        _, controller = deployed_controller(fresh_model, embedding_model, rng)
-        controller.process_batch(rng.normal(size=(4, 4, embedding_model.frame_dim)))
-        assert controller.mean_score_trace().size > 0
 
 
 class TestAdaptationTriggering:

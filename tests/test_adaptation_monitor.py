@@ -37,11 +37,6 @@ class TestObservation:
         monitor.observe(0.5)
         assert monitor.current_window().size == 1
 
-    def test_history_tracks_means(self):
-        monitor = make_monitor(window=2, lag=1)
-        monitor.observe([1.0, 3.0])
-        assert monitor.history[-1] == pytest.approx(2.0)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             AnomalyScoreMonitor(MonitorConfig(window=1))
@@ -148,7 +143,6 @@ class TestOneSnapshotPerDecision:
             assert monitor.warmed_up == warmed
             assert np.array_equal(monitor.current_window(), current)
             assert np.array_equal(monitor.reference_window(), reference)
-            assert monitor.history[-1] == float(current.mean())
             selection = monitor.select()
             assert selection.window_mean == float(current.mean())
             assert selection.reference_mean == (
@@ -158,11 +152,3 @@ class TestOneSnapshotPerDecision:
                 order = np.argsort(-current, kind="mergesort")
                 assert np.array_equal(selection.anomalous_indices,
                                       np.sort(order[:selection.k]))
-
-    def test_history_keeps_the_most_recent_means(self, monkeypatch):
-        from repro.adaptation import monitor as monitor_module
-        monkeypatch.setattr(monitor_module, "LOG_TRAIL_LENGTH", 5)
-        monitor = make_monitor(window=2, lag=1)
-        for value in range(12):
-            monitor.observe(float(value))
-        assert list(monitor.history) == [6.5, 7.5, 8.5, 9.5, 10.5]

@@ -67,7 +67,7 @@ class TestReplaceNode:
         for level in (1, 2):
             victim = kg.nodes_at_level(level)[0]
             adapter.replace_node(0, victim.node_id)
-        assert len(adapter.events) == 2
+        assert adapter.pruned_count == 2
 
     def test_new_tokens_from_bank_distribution(self, fresh_model):
         """Replacement embeddings come from the vocabulary manifold."""

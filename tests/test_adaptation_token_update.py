@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.adaptation import TokenEmbeddingUpdater, TokenUpdateConfig
+from repro.adaptation import token_update as token_update_module
 from repro.nn.losses import vad_loss
 
 
@@ -44,11 +45,6 @@ class TestUpdaterGuards:
         with pytest.raises(ValueError):
             updater.update(np.zeros((0, 4, embedding_model.frame_dim)),
                            np.zeros(0, dtype=np.int64))
-
-    def test_unknown_optimizer(self, fresh_model):
-        model = deployed(fresh_model)
-        with pytest.raises(ValueError):
-            TokenEmbeddingUpdater(model, TokenUpdateConfig(optimizer="rmsprop"))
 
 
 class TestUpdateSemantics:
@@ -108,10 +104,12 @@ class TestUpdateSemantics:
         updater.update(windows, labels, lr_scale=0.5)
         assert updater._optimizer.lr == pytest.approx(0.1)
 
-    def test_max_token_norm_enforced(self, fresh_model, embedding_model, rng):
+    def test_max_token_norm_enforced(self, fresh_model, embedding_model, rng,
+                                     monkeypatch):
+        monkeypatch.setattr(token_update_module, "MAX_TOKEN_NORM", 1.5)
+        monkeypatch.setattr(token_update_module, "GRAD_CLIP", 100.0)
         model = deployed(fresh_model)
-        cfg = TokenUpdateConfig(learning_rate=5.0, inner_steps=5,
-                                max_token_norm=1.5, grad_clip=100.0)
+        cfg = TokenUpdateConfig(learning_rate=5.0, inner_steps=5)
         updater = TokenEmbeddingUpdater(model, cfg)
         windows, labels = small_batch(embedding_model, rng)
         updater.update(windows, labels)
@@ -194,8 +192,8 @@ class TestUpdateMemory:
 
         def forward_backward():
             loss = vad_loss(model.code_logits(codes), labels,
-                            lambda_spa=updater.config.lambda_spa,
-                            lambda_smt=updater.config.lambda_smt)
+                            lambda_spa=token_update_module.LAMBDA_SPA,
+                            lambda_smt=token_update_module.LAMBDA_SMT)
             loss.backward()
 
         single = peak_of(forward_backward)

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.api import ReproConfig, config_from_dict, config_to_dict
+from repro.api import Pipeline, ReproConfig, config_from_dict, config_to_dict
 from repro.adaptation import AdaptationConfig
 
 
@@ -87,6 +87,28 @@ class TestOverrides:
             ReproConfig().override("adaptation.monitor.bogus", 1)
         with pytest.raises(KeyError):
             ReproConfig().override("nope.window", 1)
+
+    @pytest.mark.parametrize("path,owner", [
+        ("training.steps", "train_steps"),
+        ("training.batch_size", "train_batch"),
+        ("training.learning_rate", "train_lr"),
+        ("training.seed", "seed"),
+        ("model.seed", "seed"),
+        ("model.temporal_window", "window"),
+    ])
+    def test_override_of_an_experiment_owned_leaf_raises(self, path, owner):
+        """The pipeline overwrites these leaves from ``experiment.*``, so
+        an override of one would be accepted and then ignored."""
+        cfg = ReproConfig()
+        with pytest.raises(KeyError, match=f"experiment.{owner}"):
+            cfg.override(path, "5")
+        assert cfg == ReproConfig()
+        section, leaf = path.split(".")
+        setattr(getattr(cfg, section), leaf, 5)  # what the override would do
+        pipe = Pipeline(cfg)
+        projected = (pipe.model_config() if section == "model"
+                     else pipe.training_config())
+        assert getattr(projected, leaf) == getattr(cfg.experiment, owner)
 
     def test_override_section_rejected(self):
         with pytest.raises(KeyError):

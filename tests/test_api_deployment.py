@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.adaptation import AdaptationConfig, MonitorConfig, TokenUpdateConfig
+from repro.adaptation import (
+    AdaptationConfig,
+    ConvergenceConfig,
+    MonitorConfig,
+    TokenUpdateConfig,
+)
 from repro.api import Deployment, Pipeline, ReproConfig
 from repro.errors import CheckpointError, NonFiniteError
 
@@ -127,7 +132,7 @@ class TestCheckpointResume:
             deployment.ingest(batch.windows)
         assert deployment.step_count * 12 > monitor.window + monitor.lag
         payload = deployment.to_dict()
-        assert payload["format_version"] == 3
+        assert payload["format_version"] == 4
         buffer = payload["runtime"]["buffer"]
         assert len(buffer) == monitor.window
         model = deployment.model
@@ -136,8 +141,8 @@ class TestCheckpointResume:
         last = batch.windows[-monitor.window:]  # the newest windows' codes
         assert np.array_equal(np.stack(buffer)[-len(last):],
                               model.frame_codes(last))
-        payload["format_version"] = 2
-        with pytest.raises(CheckpointError, match="format version: 2"):
+        payload["format_version"] = 3  # optimizer state, per-step trails
+        with pytest.raises(CheckpointError, match="format version: 3"):
             Deployment.from_dict(payload, pipeline.embedding_model)
 
     def test_save_load_preserves_scores(self, pipeline, tmp_path):
@@ -179,33 +184,6 @@ class TestCheckpointResume:
         np.testing.assert_allclose(resumed.scores(windows),
                                    straight.scores(windows), atol=1e-12)
 
-    def test_adam_resume_matches_uninterrupted(self, tmp_path):
-        """Adam moments must survive the checkpoint (not reset to zero)."""
-        cfg = deployment_config()
-        cfg.adaptation.update.optimizer = "adam"
-        cfg.adaptation.update.learning_rate = 0.01
-        pipe = Pipeline.from_config(cfg)
-        batches = list(pipe.stream("Stealing", "Robbery"))
-        split = 4
-
-        straight = pipe.deploy("Stealing")
-        for batch in batches:
-            straight.ingest(batch.windows)
-        assert straight.update_count > 0, "scenario must exercise adaptation"
-
-        interrupted = pipe.deploy("Stealing")
-        for batch in batches[:split]:
-            interrupted.ingest(batch.windows)
-        path = tmp_path / "adam.json"
-        interrupted.save(path)
-        resumed = Deployment.load(path, pipe.embedding_model)
-        for batch in batches[split:]:
-            resumed.ingest(batch.windows)
-
-        windows, _ = pipe.eval_windows("Robbery")
-        np.testing.assert_allclose(resumed.scores(windows),
-                                   straight.scores(windows), atol=1e-12)
-
     def test_wrong_embedding_model_rejected(self, pipeline, tmp_path):
         from repro.embedding import build_default_embedding_model
         deployment = pipeline.deploy("Stealing", adaptive=False)
@@ -221,6 +199,47 @@ class TestCheckpointResume:
         payload["format_version"] = 99
         with pytest.raises(ValueError):
             Deployment.from_dict(payload, pipeline.embedding_model)
+
+
+def sizes_of(value, path="state") -> dict[str, int]:
+    """The length of every list, dict and array (first axis) in ``value``."""
+    sizes = {}
+    if isinstance(value, (list, dict, np.ndarray)) and np.ndim(value):
+        sizes[path] = len(value)
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        sizes.update(sizes_of(item, f"{path}.{key}" if isinstance(value, dict)
+                              else f"{path}[]"))
+    return sizes
+
+
+class TestBoundedRuntime:
+    def test_export_state_does_not_grow_with_the_step_count(
+            self, fresh_model, embedding_model, rng):
+        """A deployment ingests for as long as it lives: past window + lag
+        steps, no list, dict or array in its runtime state grows."""
+        config = AdaptationConfig(
+            monitor=MonitorConfig(window=12, lag=6, min_k=2,
+                                  trigger_threshold=0.02),
+            update=TokenUpdateConfig(learning_rate=0.05, inner_steps=1),
+            convergence=ConvergenceConfig(patience=1, tolerance=0.0,
+                                          min_updates=1),
+            adaptation_rounds=1, min_trigger_k=1, min_confidence=0.0)
+        deployment = Deployment(
+            fresh_model(window=4), adaptation_config=config,
+            normal_anchor_windows=rng.normal(
+                size=(8, 4, embedding_model.frame_dim)))
+        span = config.monitor.window + config.monitor.lag
+        seen = {}
+        for step in range(1, 3 * span + 1):
+            deployment.ingest(rng.normal(size=(1, 4, embedding_model.frame_dim)))
+            if step in (span + 1, 2 * span, 3 * span):
+                seen[step] = sizes_of(deployment.controller.export_state())
+        assert deployment.update_count > 0
+        assert seen[span + 1] == seen[2 * span] == seen[3 * span]
+        assert seen[3 * span]["state.buffer"] == config.monitor.window
+        assert seen[3 * span]["state.monitor.scores"] == span
 
 
 class TestModelInjection:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.adaptation import AdaptationConfig, MonitorConfig
+from repro.adaptation import structure as structure_module
 from repro.api import Deployment
 from repro.edge import DeploymentReport, EdgeDeploymentSimulator, EdgeDeviceModel
 from repro.edge.flops import count_model_forward
@@ -68,7 +69,7 @@ class TestStructuralMeteringRefresh:
     would mis-bill every subsequent window."""
 
     @staticmethod
-    def _prune_busiest_node(sim) -> None:
+    def _prune_busiest_node(sim, monkeypatch) -> None:
         """Force one structural event that strictly drops the edge count:
         prune the concept node with the most edges, replace it with a
         minimally-connected one (edge_probability=0 keeps one edge per
@@ -83,19 +84,19 @@ class TestStructuralMeteringRefresh:
 
         busiest = max(candidates, key=edge_count)
         assert edge_count(busiest) > 2  # replacement gets exactly 2 edges
-        structural = sim.deployment.controller.structural
-        structural.edge_probability = 0.0
-        event = structural.replace_node(
+        monkeypatch.setattr(structure_module, "EDGE_PROBABILITY", 0.0)
+        event = sim.deployment.controller.structural.replace_node(
             0, busiest.node_id, step=0)
         assert event is not None
 
     def test_flops_per_window_drop_after_pruning(self, fresh_model,
-                                                 embedding_model, rng):
+                                                 embedding_model, rng,
+                                                 monkeypatch):
         sim = make_simulator(fresh_model, embedding_model, rng)
         _, before_meter = sim.process_batch(
             rng.normal(size=(5, 4, embedding_model.frame_dim)))
         stale = sim._forward_flops
-        self._prune_busiest_node(sim)
+        self._prune_busiest_node(sim, monkeypatch)
         _, after_meter = sim.process_batch(
             rng.normal(size=(5, 4, embedding_model.frame_dim)))
         assert sim._forward_flops == count_model_forward(sim.model).total

@@ -385,6 +385,46 @@ class TestFailurePaths:
                 blocked.close()
                 rejected.close()
 
+    def test_each_refusal_counts_under_its_code(
+            self, fleet_factory, materialized, fresh_model, frame_generator,
+            tmp_path):
+        """A durable gateway refuses a stream that joined after the latest
+        snapshot as ``unknown_stream`` and a full queue as
+        ``backpressure``; each lands in its own counter."""
+        windows, _ = materialized
+        with fleet_factory() as fleet, \
+                serve_in_thread(fleet, max_queue_depth=1,
+                                wal_dir=tmp_path) as handle:
+            handle.pause_rounds()
+            fleet.add("cam-new", Deployment(fresh_model(window=4),
+                                            mission="Stealing",
+                                            adaptive=False),
+                      make_stream(frame_generator, seed=49))
+            blocked = GatewayClient(*handle.address)
+            rejected = GatewayClient(*handle.address)
+            try:
+                blocked.attach("cam-0")
+                rejected.attach("cam-0")
+                rejected.attach("cam-new")
+                with pytest.raises(GatewayError) as err:
+                    rejected.ingest("cam-new", windows["cam-0"][0])
+                assert err.value.code == "unknown_stream"
+                with ThreadPoolExecutor(max_workers=1) as pool:
+                    pending = pool.submit(blocked.ingest, "cam-0",
+                                          windows["cam-0"][0])
+                    _wait_for_queue(rejected, {"cam-0": 1})
+                    with pytest.raises(GatewayError) as err:
+                        rejected.ingest("cam-0", windows["cam-0"][0])
+                    assert err.value.code == "backpressure"
+                    handle.resume_rounds()
+                    pending.result(timeout=60)
+                counters = rejected.stats()["metrics"]["counters"]
+                assert counters["gateway.rejected.backpressure"] == 1
+                assert counters["gateway.rejected.unknown_stream"] == 1
+            finally:
+                blocked.close()
+                rejected.close()
+
     def test_client_disconnect_mid_round_drops_its_work(
             self, fleet_factory, materialized):
         windows, reference = materialized

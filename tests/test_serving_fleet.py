@@ -135,9 +135,9 @@ class TestBatchedSequentialParity:
         fleet = DeploymentFleet()
         fleet.add("cam", batched, make_stream(frame_generator, seed=60))
         for batch in stream:
-            fleet.step()
+            (event,) = fleet.step()
             log = solo.ingest(batch.windows)
-            fleet_log = batched.controller.logs[-1]
+            fleet_log = event.log
             np.testing.assert_array_equal(fleet_log.scores, log.scores)
             assert fleet_log.k == log.k
             assert fleet_log.updated == log.updated

@@ -155,7 +155,7 @@ class TestPreBinaryLog:
     @pytest.fixture()
     def durable_log(self, tmp_path, fresh_model, frame_generator):
         """A closed durable log of one adaptive stream (so its snapshot
-        holds KG tokens, a code buffer and optimizer moments)."""
+        holds KG tokens and a code buffer)."""
         fleet = DeploymentFleet()
         model = fresh_model("Stealing", window=4)
         fleet.add("cam-0", Deployment(model, mission="Stealing"),
@@ -188,6 +188,28 @@ class TestPreBinaryLog:
         assert str(old) in message and "fleet format version: 3" in message
         assert "the version that wrote it" in message
 
+    def test_format_3_deployment_in_a_snapshot_is_refused(
+            self, durable_log, tmp_path_factory):
+        """A snapshot whose deployments are format 3 (they carried optimizer
+        state and per-step trails) is refused by the version check, naming
+        the log."""
+        [snapshot] = read_records(durable_log)
+        slot = snapshot["fleet"]["slots"][0]
+        old_slot = {**slot, "deployment": {**slot["deployment"],
+                                           "format_version": 3}}
+        old_record = {**snapshot,
+                      "fleet": {**snapshot["fleet"], "slots": [old_slot]}}
+        old = tmp_path_factory.mktemp("format-3-wal")
+        for blob in durable_log.glob("*.blob"):
+            (old / blob.name).write_bytes(blob.read_bytes())
+        (old / "00000001.wal").write_bytes(
+            frame_bytes(binframe.encode_payload(old_record)))
+        with pytest.raises(RecoveryError) as excinfo:
+            recover_fleet(old)
+        message = str(excinfo.value)
+        assert str(old) in message
+        assert "deployment format version: 3" in message
+
     def test_base64_blob_is_refused(self, durable_log):
         """A weight blob in the pre-binary JSON form is a typed recovery
         error naming the blob and the format."""
@@ -200,8 +222,8 @@ class TestPreBinaryLog:
 
     def test_adaptive_snapshot_round_trips_bit_identically(self,
                                                           durable_log):
-        """The snapshot's nested arrays (code buffer, optimizer moments,
-        KG tokens) come back from the binary record to the same bits."""
+        """The snapshot's nested arrays (code buffer, KG tokens) come back
+        from the binary record to the same bits."""
         [snapshot] = read_records(durable_log)
         runtime = snapshot["fleet"]["slots"][0]["deployment"]["runtime"]
         assert len(runtime["buffer"]) == 4
