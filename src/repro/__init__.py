@@ -45,7 +45,7 @@ Subpackages
 ``repro.eval``        metrics + experiment harnesses (Fig. 5/6, Table I)
 """
 
-__version__ = "1.22.0"
+__version__ = "1.23.0"
 
 __all__ = [
     "api", "runtime", "metrics", "obs", "serving", "gateway", "wal",

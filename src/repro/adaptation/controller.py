@@ -165,17 +165,25 @@ class ContinuousAdaptationController:
         lowest-scoring recent windows — the ones the deployed model is most
         confident are normal.
         """
-        n_normals = min(NORMALS_PER_UPDATE, max(k, 1) * 4)
+        n_normals = self.update_batch_size(k) - k
         if self._anchor_codes is not None:
             pick = self._anchor_rng.choice(
-                self._anchor_codes.shape[0],
-                size=min(n_normals, self._anchor_codes.shape[0]),
-                replace=False)
+                self._anchor_codes.shape[0], size=n_normals, replace=False)
             return self._anchor_codes[pick]
         scores = self.model.code_scores(recent)
         order = np.argsort(scores, kind="mergesort")
         low = [i for i in order if i not in exclude]
         return recent[np.asarray(low[:n_normals], dtype=np.int64)]
+
+    def update_batch_size(self, k: int) -> int:
+        """Windows in each update round of a phase triggered with ``k``:
+        the top-K (capped as :meth:`_adapt` caps it) plus at most 4
+        normals per K, from the anchors if any."""
+        recent = min(len(self._code_buffer), self.monitor.current_window().size)
+        k = min(k, recent)
+        available = (recent - k if self._anchor_codes is None
+                     else self._anchor_codes.shape[0])
+        return k + min(NORMALS_PER_UPDATE, max(k, 1) * 4, available)
 
     def _snapshot_tokens(self) -> list[np.ndarray]:
         return [t.data.copy() for t in self.model.token_parameters()]

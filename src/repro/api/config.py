@@ -1,18 +1,18 @@
 """Hierarchical configuration for the public deployment API.
 
-:class:`ReproConfig` nests every knob of the stack — experiment data
-shaping, model architecture, cloud-side training, edge-side adaptation
-(monitor / token update / convergence), and the deployment stream — into
-one object that round-trips to/from plain dicts and JSON and accepts
-dotted-path overrides::
+:class:`ReproConfig` nests every settable value of the stack, each in one
+place, into one object that round-trips to/from plain dicts and JSON and
+accepts dotted-path overrides::
 
     cfg = ReproConfig()
     cfg.override("adaptation.monitor.window", 72)
     cfg.override("experiment.train_steps", "200")   # strings are coerced
     Pipeline.from_config(cfg)
 
-The CLI exposes the same mechanism as ``--set key=value`` on every
-subcommand.
+``experiment`` owns the seed, the window and the training budget; the
+``model``, ``training`` and ``stream`` sections hold the rest of the
+configs :class:`~repro.api.Pipeline` builds from them.  The CLI exposes
+the same mechanism as ``--set key=value`` on every subcommand.
 """
 
 from __future__ import annotations
@@ -32,16 +32,6 @@ from ..gnn.training import TrainingConfig
 from ..utils.serialization import atomic_write_text
 
 __all__ = ["ReproConfig", "config_to_dict", "config_from_dict"]
-
-#: Leaves of the ``model`` / ``training`` sections that
-#: :meth:`~repro.api.Pipeline.model_config` and
-#: :meth:`~repro.api.Pipeline.training_config` overwrite from ``experiment``:
-#: section -> {leaf: the experiment field that wins}.
-EXPERIMENT_OWNED = {
-    "model": {"temporal_window": "window", "seed": "seed"},
-    "training": {"steps": "train_steps", "batch_size": "train_batch",
-                 "learning_rate": "train_lr", "seed": "seed"},
-}
 
 
 # ----------------------------------------------------------------------
@@ -110,41 +100,72 @@ def _coerce(value, hint, current):
 
 
 # ----------------------------------------------------------------------
-# The top-level config
+# The top-level config and its sections that experiment does not own
 # ----------------------------------------------------------------------
 @dataclass
+class ModelSection:
+    """:class:`~repro.gnn.MissionGNNConfig` without its window and seed."""
+
+    gnn_hidden_dim: int = MissionGNNConfig.gnn_hidden_dim
+    temporal_model_dim: int = MissionGNNConfig.temporal_model_dim
+    temporal_heads: int = MissionGNNConfig.temporal_heads
+    temporal_layers: int = MissionGNNConfig.temporal_layers
+
+
+@dataclass
+class TrainingSection:
+    """:class:`~repro.gnn.TrainingConfig` without its budget and seed."""
+
+    weight_decay: float = TrainingConfig.weight_decay
+    lambda_spa: float = TrainingConfig.lambda_spa
+    lambda_smt: float = TrainingConfig.lambda_smt
+    balanced_batches: bool = TrainingConfig.balanced_batches
+
+
+@dataclass
+class StreamSection:
+    """:class:`~repro.data.TrendShiftConfig` without its window."""
+
+    initial_class: str = TrendShiftConfig.initial_class
+    shifted_class: str = TrendShiftConfig.shifted_class
+    steps_before_shift: int = TrendShiftConfig.steps_before_shift
+    steps_after_shift: int = TrendShiftConfig.steps_after_shift
+    windows_per_step: int = TrendShiftConfig.windows_per_step
+    anomaly_fraction: float = TrendShiftConfig.anomaly_fraction
+    seed: int = TrendShiftConfig.seed
+
+
+@dataclass
 class ReproConfig:
-    """Every knob of the stack, hierarchically.
+    """Every settable value of the stack, hierarchically, each in one place.
 
     Sections
     --------
     ``experiment``
-        Data shaping and the canonical seed / window / training budget
-        (:class:`~repro.eval.ExperimentConfig`).  ``seed``, ``window``,
-        ``train_steps``, ``train_batch`` and ``train_lr`` here are
-        authoritative: :meth:`~repro.api.Pipeline.model_config` and
-        :meth:`~repro.api.Pipeline.training_config` project them into the
-        model and training sections.
+        Data shaping, and the one owner of the seed, the window and the
+        training budget (:class:`~repro.eval.ExperimentConfig`), which
+        :meth:`~repro.api.Pipeline.model_config`,
+        :meth:`~repro.api.Pipeline.training_config` and
+        :meth:`~repro.api.Pipeline.stream` add to their section.
     ``model``
-        Architecture knobs (:class:`~repro.gnn.MissionGNNConfig`).
+        Architecture (:class:`ModelSection`).
     ``training``
-        Cloud-side trainer knobs (:class:`~repro.gnn.TrainingConfig`).
+        The trainer's loss and regularisation (:class:`TrainingSection`).
     ``adaptation``
         The edge loop (:class:`~repro.adaptation.AdaptationConfig`), which
         itself nests ``monitor`` / ``update`` / ``convergence``.
     ``stream``
-        Default deployment stream shape
-        (:class:`~repro.data.TrendShiftConfig`).
+        Default deployment stream shape (:class:`StreamSection`).
     ``registry_dir``
         When set, trained models persist to this directory and survive
         process restarts (see :class:`~repro.api.ModelRegistry`).
     """
 
     experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
-    model: MissionGNNConfig = field(default_factory=MissionGNNConfig)
-    training: TrainingConfig = field(default_factory=TrainingConfig)
+    model: ModelSection = field(default_factory=ModelSection)
+    training: TrainingSection = field(default_factory=TrainingSection)
     adaptation: AdaptationConfig = field(default_factory=AdaptationConfig)
-    stream: TrendShiftConfig = field(default_factory=TrendShiftConfig)
+    stream: StreamSection = field(default_factory=StreamSection)
     registry_dir: str | None = None
 
     # -- dict / JSON round-trip ----------------------------------------
@@ -175,17 +196,11 @@ class ReproConfig:
 
         String values are coerced to the target field's declared type, so
         the same call path serves programmatic use and ``--set`` flags on
-        the CLI.  A leaf the ``experiment`` section overwrites
-        (:data:`EXPERIMENT_OWNED`) is refused: setting it would do nothing.
-        Returns ``self`` for chaining.
+        the CLI.  Returns ``self`` for chaining.
         """
         parts = path.split(".")
         if not all(parts):
             raise ValueError(f"malformed config path {path!r}")
-        owner = EXPERIMENT_OWNED.get(parts[0], {}).get(".".join(parts[1:]))
-        if owner is not None:
-            raise KeyError(f"{path!r} is set from 'experiment.{owner}'; "
-                           f"override that instead")
         target = self
         for i, part in enumerate(parts[:-1]):
             if not is_dataclass(target) or not hasattr(target, part):

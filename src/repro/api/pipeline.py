@@ -18,13 +18,12 @@ objects for the edge side::
 from __future__ import annotations
 
 import copy
-import dataclasses
 from pathlib import Path
 
 import numpy as np
 
 from ..concepts.ontology import ConceptOntology, build_default_ontology
-from ..data.streams import TrendShiftStream
+from ..data.streams import TrendShiftConfig, TrendShiftStream
 from ..data.synthetic import FrameGenerator, make_windows
 from ..data.ucf_crime import SyntheticUCFCrime
 from ..embedding.joint_space import JointEmbeddingModel, build_default_embedding_model
@@ -35,7 +34,7 @@ from ..kg.graph import ReasoningKG
 from ..kg.serialization import kg_from_dict, kg_to_dict
 from ..llm.oracle import SyntheticLLM
 from ..utils.rng import derive_rng
-from .config import EXPERIMENT_OWNED, ReproConfig, config_to_dict
+from .config import ReproConfig, config_to_dict
 from .deployment import Deployment
 from .registry import ModelRegistry
 
@@ -112,23 +111,25 @@ class Pipeline:
                 frames_per_video=exp.frames_per_video, seed=exp.seed)
         return self._dataset
 
-    # -- effective sub-configs (experiment section is authoritative) ----
-    def _from_experiment(self, section: str):
-        exp = self.config.experiment
-        return dataclasses.replace(
-            getattr(self.config, section),
-            **{leaf: getattr(exp, name)
-               for leaf, name in EXPERIMENT_OWNED[section].items()})
-
+    # -- the subsystem configs: a section plus what experiment owns -----
     def model_config(self) -> MissionGNNConfig:
-        return self._from_experiment("model")
+        exp = self.config.experiment
+        return MissionGNNConfig(**config_to_dict(self.config.model),
+                                temporal_window=exp.window, seed=exp.seed)
 
     def training_config(self) -> TrainingConfig:
-        return self._from_experiment("training")
+        exp = self.config.experiment
+        return TrainingConfig(**config_to_dict(self.config.training),
+                              steps=exp.train_steps, batch_size=exp.train_batch,
+                              learning_rate=exp.train_lr, seed=exp.seed)
 
     def _trained_config(self) -> dict:
-        """Everything that shapes a trained model."""
-        return {"experiment": config_to_dict(self.config.experiment),
+        """Everything that shapes a trained model: its training data
+        (videos, KG, embedding), its model and its trainer."""
+        data = ("seed", "kg_depth", "frames_per_video", "dataset_scale",
+                "train_normal_videos", "train_anomaly_videos")
+        return {"data": {name: getattr(self.config.experiment, name)
+                         for name in data},
                 "model": config_to_dict(self.model_config()),
                 "training": config_to_dict(self.training_config())}
 
@@ -216,19 +217,17 @@ class Pipeline:
 
     def stream(self, initial_class: str | None = None,
                shifted_class: str | None = None, **kwargs) -> TrendShiftStream:
-        """A deployment stream shaped by the config's ``stream`` section.
+        """A deployment stream shaped by the config's ``stream`` section,
+        ``experiment.window`` frames per window.
 
-        Keyword overrides with value ``None`` are ignored, so callers can
-        pass optional CLI flags straight through.
+        Arguments with value ``None`` are ignored, so callers can pass
+        optional CLI flags straight through.
         """
-        kwargs = {k: v for k, v in kwargs.items() if v is not None}
-        scfg = dataclasses.replace(self.config.stream,
-                                   window=self.config.experiment.window, **kwargs)
-        if initial_class is not None:
-            scfg.initial_class = initial_class
-        if shifted_class is not None:
-            scfg.shifted_class = shifted_class
-        return TrendShiftStream(self.generator, scfg)
+        kwargs.update(initial_class=initial_class, shifted_class=shifted_class)
+        shape = {**config_to_dict(self.config.stream),
+                 **{k: v for k, v in kwargs.items() if v is not None}}
+        return TrendShiftStream(self.generator, TrendShiftConfig(
+            window=self.config.experiment.window, **shape))
 
     # ------------------------------------------------------------------
     # Edge side

@@ -17,9 +17,11 @@ Usage (after ``pip install -e .`` the ``repro`` entry point is equivalent):
 Every subcommand accepts ``--set key=value`` (repeatable) with dotted
 config paths into :class:`repro.api.ReproConfig` — e.g.
 ``--set adaptation.monitor.window=72 --set experiment.train_steps=200`` —
-and ``--config path.json`` to start from a saved config file.  A
-subcommand's dedicated flags (``--stream-seed``, ``--steps-before``, ...)
-take precedence over the matching ``--set`` path; ``fig6`` keeps its
+and ``--config path.json`` to start from a saved config file.
+``--seed``, ``--train-steps`` and ``kg --depth`` set their
+``experiment.*`` value over the file's when given, and ``--set`` applies
+last.  A stream's dedicated flags (``--stream-seed``, ``--steps-before``,
+...) take precedence over the matching ``--set`` path; ``fig6`` keeps its
 paper-tuned adaptation defaults unless an ``adaptation.*`` override is
 given.
 
@@ -31,45 +33,34 @@ trend-shift stream, with optional checkpointing via ``--save``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 import time
 
 from . import __version__
-from .data.streams import TrendShiftConfig
 
-_DEFAULT_SEED = 7
-_DEFAULT_TRAIN_STEPS = 400
+#: Dedicated flags that set one config path each: (args attribute, path).
+_FLAG_PATHS = (("seed", "experiment.seed"),
+               ("train_steps", "experiment.train_steps"),
+               ("depth", "experiment.kg_depth"))
 
 
 def _build_config(args):
-    """ReproConfig from ``--config`` + legacy flags + ``--set`` overrides.
-
-    With ``--config``, the file's values win over the legacy flags'
-    *defaults*; a flag still applies when set to a non-default value
-    (an explicitly typed default, e.g. ``--seed 7`` next to a config
-    file with another seed, is indistinguishable and the file wins —
-    use ``--set experiment.seed=7`` to force it).  ``--set`` overrides
-    are always applied last.
-    """
+    """ReproConfig from ``--config``, then the dedicated flags that were
+    given (``--seed``, ``--train-steps``, ``kg --depth``), then ``--set``
+    overrides, each over the one before.  An absent flag leaves the
+    config's value."""
     from .api import ReproConfig
-    using_file = bool(getattr(args, "config", None))
     try:
-        config = ReproConfig.load(args.config) if using_file else ReproConfig()
+        config = ReproConfig.load(args.config) if args.config else ReproConfig()
     except FileNotFoundError:
         raise SystemExit(f"error: config file not found: {args.config}")
     except (KeyError, TypeError, ValueError) as exc:
         raise SystemExit(f"error: bad config file {args.config}: {exc}")
-    seed = getattr(args, "seed", None)
-    if seed is not None and not (using_file and seed == _DEFAULT_SEED):
-        config.experiment.seed = seed
-    train_steps = getattr(args, "train_steps", None)
-    if train_steps is not None and not (using_file
-                                        and train_steps == _DEFAULT_TRAIN_STEPS):
-        config.experiment.train_steps = train_steps
+    flags = [f"{path}={getattr(args, name)}" for name, path in _FLAG_PATHS
+             if getattr(args, name, None) is not None]
     try:
-        config.apply_overrides(getattr(args, "overrides", None))
+        config.apply_overrides(flags + args.overrides)
     except (KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else exc
         raise SystemExit(f"error: {message}")
@@ -92,10 +83,11 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     _add_config_flags(parser)
-    parser.add_argument("--seed", type=int, default=_DEFAULT_SEED,
-                        help="experiment seed (default 7)")
-    parser.add_argument("--train-steps", type=int, default=_DEFAULT_TRAIN_STEPS,
-                        help="cloud-side training steps (default 400)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="experiment seed (default: the config's value)")
+    parser.add_argument("--train-steps", type=int, default=None,
+                        help="cloud-side training steps "
+                             "(default: the config's value)")
 
 
 def cmd_serve(args) -> int:
@@ -316,30 +308,18 @@ def cmd_recover(args) -> int:
     return 0
 
 
-def _experiment_stream(config, **replacements) -> TrendShiftConfig:
-    """The config's stream section with the subcommand's dedicated flags
-    layered on top, so ``--set stream.*`` overrides stay effective."""
-    return dataclasses.replace(config.stream,
-                               window=config.experiment.window, **replacements)
-
-
 def _adaptation_overridden(args) -> bool:
     return any(o.partition("=")[0].strip().startswith("adaptation.")
                for o in getattr(args, "overrides", None) or [])
 
 
 def cmd_fig5(args) -> int:
-    from .api import Pipeline
     from .eval import TrendShiftExperiment, format_trend_shift
     shifted = "Robbery" if args.shift == "weak" else "Explosion"
-    config = _build_config(args)
-    experiment = TrendShiftExperiment(
-        Pipeline(config),
-        _experiment_stream(config, initial_class=args.initial,
-                           shifted_class=shifted,
-                           steps_before_shift=args.steps_before,
-                           steps_after_shift=args.steps_after,
-                           seed=args.stream_seed))
+    pipeline = _pipeline(args)
+    experiment = TrendShiftExperiment(pipeline, pipeline.stream(
+        args.initial, shifted, steps_before_shift=args.steps_before,
+        steps_after_shift=args.steps_after, seed=args.stream_seed).config)
     print(format_trend_shift(experiment.run()))
     return 0
 
@@ -352,12 +332,12 @@ def cmd_fig6(args) -> int:
     # user asked for other adaptation settings.
     if not _adaptation_overridden(args):
         config.adaptation = FIG6_ADAPTATION
+    pipeline = Pipeline(config)
     experiment = RetrievalDriftExperiment(
-        Pipeline(config), tracked_word=args.tracked, target_word=args.target,
-        stream_config=_experiment_stream(
-            config, initial_class="Stealing", shifted_class="Robbery",
-            steps_before_shift=6, steps_after_shift=args.steps_after,
-            seed=args.stream_seed))
+        pipeline, tracked_word=args.tracked, target_word=args.target,
+        stream_config=pipeline.stream(
+            "Stealing", "Robbery", steps_before_shift=6,
+            steps_after_shift=args.steps_after, seed=args.stream_seed).config)
     print(format_retrieval_drift(experiment.run()))
     return 0
 
@@ -394,12 +374,9 @@ def cmd_kg(args) -> int:
     from .concepts import build_default_ontology
     from .kg import KGGenerationConfig, KGGenerator, kg_statistics, render_levels
     from .llm import SyntheticLLM
-    config = _build_config(args)
-    # --depth wins when given a non-default value; otherwise the config's
-    # kg_depth applies (so --set experiment.kg_depth=... is effective).
-    depth = args.depth if args.depth != 3 else config.experiment.kg_depth
-    oracle = SyntheticLLM(build_default_ontology(), seed=config.experiment.seed)
-    generator = KGGenerator(oracle, KGGenerationConfig(depth=depth))
+    exp = _build_config(args).experiment
+    oracle = SyntheticLLM(build_default_ontology(), seed=exp.seed)
+    generator = KGGenerator(oracle, KGGenerationConfig(depth=exp.kg_depth))
     kg, report = generator.generate(args.mission)
     print(render_levels(kg))
     print(f"\nerrors detected: {len(report.errors_detected)}, "
@@ -713,8 +690,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kg", help="generate and inspect a mission KG")
     _add_config_flags(p)
     p.add_argument("--mission", default="Stealing")
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--depth", type=int, default=None,
+                   help="KG depth (default: the config's value)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="experiment seed (default: the config's value)")
     p.set_defaults(func=cmd_kg)
 
     p = sub.add_parser("trace",

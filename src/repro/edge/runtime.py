@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..adaptation.controller import NORMALS_PER_UPDATE, AdaptationStepLog
+from ..adaptation.controller import AdaptationStepLog
 from .device import EdgeDeviceModel
 from .flops import count_model_forward, count_token_side
 
@@ -108,17 +108,20 @@ class EdgeDeploymentSimulator:
         self._structural_seen = deployment.total_pruned
 
     # ------------------------------------------------------------------
-    def _adaptation_flops(self, updates: int) -> float:
-        """Cost of ``updates`` token-update calls.
+    def _adaptation_flops(self, updates: int, k: int) -> float:
+        """Cost of ``updates`` token-update calls of a phase triggered
+        with ``k``.
 
         Each update call runs ``inner_steps`` forward+backward iterations
-        on a batch of roughly (K + normals) windows, deriving the token
+        on the batch the controller builds for ``k``, deriving the token
         side once per iteration; backward ~ 2x forward.
         """
-        cfg = self.deployment.adaptation_config
-        batch = NORMALS_PER_UPDATE * 2  # typical K + anchors
+        if not updates:
+            return 0.0
+        batch = self.deployment.controller.update_batch_size(k)
+        inner = max(self.deployment.adaptation_config.update.inner_steps, 1)
         per_update = ((batch * self._forward_flops + self._token_side_flops)
-                      * 3.0 * max(cfg.update.inner_steps, 1))
+                      * 3.0 * inner)
         return updates * per_update
 
     def process_batch(self, windows: np.ndarray) -> tuple[AdaptationStepLog, StepMeter]:
@@ -132,7 +135,7 @@ class EdgeDeploymentSimulator:
         # cached per-forward cost; the cache is refreshed below once any
         # structural change lands.
         inference = windows.shape[0] * self._forward_flops
-        adaptation = self._adaptation_flops(updates_done)
+        adaptation = self._adaptation_flops(updates_done, log.k)
         total = inference + adaptation
         meter = StepMeter(
             step=log.step,

@@ -51,7 +51,7 @@ FIG6_ADAPTATION = AdaptationConfig(
 
 @dataclass
 class ExperimentConfig:
-    """Shared stack configuration (scaled-down defaults; all knobs exposed)."""
+    """Data shaping; the seed, window and training budget's one owner."""
 
     seed: int = 7
     kg_depth: int = 3
@@ -113,8 +113,7 @@ class TrendShiftExperiment:
 
     def __init__(self, pipeline, stream_config: TrendShiftConfig | None = None):
         self.pipeline = pipeline
-        self.stream_config = stream_config or TrendShiftConfig(
-            window=pipeline.config.experiment.window)
+        self.stream_config = stream_config or pipeline.stream().config
 
     def run(self) -> TrendShiftResult:
         pipe = self.pipeline
@@ -181,9 +180,8 @@ class RetrievalDriftExperiment:
         self.shifted_class = shifted_class
         self.tracked_word = tracked_word
         self.target_word = target_word
-        self.stream_config = stream_config or TrendShiftConfig(
-            initial_class=initial_class, shifted_class=shifted_class,
-            window=pipeline.config.experiment.window)
+        self.stream_config = stream_config or pipeline.stream(
+            initial_class, shifted_class).config
         self.metric = metric
 
     def run(self) -> RetrievalDriftResult:
@@ -269,10 +267,9 @@ class EfficiencyExperiment:
         proposed_aucs: list[float] = []
         step_counter = 0
         for phase_class in phases:
-            stream = TrendShiftStream(pipe.generator, TrendShiftConfig(
-                initial_class=phase_class, shifted_class=phase_class,
-                steps_before_shift=self.steps_per_phase, steps_after_shift=0,
-                window=exp.window, seed=exp.seed + step_counter))
+            stream = pipe.stream(
+                phase_class, phase_class, steps_before_shift=self.steps_per_phase,
+                steps_after_shift=0, seed=exp.seed + step_counter)
             for batch in stream:
                 proposed.ingest(batch.windows)
             windows, labels = eval_sets[phase_class]

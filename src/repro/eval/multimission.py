@@ -10,7 +10,6 @@ anomalies — the capability a multi-camera deployment would rely on.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,15 +54,13 @@ class MultiMissionExperiment:
     ``model.*`` and ``training.*`` settings shape the multi-mission model.
     """
 
-    def __init__(self, pipeline, missions: list[str],
-                 train_steps: int | None = None):
+    def __init__(self, pipeline, missions: list[str]):
         if len(missions) < 2:
             raise ValueError("multi-mission needs at least two missions")
         if len(set(missions)) != len(missions):
             raise ValueError("missions must be distinct")
         self.pipeline = pipeline
         self.missions = list(missions)
-        self.train_steps = train_steps
 
     # ------------------------------------------------------------------
     def build_model(self) -> MissionGNNModel:
@@ -92,10 +89,7 @@ class MultiMissionExperiment:
         exp = pipe.config.experiment
         model = self.build_model()
         windows, labels = self.training_data()
-        training = pipe.training_config()
-        if self.train_steps:
-            training = dataclasses.replace(training, steps=self.train_steps)
-        DecisionModelTrainer(model, training).train(windows, labels)
+        DecisionModelTrainer(model, pipe.training_config()).train(windows, labels)
 
         result = MultiMissionResult(missions=self.missions)
         # Per-class binary detection AUC.

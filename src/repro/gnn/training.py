@@ -8,8 +8,12 @@ initial values throughout; they only become trainable after deployment.
 Paper settings (Section IV-A): AdamW lr=1e-5, weight decay 1.0,
 betas=(0.9, 0.999), eps=1e-8, lambda_spa = lambda_smt = 0.001, 3000 steps
 with mini-batch 128.  Those are tuned for ImageBind-Huge features; our
-synthetic substrate separates faster, so the defaults here are smaller but
-every knob is exposed.
+synthetic substrate separates faster, so the defaults here are smaller.
+A directly built :class:`TrainingConfig` keeps these defaults (300 steps,
+lr 3e-3); :class:`~repro.api.Pipeline` trains with the experiment's
+budget and seed instead (``experiment.train_steps`` = 400,
+``train_batch``, ``train_lr`` = 1e-3, ``seed``) and the ``training``
+section's loss and regularisation.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ class TrainingConfig:
     lambda_smt: float = 0.001
     balanced_batches: bool = True  # oversample anomalies (UCF-Crime is ~2% pos)
     seed: int = 7
-    log_every: int = 50
 
 
 @dataclass

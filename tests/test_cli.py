@@ -1,5 +1,6 @@
 """Tests for the command-line interface (parser wiring + light commands)."""
 
+import json
 import re
 import shlex
 from pathlib import Path
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import repro.cli
-from repro.cli import build_parser, main
+from repro.api import ReproConfig
+from repro.cli import _build_config, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -56,7 +58,8 @@ class TestParser:
         args = build_parser().parse_args(["fig5"])
         assert args.shift == "weak"
         assert args.initial == "Stealing"
-        assert args.seed == 7
+        assert args.seed is None  # the config's seed applies
+        assert _build_config(args).experiment.seed == 7
 
     def test_fig5_strong(self):
         args = build_parser().parse_args(["fig5", "--shift", "strong"])
@@ -83,7 +86,8 @@ class TestParser:
     def test_kg_defaults(self):
         args = build_parser().parse_args(["kg"])
         assert args.mission == "Stealing"
-        assert args.depth == 3
+        assert args.depth is None  # the config's kg_depth applies
+        assert _build_config(args).experiment.kg_depth == 3
 
     def test_fleet_defaults(self):
         args = build_parser().parse_args(["fleet"])
@@ -183,3 +187,57 @@ class TestKGCommand:
         main(["kg", "--mission", "Arson", "--seed", "2"])
         second = capsys.readouterr().out
         assert first != second
+
+
+class TestConfigPrecedence:
+    """The config file, then each dedicated flag that was given, then
+    ``--set``: a flag typed with its old default still applies."""
+
+    @pytest.fixture()
+    def config_file(self, tmp_path):
+        path = tmp_path / "config.json"
+        ReproConfig().apply_overrides([
+            "experiment.kg_depth=2", "experiment.seed=5",
+            "experiment.train_steps=9"]).save(path)
+        return str(path)
+
+    def test_given_flags_win_over_the_file(self, config_file):
+        exp = _build_config(build_parser().parse_args(
+            ["kg", "--config", config_file, "--depth", "3", "--seed", "7"])
+        ).experiment
+        assert (exp.kg_depth, exp.seed) == (3, 7)
+        exp = _build_config(build_parser().parse_args(
+            ["fig5", "--config", config_file, "--train-steps", "400"])
+        ).experiment
+        assert (exp.train_steps, exp.seed) == (400, 5)
+
+    def test_absent_flags_leave_the_file(self, config_file):
+        exp = _build_config(build_parser().parse_args(
+            ["kg", "--config", config_file])).experiment
+        assert (exp.kg_depth, exp.seed, exp.train_steps) == (2, 5, 9)
+
+    def test_set_applies_after_the_flags(self):
+        exp = _build_config(build_parser().parse_args(
+            ["kg", "--seed", "7", "--set", "experiment.seed=9"])).experiment
+        assert exp.seed == 9
+
+    def test_kg_depth_flag_over_the_file_prints_the_flag_kg(
+            self, config_file, capsys):
+        main(["kg", "--config", config_file, "--depth", "3", "--seed", "7"])
+        flagged = capsys.readouterr().out
+        main(["kg"])
+        assert flagged == capsys.readouterr().out
+
+    def test_set_of_a_removed_leaf_is_an_error(self):
+        with pytest.raises(SystemExit,
+                           match="error: no config field 'stream.window'"):
+            main(["kg", "--set", "stream.window=4"])
+
+    def test_config_file_with_a_removed_leaf_is_an_error(self, tmp_path):
+        data = ReproConfig().to_dict()
+        data["training"]["log_every"] = 50  # written by an older build
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SystemExit,
+                           match=r"bad config file .*'log_every'"):
+            main(["kg", "--config", str(path)])

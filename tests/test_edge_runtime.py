@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.adaptation import AdaptationConfig, MonitorConfig
+from repro.adaptation import AdaptationConfig, MonitorConfig, TokenUpdateConfig
 from repro.adaptation import structure as structure_module
 from repro.api import Deployment
 from repro.edge import DeploymentReport, EdgeDeploymentSimulator, EdgeDeviceModel
-from repro.edge.flops import count_model_forward
+from repro.edge.flops import count_model_forward, count_token_side
 
 
 def make_simulator(fresh_model, embedding_model, rng, **kwargs):
@@ -60,6 +60,40 @@ class TestMetering:
         _, meter = sim.process_batch(
             rng.normal(size=(4, 4, embedding_model.frame_dim)))
         assert meter.energy_joules == pytest.approx(meter.total_flops * 1e-9)
+
+
+class TestAdaptationBilling:
+    """Each update call is billed for the batch the controller built for
+    the step's K: the top-K plus min(16, 4K) normals, not a fixed 32."""
+
+    @pytest.mark.parametrize("k", [2, 16])
+    def test_billed_flops_match_the_batches_the_updater_received(
+            self, k, fresh_model, embedding_model, rng, monkeypatch):
+        frame_dim = embedding_model.frame_dim
+        config = AdaptationConfig(
+            monitor=MonitorConfig(window=32, lag=16, min_k=k,
+                                  trigger_threshold=1e9),  # K = min_k
+            update=TokenUpdateConfig(inner_steps=2), adaptation_rounds=2,
+            min_trigger_k=1, min_confidence=0.0, structural_adaptation=False)
+        deployment = Deployment(
+            fresh_model(window=4), adaptation_config=config,
+            normal_anchor_windows=rng.normal(size=(20, 4, frame_dim)))
+        sim = EdgeDeploymentSimulator(deployment)
+        updater, batches = deployment.controller.updater, []
+        update = updater.update
+
+        def tally(windows, labels, **kwargs):
+            batches.append(windows.shape[0])
+            return update(windows, labels, **kwargs)
+
+        monkeypatch.setattr(updater, "update", tally)
+        for _ in range(6):
+            sim.process_batch(rng.normal(size=(8, 4, frame_dim)))
+        assert batches and set(batches) == {k + min(16, 4 * k)}
+        forward = count_model_forward(sim.model).total
+        token_side = count_token_side(sim.model)
+        assert sim.report.adaptation_flops == pytest.approx(
+            sum((size * forward + token_side) * 3.0 * 2 for size in batches))
 
 
 class TestStructuralMeteringRefresh:

@@ -50,8 +50,8 @@ class TestPipelineConfig:
 
     def test_training_override_reaches_the_trainer(self, trained_pipeline,
                                                    monkeypatch):
-        pipe = Pipeline.from_config(trained_pipeline.config,
-                                    overrides=["training.weight_decay=0.5"])
+        pipe = Pipeline.from_config(trained_pipeline.config, overrides=[
+            "training.weight_decay=0.5", "experiment.train_steps=7"])
         seen = []
 
         class Stop(Exception):
@@ -63,8 +63,7 @@ class TestPipelineConfig:
 
         monkeypatch.setattr(multimission.DecisionModelTrainer, "train", capture)
         with pytest.raises(Stop):
-            MultiMissionExperiment(pipe, ["Stealing", "Explosion"],
-                                   train_steps=7).run()
+            MultiMissionExperiment(pipe, ["Stealing", "Explosion"]).run()
         assert seen[0].weight_decay == 0.5
         assert seen[0].steps == 7
         assert seen[0].seed == pipe.config.experiment.seed
@@ -74,8 +73,9 @@ class TestPipelineConfig:
 class TestMultiMissionRun:
     @pytest.fixture(scope="class")
     def result(self, trained_pipeline) -> MultiMissionResult:
-        experiment = MultiMissionExperiment(
-            trained_pipeline, ["Stealing", "Explosion"], train_steps=250)
+        experiment = MultiMissionExperiment(Pipeline.from_config(
+            trained_pipeline.config, overrides=["experiment.train_steps=250"]),
+            ["Stealing", "Explosion"])
         return experiment.run()
 
     def test_detects_both_classes(self, result):

@@ -15,18 +15,13 @@ restore path — ``DeploymentFleet.from_dict``, shards,
 
 import copy
 import hashlib
-import os
-import platform
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pinned_blas import pinned_digest
 from test_api_deployment import deployment_config
 
-import repro
 from repro.adaptation import ConvergenceConfig
 from repro.api import Deployment, Pipeline, ReproConfig
 from repro.errors import CheckpointError, StateError
@@ -346,13 +341,8 @@ def test_adaptive_shift_shaped_checkpoint_holds_codes_and_continues():
 # ----------------------------------------------------------------------
 # (e) the trajectory's bits, pinned across refactors of the forward
 # ----------------------------------------------------------------------
-#: The BLAS build and kernel the digest was recorded with.  GEMM bits depend
-#: on both (and on the thread count), so the digest is taken in a child
-#: with one thread and the kernel forced; another BLAS build skips.
-PINNED_BLAS = ("OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY "
-               "Haswell MAX_THREADS=64")
-PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-              "OPENBLAS_CORETYPE": "Haswell"}
+#: Taken in a child with one BLAS thread and the kernel forced
+#: (:mod:`pinned_blas`); another BLAS build skips.
 PINNED_DIGEST = \
     "bfe990acbb8075f986a0087d1adb8e32ede98412b6a635f5a39de37d73636875"
 
@@ -378,17 +368,5 @@ def trajectory_digest() -> str:
 
 
 def test_shared_fleet_trajectory_matches_its_pinned_digest():
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    if (platform.machine() != "x86_64"
-            or blas.get("openblas configuration") != PINNED_BLAS):
-        pytest.skip("digest recorded on another BLAS build")
-    tests = Path(__file__).resolve().parent
-    path = os.pathsep.join([str(Path(repro.__file__).resolve().parents[1]),
-                            str(tests)])
-    child = subprocess.run(
-        [sys.executable, "-c",
-         "import test_serving_sharers as t; print(t.trajectory_digest())"],
-        cwd=tests, env={**os.environ, **PINNED_ENV, "PYTHONPATH": path},
-        capture_output=True, text=True, timeout=600)
-    assert child.returncode == 0, child.stderr
-    assert child.stdout.split()[-1] == PINNED_DIGEST
+    assert pinned_digest("test_serving_sharers",
+                         "trajectory_digest") == PINNED_DIGEST
