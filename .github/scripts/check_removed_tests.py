@@ -1,15 +1,17 @@
-"""Fail when a test disappeared without an entry in TESTS_REMOVED.json.
+"""Fail when a test disappeared without an entry in the removed-tests list.
 
 Usage::
 
-    python .github/scripts/check_removed_tests.py BASE_COMMIT
+    python .github/scripts/check_removed_tests.py BASE_COMMIT LIST_JSON
 
-Collects the ids of ``tests/`` (``pytest --collect-only -q``) at
-BASE_COMMIT, from a ``git archive`` of it in a temporary directory, and in
-the working tree.  It fails when an id collected at BASE_COMMIT is gone and
-no TESTS_REMOVED.json entry names it, or when such an entry's
-``renamed_to`` is not collected in the working tree.  Needs git, pytest and
-the repository's own dependencies only.
+LIST_JSON is the repository's list of removed test ids: a JSON list of
+``{"id", "reason", "renamed_to"}`` objects.  The script collects the ids of
+``tests/`` (``pytest --collect-only -q``) at BASE_COMMIT, from a
+``git archive`` of it in a temporary directory, and in the working tree.
+It fails when the list is malformed, when an id collected at BASE_COMMIT is
+gone and no entry names it, or when such an entry's ``renamed_to`` is not
+collected in the working tree.  Needs git, pytest and the repository's own
+dependencies only.
 """
 
 from __future__ import annotations
@@ -39,6 +41,19 @@ def collected(root: Path) -> set[str]:
             if "::" in line}
 
 
+def malformed(entries: list[dict]) -> list[str]:
+    """What is wrong with the list itself: duplicate ids, missing fields."""
+    found = []
+    seen = set()
+    for entry in entries:
+        if not (set(entry) >= {"id", "reason", "renamed_to"} and entry["reason"]):
+            found.append(f"entry without an id, a reason or renamed_to: {entry}")
+        elif entry["id"] in seen:
+            found.append(f"listed twice: {entry['id']}")
+        seen.add(entry.get("id"))
+    return found
+
+
 def problems(before: set[str], after: set[str], entries: list[dict]) -> list[str]:
     """What is wrong with the ids that disappeared from ``before``."""
     listed = {entry["id"]: entry for entry in entries}
@@ -46,25 +61,30 @@ def problems(before: set[str], after: set[str], entries: list[dict]) -> list[str
     for test_id in sorted(before - after):
         entry = listed.get(test_id)
         if entry is None:
-            found.append(f"removed without a TESTS_REMOVED.json entry: {test_id}")
+            found.append(f"removed without an entry in the list: {test_id}")
         elif entry.get("renamed_to") and entry["renamed_to"] not in after:
             found.append(f"{test_id} renamed to an id that is not collected: "
                          f"{entry['renamed_to']}")
     return found
 
 
-def main(base: str) -> int:
+def main(base: str, list_path: str) -> int:
+    entries = json.loads(Path(list_path).read_text())
+    found = malformed(entries)
+    if found:
+        for line in found:
+            print(line)
+        return 1
     if not base.strip("0"):
         print("no base commit (a new branch): nothing to compare")
         return 0
     archive = subprocess.run(["git", "archive", "--format=tar", base],
                              cwd=ROOT, capture_output=True, check=True).stdout
-    with tempfile.TemporaryDirectory() as scratch:
+    with tempfile.TemporaryDirectory() as base_tree:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(scratch, filter="data")
-        before = collected(Path(scratch))
+            tar.extractall(base_tree, filter="data")
+        before = collected(Path(base_tree))
     after = collected(ROOT)
-    entries = json.loads((ROOT / "TESTS_REMOVED.json").read_text())
     found = problems(before, after, entries)
     for line in found:
         print(line)
@@ -74,6 +94,6 @@ def main(base: str) -> int:
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
+    if len(sys.argv) != 3:
         raise SystemExit(__doc__)
-    sys.exit(main(sys.argv[1]))
+    sys.exit(main(sys.argv[1], sys.argv[2]))
