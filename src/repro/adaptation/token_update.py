@@ -128,7 +128,6 @@ class TokenEmbeddingUpdater:
             grad_norm = clip_grad_norm(self.model.token_parameters(), GRAD_CLIP)
             self._optimizer.step()
             loss_value = float(loss.item())
-            del loss  # this step's tape dies before the next one is built
             # Vocabulary embeddings are unit-norm; keep learned tokens on
             # a comparable scale so retrieval stays meaningful and the
             # frozen GNN is never driven far outside its training envelope.

@@ -26,7 +26,8 @@ from ..concepts.ontology import ConceptOntology, build_default_ontology
 from ..data.streams import TrendShiftConfig, TrendShiftStream
 from ..data.synthetic import FrameGenerator, make_windows
 from ..data.ucf_crime import SyntheticUCFCrime
-from ..embedding.joint_space import JointEmbeddingModel, build_default_embedding_model
+from ..embedding.joint_space import (EMBEDDING_FORMAT, JointEmbeddingModel,
+                                     build_default_embedding_model)
 from ..gnn.pipeline import MissionGNNConfig, MissionGNNModel
 from ..gnn.training import DecisionModelTrainer, TrainingConfig
 from ..kg.generation import KGGenerationConfig, KGGenerator
@@ -90,9 +91,15 @@ class Pipeline:
 
     @property
     def embedding_model(self) -> JointEmbeddingModel:
+        """The frozen joint embedding model, loaded from a disk registry
+        (keyed by its seed and ``EMBEDDING_FORMAT``) or built and stored
+        there: its bits follow the process that fitted it."""
         if self._embedding_model is None:
-            self._embedding_model = build_default_embedding_model(
-                seed=self.config.experiment.seed)
+            seed = self.config.experiment.seed
+            self._embedding_model = self.registry.embedding(
+                ModelRegistry.fingerprint({"seed": seed,
+                                           "format": EMBEDDING_FORMAT}),
+                lambda: build_default_embedding_model(seed=seed))
         return self._embedding_model
 
     @property

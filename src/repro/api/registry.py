@@ -14,7 +14,11 @@ registry is where those artifacts live:
   builds that wrote base64 ``.json`` artifacts hold both;
 * on disk, ``<key>.config.json`` beside each artifact is the config its
   fingerprint hashes, so a directory says what each model was trained
-  under.
+  under;
+* on disk it also keeps the fitted joint embedding model,
+  ``embedding-<fingerprint>.emb``, which later processes load instead of
+  fitting it under their own BLAS threads.  It is no model: ``keys()``
+  and ``len()`` leave it out; ``clear()`` deletes it too.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import hashlib
 import json
 import re
 from pathlib import Path
+from typing import Callable
 
 from ..embedding.joint_space import JointEmbeddingModel
 from ..gnn.checkpoint import deployment_from_dict, deployment_to_dict
@@ -37,9 +42,9 @@ def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9_-]+", "_", text) or "model"
 
 
-# Registry artifacts are ``<mission slug>-<16 hex digits>.bin``; file
-# operations match only this shape so a registry pointed at a shared
-# directory never counts — or deletes — unrelated files.
+# Registry artifacts are ``<mission slug>-<16 hex digits>.bin`` (and
+# ``.emb``); file operations match only this shape so a registry pointed
+# at a shared directory never counts — or deletes — unrelated files.
 _KEY_RE = re.compile(r".+-[0-9a-f]{16}\Z")
 
 
@@ -110,6 +115,19 @@ class ModelRegistry:
                 config, indent=1, sort_keys=True, default=str))
         return key
 
+    def embedding(self, fingerprint: str,
+                  build: Callable[[], JointEmbeddingModel]) -> JointEmbeddingModel:
+        """The model stored under ``fingerprint``, or ``build()``'s, stored
+        (in memory: built each call, the caller keeps it)."""
+        if self.root is None:
+            return build()
+        path = self.root / f"embedding-{fingerprint}.emb"
+        if path.exists():
+            return JointEmbeddingModel.from_dict(binframe.read_file(path))
+        model = build()
+        binframe.write_file(path, model.to_dict())
+        return model
+
     # ------------------------------------------------------------------
     def keys(self) -> list[str]:
         known = set(self._entries)
@@ -126,6 +144,9 @@ class ModelRegistry:
                     path.unlink()
                     (self.root / f"{path.stem}.config.json").unlink(
                         missing_ok=True)
+            for path in self.root.glob("embedding-*.emb"):
+                if _KEY_RE.match(path.stem):
+                    path.unlink()
 
     def __len__(self) -> int:
         return len(self.keys())

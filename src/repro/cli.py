@@ -21,9 +21,9 @@ and ``--config path.json`` to start from a saved config file.
 ``--seed``, ``--train-steps`` and ``kg --depth`` set their
 ``experiment.*`` value over the file's when given, and ``--set`` applies
 last.  A stream's dedicated flags (``--stream-seed``, ``--steps-before``,
-...) take precedence over the matching ``--set`` path; ``fig6`` keeps its
-paper-tuned adaptation defaults unless an ``adaptation.*`` override is
-given.
+...) take precedence over the matching ``--set`` path; ``fig6`` starts from
+its paper-tuned adaptation, which a config file's ``adaptation`` section
+and ``--set adaptation.*`` apply over.
 
 ``serve`` runs a streaming deployment end-to-end: cloud-side training (or
 a registry/checkpoint fetch), then continuous KG-adaptive serving over a
@@ -33,6 +33,7 @@ trend-shift stream, with optional checkpointing via ``--save``.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
@@ -45,14 +46,26 @@ _FLAG_PATHS = (("seed", "experiment.seed"),
                ("depth", "experiment.kg_depth"))
 
 
-def _build_config(args):
-    """ReproConfig from ``--config``, then the dedicated flags that were
-    given (``--seed``, ``--train-steps``, ``kg --depth``), then ``--set``
-    overrides, each over the one before.  An absent flag leaves the
-    config's value."""
+def _merged(base, over):
+    """``over``'s values over ``base``'s, section by section."""
+    if not (isinstance(base, dict) and isinstance(over, dict)):
+        return over
+    return {**base, **{key: _merged(base.get(key), value)
+                       for key, value in over.items()}}
+
+
+def _build_config(args, base=None):
+    """``base`` (default: the shipped ``ReproConfig``), then ``--config``'s
+    values, then the dedicated flags that were given (``--seed``,
+    ``--train-steps``, ``kg --depth``), then ``--set`` overrides, each over
+    the one before.  An absent flag leaves the config's value."""
     from .api import ReproConfig
+    data = (base or ReproConfig()).to_dict()
     try:
-        config = ReproConfig.load(args.config) if args.config else ReproConfig()
+        if args.config:
+            with open(args.config, encoding="utf-8") as handle:
+                data = _merged(data, json.load(handle))
+        config = ReproConfig.from_dict(data)
     except FileNotFoundError:
         raise SystemExit(f"error: config file not found: {args.config}")
     except (KeyError, TypeError, ValueError) as exc:
@@ -308,11 +321,6 @@ def cmd_recover(args) -> int:
     return 0
 
 
-def _adaptation_overridden(args) -> bool:
-    return any(o.partition("=")[0].strip().startswith("adaptation.")
-               for o in getattr(args, "overrides", None) or [])
-
-
 def cmd_fig5(args) -> int:
     from .eval import TrendShiftExperiment, format_trend_shift
     shifted = "Robbery" if args.shift == "weak" else "Explosion"
@@ -325,14 +333,12 @@ def cmd_fig5(args) -> int:
 
 
 def cmd_fig6(args) -> int:
-    from .api import Pipeline
+    from .api import Pipeline, ReproConfig
     from .eval import FIG6_ADAPTATION, RetrievalDriftExperiment, format_retrieval_drift
-    config = _build_config(args)
-    # Fig. 6 serves with its paper-tuned aggressive adaptation unless the
-    # user asked for other adaptation settings.
-    if not _adaptation_overridden(args):
-        config.adaptation = FIG6_ADAPTATION
-    pipeline = Pipeline(config)
+    # Fig. 6 serves with its paper-tuned aggressive adaptation; a config
+    # file and --set apply over it.
+    pipeline = Pipeline(_build_config(
+        args, ReproConfig(adaptation=FIG6_ADAPTATION)))
     experiment = RetrievalDriftExperiment(
         pipeline, tracked_word=args.tracked, target_word=args.target,
         stream_config=pipeline.stream(
@@ -351,10 +357,13 @@ def cmd_table1(args) -> int:
         pipeline, class_a="Stealing", class_b="Robbery",
         alternations=args.alternations, steps_per_phase=10)
     measured = experiment.run()
+    adaptation = pipeline.config.adaptation
     comparison = EfficiencyComparison(
         model=pipeline.train("Stealing"),
         auc_baseline=measured.auc_baseline,
-        auc_proposed=measured.auc_proposed)
+        auc_proposed=measured.auc_proposed,
+        adaptation_inner_steps=adaptation.update.inner_steps,
+        adaptation_rounds=adaptation.adaptation_rounds)
     print(comparison.format_table())
     return 0
 
@@ -462,6 +471,8 @@ def cmd_stats(args) -> int:
           f"{engine.get('rounds', 0)} round(s), "
           f"{sum(queued.values())} queued request(s) across "
           f"{len(queued)} stream(s)")
+    if "rss_peak_mb" in engine:
+        print(f"  memory: peak RSS {engine['rss_peak_mb']:.1f} MB")
     coalesce = engine.get("coalesce")
     if coalesce:
         print(f"  coalesce: {coalesce['windows_per_forward']:.2f} "

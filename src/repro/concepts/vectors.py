@@ -100,6 +100,25 @@ class ConceptSpace:
                 spread = concept_spread * (1.0 + 0.15 * max(concept.depth - 1, 0))
             self._concept_vec[concept.text] = _normalize(base + spread * noise)
 
+    # -- storage ---------------------------------------------------------
+    _STORED = ("dim", "seed", "cluster_spread", "concept_spread",
+               "normal_spread", "_cluster_anchor", "_normal_anchor",
+               "_class_anchor", "_concept_vec")
+
+    def to_dict(self) -> dict:
+        """Every setting and vector, for :meth:`from_dict` (which draws
+        nothing) over the same ontology."""
+        return {name: getattr(self, name) for name in self._STORED}
+
+    @classmethod
+    def from_dict(cls, ontology: ConceptOntology,
+                  payload: dict) -> "ConceptSpace":
+        space = cls.__new__(cls)
+        space.ontology = ontology
+        for name in cls._STORED:
+            setattr(space, name, payload[name])
+        return space
+
     # -- access ----------------------------------------------------------
     def concept_vector(self, text: str) -> np.ndarray:
         """Unit vector for a known concept phrase."""

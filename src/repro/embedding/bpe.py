@@ -196,16 +196,23 @@ class BPETokenizer:
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def save(self, path: str | Path) -> None:
-        payload = {"merges": self.merges, "vocab": self.id_to_token}
-        atomic_write_text(path, json.dumps(payload))
+    def to_dict(self) -> dict:
+        """The merges and the vocabulary: all :meth:`from_dict` needs."""
+        return {"merges": [list(pair) for pair in self.merges],
+                "vocab": list(self.id_to_token)}
 
     @classmethod
-    def load(cls, path: str | Path) -> "BPETokenizer":
-        payload = json.loads(Path(path).read_text())
+    def from_dict(cls, payload: dict) -> "BPETokenizer":
         tokenizer = cls()
         tokenizer.merges = [tuple(pair) for pair in payload["merges"]]
         tokenizer._merge_ranks = {pair: i for i, pair in enumerate(tokenizer.merges)}
         tokenizer.id_to_token = list(payload["vocab"])
         tokenizer.token_to_id = {tok: i for i, tok in enumerate(tokenizer.id_to_token)}
         return tokenizer
+
+    def save(self, path: str | Path) -> None:
+        atomic_write_text(path, json.dumps(self.to_dict()))
+
+    @classmethod
+    def load(cls, path: str | Path) -> "BPETokenizer":
+        return cls.from_dict(json.loads(Path(path).read_text()))

@@ -34,7 +34,14 @@ from .bpe import BPETokenizer
 from .corpus import build_domain_corpus
 from .tokens import TokenEmbeddingTable
 
-__all__ = ["JointEmbeddingModel", "build_default_embedding_model"]
+__all__ = ["JointEmbeddingModel", "build_default_embedding_model",
+           "EMBEDDING_FORMAT"]
+
+#: Version of :meth:`JointEmbeddingModel.to_dict`'s layout and, with the
+#: seed, a stored model's registry key: bump it when the layout or the
+#: built bits change (a default of :func:`build_default_embedding_model`
+#: included).
+EMBEDDING_FORMAT = 1
 
 
 class JointEmbeddingModel:
@@ -86,6 +93,41 @@ class JointEmbeddingModel:
         cos = np.sum(encoded * targets, axis=1) / np.maximum(
             np.linalg.norm(encoded, axis=1) * np.linalg.norm(targets, axis=1), 1e-12)
         self.text_fit_cosine = float(np.mean(cos))
+
+    # ------------------------------------------------------------------
+    # Storage
+    # ------------------------------------------------------------------
+    # The fitted arrays are stored as they are: a load reads the bits of
+    # the process that fitted them, whatever its own BLAS threads.
+    _STORED = ("frame_dim", "joint_dim", "token_dim", "seed",
+               "text_fit_cosine", "_render", "_image_projection",
+               "_image_projection_t", "_text_projection")
+
+    def to_dict(self) -> dict:
+        """What :meth:`from_dict` rebuilds this model from without training
+        or fitting anything."""
+        return {"format": EMBEDDING_FORMAT,
+                "tokenizer": self.tokenizer.to_dict(),
+                "token_vectors": self.token_table.vectors,
+                "concept_space": self.concept_space.to_dict(),
+                **{name: getattr(self, name) for name in self._STORED}}
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "JointEmbeddingModel":
+        """Rebuild a :meth:`to_dict` model over the default ontology,
+        adopting its arrays."""
+        if payload.get("format") != EMBEDDING_FORMAT:
+            raise ValueError("unsupported embedding format version: "
+                             f"{payload.get('format')}")
+        model = cls.__new__(cls)
+        model.tokenizer = BPETokenizer.from_dict(payload["tokenizer"])
+        model.token_table = TokenEmbeddingTable.from_vectors(
+            model.tokenizer, payload["token_vectors"])
+        model.concept_space = ConceptSpace.from_dict(
+            build_default_ontology(), payload["concept_space"])
+        for name in cls._STORED:
+            setattr(model, name, payload[name])
+        return model
 
     # ------------------------------------------------------------------
     # Image path

@@ -47,6 +47,16 @@ class TokenEmbeddingTable:
         self.vectors: np.ndarray = table  # frozen; never trained
         self._fingerprint: tuple[np.ndarray | None, str] = (None, "")
 
+    @classmethod
+    def from_vectors(cls, tokenizer: BPETokenizer,
+                     vectors: np.ndarray) -> "TokenEmbeddingTable":
+        """A table over stored vectors; draws nothing."""
+        table = cls.__new__(cls)
+        table.tokenizer, table.dim, table.vectors = (tokenizer,
+                                                     vectors.shape[1], vectors)
+        table._fingerprint = (None, "")
+        return table
+
     @property
     def fingerprint(self) -> str:
         """SHA-256 of :attr:`vectors`, once per array (``data-rebind``)."""

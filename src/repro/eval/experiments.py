@@ -41,8 +41,8 @@ __all__ = [
 #: Fig. 6's adaptation config.  The paper runs ~900 token-update
 #: iterations for Fig. 6, so this qualitative experiment adapts more
 #: aggressively and continuously (maintenance trickle on) than the Fig. 5
-#: runs; ``repro fig6`` serves with it unless an ``adaptation.*`` override
-#: is given.
+#: runs; ``repro fig6`` starts from it, and a config file's ``adaptation``
+#: section and ``--set adaptation.*`` apply over it.
 FIG6_ADAPTATION = AdaptationConfig(
     monitor=MonitorConfig(window=72, lag=36, min_k=6, trigger_threshold=0.02),
     update=TokenUpdateConfig(learning_rate=0.08, inner_steps=4),

@@ -13,7 +13,8 @@ Design notes
 * ``Tensor`` wraps a ``numpy.ndarray`` (always ``float64`` unless the caller
   passes something else) plus an optional gradient and a backward closure.
 * The graph is dynamic: every op records its parents; ``backward()`` runs a
-  topological sort and accumulates gradients.
+  topological sort, accumulates gradients and consumes the tape as it
+  goes (leaves keep their gradients).
 * Broadcasting follows numpy semantics; ``_unbroadcast`` sums gradients back
   down to each parent's shape.
 * ``no_grad()`` disables tape recording, used for inference-time scoring in
@@ -134,6 +135,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def _consumed(node: "Tensor") -> None:
+    """The backward of a node an earlier ``backward()`` released."""
+    raise RuntimeError(
+        "backward() reached a tensor whose tape an earlier backward() "
+        "consumed; build the graph again to differentiate it again")
 
 
 _BASIC_INDEX = (int, np.integer, slice, type(None), type(Ellipsis))
@@ -304,9 +312,15 @@ class Tensor:
             self.grad += grad  # into the copy made above
 
     def backward(self, grad: np.ndarray | None = None) -> None:
-        """Backpropagate from this tensor.
+        """Backpropagate from this tensor, consuming its tape.
 
         ``grad`` defaults to ones (scalar outputs are the common case).
+        In reverse topological order nothing reads an interior node after
+        its own backward ran, so it is released there (gradient, closure,
+        parent links) and what only the tape held is freed as the walk
+        goes.  Leaves (built with ``requires_grad=True``: token tables,
+        parameters) keep their gradients; a second ``backward`` that
+        reaches a released node raises ``RuntimeError``.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
@@ -328,9 +342,15 @@ class Tensor:
                 if id(parent) not in visited and parent.requires_grad:
                     stack.append((parent, False))
         self._accumulate(np.asarray(grad, dtype=np.float64))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:  # a leaf keeps its gradient
+                continue
+            if node.grad is not None:
                 node._backward(node)
+            node.grad = None
+            node._prev = ()
+            node._backward = _consumed
 
     # ------------------------------------------------------------------
     # Elementwise arithmetic
@@ -933,13 +953,15 @@ class Tensor:
         out = (mixed.transpose(by_head) @ v_blocks).transpose(by_head)[:batch]
         out = out.reshape(batch, 1, dim)
         out += b_v.data
+        if not w_v.requires_grad:
+            mixed = None  # only w_v's gradient reads it
 
         def backward(node: Tensor) -> None:
             grad = node.grad.reshape(batch, num_heads, head_dim)
             g_heads = grad.transpose(by_head)                     # (H, B, d_h)
             if b_v.requires_grad:
                 b_v._accumulate(grad.reshape(batch, dim).sum(axis=0))
-            if w_v.requires_grad:
+            if mixed is not None:
                 mixed_heads = mixed[:batch].transpose(by_head)    # (H, B, D)
                 w_v._accumulate((mixed_heads.transpose(0, 2, 1) @ g_heads)
                                 .transpose(by_head).reshape(dim, dim))

@@ -34,6 +34,7 @@ would produce.
 
 from __future__ import annotations
 
+import resource
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -779,8 +780,9 @@ class ServingEngine:
     def stats(self, concurrent: bool = False) -> dict:
         """Engine-level summary for the ``stats`` op and the benchmark
         payloads: the fleet's backend name (``"inline"``/``"sharded"``),
-        rounds, queue depths, and the fleet's coalescing counters
-        (windows per forward).
+        rounds, queue depths, the process's peak resident set
+        (``rss_peak_mb``, its ``VmHWM``), and the fleet's coalescing
+        counters (windows per forward).
 
         With ``concurrent=True`` (a caller on a different thread than
         the round runner, e.g. the gateway's ``stats`` op) fleets whose
@@ -798,6 +800,8 @@ class ServingEngine:
             "version": __version__,
             "started_at": self._started_monotonic,
             "uptime_seconds": time.monotonic() - self._started_monotonic,
+            "rss_peak_mb": resource.getrusage(
+                resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         }
         # Transport counters (shards, pool threads, fused waves) are
         # plain attribute reads — safe from any thread, so they're

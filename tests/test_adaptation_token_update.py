@@ -199,3 +199,27 @@ class TestUpdateMemory:
         single = peak_of(forward_backward)
         whole = peak_of(lambda: updater.update(codes, labels))
         assert whole <= 1.3 * single, (whole, single)
+
+    def test_a_served_size_update_peaks_within_its_bound(
+            self, fresh_model, embedding_model, rng):
+        """``backward`` frees each interior node's gradient and closure as
+        soon as its own backward has run, so one update at the served
+        window (8 frames) and a 32-window batch peaks at <= 5.5 MB (6.9 MB
+        while the tape lived until ``backward`` returned)."""
+        model = fresh_model(window=8)
+        model.freeze_for_deployment()
+        updater = TokenEmbeddingUpdater(model)
+        windows, labels = small_batch(embedding_model, rng, n=32, window=8)
+        codes = model.frame_codes(windows)
+        updater.update(codes, labels)  # lazy one-off allocations
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            baseline, _ = tracemalloc.get_traced_memory()
+            updater.update(codes, labels)
+            peak = tracemalloc.get_traced_memory()[1] - baseline
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert peak <= 5.5e6, peak

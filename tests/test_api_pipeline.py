@@ -10,6 +10,7 @@ from test_api_deployment import deployment_config
 
 from repro.adaptation import ConvergenceConfig
 from repro.api import Deployment, ModelRegistry, Pipeline, ReproConfig
+from repro.embedding import BPETokenizer, JointEmbeddingModel
 from repro.gnn.checkpoint import deployment_to_dict
 from repro.utils.binframe import encode_payload
 
@@ -112,6 +113,62 @@ class TestRegistryCaching:
         config = json.loads((tmp_path / f"{key}.config.json").read_text())
         assert config == json.loads(json.dumps(pipe._trained_config()))
         assert key.endswith(ModelRegistry.fingerprint(config))
+
+
+class TestEmbeddingArtifact:
+    """A disk registry keeps the fitted joint embedding model; every later
+    pipeline over it loads that instead of training and fitting again."""
+
+    def test_later_pipelines_load_what_the_first_one_built(
+            self, tmp_path, monkeypatch):
+        cfg = small_config()
+        cfg.registry_dir = str(tmp_path)
+        built = Pipeline.from_config(cfg).embedding_model
+        [stored] = tmp_path.glob("embedding-*.emb")
+
+        def refuse(*_, **__):
+            raise AssertionError("a stored embedding was trained or fitted")
+
+        monkeypatch.setattr(BPETokenizer, "train", refuse)
+        monkeypatch.setattr(JointEmbeddingModel, "__init__", refuse)
+        loaded = Pipeline.from_config(cfg).embedding_model
+        assert same_bits(loaded.to_dict(), built.to_dict())
+        text = "person grabbing a bag"
+        assert loaded.tokenizer.encode(text) == built.tokenizer.encode(text)
+        assert (loaded.encode_text(text).tobytes()
+                == built.encode_text(text).tobytes())
+        monkeypatch.undo()
+        cfg.experiment.seed = 8  # another build, another key
+        Pipeline.from_config(cfg).embedding_model
+        assert len(list(tmp_path.glob("embedding-*.emb"))) == 2
+        assert stored.exists()
+
+    def test_an_in_memory_registry_builds_in_process(self):
+        pipe = Pipeline.from_config(small_config())
+        assert pipe.embedding_model is pipe.embedding_model
+        assert pipe.registry._entries == {}
+
+    def test_it_is_no_model_key_and_clear_deletes_it(self, tmp_path):
+        """``keys()`` and ``len()`` name the models ``load`` serves, which
+        the embedding is not; ``clear()`` deletes everything the registry
+        wrote, the embedding included, and nothing else."""
+        registry = ModelRegistry(tmp_path)
+        pipe = Pipeline.from_config(small_config(train_steps=5),
+                                    registry=registry)
+        pipe.train("Robbery")
+        assert registry.keys() == [registry.key("Robbery",
+                                                pipe._fingerprint())]
+        assert len(registry) == 1
+        assert len(list(tmp_path.glob("embedding-*.emb"))) == 1
+        unrelated = tmp_path / "embedding-notes.emb"
+        unrelated.write_text("not the registry's")
+        registry.clear()
+        assert list(tmp_path.iterdir()) == [unrelated]
+
+    def test_another_format_is_refused(self, pipeline):
+        payload = {**pipeline.embedding_model.to_dict(), "format": 0}
+        with pytest.raises(ValueError, match="embedding format"):
+            JointEmbeddingModel.from_dict(payload)
 
 
 class TestSharedAnchors:

@@ -18,6 +18,10 @@ joint embedding model, built here and pickled: its fit is the one op found
 to differ (see the strict xfail below), and every model built on it would
 inherit the difference.  An untrained model is enough: the contract is
 about bits, not accuracy.
+
+A disk registry stores that model fitted, so a serving process need not
+share its preparer's thread count: a child under 2 threads serving from a
+registry a 1-thread child prepared scores the preparer's bits.
 """
 
 import hashlib
@@ -40,12 +44,15 @@ from repro.api import Deployment, Pipeline, ReproConfig
 from repro.api import pipeline as pipeline_module
 from repro.gnn import MissionGNNModel
 from repro.gnn.pipeline import score_parts
+from repro.utils.binframe import encode_payload
 
 THREADS = (1, 2, 4)
 BATCHES = (1, 16, 64, 128)
 REQUEST = 32  # windows per sharded_large request
 #: The environment variable naming the pickled embedding model's file.
 EMBEDDING = "BLAS_CONTRACT_EMBEDDING"
+#: The environment variable naming the disk registry of the served case.
+REGISTRY = "BLAS_CONTRACT_REGISTRY"
 
 
 def _sha(*arrays) -> str:
@@ -103,6 +110,32 @@ def contract_digests() -> str:
     report["adaptive"] = digest.hexdigest()
     report["adaptive_updates"] = updates
     return json.dumps(report, separators=(",", ":"))
+
+
+def served_digests() -> str:
+    """Serve one batch from the registry named by ``REGISTRY``, training
+    (and fitting the embedding) only what it lacks; JSON of the
+    embedding's and the scores' digests and how many models were trained."""
+    pipe = Pipeline(ReproConfig().apply_overrides([
+        "experiment.train_steps=5", f"registry_dir={os.environ[REGISTRY]}"]))
+    deployment = pipe.deploy("Stealing", adaptive=False)
+    windows = pipe.stream("Stealing", "Robbery", windows_per_step=16,
+                          seed=5).batch(0).windows
+    embedding = encode_payload(pipe.embedding_model.to_dict())
+    return json.dumps({"embedding": hashlib.sha256(embedding).hexdigest(),
+                       "scores": _sha(deployment.scores(windows)),
+                       "trained": pipe.trained_count}, separators=(",", ":"))
+
+
+def test_a_registry_prepared_at_one_thread_serves_its_bits_at_two(tmp_path):
+    """The served process loads the embedding and the model the 1-thread
+    preparer fitted and trained, and scores what the preparer scores."""
+    prepared, served = (json.loads(run_child(
+        "test_blas_threads", "served_digests",
+        {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+         REGISTRY: str(tmp_path)})) for threads in ("1", "2"))
+    assert (prepared["trained"], served["trained"]) == (1, 0)
+    assert served == {**prepared, "trained": 0}
 
 
 @pytest.fixture(scope="module")

@@ -233,6 +233,12 @@ class TestConfigPrecedence:
                            match="error: no config field 'stream.window'"):
             main(["kg", "--set", "stream.window=4"])
 
+    def test_config_file_that_is_no_object_is_an_error(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(SystemExit, match=r"bad config file .*dict"):
+            main(["kg", "--config", str(path)])
+
     def test_config_file_with_a_removed_leaf_is_an_error(self, tmp_path):
         data = ReproConfig().to_dict()
         data["training"]["log_every"] = 50  # written by an older build
@@ -241,3 +247,99 @@ class TestConfigPrecedence:
         with pytest.raises(SystemExit,
                            match=r"bad config file .*'log_every'"):
             main(["kg", "--config", str(path)])
+
+
+class TestPaperCommandsReadTheConfig:
+    """``fig6`` and ``table1`` serve and bill the configured adaptation
+    (measurement stubbed out, models trained for two steps)."""
+
+    SETS = ["--set", "experiment.train_steps=2"]
+
+    @pytest.fixture()
+    def fig6(self, monkeypatch):
+        """Runs ``repro fig6 ARGS``; returns its deployments' adaptation."""
+        seen = []
+
+        class Deploys:
+            def __init__(self, pipeline, **_):
+                seen.append(pipeline.deploy("Stealing").adaptation_config)
+
+            def run(self):
+                return None
+
+        monkeypatch.setattr(repro.eval, "RetrievalDriftExperiment", Deploys)
+        monkeypatch.setattr(repro.eval, "format_retrieval_drift",
+                            lambda _: "")
+
+        def run(*args):
+            main(["fig6", *self.SETS, *args])
+            return seen.pop()
+        return run
+
+    def test_fig6_serves_its_own_adaptation_by_default(self, fig6):
+        from repro.eval import FIG6_ADAPTATION
+        assert fig6() == FIG6_ADAPTATION
+
+    def test_a_config_file_and_set_apply_over_fig6s_adaptation(
+            self, fig6, tmp_path):
+        from repro.eval import FIG6_ADAPTATION
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"adaptation": {"adaptation_rounds": 2}}))
+        served = fig6("--config", str(path))
+        assert served.adaptation_rounds == 2
+        assert served.monitor == FIG6_ADAPTATION.monitor
+        assert served.update == FIG6_ADAPTATION.update
+        served = fig6("--config", str(path),
+                      "--set", "adaptation.update.inner_steps=1")
+        assert (served.adaptation_rounds, served.update.inner_steps) == (2, 1)
+        assert served.update.learning_rate == \
+            FIG6_ADAPTATION.update.learning_rate
+
+    @pytest.fixture()
+    def table1(self, monkeypatch, tmp_path, capsys):
+        """Runs ``repro table1 ARGS`` over one registry; returns its
+        output and the AUCs it was handed."""
+        from repro.eval import EfficiencyResult
+
+        class Measured:
+            def __init__(self, *_, **__):
+                pass
+
+            def run(self):
+                return EfficiencyResult(auc_baseline=0.61, auc_proposed=0.72)
+
+        monkeypatch.setattr(repro.eval, "EfficiencyExperiment", Measured)
+
+        def run(*sets):
+            main(["table1", *self.SETS, "--set", f"registry_dir={tmp_path}",
+                  *[arg for value in sets for arg in ("--set", value)]])
+            return capsys.readouterr().out
+        return run
+
+    @staticmethod
+    def edge_flops(table: str) -> float:
+        [line] = [line for line in table.splitlines() if
+                  "Edge Device Computational Cost per Adaptation" in line]
+        return float(line.split()[-1])
+
+    def test_table1_bills_the_configured_inner_steps(self, table1):
+        default = self.edge_flops(table1())
+        one_step = self.edge_flops(table1("adaptation.update.inner_steps=1"))
+        # (1 + 3 x inner steps) sweeps per round: 4 against 10.
+        assert one_step / default == pytest.approx(4 / 10, rel=1e-2)
+        fewer = self.edge_flops(table1("adaptation.adaptation_rounds=3"))
+        assert fewer / default == pytest.approx(1 / 2, rel=1e-2)
+
+    def test_default_table1_prints_what_it_printed_before(self, table1,
+                                                           tmp_path):
+        """The default adaptation bills 3 inner steps x 6 rounds, the
+        constants the table used before it read the config."""
+        from repro.api import Pipeline
+        from repro.edge import EfficiencyComparison
+        printed = table1()
+        config = ReproConfig().apply_overrides(
+            ["experiment.train_steps=2", f"registry_dir={tmp_path}"])
+        before = EfficiencyComparison(
+            model=Pipeline(config).train("Stealing"),
+            auc_baseline=0.61, auc_proposed=0.72).format_table()
+        assert printed == before + "\n"

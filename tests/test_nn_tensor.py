@@ -425,23 +425,42 @@ class TestTapeMechanics:
         with pytest.raises(RuntimeError):
             Tensor(np.ones(2)).backward()
 
-    def test_tape_dies_with_its_last_reference(self):
-        """No taped tensor references itself: with the cyclic collector
-        off, dropping the loss frees the interior of the tape at once."""
+    def test_backward_frees_the_interior_while_the_loss_lives(self):
+        """No taped tensor references itself, and ``backward`` consumes the
+        tape: with the cyclic collector off, the interior is freed by the
+        walk itself while the loss is still referenced, and the leaves
+        (input and parameter alike) keep their gradients."""
         gc.collect()
         gc.disable()
         try:
-            x = Tensor(np.ones((4, 3)), requires_grad=True)
-            interior = ((x * 2.0).exp() @ Tensor(np.ones((3, 2)))).tanh()
+            x = Tensor(np.full((4, 3), 0.1), requires_grad=True)
+            w = Tensor(np.full((3, 2), 0.1), requires_grad=True)
+            interior = ((x * 2.0).exp() @ w).tanh()
             loss = interior.sum()
-            loss.backward()
             probe = weakref.ref(interior)
             del interior
-            assert probe() is not None  # the tape still holds it
-            del loss
+            assert probe() is not None  # the loss's tape holds it
+            loss.backward()
             assert probe() is None
+            assert loss.grad is None and loss._prev == ()
+            assert x.grad.shape == (4, 3) and np.all(x.grad != 0)
+            assert w.grad.shape == (3, 2) and np.all(w.grad != 0)
         finally:
             gc.enable()
+
+    def test_a_second_backward_through_a_consumed_tape_raises(self):
+        """A released node names the cause; no partial gradient is handed
+        back in silence, from the same loss or from another one that
+        shares the consumed part of the tape."""
+        x = Tensor(np.ones(3), requires_grad=True)
+        shared = (x * 2.0).exp()
+        first, second = shared.sum(), (shared * shared).sum()
+        first.backward()
+        grad = x.grad.copy()
+        for loss in (first, second):
+            with pytest.raises(RuntimeError, match="consumed"):
+                loss.backward()
+        np.testing.assert_array_equal(x.grad, grad)
 
     def test_backward_deep_chain_iterative(self):
         # Topological sort is iterative: must survive graphs deeper than

@@ -8,6 +8,8 @@ metrics land in one registry, admission control bounds the queues, and
 each round serves the front of every stream's queue, FIFO.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -297,6 +299,18 @@ class TestEngineMetrics:
         assert stats["coalesce"]["token_states"] == 1
         # Concurrent readers may still read a DeploymentFleet's counters.
         assert "coalesce" in fleet.engine.stats(concurrent=True)
+
+    def test_stats_reports_the_process_peak_rss(self, fresh_model,
+                                               frame_generator):
+        """``rss_peak_mb`` is this process's ``VmHWM``, in MiB."""
+        fleet = make_fleet(fresh_model, frame_generator)
+        fleet.step()
+        peak = fleet.engine.stats()["rss_peak_mb"]
+        status = Path("/proc/self/status").read_text()
+        [hwm_kb] = [int(line.split()[1]) for line in status.splitlines()
+                    if line.startswith("VmHWM:")]
+        assert abs(peak - hwm_kb / 1024) < 1.0
+        assert fleet.engine.stats(concurrent=True)["rss_peak_mb"] >= peak
 
     def test_queue_depth_gauge_tracks_submissions(self, fresh_model,
                                                   frame_generator,

@@ -4,6 +4,7 @@ bounding under flood, bit-parity with tracing on, and the promoted
 stats/version surface."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -275,6 +276,7 @@ class TestStatsSurface:
         out = capsys.readouterr().out
         assert (f"  engine: backend inline, {rounds} round(s), 0 queued "
                 "request(s) across 0 stream(s)\n") in out
+        assert re.search(r"\n  memory: peak RSS \d+\.\d MB\n", out)
         assert "policy" not in out
 
     def test_engine_stats_uptime_is_monotonic(self, fleet_factory):
