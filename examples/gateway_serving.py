@@ -1,8 +1,7 @@
 """Network gateway demo: server + client + load generator in one script.
 
-The serving stack so far runs as one fleet (``DeploymentFleet``) or as
-in-process shards (``ShardedFleet``), but always driven by the caller's
-own loop.  This example puts a fleet behind the
+The serving stack so far runs as one fleet (``DeploymentFleet``) driven
+by the caller's own loop.  This example puts a fleet behind the
 :class:`repro.gateway.GatewayServer` network front door and talks to it
 like a remote camera uplink would:
 

@@ -15,8 +15,9 @@ is now a thin wrapper over this rule.  Layer order, foundations first::
       -> runtime -> serving -> wal -> gateway -> cli
 
 ``runtime`` sits *below* ``serving`` (the engine serves over a fleet it
-is handed, and never imports one); a lazy import that breaks this order
-is suppressed inline where it happens, not widened here.
+is handed, and never imports one).  An import that breaks this order
+is fixed, or suppressed inline where it happens (none is), never
+widened here.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ continuous-adaptation controller behind a small serving surface:
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -111,30 +112,22 @@ class Deployment:
 
         ``stream`` may yield :class:`~repro.data.StreamBatch` objects (the
         repo's deployment streams) or raw ``(B, T, frame_dim)`` arrays.
-
-        Serving runs through the canonical
-        :class:`~repro.runtime.ServingEngine` round loop as a
-        single-stream fleet: each batch is scored by its own forward and
-        ingested with those scores, bit-identical to :meth:`ingest`
-        scoring it.  ``tracer`` (an optional
-        :class:`repro.obs.TraceRecorder`) records one ``engine.round``
-        span per served round.
+        ``tracer`` (an optional :class:`repro.obs.TraceRecorder`) records
+        one ``engine.round`` span per batch, as a fleet round does.
         """
-        # Imported here: repro.serving builds on repro.api, not the
-        # other way around — this convenience wrapper is the one upward
-        # edge, deferred so the layering holds at import time.
-        # repro: allow[layer-dag] deliberate lazy back-edge, see above
-        from ..serving.fleet import DeploymentFleet
-        fleet = DeploymentFleet()
-        fleet.add("deployment", self, stream)
-        if tracer is not None:
-            fleet.engine.tracer = tracer
-        for events in fleet.serve():
-            for event in events:
-                yield ServeEvent(step=event.step, scores=event.scores,
-                                 log=event.log,
-                                 active_class=event.active_class,
-                                 is_post_shift=event.is_post_shift)
+        for served, batch in enumerate(stream, start=1):
+            wall, start = time.time(), time.perf_counter()
+            log = self.ingest(getattr(batch, "windows", batch))
+            if tracer is not None:
+                tracer.record_span(
+                    "engine.round", None, ts=wall,
+                    dur=time.perf_counter() - start,
+                    attrs={"round": served, "streams": 1, "pull": True})
+            yield ServeEvent(step=log.step, scores=log.scores, log=log,
+                             active_class=getattr(batch, "active_class",
+                                                  None),
+                             is_post_shift=getattr(batch, "is_post_shift",
+                                                   None))
 
     def freeze(self) -> None:
         """Turn an adaptive deployment into a static one.

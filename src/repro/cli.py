@@ -169,48 +169,39 @@ def cmd_serve(args) -> int:
 
 
 def _build_fleet(args, pipeline):
-    """``--streams`` over ``--missions``, sharded when ``--shards`` > 1."""
-    from .serving import build_fleet, build_sharded_fleet
-    extra = {"shards": args.shards} if args.shards > 1 else {}
-    return (build_sharded_fleet if extra else build_fleet)(
+    """``--streams`` over ``--missions``."""
+    from .serving import build_fleet
+    return build_fleet(
         pipeline, args.missions, args.streams, adaptive=args.adaptive,
         windows_per_step=args.windows_per_step, stream_seed=args.stream_seed,
-        max_batch_windows=args.max_batch_windows, **extra)
+        max_batch_windows=args.max_batch_windows)
 
 
 def cmd_fleet(args) -> int:
     """Batched multi-stream serving: N streams, mixed missions, one loop."""
-    if args.shards < 1:
-        raise SystemExit("error: --shards must be >= 1")
     pipeline = _pipeline(args)
-    sharded = args.shards > 1
     print(f"[fleet] building {args.streams} stream(s) over missions "
-          f"{args.missions} (adaptive={args.adaptive}"
-          + (f", shards={args.shards}" if sharded else "") + ")")
+          f"{args.missions} (adaptive={args.adaptive})")
     fleet = _build_fleet(args, pipeline)
-    try:
-        t0 = time.perf_counter()
-        total_windows = 0
-        for events in fleet.serve(max_rounds=args.rounds):
-            total_windows += sum(e.scores.size for e in events)
-            mean = sum(float(e.scores.mean()) for e in events) / len(events)
-            adapted = sum(1 for e in events
-                          if e.log is not None and e.log.updated)
-            note = f"  [{adapted} stream(s) adapted]" if adapted else ""
-            print(f"  round {fleet.rounds:3d}: {len(events):2d} stream(s), "
-                  f"mean score {mean:.3f}{note}")
-        elapsed = time.perf_counter() - t0
-        batches_run = fleet.batcher_stats()["batches_run"]
-        print(f"[fleet] served {total_windows} windows over {fleet.rounds} "
-              f"round(s) in {elapsed:.2f}s "
-              f"({total_windows / max(elapsed, 1e-9):.1f} windows/s, "
-              f"{batches_run} batched forward(s)"
-              + (f" across {args.shards} shard(s)" if sharded else "") + ")")
-        if args.save:
-            fleet.save(args.save)
-            print(f"[fleet] checkpointed fleet to {args.save}")
-    finally:
-        fleet.close()
+    t0 = time.perf_counter()
+    total_windows = 0
+    for events in fleet.serve(max_rounds=args.rounds):
+        total_windows += sum(e.scores.size for e in events)
+        mean = sum(float(e.scores.mean()) for e in events) / len(events)
+        adapted = sum(1 for e in events
+                      if e.log is not None and e.log.updated)
+        note = f"  [{adapted} stream(s) adapted]" if adapted else ""
+        print(f"  round {fleet.rounds:3d}: {len(events):2d} stream(s), "
+              f"mean score {mean:.3f}{note}")
+    elapsed = time.perf_counter() - t0
+    batches_run = fleet.batcher_stats()["batches_run"]
+    print(f"[fleet] served {total_windows} windows over {fleet.rounds} "
+          f"round(s) in {elapsed:.2f}s "
+          f"({total_windows / max(elapsed, 1e-9):.1f} windows/s, "
+          f"{batches_run} batched forward(s))")
+    if args.save:
+        fleet.save(args.save)
+        print(f"[fleet] checkpointed fleet to {args.save}")
     return 0
 
 
@@ -219,13 +210,9 @@ def cmd_gateway(args) -> int:
     import asyncio
 
     from .gateway import GatewayServer
-    if args.shards < 1:
-        raise SystemExit("error: --shards must be >= 1")
     pipeline = _pipeline(args)
-    sharded = args.shards > 1
     print(f"[gateway] building {args.streams} stream(s) over missions "
-          f"{args.missions} (adaptive={args.adaptive}"
-          + (f", shards={args.shards}" if sharded else "") + ")")
+          f"{args.missions} (adaptive={args.adaptive})")
     fleet = _build_fleet(args, pipeline)
     wal_kwargs = {}
     if args.wal_dir:
@@ -251,7 +238,6 @@ def cmd_gateway(args) -> int:
                                pipeline=args.pipeline_rounds,
                                **wal_kwargs, **trace_kwargs)
     except DurabilityError as exc:
-        fleet.close()
         raise SystemExit(f"error: {exc}")
 
     async def main() -> None:
@@ -279,8 +265,6 @@ def cmd_gateway(args) -> int:
         print("[gateway] drained and stopped")
     except KeyboardInterrupt:
         print("\n[gateway] interrupted; shutting down")
-    finally:
-        fleet.close()
     return 0
 
 
@@ -294,30 +278,22 @@ def cmd_recover(args) -> int:
         fleet, report = recover_fleet(args.wal_dir)
     except DurabilityError as exc:
         raise SystemExit(f"error: {exc}")
-    try:
-        print(f"[recover] {report.summary()}")
-        print(f"[recover] fleet: {len(fleet)} stream(s) "
-              f"({', '.join(fleet.names)}), {fleet.rounds} round(s) served")
-        if args.verify:
-            # Recovery is deterministic: a second replay must land on the
-            # bit-identical fleet checkpoint — the cheap self-check that
-            # catches a non-reproducible replay before anyone trusts it.
-            twin, _ = recover_fleet(args.wal_dir)
-            try:
-                identical = (encode_payload(fleet.to_dict())
-                             == encode_payload(twin.to_dict()))
-            finally:
-                twin.close()
-            if not identical:
-                print("[recover] FAIL: two replays of the same WAL "
-                      "produced different fleet state")
-                return 1
-            print("[recover] verified: double replay is bit-identical")
-        if args.save:
-            fleet.save(args.save)
-            print(f"[recover] checkpointed recovered fleet to {args.save}")
-    finally:
-        fleet.close()
+    print(f"[recover] {report.summary()}")
+    print(f"[recover] fleet: {len(fleet)} stream(s) "
+          f"({', '.join(fleet.names)}), {fleet.rounds} round(s) served")
+    if args.verify:
+        # Recovery is deterministic: a second replay must land on the
+        # bit-identical fleet checkpoint — the cheap self-check that
+        # catches a non-reproducible replay before anyone trusts it.
+        twin, _ = recover_fleet(args.wal_dir)
+        if encode_payload(fleet.to_dict()) != encode_payload(twin.to_dict()):
+            print("[recover] FAIL: two replays of the same WAL "
+                  "produced different fleet state")
+            return 1
+        print("[recover] verified: double replay is bit-identical")
+    if args.save:
+        fleet.save(args.save)
+        print(f"[recover] checkpointed recovered fleet to {args.save}")
     return 0
 
 
@@ -467,8 +443,7 @@ def cmd_stats(args) -> int:
           f"{reply.get('server_version', '?')}, up "
           f"{reply.get('uptime_seconds', 0.0):.1f}s")
     queued = engine.get("queued") or {}
-    print(f"  engine: backend {engine.get('backend', '?')}, "
-          f"{engine.get('rounds', 0)} round(s), "
+    print(f"  engine: {engine.get('rounds', 0)} round(s), "
           f"{sum(queued.values())} queued request(s) across "
           f"{len(queued)} stream(s)")
     if "rss_peak_mb" in engine:
@@ -480,10 +455,6 @@ def cmd_stats(args) -> int:
               f"{coalesce['batches_run']} forward(s)); holds "
               f"{coalesce.get('weight_sets', '?')} weight set(s), "
               f"{coalesce.get('token_states', '?')} token state(s)")
-    transport = engine.get("transport")
-    if transport:
-        print("  transport: " + ", ".join(
-            f"{key}={value}" for key, value in sorted(transport.items())))
     pipeline = engine.get("pipeline")
     if pipeline:
         print("  pipeline: " + ", ".join(
@@ -584,10 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adaptive", action="store_true",
                    help="continuously adapting deployments (own KG state; "
                         "default: static shared scoring models)")
-    p.add_argument("--shards", type=int, default=1,
-                   help="partition the fleet into N in-process shards, "
-                        "run on threads when the process may use two or "
-                        "more CPUs (default 1: one fleet)")
     p.add_argument("--max-batch-windows", type=int, default=None,
                    help="cap windows per coalesced forward")
     p.add_argument("--save", metavar="PATH", default=None,
@@ -608,10 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="base stream seed; stream i uses seed+i (default 100)")
     p.add_argument("--adaptive", action="store_true",
                    help="continuously adapting deployments (own KG state)")
-    p.add_argument("--shards", type=int, default=1,
-                   help="partition the fleet into N in-process shards, "
-                        "run on threads when the process may use two or "
-                        "more CPUs")
     p.add_argument("--max-batch-windows", type=int, default=None,
                    help="cap windows per coalesced forward")
     p.add_argument("--host", default="127.0.0.1",
@@ -647,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "the serial commit-in-round loop")
     p.add_argument("--trace-dir", metavar="PATH", default=None,
                    help="trace every request end to end (gateway, engine, "
-                        "shard, WAL spans) and export trace.jsonl + a "
+                        "WAL spans) and export trace.jsonl + a "
                         "Chrome-loadable trace_chrome.json here on drain")
     p.add_argument("--slow-round-ms", type=float, default=None,
                    help="count rounds slower than this many ms (the "

@@ -1,8 +1,8 @@
 """Typed exception hierarchy shared across the serving stack.
 
-Production callers need to branch on *what* failed — a shard that
-cannot be built needs its registry fixed, a corrupt log segment needs
-recovery — which bare ``RuntimeError`` strings cannot support.
+Production callers need to branch on *what* failed — a refused window
+needs the client fixed, a corrupt log segment needs recovery — which
+bare ``RuntimeError`` strings cannot support.
 The hierarchy lives at the top of the dependency graph (stdlib only)
 so every layer can raise typed errors without importing a sibling:
 
@@ -17,16 +17,6 @@ so every layer can raise typed errors without importing a sibling:
 ``RecoveryError``
     Replay cannot rebuild a fleet (no snapshot record, unknown record
     kinds, a replayed ingest that fails to score).
-``FleetError``
-    Sharded fleet serving (:class:`~repro.serving.ShardedFleet`).
-``WorkerError``
-    A shard failed; carries ``shard`` when a single shard is
-    attributable.  Raised as its one subclass:
-``WorkerStartupError``
-    A shard could not be built at its first request (a missing or
-    unreadable registry artifact, a bad checkpoint payload, an
-    embedding-fingerprint mismatch) — retrying the command cannot help.
-
 ``ConfigError``
     A constructor or entry point was handed invalid parameters (bad
     sizes, unknown names, malformed options) — the call can never
@@ -46,9 +36,9 @@ so every layer can raise typed errors without importing a sibling:
     A request refused at the serving engine's queue door (typed ``code``).
 
 Every concrete class also subclasses the builtin its call sites
-historically raised — ``DurabilityError``, ``FleetError``, and
-``StateError`` are ``RuntimeError``; ``ConfigError``,
-``WindowShapeError``, and ``CheckpointError`` are ``ValueError``;
+historically raised — ``DurabilityError`` and ``StateError`` are
+``RuntimeError``; ``ConfigError``, ``WindowShapeError``, and
+``CheckpointError`` are ``ValueError``;
 ``MissingExtraError`` is ``ImportError`` — so code (and tests) written
 against the bare builtins keep working; new code should catch the typed
 classes.  The **typed-raise** rule of ``repro lint`` enforces that
@@ -59,8 +49,7 @@ bare builtins.
 from __future__ import annotations
 
 __all__ = ["ReproError", "DurabilityError", "WalCorruptionError",
-           "RecoveryError", "FleetError", "WorkerError",
-           "WorkerStartupError", "ConfigError", "WindowShapeError",
+           "RecoveryError", "ConfigError", "WindowShapeError",
            "NonFiniteError", "StateError", "CheckpointError",
            "MissingExtraError", "AdmissionError"]
 
@@ -80,27 +69,6 @@ class WalCorruptionError(DurabilityError):
 
 class RecoveryError(DurabilityError):
     """Replay could not rebuild a fleet from snapshot + log suffix."""
-
-
-class FleetError(ReproError, RuntimeError):
-    """Sharded fleet serving failed."""
-
-
-class WorkerError(FleetError):
-    """A shard failed.
-
-    ``shard`` is the failing shard's index (the first one, when several
-    failed), else ``None``.
-    """
-
-    def __init__(self, message: str, shard: int | None = None):
-        super().__init__(message)
-        self.shard = shard
-
-
-class WorkerStartupError(WorkerError):
-    """A shard could not be built at the first request that needed it;
-    that command, and every later one, cannot succeed by retrying."""
 
 
 class ConfigError(ReproError, ValueError):

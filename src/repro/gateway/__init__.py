@@ -1,10 +1,9 @@
 """Network serving gateway: a deployment fleet behind a TCP socket.
 
 The in-process serving stack — ``Deployment`` → ``DeploymentFleet``
-(micro-batched) → ``ShardedFleet`` (in-process shards, threaded when the
-process has CPUs for it) — is driven by the caller's own loop.  This
-package is the ingestion front door a production stack hangs off it,
-stdlib + numpy only:
+(micro-batched) — is driven by the caller's own loop.  This package is
+the ingestion front door a production stack hangs off it, stdlib +
+numpy only:
 
 :mod:`~repro.gateway.protocol`
     Wire format, protocol v2 — length-prefixed JSON frames and binary
@@ -12,12 +11,11 @@ stdlib + numpy only:
     frame — with ops for ``ingest``, ``scores``, ``attach``/``detach``,
     ``stats`` and ``shutdown``, plus typed error frames.
 :class:`GatewayServer`
-    Asyncio TCP server fronting a :class:`~repro.serving.DeploymentFleet`
-    or :class:`~repro.serving.ShardedFleet`: concurrently arriving
-    windows coalesce into micro-batched fleet rounds (scores
-    bit-identical to a direct ``fleet.step()``), bounded per-stream
-    queues reject overload with ``backpressure`` frames, and shutdown
-    drains gracefully.
+    Asyncio TCP server fronting a :class:`~repro.serving.DeploymentFleet`:
+    concurrently arriving windows coalesce into micro-batched fleet
+    rounds (scores bit-identical to a direct ``fleet.step()``), bounded
+    per-stream queues reject overload with ``backpressure`` frames, and
+    shutdown drains gracefully.
 :class:`GatewayClient` / :class:`LoadGenerator`
     Blocking client SDK (binary frames only) and a multi-connection load
     generator (closed-loop, or open-loop at a target request rate).

@@ -33,9 +33,8 @@ N+1, and acks resolve from the committer once their covering fsync
 returns — same ack-after-fsync guarantee, shorter critical path
 (``pipeline=False`` restores the serial loop).
 
-The server fronts a :class:`~repro.serving.DeploymentFleet` or a
-:class:`~repro.serving.ShardedFleet` interchangeably — both are facades
-over the engine, so the gateway never branches on fleet type.
+The server fronts a :class:`~repro.serving.DeploymentFleet` — a facade
+over the engine, so the gateway talks to the engine, not the fleet.
 :func:`serve_in_thread` runs the event loop in a daemon thread for
 blocking callers — tests and examples driving a server in the same
 process.
@@ -154,7 +153,7 @@ class GatewayServer:
         if engine is None:
             raise TypeError(
                 f"{type(fleet).__name__} exposes no serving engine; the "
-                "gateway fronts DeploymentFleet/ShardedFleet facades over "
+                "gateway fronts a DeploymentFleet, a facade over "
                 "repro.runtime.ServingEngine")
         self.fleet = fleet
         self.engine = engine
@@ -585,7 +584,7 @@ class GatewayServer:
                         attached=sorted(conn.attached))
 
     def _stats(self, echo_id) -> dict:
-        engine = self.engine.stats(concurrent=True)
+        engine = self.engine.stats()
         return ok_frame(
             echo_id,
             metrics=self.metrics.to_dict(),

@@ -1,8 +1,8 @@
 """Serving metrics: counters, gauges, latency histograms, one registry.
 
-Every serving layer — the :class:`~repro.serving.DeploymentFleet`, its
-sharded twin :class:`~repro.serving.ShardedFleet`, the asyncio
-:class:`~repro.gateway.GatewayServer`, and the benchmark harnesses — needs
+Every serving layer — the :class:`~repro.serving.DeploymentFleet`, the
+asyncio :class:`~repro.gateway.GatewayServer`, and the benchmark
+harnesses — needs
 the same three primitives: monotonic counters, point-in-time gauges, and
 latency distributions summarized as p50/p95/p99.  They live here once
 (stdlib + numpy only), at the top of the dependency graph, so the

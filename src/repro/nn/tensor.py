@@ -73,8 +73,9 @@ __all__ = ["Tensor", "no_grad", "is_grad_enabled", "as_tensor",
 
 
 class _GradMode(threading.local):
-    """Whether ops record the tape, per thread: a sharded fleet's shards
-    score under ``no_grad`` on one thread while another adapts."""
+    """Whether ops record the tape, per thread: ``no_grad`` on one thread
+    (a scoring forward) never switches the tape off for another (an
+    adaptation step running beside it)."""
 
     enabled = True
 

@@ -16,16 +16,14 @@ span name          layer    meaning
 client.request     client   one GatewayClient ingest/scores round trip
 gateway.request    gateway  server-side handling of one request
 queue.wait         engine   admission-queue residency of one request
-stage.score        engine   the (shard's) scoring that scored the request
-stage.ingest       engine   the (shard's) ingest that applied the request
+stage.score        engine   the scoring that scored the request
+stage.ingest       engine   the ingest that applied the request
 stage.durability   engine   the request's share of the round commit
 engine.round       engine   one round, schedule → handoff (own trace)
 engine.schedule    engine   dequeuing each stream's front request
-engine.score       engine   the round's scoring (envelope over shards)
-engine.ingest      engine   the round's ingest (envelope over shards)
+engine.score       engine   the round's scoring (envelope over retries)
+engine.ingest      engine   the round's ingest (envelope over retries)
 engine.durability  engine   handoff → the round's commit fsync
-shard.score        shard    a shard's scoring inside ``serve_round``
-shard.ingest       shard    a shard's ingest inside ``serve_round``
 wal.fsync          wal      one group-commit fsync
 ================== ======== ===========================================
 """

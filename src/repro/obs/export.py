@@ -91,13 +91,13 @@ def chrome_trace(spans: Iterable[Span | Mapping[str, Any]]) \
             "ph": "X",
             "ts": record["ts"] * 1e6,
             "dur": max(record["dur"], 0.0) * 1e6,
-            "pid": int(attrs.get("pid", 0)),
+            "pid": 0,
             "tid": _chrome_tid(record["trace_id"]),
             "args": {
                 "trace_id": record["trace_id"],
                 "span_id": record["span_id"],
                 "parent_id": record["parent_id"],
-                **{k: v for k, v in attrs.items() if k != "pid"},
+                **attrs,
             },
         })
     events.sort(key=lambda event: event["ts"])

@@ -100,9 +100,7 @@ def render_tree(group: Sequence[Mapping[str, Any]]) -> str:
 
     def walk(span: Mapping[str, Any], depth: int) -> None:
         attrs = span.get("attrs") or {}
-        noise = {"pid"}
-        detail = " ".join(f"{key}={attrs[key]}" for key in sorted(attrs)
-                          if key not in noise)
+        detail = " ".join(f"{key}={attrs[key]}" for key in sorted(attrs))
         lines.append(f"{'  ' * depth}{span['name']:<22} "
                      f"{span['dur'] * 1e3:9.3f} ms"
                      + (f"  [{detail}]" if detail else ""))

@@ -1,7 +1,7 @@
 """Trace contexts, spans, and the bounded in-process recorder.
 
 A *trace* is the story of one request (or one engine round) as it moves
-client → gateway → engine → shard → WAL.  Each stage contributes
+client → gateway → engine → WAL.  Each stage contributes
 a :class:`Span` — a named interval with a wall-clock start and a
 monotonic-measured duration — linked to its parent by ``parent_id``.
 

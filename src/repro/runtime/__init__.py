@@ -1,9 +1,8 @@
 """The unified serving core: one engine over a fleet.
 
-Every serving layer in this repo — the
-:class:`~repro.serving.DeploymentFleet`, its sharded twin
-:class:`~repro.serving.ShardedFleet`, and the network
-:class:`~repro.gateway.GatewayServer` — is a facade over one
+Both serving layers in this repo — the
+:class:`~repro.serving.DeploymentFleet` and the network
+:class:`~repro.gateway.GatewayServer` — are facades over one
 :class:`ServingEngine`, which owns the canonical round loop (gather →
 schedule → micro-batch score → ingest → emit :class:`FleetEvent`s) and
 instruments it through one :class:`repro.metrics.MetricsRegistry`:
@@ -20,13 +19,10 @@ instruments it through one :class:`repro.metrics.MetricsRegistry`:
     serving.
 
 The fleet the engine serves is where the compute runs: a
-``DeploymentFleet`` scores on the caller's thread (micro-batched
-coalescing), a ``ShardedFleet`` scatters the same wave across its
-in-process shard fleets, on a thread pool when the process may run on
-two or more CPUs.  Stage timings ride every wave
+``DeploymentFleet`` scores each wave on the caller's thread
+(micro-batched coalescing).  Stage timings ride every wave
 (:mod:`repro.runtime.timeline`), so ``engine.stage.*`` histograms fill
-with or without a tracer.  Both fleets serve bit-identical per-stream
-scores — locked down by the fleet-class parity tests.
+with or without a tracer.
 """
 
 from .engine import (

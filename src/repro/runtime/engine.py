@@ -1,12 +1,10 @@
 """The serving engine over a fleet: one round loop for every serving layer.
 
-Three serving layers — the
-:class:`~repro.serving.DeploymentFleet`, its sharded twin
-:class:`~repro.serving.ShardedFleet`, and the network
-:class:`~repro.gateway.GatewayServer` — share one round shape: gather
-pending arrivals, pick this round's work, micro-batch score it, dispatch
-the score slices into each deployment's monitor, and report what
-happened.  :class:`ServingEngine` owns that loop once, over the fleet it
+Both serving layers — the :class:`~repro.serving.DeploymentFleet` and
+the network :class:`~repro.gateway.GatewayServer` — share one round
+shape: gather pending arrivals, pick this round's work, micro-batch
+score it, dispatch the score slices into each deployment's monitor, and
+report what happened.  :class:`ServingEngine` owns that loop once, over the fleet it
 serves:
 
 * **gather** — either pulled from the fleet's own streams (:meth:`step`)
@@ -15,9 +13,9 @@ serves:
   per-stream queue, streams in first-arrival order (:meth:`run_round`);
 * **serve** — every round, lock-step or queued, is one
   ``fleet.serve_round`` wave: the fleet scores it coalesced
-  (micro-batching, or one scatter across in-process shards) and its
-  deployments ingest their precomputed score slices, with per-entry
-  isolation when a coalesced forward or one stream's ingest fails;
+  (micro-batching) and its deployments ingest their precomputed score
+  slices, with per-entry isolation when a coalesced forward or one
+  stream's ingest fails;
 * **commit** — one commit routine (durability records, group-commit
   fsync) runs inline or on the committer thread;
 * **emit** — :class:`FleetEvent`/:class:`RoundResult` objects for the
@@ -25,9 +23,9 @@ serves:
   :class:`repro.metrics.MetricsRegistry`, and — from the same stamps,
   only when a recorder is attached — the round's trace spans.
 
-Scores are bit-identical across fleet classes: scoring is stateless and
-batch-composition-independent (see :mod:`repro.serving.batcher`), and
-the engine serves each stream's queue strictly FIFO, so every stream
+Scores are bit-identical however requests arrive: scoring is stateless
+and batch-composition-independent (see :mod:`repro.serving.batcher`),
+and the engine serves each stream's queue strictly FIFO, so every stream
 sees the exact ingest sequence a plain ``DeploymentFleet.step()`` run
 would produce.
 """
@@ -153,11 +151,11 @@ class _CommitBatch:
 
 
 class ServingEngine:
-    """Drives rounds over a fleet (a :class:`~repro.serving.DeploymentFleet`
-    or :class:`~repro.serving.ShardedFleet`), looking up at every call —
-    so a method wrapped on the instance is honoured — its ``serve_round``
-    (every wave), ``score``/``ingest`` (per-entry isolation), ``pull``
-    (:meth:`step`) and its stats attributes (:meth:`stats`).
+    """Drives rounds over a fleet (a :class:`~repro.serving.DeploymentFleet`),
+    looking up at every call — so a method wrapped on the instance is
+    honoured — its ``serve_round`` (every wave), ``score``/``ingest``
+    (per-entry isolation), ``pull`` (:meth:`step`) and its
+    ``batcher_stats`` (:meth:`stats`).
 
     Thread-safety: the admission queue (:meth:`submit` /
     :meth:`run_round` / :meth:`drop_pending`) is lock-protected, so an
@@ -697,8 +695,8 @@ class ServingEngine:
         changes, e.g. NaN windows) is its ``bad_request``, anything else
         its ``internal``, and the streams that did ingest keep their
         events.  A *raised* ``serve_round`` is indeterminate for ingest
-        — some shards may have applied their slice before another raised
-        — so ingest requests get a typed ``internal`` error, while
+        — some streams may have applied their slice before it raised —
+        so ingest requests get a typed ``internal`` error, while
         stateless ``scores`` requests are retried solo.
         """
         by_stream = {request.stream: request for request in wave}
@@ -777,24 +775,18 @@ class ServingEngine:
     def _update_queue_gauge(self) -> None:  # repro: lock-held
         self.metrics.gauge("engine.queue_depth").set(self._queued)
 
-    def stats(self, concurrent: bool = False) -> dict:
+    def stats(self) -> dict:
         """Engine-level summary for the ``stats`` op and the benchmark
-        payloads: the fleet's backend name (``"inline"``/``"sharded"``),
-        rounds, queue depths, the process's peak resident set
+        payloads: rounds, queue depths, the process's peak resident set
         (``rss_peak_mb``, its ``VmHWM``), and the fleet's coalescing
-        counters (windows per forward).
-
-        With ``concurrent=True`` (a caller on a different thread than
-        the round runner, e.g. the gateway's ``stats`` op) fleets whose
-        counters aren't safe to read mid-round — a sharded fleet's first
-        read builds its shards — are skipped instead of queried.
-        """
+        counters (windows per forward).  Safe from a thread other than
+        the round runner's (the gateway's ``stats`` op): the fleet's
+        counters are plain attribute reads."""
         # The root package only defines metadata (no subpackage imports),
         # so this upward import cannot cycle; deferred anyway so the
         # engine module stays importable mid-bootstrap.
         from .. import __version__
         out = {
-            "backend": self.fleet.backend,
             "rounds": self.rounds,
             "queued": self.queued_depths(),
             "version": __version__,
@@ -803,12 +795,6 @@ class ServingEngine:
             "rss_peak_mb": resource.getrusage(
                 resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         }
-        # Transport counters (shards, pool threads, fused waves) are
-        # plain attribute reads — safe from any thread, so they're
-        # reported even on concurrent snapshots.
-        transport = self.fleet.transport_stats()
-        if transport:
-            out["transport"] = transport
         if self.pipeline:
             with self._lock:
                 backlog = self._commit_backlog_locked()
@@ -820,15 +806,11 @@ class ServingEngine:
                 "commit_batches": int(
                     self.metrics.counter("engine.commit_batches").value),
             }
-        if concurrent and not self.fleet.concurrent_safe_stats:
-            return out
         batch = self.fleet.batcher_stats()
-        if batch:
-            forwards = int(batch.get("batches_run", 0))
-            scored = int(batch.get("windows_scored", 0))
-            out["coalesce"] = {
-                **batch,
-                "windows_per_forward": (scored / forwards) if forwards
-                else 0.0,
-            }
+        forwards = batch["batches_run"]
+        out["coalesce"] = {
+            **batch,
+            "windows_per_forward": batch["windows_scored"] / forwards
+            if forwards else 0.0,
+        }
         return out

@@ -36,8 +36,8 @@ def stage_timing(timings: list[dict], stage: str, streams: list[str]):
 
 def stage_envelopes(timings: list[dict]) -> dict[str, tuple]:
     """``{stage: (ts, dur, entries)}`` — each stage's wall envelope over
-    a wave's timing entries (one entry inline; one per shard, plus any
-    isolation retries, otherwise)."""
+    a wave's timing entries (the wave's own, plus any isolation
+    retries)."""
     by_stage: dict[str, list[dict]] = {}
     for entry in timings:
         by_stage.setdefault(entry["stage"], []).append(entry)
@@ -113,9 +113,7 @@ class RoundTimeline:
     def _emit_spans(self, results: list, durable: bool,
                     envelopes: dict[str, tuple]) -> None:
         """The one place engine spans come from.  Each stage's envelope
-        becomes ``engine.score``/``engine.ingest``; an
-        entry stamped in a shard also becomes a ``shard.*`` child;
-        each traced request gets a ``stage.*`` echo of the entry that
+        becomes ``engine.score``/``engine.ingest``; each traced request gets a ``stage.*`` echo of the entry that
         produced *its* result, under its own context — including a
         ``stage.durability`` echo even without a WAL (~0 duration), so
         every request's stage chain is complete for the trace checker."""
@@ -138,23 +136,14 @@ class RoundTimeline:
                 span("queue.wait", request.trace, dequeued - wait, wait,
                      stream=request.stream, round=index)
         for stage, (ts, dur, entries) in envelopes.items():
-            stage_span = span(
-                f"engine.{stage}", ctx, ts, dur,
-                streams=len({name for entry in entries
-                             for name in entry["streams"]}))
-            echoes: dict[str, dict] = {}
-            for entry in entries:
-                if "shard" in entry:
-                    span(f"shard.{stage}", stage_span.context,
-                         entry["ts"], entry["dur"], shard=entry["shard"],
-                         pid=entry["pid"], streams=len(entry["streams"]))
-                echoes.update((name, entry) for name in entry["streams"]
-                              if name in traced)
+            span(f"engine.{stage}", ctx, ts, dur,
+                 streams=len({name for entry in entries
+                              for name in entry["streams"]}))
+            echoes = {name: entry for entry in entries
+                      for name in entry["streams"] if name in traced}
             for name, entry in echoes.items():
-                shard = {"shard": entry["shard"]} \
-                    if "shard" in entry else {}
                 span(f"stage.{stage}", traced[name], entry["ts"],
-                     entry["dur"], stream=name, **shard)
+                     entry["dur"], stream=name)
         handed_off = self.wall + self.compute_seconds
         committed = self.fsync_ended - self.handed_off
         span("engine.durability", ctx, handed_off, committed,

@@ -1,4 +1,4 @@
-"""Multi-stream serving: deployment fleets, micro-batching, sharding.
+"""Multi-stream serving: deployment fleets and micro-batching.
 
 The paper's runtime is one camera, one stream, one model.  This package
 is the production layer above it:
@@ -10,28 +10,22 @@ is the production layer above it:
     Owns N concurrent :class:`~repro.api.Deployment` streams (mixed
     missions, mid-run attach/detach), serves them in batched lock-step
     rounds, and checkpoints the whole fleet to one file.
-:class:`ShardedFleet`
-    Partitions a fleet into in-process shards (round-robin by attach
-    order, one micro-batcher and one copy of its missions' weights per
-    shard), runs a round's shards on threads when the process has CPUs
-    for them, and merges per-round events back in stable stream order —
-    scores bit-identical to one batched fleet.
+:class:`FleetInfra`
+    The seeds and generator hyperparameters that rebuild a checkpointed
+    fleet's shared embedding model and frame generator (WAL snapshots
+    store one).
 
-Both fleet classes are what the unified serving core serves over: the
-round loop (and its metrics) lives in
-:class:`repro.runtime.ServingEngine`, and every round it runs is one
-``serve_round`` wave of the fleet's — coalesced on the caller's thread
-(``DeploymentFleet``) or scattered across the shard fleets
-(``ShardedFleet``); the fleets own stream state and checkpointing.
+The fleet is what the unified serving core serves over: the round loop
+(and its metrics) lives in :class:`repro.runtime.ServingEngine`, and
+every round it runs is one ``serve_round`` wave of the fleet's, coalesced
+on the caller's thread; the fleet owns stream state and checkpointing.
 :class:`RingBuffer` and its framing are used by no fleet; the benchmark
 still imports them.
 """
 
-from ..errors import FleetError, WorkerError, WorkerStartupError
 from .batcher import MicroBatcher, ScoreRequest
-from .fleet import DeploymentFleet, FleetEvent, StreamSlot, build_fleet
-from .sharded import (FleetInfra, ShardedFleet, build_sharded_fleet,
-                      partition_fleet_payload)
+from .fleet import (DeploymentFleet, FleetEvent, FleetInfra, StreamSlot,
+                    build_fleet, build_sharded_fleet)
 from .shm_ring import (DEFAULT_RING_BYTES, RingBuffer, RingError,
                        dumps_message, loads_message)
 
@@ -40,18 +34,13 @@ __all__ = [
     "ScoreRequest",
     "DeploymentFleet",
     "FleetEvent",
+    "FleetInfra",
     "StreamSlot",
     "build_fleet",
-    "FleetInfra",
-    "ShardedFleet",
     "build_sharded_fleet",
-    "partition_fleet_payload",
     "RingBuffer",
     "RingError",
     "DEFAULT_RING_BYTES",
     "dumps_message",
     "loads_message",
-    "FleetError",
-    "WorkerError",
-    "WorkerStartupError",
 ]

@@ -12,7 +12,7 @@ deployment's monitor/controller.
 
 Streams can be attached and detached mid-run, and a whole fleet —
 deployments, adaptation state, stream positions — checkpoints to a single
-JSON file that stores what slots share (weights, anchors, models) once.
+file that stores what slots share (weights, anchors, models) once.
 
 The fleet owns stream *state* (slots, batcher, checkpoints) and the one
 wave its rounds run (:meth:`DeploymentFleet.serve_round`: coalesced
@@ -23,6 +23,7 @@ fleet (``FleetEvent`` lives there too and is re-exported here).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import cycle
 from pathlib import Path
 
@@ -31,6 +32,7 @@ import numpy as np
 from ..api.config import config_from_dict, config_to_dict
 from ..api.deployment import Deployment
 from ..data.streams import TrendShiftConfig, TrendShiftStream
+from ..data.synthetic import FrameGenerator
 from ..runtime.engine import FleetEvent, ServingEngine
 from ..runtime.timeline import stage_timing
 from ..gnn.checkpoint import deployment_from_dict, deployment_to_dict
@@ -38,10 +40,65 @@ from ..utils import binframe
 from .batcher import MicroBatcher, ScoreRequest
 from ..errors import CheckpointError, ConfigError, WindowShapeError
 
-__all__ = ["FLEET_FORMAT_VERSION", "FleetEvent", "StreamSlot",
-           "DeploymentFleet", "build_fleet"]
+__all__ = ["FLEET_FORMAT_VERSION", "FleetEvent", "FleetInfra", "StreamSlot",
+           "DeploymentFleet", "build_fleet", "build_sharded_fleet"]
 
 FLEET_FORMAT_VERSION = 4  # arrays are raw float64 buffers, not base64 text
+
+#: FrameGenerator hyperparameters that shape generated frames; they must
+#: match between a fleet's streams and the generator its checkpoint is
+#: rebuilt over, or restored scores silently diverge.
+_GENERATOR_PARAMS = ("anchor_weight", "normal_anchor_weight",
+                     "concept_weight", "concepts_per_frame",
+                     "semantic_noise", "sensor_noise")
+
+
+@dataclass(frozen=True)
+class FleetInfra:
+    """Seeds + hyperparameters from which a fleet checkpoint's shared
+    infrastructure is rebuilt (a WAL snapshot stores one beside its
+    fleet payload).
+
+    The joint embedding model and the synthetic frame generator are
+    infrastructure shipped once, not per deployment (see
+    :meth:`Deployment.load`); a snapshot stores them as the seeds that
+    rebuild them deterministically.  ``generator_params`` carries the
+    :class:`~repro.data.FrameGenerator` hyperparameters (which shape the
+    frames streams emit); stream *contents* do not depend on the
+    generator's own seed, so that one is carried for fidelity, not
+    determinism.
+    """
+
+    embedding_seed: int
+    generator_seed: int
+    generator_params: dict
+
+    @classmethod
+    def from_generator(cls, embedding_seed: int,
+                       generator: FrameGenerator) -> "FleetInfra":
+        return cls(embedding_seed=embedding_seed,
+                   generator_seed=generator.seed,
+                   generator_params={name: getattr(generator, name)
+                                     for name in _GENERATOR_PARAMS})
+
+    def build(self):
+        """(embedding_model, frame_generator)."""
+        from ..embedding.joint_space import build_default_embedding_model
+        embedding = build_default_embedding_model(seed=self.embedding_seed)
+        return embedding, FrameGenerator(embedding, seed=self.generator_seed,
+                                         **self.generator_params)
+
+    def to_payload(self) -> dict:
+        return {"embedding_seed": self.embedding_seed,
+                "generator_seed": self.generator_seed,
+                "generator_params": dict(self.generator_params)}
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "FleetInfra":
+        return cls(embedding_seed=int(payload["embedding_seed"]),
+                   generator_seed=int(payload["generator_seed"]),
+                   generator_params=dict(payload.get("generator_params")
+                                         or {}))
 
 
 class StreamSlot:
@@ -88,96 +145,16 @@ class StreamSlot:
         return batch
 
 
-class _FleetFacade:
-    """The serving surface :class:`DeploymentFleet` and
-    :class:`~repro.serving.ShardedFleet` share: a facade over ``engine``,
-    a :class:`~repro.runtime.ServingEngine` that owns the round loop and
-    its metrics, so callers (GatewayServer, examples) drive either
-    uniformly."""
-
-    #: Whether :meth:`batcher_stats` may be called from a thread other
-    #: than the round runner's (``engine.stats(concurrent=True)``).
-    concurrent_safe_stats = True
-
-    @property
-    def rounds(self) -> int:
-        """Serving rounds run so far (counted by the engine)."""
-        return self.engine.rounds
-
-    @rounds.setter
-    def rounds(self, value: int) -> None:
-        self.engine.rounds = int(value)
-
-    # ------------------------------------------------------------------
-    # Serving
-    # ------------------------------------------------------------------
-    def step(self) -> list[FleetEvent]:
-        """One serving round over every live stream: all pending windows
-        are scored through the micro-batcher — one coalesced forward per
-        distinct scoring model — and each deployment ingests its
-        precomputed score slice, with scores and adaptation decisions
-        bit-identical to each deployment scoring its own windows.
-        """
-        return self.engine.step()
-
-    def serve(self, max_rounds: int | None = None):
-        """Yield per-round event lists until every stream is exhausted
-        (or ``max_rounds`` rounds have run)."""
-        return self.engine.serve(max_rounds=max_rounds)
-
-    def ingest_round(self, arrivals: dict) -> dict[str, FleetEvent]:
-        """One serving round over externally supplied arrival windows.
-
-        ``arrivals`` maps attached stream names to ``(B, T, frame_dim)``
-        window batches — the network gateway's entry point, where windows
-        come over the wire instead of from each slot's own stream.  The
-        round is scored exactly like :meth:`step` (one micro-batched
-        forward per distinct scoring model, each deployment ingesting its
-        precomputed slice), so gateway-served scores are bit-identical to
-        a direct ``step()`` run over the same per-stream window sequence.
-        Slot stream cursors are untouched.
-
-        The forward is score-then-ingest, so a scoring failure (bad
-        shapes, mixed window lengths) raises before any deployment's
-        state is touched; a stream whose ingest fails raises after the
-        other streams have ingested.
-        """
-        return self.engine.ingest_round(arrivals)
-
-    def score_only(self, arrivals: dict) -> dict[str, np.ndarray]:
-        """Score externally supplied windows without feeding any
-        deployment's monitor (the gateway's ``scores`` op); same
-        micro-batched forward as :meth:`ingest_round`."""
-        return self.engine.score_only(arrivals)
-
-    def transport_stats(self) -> dict | None:
-        """How the fleet spreads a round (:class:`ShardedFleet`); ``None``
-        for one fleet."""
-        return None
-
-    def close(self) -> None:
-        """Nothing to release (a :class:`ShardedFleet` stops its pool)."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def save(self, path: str | Path) -> None:
-        binframe.write_file(path, self.to_dict())
-
-
-class DeploymentFleet(_FleetFacade):
+class DeploymentFleet:
     """Batched lock-step serving over many concurrent deployment streams.
 
     The fleet owns the slots and the micro-batcher (state,
     checkpointing) and runs each wave on the caller's thread; its engine
-    owns the round loop and its metrics.
+    (``engine``, a :class:`~repro.runtime.ServingEngine`) owns the round
+    loop and its metrics, and the serving methods below are a facade
+    over it, so callers (GatewayServer, examples) drive the engine
+    through the fleet.
     """
-
-    #: The ``backend`` name ``engine.stats()`` reports.
-    backend = "inline"
 
     def __init__(self, batcher: MicroBatcher | None = None,
                  metrics=None):
@@ -235,6 +212,67 @@ class DeploymentFleet(_FleetFacade):
     @property
     def active_count(self) -> int:
         return sum(not slot.done for slot in self._slots.values())
+
+    @property
+    def rounds(self) -> int:
+        """Serving rounds run so far (counted by the engine)."""
+        return self.engine.rounds
+
+    @rounds.setter
+    def rounds(self, value: int) -> None:
+        self.engine.rounds = int(value)
+
+    def close(self) -> None:
+        """Nothing to release; a served fleet may be closed, or used as a
+        context manager, all the same."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    # ------------------------------------------------------------------
+    # Serving (the engine's round loop)
+    # ------------------------------------------------------------------
+    def step(self) -> list[FleetEvent]:
+        """One serving round over every live stream: all pending windows
+        are scored through the micro-batcher — one coalesced forward per
+        distinct scoring model — and each deployment ingests its
+        precomputed score slice, with scores and adaptation decisions
+        bit-identical to each deployment scoring its own windows.
+        """
+        return self.engine.step()
+
+    def serve(self, max_rounds: int | None = None):
+        """Yield per-round event lists until every stream is exhausted
+        (or ``max_rounds`` rounds have run)."""
+        return self.engine.serve(max_rounds=max_rounds)
+
+    def ingest_round(self, arrivals: dict) -> dict[str, FleetEvent]:
+        """One serving round over externally supplied arrival windows.
+
+        ``arrivals`` maps attached stream names to ``(B, T, frame_dim)``
+        window batches — the network gateway's entry point, where windows
+        come over the wire instead of from each slot's own stream.  The
+        round is scored exactly like :meth:`step` (one micro-batched
+        forward per distinct scoring model, each deployment ingesting its
+        precomputed slice), so gateway-served scores are bit-identical to
+        a direct ``step()`` run over the same per-stream window sequence.
+        Slot stream cursors are untouched.
+
+        The forward is score-then-ingest, so a scoring failure (bad
+        shapes, mixed window lengths) raises before any deployment's
+        state is touched; a stream whose ingest fails raises after the
+        other streams have ingested.
+        """
+        return self.engine.ingest_round(arrivals)
+
+    def score_only(self, arrivals: dict) -> dict[str, np.ndarray]:
+        """Score externally supplied windows without feeding any
+        deployment's monitor (the gateway's ``scores`` op); same
+        micro-batched forward as :meth:`ingest_round`."""
+        return self.engine.score_only(arrivals)
 
     # ------------------------------------------------------------------
     # Waves (what the engine serves with)
@@ -432,6 +470,9 @@ class DeploymentFleet(_FleetFacade):
             slot.done = bool(entry["done"])
         return fleet
 
+    def save(self, path: str | Path) -> None:
+        binframe.write_file(path, self.to_dict())
+
     @classmethod
     def load(cls, path: str | Path, embedding_model,
              generator) -> "DeploymentFleet":
@@ -453,38 +494,32 @@ def build_fleet(pipeline, missions: list[str], streams: int,
     continuous KG adaptation makes each stream's KG tokens diverge.  Either
     way a mission's streams coalesce into one forward per round.
     """
-    fleet = DeploymentFleet(MicroBatcher(max_batch_windows))
-    shared: dict[str, object] = {}
-    for spec in _slot_specs(missions, streams, adaptive, windows_per_step,
-                            stream_seed, stream_overrides):
-        fleet.add(*_build_slot(pipeline, shared, **spec))
-    return fleet
-
-
-def _slot_specs(missions: list[str], streams: int, adaptive: bool,
-                windows_per_step: int, stream_seed: int,
-                stream_overrides: dict) -> list[dict]:
-    """Slot build arguments in attach order (``build_sharded_fleet``
-    deals them to its shards)."""
     if streams < 1:
         raise ConfigError("need at least one stream")
     if not missions:
         raise ConfigError("need at least one mission")
-    return [{"name": f"{mission.lower()}-{index}", "mission": mission,
-             "adaptive": adaptive, "stream": {
-                 "windows_per_step": windows_per_step,
-                 "seed": stream_seed + index, **stream_overrides}}
-            for index, mission in zip(range(streams), cycle(missions))]
+    fleet = DeploymentFleet(MicroBatcher(max_batch_windows))
+    static: dict[str, object] = {}  # mission -> its shared scoring model
+    for index, mission in zip(range(streams), cycle(missions)):
+        if adaptive:
+            deployment = pipeline.deploy(mission)
+        else:
+            if mission not in static:
+                static[mission] = pipeline.train(mission)
+            deployment = Deployment(static[mission], mission=mission,
+                                    adaptive=False)
+        fleet.add(f"{mission.lower()}-{index}", deployment, pipeline.stream(
+            mission, None, **{"windows_per_step": windows_per_step,
+                              "seed": stream_seed + index,
+                              **stream_overrides}))
+    return fleet
 
 
-def _build_slot(pipeline, shared: dict, name: str, mission: str,
-                adaptive: bool, stream: dict) -> tuple:
-    """One slot; a mission's static slots share the model in ``shared``."""
-    if adaptive:
-        deployment = pipeline.deploy(mission)
-    else:
-        if mission not in shared:
-            shared[mission] = pipeline.train(mission)
-        deployment = Deployment(shared[mission], mission=mission,
-                                adaptive=False)
-    return name, deployment, pipeline.stream(mission, None, **stream)
+def build_sharded_fleet(pipeline, missions: list[str], streams: int,
+                        shards: int, **kwargs) -> DeploymentFleet:
+    """:func:`build_fleet`'s fleet; ``shards`` is only checked.  Exists
+    only because perfbench's ``sharded_large`` workload calls it;
+    ROADMAP item 1(a) removes it."""
+    if shards < 1:
+        raise ConfigError("need at least one shard")
+    return build_fleet(pipeline, missions, streams, **kwargs)

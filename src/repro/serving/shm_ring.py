@@ -1,8 +1,9 @@
-"""Shared-memory message buffers for parent<->worker shard traffic.
+"""Shared-memory message buffers for parent<->worker traffic.
 
-Pickling a round's windows and scores through a :mod:`multiprocessing`
-pipe costs two copies and a kernel round-trip per message; at gateway
-rates the pipe becomes the sharded fleet's hot path.  This module moves
+No fleet uses them; perfbench's layer probe still measures a round trip
+through one.  Pickling a round's windows and scores through a
+:mod:`multiprocessing` pipe costs two copies and a kernel round-trip per
+message; at gateway rates the pipe becomes the hot path.  This module moves
 the *payload* bytes into a shared buffer per direction — the pipe stays
 as the control plane (a tiny ``("shm", length)`` doorbell per message,
 plus error/"stop" signaling and the happens-before edge that makes the
@@ -14,7 +15,7 @@ the worker inherits the descriptor, so no name ever exists — nothing to
 unlink, and a killed process tree frees the memory with its last
 descriptor.
 
-One message at a time: the sharded fleet keeps at most one message in
+One message at a time: a caller keeps at most one message in
 flight per direction (send, then receive), so a message always lands at
 offset 0 and the pages a buffer ever touches are those of its largest
 message.  Layout: an 8-byte little-endian u64 holding the unread
@@ -43,7 +44,7 @@ from ..errors import ConfigError
 __all__ = ["RingBuffer", "RingError", "dumps_message", "loads_message",
            "DEFAULT_RING_BYTES"]
 
-#: Per-direction buffer capacity the sharded fleet maps.  Big enough for
+#: Per-direction buffer capacity.  Big enough for
 #: a round's windows at benchmark batch sizes; anything larger falls
 #: back to the pipe (counted, not failed).  Untouched pages cost nothing.
 DEFAULT_RING_BYTES = 4 * 1024 * 1024

@@ -45,20 +45,15 @@ __all__ = ["WalDurability", "infra_for_fleet"]
 
 def infra_for_fleet(fleet):
     """The :class:`~repro.serving.FleetInfra` that rebuilds ``fleet``'s
-    shared infrastructure in a fresh process: a sharded fleet carries
-    its own, a plain fleet derives one from its first slot's stream
-    generator (the same rule :meth:`ShardedFleet.from_fleet` uses)."""
+    shared infrastructure in a fresh process, derived from its first
+    slot's stream generator."""
     from ..serving import FleetInfra
-    infra = getattr(fleet, "infra", None)
-    if infra is not None:
-        return infra
-    slots = getattr(fleet, "slots", None)
-    if not slots:
+    if not fleet.slots:
         raise DurabilityError(
             "cannot derive FleetInfra for an empty fleet; attach at least "
             "one stream before enabling durability (or pass infra= "
             "explicitly)")
-    generator = slots[0].stream.generator
+    generator = fleet.slots[0].stream.generator
     return FleetInfra.from_generator(generator.model.seed, generator)
 
 
@@ -190,9 +185,9 @@ class WalDurability:
         self._closed = True
         try:
             self.snapshot(engine)
-        except Exception:  # noqa: BLE001 — the fleet may already be torn
-            # down (a closed sharded fleet); the flushed log alone is
-            # enough for recovery, so never let shutdown fail here.
+        except Exception:  # noqa: BLE001 — the fleet may no longer
+            # checkpoint; the flushed log alone is enough for recovery,
+            # so never let shutdown fail here.
             try:
                 self.wal.flush()
             except DurabilityError:

@@ -26,8 +26,7 @@ Each surviving ingest record replays as its own single-stream round
 composition independent and the engine preserves per-stream FIFO, so
 the replayed scores are bit-identical to what the live fleet produced
 (or would have produced — un-acked tail requests that were appended but
-never served now get served).  A service that runs shards wraps the
-result: ``ShardedFleet.from_fleet(recovered, shards)``.
+never served now get served).
 """
 
 from __future__ import annotations

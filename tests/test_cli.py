@@ -108,16 +108,6 @@ class TestParser:
         assert args.rounds == 5
         assert args.save == "fleet.json"
 
-    def test_fleet_shards_flag(self):
-        args = build_parser().parse_args(["fleet", "--shards", "2"])
-        assert args.shards == 2
-        assert build_parser().parse_args(["fleet"]).shards == 1
-
-    def test_fleet_bad_shards(self):
-        """Argument errors must fail before any training runs."""
-        with pytest.raises(SystemExit, match="--shards must be"):
-            main(["fleet", "--shards", "0"])
-
     def test_version_flag(self, capsys):
         from repro import __version__
         with pytest.raises(SystemExit) as exit_info:
@@ -131,23 +121,17 @@ class TestParser:
         assert args.host == "127.0.0.1"
         assert args.port == 7641
         assert args.max_queue_depth == 8
-        assert args.shards == 1
         assert not args.adaptive
 
     def test_gateway_flags(self):
         args = build_parser().parse_args(
             ["gateway", "--streams", "8", "--port", "0", "--host", "0.0.0.0",
-             "--max-queue-depth", "2", "--shards", "2", "--adaptive"])
+             "--max-queue-depth", "2", "--adaptive"])
         assert args.streams == 8
         assert args.port == 0
         assert args.host == "0.0.0.0"
         assert args.max_queue_depth == 2
-        assert args.shards == 2
         assert args.adaptive
-
-    def test_gateway_bad_shards(self):
-        with pytest.raises(SystemExit, match="--shards must be"):
-            main(["gateway", "--shards", "0"])
 
 
 class TestDocumentedCommands:
@@ -187,6 +171,23 @@ class TestKGCommand:
         main(["kg", "--mission", "Arson", "--seed", "2"])
         second = capsys.readouterr().out
         assert first != second
+
+
+class TestServeCommand:
+    def test_trace_dir_holds_one_engine_round_per_step(self, tmp_path):
+        from repro.obs import load_jsonl
+        out = tmp_path / "traces"
+        assert main(["serve", "--mission", "Stealing", "--steps-before",
+                     "1", "--steps-after", "2", "--trace-dir", str(out),
+                     "--set", "experiment.train_steps=2",
+                     "--set", "experiment.dataset_scale=0.1",
+                     "--set", "experiment.frames_per_video=24"]) == 0
+        spans = load_jsonl(out / "trace.jsonl")
+        assert [(span["name"], span["parent_id"], span["attrs"])
+                for span in spans] == [
+            ("engine.round", None, {"round": step, "streams": 1,
+                                    "pull": True})
+            for step in (1, 2, 3)]
 
 
 class TestConfigPrecedence:

@@ -1,83 +1,38 @@
 """The shared exception hierarchy: shape, compat, and live raise sites.
 
-Every deliberate error descends from ``ReproError``; the durability and
-fleet branches additionally subclass ``RuntimeError`` so call sites
-written against the historical bare ``RuntimeError`` keep catching them.
+Every deliberate error descends from ``ReproError``; the durability
+branch additionally subclasses ``RuntimeError`` so call sites written
+against the historical bare ``RuntimeError`` keep catching it.
 """
 
 import pytest
 
 from repro.errors import (
     DurabilityError,
-    FleetError,
     RecoveryError,
     ReproError,
     WalCorruptionError,
-    WorkerError,
-    WorkerStartupError,
 )
 
 
 class TestHierarchy:
     def test_everything_descends_from_repro_error(self):
-        for cls in (DurabilityError, WalCorruptionError, RecoveryError,
-                    FleetError, WorkerError, WorkerStartupError):
+        for cls in (DurabilityError, WalCorruptionError, RecoveryError):
             assert issubclass(cls, ReproError)
 
     def test_durability_branch(self):
         assert issubclass(WalCorruptionError, DurabilityError)
         assert issubclass(RecoveryError, DurabilityError)
-        assert not issubclass(DurabilityError, FleetError)
-
-    def test_fleet_branch(self):
-        assert issubclass(WorkerStartupError, WorkerError)
-        assert issubclass(WorkerError, FleetError)
-        assert not issubclass(FleetError, DurabilityError)
 
     def test_runtime_error_compat(self):
         """Legacy ``except RuntimeError`` / ``pytest.raises(RuntimeError)``
-        call sites must keep working for both branches."""
-        for cls in (DurabilityError, WalCorruptionError, RecoveryError,
-                    FleetError, WorkerError, WorkerStartupError):
+        call sites must keep working for the durability branch."""
+        for cls in (DurabilityError, WalCorruptionError, RecoveryError):
             assert issubclass(cls, RuntimeError)
         assert not issubclass(ReproError, RuntimeError)
 
-    def test_worker_error_carries_shard(self):
-        assert WorkerError("boom").shard is None
-        assert WorkerError("boom", shard=3).shard == 3
-        assert WorkerStartupError("no fleet", shard=1).shard == 1
-
-    def test_reexported_from_serving_and_wal_layers(self):
-        import repro.serving as serving
-        assert serving.FleetError is FleetError
-        assert serving.WorkerError is WorkerError
-        assert serving.WorkerStartupError is WorkerStartupError
-
 
 class TestLiveRaiseSites:
-    def test_closed_sharded_fleet_raises_fleet_error(self, fresh_model,
-                                                     frame_generator):
-        from repro.api import Deployment
-        from repro.data import TrendShiftConfig, TrendShiftStream
-        from repro.serving import DeploymentFleet, FleetInfra, ShardedFleet
-
-        fleet = DeploymentFleet()
-        model = fresh_model("Stealing", window=4)
-        model.eval()
-        fleet.add("cam-0",
-                  Deployment(model, mission="Stealing", adaptive=False),
-                  TrendShiftStream(frame_generator, TrendShiftConfig(
-                      steps_before_shift=1, steps_after_shift=1,
-                      windows_per_step=1, window=4, seed=60)))
-        sharded = ShardedFleet.from_fleet(
-            fleet, shards=1,
-            infra=FleetInfra(embedding_seed=7, generator_seed=5))
-        sharded.close()
-        with pytest.raises(FleetError, match="closed"):
-            sharded.step()
-        with pytest.raises(RuntimeError):   # legacy call sites
-            sharded.step()
-
     def test_wal_corruption_is_catchable_as_durability(self, tmp_path):
         from repro.wal import WriteAheadLog
         path = tmp_path / "00000001.wal"

@@ -30,7 +30,7 @@ from repro.gateway.protocol import (
     request_frame,
     send_frame,
 )
-from repro.serving import DeploymentFleet, FleetInfra, ShardedFleet
+from repro.serving import DeploymentFleet
 from repro.wal import WalConfig, recover_fleet
 
 from json_peer import JsonPeer
@@ -138,22 +138,16 @@ class TestRoundTrip:
                 assert np.array_equal(served[name][round_index],
                                       reference[name][round_index])
 
-    @pytest.mark.parametrize("codec,shards,wal", [
-        ("json", 0, False), ("binary", 0, False),
-        ("json", 2, False), ("binary", 2, False),
-        ("binary", 0, True)])
+    @pytest.mark.parametrize("codec,wal", [
+        ("json", False), ("binary", False), ("binary", True)])
     def test_serial_rounds_parity(self, fleet_factory, materialized,
-                                  tmp_path, codec, shards, wal):
+                                  tmp_path, codec, wal):
         """``pipeline=False`` (commit in round) serves the same bits as
         the pipelined default every other test here runs: over both
-        codecs, inline and 2-shard fleets, and with a WAL whose log
-        then recovers to the served stream set."""
+        codecs, and with a WAL whose log then recovers to the served
+        stream set."""
         windows, reference = materialized
         fleet = fleet_factory()
-        if shards:
-            fleet = ShardedFleet.from_fleet(
-                fleet, shards,
-                infra=FleetInfra(embedding_seed=7, generator_seed=5))
         durable = dict(wal_dir=tmp_path,
                        wal_config=WalConfig(fsync_batch=4)) if wal else {}
         with fleet, serve_in_thread(fleet, pipeline=False,
@@ -641,7 +635,6 @@ class TestEngineRounds:
                             f"{name}[{round_index}] diverged"
                 stats = client.stats()
                 assert "policy" not in stats["engine"]
-                assert stats["engine"]["backend"] == "inline"
                 assert stats["engine"]["rounds"] >= 1
 
     @pytest.mark.parametrize("policy", ["greedy", "priority", "FAIR",
@@ -712,7 +705,7 @@ class TestFleetRoundEntryPoints:
         with fleet_factory(streams=1) as fleet:
             assert isinstance(fleet, DeploymentFleet)
             assert len(fleet) == 1
-        fleet.close()  # idempotent no-op, mirroring ShardedFleet.close
+        fleet.close()  # idempotent no-op
         assert fleet.step()  # still serviceable: close holds no resources
 
 

@@ -368,9 +368,8 @@ class TestTapeMechanics:
 
     def test_no_grad_is_per_thread(self):
         """One thread's ``no_grad`` never turns another thread's tape off:
-        a sharded fleet's shards score on one thread while another adapts.
-        More threads than cores, switching as often as the interpreter
-        allows."""
+        one thread scores while another adapts.  More threads than cores,
+        switching as often as the interpreter allows."""
         interval = sys.getswitchinterval()
         errors: list[str] = []
         start = threading.Barrier(6)

@@ -15,8 +15,8 @@ The load-bearing properties:
   batch queued behind it with typed ``durability`` errors, and latches
   admission shut.
 * **One wave primitive** — ``serve_round`` produces bit-identical
-  scores to the split score/ingest pair, one ring round-trip per shard
-  per wave (the mixed-wave isolation contract lives in
+  scores to the split score/ingest pair, and every engine round is one
+  ``serve_round`` call (the mixed-wave isolation contract lives in
   ``test_runtime_engine.py::TestBackendPolicyParityMatrix``).
 * **Always-on stage timings** — every ``engine.stage.*`` histogram
   fills on every round, with no recorder attached.
@@ -32,10 +32,9 @@ from repro.api import Deployment
 from repro.data import TrendShiftConfig, TrendShiftStream
 from repro.errors import DurabilityError
 from repro.runtime import AdmissionError, EngineRequest
-from repro.serving import DeploymentFleet, FleetInfra, ShardedFleet
+from repro.serving import DeploymentFleet
 from repro.wal import WalConfig, WalDurability, recover_fleet
 
-INFRA = FleetInfra(embedding_seed=7, generator_seed=5)
 ROUNDS = 3
 
 
@@ -173,28 +172,24 @@ class TestPipelinedEngine:
                                        "commit_wait"])
     @pytest.mark.parametrize("pipeline", [False, True],
                              ids=["serial", "pipelined"])
-    @pytest.mark.parametrize("shards", [0, 2], ids=["inline", "sharded"])
     def test_stages_fill_untraced(
-            self, fresh_model, frame_generator, materialized, shards,
-            pipeline, stage):
+            self, fresh_model, frame_generator, materialized, pipeline,
+            stage):
         # Regression: schedule/score/ingest/durability used to be
         # observed only inside ``if tracer is not None`` blocks (and
         # queue_wait too, before PR 10); the round timeline fills every
         # stage on every round, in every cell.
         windows, _ = materialized
         fleet = make_fleet(fresh_model, frame_generator)
-        if shards:
-            fleet = ShardedFleet.from_fleet(fleet, shards, infra=INFRA)
-        with fleet:
-            engine = fleet.engine
-            engine.pipeline = pipeline
-            assert engine.tracer is None
-            submit_round(engine, fleet, windows, 0)
-            engine.run_round()
-            engine.stop_committer()
-            hist = engine.metrics.histogram(f"engine.stage.{stage}")
-            assert hist.count == (len(fleet.names)
-                                  if stage == "queue_wait" else 1)
+        engine = fleet.engine
+        engine.pipeline = pipeline
+        assert engine.tracer is None
+        submit_round(engine, fleet, windows, 0)
+        engine.run_round()
+        engine.stop_committer()
+        hist = engine.metrics.histogram(f"engine.stage.{stage}")
+        assert hist.count == (len(fleet.names)
+                              if stage == "queue_wait" else 1)
 
     def test_drop_pending_predicate_called_once_per_request(
             self, fresh_model, frame_generator, materialized):
@@ -379,44 +374,42 @@ class TestFusedScatter:
                                                 frame_generator,
                                                 materialized):
         windows, reference = materialized
-        single = make_fleet(fresh_model, frame_generator)
-        with ShardedFleet.from_fleet(single, 2, infra=INFRA) as sharded:
-            for round_index in range(ROUNDS):
-                arrivals = {name: windows[name][round_index]
-                            for name in sharded.names}
-                scored, events, unscored, timings = sharded.serve_round(
-                    arrivals, ingest=list(arrivals))
-                assert unscored == []
-                # Both shards stamped both stages, attributed.
-                assert {(t["stage"], t["shard"]) for t in timings} == {
-                    (stage, shard) for stage in ("score", "ingest")
-                    for shard in range(2)}
-                assert all(t["pid"] > 0 and t["dur"] >= 0 for t in timings)
-                for name in sharded.names:
-                    np.testing.assert_array_equal(
-                        scored[name], reference[name][round_index])
-                    np.testing.assert_array_equal(
-                        events[name].scores, reference[name][round_index])
-            assert sharded.transport_stats()["fused_rounds"] == ROUNDS
+        fleet = make_fleet(fresh_model, frame_generator)
+        for round_index in range(ROUNDS):
+            arrivals = {name: windows[name][round_index]
+                        for name in fleet.names}
+            scored, events, unscored, timings = fleet.serve_round(
+                arrivals, list(arrivals))
+            assert unscored == []
+            # One stamp per stage, covering every stream.
+            assert [(t["stage"], t["streams"]) for t in timings] == [
+                (stage, fleet.names) for stage in ("score", "ingest")]
+            assert all(t["dur"] >= 0 for t in timings)
+            for name in fleet.names:
+                np.testing.assert_array_equal(
+                    scored[name], reference[name][round_index])
+                np.testing.assert_array_equal(
+                    events[name].scores, reference[name][round_index])
 
     def test_engine_round_uses_fused_path_untraced(self, fresh_model,
                                                    frame_generator,
                                                    materialized):
         windows, reference = materialized
-        single = make_fleet(fresh_model, frame_generator)
-        with ShardedFleet.from_fleet(single, 2, infra=INFRA) as sharded:
-            engine = sharded.engine
-            for round_index in range(ROUNDS):
-                for name in sharded.names:
-                    engine.submit(EngineRequest(
-                        op="ingest", stream=name,
-                        windows=windows[name][round_index]))
-                results = engine.run_round()
-                for result in results:
-                    assert result.kind == "event"
-                    np.testing.assert_array_equal(
-                        result.event.scores,
-                        reference[result.request.stream][round_index])
-            assert sharded.transport_stats()["fused_rounds"] >= ROUNDS
-            stats = engine.stats()
-            assert stats["transport"]["fused_rounds"] >= ROUNDS
+        fleet = make_fleet(fresh_model, frame_generator)
+        waves = []
+        serve_round = fleet.serve_round
+        fleet.serve_round = lambda *args: waves.append(args) or \
+            serve_round(*args)
+        engine = fleet.engine
+        for round_index in range(ROUNDS):
+            for name in fleet.names:
+                engine.submit(EngineRequest(
+                    op="ingest", stream=name,
+                    windows=windows[name][round_index]))
+            results = engine.run_round()
+            for result in results:
+                assert result.kind == "event"
+                np.testing.assert_array_equal(
+                    result.event.scores,
+                    reference[result.request.stream][round_index])
+        assert len(waves) == ROUNDS

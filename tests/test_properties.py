@@ -204,8 +204,6 @@ class _RecordingFleet:
     "score" is that id, and every ingest is recorded in per-stream
     order."""
 
-    backend = "recording"
-
     def __init__(self):
         self.ingested: dict[str, list[int]] = {name: [] for name in STREAMS}
         self.waves: list[list[str]] = []

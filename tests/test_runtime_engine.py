@@ -1,11 +1,11 @@
-"""Tests for the unified serving core: the engine over both fleet classes.
+"""Tests for the unified serving core: the engine over the fleet.
 
-The load-bearing property: both fleet classes the engine serves over
-serve **bit-identical** per-stream scores to a seed-style direct
-``DeploymentFleet.step()`` run over the same windows — a fleet class may
-only change where the compute runs, never a score bit.  Plus: engine
-metrics land in one registry, admission control bounds the queues, and
-each round serves the front of every stream's queue, FIFO.
+The load-bearing property: queued rounds serve **bit-identical**
+per-stream scores to a seed-style direct ``DeploymentFleet.step()`` run
+over the same windows — how requests arrive may only change how they
+are grouped, never a score bit.  Plus: engine metrics land in one
+registry, admission control bounds the queues, and each round serves
+the front of every stream's queue, FIFO.
 """
 
 from pathlib import Path
@@ -18,10 +18,9 @@ from repro.data import TrendShiftConfig, TrendShiftStream
 from repro.metrics import MetricsRegistry
 from repro.obs import TraceRecorder, check_trace, span_dicts
 from repro.runtime import AdmissionError, EngineRequest
-from repro.serving import DeploymentFleet, FleetInfra, ShardedFleet
+from repro.serving import DeploymentFleet
 from repro.wal import WalDurability, recover_fleet
 
-INFRA = FleetInfra(embedding_seed=7, generator_seed=5)
 ROUNDS = 3
 
 
@@ -78,71 +77,50 @@ def drain_engine(engine):
     return served, rounds
 
 
-def fleet_of(fleet_class, fleet):
-    """``fleet`` as ``fleet_class``: itself, or sharded two ways."""
-    if fleet_class is ShardedFleet:
-        return ShardedFleet.from_fleet(fleet, shards=2, infra=INFRA)
-    return fleet
+class TestWaveParity:
+    """Queued rounds against the seed-style step."""
 
-
-FLEET_CLASSES = pytest.mark.parametrize(
-    "fleet_class", [DeploymentFleet, ShardedFleet], ids=["inline", "sharded"])
-
-
-class TestBackendPolicyParityMatrix:
-    """DeploymentFleet and ShardedFleet against the seed-style step."""
-
-    @FLEET_CLASSES
     def test_scores_bit_identical_to_seed_step(
-            self, fresh_model, frame_generator, fleet_class, materialized):
+            self, fresh_model, frame_generator, materialized):
         windows, reference = materialized
-        fleet = fleet_of(fleet_class,
-                         make_fleet(fresh_model, frame_generator))
-        with fleet:
-            engine = fleet.engine
-            assert type(fleet) is fleet_class and engine.fleet is fleet
-            # Interleaved arrivals: every stream's whole backlog queued
-            # before the first round.
-            for round_index in range(ROUNDS):
-                for name in windows:
-                    engine.submit(EngineRequest(
-                        op="ingest", stream=name,
-                        windows=windows[name][round_index]))
-            served, engine_rounds = drain_engine(engine)
+        fleet = make_fleet(fresh_model, frame_generator)
+        engine = fleet.engine
+        assert engine.fleet is fleet
+        # Interleaved arrivals: every stream's whole backlog queued
+        # before the first round.
+        for round_index in range(ROUNDS):
+            for name in windows:
+                engine.submit(EngineRequest(
+                    op="ingest", stream=name,
+                    windows=windows[name][round_index]))
+        served, engine_rounds = drain_engine(engine)
         for name, expected_rounds in reference.items():
             assert len(served[name]) == len(expected_rounds)
             for round_index, expected in enumerate(expected_rounds):
                 np.testing.assert_array_equal(
                     served[name][round_index], expected,
-                    err_msg=f"{fleet_class.__name__}: {name} round "
-                            f"{round_index} diverged")
+                    err_msg=f"{name} round {round_index} diverged")
         assert engine_rounds == ROUNDS   # <=1 per stream per round
 
     @pytest.mark.parametrize("pipeline", [False, True],
                              ids=["serial", "pipelined"])
     @pytest.mark.parametrize("traced", [False, True],
                              ids=["untraced", "traced"])
-    @pytest.mark.parametrize("fleet_class", [DeploymentFleet, ShardedFleet],
-                             ids=["inline", "2shard"])
     def test_mixed_wave(
-            self, fresh_model, frame_generator, fleet_class, traced,
-            pipeline):
+            self, fresh_model, frame_generator, traced, pipeline):
         """One wave holding a bad-shape entry, a ``scores`` op and
-        ordinary ingests yields the same ``(kind, code, score bits)``
-        per request on both fleet classes, traced or not, serial or
-        pipelined: un-scoreable windows error alone instead of
-        poisoning the coalesced round, through the one ``serve_round``
-        path plus its per-entry isolation fallback.  (On two shards
-        cam-0/cam-2 share the shard whose coalesced score fails and
-        re-run solo; cam-1/cam-3 ride the other shard's clean wave.)"""
+        ordinary ingests yields the expected ``(kind, code, score bits)``
+        per request, traced or not, serial or pipelined: un-scoreable
+        windows error alone instead of poisoning the coalesced round,
+        through the one ``serve_round`` path plus its per-entry
+        isolation fallback."""
         reference = make_fleet(fresh_model, frame_generator, streams=4)
         windows = {slot.name: np.asarray(slot.stream.batch(0).windows,
                                          dtype=np.float64)
                    for slot in reference.slots}
         expected = {event.stream: event.scores.tobytes()
                     for event in reference.step()}
-        fleet = fleet_of(fleet_class, make_fleet(fresh_model,
-                                                 frame_generator, streams=4))
+        fleet = make_fleet(fresh_model, frame_generator, streams=4)
         recorder = TraceRecorder() if traced else None
         delivered = []
         with fleet:
@@ -173,8 +151,6 @@ class TestBackendPolicyParityMatrix:
             for span in spans:
                 kind = results[span.attrs["stream"]].kind
                 span.finish(outcome="error" if kind == "error" else "ok")
-            rounds = engine.rounds
-            transport = engine.stats().get("transport")
         assert returned == ([] if pipeline else list(results.values()))
         outcome = {name: (r.kind, r.code,
                           None if r.kind == "error" else np.asarray(
@@ -187,9 +163,6 @@ class TestBackendPolicyParityMatrix:
             "cam-2": ("event", None, expected["cam-2"]),
             "cam-3": ("event", None, expected["cam-3"])}
         assert "cam-0" in results["cam-0"].message
-        if fleet_class is ShardedFleet:
-            # Traced or not, the wave took the production path.
-            assert transport["fused_rounds"] == rounds == 1
         if traced:
             assert check_trace(span_dicts(recorder.snapshot())) == []
 
@@ -198,15 +171,12 @@ class TestBackendPolicyParityMatrix:
         windows, reference = materialized
         arrivals = {name: windows[name][0] for name in windows}
         fleet = make_fleet(fresh_model, frame_generator)
-        scored_inline = fleet.score_only(arrivals)
-        with ShardedFleet.from_fleet(fleet, shards=2,
-                                     infra=INFRA) as sharded:
-            scored_sharded = sharded.score_only(arrivals)
-        for name in arrivals:
-            np.testing.assert_array_equal(scored_inline[name],
-                                          reference[name][0])
-            np.testing.assert_array_equal(scored_sharded[name],
-                                          reference[name][0])
+        for _ in range(2):   # nothing ingested, so a repeat is the same
+            scored = fleet.score_only(arrivals)
+            for name in arrivals:
+                np.testing.assert_array_equal(scored[name],
+                                              reference[name][0])
+        assert fleet.rounds == 0
 
 
 
@@ -215,10 +185,9 @@ class TestWaveIsolation:
     wave whose other streams already ingested."""
 
     @pytest.mark.parametrize("durable", [False, True], ids=["memory", "wal"])
-    @FLEET_CLASSES
     def test_a_refused_ingest_fails_alone(
             self, fresh_model, frame_generator, materialized, tmp_path,
-            fleet_class, durable):
+            durable):
         """Two static streams share one model; in one wave cam-0's
         ingest is good and cam-1's holds a NaN.  cam-0's ingest is
         applied, answered with its event and, under a WAL, logged
@@ -227,8 +196,7 @@ class TestWaveIsolation:
         windows, reference = materialized
         poisoned = windows["cam-1"][0].copy()
         poisoned[0, 1, 2] = np.nan
-        fleet = fleet_of(fleet_class, make_fleet(fresh_model,
-                                                 frame_generator, streams=2))
+        fleet = make_fleet(fresh_model, frame_generator, streams=2)
         waves = [[("cam-0", windows["cam-0"][0]), ("cam-1", poisoned)],
                  [("cam-0", windows["cam-0"][1]),
                   ("cam-1", windows["cam-1"][0])]]
@@ -281,13 +249,12 @@ class TestEngineMetrics:
         assert metrics["counters"]["engine.windows"] == rounds * 3 * 2
         assert metrics["gauges"]["engine.last_round_streams"] == 3
 
-    def test_stats_reports_backend_policy_and_coalescing(
+    def test_stats_reports_rounds_and_coalescing(
             self, fresh_model, frame_generator):
         fleet = make_fleet(fresh_model, frame_generator)
         fleet.step()
         stats = fleet.engine.stats()
-        assert stats["backend"] == "inline"
-        assert "policy" not in stats
+        assert "policy" not in stats and "backend" not in stats
         assert stats["rounds"] == 1
         # 3 streams share one scoring model: one coalesced forward for
         # all 6 windows.
@@ -297,8 +264,6 @@ class TestEngineMetrics:
         # ... and what the fleet holds: one weight set, one token state.
         assert stats["coalesce"]["weight_sets"] == 1
         assert stats["coalesce"]["token_states"] == 1
-        # Concurrent readers may still read a DeploymentFleet's counters.
-        assert "coalesce" in fleet.engine.stats(concurrent=True)
 
     def test_stats_reports_the_process_peak_rss(self, fresh_model,
                                                frame_generator):
@@ -310,7 +275,7 @@ class TestEngineMetrics:
         [hwm_kb] = [int(line.split()[1]) for line in status.splitlines()
                     if line.startswith("VmHWM:")]
         assert abs(peak - hwm_kb / 1024) < 1.0
-        assert fleet.engine.stats(concurrent=True)["rss_peak_mb"] >= peak
+        assert fleet.engine.stats()["rss_peak_mb"] >= peak
 
     def test_queue_depth_gauge_tracks_submissions(self, fresh_model,
                                                   frame_generator,
@@ -460,12 +425,10 @@ class TestRoundShape:
     queue — at most one per stream, streams in first-arrival order —
     and nothing queued is ever shed."""
 
-    @FLEET_CLASSES
     def test_front_of_each_queue_in_first_arrival_order(
-            self, fresh_model, frame_generator, materialized, fleet_class):
+            self, fresh_model, frame_generator, materialized):
         windows, reference = materialized
-        fleet = fleet_of(fleet_class,
-                         make_fleet(fresh_model, frame_generator))
+        fleet = make_fleet(fresh_model, frame_generator)
         arrivals = [("cam-2", 0), ("cam-0", 0), ("cam-2", 1),
                     ("cam-1", 0), ("cam-0", 1), ("cam-2", 2)]
         with fleet:
@@ -488,12 +451,10 @@ class TestRoundShape:
                 np.testing.assert_array_equal(scores,
                                               reference[name][index])
 
-    @FLEET_CLASSES
     def test_late_stream_joins_the_next_round(
-            self, fresh_model, frame_generator, materialized, fleet_class):
+            self, fresh_model, frame_generator, materialized):
         windows, reference = materialized
-        fleet = fleet_of(fleet_class,
-                         make_fleet(fresh_model, frame_generator))
+        fleet = make_fleet(fresh_model, frame_generator)
         with fleet:
             engine = fleet.engine
             for index in range(2):

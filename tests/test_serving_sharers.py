@@ -8,8 +8,9 @@ weights are, and shared modules refuse ``train()`` / ``unfreeze()`` /
 forward; (c) N sharers follow, bit
 for bit, the trajectories of N private models through token updates,
 rollbacks and prunes; (d) a checkpoint stores what is shared once and every
-restore path — ``DeploymentFleet.from_dict``, shards,
-``recover_fleet`` — shares it again and continues identically; (e) the
+restore path — ``DeploymentFleet.from_dict`` (also over a checkpoint
+that carries the former sharded fleet's ``"shards"`` / ``"infra"``
+keys), ``recover_fleet`` — shares it again and continues identically; (e) the
 40-round trajectory's bits match a pinned digest.
 """
 
@@ -24,15 +25,15 @@ from test_api_deployment import deployment_config
 
 from repro.adaptation import ConvergenceConfig
 from repro.api import Deployment, Pipeline, ReproConfig
-from repro.errors import CheckpointError, StateError
+from repro.errors import CheckpointError, ConfigError, StateError
 from repro.runtime import EngineRequest
 from repro.serving import (
     DeploymentFleet,
     FleetInfra,
     MicroBatcher,
     ScoreRequest,
-    ShardedFleet,
     build_fleet,
+    build_sharded_fleet,
 )
 from repro.utils.binframe import decode_payload, encode_payload
 from repro.wal import WalDurability, recover_fleet
@@ -249,9 +250,6 @@ class TestCheckpointFollowsOwnership:
                                match="unsupported fleet format"):
                 DeploymentFleet.from_dict(payload, pipeline.embedding_model,
                                           pipeline.generator)
-            with pytest.raises(CheckpointError,
-                               match="unsupported fleet format"):
-                ShardedFleet.from_dict(payload)
 
     def test_from_dict_shares_again_and_continues(self, served, pipeline):
         _, payload, expected = served
@@ -264,22 +262,20 @@ class TestCheckpointFollowsOwnership:
             assert_same_events(restored.step(), events)
         assert restored.batcher.batches_run == len(expected)
 
-    def test_shard_workers_share_again_and_continue(self, served, pipeline):
+    def test_a_sharded_checkpoint_shares_again_and_continues(
+            self, served, pipeline):
+        """A checkpoint the former sharded fleet wrote is the plain
+        format plus a ``"shards"`` hint and its ``"infra"``; one fleet
+        loads it and ignores both."""
         _, payload, expected = served
-        with ShardedFleet.from_dict(
-                payload, shards=2,
-                infra=FleetInfra.from_pipeline(pipeline)) as sharded:
-            # Identity as each shard sees it: cam-0 and cam-2 live in
-            # shard 0 over one weight set, cam-1 alone in shard 1.
-            stats = sharded.batcher_stats()
-            assert stats["weight_sets"] == 2
-            assert stats["token_states"] == STREAMS
-            for events in expected:
-                assert_same_events(sharded.step(), events)
-            assert sharded.batcher_stats()["batches_run"] == 2 * len(expected)
-            merged = sharded.to_dict()
-        assert len(merged["weights"]) == len(merged["anchors"]) == 2
-        assert len(merged["models"]) == STREAMS
+        infra = FleetInfra.from_generator(pipeline.embedding_model.seed,
+                                          pipeline.generator)
+        restored = DeploymentFleet.from_dict(
+            {**payload, "shards": 2, "infra": infra.to_payload()},
+            pipeline.embedding_model, pipeline.generator)
+        assert_shares_what_a_mission_shares(restored)
+        for events in expected:
+            assert_same_events(restored.step(), events)
 
     def test_recover_fleet_shares_again_and_continues(self, pipeline,
                                                       tmp_path):
@@ -302,6 +298,23 @@ class TestCheckpointFollowsOwnership:
             slot.cursor = 8  # replay feeds windows, not the slots' streams
         for _ in range(3):
             assert_same_events(recovered.step(), twin.step())
+
+
+@pytest.mark.parametrize("adaptive", [False, True],
+                         ids=["static", "adaptive"])
+def test_build_sharded_fleet_builds_build_fleets_fleet(pipeline, adaptive):
+    """``build_sharded_fleet`` (perfbench's ``sharded_large`` calls it)
+    checks ``shards`` and builds :func:`build_fleet`'s fleet, bit for
+    bit."""
+    kwargs = dict(adaptive=adaptive, windows_per_step=2)
+    ours = build_sharded_fleet(pipeline, [MISSION], STREAMS, shards=2,
+                               **kwargs)
+    theirs = build_fleet(pipeline, [MISSION], STREAMS, **kwargs)
+    assert type(ours) is DeploymentFleet
+    assert encode_payload(ours.to_dict()) == encode_payload(theirs.to_dict())
+    assert_same_events(ours.step(), theirs.step())
+    with pytest.raises(ConfigError, match="at least one shard"):
+        build_sharded_fleet(pipeline, [MISSION], STREAMS, shards=0)
 
 
 def test_adaptive_shift_shaped_checkpoint_holds_codes_and_continues():

@@ -105,8 +105,8 @@ class TestRingBuffer:
     def test_mapping_keeps_round_buffers_on_a_warm_heap(self):
         """A process that maps a buffer reuses its round-sized allocations
         instead of faulting them in and trimming them every round (a
-        sharded gateway's parent never loads a model, so nothing else
-        warms its heap) — and warming touches no page."""
+        process that loads no model has nothing else to warm its heap)
+        — and warming touches no page."""
         script = textwrap.dedent("""
             import resource, sys
             from repro.serving import RingBuffer

@@ -1,7 +1,6 @@
-"""End-to-end trace propagation: client -> gateway -> engine -> shards
--> WAL, across both wire codecs and both backends, plus recorder
-bounding under flood, bit-parity with tracing on, and the promoted
-stats/version surface."""
+"""End-to-end trace propagation: client -> gateway -> engine -> WAL,
+across both wire codecs, plus recorder bounding under flood, bit-parity
+with tracing on, and the promoted stats/version surface."""
 
 import json
 import re
@@ -15,11 +14,10 @@ from repro.api import Deployment
 from repro.data import TrendShiftConfig, TrendShiftStream
 from repro.gateway import GatewayClient, serve_in_thread
 from repro.obs import TraceRecorder, check_trace, span_dicts
-from repro.serving import DeploymentFleet, FleetInfra, ShardedFleet
+from repro.serving import DeploymentFleet
 
 from json_peer import JsonPeer
 
-INFRA = FleetInfra(embedding_seed=7, generator_seed=5)
 ROUNDS = 3
 
 
@@ -31,9 +29,8 @@ def make_stream(frame_generator, seed, windows_per_step=2):
 
 @pytest.fixture()
 def fleet_factory(fresh_model, frame_generator):
-    """Deterministic fleet factory (bit-identical replicas per call);
-    ``shards`` > 0 partitions the replica into that many shards."""
-    def make(streams=3, shards=0):
+    """Deterministic fleet factory (bit-identical replicas per call)."""
+    def make(streams=3):
         fleet = DeploymentFleet()
         model = fresh_model("Stealing", window=4)
         model.eval()
@@ -41,8 +38,6 @@ def fleet_factory(fresh_model, frame_generator):
             fleet.add(f"cam-{index}",
                       Deployment(model, mission="Stealing", adaptive=False),
                       make_stream(frame_generator, seed=80 + index))
-        if shards:
-            fleet = ShardedFleet.from_fleet(fleet, shards, infra=INFRA)
         return fleet
     return make
 
@@ -88,12 +83,10 @@ def by_name(spans, name):
 
 class TestEndToEndPropagation:
     @pytest.mark.parametrize("codec", ["json", "binary"])
-    @pytest.mark.parametrize("shards", [0, 2])
-    def test_parentage_and_parity(self, fleet_factory, materialized,
-                                  shards, codec):
+    def test_parentage_and_parity(self, fleet_factory, materialized, codec):
         windows, reference = materialized
         recorder = TraceRecorder()
-        with fleet_factory(shards=shards) as fleet, \
+        with fleet_factory() as fleet, \
                 serve_in_thread(fleet, tracer=recorder) as handle:
             drive(handle.address, windows, reference, recorder=recorder,
                   codec=codec)
@@ -130,20 +123,6 @@ class TestEndToEndPropagation:
                      "engine.durability"):
             for span in by_name(spans, name):
                 assert by_id[span["parent_id"]]["name"] == "engine.round"
-
-        shard_spans = [span for span in spans
-                       if span["name"] in ("shard.score", "shard.ingest")]
-        if shards:
-            # Shard spans are attributed to both shards and parented
-            # under the engine's score/ingest spans.
-            assert {span["attrs"]["shard"] for span in shard_spans} \
-                == set(range(shards))
-            for span in shard_spans:
-                assert by_id[span["parent_id"]]["name"] in ("engine.score",
-                                                            "engine.ingest")
-                assert span["attrs"]["pid"] > 0
-        else:
-            assert shard_spans == []
 
     def test_wal_fsync_spans_parent_under_durability(self, fleet_factory,
                                                      materialized,
@@ -239,32 +218,10 @@ class TestStatsSurface:
             assert histograms[name]["count"] > 0, name
             assert "sampled" in histograms[name]
 
-    @pytest.mark.parametrize("cpus, pool", [(1, 0), (2, 2)])
-    def test_repro_stats_shows_how_shards_run(
-            self, fleet_factory, materialized, monkeypatch, capsys, cpus,
-            pool):
-        """An operator sees the shard count, whether shards run on a
-        thread pool (0 threads on one CPU) and the fused waves."""
-        import repro.serving.sharded as sharded_module
-        monkeypatch.setattr(sharded_module, "_cpu_count", lambda: cpus)
-        windows, reference = materialized
-        with fleet_factory(shards=2) as fleet, \
-                serve_in_thread(fleet) as handle:
-            drive(handle.address, windows, reference)
-            host, port = handle.address
-            capsys.readouterr()
-            assert cli.main(["stats", "--host", host,
-                             "--port", str(port)]) == 0
-            rounds = fleet.rounds
-        out = capsys.readouterr().out
-        assert (f"  transport: fused_rounds={rounds}, pool_threads={pool}, "
-                "shards=2\n") in out
-        assert "shm" not in out
-
     def test_repro_stats_engine_line(self, fleet_factory, materialized,
                                      capsys):
-        """The engine line names the backend, the rounds served and the
-        queue — no scheduling policy."""
+        """The engine line names the rounds served and the queue — no
+        scheduling policy."""
         windows, reference = materialized
         with fleet_factory() as fleet, serve_in_thread(fleet) as handle:
             drive(handle.address, windows, reference)
@@ -274,7 +231,7 @@ class TestStatsSurface:
                              "--port", str(port)]) == 0
             rounds = fleet.rounds
         out = capsys.readouterr().out
-        assert (f"  engine: backend inline, {rounds} round(s), 0 queued "
+        assert (f"  engine: {rounds} round(s), 0 queued "
                 "request(s) across 0 stream(s)\n") in out
         assert re.search(r"\n  memory: peak RSS \d+\.\d MB\n", out)
         assert "policy" not in out
@@ -292,7 +249,7 @@ class TestSlowRoundDump:
                                          tmp_path, capsys):
         windows, reference = materialized
         trace_dir = tmp_path / "traces"
-        with fleet_factory(shards=2) as fleet, \
+        with fleet_factory() as fleet, \
                 serve_in_thread(fleet, trace_dir=trace_dir,
                                 slow_round_ms=0.0) as handle:
             drive(handle.address, windows, reference)

@@ -3,7 +3,7 @@
 A durable fleet's snapshot stores each weight set and anchor array as a
 ``<sha256>.blob`` file beside the segments and names it by digest.  What
 must hold: (a) N snapshots leave one blob per weight set / anchor array
-(a sharded fleet's too), encode each weight set once and write small
+encode each weight set once and write small
 records; (b) a record with
 inline entries — what older versions wrote — still recovers; (c) a
 missing or damaged blob is a typed error naming its digest; (d) blobs
@@ -25,10 +25,10 @@ from repro.embedding import build_default_embedding_model
 from repro.errors import RecoveryError
 from repro.gnn import MissionGNNConfig, MissionGNNModel
 from repro.nn.layers import Module
-from repro.serving import DeploymentFleet, FleetInfra, ShardedFleet
+from repro.serving import DeploymentFleet
 from repro.utils.binframe import encode_payload
-from repro.wal import (WriteAheadLog, infra_for_fleet, read_records,
-                       recover_fleet, snapshot_record)
+from repro.wal import (WriteAheadLog, infra_for_fleet, recover_fleet,
+                       snapshot_record)
 
 MISSIONS = ("Stealing", "Robbery")
 STREAMS = 4
@@ -120,25 +120,6 @@ def test_snapshots_write_each_shared_entry_once(two_missions, tmp_path,
     recovered, report = recover_fleet(tmp_path)
     assert report.replayed == 0
     assert_continues_alike(recovered, fleet, windows)
-
-
-def test_sharded_payload_becomes_blobs(two_missions, tmp_path):
-    """A sharded fleet's snapshot stores its shards' weights by digest,
-    as a plain fleet's does, and a plain rebuild continues like a twin."""
-    twin = two_missions()
-    windows = arrivals(twin)
-    twin.ingest_round({name: windows[name][0] for name in twin.names})
-    infra = FleetInfra(embedding_seed=7, generator_seed=5)
-    with ShardedFleet.from_fleet(two_missions(), 2, infra=infra) as fleet:
-        durability = make_durable(fleet, tmp_path)
-        serve_rounds(fleet, windows, count=1)
-        durability.snapshot(fleet.engine)
-    snapshot = [r for r in read_records(tmp_path) if r["kind"] == "snapshot"]
-    references = snapshot[-1]["fleet"]["weights"]
-    assert len(references) == len(MISSIONS)
-    assert {reference["blob"] for reference in references} == blobs(tmp_path)
-    recovered, _ = recover_fleet(tmp_path)
-    assert_continues_alike(recovered, twin, windows)
 
 
 # ----------------------------------------------------------------------

@@ -16,11 +16,11 @@ import pytest
 
 from repro import cli
 from repro.api import Deployment
-from repro.data import TrendShiftConfig, TrendShiftStream
+from repro.data import FrameGenerator, TrendShiftConfig, TrendShiftStream
 from repro.errors import DurabilityError, RecoveryError
 from repro.metrics import MetricsRegistry
 from repro.runtime import AdmissionError, EngineRequest
-from repro.serving import DeploymentFleet, ShardedFleet
+from repro.serving import DeploymentFleet
 from repro.wal import (
     SnapshotPolicy,
     WalConfig,
@@ -132,20 +132,66 @@ class TestCrashRecoveryParity:
         for name, event in events.items():
             assert np.array_equal(event.scores, reference[name][3])
 
-    def test_sharded_parity(self, fleet_factory, materialized, tmp_path):
-        """Recovery rebuilds one fleet; sharding it afterwards serves the
-        next round to the reference's bits."""
+    def test_a_snapshot_carrying_shard_keys_recovers(
+            self, fleet_factory, materialized, tmp_path):
+        """A log the former sharded fleet wrote: each snapshot's fleet
+        payload is the plain format plus a ``"shards"`` hint and an
+        ``"infra"`` section.  It recovers to the reference's bits."""
         windows, reference = materialized
-        crash_with_queued_tail(fleet_factory(), windows, tmp_path)
+        fleet = fleet_factory()
+        to_dict = fleet.to_dict
+        fleet.to_dict = lambda blobs=None: {
+            **to_dict(blobs=blobs), "shards": 2,
+            "infra": infra_for_fleet(fleet).to_payload()}
+        crash_with_queued_tail(fleet, windows, tmp_path)
+        snapshots = [record["fleet"] for record in read_records(tmp_path)
+                     if record["kind"] == "snapshot"]
+        assert snapshots and all(payload["shards"] == 2
+                                 for payload in snapshots)
         recovered, report = recover_fleet(tmp_path)
-        assert isinstance(recovered, DeploymentFleet)
         for name, scores in report.scores.items():
             assert np.array_equal(scores[-1], reference[name][2])
-        with ShardedFleet.from_fleet(recovered, 2) as fleet:
-            events = fleet.ingest_round(
-                {name: windows[name][3] for name in fleet.names})
-            for name, event in events.items():
-                assert np.array_equal(event.scores, reference[name][3])
+        events = recovered.ingest_round(
+            {name: windows[name][3] for name in recovered.names})
+        for name, event in events.items():
+            assert np.array_equal(event.scores, reference[name][3])
+
+    def test_a_non_default_generator_survives_recovery(
+            self, fresh_model, embedding_model, tmp_path):
+        """The snapshot's FleetInfra carries the frame generator's
+        hyperparameters, so recovered streams emit the frames the live
+        ones would have."""
+        generator = FrameGenerator(embedding_model, seed=5,
+                                   sensor_noise=0.2, concepts_per_frame=2)
+
+        def make():
+            fleet = DeploymentFleet()
+            model = fresh_model("Stealing", window=4)
+            model.eval()
+            for index in range(2):
+                fleet.add(f"cam-{index}",
+                          Deployment(model, mission="Stealing",
+                                     adaptive=False),
+                          make_stream(generator, seed=60 + index))
+            return fleet
+
+        fleet, reference = make(), make()
+        durability = make_durable(fleet, tmp_path)
+        fleet.step()
+        reference.step()
+        durability.snapshot(fleet.engine)
+        recovered, _ = recover_fleet(tmp_path)
+        rebuilt = recovered.slots[0].stream.generator
+        assert (rebuilt.sensor_noise, rebuilt.concepts_per_frame) == (0.2, 2)
+        rounds = 0
+        for ours, theirs in zip(recovered.serve(), reference.serve(),
+                                strict=True):
+            assert [event.stream for event in ours] \
+                == [event.stream for event in theirs]
+            for a, b in zip(ours, theirs):
+                assert np.array_equal(a.scores, b.scores)
+            rounds += 1
+        assert rounds == 3
 
     def test_clean_close_leaves_nothing_to_replay(self, fleet_factory,
                                                   materialized, tmp_path):
