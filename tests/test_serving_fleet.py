@@ -83,6 +83,38 @@ class TestLifecycle:
         rounds = list(fleet.serve(max_rounds=1))
         assert len(rounds) == 1
 
+    def test_close_is_idempotent_and_serving_goes_on(self, static_deployment,
+                                                     frame_generator):
+        """A fleet holds nothing to release: closing it, twice or by
+        leaving its ``with`` block, leaves it serving."""
+        fleet = DeploymentFleet()
+        fleet.add("a", static_deployment(), make_stream(frame_generator, 1))
+        with fleet as entered:
+            assert entered is fleet
+            fleet.step()
+        fleet.close()
+        fleet.close()
+        [event] = fleet.step()
+        assert event.step == 1 and fleet.rounds == 2
+
+    def test_a_detached_deployment_scores_like_the_fleet(
+            self, static_deployment, frame_generator):
+        """Detached mid-run, a stream's deployment keeps its state: it
+        ingests its stream's next batch to the scores and step an
+        attached twin stream gets from the fleet."""
+        model = static_deployment().model
+        fleet = DeploymentFleet()
+        for name in ("a", "twin"):
+            fleet.add(name, static_deployment(model),
+                      make_stream(frame_generator, 5))
+        fleet.step()
+        removed = fleet.remove("a")
+        assert fleet.names == ["twin"]
+        log = removed.ingest(make_stream(frame_generator, 5).batch(1).windows)
+        [event] = fleet.step()
+        assert log.step == event.step == 1
+        np.testing.assert_array_equal(log.scores, event.scores)
+
 
 class TestBatchedSequentialParity:
     def test_scores_identical_within_zero(self, fresh_model, frame_generator):
@@ -141,6 +173,50 @@ class TestBatchedSequentialParity:
             np.testing.assert_array_equal(fleet_log.scores, log.scores)
             assert fleet_log.k == log.k
             assert fleet_log.updated == log.updated
+
+
+class TestGatewayEntryPoints:
+    """``ingest_round``/``score_only``: what the network gateway calls."""
+
+    @staticmethod
+    def fleet_and_arrivals(static_deployment, frame_generator):
+        model = static_deployment().model
+        fleet = DeploymentFleet()
+        for index in range(3):
+            fleet.add(f"cam-{index}", static_deployment(model),
+                      make_stream(frame_generator, 20 + index))
+        arrivals = {slot.name: np.asarray(slot.stream.batch(0).windows,
+                                          dtype=np.float64)
+                    for slot in fleet.slots}
+        return fleet, arrivals
+
+    def test_ingest_round_matches_step_and_leaves_cursors(
+            self, static_deployment, frame_generator):
+        fleet, arrivals = self.fleet_and_arrivals(static_deployment,
+                                                  frame_generator)
+        twin, _ = self.fleet_and_arrivals(static_deployment, frame_generator)
+        events = fleet.ingest_round(arrivals)
+        assert list(events) == fleet.names
+        for stepped in twin.step():
+            event = events[stepped.stream]
+            assert event.step == stepped.step
+            np.testing.assert_array_equal(event.scores, stepped.scores)
+        assert fleet.rounds == 1
+        assert [slot.cursor for slot in fleet.slots] == [0, 0, 0]
+
+    def test_score_only_feeds_no_monitor_and_unknown_streams_raise(
+            self, static_deployment, frame_generator):
+        fleet, arrivals = self.fleet_and_arrivals(static_deployment,
+                                                  frame_generator)
+        scored = fleet.score_only(arrivals)
+        assert all(slot.deployment.step_count == 0 for slot in fleet.slots)
+        for name, event in fleet.ingest_round(arrivals).items():
+            np.testing.assert_array_equal(scored[name], event.scores)
+        ghost = {"ghost": arrivals["cam-0"]}
+        for serve in (fleet.score_only, fleet.ingest_round):
+            with pytest.raises(KeyError, match="ghost"):
+                serve(ghost)
+        assert fleet.rounds == 1
 
 
 class TestFleetCheckpoint:
